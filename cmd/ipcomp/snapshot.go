@@ -79,10 +79,9 @@ func cmdSnapshotPut(args []string) error {
 	// explicit flag that disagrees with it is an error, not a new series.
 	var shape, chunk []int
 	var scalar scalarFlag = scalarF64
-	bound := *eb
+	var prev *cas.Manifest
 	if t, ok := c.Latest(*field); ok {
-		prev, _ := c.Manifest(*field, t)
-		if prev == nil {
+		if prev, _ = c.Manifest(*field, t); prev == nil {
 			return fmt.Errorf("field %q has no manifest at t%d", *field, t)
 		}
 		shape, chunk = prev.Shape, prev.Chunk
@@ -105,9 +104,6 @@ func cmdSnapshotPut(args []string) error {
 			}
 		}
 		scalar = scalarFlag(prev.Scalar)
-		if bound == 0 {
-			bound = prev.ErrorBound
-		}
 	} else {
 		if *shapeStr == "" || *eb == 0 {
 			return fmt.Errorf("the first put of field %q requires -shape and -eb", *field)
@@ -130,7 +126,6 @@ func cmdSnapshotPut(args []string) error {
 	}
 
 	opt := store.WriteOptions{
-		ErrorBound:    bound,
 		Interpolation: kind,
 		ChunkShape:    chunk,
 		Codec:         cpol,
@@ -142,7 +137,7 @@ func cmdSnapshotPut(args []string) error {
 		if err != nil {
 			return err
 		}
-		m, st, err = packSlice(c, *field, data, shape, *rel, opt)
+		m, st, err = packSlice(c, prev, *field, data, shape, *eb, *rel, opt)
 		if err != nil {
 			return err
 		}
@@ -151,7 +146,7 @@ func cmdSnapshotPut(args []string) error {
 		if err != nil {
 			return err
 		}
-		m, st, err = packSlice(c, *field, data, shape, *rel, opt)
+		m, st, err = packSlice(c, prev, *field, data, shape, *eb, *rel, opt)
 		if err != nil {
 			return err
 		}
@@ -173,15 +168,16 @@ const (
 	scalarF32 scalarFlag = 1
 )
 
-func packSlice[T grid.Scalar](c *cas.Store, field string, data []T, shape []int, rel bool, opt store.WriteOptions) (*cas.Manifest, cas.PutStats, error) {
+// packSlice stages data as the field's next snapshot; eb and rel are the
+// flags as given (0: no -eb), resolved against the series by the same
+// rule the server's write endpoints apply.
+func packSlice[T grid.Scalar](c *cas.Store, prev *cas.Manifest, field string, data []T, shape []int, eb float64, rel bool, opt store.WriteOptions) (*cas.Manifest, cas.PutStats, error) {
 	g, err := grid.FromSlice(data, shape)
 	if err != nil {
 		return nil, cas.PutStats{}, err
 	}
-	if rel {
-		if r := g.ValueRange(); r > 0 {
-			opt.ErrorBound *= r
-		}
+	if opt.ErrorBound, err = store.SeriesBound(g, prev, eb, rel); err != nil {
+		return nil, cas.PutStats{}, err
 	}
 	return store.PackSnapshot(c, field, g, opt)
 }

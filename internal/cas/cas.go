@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -45,6 +46,11 @@ type Store struct {
 	epochBlobs     map[Score][]byte
 	epochManifests []*Manifest
 
+	// prints remembers, per field, the fingerprints the writer of its
+	// latest snapshot handed to PutPrinted. Memory only: empty after Open,
+	// never written to disk.
+	prints map[string]tilePrints
+
 	verified sync.Map // Score -> struct{}: sealed blobs whose hash was checked
 
 	// testHookSeal, when set, runs before every labeled step of sealEpoch;
@@ -70,6 +76,7 @@ func Open(dir string) (*Store, error) {
 		refs:       make(map[Score]int),
 		sizes:      make(map[Score]int64),
 		epochBlobs: make(map[Score][]byte),
+		prints:     make(map[string]tilePrints),
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -158,6 +165,7 @@ func (s *Store) loadManifests() error {
 			return fmt.Errorf("cas: manifest file %s declares snapshot %s", e.Name(), m.Name())
 		}
 		s.indexManifest(m)
+		s.fields[m.Field] = append(s.fields[m.Field], m.T)
 	}
 	for field := range s.fields {
 		sort.Ints(s.fields[field])
@@ -165,11 +173,12 @@ func (s *Store) loadManifests() error {
 	return nil
 }
 
-// indexManifest registers a sealed manifest in the in-memory maps.
+// indexManifest registers a sealed manifest and its blob references in
+// the in-memory maps; the field's time-step list is the caller's (Put
+// lists a step when it is staged, loadManifests when it is read back).
 // Callers hold mu (or are single-threaded during Open).
 func (s *Store) indexManifest(m *Manifest) {
 	s.manifests[m.Name()] = m
-	s.fields[m.Field] = append(s.fields[m.Field], m.T)
 	for i := range m.Tiles {
 		tr := &m.Tiles[i]
 		if s.refs[tr.Score] == 0 {
@@ -190,6 +199,25 @@ type PutStats struct {
 	// already present.
 	DedupBlobs int
 	DedupBytes int64
+	// ReusedTiles counts the DedupBlobs that PutPrinted resolved by
+	// fingerprint: tiles the writer never compressed.
+	ReusedTiles int
+}
+
+// Fingerprint identifies a tile before it is compressed: a SHA-256 the
+// writer takes over the tile's raw bytes and over every parameter that
+// feeds its compressor. The store treats it as opaque, as it does blobs;
+// what it relies on is the writer's guarantee that the compressor is
+// deterministic, so that equal fingerprints mean equal blobs.
+type Fingerprint [sha256.Size]byte
+
+// tilePrints is what the store remembers of a field's latest snapshot:
+// the fingerprint of every tile next to the blob it became. tiles aliases
+// the snapshot's manifest, which is immutable, so the memory costs one
+// fingerprint per tile.
+type tilePrints struct {
+	prints []Fingerprint
+	tiles  []TileRef
 }
 
 // Put stages one snapshot in the open epoch: tiles are the compressed
@@ -198,32 +226,82 @@ type PutStats struct {
 // Seal makes it durable. The time step must be the field's next (or 0 for
 // a new field) — the series is append-only.
 func (s *Store) Put(m *Manifest, tiles [][]byte) (PutStats, error) {
-	var st PutStats
+	st, _, err := s.put(m, tiles, nil)
+	return st, err
+}
+
+// Prints returns the fingerprints remembered for the field's latest
+// snapshot, tile by tile, or nil when there are none: the store was just
+// opened, or the latest snapshot came through plain Put. The slice is
+// shared and read-only. A match against it is a hint, not a promise —
+// only PutPrinted, under the store's lock, decides whether the blob
+// behind it can still be referenced.
+func (s *Store) Prints(field string) []Fingerprint {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.prints[field].prints
+}
+
+// PutPrinted is Put for a writer that fingerprinted its tiles before
+// compressing them. prints[i] is tile i's fingerprint (the store keeps the
+// slice, for the field's next snapshot); a nil tiles[i] asks for the blob
+// the field's latest snapshot stored at tile i under that same
+// fingerprint. The request is honoured only while that blob is still held
+// — staged in the open epoch or referenced by a sealed manifest; Delete
+// and GC may have dropped it, and a manifest must never name a blob the
+// store cannot produce. When any request cannot be honoured nothing is
+// staged and stale lists those tiles: the writer compresses them and puts
+// again.
+func (s *Store) PutPrinted(m *Manifest, tiles [][]byte, prints []Fingerprint) (st PutStats, stale []int, err error) {
+	if len(prints) != len(tiles) {
+		return st, nil, fmt.Errorf("cas: %d fingerprints for %d tiles", len(prints), len(tiles))
+	}
+	return s.put(m, tiles, prints)
+}
+
+// put is Put and PutPrinted; prints is nil for the former.
+func (s *Store) put(m *Manifest, tiles [][]byte, prints []Fingerprint) (st PutStats, stale []int, err error) {
 	m.Tiles = make([]TileRef, len(tiles))
 	for i, b := range tiles {
+		if b == nil && prints != nil {
+			continue // resolved below, under the lock
+		}
 		if len(b) == 0 {
-			return st, fmt.Errorf("cas: tile %d is empty", i)
+			return st, nil, fmt.Errorf("cas: tile %d is empty", i)
 		}
 		m.Tiles[i] = TileRef{Score: ScoreOf(b), Size: int64(len(b))}
 	}
-	if err := m.validate(); err != nil {
-		return st, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	prev := s.prints[m.Field]
+	for i, b := range tiles {
+		if b != nil {
+			continue
+		}
+		if i < len(prev.prints) && prev.prints[i] == prints[i] && s.heldLocked(prev.tiles[i].Score) {
+			m.Tiles[i] = prev.tiles[i]
+		} else {
+			stale = append(stale, i)
+		}
+	}
+	if stale != nil {
+		m.Tiles = nil
+		return st, stale, nil
+	}
+	if err := m.validate(); err != nil {
+		return st, nil, err
+	}
 	if want := s.nextTLocked(m.Field); m.T != want {
-		return st, fmt.Errorf("cas: field %q is at time step %d next, not %d (snapshots are append-only)", m.Field, want, m.T)
+		return st, nil, fmt.Errorf("cas: field %q is at time step %d next, not %d (snapshots are append-only)", m.Field, want, m.T)
 	}
 	for i, b := range tiles {
 		tr := &m.Tiles[i]
-		if _, ok := s.epochBlobs[tr.Score]; ok {
+		if s.heldLocked(tr.Score) {
 			st.DedupBlobs++
 			st.DedupBytes += tr.Size
-			continue
-		}
-		if n, ok := s.refs[tr.Score]; ok && n > 0 {
-			st.DedupBlobs++
-			st.DedupBytes += tr.Size
+			if b == nil {
+				st.ReusedTiles++
+			}
 			continue
 		}
 		// Detach from the caller's buffer: epoch blobs outlive the request.
@@ -233,7 +311,21 @@ func (s *Store) Put(m *Manifest, tiles [][]byte) (PutStats, error) {
 	}
 	s.epochManifests = append(s.epochManifests, m)
 	s.fields[m.Field] = append(s.fields[m.Field], m.T)
-	return st, nil
+	if prints != nil {
+		s.prints[m.Field] = tilePrints{prints: prints, tiles: m.Tiles}
+	} else {
+		delete(s.prints, m.Field)
+	}
+	return st, nil, nil
+}
+
+// heldLocked reports whether a manifest may reference the blob: it is
+// staged in the open epoch or some sealed manifest already references it.
+func (s *Store) heldLocked(score Score) bool {
+	if _, ok := s.epochBlobs[score]; ok {
+		return true
+	}
+	return s.refs[score] > 0
 }
 
 // nextTLocked returns the next time step of a field across sealed and
@@ -271,18 +363,6 @@ func (s *Store) sealLocked() error {
 	}
 	for _, m := range s.epochManifests {
 		s.indexManifest(m)
-	}
-	// indexManifest re-appended each staged T to fields; rebuild the lists
-	// it touched from the manifest set to drop the duplicates Put added.
-	for field := range s.fields {
-		ts := s.fields[field][:0]
-		for name := range s.manifests {
-			if f, t, err := ParseSnapshotName(name); err == nil && f == field {
-				ts = append(ts, t)
-			}
-		}
-		sort.Ints(ts)
-		s.fields[field] = ts
 	}
 	s.epochBlobs = make(map[Score][]byte)
 	s.epochManifests = nil
@@ -632,10 +712,7 @@ func (s *Store) GC() (GCStats, error) {
 			if err != nil {
 				continue // not a blob file; leave it alone
 			}
-			if s.refs[score] > 0 {
-				continue
-			}
-			if _, staged := s.epochBlobs[score]; staged {
+			if s.heldLocked(score) {
 				continue
 			}
 			info, err := e.Info()

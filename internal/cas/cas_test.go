@@ -425,3 +425,162 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal("decode accepted a bad checksum")
 	}
 }
+
+// TestPutPrinted pins the fingerprint contract: a nil tile is resolved to
+// the blob the field's latest snapshot stored under the same fingerprint —
+// and only while the store can still produce that blob. Every other case
+// (no memory after Open or after a plain Put, a fingerprint that moved, a
+// blob whose last reference Delete dropped) comes back as stale with
+// nothing staged, so no manifest can name a blob the store does not hold.
+func TestPutPrinted(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := func(seed string) Fingerprint { return Fingerprint(ScoreOf([]byte(seed))) }
+	a, b, b2 := tileBytes("a", 40), tileBytes("b", 50), tileBytes("b2", 60)
+	put := func(tiles [][]byte, prints []Fingerprint) (PutStats, []int) {
+		t.Helper()
+		m := seriesManifest("f", s.NextT("f"), len(tiles))
+		st, stale, err := s.PutPrinted(m, tiles, prints)
+		if err != nil {
+			t.Fatalf("PutPrinted t%d: %v", m.T, err)
+		}
+		if stale != nil && (m.Tiles != nil || s.NextT("f") != m.T) {
+			t.Fatalf("a stale answer staged something: tiles %v, next t %d", m.Tiles, s.NextT("f"))
+		}
+		return st, stale
+	}
+
+	// Nothing is remembered yet: a nil tile cannot be resolved.
+	if _, stale := put([][]byte{a, nil}, []Fingerprint{fp("a"), fp("b")}); len(stale) != 1 || stale[0] != 1 {
+		t.Fatalf("nil tile with nothing remembered: stale %v, want [1]", stale)
+	}
+	if st, stale := put([][]byte{a, b}, []Fingerprint{fp("a"), fp("b")}); stale != nil || st.NewBlobs != 2 || st.ReusedTiles != 0 {
+		t.Fatalf("first printed put: %+v stale %v", st, stale)
+	}
+	if got := s.Prints("f"); len(got) != 2 || got[0] != fp("a") || got[1] != fp("b") {
+		t.Fatalf("Prints after a printed put: %v", got)
+	}
+	// Same fingerprints: both tiles resolve without bytes, from the epoch.
+	st, stale := put([][]byte{nil, nil}, []Fingerprint{fp("a"), fp("b")})
+	if stale != nil || st.ReusedTiles != 2 || st.DedupBlobs != 2 || st.NewBlobs != 0 || st.DedupBytes != 90 {
+		t.Fatalf("unchanged put: %+v stale %v", st, stale)
+	}
+	m1, _ := s.Manifest("f", 1)
+	if m1.Tiles[0] != (TileRef{ScoreOf(a), 40}) || m1.Tiles[1] != (TileRef{ScoreOf(b), 50}) {
+		t.Fatalf("reused refs %v", m1.Tiles)
+	}
+	// A fingerprint that is not the remembered one at that index is stale,
+	// even if another index remembers it.
+	if _, stale := put([][]byte{nil, nil}, []Fingerprint{fp("b"), fp("b")}); len(stale) != 1 || stale[0] != 0 {
+		t.Fatalf("moved fingerprint: stale %v, want [0]", stale)
+	}
+	// t2 changes tile 1; sealed, the memory points at sealed blobs.
+	if st, stale := put([][]byte{nil, b2}, []Fingerprint{fp("a"), fp("b2")}); stale != nil || st.ReusedTiles != 1 || st.NewBlobs != 1 {
+		t.Fatalf("partial put: %+v stale %v", st, stale)
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if st, stale := put([][]byte{nil, nil}, []Fingerprint{fp("a"), fp("b2")}); stale != nil || st.ReusedTiles != 2 {
+		t.Fatalf("put against sealed blobs: %+v stale %v", st, stale)
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	// Drop every reference to b2 (t2 and t3) and sweep: the memory of t3
+	// still names b2's blob, which the store can no longer produce.
+	for _, ts := range []int{2, 3} {
+		if err := s.Delete("f", ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.GC(); err != nil {
+		t.Fatal(err)
+	}
+	if _, stale := put([][]byte{nil, nil}, []Fingerprint{fp("a"), fp("b2")}); len(stale) != 1 || stale[0] != 1 {
+		t.Fatalf("after Delete+GC: stale %v, want [1] (a is still referenced by t0/t1)", stale)
+	}
+	if st, stale := put([][]byte{nil, b2}, []Fingerprint{fp("a"), fp("b2")}); stale != nil || st.ReusedTiles != 1 || st.NewBlobs != 1 {
+		t.Fatalf("put after recompressing the stale tile: %+v stale %v", st, stale)
+	}
+	latest, _ := s.Latest("f")
+	m, _ := s.Manifest("f", latest)
+	for i := range m.Tiles {
+		if _, err := s.ReadBlob(m.Tiles[i].Score); err != nil {
+			t.Fatalf("tile %d of the snapshot put after GC is unreadable: %v", i, err)
+		}
+	}
+	// A plain Put forgets: its tiles carry no fingerprints to compare with.
+	putSeries(t, s, "f", [][]byte{a, b2})
+	if s.Prints("f") != nil {
+		t.Fatal("Prints survives a plain Put")
+	}
+	// And so does reopening: the memory is never written.
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if s.Prints("f") != nil {
+		t.Fatal("Prints survives a reopen")
+	}
+	if _, stale := put([][]byte{nil, b2}, []Fingerprint{fp("a"), fp("b2")}); len(stale) != 1 || stale[0] != 0 {
+		t.Fatalf("nil tile after reopen: stale %v, want [0]", stale)
+	}
+	// Without fingerprints a nil tile is simply an empty tile.
+	if _, err := s.Put(seriesManifest("f", s.NextT("f"), 2), [][]byte{nil, b2}); err == nil || !strings.Contains(err.Error(), "empty") {
+		t.Fatalf("plain Put of a nil tile: %v, want the empty-tile error", err)
+	}
+	if _, _, err := s.PutPrinted(seriesManifest("f", s.NextT("f"), 2), [][]byte{a, b2}, []Fingerprint{fp("a")}); err == nil {
+		t.Fatal("PutPrinted accepted one fingerprint for two tiles")
+	}
+}
+
+// TestSealKeepsTimeStepLists pins the per-field time-step lists across
+// seals: each staged step is listed once (Put lists it, sealing must not
+// list it again), for the fields an epoch touched and for those it did
+// not, with a deleted step staying deleted.
+func TestSealKeepsTimeStepLists(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func() string {
+		var out []string
+		for _, sn := range s.Snapshots() {
+			out = append(out, sn.Name)
+		}
+		return strings.Join(out, " ")
+	}
+	for i := 0; i < 3; i++ {
+		putSeries(t, s, "f", [][]byte{tileBytes(fmt.Sprint("f", i), 20)})
+	}
+	putSeries(t, s, "g", [][]byte{tileBytes("g0", 20)})
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("f", 1); err != nil {
+		t.Fatal(err)
+	}
+	// The second epoch touches only g; f's list must come through intact.
+	putSeries(t, s, "g", [][]byte{tileBytes("g1", 20)})
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := names(), "f@t0 f@t2 g@t0 g@t1"; got != want {
+		t.Fatalf("snapshots after two seals: %s, want %s", got, want)
+	}
+	if nf, ng := s.NextT("f"), s.NextT("g"); nf != 3 || ng != 2 {
+		t.Fatalf("NextT f=%d g=%d, want 3 and 2", nf, ng)
+	}
+	s.mu.Lock()
+	lf, lg := len(s.fields["f"]), len(s.fields["g"])
+	s.mu.Unlock()
+	if lf != 2 || lg != 2 {
+		t.Fatalf("time-step lists hold %d and %d entries, want 2 and 2 (a step listed twice?)", lf, lg)
+	}
+}

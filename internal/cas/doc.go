@@ -19,8 +19,14 @@
 // Delete removes a snapshot's manifest and GC sweeps blobs no manifest
 // references.
 //
+// A writer that can tell, before compressing, that a tile is the one the
+// field's latest snapshot already stored hands PutPrinted a Fingerprint
+// per tile and no bytes for those tiles; the store keeps the latest
+// snapshot's fingerprints in memory (never on disk) and resolves such a
+// tile to the stored blob only while it still holds that blob.
+//
 // The package knows nothing about compression or containers: blobs are
-// opaque bytes, geometry is integers. internal/store synthesizes a
+// opaque bytes, fingerprints are opaque hashes, geometry is integers. internal/store synthesizes a
 // well-formed read-only container view over a manifest (see
 // store.OpenSnapshot), which is what lets the whole existing read path —
 // region retrieval, progressive planes, raw re-export — serve snapshots

@@ -126,6 +126,74 @@ func BenchmarkServerRegion(b *testing.B) {
 	})
 }
 
+// BenchmarkIngestSnapshot prices one snapshot POST, handler-direct, on a
+// 64³ float32 Density series in 16³ tiles (64 tiles, 1 MiB a body) by how
+// much of the field changed since the previous snapshot:
+//
+//	churn=0%    nothing changed: the fingerprint pass alone
+//	churn=25%   a checkpoint stream: a quarter of the tiles compressed
+//	churn=100%  everything changed: a full compress plus the fingerprint
+//	            pass it could not use — what the memo costs when it loses
+//
+// MB/s is raw field bytes per second of POST.
+func BenchmarkIngestSnapshot(b *testing.B) {
+	g, err := datagen.GenerateShape("Density", grid.Shape{64, 64, 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const edge, tile = 64, 16
+	vals := grid.NarrowSlice(g.Data())
+	body := make([]byte, 4*len(vals))
+	for i, v := range vals {
+		putF32(body[4*i:], v)
+	}
+	step := float32(1e-3 * g.ValueRange())
+	for _, pct := range []int{0, 25, 100} {
+		b.Run(fmt.Sprintf("churn=%d%%", pct), func(b *testing.B) {
+			e := newIngestEnv(b, nil)
+			handler := e.srv.Handler()
+			w := &discardResponseWriter{h: make(http.Header)}
+			post := func(path string) {
+				w.reset()
+				handler.ServeHTTP(w, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+				if w.status != http.StatusCreated {
+					b.Fatalf("POST %s: status %d", path, w.status)
+				}
+			}
+			post(fmt.Sprintf("/v1/datasets/density?shape=64x64x64&chunk=16x16x16&dtype=f32&eb=%g", 1e-3*float64(step)))
+			per := edge / tile
+			ntiles := per * per * per
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				// The first pct% of the tiles, counted from a start that moves
+				// every snapshot, step up and down in turn.
+				off := step
+				if i%2 == 1 {
+					off = -step
+				}
+				for k := 0; k < ntiles*pct/100; k++ {
+					ti := (i*7 + k) % ntiles
+					z0, y0, x0 := ti/(per*per)*tile, ti/per%per*tile, ti%per*tile
+					for z := z0; z < z0+tile; z++ {
+						for y := y0; y < y0+tile; y++ {
+							for x := x0; x < x0+tile; x++ {
+								j := (z*edge+y)*edge + x
+								vals[j] += off
+								putF32(body[4*j:], vals[j])
+							}
+						}
+					}
+				}
+				b.StartTimer()
+				post("/v1/datasets/density/snapshots")
+			}
+		})
+	}
+}
+
 // BenchmarkServerRegionHTTP measures the same requests through the full
 // HTTP stack (TCP loopback, net/http client), pricing what a local
 // client actually sees.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -27,9 +26,11 @@ import (
 // the body is compressed tile-by-tile through the same engine offline
 // packing uses, staged in the CAS's open epoch (readable immediately as
 // dataset field@tN), and sealed to disk by the seal ticker, an explicit
-// ?seal=now, or shutdown. Unchanged tiles deduplicate against every
-// earlier snapshot by content address, so a checkpoint stream costs only
-// its deltas.
+// ?seal=now, or shutdown. A tile unchanged since the field's previous
+// snapshot is recognised by a fingerprint of its raw bytes and not even
+// compressed (store.PackSnapshot); whatever is compressed deduplicates
+// against every earlier snapshot by content address. A checkpoint stream
+// costs one hash pass plus its deltas, in time as in space.
 
 // IngestOptions configures EnableIngest.
 type IngestOptions struct {
@@ -58,6 +59,10 @@ type ingestState struct {
 	seals     int64
 	sealErrs  int64
 	lastError string
+	// What the writes cost, for /metrics and /v1/stats: raw bytes taken in,
+	// and tiles by whether they had to be compressed or were recognised by
+	// fingerprint as unchanged since the field's previous snapshot.
+	bytes, tilesCompressed, tilesReused int64
 }
 
 // EnableIngest turns the write path on: existing CAS snapshots register
@@ -178,17 +183,20 @@ func (srv *Server) resolveLatest(name string) (string, bool) {
 
 // ingestDoc is the /v1/stats "ingest" section.
 type ingestDoc struct {
-	Fields         int    `json:"fields"`
-	Snapshots      int    `json:"snapshots"`
-	Blobs          int    `json:"blobs"`
-	BlobBytes      int64  `json:"blob_bytes"`
-	EpochSnapshots int    `json:"epoch_snapshots"`
-	EpochBlobs     int    `json:"epoch_blobs"`
-	EpochBytes     int64  `json:"epoch_bytes"`
-	Puts           int64  `json:"puts"`
-	Seals          int64  `json:"seals"`
-	SealErrors     int64  `json:"seal_errors"`
-	LastError      string `json:"last_error,omitempty"`
+	Fields          int    `json:"fields"`
+	Snapshots       int    `json:"snapshots"`
+	Blobs           int    `json:"blobs"`
+	BlobBytes       int64  `json:"blob_bytes"`
+	EpochSnapshots  int    `json:"epoch_snapshots"`
+	EpochBlobs      int    `json:"epoch_blobs"`
+	EpochBytes      int64  `json:"epoch_bytes"`
+	Puts            int64  `json:"puts"`
+	Bytes           int64  `json:"bytes"`
+	TilesCompressed int64  `json:"tiles_compressed"`
+	TilesReused     int64  `json:"tiles_reused"`
+	Seals           int64  `json:"seals"`
+	SealErrors      int64  `json:"seal_errors"`
+	LastError       string `json:"last_error,omitempty"`
 }
 
 func (srv *Server) ingestDoc() *ingestDoc {
@@ -203,7 +211,8 @@ func (srv *Server) ingestDoc() *ingestDoc {
 	doc := &ingestDoc{
 		Fields: st.Fields, Snapshots: st.Snapshots, Blobs: st.Blobs, BlobBytes: st.BlobBytes,
 		EpochSnapshots: st.EpochSnapshots, EpochBlobs: st.EpochBlobs, EpochBytes: st.EpochBytes,
-		Puts: ing.puts, Seals: ing.seals, SealErrors: ing.sealErrs, LastError: ing.lastError,
+		Puts: ing.puts, Bytes: ing.bytes, TilesCompressed: ing.tilesCompressed, TilesReused: ing.tilesReused,
+		Seals: ing.seals, SealErrors: ing.sealErrs, LastError: ing.lastError,
 	}
 	ing.mu.Unlock()
 	return doc
@@ -231,8 +240,9 @@ type ingestParams struct {
 }
 
 // parseIngestParams validates the query of a write request. create
-// requires shape and eb; snapshot appends inherit any omitted geometry
-// from the field's previous manifest (prev non-nil).
+// requires shape; snapshot appends inherit any omitted geometry from the
+// field's previous manifest (prev non-nil). eb stays 0 when the request
+// gives none: store.SeriesBound resolves it once the values are in.
 func (srv *Server) parseIngestParams(r *http.Request, prev *cas.Manifest, opts IngestOptions) (*ingestParams, error) {
 	q := r.URL.Query()
 	p := &ingestParams{
@@ -270,8 +280,6 @@ func (srv *Server) parseIngestParams(r *http.Request, prev *cas.Manifest, opts I
 			return nil, fmt.Errorf("eb must be a positive finite float, got %q", s)
 		}
 		p.eb = eb
-	} else if prev != nil {
-		p.eb = prev.ErrorBound
 	}
 	if s := q.Get("rel"); s != "" {
 		rel, err := strconv.ParseBool(s)
@@ -326,9 +334,6 @@ func (srv *Server) parseIngestParams(r *http.Request, prev *cas.Manifest, opts I
 	}
 	if err := p.shape.Validate(); err != nil {
 		return nil, err
-	}
-	if p.eb == 0 {
-		return nil, fmt.Errorf("eb is required (the absolute error bound, e.g. eb=1e-6)")
 	}
 	return p, nil
 }
@@ -392,38 +397,90 @@ func (srv *Server) serveIngest(w http.ResponseWriter, r *http.Request, snapshots
 		return outError
 	}
 
-	width := p.scalar.Bytes()
-	elems := p.shape.Len()
-	want := int64(elems) * int64(width)
+	want := int64(p.shape.Len()) * int64(p.scalar.Bytes())
 	if max := srv.adm.opts.MaxRequestBytes; max > 0 && want > max {
 		srv.adm.rejected.Add(1)
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("snapshot body is %d bytes, above the %d-byte request budget", want, max))
 		return outRejected
 	}
-	// Read exactly the expected bytes (+ a small margin so an oversized
-	// body is diagnosed, not silently truncated).
-	body, err := io.ReadAll(io.LimitReader(r.Body, want+int64(width)))
-	if err != nil {
+	// A declared length that cannot be the field is refused before any of
+	// it is read.
+	if n := r.ContentLength; n >= 0 && n != want {
+		writeError(w, http.StatusBadRequest, bodyLengthError(n, want, p))
+		return outError
+	}
+	if p.scalar == core.Float32 {
+		return ingestBody[float32](srv, ing, w, r, tr, field, prev, p)
+	}
+	return ingestBody[float64](srv, ing, w, r, tr, field, prev, p)
+}
+
+// bodyLengthError words the refusal of a body of got bytes where the shape
+// needs want. The same contract as the CLI's raw readers: a payload that
+// is not a whole number of elements, or the wrong number of them, is
+// rejected, never truncated.
+func bodyLengthError(got, want int64, p *ingestParams) string {
+	width := int64(p.scalar.Bytes())
+	if rem := got % width; rem != 0 {
+		return fmt.Sprintf("request body of %d bytes is not a whole number of %d-byte %s elements (%d trailing bytes)",
+			got, width, p.scalar, rem)
+	}
+	have := fmt.Sprintf("has only %d", got/width)
+	if got > want {
+		have = fmt.Sprintf("has more than %d", want/width)
+	}
+	return fmt.Sprintf("shape %v needs %d %s elements (%d bytes); request body %s elements",
+		[]int(p.shape), want/width, p.scalar, want, have)
+}
+
+// bodyScratch pools the whole-field buffers request bodies are read into,
+// one pool per width (core.PoolGet routes). A series posts one shape over
+// and over, so the pooled buffers converge to its size and a write stops
+// allocating — and page-faulting in — a field's worth of memory per POST.
+var (
+	bodyScratch   core.SlicePool[float64]
+	bodyScratch32 core.SlicePool[float32]
+)
+
+// ingestBody is the second half of a write, at the body's width: the
+// body is read once, straight into the values the tiles are gathered
+// from, then fingerprinted, compressed where it changed, staged and
+// registered.
+func ingestBody[T grid.Scalar](srv *Server, ing *ingestState, w http.ResponseWriter, r *http.Request, tr *obs.Trace, field string, prev *cas.Manifest, p *ingestParams) int {
+	data := core.PoolGet[T](&bodyScratch, &bodyScratch32, p.shape.Len())
+	defer core.PoolPut(&bodyScratch, &bodyScratch32, data)
+	width := p.scalar.Bytes()
+	want := int64(len(data)) * int64(width)
+	n, err := grid.ReadLE(r.Body, data)
+	got := int64(n)
+	if err == nil && r.ContentLength < 0 {
+		// No declared length (a chunked body): look one element past the
+		// field, so that an oversized body is diagnosed, not truncated.
+		var over [8]byte
+		n, _ := io.ReadFull(r.Body, over[:width])
+		got += int64(n)
+	}
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
 		return outError
 	}
-	// The same contract as the CLI's raw readers: a payload that is not a
-	// whole number of elements is rejected, never truncated.
-	if rem := len(body) % width; rem != 0 {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("request body of %d bytes is not a whole number of %d-byte %s elements (%d trailing bytes)",
-				len(body), width, p.scalar, rem))
+	if got != want {
+		writeError(w, http.StatusBadRequest, bodyLengthError(got, want, p))
 		return outError
 	}
-	if int64(len(body)) != want {
-		verb := "has only"
-		if int64(len(body)) > want {
-			verb = "has more than"
-		}
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("shape %v needs %d %s elements (%d bytes); request body %s %d elements",
-				[]int(p.shape), elems, p.scalar, want, verb, len(body)/width))
+	g, err := grid.FromSlice(data, p.shape)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return outError
+	}
+	opt := store.WriteOptions{
+		Interpolation: p.interp,
+		ChunkShape:    p.chunk,
+		Codec:         p.codec,
+	}
+	if opt.ErrorBound, err = store.SeriesBound(g, prev, p.eb, p.rel); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return outError
 	}
 
@@ -443,21 +500,19 @@ func (srv *Server) serveIngest(w http.ResponseWriter, r *http.Request, snapshots
 	}
 	defer srv.adm.releaseDecode()
 
-	opt := store.WriteOptions{
-		ErrorBound:    p.eb,
-		Interpolation: p.interp,
-		ChunkShape:    p.chunk,
-		Codec:         p.codec,
-	}
+	c := ing.opts.CAS
 	ing.mu.Lock()
 	ct := tr.Begin(obs.StageIngestCompress)
-	m, st, err := packBody(c, field, body, p, opt)
+	m, st, err := store.PackSnapshot(c, field, g, opt)
 	ct.End()
 	if err != nil {
 		ing.mu.Unlock()
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return outError
 	}
+	ing.tilesReused += int64(st.ReusedTiles)
+	ing.tilesCompressed += int64(len(m.Tiles) - st.ReusedTiles)
+	ing.bytes += want
 	s, err := store.OpenSnapshot(c, m.Field, m.T)
 	if err == nil {
 		if ing.opts.CacheBytes > 0 {
@@ -497,34 +552,4 @@ func (srv *Server) serveIngest(w http.ResponseWriter, r *http.Request, snapshots
 		"sealed":           sealed,
 	})
 	return outOK
-}
-
-// packBody decodes the validated raw bytes at the request's width and
-// stages the snapshot.
-func packBody(c *cas.Store, field string, body []byte, p *ingestParams, opt store.WriteOptions) (*cas.Manifest, cas.PutStats, error) {
-	if p.scalar == core.Float32 {
-		data := make([]float32, len(body)/4)
-		for i := range data {
-			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[i*4:]))
-		}
-		return packGrid(c, field, data, p, opt)
-	}
-	data := make([]float64, len(body)/8)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
-	}
-	return packGrid(c, field, data, p, opt)
-}
-
-func packGrid[T grid.Scalar](c *cas.Store, field string, data []T, p *ingestParams, opt store.WriteOptions) (*cas.Manifest, cas.PutStats, error) {
-	g, err := grid.FromSlice(data, p.shape)
-	if err != nil {
-		return nil, cas.PutStats{}, err
-	}
-	if p.rel {
-		if r := g.ValueRange(); r > 0 {
-			opt.ErrorBound *= r
-		}
-	}
-	return store.PackSnapshot(c, field, g, opt)
 }

@@ -197,12 +197,84 @@ func TestIngestValidation(t *testing.T) {
 		{"snapshot of missing field", "/v1/datasets/nope/snapshots", body, 404, "create it first"},
 		{"append shape mismatch", "/v1/datasets/density/snapshots?shape=16x16x16", body[:8*16*16*16], 400, "does not match the series shape"},
 		{"append chunk mismatch", "/v1/datasets/density/snapshots?chunk=8x8x8", body, 400, "does not match the series tiling"},
+		{"append rel without eb", "/v1/datasets/density/snapshots?rel=true", body, 400, "rel applies to an eb given with the same snapshot"},
 		{"append dtype mismatch", "/v1/datasets/density/snapshots?dtype=f32", body[:4*len(e.g.Data())], 400, "does not match the series dtype"},
 	}
 	for _, tc := range cases {
 		code, doc := e.post(t, tc.path, tc.body)
 		msg, _ := doc["error"].(string)
 		if code != tc.code || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: status %d msg %q, want %d containing %q", tc.name, code, msg, tc.code, tc.want)
+		}
+	}
+}
+
+// TestIngestRelativeBound is the regression test for rel on appends: the
+// series' inherited bound is absolute and must come through untouched —
+// it used to be multiplied by the value range a second time when a
+// request said rel=true without an eb — while an eb given with the
+// snapshot is scaled by that snapshot's own range.
+func TestIngestRelativeBound(t *testing.T) {
+	e := newIngestEnv(t, nil)
+	body := bodyF64(e.g)
+	r := e.g.ValueRange()
+	code, doc := e.post(t, "/v1/datasets/density?shape=32x32x32&chunk=16x16x16&eb=1e-6&rel=true", body)
+	if code != 201 || doc["error_bound"] != 1e-6*r {
+		t.Fatalf("create with rel: %d %v, want error_bound %g", code, doc, 1e-6*r)
+	}
+	if code, doc = e.post(t, "/v1/datasets/density/snapshots", body); code != 201 || doc["error_bound"] != 1e-6*r {
+		t.Fatalf("append inheriting the bound: %d %v, want error_bound %g", code, doc, 1e-6*r)
+	}
+	if code, doc = e.post(t, "/v1/datasets/density/snapshots?rel=true", body); code != 400 {
+		t.Fatalf("append with rel and no eb: %d %v, want 400", code, doc)
+	}
+	if code, doc = e.post(t, "/v1/datasets/density/snapshots?eb=1e-5&rel=true", body); code != 201 || doc["error_bound"] != 1e-5*r {
+		t.Fatalf("append with its own relative bound: %d %v, want error_bound %g", code, doc, 1e-5*r)
+	}
+	if code, doc = e.post(t, "/v1/datasets/density/snapshots", body); code != 201 || doc["error_bound"] != 1e-5*r {
+		t.Fatalf("append after the bound moved: %d %v, want error_bound %g", code, doc, 1e-5*r)
+	}
+}
+
+// TestIngestUndeclaredLength sends bodies without a Content-Length
+// (chunked), where the length checks cannot run before the read: the
+// field is read into its exact-size buffer and the same refusals follow
+// from how the stream ended.
+func TestIngestUndeclaredLength(t *testing.T) {
+	e := newIngestEnv(t, nil)
+	body := bodyF64(e.g)
+	post := func(name string, body []byte) (int, string) {
+		t.Helper()
+		// Hiding the reader's type keeps net/http from working out a length.
+		req, err := http.NewRequest("POST", e.ts.URL+"/v1/datasets/"+name+e.createQuery(), struct{ io.Reader }{bytes.NewReader(body)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := doc["error"].(string)
+		return resp.StatusCode, msg
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+		code int
+		want string
+	}{
+		{"short", body[:len(body)-8], 400, "has only 32767 elements"},
+		{"ragged", body[:len(body)-5], 400, "(3 trailing bytes)"},
+		{"long", append(append([]byte(nil), body...), make([]byte, 64)...), 400, "has more than 32768 elements"},
+		{"trailing", append(append([]byte(nil), body...), 1, 2, 3), 400, "(3 trailing bytes)"},
+		{"exact", body, 201, ""},
+	} {
+		if code, msg := post(tc.name, tc.body); code != tc.code || !strings.Contains(msg, tc.want) {
 			t.Errorf("%s: status %d msg %q, want %d containing %q", tc.name, code, msg, tc.code, tc.want)
 		}
 	}
@@ -298,6 +370,10 @@ func TestIngestMetricsRoute(t *testing.T) {
 	if code, doc := e.post(t, "/v1/datasets/density"+e.createQuery(), bodyF64(e.g)); code != 201 {
 		t.Fatalf("create: %d %v", code, doc)
 	}
+	// The same body again: fingerprinted, recognised, not compressed.
+	if code, doc := e.post(t, "/v1/datasets/density/snapshots", bodyF64(e.g)); code != 201 {
+		t.Fatalf("append: %d %v", code, doc)
+	}
 	resp, err := http.Get(e.ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -309,5 +385,19 @@ func TestIngestMetricsRoute(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), `route="ingest",outcome="ok"`) {
 		t.Fatal("/metrics lacks the ingest request series")
+	}
+	for _, line := range []string{
+		"# TYPE ipcomp_ingest_tiles_total counter",
+		`ipcomp_ingest_tiles_total{result="compressed"} 8`,
+		`ipcomp_ingest_tiles_total{result="reused"} 8`,
+		fmt.Sprintf("ipcomp_ingest_bytes_total %d", 2*8*e.g.Len()),
+	} {
+		if !strings.Contains(string(raw), line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	// /v1/stats mirrors them.
+	if doc := e.srv.ingestDoc(); doc.TilesCompressed != 8 || doc.TilesReused != 8 || doc.Bytes != int64(2*8*e.g.Len()) {
+		t.Errorf("stats ingest section %+v, want 8 tiles compressed, 8 reused, %d bytes", doc, 2*8*e.g.Len())
 	}
 }

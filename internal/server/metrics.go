@@ -50,6 +50,13 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	srv.met.render(&b)
 	srv.rec.RenderStageSeconds(&b)
 
+	if ing := doc.Ingest; ing != nil {
+		counter("ipcomp_ingest_bytes_total", "Raw field bytes taken in by accepted snapshot writes.", ing.Bytes)
+		fmt.Fprintf(&b, "# HELP ipcomp_ingest_tiles_total Tiles of accepted snapshot writes: compressed, or reused because their fingerprint was unchanged since the field's previous snapshot.\n# TYPE ipcomp_ingest_tiles_total counter\n")
+		fmt.Fprintf(&b, "ipcomp_ingest_tiles_total{result=\"compressed\"} %d\n", ing.TilesCompressed)
+		fmt.Fprintf(&b, "ipcomp_ingest_tiles_total{result=\"reused\"} %d\n", ing.TilesReused)
+	}
+
 	if len(doc.Codec) > 0 {
 		// One family per direction with a series per block method, like the
 		// cluster per-peer families below.

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 
@@ -26,11 +29,27 @@ import (
 // next snapshot. The returned manifest is the staged snapshot's; stats
 // report how many blobs were new versus deduplicated against earlier
 // snapshots.
+//
+// A write costs what changed: every staged tile is fingerprinted first
+// (see tilePrint), and a tile whose fingerprint the CAS remembers from the
+// field's latest snapshot is not compressed — the compressor is
+// deterministic, so its blob is the one already stored, and the manifest
+// references that. Manifests and blobs are byte for byte what compressing
+// every tile would have produced.
 func PackSnapshot[T grid.Scalar](c *cas.Store, field string, g *grid.Grid[T], opt WriteOptions) (*cas.Manifest, cas.PutStats, error) {
 	if err := cas.ValidateField(field); err != nil {
 		return nil, cas.PutStats{}, err
 	}
-	til, blobs, err := compressTiles(field, g, opt)
+	til, err := tilingFor(g.Shape(), opt)
+	if err != nil {
+		return nil, cas.PutStats{}, err
+	}
+	prev := c.Prints(field)
+	prints := make([]cas.Fingerprint, til.n)
+	blobs, err := compressTiles(field, g, til, opt, func(i int, tile *grid.Grid[T]) bool {
+		prints[i] = tilePrint(tile, opt)
+		return i < len(prev) && prev[i] == prints[i]
+	})
 	if err != nil {
 		return nil, cas.PutStats{}, err
 	}
@@ -42,11 +61,76 @@ func PackSnapshot[T grid.Scalar](c *cas.Store, field string, g *grid.Grid[T], op
 		Scalar:     uint8(core.ScalarOf[T]()),
 		ErrorBound: opt.ErrorBound,
 	}
-	st, err := c.Put(m, blobs)
-	if err != nil {
-		return nil, st, err
+	for {
+		st, stale, err := c.PutPrinted(m, blobs, prints)
+		if err != nil {
+			return nil, st, err
+		}
+		if len(stale) == 0 {
+			return m, st, nil
+		}
+		// The CAS no longer holds what it remembered for these tiles
+		// (Delete and GC dropped the last reference since): compress them
+		// after all. Every round leaves fewer tiles without a blob.
+		redo := make(map[int]bool, len(stale))
+		for _, i := range stale {
+			redo[i] = true
+		}
+		fresh, err := compressTiles(field, g, til, opt, func(i int, _ *grid.Grid[T]) bool { return !redo[i] })
+		if err != nil {
+			return nil, cas.PutStats{}, err
+		}
+		for _, i := range stale {
+			blobs[i] = fresh[i]
+		}
 	}
-	return m, st, nil
+}
+
+// tilePrint fingerprints a staged tile: SHA-256 over everything
+// core.Compress is given — the bound, the predictor, the codec policy, the
+// progressive threshold, the scalar width, the extents — and then the
+// values bit for bit, so -0.0 and a NaN's payload count as changes. It
+// lives for one process (cas.Store never writes it), which is why host
+// byte order is good enough.
+func tilePrint[T grid.Scalar](tile *grid.Grid[T], opt WriteOptions) cas.Fingerprint {
+	raw := grid.Bytes(tile.Data())
+	hdr := make([]byte, 0, 64)
+	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(opt.ErrorBound))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(opt.ProgressiveThreshold))
+	hdr = append(hdr, byte(opt.Interpolation), byte(opt.Codec), byte(len(raw)/tile.Len()), byte(tile.NDims()))
+	for _, n := range tile.Shape() {
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(n))
+	}
+	h := sha256.New()
+	h.Write(hdr)
+	h.Write(raw)
+	var p cas.Fingerprint
+	h.Sum(p[:0])
+	return p
+}
+
+// SeriesBound resolves the absolute error bound a field's next snapshot
+// is compressed under from what its writer gave. eb is the bound given
+// with this snapshot, 0 for none: the series' own bound then carries over
+// from prev, the field's latest manifest (nil for a new field, which must
+// give one). rel scales an eb given with this snapshot by the grid's value
+// range; it is refused without one, because the inherited bound is already
+// absolute and scaling it by the range again would silently change it.
+func SeriesBound[T grid.Scalar](g *grid.Grid[T], prev *cas.Manifest, eb float64, rel bool) (float64, error) {
+	switch {
+	case eb != 0 && rel:
+		if r := g.ValueRange(); r > 0 {
+			return eb * r, nil
+		}
+		return eb, nil
+	case eb != 0:
+		return eb, nil
+	case prev == nil:
+		return 0, fmt.Errorf("eb is required (the error bound, e.g. eb=1e-6)")
+	case rel:
+		return 0, fmt.Errorf("rel applies to an eb given with the same snapshot; the series' own bound is already absolute")
+	}
+	return prev.ErrorBound, nil
 }
 
 // snapshotReaderAt presents one snapshot as a container image: head

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cas"
@@ -296,5 +297,44 @@ func TestCASBackendContract(t *testing.T) {
 	}
 	if _, err := b.Size("nope@t0"); err == nil {
 		t.Fatal("Size of a missing snapshot succeeded")
+	}
+}
+
+// TestSeriesBound pins the one rule both writers (the POST endpoints and
+// `ipcomp snapshot put`) resolve a snapshot's bound by.
+func TestSeriesBound(t *testing.T) {
+	g := grid.MustNew[float32](grid.Shape{4})
+	copy(g.Data(), []float32{-1, 0, 2, 3}) // value range 4
+	flat := grid.MustNew[float32](grid.Shape{4})
+	prev := &cas.Manifest{ErrorBound: 0.25}
+	cases := []struct {
+		name    string
+		g       *grid.Grid[float32]
+		prev    *cas.Manifest
+		eb      float64
+		rel     bool
+		want    float64
+		wantErr string
+	}{
+		{"absolute", g, nil, 1e-3, false, 1e-3, ""},
+		{"relative", g, nil, 1e-3, true, 4e-3, ""},
+		{"relative on a constant field stays absolute", flat, nil, 1e-3, true, 1e-3, ""},
+		{"inherited", g, prev, 0, false, 0.25, ""},
+		{"given over inherited", g, prev, 1e-3, true, 4e-3, ""},
+		{"inherited is never rescaled", g, prev, 0, true, 0, "rel applies to an eb given with the same snapshot"},
+		{"a new series must give one", g, nil, 0, false, 0, "eb is required"},
+		{"a new series must give one, rel or not", g, nil, 0, true, 0, "eb is required"},
+	}
+	for _, tc := range cases {
+		got, err := SeriesBound(tc.g, tc.prev, tc.eb, tc.rel)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("%s: %g, %v; want %g", tc.name, got, err, tc.want)
+		}
 	}
 }

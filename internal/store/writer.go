@@ -80,7 +80,11 @@ func Add[T grid.Scalar](w *Writer, name string, g *grid.Grid[T], opt WriteOption
 	if w.names[name] {
 		return fmt.Errorf("store: duplicate dataset name %q", name)
 	}
-	til, blobs, err := compressTiles(name, g, opt)
+	til, err := tilingFor(g.Shape(), opt)
+	if err != nil {
+		return err
+	}
+	blobs, err := compressTiles(name, g, til, opt, nil)
 	if err != nil {
 		return err
 	}
@@ -112,24 +116,28 @@ func Add[T grid.Scalar](w *Writer, name string, g *grid.Grid[T], opt WriteOption
 	return nil
 }
 
-// compressTiles tiles the grid and compresses every tile as an
-// independent IPComp archive on a worker pool, returning the tiling and
-// the blobs in row-major chunk order — the compression stage shared by
-// container packing (Add) and online ingest (PackSnapshot). Any chunk
-// error aborts the whole dataset. Tile staging buffers come from a pool
-// shared across workers and datasets: CopyRegion overwrites the full box
-// and Compress copies it into its own scratch, so reuse is safe.
-func compressTiles[T grid.Scalar](name string, g *grid.Grid[T], opt WriteOptions) (*tiling, [][]byte, error) {
+// tilingFor is the tiling a dataset of the given extents is written
+// under: the option's chunk shape, or the default one.
+func tilingFor(shape grid.Shape, opt WriteOptions) (*tiling, error) {
 	chunk := opt.ChunkShape
 	if len(chunk) == 0 {
-		chunk = defaultChunkShape(g.Shape())
+		chunk = defaultChunkShape(shape)
 	}
-	til, err := newTiling(g.Shape(), chunk)
-	if err != nil {
-		return nil, nil, err
-	}
+	return newTiling(shape, chunk)
+}
+
+// compressTiles compresses every tile of the grid as an independent
+// IPComp archive on a worker pool and returns the blobs in row-major chunk
+// order — the compression stage shared by container packing (Add) and
+// online ingest (PackSnapshot). skip, when not nil, is shown each staged
+// tile before it is compressed and may claim it: that tile's blob stays
+// nil. It runs on the workers, concurrently. Any chunk error aborts the
+// whole dataset. Tile staging buffers come from a pool shared across
+// workers and datasets: CopyRegion overwrites the full box and Compress
+// copies it into its own scratch, so reuse is safe.
+func compressTiles[T grid.Scalar](name string, g *grid.Grid[T], til *tiling, opt WriteOptions, skip func(i int, tile *grid.Grid[T]) bool) ([][]byte, error) {
 	blobs := make([][]byte, til.n)
-	err = core.ParallelForErr(til.n, func(i int) error {
+	err := core.ParallelForErr(til.n, func(i int) error {
 		lo, hi := til.box(i)
 		shape := make(grid.Shape, len(lo))
 		for d := range lo {
@@ -142,6 +150,9 @@ func compressTiles[T grid.Scalar](name string, g *grid.Grid[T], opt WriteOptions
 			return err
 		}
 		CopyRegion(sub.Data(), shape, lo, g.Data(), g.Shape(), make([]int, len(lo)), lo, hi)
+		if skip != nil && skip(i, sub) {
+			return nil
+		}
 		blob, err := core.Compress(sub, core.Options{
 			ErrorBound:           opt.ErrorBound,
 			Interpolation:        opt.Interpolation,
@@ -155,9 +166,9 @@ func compressTiles[T grid.Scalar](name string, g *grid.Grid[T], opt WriteOptions
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return til, blobs, nil
+	return blobs, nil
 }
 
 // Close appends the index and footer, completing the container. The
