@@ -12,6 +12,12 @@
 //	        [-trace-sample N] [-trace-slow 250ms] [-debug-addr 127.0.0.1:6060] [-log-format text|json]
 //	        [<container> ...]
 //
+// -cache-mb is one budget for the process: every container and every
+// snapshot served keeps its decoded tiles in the same cache, so the
+// resident decoded tiles stay within the budget (plus at most one tile per
+// cache shard) however many containers and snapshots there are, and a
+// tile that did not change between two snapshots is decoded once for both.
+//
 // Each container argument is a local path or a URL: a .ipcs file, a
 // directory of containers, or an http(s) origin — another ipcompd (all of
 // its containers, or one named via /v1/containers/<name>) or a file on
@@ -82,7 +88,7 @@ var logx *obs.Logger
 
 func main() {
 	listen := flag.String("listen", ":8080", "address to serve HTTP on")
-	cacheMB := flag.Int64("cache-mb", 256, "decoded-tile cache budget per container, in MiB (0 disables)")
+	cacheMB := flag.Int64("cache-mb", 256, "decoded-tile cache budget of the process, shared by every container and snapshot served, in MiB (0 disables)")
 	backendCacheMB := flag.Int64("backend-cache-mb", 64, "span-cache budget per remote backend, in MiB (0 disables)")
 	prefetchKB := flag.Int64("prefetch-kb", 0, "sequential readahead per remote container, in KiB (0 disables)")
 	self := flag.String("self", "", "cluster mode: this node's name in -peers")
@@ -215,7 +221,7 @@ func openSpec(spec string, backendCacheMB, prefetchKB int64) (b backend.Backend,
 // register opens every container spec and registers it with the server:
 // owned containers are served (AddStore), peer-owned ones enter the
 // routing catalog (AddRemote). Outside cluster mode everything is owned.
-func register(srv *server.Server, clustered bool, cacheMB, backendCacheMB, prefetchKB int64, specs []string) (cleanup func(), err error) {
+func register(srv *server.Server, clustered bool, backendCacheMB, prefetchKB int64, specs []string) (cleanup func(), err error) {
 	var backends []backend.Backend
 	cleanup = func() {
 		for _, b := range backends {
@@ -264,7 +270,7 @@ func register(srv *server.Server, clustered bool, cacheMB, backendCacheMB, prefe
 					"name", name, "spec", spec, "served_as", serveName)
 			}
 			if srv.Owns(serveName) {
-				s.SetCacheBytes(cacheMB << 20)
+				s.SetTileCache(srv.TileCache())
 				if err := srv.AddStore(serveName, s); err != nil {
 					return cleanup, fmt.Errorf("%s: %w", spec, err)
 				}
@@ -294,6 +300,7 @@ func register(srv *server.Server, clustered bool, cacheMB, backendCacheMB, prefe
 
 func run(listen string, cacheMB, backendCacheMB, prefetchKB int64, cl clusterFlags, adm server.AdmissionOptions, ing ingestFlags, ob obsFlags, specs []string) error {
 	srv := server.New()
+	srv.TileCache().Resize(cacheMB << 20)
 	srv.SetAdmission(adm)
 	if adm.MaxDecodeConcurrency > 0 || adm.MaxRequestBytes > 0 {
 		logx.Info("admission control enabled", "decode_slots", adm.MaxDecodeConcurrency,
@@ -359,7 +366,7 @@ func run(listen string, cacheMB, backendCacheMB, prefetchKB int64, cl clusterFla
 	go func() { errc <- hs.ListenAndServe() }()
 	logx.Info("ipcompd listening", "addr", listen)
 
-	cleanup, err := register(srv, clustered, cacheMB, backendCacheMB, prefetchKB, specs)
+	cleanup, err := register(srv, clustered, backendCacheMB, prefetchKB, specs)
 	defer cleanup()
 	if err != nil {
 		hs.Close()
@@ -374,7 +381,6 @@ func run(listen string, cacheMB, backendCacheMB, prefetchKB int64, cl clusterFla
 		if err := srv.EnableIngest(server.IngestOptions{
 			CAS:          c,
 			SealInterval: ing.sealInterval,
-			CacheBytes:   cacheMB << 20,
 			// Cubic is the pack-time default too, so an ingested snapshot and
 			// an offline pack of the same bytes are byte-identical.
 			DefaultInterpolation: interp.Cubic,

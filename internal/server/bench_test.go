@@ -126,6 +126,20 @@ func BenchmarkServerRegion(b *testing.B) {
 	})
 }
 
+// forBenchTile calls fn with the flat index of every element of tile ti
+// of an edge³ field cut into tile³ tiles.
+func forBenchTile(edge, tile, ti int, fn func(j int)) {
+	per := edge / tile
+	z0, y0, x0 := ti/(per*per)*tile, ti/per%per*tile, ti%per*tile
+	for z := z0; z < z0+tile; z++ {
+		for y := y0; y < y0+tile; y++ {
+			for x := x0; x < x0+tile; x++ {
+				fn((z*edge+y)*edge + x)
+			}
+		}
+	}
+}
+
 // BenchmarkIngestSnapshot prices one snapshot POST, handler-direct, on a
 // 64³ float32 Density series in 16³ tiles (64 tiles, 1 MiB a body) by how
 // much of the field changed since the previous snapshot:
@@ -143,10 +157,7 @@ func BenchmarkIngestSnapshot(b *testing.B) {
 	}
 	const edge, tile = 64, 16
 	vals := grid.NarrowSlice(g.Data())
-	body := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		putF32(body[4*i:], v)
-	}
+	body := leBytes(vals)
 	step := float32(1e-3 * g.ValueRange())
 	for _, pct := range []int{0, 25, 100} {
 		b.Run(fmt.Sprintf("churn=%d%%", pct), func(b *testing.B) {
@@ -175,21 +186,79 @@ func BenchmarkIngestSnapshot(b *testing.B) {
 					off = -step
 				}
 				for k := 0; k < ntiles*pct/100; k++ {
-					ti := (i*7 + k) % ntiles
-					z0, y0, x0 := ti/(per*per)*tile, ti/per%per*tile, ti%per*tile
-					for z := z0; z < z0+tile; z++ {
-						for y := y0; y < y0+tile; y++ {
-							for x := x0; x < x0+tile; x++ {
-								j := (z*edge+y)*edge + x
-								vals[j] += off
-								putF32(body[4*j:], vals[j])
-							}
-						}
-					}
+					forBenchTile(edge, tile, (i*7+k)%ntiles, func(j int) {
+						vals[j] += off
+						putF32(body[4*j:], vals[j])
+					})
 				}
 				b.StartTimer()
 				post("/v1/datasets/density/snapshots")
 			}
+		})
+	}
+}
+
+// BenchmarkSnapshotSeriesRead prices following one region through time,
+// handler-direct: an op reads the same 48³ box (all 64 tiles, at 16·eb)
+// of each of 8 snapshots of a 64³ float32 series in 16³ tiles, oldest
+// first, starting from an empty tile cache. churn is the share of tiles
+// that changed between neighbouring snapshots; the tiles that did not are
+// the same blobs, decoded once for all the snapshots that reference them:
+//
+//	churn=0%    64 decodes for the 8 reads
+//	churn=25%   64 + 7·16
+//	churn=100%  8·64: nothing to share, what a cache per snapshot costs at any churn
+func BenchmarkSnapshotSeriesRead(b *testing.B) {
+	g, err := datagen.GenerateShape("Density", grid.Shape{64, 64, 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const edge, tile, snaps = 64, 16, 8
+	per := edge / tile
+	ntiles := per * per * per
+	step := float32(1e-3 * g.ValueRange())
+	eb := 1e-3 * float64(step)
+	for _, pct := range []int{0, 25, 100} {
+		b.Run(fmt.Sprintf("churn=%d%%", pct), func(b *testing.B) {
+			e := newIngestEnv(b, nil)
+			handler := e.srv.Handler()
+			w := &discardResponseWriter{h: make(http.Header)}
+			vals := grid.NarrowSlice(g.Data())
+			var reqs []*http.Request
+			for t := 0; t < snaps; t++ {
+				for k := 0; t > 0 && k < ntiles*pct/100; k++ {
+					forBenchTile(edge, tile, (t*7+k)%ntiles, func(j int) { vals[j] += step })
+				}
+				body := leBytes(vals)
+				path := "/v1/datasets/density/snapshots"
+				if t == 0 {
+					path = fmt.Sprintf("/v1/datasets/density?shape=64x64x64&chunk=16x16x16&dtype=f32&eb=%g", eb)
+				}
+				w.reset()
+				handler.ServeHTTP(w, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+				if w.status != http.StatusCreated {
+					b.Fatalf("POST %s: status %d", path, w.status)
+				}
+				reqs = append(reqs, httptest.NewRequest("GET",
+					fmt.Sprintf("/v1/datasets/density@t%d/region?lo=8,8,8&hi=56,56,56&bound=%g", t, 16*eb), nil))
+			}
+			before := e.srv.statsDoc().TileDecodes
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e.srv.TileCache().Resize(0) // drop every cached tile
+				e.srv.TileCache().Resize(store.DefaultCacheBytes)
+				b.StartTimer()
+				for _, req := range reqs {
+					w.reset()
+					handler.ServeHTTP(w, req)
+					if w.status != 0 && w.status != 200 {
+						b.Fatalf("%s: status %d", req.URL, w.status)
+					}
+				}
+			}
+			b.ReportMetric(float64(e.srv.statsDoc().TileDecodes-before)/float64(b.N), "decodes/op")
 		})
 	}
 }

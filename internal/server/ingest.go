@@ -39,9 +39,6 @@ type IngestOptions struct {
 	// SealInterval is how often the open epoch is flushed to disk;
 	// 0 disables the ticker (seals happen only via ?seal=now and Close).
 	SealInterval time.Duration
-	// CacheBytes is the decoded-tile cache budget given to each snapshot's
-	// store; 0 keeps the store default.
-	CacheBytes int64
 	// DefaultInterpolation and DefaultCodec apply when a request does not
 	// name them.
 	DefaultInterpolation interp.Kind
@@ -66,10 +63,11 @@ type ingestState struct {
 }
 
 // EnableIngest turns the write path on: existing CAS snapshots register
-// as served datasets, the seal ticker starts, and the POST endpoints
-// begin accepting bodies. Incompatible with cluster mode (snapshot
-// placement across peers is future work; a writable node must own what
-// it writes).
+// as served datasets (keeping their decoded tiles, keyed by blob score, in
+// the server's TileCache — as every snapshot ingested later does), the
+// seal ticker starts, and the POST endpoints begin accepting bodies.
+// Incompatible with cluster mode (snapshot placement across peers is
+// future work; a writable node must own what it writes).
 func (srv *Server) EnableIngest(opts IngestOptions) error {
 	if opts.CAS == nil {
 		return fmt.Errorf("server: EnableIngest requires a CAS store")
@@ -86,9 +84,7 @@ func (srv *Server) EnableIngest(opts IngestOptions) error {
 		if err != nil {
 			return fmt.Errorf("server: opening snapshot %s: %w", sn.Name, err)
 		}
-		if opts.CacheBytes > 0 {
-			s.SetCacheBytes(opts.CacheBytes)
-		}
+		s.SetTileCache(srv.tiles)
 		if err := srv.AddStore(sn.Name, s); err != nil {
 			return err
 		}
@@ -515,9 +511,7 @@ func ingestBody[T grid.Scalar](srv *Server, ing *ingestState, w http.ResponseWri
 	ing.bytes += want
 	s, err := store.OpenSnapshot(c, m.Field, m.T)
 	if err == nil {
-		if ing.opts.CacheBytes > 0 {
-			s.SetCacheBytes(ing.opts.CacheBytes)
-		}
+		s.SetTileCache(srv.tiles)
 		err = srv.AddStore(m.Name(), s)
 	}
 	if err == nil {

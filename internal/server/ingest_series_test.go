@@ -96,6 +96,21 @@ func sameBits[T grid.Scalar](a, b []T) bool {
 	return bytes.Equal(grid.Bytes(a), grid.Bytes(b))
 }
 
+// leBytes renders values as the little-endian bytes of a POST body or a
+// raw region response.
+func leBytes[T grid.Scalar](vals []T) []byte {
+	width := core.ScalarOf[T]().Bytes()
+	raw := make([]byte, len(vals)*width)
+	for i, v := range vals {
+		if width == 4 {
+			putF32(raw[4*i:], float32(v))
+		} else {
+			putF64(raw[8*i:], float64(v))
+		}
+	}
+	return raw
+}
+
 // treeFiles reads every file under dir, keyed by its relative path.
 func treeFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
@@ -259,14 +274,7 @@ func ingestSeriesProperty[T grid.Scalar](t *testing.T, seed int64) {
 		if !exists || lastM == nil || p.eb != lastM.ErrorBound {
 			path += "&eb=" + strconv.FormatFloat(p.eb, 'g', -1, 64)
 		}
-		raw := make([]byte, len(body)*scalar.Bytes())
-		for i, v := range body {
-			if scalar == core.Float32 {
-				putF32(raw[4*i:], float32(v))
-			} else {
-				putF64(raw[8*i:], float64(v))
-			}
-		}
+		raw := leBytes(body)
 		before := s.srv.ingestDoc()
 		code, doc := (&ingestEnv{ts: s.ts}).post(t, path, raw)
 		if code != 201 {

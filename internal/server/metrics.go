@@ -38,6 +38,9 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("ipcomp_tile_decodes_total", "Tiles decoded from compressed planes.", doc.TileDecodes)
 	counter("ipcomp_tile_refines_total", "Cached tiles refined in place to a tighter bound.", doc.TileRefines)
 	counter("ipcomp_tile_hits_total", "Region requests answered from already-decoded tiles.", doc.TileHits)
+	gauge("ipcomp_tile_cache_bytes", "Decoded-tile bytes charged against the tile-cache budget.", doc.TileCacheBytes)
+	gauge("ipcomp_tile_cache_entries", "Decoded tiles resident in the tile cache.", doc.TileCacheEntries)
+	counter("ipcomp_tile_cache_evictions_total", "Tiles dropped from the tile cache to honour its budget.", doc.TileCacheEvictions)
 	counter("ipcomp_backend_hits_total", "Backend reads served entirely from the span cache.", doc.BackendHits)
 	counter("ipcomp_backend_misses_total", "Backend reads needing at least one origin fetch.", doc.BackendMisses)
 	counter("ipcomp_backend_fetched_bytes_total", "Bytes demand-read from storage origins.", doc.BackendBytesFetched)

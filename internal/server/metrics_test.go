@@ -34,6 +34,7 @@ func TestMetricsSingleNode(t *testing.T) {
 	for _, family := range []string{
 		"ipcomp_datasets", "ipcomp_containers", "ipcomp_ready",
 		"ipcomp_tile_decodes_total", "ipcomp_tile_refines_total", "ipcomp_tile_hits_total",
+		"ipcomp_tile_cache_bytes", "ipcomp_tile_cache_entries", "ipcomp_tile_cache_evictions_total",
 		"ipcomp_backend_hits_total", "ipcomp_backend_misses_total",
 	} {
 		if !strings.Contains(body, "# TYPE "+family+" ") {
@@ -43,8 +44,8 @@ func TestMetricsSingleNode(t *testing.T) {
 	if strings.Contains(body, "ipcomp_cluster_") {
 		t.Error("single-node metrics expose cluster families")
 	}
-	if !strings.Contains(body, "\nipcomp_tile_decodes_total 0\n") {
-		t.Errorf("fresh node should report zero decodes:\n%s", body)
+	if !strings.Contains(body, "\nipcomp_tile_decodes_total 0\n") || !strings.Contains(body, "\nipcomp_tile_cache_entries 0\n") {
+		t.Errorf("fresh node should report zero decodes and an empty tile cache:\n%s", body)
 	}
 
 	// One region request decodes tiles; the counter must move.
@@ -54,8 +55,12 @@ func TestMetricsSingleNode(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if strings.Contains(scrape(), "\nipcomp_tile_decodes_total 0\n") {
+	body = scrape()
+	if strings.Contains(body, "\nipcomp_tile_decodes_total 0\n") {
 		t.Error("tile decode counter did not move after a region request")
+	}
+	if strings.Contains(body, "\nipcomp_tile_cache_entries 0\n") || strings.Contains(body, "\nipcomp_tile_cache_bytes 0\n") {
+		t.Error("tile cache gauges did not move after a region request decoded tiles")
 	}
 }
 

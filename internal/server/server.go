@@ -24,7 +24,14 @@ import (
 // across containers (pick distinct dataset names at pack time). The
 // underlying stores are safe for concurrent use, so one Server handles any
 // number of in-flight requests; hot tiles are decoded once and streamed to
-// every requester from the shared tile cache.
+// every requester from the tile cache.
+//
+// The Server owns one decoded-tile cache for the process (TileCache):
+// every snapshot the write path registers keeps its tiles there, and a
+// daemon attaches it to the containers it opens as well, so one budget
+// bounds the decoded tiles of everything served, however many containers
+// and snapshots that is. AddStore itself leaves a store's cache alone — a
+// caller that built and warmed a store with a cache of its own keeps it.
 //
 // Containers themselves are also re-exported as ranged raw bytes under
 // /v1/containers/{name}, which makes any ipcompd a storage backend for
@@ -41,9 +48,10 @@ type Server struct {
 	containers     map[string]*servedContainer
 	containerOrder []string
 
-	ready   atomic.Bool   // flipped by SetReady once registration is done
-	cluster *clusterState // nil outside cluster mode
-	ingest  *ingestState  // nil unless EnableIngest ran (see ingest.go)
+	tiles   *store.TileCache // the process-wide decoded-tile cache
+	ready   atomic.Bool      // flipped by SetReady once registration is done
+	cluster *clusterState    // nil outside cluster mode
+	ingest  *ingestState     // nil unless EnableIngest ran (see ingest.go)
 
 	adm admission      // zero value: no limits (see SetAdmission)
 	met requestMetrics // region-request latency histograms
@@ -94,8 +102,15 @@ func New() *Server {
 	return &Server{
 		datasets:   make(map[string]*dataset),
 		containers: make(map[string]*servedContainer),
+		tiles:      store.NewTileCache(store.DefaultCacheBytes),
 	}
 }
+
+// TileCache returns the server's decoded-tile cache, budgeted at
+// store.DefaultCacheBytes until resized. A store handed to SetTileCache
+// before AddStore shares it; snapshots registered by the write path
+// always do.
+func (srv *Server) TileCache() *store.TileCache { return srv.tiles }
 
 // containerETag derives a freshness validator from the container's size
 // and tail (the footer pins the index offset, so any repack changes it).
@@ -356,14 +371,19 @@ func docOf(info store.DatasetInfo) DatasetDoc {
 }
 
 // StatsDoc is the JSON document of /v1/stats: tile-level cache counters
-// summed across stores, plus the storage-backend byte-level counters for
-// stores opened through a counting backend (an edge proxy's span cache).
+// summed across stores, the occupancy of the decoded-tile cache (the
+// server's own plus any private cache a registered store brought along),
+// and the storage-backend byte-level counters for stores opened through a
+// counting backend (an edge proxy's span cache).
 type StatsDoc struct {
 	Datasets            int   `json:"datasets"`
 	Containers          int   `json:"containers"`
 	TileDecodes         int64 `json:"tile_decodes"`
 	TileRefines         int64 `json:"tile_refines"`
 	TileHits            int64 `json:"tile_hits"`
+	TileCacheBytes      int64 `json:"tile_cache_bytes"`
+	TileCacheEntries    int64 `json:"tile_cache_entries"`
+	TileCacheEvictions  int64 `json:"tile_cache_evictions"`
 	BackendHits         int64 `json:"backend_hits"`
 	BackendMisses       int64 `json:"backend_misses"`
 	BackendBytesFetched int64 `json:"backend_bytes_fetched"`
@@ -389,12 +409,14 @@ func (srv *Server) statsDoc() StatsDoc {
 	// of one origin) report the same backend-wide CounterSource; dedupe by
 	// identity so shared counters are summed once, not once per container.
 	seen := make(map[backend.CounterSource]bool)
+	caches := map[*store.TileCache]bool{srv.tiles: true}
 	for _, name := range srv.containerOrder {
 		s := srv.containers[name].s
 		st := s.Stats()
 		doc.TileDecodes += st.TileDecodes
 		doc.TileRefines += st.TileRefines
 		doc.TileHits += st.TileHits
+		caches[s.TileCache()] = true
 		cs := s.CounterSource()
 		if cs == nil || seen[cs] {
 			continue
@@ -408,6 +430,12 @@ func (srv *Server) statsDoc() StatsDoc {
 		doc.BackendCoalesced += c.Coalesced
 	}
 	srv.mu.RUnlock()
+	for c := range caches {
+		st := c.Stats()
+		doc.TileCacheBytes += st.Bytes
+		doc.TileCacheEntries += st.Entries
+		doc.TileCacheEvictions += st.Evictions
+	}
 	doc.Codec = codec.Stats()
 	if srv.cluster != nil {
 		doc.Cluster = srv.cluster.doc()

@@ -2,19 +2,22 @@ package store
 
 import (
 	"container/list"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/backend"
+	"repro/internal/cas"
 	"repro/internal/core"
 )
 
-// DefaultCacheBytes bounds the decoded-chunk LRU cache: repeated or
+// DefaultCacheBytes bounds the decoded-tile LRU cache: repeated or
 // overlapping region queries reuse (and progressively refine) decoded
-// tiles instead of re-reading and re-decoding them.
+// tiles instead of re-reading and re-decoding them. It is the budget of
+// the private cache a Store is opened with and of a server's shared one.
 const DefaultCacheBytes = 256 << 20
 
-// cacheShards is the lock-shard count of the chunk cache. Admission and
+// cacheShards is the lock-shard count of the tile cache. Admission and
 // eviction touch only the shard a key hashes to, so concurrent requests —
 // the HTTP server runs one goroutine per request, each fanning out across
 // its region's tiles — contend on a shard lock for nanoseconds instead of
@@ -36,14 +39,27 @@ func cachedBytesPerElem(s core.ScalarType) int64 {
 	return 16
 }
 
-// chunkKey identifies one tile of one dataset.
-type chunkKey struct {
+// tileKey identifies a decoded tile by what it is, so that one TileCache
+// can serve every store of a process. A tile of a CAS snapshot is its
+// blob: the key is the blob's score alone, and every snapshot (of any
+// field) that references the blob shares one decode of it. A tile of a
+// packed container has no content address, so it is keyed by where it
+// sits: the Store that opened the container, the dataset, the chunk — two
+// containers that both hold a dataset named "density" never meet.
+type tileKey struct {
+	score   cas.Score // content-keyed tiles; the other fields stay zero
+	owner   uint64    // packed containers: the opening Store's id, never 0
 	dataset string
 	chunk   int
 }
 
-// hash is FNV-1a over the key, used to pick a cache shard.
-func (k chunkKey) hash() uint32 {
+// hash picks the cache shard. A score is already uniform; a positional
+// key hashes its dataset and chunk with FNV-1a (the owner is left out: a
+// container's tiles land on the shards they would in a cache of its own).
+func (k tileKey) hash() uint32 {
+	if k.owner == 0 {
+		return binary.LittleEndian.Uint32(k.score[:4])
+	}
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -81,7 +97,7 @@ func (k chunkKey) hash() uint32 {
 // is atomic so read-locked fast paths can claim deltas without upgrading
 // the lock.
 type chunkEntry struct {
-	key     chunkKey
+	key     tileKey
 	charged int64 // bytes charged against the cache budget
 
 	arch atomic.Pointer[core.Archive]
@@ -133,41 +149,61 @@ func (c *cacheStats) snapshot() Stats {
 	}
 }
 
-// chunkCache is a byte-budgeted LRU over decoded tiles, sharded by key
-// hash. Entries are charged their decoded size up front, at admission: the
-// decoded size is known exactly from the tiling before any work happens,
-// and charging early keeps concurrent fills from overshooting the budget.
-// Evicted entries vanish from the map only — goroutines holding a pointer
-// finish their copy-out safely, and the memory is reclaimed when they
-// drop it.
-type chunkCache struct {
+// TileCache is a byte-budgeted LRU over decoded tiles, sharded by key
+// hash. One cache can back any number of stores: a process that serves
+// many containers and snapshots attaches one to all of them
+// (Store.SetTileCache), and its budget then bounds the decoded tiles of
+// the whole process — resident bytes stay within the budget plus one tile
+// per shard however many stores there are. Entries are charged their
+// decoded size up front, at admission: the decoded size is known exactly
+// from the tiling before any work happens, and charging early keeps
+// concurrent fills from overshooting the budget. Evicted entries vanish
+// from the map only — goroutines holding a pointer finish their copy-out
+// safely, and the memory is reclaimed when they drop it.
+type TileCache struct {
 	shards [cacheShards]cacheShard
 }
 
 // cacheShard is one independently locked slice of the cache, with 1/16 of
 // the byte budget.
 type cacheShard struct {
-	mu      sync.Mutex
-	cap     int64
-	used    int64
-	ll      *list.List // front = most recently used; values are *chunkEntry
-	entries map[chunkKey]*list.Element
+	mu        sync.Mutex
+	cap       int64
+	used      int64
+	evictions int64
+	ll        *list.List // front = most recently used; values are *chunkEntry
+	entries   map[tileKey]*list.Element
 }
 
-func newChunkCache(capBytes int64) *chunkCache {
-	c := &chunkCache{}
+// NewTileCache returns a cache with the given byte budget; a non-positive
+// budget disables caching (see Resize).
+func NewTileCache(capBytes int64) *TileCache {
+	c := &TileCache{}
 	for i := range c.shards {
 		c.shards[i].ll = list.New()
-		c.shards[i].entries = make(map[chunkKey]*list.Element)
+		c.shards[i].entries = make(map[tileKey]*list.Element)
 	}
-	c.resize(capBytes)
+	c.Resize(capBytes)
 	return c
+}
+
+// evictTo drops entries from the LRU end until the shard is within its
+// budget or only keep entries remain. Callers hold sh.mu.
+func (sh *cacheShard) evictTo(keep int) {
+	for sh.used > sh.cap && sh.ll.Len() > keep {
+		el := sh.ll.Back()
+		victim := el.Value.(*chunkEntry)
+		sh.ll.Remove(el)
+		delete(sh.entries, victim.key)
+		sh.used -= victim.charged
+		sh.evictions++
+	}
 }
 
 // acquire returns the entry for key, creating (and admitting) it if
 // needed. With a non-positive capacity, caching is disabled and every call
 // returns a fresh uncached entry.
-func (c *chunkCache) acquire(key chunkKey, decodedBytes int64) *chunkEntry {
+func (c *TileCache) acquire(key tileKey, decodedBytes int64) *chunkEntry {
 	sh := &c.shards[key.hash()%cacheShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -186,20 +222,14 @@ func (c *chunkCache) acquire(key chunkKey, decodedBytes int64) *chunkEntry {
 	// or concurrent requests for it would each decode their own copy and
 	// the single-decode guarantee would silently vanish for large tiles.
 	// The budget is therefore soft by at most one resident tile per shard.
-	for sh.used > sh.cap && sh.ll.Len() > 1 {
-		el := sh.ll.Back()
-		victim := el.Value.(*chunkEntry)
-		sh.ll.Remove(el)
-		delete(sh.entries, victim.key)
-		sh.used -= victim.charged
-	}
+	sh.evictTo(1)
 	return e
 }
 
 // peek returns the cached entry for key, or nil without admitting one.
 // Header-only consumers (wire planning) use it so the budget is never
 // charged a full decoded-tile size for an entry that holds no decode.
-func (c *chunkCache) peek(key chunkKey) *chunkEntry {
+func (c *TileCache) peek(key tileKey) *chunkEntry {
 	sh := &c.shards[key.hash()%cacheShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -210,29 +240,46 @@ func (c *chunkCache) peek(key chunkKey) *chunkEntry {
 	return nil
 }
 
-// resize updates the capacity (split evenly across shards), evicting down
-// to the new budget. A non-positive capacity clears the cache and disables
+// Resize updates the byte budget (split evenly across the lock shards),
+// evicting down to it. Each shard always retains its most recent tile even
+// when that tile alone exceeds the shard's slice, so the budget is soft by
+// at most one tile per shard and oversized tiles still deduplicate
+// concurrent decodes. A non-positive budget clears the cache and disables
 // it.
-func (c *chunkCache) resize(capBytes int64) {
+func (c *TileCache) Resize(capBytes int64) {
 	per := capBytes / cacheShards
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		sh.cap = per
-		if sh.cap <= 0 {
-			sh.ll.Init()
-			sh.entries = make(map[chunkKey]*list.Element)
-			sh.used = 0
-			sh.mu.Unlock()
-			continue
-		}
-		for sh.used > sh.cap && sh.ll.Len() > 0 {
-			el := sh.ll.Back()
-			victim := el.Value.(*chunkEntry)
-			sh.ll.Remove(el)
-			delete(sh.entries, victim.key)
-			sh.used -= victim.charged
-		}
+		sh.evictTo(0) // every entry is charged > 0, so a budget <= 0 empties the shard
 		sh.mu.Unlock()
 	}
+}
+
+// TileCacheStats is a snapshot of a cache's occupancy.
+type TileCacheStats struct {
+	// Bytes is what the resident entries are charged against the budget
+	// (their decoded size, fixed at admission); Entries how many there are.
+	Bytes   int64
+	Entries int64
+	// Evictions counts entries dropped to honour the budget since the cache
+	// was made, by admission pressure or by Resize.
+	Evictions int64
+}
+
+// Stats sums the shards' occupancy. Shards are read one after another, so
+// under concurrent traffic the totals are approximate by the requests in
+// flight.
+func (c *TileCache) Stats() TileCacheStats {
+	var st TileCacheStats
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		st.Bytes += sh.used
+		st.Entries += int64(sh.ll.Len())
+		st.Evictions += sh.evictions
+		sh.mu.Unlock()
+	}
+	return st
 }

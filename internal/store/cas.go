@@ -225,10 +225,25 @@ func (r *snapshotReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
+// blobReaderAt reads one blob of a CAS by its score: what a content-keyed
+// tile cache entry decodes and refines from, whichever snapshots reference
+// the blob at the time.
+type blobReaderAt struct {
+	c     *cas.Store
+	score cas.Score
+}
+
+func (b blobReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	return b.c.ReadBlobAt(b.score, p, off)
+}
+
 // OpenSnapshot opens one snapshot of a CAS as a read-only Store. The
 // snapshot may still be staged in the open epoch (reads come from
 // memory) or sealed (reads come from score-verified blob files); the
-// same Store remains valid across the seal.
+// same Store remains valid across the seal. Its decoded tiles are cached
+// under their blobs' scores: attach one TileCache to every snapshot of a
+// series (Store.SetTileCache) and a tile that did not change between two
+// snapshots is decoded once for both.
 func OpenSnapshot(c *cas.Store, field string, t int) (*Store, error) {
 	m, ok := c.Manifest(field, t)
 	if !ok {
@@ -241,7 +256,12 @@ func OpenSnapshot(c *cas.Store, field string, t int) (*Store, error) {
 	// Open re-parses the synthetic index — the same validation path real
 	// containers go through, so a malformed manifest cannot reach the
 	// retrieval machinery.
-	return Open(r, r.size)
+	s, err := Open(r, r.size)
+	if err != nil {
+		return nil, err
+	}
+	s.snap = r
+	return s, nil
 }
 
 // CASBackend presents a CAS's snapshots as a storage backend: every

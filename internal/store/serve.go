@@ -112,11 +112,12 @@ func (s *Store) PlanRegion(name string, lo, hi []int, bound, haveBound float64) 
 		// (headers are small; the DP planning below dominates the cost).
 		// openChunkArchive is lock-free, so a planes request never queues
 		// behind a concurrent raw request's decode of the same tile.
-		entry := s.cache.peek(chunkKey{dataset: ds.name, chunk: ci})
+		key := s.tileKey(ds, ci)
+		entry := s.cache.peek(key)
 		if entry == nil {
-			entry = &chunkEntry{key: chunkKey{dataset: ds.name, chunk: ci}}
+			entry = &chunkEntry{key: key}
 		}
-		arch, err := s.openChunkArchive(entry, ds, rec)
+		arch, err := s.openChunkArchive(entry, ds, ci)
 		if err != nil {
 			return fmt.Errorf("store: dataset %q chunk %d: %w", ds.name, ci, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backend"
@@ -28,10 +29,16 @@ type Store struct {
 	size     int64
 	datasets map[string]*datasetMeta
 	order    []string
-	cache    *chunkCache
+	id       uint64            // this store's identity in positional tile keys
+	snap     *snapshotReaderAt // non-nil for OpenSnapshot stores: tiles are keyed by score
+	cache    *TileCache        // private until SetTileCache attaches a shared one
 	stats    cacheStats
 	counters backend.CounterSource // non-nil for backend-opened stores
 }
+
+// storeIDs numbers the stores of a process from 1, so that positional
+// tile keys of different containers never collide in a shared cache.
+var storeIDs atomic.Uint64
 
 // MinSize is the smallest well-formed container (empty preamble+footer);
 // anything shorter cannot be an IPComp container at all.
@@ -73,7 +80,8 @@ func Open(r io.ReaderAt, size int64) (*Store, error) {
 		src:      r,
 		size:     size,
 		datasets: make(map[string]*datasetMeta, len(metas)),
-		cache:    newChunkCache(DefaultCacheBytes),
+		id:       storeIDs.Add(1),
+		cache:    NewTileCache(DefaultCacheBytes),
 	}
 	for _, ds := range metas {
 		s.datasets[ds.name] = ds
@@ -112,12 +120,32 @@ func OpenBackend(b backend.Backend, name string) (*Store, error) {
 // value — aggregate by identity to avoid double-counting.
 func (s *Store) CounterSource() backend.CounterSource { return s.counters }
 
-// SetCacheBytes resizes the decoded-chunk LRU cache; 0 disables caching.
-// The budget is split evenly across the cache's lock shards; each shard
-// always retains its most recent tile even when that tile alone exceeds
-// the shard's slice (so the budget is soft by at most one tile per
-// shard, and oversized tiles still deduplicate concurrent decodes).
-func (s *Store) SetCacheBytes(n int64) { s.cache.resize(n) }
+// SetCacheBytes resizes the store's decoded-tile cache (TileCache.Resize);
+// 0 disables caching. A store opened on its own has a private cache of
+// DefaultCacheBytes. On a store attached to a shared cache this resizes
+// the shared cache, for every store on it — size a shared cache where it
+// is made instead.
+func (s *Store) SetCacheBytes(n int64) { s.cache.Resize(n) }
+
+// SetTileCache makes the store keep its decoded tiles in c instead of its
+// private cache, which is dropped along with whatever it held. A process
+// that serves many stores attaches one cache to all of them, so that one
+// budget bounds them together and a tile that several snapshots reference
+// is decoded once. Call it before the store serves requests.
+func (s *Store) SetTileCache(c *TileCache) { s.cache = c }
+
+// TileCache returns the cache the store keeps its decoded tiles in.
+// Aggregators that sum occupancy across stores dedupe by identity.
+func (s *Store) TileCache() *TileCache { return s.cache }
+
+// tileKey names chunk ci of ds in the tile cache: by content when the
+// store knows the tile's score, by position otherwise.
+func (s *Store) tileKey(ds *datasetMeta, ci int) tileKey {
+	if s.snap != nil {
+		return tileKey{score: s.snap.m.Tiles[ci].Score}
+	}
+	return tileKey{owner: s.id, dataset: ds.name, chunk: ci}
+}
 
 // Stats returns a snapshot of the store's tile-level cache counters,
 // plus the byte-level counters of the storage backend when the store was
@@ -336,7 +364,7 @@ func retrieveRegionAs[T grid.Scalar](s *Store, ds *datasetMeta, lo, hi []int, bo
 	}
 	for pos, ci := range sc.chunks {
 		rec := &ds.chunks[ci]
-		entry := s.cache.acquire(chunkKey{dataset: ds.name, chunk: ci},
+		entry := s.cache.acquire(s.tileKey(ds, ci),
 			int64(boxLen(rec.lo, rec.hi))*cachedBytesPerElem(ds.scalar))
 		sc.entries = append(sc.entries, entry)
 		entry.mu.RLock()
@@ -385,7 +413,7 @@ func retrieveRegionAs[T grid.Scalar](s *Store, ds *datasetMeta, lo, hi []int, bo
 		// lock and find the work already done — one decode, N consumers.
 		entry.mu.Lock()
 		defer entry.mu.Unlock()
-		if err := s.ensureChunk(entry, ds, rec, bound, opts.Decode); err != nil {
+		if err := s.ensureChunk(entry, ds, ci, bound, opts.Decode); err != nil {
 			return fmt.Errorf("store: dataset %q chunk %d: %w", ds.name, ci, err)
 		}
 		loaded[k] = entry.claimLoaded()
@@ -471,22 +499,33 @@ func (s *Store) RetrieveDataset(name string, bound float64) (*Region, error) {
 // CAS (racing parses produce equivalent archives and the loser's is
 // dropped), so wire planning can call it while a decode holds entry.mu.
 // Only the header is read — planning never decodes the tile.
-func (s *Store) openChunkArchive(entry *chunkEntry, ds *datasetMeta, rec *chunkRecord) (*core.Archive, error) {
-	if a := entry.arch.Load(); a != nil {
-		return a, nil
-	}
-	arch, err := core.NewArchiveReaderAt(io.NewSectionReader(s.src, rec.off, rec.size), rec.size)
-	if err != nil {
-		return nil, err
+//
+// A content-keyed entry outlives any one snapshot, so its archive reads
+// the blob from the CAS by score, not through the container image of the
+// snapshot that happened to touch it first: deleting that snapshot leaves
+// a later refine through another one working.
+func (s *Store) openChunkArchive(entry *chunkEntry, ds *datasetMeta, ci int) (*core.Archive, error) {
+	arch := entry.arch.Load()
+	if arch == nil {
+		rec := &ds.chunks[ci]
+		var blob io.ReaderAt = io.NewSectionReader(s.src, rec.off, rec.size)
+		if s.snap != nil {
+			blob = blobReaderAt{c: s.snap.c, score: entry.key.score}
+		}
+		var err error
+		if arch, err = core.NewArchiveReaderAt(blob, rec.size); err != nil {
+			return nil, err
+		}
+		if !entry.arch.CompareAndSwap(nil, arch) {
+			arch = entry.arch.Load()
+		}
 	}
 	// Retrievals read the cached result through the dataset's scalar type
 	// without conversion; a chunk encoded at another width is a corrupt
-	// container, not a silently-degraded copy.
+	// container, not a silently-degraded copy. Checked on every call: a
+	// shared entry may have been parsed on behalf of another dataset.
 	if arch.Scalar() != ds.scalar {
 		return nil, fmt.Errorf("store: chunk archive is %v, dataset index says %v", arch.Scalar(), ds.scalar)
-	}
-	if !entry.arch.CompareAndSwap(nil, arch) {
-		return entry.arch.Load(), nil
 	}
 	return arch, nil
 }
@@ -498,9 +537,9 @@ func (s *Store) openChunkArchive(entry *chunkEntry, ds *datasetMeta, rec *chunkR
 // entry.mu for writing. st (may be nil) collects decode-path timings for
 // this request; it is attached only while the lock is held, so a cached
 // result never reports into a finished request's collector.
-func (s *Store) ensureChunk(entry *chunkEntry, ds *datasetMeta, rec *chunkRecord, bound float64, st *core.DecodeStats) error {
+func (s *Store) ensureChunk(entry *chunkEntry, ds *datasetMeta, ci int, bound float64, st *core.DecodeStats) error {
 	if entry.res == nil {
-		arch, err := s.openChunkArchive(entry, ds, rec)
+		arch, err := s.openChunkArchive(entry, ds, ci)
 		if err != nil {
 			return err
 		}

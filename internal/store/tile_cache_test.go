@@ -1,0 +1,275 @@
+package store
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/cas"
+	"repro/internal/core"
+	"repro/internal/grid"
+)
+
+// packSeries stages steps snapshots of seriesGrid in a fresh CAS and
+// returns it with their manifests. The low progressive threshold makes
+// 16³ tiles bitplane-progressive, so a tighter bound is a real refine.
+func packSeries(t *testing.T, shape, chunk []int, steps int, churn map[int][]int, eb float64) (*cas.Store, []*cas.Manifest) {
+	t.Helper()
+	c, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := make([]*cas.Manifest, steps)
+	for s := range ms {
+		g := seriesGrid(t, shape, chunk, s, churn)
+		if ms[s], _, err = PackSnapshot(c, "density", g, WriteOptions{ErrorBound: eb, ChunkShape: chunk, ProgressiveThreshold: 128}); err != nil {
+			t.Fatalf("t%d: %v", s, err)
+		}
+	}
+	return c, ms
+}
+
+// openShared opens snapshot t of the series on the shared cache.
+func openShared(t *testing.T, c *cas.Store, step int, tiles *TileCache) *Store {
+	t.Helper()
+	s, err := OpenSnapshot(c, "density", step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiles != nil {
+		s.SetTileCache(tiles)
+	}
+	return s
+}
+
+// statsDelta runs fn and returns what it added to the store's counters.
+func statsDelta(s *Store, fn func()) Stats {
+	before := s.Stats()
+	fn()
+	after := s.Stats()
+	return Stats{
+		TileDecodes: after.TileDecodes - before.TileDecodes,
+		TileRefines: after.TileRefines - before.TileRefines,
+		TileHits:    after.TileHits - before.TileHits,
+	}
+}
+
+// TestSharedCacheDecodesWhatChanged: on one TileCache, reading the same
+// box of t and then of t+1 decodes exactly the tiles whose blob changed
+// and hits on the rest; tightening through t+1 refines the tiles t
+// decoded in place; and what comes back is bit for bit what a store with
+// a cache of its own returns.
+func TestSharedCacheDecodesWhatChanged(t *testing.T) {
+	shape, chunk := []int{48, 40, 40}, []int{16, 16, 16} // 27 tiles
+	const eb = 1e-6
+	churn := map[int][]int{1: {0, 4, 13}, 2: {4, 26}}
+	c, ms := packSeries(t, shape, chunk, 3, churn, eb)
+	tiles := NewTileCache(DefaultCacheBytes)
+	lo, hi := []int{4, 4, 4}, []int{30, 30, 30} // tiles {0,1}x{0,1}x{0,1}: 8 of them
+
+	s0 := openShared(t, c, 0, tiles)
+	name0, name1 := ms[0].Name(), ms[1].Name()
+	inBox := s0.datasets[name0].til.intersecting(lo, hi)
+	changed := 0
+	for _, ci := range inBox {
+		if ms[0].Tiles[ci].Score != ms[1].Tiles[ci].Score {
+			changed++
+		}
+	}
+	if len(inBox) != 8 || changed != 3 {
+		t.Fatalf("box touches %d tiles of which %d change at t1; the test wants 8 and 3", len(inBox), changed)
+	}
+
+	d := statsDelta(s0, func() {
+		if _, err := s0.RetrieveRegion(name0, lo, hi, 64*eb); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if d.TileDecodes != 8 || d.TileHits != 0 {
+		t.Fatalf("first read of t0: %+v, want 8 decodes", d)
+	}
+
+	s1 := openShared(t, c, 1, tiles)
+	var got *Region
+	d = statsDelta(s1, func() {
+		var err error
+		if got, err = s1.RetrieveRegion(name1, lo, hi, 64*eb); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if d.TileDecodes != int64(changed) || d.TileHits != int64(8-changed) || d.TileRefines != 0 {
+		t.Fatalf("same box of t1: %+v, want %d decodes and %d hits", d, changed, 8-changed)
+	}
+	private := openShared(t, c, 1, nil)
+	want, err := private.RetrieveRegion(name1, lo, hi, 64*eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Data(), want.Data()) || got.GuaranteedError() != want.GuaranteedError() {
+		t.Fatal("t1 through the shared cache differs from t1 through a cache of its own")
+	}
+
+	// Tighter, through t1: every tile of the box is resident, five of them
+	// decoded on behalf of t0.
+	d = statsDelta(s1, func() {
+		if got, err = s1.RetrieveRegion(name1, lo, hi, eb); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if d.TileDecodes != 0 || d.TileRefines != 8 {
+		t.Fatalf("tightening t1: %+v, want 8 refines and no decode", d)
+	}
+	if want, err = private.RetrieveRegion(name1, lo, hi, eb); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Data(), want.Data()) {
+		t.Fatal("t1 refined through the shared cache differs from t1 refined in a cache of its own")
+	}
+	// t0 sees its unchanged tiles at the fidelity t1 raised them to.
+	d = statsDelta(s0, func() {
+		if _, err := s0.RetrieveRegion(name0, lo, hi, eb); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if d.TileHits != int64(8-changed) || d.TileRefines != int64(changed) {
+		t.Fatalf("tightening t0 after t1: %+v, want %d hits and %d refines", d, 8-changed, changed)
+	}
+
+	// Planning peeks at the same entries and must not depend on them.
+	planShared, err := s1.PlanRegion(name1, lo, hi, 4*eb, 64*eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planFresh, err := openShared(t, c, 1, nil).PlanRegion(name1, lo, hi, 4*eb, 64*eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(planShared, planFresh) {
+		t.Fatal("a refinement plan differs between the shared cache and a fresh store")
+	}
+	if st := tiles.Stats(); st.Entries != int64(8+changed) || st.Evictions != 0 {
+		t.Fatalf("cache holds %+v, want %d entries", st, 8+changed)
+	}
+}
+
+// TestSharedCacheConcurrentSnapshots reads four snapshots on one cache
+// from many goroutines at mixed bounds: every value must honour its
+// request's bound against its own snapshot's data while other goroutines
+// decode and refine the same tiles through other snapshots, and each blob
+// is decoded once for all of them. Under -race this is the shared cache's
+// concurrency-safety proof.
+func TestSharedCacheConcurrentSnapshots(t *testing.T) {
+	shape, chunk := []int{32, 32, 32}, []int{16, 16, 16} // 8 tiles
+	const steps, eb = 4, 1e-6
+	churn := map[int][]int{1: {0, 7}, 2: {3}, 3: {0, 5}}
+	c, ms := packSeries(t, shape, chunk, steps, churn, eb)
+	tiles := NewTileCache(DefaultCacheBytes)
+	blobs := make(map[cas.Score]bool)
+	var stores []*Store
+	var fields [][]float64
+	for s := 0; s < steps; s++ {
+		stores = append(stores, openShared(t, c, s, tiles))
+		fields = append(fields, seriesGrid(t, shape, chunk, s, churn).Data())
+		for _, tr := range ms[s].Tiles {
+			blobs[tr.Score] = true
+		}
+	}
+	bounds := []float64{1024 * eb, 32 * eb, eb}
+	var wg sync.WaitGroup
+	errs := make(chan error, steps*len(bounds)*2)
+	for round := 0; round < 2; round++ {
+		for s := range stores {
+			for _, bound := range bounds {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					reg, err := stores[s].RetrieveDataset(ms[s].Name(), bound)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if d := maxAbsDiff(reg.Data(), fields[s]); d > bound || reg.GuaranteedError() > bound {
+						errs <- fmt.Errorf("t%d at %g: off by %g, guaranteed %g", s, bound, d, reg.GuaranteedError())
+					}
+				}()
+			}
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var decodes int64
+	for _, s := range stores {
+		decodes += s.Stats().TileDecodes
+	}
+	if decodes != int64(len(blobs)) || tiles.Stats().Entries != decodes {
+		t.Fatalf("%d decodes and %d entries for %d distinct blobs across %d snapshots", decodes, tiles.Stats().Entries, len(blobs), steps)
+	}
+}
+
+// TestSharedCacheBudgetAcrossSnapshots: fifty snapshots each read once
+// through one cache never charge it more than its budget plus one tile
+// per shard, however many stores are attached.
+func TestSharedCacheBudgetAcrossSnapshots(t *testing.T) {
+	shape, chunk := []int{32, 32, 32}, []int{16, 16, 16} // 8 tiles
+	const steps, eb = 50, 1e-6
+	churn := make(map[int][]int)
+	for s := 1; s < steps; s++ {
+		churn[s] = []int{s % 8, (3*s + 1) % 8}
+	}
+	c, ms := packSeries(t, shape, chunk, steps, churn, eb)
+	tile := int64(16*16*16) * cachedBytesPerElem(core.Float64)
+	budget := cacheShards * 5 * tile / 2 // two and a half tiles per shard
+	tiles := NewTileCache(budget)
+	for s := 0; s < steps; s++ {
+		st := openShared(t, c, s, tiles)
+		if _, err := st.RetrieveDataset(ms[s].Name(), 16*eb); err != nil {
+			t.Fatal(err)
+		}
+		if got := tiles.Stats(); got.Bytes > budget+cacheShards*tile || got.Bytes != got.Entries*tile {
+			t.Fatalf("after t%d the cache is charged %d bytes for %d entries; the budget is %d + one %d-byte tile per shard", s, got.Bytes, got.Entries, budget, tile)
+		}
+	}
+	// More distinct blobs went through than the budget holds.
+	if st := tiles.Stats(); st.Evictions == 0 {
+		t.Fatalf("nothing was evicted (%+v): the budget was never under pressure", st)
+	}
+}
+
+// TestSharedCachePackedContainersIsolated: two packed containers that
+// both hold a dataset named "density" share a cache without ever serving
+// each other's tiles.
+func TestSharedCachePackedContainersIsolated(t *testing.T) {
+	shape, chunk := grid.Shape{32, 32, 32}, grid.Shape{16, 16, 16}
+	tiles := NewTileCache(DefaultCacheBytes)
+	var stores []*Store
+	var fields []*grid.Grid[float64]
+	for k := 0; k < 2; k++ {
+		g := seriesGrid(t, shape, chunk, k, map[int][]int{1: {0, 1, 2, 3, 4, 5, 6, 7}})
+		s := openStore(t, packOffline(t, "density", g, WriteOptions{ErrorBound: 1e-4, ChunkShape: chunk}))
+		s.SetTileCache(tiles)
+		stores, fields = append(stores, s), append(fields, g)
+	}
+	for round := 0; round < 2; round++ {
+		for k, s := range stores {
+			reg, err := s.RetrieveDataset("density", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(reg.Data(), fields[k].Data()); d > 1e-4 {
+				t.Fatalf("round %d: container %d is off its own data by %g", round, k, d)
+			}
+		}
+	}
+	for k, s := range stores {
+		if st := s.Stats(); st.TileDecodes != 8 || st.TileHits != 8 {
+			t.Errorf("container %d: %+v, want 8 decodes then 8 hits of its own tiles", k, st)
+		}
+	}
+	if st := tiles.Stats(); st.Entries != 16 {
+		t.Errorf("cache holds %d entries for two 8-tile containers", st.Entries)
+	}
+}

@@ -241,8 +241,10 @@ func (s *Store) Datasets() []StoreDataset { return s.s.Datasets() }
 // Size returns the container size in bytes.
 func (s *Store) Size() int64 { return s.s.Size() }
 
-// SetCacheBytes resizes the decoded-chunk LRU cache (default 256 MiB);
-// 0 disables caching.
+// SetCacheBytes resizes the store's decoded-tile LRU cache (default
+// 256 MiB); 0 disables caching. A Store opened through this package has a
+// cache of its own, so the budget bounds this store alone; ipcompd instead
+// keeps the tiles of everything it serves in one cache sized by -cache-mb.
 func (s *Store) SetCacheBytes(n int64) { s.s.SetCacheBytes(n) }
 
 // RetrieveRegion reconstructs the box [lo, hi) of the named dataset with a
