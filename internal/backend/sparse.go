@@ -49,6 +49,22 @@ func (s *Sparse) Held() int64 { return s.held }
 // SpanCount returns the number of resident (merged) spans.
 func (s *Sparse) SpanCount() int { return len(s.spans) }
 
+// Clone returns a view that holds what s holds now and is unaffected by
+// later Inserts into s (and the reverse): an owner takes one before a
+// batch of Inserts it may have to take back. Resident bytes are never
+// rewritten, so the spans' bytes are shared, not copied; the clone's
+// slices are capped at their length so that a merge appends into memory
+// of its own.
+func (s *Sparse) Clone() *Sparse {
+	c := *s
+	c.spans = make([]sparseSpan, len(s.spans))
+	for i, sp := range s.spans {
+		sp.b = sp.b[:len(sp.b):len(sp.b)]
+		c.spans[i] = sp
+	}
+	return &c
+}
+
 // Insert adds [off, off+len(b)) to the view, taking ownership of b.
 // Portions already resident are verified to carry identical bytes and
 // skipped; only the missing sub-ranges are stored. Tolerating re-sent

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/grid"
@@ -396,6 +398,35 @@ func TestCorruptArchiveRejected(t *testing.T) {
 			if _, err3 := a.RetrieveAll(); err3 == nil {
 				t.Error("truncated archive retrieved successfully")
 			}
+		}
+	}
+}
+
+// TestForgedHeaderCountsDoNotAllocate: a header's counts size its tables,
+// and a header may come off the network. With four bytes of 0xFF written
+// over every position in turn, parsing must fail or succeed without
+// allocating out of proportion to the header's few hundred bytes, and a
+// retrieval from what still parses must not either (the 4 Gi-element
+// anchor and outlier tables, and a field sized by a forged shape, are
+// what this keeps out).
+func TestForgedHeaderCountsDoNotAllocate(t *testing.T) {
+	g := smoothField(grid.Shape{16, 16}, 12)
+	blob, err := Compress(g, Options{ErrorBound: 1e-4, Interpolation: interp.Cubic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hlen := 8 + int(binary.LittleEndian.Uint64(blob))
+	for at := 8; at+4 <= hlen; at++ {
+		bad := append([]byte(nil), blob...)
+		copy(bad[at:], "\xff\xff\xff\xff")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if a, err := NewArchive(bad); err == nil {
+			a.RetrieveAll()
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Fatalf("0xFFFFFFFF at header byte %d made a %d-byte archive allocate %d bytes", at, len(blob), grew)
 		}
 	}
 }

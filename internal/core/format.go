@@ -178,6 +178,13 @@ func (h *header) computeOffsets() {
 	}
 }
 
+// planeSpan returns the archive range that holds the blocks of planes
+// [have, want) of a level; they are adjacent by construction.
+func (h *header) planeSpan(level, have, want int) (off, n int64) {
+	offs := h.blockOff[level-1]
+	return offs[have], offs[want-1] - offs[have] + int64(h.metaOf(level).blockSizes[want-1])
+}
+
 // totalSize returns the full archive size in bytes.
 func (h *header) totalSize() int64 {
 	size := h.headerSize
@@ -268,6 +275,13 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	out := r.b[r.pos : r.pos+n]
 	r.pos += n
 	return out, nil
+}
+
+// holds reports whether the unread part of the header is long enough for
+// n entries of the given size. A count is believed only then: it sizes an
+// allocation, and the header may be forged.
+func (r *reader) holds(n uint32, size int) bool {
+	return uint64(n)*uint64(size) <= uint64(len(r.b)-r.pos)
 }
 
 func (r *reader) u8() (uint8, error) {
@@ -409,6 +423,9 @@ func unmarshalHeader(raw []byte) (*header, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !r.holds(nanchor, h.scalar.Bytes()) {
+		return nil, errTruncated
+	}
 	h.anchors = make([]float64, nanchor)
 	for i := range h.anchors {
 		if h.anchors[i], err = r.val(h.scalar); err != nil {
@@ -426,6 +443,9 @@ func unmarshalHeader(raw []byte) (*header, error) {
 		nout, err := r.u32()
 		if err != nil {
 			return nil, err
+		}
+		if !r.holds(nout, 4+h.scalar.Bytes()) {
+			return nil, errTruncated
 		}
 		m.outlierIdx = make([]uint32, nout)
 		m.outlierVal = make([]float64, nout)

@@ -160,8 +160,6 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 		loadedBytes: a.h.headerSize,
 		stats:       st,
 	}
-	data := make([]T, a.h.shape.Len())
-	setData(r, data)
 	for l := 1; l <= a.h.levels; l++ {
 		m := a.h.metaOf(l)
 		// The kernels below index level buffers by the decomposition's
@@ -198,6 +196,10 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 	if len(a.h.anchors) < len(a.dec.Anchors()) {
 		return nil, fmt.Errorf("core: anchor table too short")
 	}
+	// Allocated only now: a header whose shape its own level tables do not
+	// bear out has been refused above, before the shape sized anything.
+	data := make([]T, a.h.shape.Len())
+	setData(r, data)
 	rebuild(a, data, r.trunc)
 	return r, nil
 }
@@ -214,16 +216,35 @@ func rebuild[T grid.Scalar](a *Archive, data []T, trunc [][]int32) {
 	}
 }
 
-// loadPlanes raises level l's loaded plane count to want, decoding the new
-// planes and updating the truncated indices. It returns the per-element
-// index delta only implicitly via r.trunc.
+// loadPlanes raises level l's loaded plane count to want: fetchPlanes, then
+// mergePlanes.
 func (r *Result) loadPlanes(level, want int) error {
+	if err := r.fetchPlanes(level, want); err != nil {
+		return err
+	}
+	r.mergePlanes(level, want)
+	return nil
+}
+
+// newPlanes clamps want to the level's stored planes and reports the
+// half-open range [have, want) of planes a raise to want still has to load.
+func (r *Result) newPlanes(level, want int) (have, to int) {
+	if used := r.arch.h.metaOf(level).usedPlanes; want > used {
+		want = used
+	}
+	return r.plan.Keep[level-1], want
+}
+
+// fetchPlanes is the half of a raise that can fail: it reads the blocks of
+// planes [have, want) of a level and entropy-decodes them into r.planes.
+// Nothing the result's values, plan or guarantee are computed from changes
+// — slots of r.planes at and beyond the plan's count are not read by
+// anything — so a refinement that fails here, on any level, leaves the
+// result exactly at its previous plan and can simply be tried again.
+func (r *Result) fetchPlanes(level, want int) error {
 	a := r.arch
 	m := a.h.metaOf(level)
-	if want > m.usedPlanes {
-		want = m.usedPlanes
-	}
-	have := r.plan.Keep[level-1]
+	have, want := r.newPlanes(level, want)
 	if want <= have {
 		return nil
 	}
@@ -231,15 +252,13 @@ func (r *Result) loadPlanes(level, want int) error {
 	// layout), so they arrive as one span read — one syscall, one pooled
 	// buffer — then inflate concurrently; blocks are independent.
 	planeBytes := (m.count + 7) / 8
-	spanLen := 0
-	for p := have; p < want; p++ {
-		spanLen += int(m.blockSizes[p])
-	}
+	offs := a.h.blockOff[level-1]
+	spanOff, spanLen := a.h.planeSpan(level, have, want)
 	var readT time.Time
 	if r.stats != nil {
 		readT = time.Now()
 	}
-	raw, release, err := readSpan(a.src, a.h.blockOff[level-1][have], spanLen)
+	raw, release, err := readSpan(a.src, spanOff, int(spanLen))
 	if r.stats != nil {
 		r.stats.ReadNanos.Add(time.Since(readT).Nanoseconds())
 	}
@@ -247,13 +266,6 @@ func (r *Result) loadPlanes(level, want int) error {
 		return err
 	}
 	defer release()
-	r.loadedBytes += int64(spanLen)
-	blockAt := make([][]byte, want)
-	for p, cur := have, 0; p < want; p++ {
-		sz := int(m.blockSizes[p])
-		blockAt[p] = raw[cur : cur+sz]
-		cur += sz
-	}
 	var ferr firstError
 	var codecT time.Time
 	if r.stats != nil {
@@ -261,7 +273,8 @@ func (r *Result) loadPlanes(level, want int) error {
 	}
 	ParallelFor(want-have, func(i int) {
 		p := have + i
-		plane, err := codec.DecodeBlock(blockAt[p], planeBytes)
+		at := int(offs[p] - spanOff)
+		plane, err := codec.DecodeBlock(raw[at:at+int(m.blockSizes[p])], planeBytes)
 		if err != nil {
 			ferr.set(fmt.Errorf("core: level %d plane %d: %w", level, p, err))
 			return
@@ -271,11 +284,25 @@ func (r *Result) loadPlanes(level, want int) error {
 	if r.stats != nil {
 		r.stats.CodecNanos.Add(time.Since(codecT).Nanoseconds())
 	}
-	if err := ferr.get(); err != nil {
-		return err
+	return ferr.get()
+}
+
+// mergePlanes is the half of a raise that cannot fail: it undoes the
+// predictive coding of the planes fetchPlanes decoded, recomputes the
+// level's truncated indices from the loaded prefix and records the new
+// plane count and the bytes it cost.
+func (r *Result) mergePlanes(level, want int) {
+	a := r.arch
+	m := a.h.metaOf(level)
+	have, want := r.newPlanes(level, want)
+	if want <= have {
+		return
 	}
+	_, spanLen := a.h.planeSpan(level, have, want)
+	r.loadedBytes += spanLen
 	// Undo the predictive XOR coding for the newly loaded planes only; the
 	// planes above them were decoded when they were loaded.
+	planeBytes := (m.count + 7) / 8
 	parallelChunks(planeBytes, minShardTargets/8, 1, func(lo, hi int) {
 		bitplane.PredictDecodeRangeBytes(r.planes[level-1], have, want, lo, hi)
 	})
@@ -297,7 +324,6 @@ func (r *Result) loadPlanes(level, want int) error {
 		}
 	})
 	r.plan.Keep[level-1] = want
-	return nil
 }
 
 // RefineTo raises the result to a finer plan in place (Algorithm 2): only
@@ -319,11 +345,35 @@ func (r *Result) RefineTo(plan Plan) error {
 	if len(plan.Keep) != a.h.levels {
 		return fmt.Errorf("core: plan has %d levels, archive %d", len(plan.Keep), a.h.levels)
 	}
-	if r.data32 != nil {
-		return refineRebuild(r, plan)
+	// Everything that can fail — reading and entropy-decoding the new
+	// blocks — runs for every level before the first level is merged, so a
+	// refinement either happens in full or leaves the result at its old
+	// plan with its old values and guarantee.
+	// Coarse to fine, so that the finest level — seven eighths of the
+	// planes — is merged, first, while what was decoded, last, is still in
+	// cache.
+	changedBelow := 0 // coarsest level that gains planes, 0 = none
+	for l := a.h.prog; l >= 1; l-- {
+		if have, want := r.newPlanes(l, plan.Keep[l-1]); want > have {
+			if err := r.fetchPlanes(l, want); err != nil {
+				return err
+			}
+			changedBelow = max(changedBelow, l)
+		}
 	}
-	// Compute per-level residual deltas for levels that gain planes.
-	deltas := make([][]float64, a.h.levels)
+	if changedBelow == 0 {
+		return nil
+	}
+	if r.data32 != nil {
+		// Float32: merge, then rerun the reconstruction recursion in place.
+		for l := 1; l <= changedBelow; l++ {
+			r.mergePlanes(l, plan.Keep[l-1])
+		}
+		rebuild(a, r.data32, r.trunc)
+		return nil
+	}
+	// Float64: per-level residual deltas for the levels that gain planes.
+	deltas := make([][]float64, changedBelow)
 	defer func() {
 		for _, d := range deltas {
 			if d != nil {
@@ -331,20 +381,14 @@ func (r *Result) RefineTo(plan Plan) error {
 			}
 		}
 	}()
-	changedBelow := 0 // finest changed level, 0 = none
-	for l := 1; l <= a.h.prog; l++ {
-		m := a.h.metaOf(l)
-		want := plan.Keep[l-1]
-		have := r.plan.Keep[l-1]
-		if want <= have {
+	for l := 1; l <= changedBelow; l++ {
+		if have, want := r.newPlanes(l, plan.Keep[l-1]); want <= have {
 			continue
 		}
+		m := a.h.metaOf(l)
 		old := int32Scratch.Get(m.count)
 		copy(old, r.trunc[l-1])
-		if err := r.loadPlanes(l, want); err != nil {
-			int32Scratch.Put(old)
-			return err
-		}
+		r.mergePlanes(l, plan.Keep[l-1])
 		d := levelScratch.Get(m.count)
 		ks := r.trunc[l-1]
 		step := a.quant.Step()
@@ -361,12 +405,6 @@ func (r *Result) RefineTo(plan Plan) error {
 			d[oi] = 0
 		}
 		deltas[l-1] = d
-		if l > changedBelow {
-			changedBelow = l
-		}
-	}
-	if changedBelow == 0 {
-		return nil
 	}
 	// Propagate the deltas through the interpolation hierarchy: the
 	// predictor is linear, so reconstructing the delta field and adding it
@@ -376,37 +414,15 @@ func (r *Result) RefineTo(plan Plan) error {
 	for l := changedBelow; l >= 1; l-- {
 		a.propagateLevel(delta, l, deltas[l-1])
 	}
+	// Unconditionally: a test for the zero entries costs more in branch
+	// mispredictions than the additions it saves.
 	data := r.data64
 	parallelChunks(len(data), minShardTargets, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if dv := delta[i]; dv != 0 {
-				data[i] += dv
-			}
+		d := data[lo:hi]
+		for i, dv := range delta[lo:hi] {
+			d[i] += dv
 		}
 	})
-	return nil
-}
-
-// refineRebuild is the float32 refinement path (the float64 path uses
-// delta propagation instead): load the newly selected planes (updating the
-// truncated indices), then rerun the reconstruction recursion in place.
-func refineRebuild(r *Result, plan Plan) error {
-	a := r.arch
-	changed := false
-	for l := 1; l <= a.h.prog; l++ {
-		want := plan.Keep[l-1]
-		if want <= r.plan.Keep[l-1] {
-			continue
-		}
-		if err := r.loadPlanes(l, want); err != nil {
-			return err
-		}
-		changed = true
-	}
-	if !changed {
-		return nil
-	}
-	rebuild(a, r.data32, r.trunc)
 	return nil
 }
 

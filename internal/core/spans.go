@@ -61,11 +61,7 @@ func (a *Archive) PlanSpans(from, to Plan) []Span {
 		if want <= have {
 			continue
 		}
-		var n int64
-		for p := have; p < want; p++ {
-			n += int64(m.blockSizes[p])
-		}
-		add(a.h.blockOff[l-1][have], n)
+		add(a.h.planeSpan(l, have, want))
 	}
 	return spans
 }

@@ -36,6 +36,49 @@ func ReadLE[T Scalar](r io.Reader, dst []T) (int, error) {
 	return n, err
 }
 
+// WriteLE writes src to w as little-endian values — ReadLE's counterpart.
+// On a little-endian host that is the memory of src itself, handed to w in
+// one Write; elsewhere the values are converted in batches through a small
+// buffer. It returns the bytes written. w must not keep the slice it is
+// given (io.Writer's contract): it aliases src.
+func WriteLE[T Scalar](w io.Writer, src []T) (int, error) {
+	if len(src) == 0 {
+		return 0, nil
+	}
+	if hostLittleEndian {
+		return w.Write(Bytes(src))
+	}
+	const batch = 2048 // values a conversion buffer holds
+	width := int(unsafe.Sizeof(src[0]))
+	buf := make([]byte, batch*width)
+	written := 0
+	for len(src) > 0 {
+		n := min(len(src), batch)
+		encodeLE(buf, src[:n])
+		k, err := w.Write(buf[:n*width])
+		written += k
+		if err != nil {
+			return written, err
+		}
+		src = src[n:]
+	}
+	return written, nil
+}
+
+// encodeLE writes the little-endian encoding of src into dst.
+func encodeLE[T Scalar](dst []byte, src []T) {
+	switch s := any(src).(type) {
+	case []float32:
+		for i, v := range s {
+			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+		}
+	case []float64:
+		for i, v := range s {
+			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+		}
+	}
+}
+
 // decodeLE reinterprets, in place, values whose memory holds their
 // little-endian encoding; the identity on a little-endian host.
 func decodeLE[T Scalar](dst []T) {

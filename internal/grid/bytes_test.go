@@ -57,3 +57,66 @@ func TestReadLE(t *testing.T) {
 		t.Errorf("Bytes of an empty slice is not nil")
 	}
 }
+
+// errAfter accepts n bytes and then fails.
+type errAfter struct{ n int }
+
+func (w *errAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		n := w.n
+		w.n = 0
+		return n, io.ErrClosedPipe
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteLE pins WriteLE against the value-by-value encoding it
+// replaces, bit for bit (-0.0 and NaN payloads among the values), at both
+// widths and across the batch size of the path big-endian hosts take; the
+// conversion that path runs is checked directly, since no test host takes
+// it.
+func TestWriteLE(t *testing.T) {
+	vals64 := []float64{1.5, -2.25, math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff0000000000001), 1e300}
+	for len(vals64) < 5000 {
+		vals64 = append(vals64, float64(len(vals64))*0.37)
+	}
+	vals32 := make([]float32, len(vals64))
+	for i, v := range vals64 {
+		vals32[i] = float32(v)
+	}
+	vals32[3] = math.Float32frombits(0x7fc00123)
+	var want64, want32 []byte
+	for _, v := range vals64 {
+		want64 = binary.LittleEndian.AppendUint64(want64, math.Float64bits(v))
+	}
+	for _, v := range vals32 {
+		want32 = binary.LittleEndian.AppendUint32(want32, math.Float32bits(v))
+	}
+
+	var buf bytes.Buffer
+	if n, err := WriteLE(&buf, vals64); n != len(want64) || err != nil || !bytes.Equal(buf.Bytes(), want64) {
+		t.Errorf("WriteLE f64: n=%d err=%v, equal=%v", n, err, bytes.Equal(buf.Bytes(), want64))
+	}
+	buf.Reset()
+	if n, err := WriteLE(&buf, vals32); n != len(want32) || err != nil || !bytes.Equal(buf.Bytes(), want32) {
+		t.Errorf("WriteLE f32: n=%d err=%v, equal=%v", n, err, bytes.Equal(buf.Bytes(), want32))
+	}
+	got := make([]byte, len(want64))
+	encodeLE(got, vals64)
+	if !bytes.Equal(got, want64) {
+		t.Errorf("encodeLE f64 differs from the value-by-value encoding")
+	}
+	got = got[:len(want32)]
+	encodeLE(got, vals32)
+	if !bytes.Equal(got, want32) {
+		t.Errorf("encodeLE f32 differs from the value-by-value encoding")
+	}
+
+	if n, err := WriteLE(&errAfter{n: 100}, vals64); n != 100 || err != io.ErrClosedPipe {
+		t.Errorf("failing writer: n=%d err=%v, want 100 and io.ErrClosedPipe", n, err)
+	}
+	if n, err := WriteLE(&errAfter{}, []float32(nil)); n != 0 || err != nil {
+		t.Errorf("empty slice: n=%d err=%v", n, err)
+	}
+}

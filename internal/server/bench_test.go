@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -188,7 +190,7 @@ func BenchmarkIngestSnapshot(b *testing.B) {
 				for k := 0; k < ntiles*pct/100; k++ {
 					forBenchTile(edge, tile, (i*7+k)%ntiles, func(j int) {
 						vals[j] += off
-						putF32(body[4*j:], vals[j])
+						binary.LittleEndian.PutUint32(body[4*j:], math.Float32bits(vals[j]))
 					})
 				}
 				b.StartTimer()
@@ -330,10 +332,14 @@ func BenchmarkServerRegionHTTP(b *testing.B) {
 	})
 }
 
-// TestServerRegionWarmAllocs pins the warm raw serve path's allocation
-// budget: a cached region through the full handler must stay within 20
-// allocations (mux match, header values, and nothing region-sized).
+// TestServerRegionWarmAllocs pins the warm raw serve path's allocations:
+// a cached region through the full handler costs the 14 of
+// BenchmarkServerRegion/warm (mux match, header values, and nothing
+// region-sized — the body is the region's own memory).
 func TestServerRegionWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	env := newBenchEnv(t)
 	handler := env.srv.Handler()
 	req := httptest.NewRequest("GET", env.regionPath(""), nil)
@@ -346,8 +352,8 @@ func TestServerRegionWarmAllocs(t *testing.T) {
 		w.reset()
 		handler.ServeHTTP(w, req)
 	})
-	if allocs > 20 {
-		t.Fatalf("warm region request allocates %.1f objects/op, budget is 20", allocs)
+	if allocs > 14 {
+		t.Fatalf("warm region request allocates %.1f objects/op, budget is 14", allocs)
 	}
 	t.Logf("warm region request: %.1f allocs/op", allocs)
 }

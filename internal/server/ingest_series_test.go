@@ -99,16 +99,9 @@ func sameBits[T grid.Scalar](a, b []T) bool {
 // leBytes renders values as the little-endian bytes of a POST body or a
 // raw region response.
 func leBytes[T grid.Scalar](vals []T) []byte {
-	width := core.ScalarOf[T]().Bytes()
-	raw := make([]byte, len(vals)*width)
-	for i, v := range vals {
-		if width == 4 {
-			putF32(raw[4*i:], float32(v))
-		} else {
-			putF64(raw[8*i:], float64(v))
-		}
-	}
-	return raw
+	var buf bytes.Buffer
+	grid.WriteLE(&buf, vals)
+	return buf.Bytes()
 }
 
 // treeFiles reads every file under dir, keyed by its relative path.

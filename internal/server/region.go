@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -19,12 +19,11 @@ import (
 // reqScratch is the per-request working state of the region endpoint,
 // pooled across requests so the warm raw path performs no region-sized
 // allocations: the retrieval Region (data slice plus tile scratch), the
-// coordinate slices, the streaming write buffer, and a small byte buffer
-// for header values are all recycled.
+// coordinate slices, and a small byte buffer for header values are all
+// recycled.
 type reqScratch struct {
 	lo, hi []int
 	reg    *store.Region
-	buf    []byte // writeRaw batch buffer
 	tmp    []byte // header-value formatting
 	trace  *obs.Trace
 }
@@ -319,39 +318,14 @@ func (srv *Server) writeRawRegion(w http.ResponseWriter, reg *store.Region, scal
 	}
 	publishTraceSpans(w, sc.trace)
 	rt := sc.trace.Begin(obs.StageRelay)
+	// A write error means the client went away mid-stream; the headers are
+	// gone, so there is nothing left to tell it.
 	if scalar == core.Float32 {
-		sc.buf = writeRaw(w, reg.DataFloat32(), 4, sc.buf, putF32)
+		_, _ = grid.WriteLE(w, reg.DataFloat32())
 	} else {
-		sc.buf = writeRaw(w, reg.Data(), 8, sc.buf, putF64)
+		_, _ = grid.WriteLE(w, reg.Data())
 	}
 	rt.End()
-}
-
-func putF32(b []byte, v float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(v)) }
-func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
-
-// writeRaw streams values as little-endian in fixed-size batches through
-// a recycled buffer, which it returns for the caller's pool.
-func writeRaw[T any](w http.ResponseWriter, vals []T, width int, buf []byte, put func([]byte, T)) []byte {
-	const batch = 16384
-	if cap(buf) < batch*width {
-		buf = make([]byte, batch*width)
-	}
-	buf = buf[:batch*width]
-	for len(vals) > 0 {
-		n := len(vals)
-		if n > batch {
-			n = batch
-		}
-		for i := 0; i < n; i++ {
-			put(buf[i*width:], vals[i])
-		}
-		if _, err := w.Write(buf[:n*width]); err != nil {
-			return buf // client went away mid-stream
-		}
-		vals = vals[n:]
-	}
-	return buf
 }
 
 // planTotal sums a plan's wire size, validating every span against the

@@ -174,6 +174,52 @@ func TestRegionRaw(t *testing.T) {
 	}
 }
 
+// TestRegionRawBytes pins the raw body byte for byte against the
+// value-by-value little-endian encoding of what the store retrieves for
+// the same request: both native widths, and both forced conversions.
+func TestRegionRawBytes(t *testing.T) {
+	e := newTestEnv(t)
+	lo, hi := []int{3, 0, 5}, []int{19, 17, 32}
+	for _, tc := range []struct {
+		dataset, dtype string
+		bound          float64
+		f32            bool
+	}{
+		{"density", "", 16 * e.eb, false},
+		{"density", "f32", 16 * e.eb, true},
+		{"density32", "", 0, true},
+		{"density32", "f64", 0, false},
+	} {
+		reg, err := e.st.RetrieveRegion(tc.dataset, lo, hi, tc.bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		if tc.f32 {
+			for _, v := range reg.DataFloat32() {
+				want = binary.LittleEndian.AppendUint32(want, math.Float32bits(v))
+			}
+		} else {
+			for _, v := range reg.Data() {
+				want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
+			}
+		}
+		u := fmt.Sprintf("%s/v1/datasets/%s/region?lo=3,0,5&hi=19,17,32&bound=%g&dtype=%s", e.ts.URL, tc.dataset, tc.bound, tc.dtype)
+		resp, err := http.Get(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("%s dtype=%q: status %d, %v", tc.dataset, tc.dtype, resp.StatusCode, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s dtype=%q: body of %d bytes differs from the value-by-value encoding (%d bytes)", tc.dataset, tc.dtype, len(got), len(want))
+		}
+	}
+}
+
 // TestProgressiveClient is the end-to-end acceptance test: a client
 // retrieves a region at a loose bound over HTTP, refines it with a token,
 // pays measurably fewer bytes for the refinement than for the initial

@@ -217,6 +217,9 @@ func TestStageSecondsScrape(t *testing.T) {
 // disabled (the production default): tracing must cost nil checks, not
 // allocations.
 func TestServerRegionWarmAllocsTracingInstalled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	env := newBenchEnv(t)
 	env.srv.EnableTracing(obs.Options{}) // installed, disabled
 	handler := env.srv.Handler()

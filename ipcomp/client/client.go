@@ -14,6 +14,17 @@
 //	coarse := reg.Data()                  // decoded at L∞ ≤ 1e-2
 //	_ = reg.Refine(ctx, 1e-4)             // fetches only the delta planes
 //	fine := reg.Data()                    // same region, tighter bound
+//
+// A response is decoded as it arrives: the calling goroutine parses tile
+// frames off the body and a bounded set of workers decodes them, so Region
+// and Refine use up to GOMAXPROCS cores (with GOMAXPROCS=1, the same code
+// with one worker) and return only after every worker has finished. That
+// concurrency is internal: a Client is safe for concurrent use, a Region
+// is not — one caller at a time per Region. When a Refine fails — a body
+// cut short, a frame that does not decode, a cancelled context — the
+// token and bound stay the previous ones, every tile is either at its old
+// plan or fully at the new one (GuaranteedError covers the mix), and the
+// same Refine can be retried.
 package client
 
 import (

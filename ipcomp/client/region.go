@@ -2,13 +2,17 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"math"
 	"net/url"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/store"
@@ -18,7 +22,8 @@ import (
 // Region is a remotely retrieved region-of-interest reconstruction. It
 // holds, per tile, the archive ranges fetched so far and the decoded
 // result, so Refine can apply delta planes in place. Like ipcomp.Result,
-// a Region is not safe for concurrent use.
+// a Region is not safe for concurrent use by callers; Region and Refine
+// themselves decode tiles on up to GOMAXPROCS cores.
 type Region struct {
 	c       *Client
 	dataset string
@@ -31,14 +36,16 @@ type Region struct {
 	data64  []float64
 	data32  []float32
 	chunks  map[int]*remoteChunk
+	round   int // fetches started, to spot a tile framed twice in one
 }
 
 // remoteChunk is one tile's client-side state.
 type remoteChunk struct {
+	index  int
 	lo, hi []int
 	src    *sparseSource
-	arch   *core.Archive
-	res    *core.Result
+	res    *core.Result // nil until the tile's first decode succeeded
+	round  int          // the Region.round of the last frame read for it
 }
 
 // Region fetches the box [lo, hi) of the named dataset at the given
@@ -97,10 +104,13 @@ func (reg *Region) fetch(ctx context.Context, bound float64, refine string) erro
 		return err
 	}
 	defer resp.Body.Close()
-	token := resp.Header.Get("X-Ipcomp-Token")
-	br := bufio.NewReaderSize(&countingReader{r: resp.Body, n: &reg.fetched}, 1<<16)
+	body := newFrameReader(resp.Body, resp.ContentLength)
+	defer func() {
+		reg.fetched += body.read
+		body.release()
+	}()
 
-	h, err := wire.ReadRegionHeader(br)
+	h, err := wire.ReadRegionHeader(body)
 	if err != nil {
 		return err
 	}
@@ -127,94 +137,183 @@ func (reg *Region) fetch(ctx context.Context, bound float64, refine string) erro
 		return fmt.Errorf("client: response scalar %v does not match region's %v", h.Scalar, reg.scalar)
 	}
 
-	for i := 0; i < h.NumChunks; i++ {
-		if err := reg.readChunk(br, h.Rank); err != nil {
-			return err
+	// The pipeline: this goroutine parses frames off the body and puts
+	// each complete one into a queue whose workers — helper goroutines
+	// from core's process-wide budget, and this goroutine whenever they
+	// are all busy or there are none — decode the frame's tile, so a tile
+	// decodes while the next one is still arriving and up to GOMAXPROCS
+	// tiles decode at once. A frame is self-contained and a server's tiles
+	// overlap nowhere, so workers share nothing they write. After the
+	// first failure no further frame is parsed and none still queued is
+	// decoded; tiles in work finish, so every tile ends either at its old
+	// plan or fully at the new one, and only a fetch in which everything
+	// succeeded publishes the new token and bound. Retrying a failed
+	// Refine is safe: ranges that already landed merge silently.
+	var failure atomic.Pointer[error] // the first one
+	fail := func(err error) { failure.CompareAndSwap(nil, &err) }
+	workers := core.NewQueue(func(fr frame) {
+		if failure.Load() != nil {
+			fr.rollback()
+		} else if err := reg.decode(fr); err != nil {
+			fr.rollback()
+			fail(err)
 		}
+	})
+	reg.round++
+	for i := 0; i < h.NumChunks && failure.Load() == nil; i++ {
+		if err := ctx.Err(); err != nil {
+			fail(err)
+			break
+		}
+		fr, err := reg.readFrame(body, h.Rank)
+		if err != nil {
+			fail(err)
+			break
+		}
+		workers.Put(fr)
 	}
-	reg.token = token
+	workers.Close()
+	if ferr := failure.Load(); ferr != nil {
+		// A tile this fetch introduced and could not decode holds no
+		// values; without it the region's guarantee covers what it did
+		// before.
+		for idx, rc := range reg.chunks {
+			if rc.res == nil {
+				delete(reg.chunks, idx)
+			}
+		}
+		return *ferr
+	}
+	reg.token = resp.Header.Get("X-Ipcomp-Token")
 	if reg.bound == 0 || h.Bound < reg.bound {
 		reg.bound = h.Bound
 	}
 	return nil
 }
 
-// readChunk consumes one tile frame: its spans land in the tile's sparse
-// source, the decoder raises the tile to the frame's plan, and the
-// overlap is copied into the region.
-func (reg *Region) readChunk(br *bufio.Reader, rank int) error {
-	ch, err := wire.ReadChunkHeader(br, rank)
-	if err != nil {
-		return err
+// frame is one parsed tile frame on its way to a worker.
+type frame struct {
+	rc   *remoteChunk
+	plan core.Plan // what the frame raises the tile to
+	// undo is the tile's source as it was before the frame's spans went
+	// in, for a tile that already holds values.
+	undo *backend.Sparse
+}
+
+// rollback takes a frame's spans back out of its tile's source. A frame
+// that is not decoded leaves nothing behind, so that a tile is either
+// fully at the frame's plan or exactly as it was — and if what failed was
+// damage to the bytes, a retry is not refused for carrying different ones.
+func (fr frame) rollback() {
+	if fr.undo != nil {
+		fr.rc.src.sp = fr.undo
 	}
-	rc := reg.chunks[ch.Index]
+}
+
+// readFrame consumes one tile frame off the body: its spans land in the
+// tile's sparse source. Decoding is the worker's half.
+func (reg *Region) readFrame(body *frameReader, rank int) (frame, error) {
+	ch, err := wire.ReadChunkHeader(body, rank)
+	if err != nil {
+		return frame{}, err
+	}
+	fr := frame{rc: reg.chunks[ch.Index], plan: core.Plan{Keep: ch.Keep}}
+	rc := fr.rc
 	if rc == nil {
 		for d := range ch.Lo {
 			if ch.Hi[d] <= ch.Lo[d] {
-				return fmt.Errorf("client: chunk %d declares empty box [%v, %v)", ch.Index, ch.Lo, ch.Hi)
+				return frame{}, fmt.Errorf("client: chunk %d declares empty box [%v, %v)", ch.Index, ch.Lo, ch.Hi)
 			}
 		}
 		rc = &remoteChunk{
-			lo:  ch.Lo,
-			hi:  ch.Hi,
-			src: newSparseSource(ch.BlobSize),
+			index: ch.Index,
+			lo:    ch.Lo,
+			hi:    ch.Hi,
+			src:   newSparseSource(ch.BlobSize),
 		}
-		reg.chunks[ch.Index] = rc
+		reg.chunks[ch.Index], fr.rc = rc, rc
 	} else {
+		// A second frame for a tile would have two workers decode it at
+		// once.
+		if rc.round == reg.round {
+			return frame{}, fmt.Errorf("client: chunk %d appears twice in one response", ch.Index)
+		}
 		// Refinement frames must describe the same tile they did on the
 		// first fetch; a drifting box would mis-place the copy-out.
 		for d := range ch.Lo {
 			if ch.Lo[d] != rc.lo[d] || ch.Hi[d] != rc.hi[d] {
-				return fmt.Errorf("client: chunk %d moved from [%v, %v) to [%v, %v) between responses",
+				return frame{}, fmt.Errorf("client: chunk %d moved from [%v, %v) to [%v, %v) between responses",
 					ch.Index, rc.lo, rc.hi, ch.Lo, ch.Hi)
 			}
 		}
+		fr.undo = rc.src.sp.Clone()
 	}
-	for s := 0; s < ch.NumSpans; s++ {
-		sp, err := wire.ReadSpanHeader(br)
+	rc.round = reg.round
+	if err := readSpans(body, rc.src, ch.NumSpans); err != nil {
+		fr.rollback()
+		return frame{}, fmt.Errorf("client: chunk %d: %w", ch.Index, err)
+	}
+	return fr, nil
+}
+
+// readSpans reads the n spans of a frame into the tile's source.
+func readSpans(body *frameReader, src *sparseSource, n int) error {
+	for ; n > 0; n-- {
+		sp, err := wire.ReadSpanHeader(body)
 		if err != nil {
 			return err
 		}
-		if sp.Len > rc.src.Size() {
-			return fmt.Errorf("client: chunk %d span of %d bytes exceeds its archive size %d", ch.Index, sp.Len, rc.src.Size())
+		if sp.Len > src.Size() {
+			return fmt.Errorf("span of %d bytes exceeds the tile's archive size %d", sp.Len, src.Size())
 		}
-		payload := make([]byte, sp.Len)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return fmt.Errorf("client: truncated span payload: %w", err)
+		payload, err := body.payload(sp.Len)
+		if err != nil {
+			return fmt.Errorf("span at %d: %w", sp.Off, err)
 		}
-		if err := rc.src.insert(sp.Off, payload); err != nil {
+		if err := src.insert(sp.Off, payload); err != nil {
 			return err
 		}
 	}
-	plan := core.Plan{Keep: ch.Keep}
-	if rc.arch == nil {
-		if rc.arch, err = core.NewArchiveFrom(rc.src); err != nil {
-			return fmt.Errorf("client: chunk %d: %w", ch.Index, err)
+	return nil
+}
+
+// decode raises a frame's tile to the frame's plan and copies the tile's
+// overlap into the region. It runs on a pipeline worker and touches only
+// the tile's own state and the tile's own part of the region's data.
+func (reg *Region) decode(fr frame) error {
+	rc := fr.rc
+	if rc.res != nil {
+		if err := rc.res.RefineTo(fr.plan); err != nil {
+			return fmt.Errorf("client: chunk %d: %w", rc.index, err)
 		}
-		if rc.arch.Scalar() != reg.scalar {
-			return fmt.Errorf("client: chunk %d is %v, response header says %v", ch.Index, rc.arch.Scalar(), reg.scalar)
-		}
-		// The frame's box sizes the copy-out of the decoded tile; it must
-		// agree with the shape the tile's own archive declares, or
-		// CopyRegion would stride (or overrun) the decoded slice wrongly.
-		shape := rc.arch.Shape()
-		if len(shape) != len(rc.lo) {
-			return fmt.Errorf("client: chunk %d archive is rank %d, frame says %d", ch.Index, len(shape), len(rc.lo))
-		}
-		for d, e := range shape {
-			if e != rc.hi[d]-rc.lo[d] {
-				return fmt.Errorf("client: chunk %d archive shape %v does not match frame box [%v, %v)",
-					ch.Index, shape, rc.lo, rc.hi)
-			}
-		}
-		if rc.res, err = rc.arch.Retrieve(plan); err != nil {
-			return fmt.Errorf("client: chunk %d: %w", ch.Index, err)
-		}
-	} else {
-		if err := rc.res.RefineTo(plan); err != nil {
-			return fmt.Errorf("client: chunk %d: %w", ch.Index, err)
+		reg.assimilate(rc)
+		return nil
+	}
+	arch, err := core.NewArchiveFrom(rc.src)
+	if err != nil {
+		return fmt.Errorf("client: chunk %d: %w", rc.index, err)
+	}
+	if arch.Scalar() != reg.scalar {
+		return fmt.Errorf("client: chunk %d is %v, response header says %v", rc.index, arch.Scalar(), reg.scalar)
+	}
+	// The frame's box sizes the copy-out of the decoded tile; it must
+	// agree with the shape the tile's own archive declares, or
+	// CopyRegion would stride (or overrun) the decoded slice wrongly.
+	shape := arch.Shape()
+	if len(shape) != len(rc.lo) {
+		return fmt.Errorf("client: chunk %d archive is rank %d, frame says %d", rc.index, len(shape), len(rc.lo))
+	}
+	for d, e := range shape {
+		if e != rc.hi[d]-rc.lo[d] {
+			return fmt.Errorf("client: chunk %d archive shape %v does not match frame box [%v, %v)",
+				rc.index, shape, rc.lo, rc.hi)
 		}
 	}
+	res, err := arch.Retrieve(fr.plan)
+	if err != nil {
+		return fmt.Errorf("client: chunk %d: %w", rc.index, err)
+	}
+	rc.res = res
 	reg.assimilate(rc)
 	return nil
 }
@@ -294,14 +393,56 @@ func (reg *Region) FetchedBytes() int64 { return reg.fetched }
 // Chunks reports how many tiles back the region.
 func (reg *Region) Chunks() int { return len(reg.chunks) }
 
-// countingReader tallies body bytes for FetchedBytes.
-type countingReader struct {
-	r io.Reader
-	n *int64
+// frameReader is the response body as the frame parser reads it:
+// buffered, because frame headers are read a field at a time; counting
+// what the frames consumed, for FetchedBytes; and aware of how much the
+// body can still deliver, so that a length a frame declares is not
+// believed — and allocated — before the bytes can be there.
+type frameReader struct {
+	br   *bufio.Reader
+	read int64 // bytes handed to the parser so far
+	size int64 // the response's Content-Length, -1 when it declared none
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	*c.n += int64(n)
+// readBuffers recycles the parsers' 64 KiB read buffers across fetches.
+var readBuffers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+
+func newFrameReader(body io.Reader, contentLength int64) *frameReader {
+	br := readBuffers.Get().(*bufio.Reader)
+	br.Reset(body)
+	return &frameReader{br: br, size: contentLength}
+}
+
+// release gives the read buffer back; the reader is spent.
+func (f *frameReader) release() {
+	f.br.Reset(nil)
+	readBuffers.Put(f.br)
+	f.br = nil
+}
+
+func (f *frameReader) Read(p []byte) (int, error) {
+	n, err := f.br.Read(p)
+	f.read += int64(n)
 	return n, err
+}
+
+// payload reads the n payload bytes of a span into a buffer of their own,
+// which the tile's sparse source keeps.
+func (f *frameReader) payload(n int64) ([]byte, error) {
+	if f.size < 0 {
+		// A body of undeclared length: the buffer grows with what arrives.
+		var buf bytes.Buffer
+		if _, err := io.CopyN(&buf, f, n); err != nil {
+			return nil, fmt.Errorf("truncated payload: %w", err)
+		}
+		return buf.Bytes(), nil
+	}
+	if left := f.size - f.read; n > left {
+		return nil, fmt.Errorf("declares %d payload bytes, the response has %d left", n, left)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(f, b); err != nil {
+		return nil, fmt.Errorf("truncated payload: %w", err)
+	}
+	return b, nil
 }
