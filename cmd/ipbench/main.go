@@ -9,10 +9,10 @@
 // fig11, all. Results print as aligned text tables; EXPERIMENTS.md records
 // a reference run next to the paper's reported numbers.
 //
-// The loadgen subcommand is a separate tool — an open-loop serving load
-// harness (see loadgen.go):
-//
-//	ipbench loadgen [-rate 200] [-duration 10s] [-mix cold:2,warm:5,refine:2,planes:1] ...
+// These tables reproduce the paper's orderings (internal/harness tests pin
+// them); they are not the repository's performance instrument. Speed,
+// ratio and bytes-loaded figures that may be cited come from benchmark/
+// (bash benchmark/run.sh, see docs/PERF.md).
 //
 // Scale note: -divisor 1 uses the paper's dataset shapes (hundreds of MB
 // per field, long runtimes); the default 4 shrinks each dimension 4x.
@@ -29,14 +29,6 @@ import (
 )
 
 func main() {
-	// loadgen is a subcommand with its own flags (see loadgen.go).
-	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
-		if err := runLoadgen(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "ipbench loadgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	divisor := flag.Int("divisor", 4, "linear downscale of the paper's dataset shapes")
 	rungs := flag.Int("rungs", 9, "bound-ladder length for residual/multi-fidelity baselines")
 	datasets := flag.String("datasets", "", "comma-separated dataset subset (default: all six)")

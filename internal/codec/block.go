@@ -42,12 +42,8 @@ const (
 	// Ratio stays within the estimator's margin of legacy; encode time
 	// drops on high-entropy planes, which dominate deep bitplanes.
 	PolicyAuto Policy = 1
-	// Zstd is reserved: the method ID exists so a future zstd dependency
-	// slots in without another format rev. Encoding under it is an error
-	// until then.
-	PolicyZstd Policy = 2
 
-	numPolicies = 3
+	numPolicies = 2
 )
 
 // String returns the CLI / stats spelling of the policy.
@@ -57,17 +53,13 @@ func (p Policy) String() string {
 		return "deflate"
 	case PolicyAuto:
 		return "auto"
-	case PolicyZstd:
-		return "zstd"
 	}
 	return fmt.Sprintf("policy(%d)", uint8(p))
 }
 
-// Valid reports whether p is a known policy ID (including reserved ones).
+// Valid reports whether p is a known policy ID: one EncodeBlockPolicy can
+// emit blocks under and an archive header may declare.
 func (p Policy) Valid() bool { return p < numPolicies }
-
-// Encodable reports whether EncodeBlockPolicy can emit blocks under p.
-func (p Policy) Encodable() bool { return p == PolicyDeflate || p == PolicyAuto }
 
 // ParsePolicy parses the CLI spelling of a policy.
 func ParsePolicy(s string) (Policy, error) {
@@ -76,8 +68,6 @@ func ParsePolicy(s string) (Policy, error) {
 		return PolicyDeflate, nil
 	case "auto":
 		return PolicyAuto, nil
-	case "zstd":
-		return PolicyZstd, fmt.Errorf("codec: policy %q is reserved, not yet available", s)
 	}
 	return PolicyDeflate, fmt.Errorf("codec: unknown policy %q (want deflate or auto)", s)
 }

@@ -1,9 +1,9 @@
 // Package codec provides the lossless back ends used by the compressors in
 // this repository: a DEFLATE wrapper standing in for zstd (the Go standard
 // library has no zstd; both are LZ77-family pattern extractors, see
-// DESIGN.md), a canonical Huffman coder for quantization indices (used by
-// the SZ3-lite baseline exactly as SZ3 uses Huffman), and a byte-oriented
-// run-length coder for sparse bitplanes.
+// DESIGN.md), a byte-alphabet Huffman coder for mid-entropy bitplanes, and
+// a byte-oriented run-length coder for sparse ones. (The int32 Huffman
+// coder of the SZ3-lite and SPERR-lite baselines is internal/huffman.)
 package codec
 
 import (

@@ -31,8 +31,8 @@ func Compress[T grid.Scalar](g *grid.Grid[T], opt Options) ([]byte, error) {
 	if opt.Interpolation != interp.Linear && opt.Interpolation != interp.Cubic {
 		return nil, fmt.Errorf("core: unknown interpolation kind %d", opt.Interpolation)
 	}
-	if !opt.Codec.Encodable() {
-		return nil, fmt.Errorf("core: codec policy %v cannot encode", opt.Codec)
+	if !opt.Codec.Valid() {
+		return nil, fmt.Errorf("core: unknown codec policy %v", opt.Codec)
 	}
 	threshold := opt.ProgressiveThreshold
 	if threshold <= 0 {

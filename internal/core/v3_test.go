@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -98,12 +99,33 @@ func TestV3DefaultStaysLegacy(t *testing.T) {
 	}
 }
 
-// TestV3ReservedPolicyRejected: the reserved zstd policy must be refused at
-// compress time, not produce an undecodable archive.
+// TestV3ReservedPolicyRejected: there is no policy 2 (it was once held for
+// zstd). It is refused at compress time and as the policy byte of a v3
+// header, and block tag 4, which stays reserved in the format, is refused
+// by the block decoder — never an undecodable archive, never wrong data.
 func TestV3ReservedPolicyRejected(t *testing.T) {
 	g := v3Field(t)
-	if _, err := Compress(g, Options{ErrorBound: 1e-6, Interpolation: interp.Cubic, Codec: codec.PolicyZstd}); err == nil {
-		t.Fatal("PolicyZstd compress succeeded; want error")
+	opts := Options{ErrorBound: 1e-6, Interpolation: interp.Cubic, Codec: codec.Policy(2)}
+	if _, err := Compress(g, opts); err == nil {
+		t.Fatal("compress under policy 2 succeeded; want error")
+	}
+	opts.Codec = codec.PolicyAuto
+	blob, err := Compress(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 8-byte length prefix, then magic, version, kind, rank, scalar, three
+	// u32 extents, eb and maxAbs (f64): the policy byte follows.
+	const policyAt = 8 + 4 + 4 + 3*4 + 8 + 8
+	if blob[policyAt] != byte(codec.PolicyAuto) {
+		t.Fatalf("byte %d is %d, not the policy byte of an auto archive", policyAt, blob[policyAt])
+	}
+	blob[policyAt] = 2
+	if _, err := NewArchive(blob); err == nil || !strings.Contains(err.Error(), "unknown codec policy 2") {
+		t.Fatalf("header with policy byte 2: err = %v; want unknown codec policy", err)
+	}
+	if _, err := codec.DecodeBlock([]byte{4, 0, 0, 0}, 3); err == nil || !strings.Contains(err.Error(), "reserved") {
+		t.Fatalf("block tag 4: err = %v; want the reserved-method error", err)
 	}
 }
 

@@ -36,11 +36,6 @@ type Config struct {
 	ResidualRungs int
 }
 
-// DefaultConfig returns the standard laptop-scale configuration.
-func DefaultConfig() Config {
-	return Config{Divisor: 4, ResidualRungs: 9}
-}
-
 func (c Config) datasets() ([]*datagen.Dataset, error) {
 	names := c.Datasets
 	if len(names) == 0 {

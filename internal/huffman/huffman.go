@@ -1,19 +1,20 @@
-package codec
+// Package huffman implements a canonical Huffman coder over int32 symbols,
+// the entropy stage of the SZ3-lite and SPERR-lite baselines (SZ3 itself
+// Huffman-codes its quantization indices before zstd). Symbols are
+// arbitrary int32 values; the symbol alphabet is stored in the header, so
+// sparse alphabets (the common case for quantization indices, which
+// concentrate around zero) stay cheap.
+//
+// Only baselines import it: the serving binary and the public ipcomp
+// package must not link it (TestServingLinksNoBaseline in cmd/ipcompd).
+package huffman
 
 import (
 	"container/heap"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 )
-
-// This file implements a canonical Huffman coder over int32 symbols, the
-// entropy stage of the SZ3-lite baseline (SZ3 itself Huffman-codes its
-// quantization indices before zstd). Symbols are arbitrary int32 values;
-// the symbol alphabet is stored in the header, so sparse alphabets (the
-// common case for quantization indices, which concentrate around zero)
-// stay cheap.
 
 // maxCodeLen caps Huffman code lengths; 32 bits is always achievable for
 // alphabets below 2^32 via the package's length-limiting rebalance.
@@ -159,11 +160,11 @@ func canonicalCodes(syms []int32, lengths []uint8) []uint64 {
 	return codes
 }
 
-// HuffmanEncode encodes data into a self-describing byte stream: a header
+// Encode encodes data into a self-describing byte stream: a header
 // with the alphabet and code lengths followed by the packed bitstream. The
 // stream is further DEFLATE-compressed by callers when profitable (SZ3-lite
 // does, mirroring SZ3's Huffman+zstd pipeline).
-func HuffmanEncode(data []int32) []byte {
+func Encode(data []int32) []byte {
 	// Histogram over the sparse alphabet.
 	hist := make(map[int32]uint64)
 	for _, v := range data {
@@ -218,13 +219,13 @@ func HuffmanEncode(data []int32) []byte {
 	return out
 }
 
-// HuffmanDecode inverts HuffmanEncode.
-func HuffmanDecode(blob []byte) ([]int32, error) {
+// Decode inverts Encode.
+func Decode(blob []byte) ([]int32, error) {
 	pos := 0
 	get := func() (uint64, error) {
 		v, n := binary.Uvarint(blob[pos:])
 		if n <= 0 {
-			return 0, fmt.Errorf("codec: truncated huffman header")
+			return 0, fmt.Errorf("huffman: truncated header")
 		}
 		pos += n
 		return v, nil
@@ -246,11 +247,11 @@ func HuffmanDecode(blob []byte) ([]int32, error) {
 		}
 		syms[i] = unzigzag(zz)
 		if pos >= len(blob) {
-			return nil, fmt.Errorf("codec: truncated huffman lengths")
+			return nil, fmt.Errorf("huffman: truncated lengths")
 		}
 		lengths[i] = blob[pos]
 		if lengths[i] == 0 || lengths[i] > maxCodeLen {
-			return nil, fmt.Errorf("codec: invalid code length %d", lengths[i])
+			return nil, fmt.Errorf("huffman: invalid code length %d", lengths[i])
 		}
 		pos++
 	}
@@ -258,7 +259,7 @@ func HuffmanDecode(blob []byte) ([]int32, error) {
 		return []int32{}, nil
 	}
 	if nsyms == 0 {
-		return nil, fmt.Errorf("codec: %d values but empty alphabet", count)
+		return nil, fmt.Errorf("huffman: %d values but empty alphabet", count)
 	}
 	if nsyms == 1 {
 		out := make([]int32, count)
@@ -312,7 +313,7 @@ func HuffmanDecode(blob []byte) ([]int32, error) {
 	for uint64(len(out)) < count {
 		if nbits == 0 {
 			if bitPos >= len(blob) {
-				return nil, fmt.Errorf("codec: truncated huffman bitstream")
+				return nil, fmt.Errorf("huffman: truncated bitstream")
 			}
 			acc = uint64(blob[bitPos])
 			nbits = 8
@@ -322,7 +323,7 @@ func HuffmanDecode(blob []byte) ([]int32, error) {
 		cur = cur<<1 | (acc>>uint(nbits))&1
 		curLen++
 		if curLen > maxLen {
-			return nil, fmt.Errorf("codec: invalid huffman code near byte %d", bitPos)
+			return nil, fmt.Errorf("huffman: invalid code near byte %d", bitPos)
 		}
 		if idx := cur - firstCode[curLen]; idx < countByLen[curLen] {
 			out = append(out, sortedSyms[offset[curLen]+idx])
@@ -339,23 +340,4 @@ func zigzag(v int32) uint64 {
 func unzigzag(u uint64) int32 {
 	x := uint32(u)
 	return int32(x>>1) ^ -int32(x&1)
-}
-
-// EntropyBits returns the empirical Shannon entropy, in bits per symbol, of
-// the int32 stream — used by Table 2 style analyses.
-func EntropyBits(data []int32) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	hist := make(map[int32]int)
-	for _, v := range data {
-		hist[v]++
-	}
-	n := float64(len(data))
-	e := 0.0
-	for _, c := range hist {
-		p := float64(c) / n
-		e -= p * math.Log2(p)
-	}
-	return e
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -288,5 +289,28 @@ func TestLoggerFormats(t *testing.T) {
 	}
 	if doc["odd"] != "?" {
 		t.Fatalf("dangling key rendered as %v", doc["odd"])
+	}
+}
+
+// TestStageSecondsGoldenText pins the exposition text of
+// ipcomp_stage_seconds byte for byte: the benchmark's scrape keys series
+// exactly as /metrics prints them. Durations sit on a bucket's upper bound
+// (counted in it), just above one, below the first and beyond the last.
+func TestStageSecondsGoldenText(t *testing.T) {
+	rec := NewRecorder(Options{Sample: 1})
+	tr := rec.Start("region", "d")
+	for _, d := range []time.Duration{500 * time.Nanosecond, time.Microsecond, 1001 * time.Nanosecond, 123456789, 11 * time.Second} {
+		tr.ObserveStage(StageTileDecode, d)
+	}
+	tr.ObserveStage(StageRelay, 2500*time.Microsecond)
+	rec.Finish(tr)
+	var b strings.Builder
+	rec.RenderStageSeconds(&b)
+	want, err := os.ReadFile("testdata/stage_seconds.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("ipcomp_stage_seconds text changed:\n%s", b.String())
 	}
 }

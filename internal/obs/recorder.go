@@ -51,7 +51,7 @@ type Recorder struct {
 	seq     atomic.Uint64
 	pool    sync.Pool
 
-	stages [numStages]stageHist
+	stages [numStages]*Histogram
 
 	mu      sync.Mutex
 	ring    []TraceDoc // newest at ring[ringN-1 mod len], bounded
@@ -74,6 +74,9 @@ func NewRecorder(opts Options) *Recorder {
 		opts:    opts,
 		procTag: rand.Uint64(),
 		ring:    make([]TraceDoc, 0, opts.Ring),
+	}
+	for s := range r.stages {
+		r.stages[s] = NewHistogram(stageBuckets[:])
 	}
 	r.pool.New = func() any { return &Trace{} }
 	return r
@@ -163,7 +166,7 @@ func (r *Recorder) Finish(t *Trace) {
 		// Only locally recorded spans feed this node's histograms; merged
 		// remote spans are counted by the node that timed them.
 		if sp.Node == "" {
-			r.stages[sp.Stage].observe(sp.Dur)
+			r.stages[sp.Stage].Observe(sp.Dur)
 		}
 	}
 	t.mu.Unlock()
@@ -262,28 +265,6 @@ var stageBuckets = [...]float64{
 	1, 2.5, 5, 10,
 }
 
-// stageHist mirrors the server's hand-rolled request histogram: per-bucket
-// (non-cumulative) atomic counters rendered cumulatively at scrape time.
-type stageHist struct {
-	buckets  [len(stageBuckets)]atomic.Int64
-	over     atomic.Int64
-	count    atomic.Int64
-	sumNanos atomic.Int64
-}
-
-func (h *stageHist) observe(d time.Duration) {
-	s := d.Seconds()
-	h.count.Add(1)
-	h.sumNanos.Add(d.Nanoseconds())
-	for i := range stageBuckets {
-		if s <= stageBuckets[i] {
-			h.buckets[i].Add(1)
-			return
-		}
-	}
-	h.over.Add(1)
-}
-
 // RenderStageSeconds appends the ipcomp_stage_seconds family in
 // Prometheus text exposition format. Stages with no observations are
 // omitted, matching the request-histogram convention.
@@ -294,29 +275,6 @@ func (r *Recorder) RenderStageSeconds(b *strings.Builder) {
 	b.WriteString("# HELP ipcomp_stage_seconds Time spent per request stage (from sampled traces).\n")
 	b.WriteString("# TYPE ipcomp_stage_seconds histogram\n")
 	for s := Stage(0); s < numStages; s++ {
-		h := &r.stages[s]
-		count := h.count.Load()
-		if count == 0 {
-			continue
-		}
-		label := `stage="` + s.String() + `"`
-		var cum int64
-		for i := range stageBuckets {
-			cum += h.buckets[i].Load()
-			b.WriteString(`ipcomp_stage_seconds_bucket{` + label + `,le="` +
-				strconv.FormatFloat(stageBuckets[i], 'g', -1, 64) + `"} `)
-			b.WriteString(strconv.FormatInt(cum, 10))
-			b.WriteByte('\n')
-		}
-		cum += h.over.Load()
-		b.WriteString(`ipcomp_stage_seconds_bucket{` + label + `,le="+Inf"} `)
-		b.WriteString(strconv.FormatInt(cum, 10))
-		b.WriteByte('\n')
-		b.WriteString(`ipcomp_stage_seconds_sum{` + label + `} `)
-		b.WriteString(strconv.FormatFloat(float64(h.sumNanos.Load())/1e9, 'g', -1, 64))
-		b.WriteByte('\n')
-		b.WriteString(`ipcomp_stage_seconds_count{` + label + `} `)
-		b.WriteString(strconv.FormatInt(count, 10))
-		b.WriteByte('\n')
+		r.stages[s].Render(b, "ipcomp_stage_seconds", `stage="`+s.String()+`"`)
 	}
 }

@@ -71,6 +71,7 @@ type clusterEnv struct {
 	datasets   []string // datasets[i] lives in containers[i]
 	eb         float64  // shared absolute bound
 	truth      map[string]*store.Store
+	fields     map[string]*grid.Grid[float64] // what each dataset was packed from
 	shape      grid.Shape
 }
 
@@ -84,7 +85,11 @@ var clusterFields = []string{"Density", "Pressure", "VelocityX", "Wave", "SpeedX
 // requires the ring to spread ownership.
 func newClusterEnv(t testing.TB, numContainers, replication int, mod func(*ClusterOptions)) *clusterEnv {
 	t.Helper()
-	env := &clusterEnv{truth: make(map[string]*store.Store), shape: grid.Shape{16, 16, 16}}
+	env := &clusterEnv{
+		truth:  make(map[string]*store.Store),
+		fields: make(map[string]*grid.Grid[float64]),
+		shape:  grid.Shape{16, 16, 16},
+	}
 	mem := backend.NewMem()
 	var refRange float64
 	for k := 0; k < numContainers; k++ {
@@ -117,6 +122,7 @@ func newClusterEnv(t testing.TB, numContainers, replication int, mod func(*Clust
 			t.Fatal(err)
 		}
 		env.truth[ds] = truth
+		env.fields[ds] = g
 	}
 
 	names := []string{"n1", "n2", "n3"}

@@ -1,46 +1,19 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // latencyBuckets are the fixed upper bounds (seconds) of the request
 // latency histogram, log-spaced from 100µs to 10s — wide enough to hold
-// both a warm cache hit and a queued cold decode. A fixed layout keeps
-// observation to one atomic increment with no allocation; the +Inf bucket
-// is implicit (it equals _count).
+// both a warm cache hit and a queued cold decode.
 var latencyBuckets = [...]float64{
 	1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
 	1e-1, 2.5e-1, 5e-1, 1, 2.5, 5, 10,
-}
-
-// histogram is one fixed-bucket latency series. Buckets store
-// non-cumulative counts; rendering accumulates them into the cumulative
-// le-labeled form the Prometheus exposition requires.
-type histogram struct {
-	buckets  [len(latencyBuckets)]atomic.Int64
-	over     atomic.Int64 // observations beyond the last bucket
-	count    atomic.Int64
-	sumNanos atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	s := d.Seconds()
-	for i, ub := range latencyBuckets {
-		if s <= ub {
-			h.buckets[i].Add(1)
-			goto counted
-		}
-	}
-	h.over.Add(1)
-counted:
-	h.count.Add(1)
-	h.sumNanos.Add(int64(d))
 }
 
 // Request label dimensions. Every API route is instrumented: region
@@ -82,43 +55,39 @@ var outcomeNames = [numOutcomes]string{"ok", "degraded", "rejected", "error"}
 // for every other route (the region slot of plain is unused — region
 // always carries its format label).
 type requestMetrics struct {
-	region [numFormats][numOutcomes]histogram
-	plain  [numRoutes][numOutcomes]histogram
+	region [numFormats][numOutcomes]*obs.Histogram
+	plain  [numRoutes][numOutcomes]*obs.Histogram
+}
+
+func newRequestMetrics() requestMetrics {
+	var m requestMetrics
+	for o := 0; o < numOutcomes; o++ {
+		for f := range m.region {
+			m.region[f][o] = obs.NewHistogram(latencyBuckets[:])
+		}
+		for rt := range m.plain {
+			m.plain[rt][o] = obs.NewHistogram(latencyBuckets[:])
+		}
+	}
+	return m
 }
 
 func (m *requestMetrics) observe(format, outcome int, d time.Duration) {
-	m.region[format][outcome].observe(d)
+	m.region[format][outcome].Observe(d)
 }
 
 func (m *requestMetrics) observeRoute(route, outcome int, d time.Duration) {
-	m.plain[route][outcome].observe(d)
+	m.plain[route][outcome].Observe(d)
 }
 
 // render writes the ipcomp_request_seconds family in exposition format.
-// Series never observed are omitted, so an idle server's scrape stays
-// small; Prometheus treats absent series as zero.
 func (m *requestMetrics) render(b *strings.Builder) {
-	fmt.Fprintf(b, "# HELP ipcomp_request_seconds Request latency by route, response format, and outcome.\n")
-	fmt.Fprintf(b, "# TYPE ipcomp_request_seconds histogram\n")
-	series := func(h *histogram, labels string) {
-		count := h.count.Load()
-		if count == 0 {
-			return
-		}
-		cum := int64(0)
-		for i := range latencyBuckets {
-			cum += h.buckets[i].Load()
-			fmt.Fprintf(b, "ipcomp_request_seconds_bucket{%s,le=%q} %d\n",
-				labels, strconv.FormatFloat(latencyBuckets[i], 'g', -1, 64), cum)
-		}
-		fmt.Fprintf(b, "ipcomp_request_seconds_bucket{%s,le=\"+Inf\"} %d\n", labels, cum+h.over.Load())
-		fmt.Fprintf(b, "ipcomp_request_seconds_sum{%s} %g\n", labels,
-			float64(h.sumNanos.Load())/float64(time.Second))
-		fmt.Fprintf(b, "ipcomp_request_seconds_count{%s} %d\n", labels, count)
-	}
+	const family = "ipcomp_request_seconds"
+	b.WriteString("# HELP " + family + " Request latency by route, response format, and outcome.\n")
+	b.WriteString("# TYPE " + family + " histogram\n")
 	for f := 0; f < numFormats; f++ {
 		for o := 0; o < numOutcomes; o++ {
-			series(&m.region[f][o], `route="region",format="`+formatNames[f]+`",outcome="`+outcomeNames[o]+`"`)
+			m.region[f][o].Render(b, family, `route="region",format="`+formatNames[f]+`",outcome="`+outcomeNames[o]+`"`)
 		}
 	}
 	for rt := 0; rt < numRoutes; rt++ {
@@ -126,7 +95,7 @@ func (m *requestMetrics) render(b *strings.Builder) {
 			continue // emitted above with its format label
 		}
 		for o := 0; o < numOutcomes; o++ {
-			series(&m.plain[rt][o], `route="`+routeNames[rt]+`",outcome="`+outcomeNames[o]+`"`)
+			m.plain[rt][o].Render(b, family, `route="`+routeNames[rt]+`",outcome="`+outcomeNames[o]+`"`)
 		}
 	}
 }

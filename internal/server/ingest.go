@@ -498,6 +498,16 @@ func ingestBody[T grid.Scalar](srv *Server, ing *ingestState, w http.ResponseWri
 
 	c := ing.opts.CAS
 	ing.mu.Lock()
+	// The name the new snapshot will carry can only be served already when
+	// the field's latest snapshot was deleted from the CAS behind this
+	// process: refuse before anything is compressed or staged.
+	next := cas.SnapshotName(field, c.NextT(field))
+	if _, served := srv.lookupContainer(next); served {
+		ing.mu.Unlock()
+		writeError(w, http.StatusConflict, fmt.Sprintf(
+			"dataset %q is still served but no longer in the CAS (its snapshot was deleted out of band); restart the daemon to drop it, then append", next))
+		return outError
+	}
 	ct := tr.Begin(obs.StageIngestCompress)
 	m, st, err := store.PackSnapshot(c, field, g, opt)
 	ct.End()

@@ -401,3 +401,29 @@ func TestIngestMetricsRoute(t *testing.T) {
 		t.Errorf("stats ingest section %+v, want 8 tiles compressed, 8 reused, %d bytes", doc, 2*8*e.g.Len())
 	}
 }
+
+// TestIngestAfterOutOfBandDelete: the field's latest snapshot is deleted
+// from the CAS behind the daemon's back, so the next time step's name is
+// one the server still serves. The POST is a 409 that says so and stages
+// nothing; it used to compress, stage, fail to register and answer 500.
+func TestIngestAfterOutOfBandDelete(t *testing.T) {
+	e := newIngestEnv(t, nil)
+	body := bodyF64(e.g)
+	if code, doc := e.post(t, "/v1/datasets/density"+e.createQuery()+"&seal=now", body); code != 201 {
+		t.Fatalf("create: %d %v", code, doc)
+	}
+	if code, doc := e.post(t, "/v1/datasets/density/snapshots?seal=now", body); code != 201 {
+		t.Fatalf("append: %d %v", code, doc)
+	}
+	if err := e.c.Delete("density", 1); err != nil {
+		t.Fatal(err)
+	}
+	code, doc := e.post(t, "/v1/datasets/density/snapshots", body)
+	msg, _ := doc["error"].(string)
+	if code != http.StatusConflict || !strings.Contains(msg, "density@t1") || !strings.Contains(msg, "restart") {
+		t.Fatalf("POST after out-of-band delete: %d %q, want 409 naming density@t1 and the restart that clears it", code, msg)
+	}
+	if st := e.c.Stats(); st.Snapshots != 1 || st.EpochSnapshots != 0 {
+		t.Fatalf("refused POST left %+v, want the one sealed snapshot and nothing staged", st)
+	}
+}

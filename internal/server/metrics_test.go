@@ -5,9 +5,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMetricsSingleNode pins the Prometheus exposition of a plain node:
@@ -259,5 +261,28 @@ func TestMetricsCodecFamily(t *testing.T) {
 	}
 	if !strings.Contains(string(b), `"codec"`) || !strings.Contains(string(b), `"deflate"`) {
 		t.Errorf("/v1/stats missing codec counters: %s", b)
+	}
+}
+
+// TestRequestSecondsGoldenText pins the exposition text of
+// ipcomp_request_seconds byte for byte: the benchmark's scrape keys series
+// exactly as /metrics prints them. Durations sit on a bucket's upper bound
+// (counted in it), just above one, below the first and beyond the last.
+func TestRequestSecondsGoldenText(t *testing.T) {
+	srv := New()
+	for _, d := range []time.Duration{50 * time.Microsecond, 100 * time.Microsecond, 100001 * time.Nanosecond, 123456789, 11 * time.Second} {
+		srv.met.observe(fmtRaw, outOK, d)
+	}
+	srv.met.observe(fmtPlanes, outDegraded, 2500*time.Microsecond)
+	srv.met.observeRoute(routeIngest, outRejected, 3*time.Second)
+	srv.met.observeRoute(routeContainer, outError, time.Millisecond)
+	var b strings.Builder
+	srv.met.render(&b)
+	want, err := os.ReadFile("testdata/request_seconds.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("ipcomp_request_seconds text changed:\n%s", b.String())
 	}
 }

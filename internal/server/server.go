@@ -103,6 +103,7 @@ func New() *Server {
 		datasets:   make(map[string]*dataset),
 		containers: make(map[string]*servedContainer),
 		tiles:      store.NewTileCache(store.DefaultCacheBytes),
+		met:        newRequestMetrics(),
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/grid"
+	"repro/internal/huffman"
 	"repro/internal/quant"
 	"repro/internal/wavelet"
 )
@@ -84,7 +85,7 @@ func (c *Codec) Compress(g *grid.Grid[float64], eb float64) ([]byte, error) {
 		}
 	}
 
-	huff := codec.HuffmanEncode(ks)
+	huff := huffman.Encode(ks)
 	payload := codec.EncodeBlock(huff)
 
 	var buf bytes.Buffer
@@ -167,7 +168,7 @@ func (c *Codec) Decompress(blob []byte, shape grid.Shape) (*grid.Grid[float64], 
 	if err != nil {
 		return nil, err
 	}
-	ks, err := codec.HuffmanDecode(huff)
+	ks, err := huffman.Decode(huff)
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/grid"
+	"repro/internal/huffman"
 	"repro/internal/interp"
 	"repro/internal/quant"
 )
@@ -76,7 +77,7 @@ func (c *Codec) Compress(g *grid.Grid[float64], eb float64) ([]byte, error) {
 		})
 	}
 
-	huff := codec.HuffmanEncode(ks)
+	huff := huffman.Encode(ks)
 	payload := codec.EncodeBlock(huff) // DEFLATE after Huffman, as SZ3+zstd
 
 	var buf bytes.Buffer
@@ -154,7 +155,7 @@ func (c *Codec) Decompress(blob []byte, shape grid.Shape) (*grid.Grid[float64], 
 	if err != nil {
 		return nil, err
 	}
-	ks, err := codec.HuffmanDecode(huff)
+	ks, err := huffman.Decode(huff)
 	if err != nil {
 		return nil, err
 	}
