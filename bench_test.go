@@ -13,7 +13,7 @@
 //	BenchmarkFig9ResidualCount   — Figure 9 (residual scaling)
 //	BenchmarkFig10PSNR           — Figure 10 (PSNR vs bitrate)
 //	BenchmarkFig11PostAnalysis   — Figure 11 (derived quantities)
-//	BenchmarkAblation*           — design-choice ablations from DESIGN.md
+//	BenchmarkAblation*           — ablations of the design choices each one names
 package repro
 
 import (
@@ -400,7 +400,7 @@ func BenchmarkFig11PostAnalysis(b *testing.B) {
 	}
 }
 
-// ---- Ablations (DESIGN.md design choices) ----
+// ---- Ablations (one design choice each, named in its comment) ----
 
 // BenchmarkAblationInterpolation compares linear vs. cubic prediction: the
 // paper (after SZ3) picks cubic for its higher ratios on smooth data.

@@ -13,18 +13,18 @@ import (
 // the high nibble is reserved and must be zero. This mirrors what real
 // compressors do for incompressible bitplanes (e.g. the sign-noise LSBs).
 const (
-	methodRaw     = 0 // payload verbatim
-	methodDeflate = 1 // DEFLATE stream (flateLevel)
-	methodZero    = 2 // all-zero payload, no body
-	methodRLE     = 3 // zero-run / literal-run coding (sparse planes)
-	methodZstd    = 4 // reserved: zstd slots in without a format rev
-	methodHuff    = 5 // byte-alphabet canonical Huffman (mid-entropy planes)
+	methodRaw      = 0 // payload verbatim
+	methodDeflate  = 1 // DEFLATE stream (flateLevel)
+	methodZero     = 2 // all-zero payload, no body
+	methodRLE      = 3 // zero-run / literal-run coding (sparse planes)
+	methodReserved = 4 // never emitted; a decoder refuses it
+	methodHuff     = 5 // byte-alphabet canonical Huffman (mid-entropy planes)
 
 	numMethods = 6
 )
 
 // methodNames index by method tag; exported via Stats.
-var methodNames = [numMethods]string{"raw", "deflate", "zero", "rle", "zstd", "huff"}
+var methodNames = [numMethods]string{"raw", "deflate", "zero", "rle", "reserved", "huff"}
 
 // A Policy selects the family of block methods an encoder may emit.
 // Decoders accept every non-reserved method regardless of policy, so any
@@ -180,47 +180,47 @@ func rawBlock(src []byte) []byte {
 // expected payload size. It returns an error — never panics — on
 // truncated, oversized, or method-garbage blocks.
 func DecodeBlock(blk []byte, dstSize int) ([]byte, error) {
-	if len(blk) == 0 {
-		return nil, fmt.Errorf("codec: empty block")
+	dst := make([]byte, dstSize)
+	if err := DecodeBlockInto(dst, blk); err != nil {
+		return nil, err
 	}
+	return dst, nil
+}
+
+// DecodeBlockInto is DecodeBlock into memory the caller owns: the block
+// must decode to exactly len(dst) bytes, whatever dst held is overwritten,
+// and after an error dst holds garbage.
+func DecodeBlockInto(dst, blk []byte) error {
+	if len(blk) == 0 {
+		return fmt.Errorf("codec: empty block")
+	}
+	var err error
 	switch blk[0] {
 	case methodRaw:
-		if len(blk)-1 != dstSize {
-			return nil, fmt.Errorf("codec: raw block size %d, want %d", len(blk)-1, dstSize)
+		if len(blk)-1 != len(dst) {
+			return fmt.Errorf("codec: raw block size %d, want %d", len(blk)-1, len(dst))
 		}
-		out := make([]byte, dstSize)
-		copy(out, blk[1:])
-		count(opDecode, blk)
-		return out, nil
+		copy(dst, blk[1:])
 	case methodDeflate:
-		out, err := Inflate(blk[1:], dstSize)
-		if err == nil {
-			count(opDecode, blk)
-		}
-		return out, err
+		err = inflateInto(dst, blk[1:])
 	case methodZero:
 		if len(blk) != 1 {
-			return nil, fmt.Errorf("codec: zero block carries %d payload bytes", len(blk)-1)
+			return fmt.Errorf("codec: zero block carries %d payload bytes", len(blk)-1)
 		}
-		count(opDecode, blk)
-		return make([]byte, dstSize), nil
+		clear(dst)
 	case methodRLE:
-		out, err := rleDecode(blk[1:], dstSize)
-		if err == nil {
-			count(opDecode, blk)
-		}
-		return out, err
+		err = rleDecode(dst, blk[1:])
 	case methodHuff:
-		out, err := huffDecode(blk[1:], dstSize)
-		if err == nil {
-			count(opDecode, blk)
-		}
-		return out, err
-	case methodZstd:
-		return nil, fmt.Errorf("codec: block method zstd is reserved, not yet supported")
+		err = huffDecode(dst, blk[1:])
+	case methodReserved:
+		return fmt.Errorf("codec: block method %d is reserved", methodReserved)
 	default:
-		return nil, fmt.Errorf("codec: unknown block method %d", blk[0])
+		return fmt.Errorf("codec: unknown block method %d", blk[0])
 	}
+	if err == nil {
+		count(opDecode, blk)
+	}
+	return err
 }
 
 // rleEncode codes src as alternating (zero-run, literal-run) uvarint pairs:
@@ -271,40 +271,39 @@ func rleEncode(src []byte) []byte {
 	return buf
 }
 
-// rleDecode inverts rleEncode. Every length is bounds-checked against the
-// declared dstSize so corrupt input errors instead of panicking or
-// allocating unboundedly.
-func rleDecode(src []byte, dstSize int) ([]byte, error) {
-	out := make([]byte, dstSize)
+// rleDecode inverts rleEncode into dst. Every length is bounds-checked
+// against len(dst) so corrupt input errors instead of panicking.
+func rleDecode(dst, src []byte) error {
 	pos := 0
 	for len(src) > 0 {
 		zeros, k := binary.Uvarint(src)
 		if k <= 0 {
-			return nil, fmt.Errorf("codec: rle: bad zero-run varint")
+			return fmt.Errorf("codec: rle: bad zero-run varint")
 		}
 		src = src[k:]
 		lit, k := binary.Uvarint(src)
 		if k <= 0 {
-			return nil, fmt.Errorf("codec: rle: bad literal-run varint")
+			return fmt.Errorf("codec: rle: bad literal-run varint")
 		}
 		src = src[k:]
-		if zeros > uint64(dstSize-pos) || lit > uint64(dstSize-pos)-zeros {
-			return nil, fmt.Errorf("codec: rle: runs exceed declared %d bytes", dstSize)
+		if zeros > uint64(len(dst)-pos) || lit > uint64(len(dst)-pos)-zeros {
+			return fmt.Errorf("codec: rle: runs exceed declared %d bytes", len(dst))
 		}
 		if zeros == 0 && lit == 0 {
-			return nil, fmt.Errorf("codec: rle: empty run pair")
+			return fmt.Errorf("codec: rle: empty run pair")
 		}
+		clear(dst[pos : pos+int(zeros)])
 		pos += int(zeros)
 		if uint64(len(src)) < lit {
-			return nil, fmt.Errorf("codec: rle: truncated literal run")
+			return fmt.Errorf("codec: rle: truncated literal run")
 		}
-		pos += copy(out[pos:], src[:lit])
+		pos += copy(dst[pos:], src[:lit])
 		src = src[lit:]
 	}
-	if pos != dstSize {
-		return nil, fmt.Errorf("codec: rle: block decodes to %d bytes, want %d", pos, dstSize)
+	if pos != len(dst) {
+		return fmt.Errorf("codec: rle: block decodes to %d bytes, want %d", pos, len(dst))
 	}
-	return out, nil
+	return nil
 }
 
 // estimatedBits returns the order-0 (Shannon, byte alphabet) information

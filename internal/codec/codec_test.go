@@ -69,6 +69,21 @@ func TestDecodeBlockErrors(t *testing.T) {
 	}
 }
 
+// TestHuffDecodeRejectsOverlongCode: a length nibble may say 13..16, which
+// no encoder writes (huffMaxLen is 12); it used to index past the decoder's
+// per-length counters and panic.
+func TestHuffDecodeRejectsOverlongCode(t *testing.T) {
+	blk := make([]byte, 1+32+1)
+	blk[0] = methodHuff
+	blk[1] = 0x03 // symbols 0 and 1 present
+	for nib := byte(huffMaxLen); nib < 16; nib++ {
+		blk[33] = nib | nib<<4
+		if _, err := DecodeBlock(blk, 8); err == nil {
+			t.Errorf("code length %d accepted", nib+1)
+		}
+	}
+}
+
 func randomBytes(n int) []byte {
 	r := rand.New(rand.NewSource(42))
 	b := make([]byte, n)

@@ -1,8 +1,9 @@
 // Package codec provides the lossless back ends used by the compressors in
-// this repository: a DEFLATE wrapper standing in for zstd (the Go standard
-// library has no zstd; both are LZ77-family pattern extractors, see
-// DESIGN.md), a byte-alphabet Huffman coder for mid-entropy bitplanes, and
-// a byte-oriented run-length coder for sparse ones. (The int32 Huffman
+// this repository: DEFLATE where the paper's implementation uses zstd (the
+// Go standard library has no zstd; both are LZ77-family pattern extractors)
+// — compress/flate's encoder at level 1 and this package's own decoder
+// (inflate.go) — a byte-alphabet Huffman coder for mid-entropy bitplanes,
+// and a byte-oriented run-length coder for sparse ones. (The int32 Huffman
 // coder of the SZ3-lite and SPERR-lite baselines is internal/huffman.)
 package codec
 
@@ -32,12 +33,6 @@ var flateWriterPool = sync.Pool{
 	},
 }
 
-// flateReaderPool reuses inflate state the same way; flate.NewReader's
-// return value always implements flate.Resetter.
-var flateReaderPool = sync.Pool{
-	New: func() any { return flate.NewReader(bytes.NewReader(nil)) },
-}
-
 // deflateInto appends the DEFLATE stream of src to buf. It never fails for
 // in-memory writers; any internal error indicates a programming bug and
 // panics.
@@ -63,28 +58,12 @@ func Deflate(src []byte) []byte {
 	return buf.Bytes()
 }
 
-// Inflate decompresses a Deflate-produced block. dstSize is the expected
-// decompressed size and is validated.
+// Inflate decompresses a DEFLATE stream whose decompressed size is exactly
+// dstSize; a stream that decodes to more or fewer bytes is an error.
 func Inflate(src []byte, dstSize int) ([]byte, error) {
-	r := flateReaderPool.Get().(io.ReadCloser)
-	defer func() {
-		// Detach from src before pooling: the source is often a pooled span
-		// buffer or a whole in-memory archive that must not stay pinned by
-		// an idle pool entry.
-		_ = r.(flate.Resetter).Reset(bytes.NewReader(nil), nil)
-		flateReaderPool.Put(r)
-	}()
-	if err := r.(flate.Resetter).Reset(bytes.NewReader(src), nil); err != nil {
-		return nil, fmt.Errorf("codec: inflate reset: %w", err)
-	}
 	dst := make([]byte, dstSize)
-	if _, err := io.ReadFull(r, dst); err != nil {
-		return nil, fmt.Errorf("codec: inflate: %w", err)
-	}
-	// Make sure there is no trailing garbage beyond the declared size.
-	var tail [1]byte
-	if n, _ := r.Read(tail[:]); n != 0 {
-		return nil, fmt.Errorf("codec: inflate: block longer than declared %d bytes", dstSize)
+	if err := inflateInto(dst, src); err != nil {
+		return nil, err
 	}
 	return dst, nil
 }

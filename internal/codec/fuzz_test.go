@@ -51,7 +51,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{methodDeflate, 0xFF}, 8)
 	f.Add([]byte{methodRLE, 4, 2, 9, 9}, 8)
 	f.Add([]byte{methodRLE, 0, 0}, 4)
-	f.Add([]byte{methodZstd}, 4)
+	f.Add([]byte{methodReserved}, 4)
 	f.Add([]byte{0xF0}, 4)
 	f.Add(EncodeBlockPolicy(bytes.Repeat([]byte{0, 0, 0, 5}, 64), PolicyAuto), 256)
 	f.Fuzz(func(t *testing.T, blk []byte, dstSize int) {

@@ -206,21 +206,21 @@ var huffTablePool = sync.Pool{
 	New: func() any { return new([1 << huffMaxLen]uint16) },
 }
 
-// huffDecode inverts huffEncode; src excludes the method tag.
-func huffDecode(src []byte, dstSize int) ([]byte, error) {
+// huffDecode inverts huffEncode into dst; src excludes the method tag.
+func huffDecode(dst, src []byte) error {
 	if len(src) < 32 {
-		return nil, fmt.Errorf("codec: huff: truncated bitmap")
+		return fmt.Errorf("codec: huff: truncated bitmap")
 	}
 	ns := 0
 	for _, b := range src[:32] {
 		ns += bits.OnesCount8(b)
 	}
 	if ns == 0 {
-		return nil, fmt.Errorf("codec: huff: empty alphabet")
+		return fmt.Errorf("codec: huff: empty alphabet")
 	}
 	nibBytes := (ns + 1) / 2
 	if len(src) < 32+nibBytes {
-		return nil, fmt.Errorf("codec: huff: truncated code lengths")
+		return fmt.Errorf("codec: huff: truncated code lengths")
 	}
 	var symLen [256]uint8 // by present-symbol index
 	var symVal [256]uint8
@@ -234,6 +234,9 @@ func huffDecode(src []byte, dstSize int) ([]byte, error) {
 			nib &= 0xF
 		} else {
 			nib >>= 4
+		}
+		if nib >= huffMaxLen {
+			return fmt.Errorf("codec: huff: code length %d exceeds %d", nib+1, huffMaxLen)
 		}
 		symVal[idx] = uint8(s)
 		symLen[idx] = nib + 1
@@ -249,7 +252,7 @@ func huffDecode(src []byte, dstSize int) ([]byte, error) {
 		kraft += int64(1) << (huffMaxLen - symLen[i])
 	}
 	if kraft > 1<<huffMaxLen {
-		return nil, fmt.Errorf("codec: huff: code lengths overflow the Kraft bound")
+		return fmt.Errorf("codec: huff: code lengths overflow the Kraft bound")
 	}
 	var nextCode [huffMaxLen + 2]uint32
 	code := uint32(0)
@@ -272,12 +275,11 @@ func huffDecode(src []byte, dstSize int) ([]byte, error) {
 		}
 	}
 
-	out := make([]byte, dstSize)
 	stream := src[32+nibBytes:]
 	var acc uint64
 	var nbits uint
 	pos := 0
-	for i := 0; i < dstSize; i++ {
+	for i := range dst {
 		for nbits < huffMaxLen && pos < len(stream) {
 			acc = acc<<8 | uint64(stream[pos])
 			nbits += 8
@@ -292,16 +294,16 @@ func huffDecode(src []byte, dstSize int) ([]byte, error) {
 		e := tbl[peek]
 		l := uint(e & 0xF)
 		if l == 0 || l > nbits {
-			return nil, fmt.Errorf("codec: huff: invalid or truncated code at output byte %d", i)
+			return fmt.Errorf("codec: huff: invalid or truncated code at output byte %d", i)
 		}
 		nbits -= l
-		out[i] = byte(e >> 4)
+		dst[i] = byte(e >> 4)
 	}
 	if pos != len(stream) || nbits >= 8 {
-		return nil, fmt.Errorf("codec: huff: block longer than declared %d bytes", dstSize)
+		return fmt.Errorf("codec: huff: block longer than declared %d bytes", len(dst))
 	}
 	if acc&(1<<nbits-1) != 0 {
-		return nil, fmt.Errorf("codec: huff: nonzero padding bits")
+		return fmt.Errorf("codec: huff: nonzero padding bits")
 	}
-	return out, nil
+	return nil
 }

@@ -28,7 +28,7 @@ const (
 	// Version adds the scalar-type header field (float32 archives).
 	Version = 2
 	// Version3 adds the codec-policy header byte: archives whose planes may
-	// use block methods beyond zero/raw/DEFLATE (RLE today, zstd reserved)
+	// use block methods beyond zero/raw/DEFLATE (RLE and byte Huffman)
 	// declare the policy that produced them. Encoders still emit the lowest
 	// version that fits, so the default (legacy DEFLATE) policy keeps
 	// producing byte-identical v1/v2 archives.
@@ -83,7 +83,7 @@ func ScalarOf[T grid.Scalar]() ScalarType {
 const DefaultProgressiveThreshold = 4096
 
 // BoundMode selects how the optimizer weighs the truncation loss of coarse
-// levels when predicting the final L∞ error (see DESIGN.md).
+// levels when predicting the final L∞ error.
 type BoundMode uint8
 
 const (

@@ -271,11 +271,15 @@ func (r *Result) fetchPlanes(level, want int) error {
 	if r.stats != nil {
 		codecT = time.Now()
 	}
+	// One allocation holds every plane of the raise. Its size is bounded by
+	// checks already made: m.count is the decomposition's own count for the
+	// level (retrieveStatsAs) and a level stores at most 32 planes (parse).
+	backing := make([]byte, (want-have)*planeBytes)
 	ParallelFor(want-have, func(i int) {
 		p := have + i
 		at := int(offs[p] - spanOff)
-		plane, err := codec.DecodeBlock(raw[at:at+int(m.blockSizes[p])], planeBytes)
-		if err != nil {
+		plane := backing[i*planeBytes : (i+1)*planeBytes : (i+1)*planeBytes]
+		if err := codec.DecodeBlockInto(plane, raw[at:at+int(m.blockSizes[p])]); err != nil {
 			ferr.set(fmt.Errorf("core: level %d plane %d: %w", level, p, err))
 			return
 		}

@@ -3,7 +3,8 @@
 // binaries that cannot ship with this repository, so each generator
 // reproduces the statistical character that drives compressor behaviour —
 // smoothness, spectral decay, anisotropy, fronts — at a configurable scale.
-// See DESIGN.md ("Substitutions").
+// What the paper's claims become on these stand-ins is pinned as orderings,
+// not magnitudes, by internal/harness/harness_test.go.
 //
 // All generators are deterministic for a given seed.
 package datagen

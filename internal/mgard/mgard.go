@@ -8,10 +8,10 @@
 // paper's §4.2 terminology, in contrast to IPComp's prediction model). Each
 // level's coefficients are quantized with a level-scaled bound so the
 // accumulated reconstruction error stays within the user bound. This "lite"
-// version omits the Galerkin L2-projection correction of full MGARD (see
-// DESIGN.md); it retains the properties the comparison relies on: a
-// hierarchical transform with per-level coefficient streams, moderate
-// ratios, and progressive bitplane retrieval.
+// version omits the Galerkin L2-projection correction of full MGARD; it
+// retains the properties the comparison relies on: a hierarchical transform
+// with per-level coefficient streams, moderate ratios, and progressive
+// bitplane retrieval.
 package mgard
 
 import (

@@ -357,3 +357,35 @@ func TestServerRegionWarmAllocs(t *testing.T) {
 	}
 	t.Logf("warm region request: %.1f allocs/op", allocs)
 }
+
+// TestServerRegionColdTileAllocs pins the cold path beside the warm one: a
+// request that has to decode one 32³ tile — open its archive, read its
+// spans, entropy-decode every plane of every level, merge, reconstruct,
+// admit to the cache — allocates a number of objects that counts levels,
+// not planes: 156 here, where the tile has some 70 planes. The planes of one
+// raise share one backing (core.fetchPlanes) and the DEFLATE decoder
+// allocates nothing; with compress/flate's stream reader and one make per
+// plane the same request took 396.
+func TestServerRegionColdTileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	env := newBenchEnv(t)
+	handler := env.srv.Handler()
+	bound := strconv.FormatFloat(4*env.eb, 'g', -1, 64)
+	req := httptest.NewRequest("GET", "/v1/datasets/density/region?lo=0,0,0&hi=32,32,32&bound="+bound, nil)
+	w := &discardResponseWriter{h: make(http.Header)}
+	handler.ServeHTTP(w, req) // fill the scratch pools
+	if w.status != 0 && w.status != 200 {
+		t.Fatalf("status %d", w.status)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		env.resetCache()
+		w.reset()
+		handler.ServeHTTP(w, req)
+	})
+	if allocs > 175 {
+		t.Fatalf("cold one-tile region request allocates %.1f objects/op, budget is 175", allocs)
+	}
+	t.Logf("cold one-tile region request: %.1f allocs/op", allocs)
+}

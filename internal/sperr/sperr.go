@@ -7,8 +7,9 @@
 // transform, uniform quantization of the coefficients, entropy coding, and
 // — the step that makes the L∞ bound exact — an outlier correction pass
 // that encodes every point whose reconstruction error still exceeds the
-// bound. (SPERR-lite replaces SPECK set partitioning with Huffman+DEFLATE;
-// see DESIGN.md.)
+// bound. (SPERR-lite replaces SPECK set partitioning with Huffman+DEFLATE:
+// the comparison needs SPERR's transform and its outlier pass, not its
+// embedded coder.)
 package sperr
 
 import (

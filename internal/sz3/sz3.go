@@ -2,7 +2,8 @@
 // compression pipeline the paper uses as its leading non-progressive
 // baseline (§6.1.3): multi-level interpolation prediction, linear-scale
 // quantization, Huffman coding of the quantization indices, and a final
-// LZ pattern-extraction pass (DEFLATE standing in for zstd, see DESIGN.md).
+// LZ pattern-extraction pass (DEFLATE where SZ3 uses zstd: the Go standard
+// library has no zstd, and both are LZ77-family coders; internal/codec).
 //
 // SZ3-lite shares the interpolation engine with IPComp — exactly the
 // situation in the paper, where both build on the same predictor and differ

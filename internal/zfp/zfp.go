@@ -11,7 +11,7 @@
 // The stream layout is simplified relative to real ZFP (varint coefficients
 // + DEFLATE instead of embedded group-tested bitplanes), which preserves the
 // properties the paper's comparison relies on: ZFP is the fastest compressor
-// and its ratio trails the interpolation-based ones. See DESIGN.md.
+// and its ratio trails the interpolation-based ones.
 package zfp
 
 import (
