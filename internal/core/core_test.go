@@ -220,7 +220,6 @@ func TestRefinementMatchesFreshRetrieval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale := g.ValueRange()
 	for _, factor := range []float64{4096, 256, 16, 1} {
 		bound := eb * factor
 		if err := res.RefineErrorBound(bound); err != nil {
@@ -230,8 +229,8 @@ func TestRefinementMatchesFreshRetrieval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := maxAbsDiff(res.Data(), fresh.Data()); d > 1e-9*scale {
-			t.Errorf("refine to %v: differs from fresh retrieval by %v", bound, d)
+		if n := bitDiffs(res.Data(), fresh.Data()); n != 0 {
+			t.Errorf("refine to %v: %d values differ in bits from a fresh retrieval", bound, n)
 		}
 		if got := maxAbsDiff(g.Data(), res.Data()); got > bound*(1+1e-9) {
 			t.Errorf("refine to %v: error %v exceeds bound", bound, got)

@@ -34,6 +34,8 @@
 //     are the worker-pool substrate shared with internal/store.
 //
 // Everything here is deterministic: the same input bytes and the same
-// plan produce bit-identical output regardless of GOMAXPROCS, pinned by
-// SHA-256 golden tests.
+// plan produce bit-identical output regardless of GOMAXPROCS — and, for a
+// Result, regardless of the refinements it took to reach that plan, at
+// either scalar width — pinned by SHA-256 golden tests and
+// TestRefineIsPureFunctionOfPlan.
 package core

@@ -214,34 +214,3 @@ func applyLevel[T grid.Scalar](a *Archive, data []T, l int, ks []int32) {
 		})
 	}
 }
-
-// propagateLevel runs one level of the delta-field propagation used by
-// float64 refinement: prediction plus an optional per-point addend (nil
-// means the level gained no planes and contributes prediction only). The
-// delta field is always float64 — float32 archives refine by rebuilding
-// instead (see RefineTo), because their per-level rounding makes the
-// reconstruction non-linear.
-func (a *Archive) propagateLevel(delta []float64, l int, addend []float64) {
-	kind := a.h.kind
-	passes := a.dec.LevelPasses(l)
-	for pi := range passes {
-		p := &passes[pi]
-		parallelChunks(p.Targets(), minShardTargets, 1, func(tLo, tHi int) {
-			p.VisitRuns(kind, tLo, tHi, func(r *interp.Run) {
-				f, seq, fstep := r.Flat, r.Seq, r.Step
-				if addend == nil {
-					for n := r.N; n > 0; n-- {
-						delta[f] = r.Predict(delta, f)
-						f += fstep
-					}
-					return
-				}
-				for n := r.N; n > 0; n-- {
-					delta[f] = r.Predict(delta, f) + addend[seq]
-					seq++
-					f += fstep
-				}
-			})
-		})
-	}
-}

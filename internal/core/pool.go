@@ -11,8 +11,7 @@ import (
 // so sibling packages (the chunked store's tile staging) share the same
 // pooling behavior instead of growing divergent copies.
 //
-// Get does not zero: users overwrite their buffers in full. Callers that
-// need zeroed memory use GetZeroed.
+// Get does not zero: users overwrite their buffers in full.
 type SlicePool[T any] struct{ p sync.Pool }
 
 // Get returns a length-n slice, reusing pooled capacity when possible.
@@ -34,13 +33,6 @@ func (sp *SlicePool[T]) Get(n int) []T {
 	return make([]T, n)
 }
 
-// GetZeroed is Get plus a clear of the returned slice.
-func (sp *SlicePool[T]) GetZeroed(n int) []T {
-	s := sp.Get(n)
-	clear(s)
-	return s
-}
-
 // Put returns a slice to the pool; nil and zero-capacity slices are
 // dropped.
 func (sp *SlicePool[T]) Put(s []T) {
@@ -58,9 +50,8 @@ func (sp *SlicePool[T]) Put(s []T) {
 // classes in one pool makes Get churn (small entries popped and dropped on
 // the way to a big one) and lets tiny reads pin huge buffers.
 var (
-	floatScratch  SlicePool[float64] // grid-length work arrays and delta fields
+	floatScratch  SlicePool[float64] // grid-length float64 work arrays
 	work32Scratch SlicePool[float32] // grid-length float32 work arrays
-	levelScratch  SlicePool[float64] // per-level refine deltas (vary by level)
 	int32Scratch  SlicePool[int32]   // quantization index backings
 	uint32Scratch SlicePool[uint32]  // negabinary value scratch (level-sized)
 	byteScratch   SlicePool[byte]    // bitplane backings (multi-MB class)

@@ -13,7 +13,9 @@ import (
 // Result is a progressive reconstruction: the decompressed field at some
 // fidelity plus the state needed to refine it in place by loading further
 // bitplanes (paper Algorithm 2). The field is held at the archive's native
-// scalar width — exactly one of the two backing slices is non-nil.
+// scalar width — exactly one of the two backing slices is non-nil — and is,
+// however the result reached its plan, bit for bit what Retrieve(Plan())
+// returns.
 type Result struct {
 	arch   *Archive
 	plan   Plan
@@ -24,7 +26,7 @@ type Result struct {
 	// predictive coding of newly loaded planes without re-reading old ones.
 	planes [][][]byte
 	// trunc[l-1] is each level's current truncated quantization index
-	// (decoded from the loaded planes), used to compute refinement deltas.
+	// (decoded from the loaded planes): what rebuild reconstructs from.
 	trunc [][]int32
 	// loadedBytes counts every archive byte read so far, header included.
 	loadedBytes int64
@@ -167,10 +169,9 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 		if want := a.dec.LevelCount(l); m.count != want {
 			return nil, fmt.Errorf("core: level %d has %d points, header says %d", l, want, m.count)
 		}
-		// The outlier cursors (applyLevel, RefineTo) assume a sorted,
-		// in-range table; reject corrupt headers here, once, so both the
-		// retrieval and refinement paths fail loudly instead of silently
-		// mis-reconstructing.
+		// The outlier cursor (applyLevel) assumes a sorted, in-range table;
+		// reject corrupt headers here, once, so retrieval and refinement
+		// fail loudly instead of silently mis-reconstructing.
 		prev := -1
 		for _, oi := range m.outlierIdx {
 			if int(oi) >= m.count || int(oi) <= prev {
@@ -206,7 +207,8 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 
 // rebuild reruns the full reconstruction recursion (anchors, then every
 // level coarse to fine) into data from the current truncated indices. It is
-// the body of Retrieve and of the float32 refinement path.
+// the body of Retrieve and of RefineTo: the field is a function of the
+// archive and these indices alone.
 func rebuild[T grid.Scalar](a *Archive, data []T, trunc [][]int32) {
 	for i, idx := range a.dec.Anchors() {
 		data[idx] = T(a.h.anchors[i])
@@ -331,16 +333,12 @@ func (r *Result) mergePlanes(level, want int) {
 }
 
 // RefineTo raises the result to a finer plan in place (Algorithm 2): only
-// the newly selected bitplanes are loaded. For float64 archives their
-// dequantized index deltas are propagated through the (linear)
-// interpolation operator and added onto the existing reconstruction — a
-// single pass, no re-decoding of old data. Float32 reconstruction is not
-// linear (every level rounds to float32), so float32 archives instead
-// rerun the reconstruction recursion from the updated truncated indices:
-// the plane-decode savings — the point of Algorithm 2 — are identical, the
-// grid walk costs the same as the delta propagation would, and the result
-// matches a fresh retrieval of the same plan bit for bit (so refinement
-// never adds error beyond what PlanErrorBound models for that plan).
+// the newly selected bitplanes are read and entropy-decoded. They are merged
+// into the truncated indices and the reconstruction recursion reruns from
+// those, at either scalar width, so a refined result is bit for bit the
+// fresh retrieval of its plan — a function of (archive, plan) and of nothing
+// that came before — and never carries error beyond what PlanErrorBound
+// models for that plan.
 //
 // Plans that would *drop* planes at some level are clamped: progressive
 // retrieval only ever adds information.
@@ -368,65 +366,14 @@ func (r *Result) RefineTo(plan Plan) error {
 	if changedBelow == 0 {
 		return nil
 	}
-	if r.data32 != nil {
-		// Float32: merge, then rerun the reconstruction recursion in place.
-		for l := 1; l <= changedBelow; l++ {
-			r.mergePlanes(l, plan.Keep[l-1])
-		}
-		rebuild(a, r.data32, r.trunc)
-		return nil
-	}
-	// Float64: per-level residual deltas for the levels that gain planes.
-	deltas := make([][]float64, changedBelow)
-	defer func() {
-		for _, d := range deltas {
-			if d != nil {
-				levelScratch.Put(d)
-			}
-		}
-	}()
 	for l := 1; l <= changedBelow; l++ {
-		if have, want := r.newPlanes(l, plan.Keep[l-1]); want <= have {
-			continue
-		}
-		m := a.h.metaOf(l)
-		old := int32Scratch.Get(m.count)
-		copy(old, r.trunc[l-1])
 		r.mergePlanes(l, plan.Keep[l-1])
-		d := levelScratch.Get(m.count)
-		ks := r.trunc[l-1]
-		step := a.quant.Step()
-		parallelChunks(m.count, minShardTargets, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				d[i] = float64(ks[i]-old[i]) * step
-			}
-		})
-		int32Scratch.Put(old)
-		// Outlier positions carry exact values already; their index delta
-		// must not perturb them. The table was validated (sorted, in-range)
-		// when Retrieve created this result.
-		for _, oi := range m.outlierIdx {
-			d[oi] = 0
-		}
-		deltas[l-1] = d
 	}
-	// Propagate the deltas through the interpolation hierarchy: the
-	// predictor is linear, so reconstructing the delta field and adding it
-	// is equivalent (up to floating-point rounding) to a fresh retrieval.
-	delta := floatScratch.GetZeroed(len(r.data64))
-	defer floatScratch.Put(delta)
-	for l := changedBelow; l >= 1; l-- {
-		a.propagateLevel(delta, l, deltas[l-1])
+	if r.data32 != nil {
+		rebuild(a, r.data32, r.trunc)
+	} else {
+		rebuild(a, r.data64, r.trunc)
 	}
-	// Unconditionally: a test for the zero entries costs more in branch
-	// mispredictions than the additions it saves.
-	data := r.data64
-	parallelChunks(len(data), minShardTargets, 1, func(lo, hi int) {
-		d := data[lo:hi]
-		for i, dv := range delta[lo:hi] {
-			d[i] += dv
-		}
-	})
 	return nil
 }
 

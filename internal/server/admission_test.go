@@ -137,10 +137,9 @@ func TestAdmissionByteBudget(t *testing.T) {
 // protocol promises: a planes request over the byte budget is answered at
 // a coarser bound with a valid token, and refining that token back to the
 // originally requested bound converges to the direct fetch from an
-// unbudgeted server — bit-identically on a float32 dataset, whose
+// unbudgeted server — bit-identically at both scalar widths, because a
 // reconstruction is a pure function of (archive, plan) regardless of the
-// refinement path. (float64 incremental refinement can drift by an ulp,
-// which is why the repo's progressive tests bound it rather than pin it.)
+// refinement path.
 func TestDegradedPlanesRefineBitIdentical(t *testing.T) {
 	// 64³ fields in 32³ tiles: tiles must clear the progressive threshold,
 	// or plans are bound-independent and nothing can degrade.
@@ -180,15 +179,7 @@ func TestDegradedPlanesRefineBitIdentical(t *testing.T) {
 	defer tsB.Close()
 
 	lo, hi := []int{0, 0, 0}, []int{64, 64, 64}
-	tight := 4 * eb32
 	ctx := context.Background()
-
-	// Two servers share one store: the budgeted one degrades, the plain
-	// one (e.ts) is ground truth. Size the budget between the minimal
-	// plan (coarse levels ship whole regardless of bound — no degradation
-	// shaves them) and the full plan, so the test holds as compression
-	// details shift: degradation is forced, yet every ladder step has
-	// room to make progress.
 	planSize := func(name string, bound float64) int64 {
 		t.Helper()
 		rp, err := st.PlanRegion(name, lo, hi, bound, 0)
@@ -201,86 +192,75 @@ func TestDegradedPlanesRefineBitIdentical(t *testing.T) {
 		}
 		return n
 	}
-	full := planSize("density32", tight)
-	minimal := planSize("density32", eb32*math.Pow(2, 50))
-	if minimal >= full {
-		t.Fatalf("minimal plan %d >= full plan %d; dataset unsuitable for a degradation test", minimal, full)
-	}
+	// Two servers share one store: the budgeted one degrades, the plain
+	// one (tsB) is ground truth.
 	budgeted := New()
 	if err := budgeted.AddStore("shared.ipcs", st); err != nil {
 		t.Fatal(err)
 	}
-	budgeted.SetAdmission(AdmissionOptions{MaxRequestBytes: minimal + (full-minimal)/4, Degrade: true})
 	tsA := httptest.NewServer(budgeted.Handler())
 	defer tsA.Close()
 
-	reg, err := client.New(tsA.URL).Region(ctx, "density32", lo, hi, tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Bound() <= tight {
-		t.Fatalf("budgeted first response bound %g should be degraded above %g", reg.Bound(), tight)
-	}
-	if d := budgeted.adm.degraded.Load(); d == 0 {
-		t.Fatal("degraded counter did not move")
-	}
+	for _, tc := range []struct {
+		name  string
+		eb    float64
+		truth []float64
+	}{{"density32", eb32, grid.WidenSlice(g32.Data())}, {"density", eb, g.Data()}} {
+		tight := 4 * tc.eb
+		// Size the budget between the minimal plan (coarse levels ship whole
+		// regardless of bound — no degradation shaves them) and the full
+		// plan, so the test holds as compression details shift: degradation
+		// is forced, yet every ladder step has room to make progress.
+		full := planSize(tc.name, tight)
+		minimal := planSize(tc.name, tc.eb*math.Pow(2, 50))
+		if minimal >= full {
+			t.Fatalf("%s: minimal plan %d >= full plan %d; dataset unsuitable for a degradation test", tc.name, minimal, full)
+		}
+		budgeted.SetAdmission(AdmissionOptions{MaxRequestBytes: minimal + (full-minimal)/4, Degrade: true})
+		degradedBefore := budgeted.adm.degraded.Load()
 
-	// Refine toward the original bound; each round ships the fitting slice
-	// of the remaining delta, so the loop must terminate.
-	for i := 0; reg.Bound() > tight; i++ {
-		if i >= 20 {
-			t.Fatalf("refinement did not converge: bound still %g after %d rounds", reg.Bound(), i)
-		}
-		if err := reg.Refine(ctx, tight); err != nil {
-			t.Fatalf("refine round %d: %v", i, err)
-		}
-	}
-
-	ref, err := client.New(tsB.URL).Region(ctx, "density32", lo, hi, tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := reg.DataFloat32(), ref.DataFloat32()
-	if len(got) != len(want) {
-		t.Fatalf("len %d != %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("element %d differs after refinement: %x != %x",
-				i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-		}
-	}
-	if reg.GuaranteedError() != ref.GuaranteedError() {
-		t.Fatalf("guaranteed error %g != %g", reg.GuaranteedError(), ref.GuaranteedError())
-	}
-
-	// The float64 flavor of the same round trip: converged data must meet
-	// the requested bound against the original field. The budget is
-	// re-sized from the f64 plans, which are wider than the f32 ones.
-	tight64 := 4 * eb
-	full64 := planSize("density", tight64)
-	minimal64 := planSize("density", eb*math.Pow(2, 50))
-	if minimal64 >= full64 {
-		t.Fatalf("f64 minimal plan %d >= full plan %d", minimal64, full64)
-	}
-	budgeted.SetAdmission(AdmissionOptions{MaxRequestBytes: minimal64 + (full64-minimal64)/4, Degrade: true})
-	reg64, err := client.New(tsA.URL).Region(ctx, "density", lo, hi, tight64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; reg64.Bound() > tight64; i++ {
-		if i >= 20 {
-			t.Fatalf("f64 refinement did not converge: bound still %g", reg64.Bound())
-		}
-		if err := reg64.Refine(ctx, tight64); err != nil {
+		reg, err := client.New(tsA.URL).Region(ctx, tc.name, lo, hi, tight)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	data := reg64.Data()
-	truth := g.Data()
-	for i := range data {
-		if d := math.Abs(data[i] - truth[i]); d > tight64 {
-			t.Fatalf("f64 value %d off by %g after degraded refinement (bound %g)", i, d, tight64)
+		if reg.Bound() <= tight {
+			t.Fatalf("%s: budgeted first response bound %g should be degraded above %g", tc.name, reg.Bound(), tight)
+		}
+		if budgeted.adm.degraded.Load() == degradedBefore {
+			t.Fatalf("%s: degraded counter did not move", tc.name)
+		}
+
+		// Refine toward the original bound; each round ships the fitting
+		// slice of the remaining delta, so the loop must terminate.
+		for i := 0; reg.Bound() > tight; i++ {
+			if i >= 20 {
+				t.Fatalf("%s: refinement did not converge: bound still %g after %d rounds", tc.name, reg.Bound(), i)
+			}
+			if err := reg.Refine(ctx, tight); err != nil {
+				t.Fatalf("%s: refine round %d: %v", tc.name, i, err)
+			}
+		}
+
+		ref, err := client.New(tsB.URL).Region(ctx, tc.name, lo, hi, tight)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Widening float32 is lossless, so float64 bits decide both widths.
+		got, want := reg.Data(), ref.Data()
+		if len(got) != len(want) {
+			t.Fatalf("%s: len %d != %d", tc.name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: element %d differs after refinement: %x != %x",
+					tc.name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+			if d := math.Abs(got[i] - tc.truth[i]); d > tight {
+				t.Fatalf("%s: value %d off by %g after degraded refinement (bound %g)", tc.name, i, d, tight)
+			}
+		}
+		if reg.GuaranteedError() != ref.GuaranteedError() {
+			t.Fatalf("%s: guaranteed error %g != %g", tc.name, reg.GuaranteedError(), ref.GuaranteedError())
 		}
 	}
 }

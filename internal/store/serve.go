@@ -184,37 +184,30 @@ func (s *Store) PlanRegion(name string, lo, hi []int, bound, haveBound float64) 
 // ReadRange returns n container bytes starting at absolute offset off,
 // bounds-checked against the container size. Servers use it to stream the
 // spans a RegionPlan selects.
-func (s *Store) ReadRange(off, n int64) ([]byte, error) {
-	// Subtraction, not off+n: crafted offsets near 2^63 must not overflow
-	// past the check.
-	if off < 0 || n < 0 || off > s.size || n > s.size-off {
-		return nil, fmt.Errorf("store: read [%d,%d) outside container of %d bytes", off, off+n, s.size)
-	}
-	buf := make([]byte, n)
-	if _, err := s.src.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
+func (s *Store) ReadRange(off, n int64) ([]byte, error) { return s.ReadRangeTrace(off, n, "") }
 
 // ReadRangeTrace is ReadRange with a trace id attached: when the
 // container's source supports trace propagation (backend.TraceReader,
 // e.g. an http origin behind a cache), the id rides the origin fetch so
 // an edge node's reads stitch into the client's trace. Sources without
-// support fall back to a plain read.
+// support, and an empty id, read plainly.
 func (s *Store) ReadRangeTrace(off, n int64, trace string) ([]byte, error) {
-	type traceReaderAt interface {
-		ReadAtTrace(p []byte, off int64, trace string) (int, error)
-	}
-	tr, ok := s.src.(traceReaderAt)
-	if !ok || trace == "" {
-		return s.ReadRange(off, n)
-	}
+	// Subtraction, not off+n: crafted offsets near 2^63 must not overflow
+	// past the check.
 	if off < 0 || n < 0 || off > s.size || n > s.size-off {
 		return nil, fmt.Errorf("store: read [%d,%d) outside container of %d bytes", off, off+n, s.size)
 	}
+	type traceReaderAt interface {
+		ReadAtTrace(p []byte, off int64, trace string) (int, error)
+	}
 	buf := make([]byte, n)
-	if _, err := tr.ReadAtTrace(buf, off, trace); err != nil {
+	var err error
+	if tr, ok := s.src.(traceReaderAt); ok && trace != "" {
+		_, err = tr.ReadAtTrace(buf, off, trace)
+	} else {
+		_, err = s.src.ReadAt(buf, off)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return buf, nil

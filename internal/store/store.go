@@ -481,7 +481,7 @@ func copyChunk[T grid.Scalar](dst []T, shape, lo, hi []int, res *core.Result, re
 		}
 		csh[d] = rec.hi[d] - rec.lo[d]
 	}
-	copyRegionFast(dst, shape, lo, core.DataOf[T](res), csh, rec.lo, clo, chi)
+	CopyRegion(dst, shape, lo, core.DataOf[T](res), csh, rec.lo, clo, chi)
 }
 
 // RetrieveDataset reconstructs a whole dataset at the given bound.

@@ -113,6 +113,42 @@ func TestCopyRegionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCopyRegionAboveStackRank: a rank the stack arrays cannot hold is
+// peeled down to one they can; the copy is the same. The box is off the
+// origin in both peeled dimensions and in the last.
+func TestCopyRegionAboveStackRank(t *testing.T) {
+	const r = maxStackRank + 2
+	srcShape, srcLo, lo, hi := make([]int, r), make([]int, r), make([]int, r), make([]int, r)
+	for d := range srcShape {
+		srcShape[d], srcLo[d], lo[d], hi[d] = 2, 10*d, 10*d, 10*d+2
+	}
+	srcShape[0], lo[0], hi[0] = 3, 1, 3
+	srcShape[1], lo[1], hi[1] = 3, 11, 12
+	srcShape[r-1], lo[r-1], hi[r-1] = 4, 10*(r-1)+1, 10*(r-1)+3
+	dstShape := make([]int, r)
+	for d := range dstShape {
+		dstShape[d] = hi[d] - lo[d]
+	}
+	src := make([]float64, grid.Shape(srcShape).Len())
+	for i := range src {
+		src[i] = float64(i)
+	}
+	dst := make([]float64, boxLen(lo, hi))
+	CopyRegion(dst, dstShape, lo, src, srcShape, srcLo, lo, hi)
+	srcStr := grid.Shape(srcShape).Strides()
+	for i, v := range dst {
+		// dst is exactly the box, so its flat index decodes to box coordinates.
+		at, rem := 0, i
+		for d := r - 1; d >= 0; d-- {
+			at += (lo[d] + rem%dstShape[d] - srcLo[d]) * srcStr[d]
+			rem /= dstShape[d]
+		}
+		if v != src[at] {
+			t.Fatalf("rank-%d copy: dst[%d] = %g, want src[%d] = %g", r, i, v, at, src[at])
+		}
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	g := testField(t, grid.Shape{40, 56, 48})
 	eb := 1e-4 * g.ValueRange()
@@ -271,6 +307,38 @@ func TestRegionCacheReuse(t *testing.T) {
 	if refineRead >= coldRead {
 		t.Errorf("refinement read %d bytes, cold retrieval %d — refinement should be incremental",
 			refineRead, coldRead)
+	}
+}
+
+// TestCachedTileRefinedIsFreshRetrieval: what the cache answers with does
+// not depend on what it was asked before. Float64 tiles taken 1024·eb →
+// 32·eb → eb through one store's cache hold, at every rung, the bits a fresh
+// store returns when asked for that bound once.
+func TestCachedTileRefinedIsFreshRetrieval(t *testing.T) {
+	g := testField(t, grid.Shape{48, 48, 48})
+	eb := 1e-6 * g.ValueRange()
+	blob := packOne(t, g, eb, grid.Shape{32, 32, 32})
+	lo, hi := []int{5, 0, 9}, []int{40, 32, 48}
+	cached := openStore(t, blob)
+	for _, factor := range []float64{1024, 32, 1} {
+		reg, err := cached.RetrieveRegion("field", lo, hi, factor*eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := openStore(t, blob).RetrieveRegion("field", lo, hi, factor*eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if factor != 1024 && reg.LoadedBytes() >= fresh.LoadedBytes() {
+			t.Errorf("%g·eb: refinement loaded %d bytes, a cold retrieval %d", factor, reg.LoadedBytes(), fresh.LoadedBytes())
+		}
+		got, want := reg.Data(), fresh.Data()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%g·eb: value %d through the cache is %x, from a fresh store %x",
+					factor, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
 	}
 }
 

@@ -191,14 +191,24 @@ func Intersect(alo, ahi, blo, bhi []int) (lo, hi []int, ok bool) {
 	return lo, hi, true
 }
 
-// copyRegionFast is CopyRegion without the per-call coordinate
-// allocations: strides and the iteration cursor live in stack arrays for
-// every realistic rank, which is what keeps the server's warm serve path
-// allocation-free. Semantics are identical to CopyRegion.
-func copyRegionFast[T grid.Scalar](dst []T, dstShape, dstLo []int, src []T, srcShape, srcLo []int, lo, hi []int) {
+// CopyRegion copies the dataset-coordinate box [lo, hi) from a source box
+// (row-major data of shape srcShape whose element [0,0,..] sits at dataset
+// coordinate srcLo) into a destination box (dstShape at dstLo). The box
+// must lie inside both. Runs along the innermost dimension are contiguous
+// in both layouts, so they copy as slices. Strides and the iteration cursor
+// live in stack arrays, which is what keeps the server's warm serve path
+// allocation-free; a rank above maxStackRank is peeled, slowest dimension
+// first, down to one that fits them. Exported for ipcomp/client, which
+// assembles regions from remotely fetched tiles the same way the store
+// assembles them from cached ones.
+func CopyRegion[T grid.Scalar](dst []T, dstShape, dstLo []int, src []T, srcShape, srcLo []int, lo, hi []int) {
 	r := len(lo)
 	if r > maxStackRank {
-		CopyRegion(dst, dstShape, dstLo, src, srcShape, srcLo, lo, hi)
+		dstSlab, srcSlab := grid.Shape(dstShape[1:]).Len(), grid.Shape(srcShape[1:]).Len()
+		for c := lo[0]; c < hi[0]; c++ {
+			CopyRegion(dst[(c-dstLo[0])*dstSlab:], dstShape[1:], dstLo[1:],
+				src[(c-srcLo[0])*srcSlab:], srcShape[1:], srcLo[1:], lo[1:], hi[1:])
+		}
 		return
 	}
 	var dstStr, srcStr, cur [maxStackRank]int
@@ -210,40 +220,6 @@ func copyRegionFast[T grid.Scalar](dst []T, dstShape, dstLo []int, src []T, srcS
 	}
 	copy(cur[:r], lo)
 	run := hi[r-1] - lo[r-1]
-	for {
-		do, so := 0, 0
-		for d := 0; d < r; d++ {
-			do += (cur[d] - dstLo[d]) * dstStr[d]
-			so += (cur[d] - srcLo[d]) * srcStr[d]
-		}
-		copy(dst[do:do+run], src[so:so+run])
-		d := r - 2
-		for ; d >= 0; d-- {
-			cur[d]++
-			if cur[d] < hi[d] {
-				break
-			}
-			cur[d] = lo[d]
-		}
-		if d < 0 {
-			return
-		}
-	}
-}
-
-// CopyRegion copies the dataset-coordinate box [lo, hi) from a source box
-// (row-major data of shape srcShape whose element [0,0,..] sits at dataset
-// coordinate srcLo) into a destination box (dstShape at dstLo). The box
-// must lie inside both. Runs along the innermost dimension are contiguous
-// in both layouts, so they copy as slices. Exported for ipcomp/client,
-// which assembles regions from remotely fetched tiles the same way the
-// store assembles them from cached ones.
-func CopyRegion[T grid.Scalar](dst []T, dstShape, dstLo []int, src []T, srcShape, srcLo []int, lo, hi []int) {
-	r := len(lo)
-	dstStr := grid.Shape(dstShape).Strides()
-	srcStr := grid.Shape(srcShape).Strides()
-	run := hi[r-1] - lo[r-1]
-	cur := append([]int(nil), lo...)
 	for {
 		do, so := 0, 0
 		for d := 0; d < r; d++ {
