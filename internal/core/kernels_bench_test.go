@@ -79,15 +79,9 @@ func BenchmarkDecodeRealPlanes(b *testing.B) {
 			b.SetBytes(planeBytes)
 			b.ReportAllocs()
 			for b.Loop() {
-				r := &Result{
-					arch:   a,
-					plan:   Plan{Keep: make([]int, a.h.levels)},
-					planes: make([][][]byte, a.h.levels),
-				}
+				r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}}
 				for l := 1; l <= a.h.levels; l++ {
-					used := a.h.metaOf(l).usedPlanes
-					r.planes[l-1] = make([][]byte, used)
-					if err := r.fetchPlanes(l, used); err != nil {
+					if _, err := r.fetchPlanes(l, a.h.metaOf(l).usedPlanes); err != nil {
 						b.Fatal(err)
 					}
 				}

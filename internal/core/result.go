@@ -15,18 +15,16 @@ import (
 // bitplanes (paper Algorithm 2). The field is held at the archive's native
 // scalar width — exactly one of the two backing slices is non-nil — and is,
 // however the result reached its plan, bit for bit what Retrieve(Plan())
-// returns.
+// returns. Besides the values a result keeps one int32 per value and
+// nothing else that grows with the field.
 type Result struct {
 	arch   *Archive
 	plan   Plan
 	data64 []float64 // float64 archives
 	data32 []float32 // float32 archives
-	// planes[l-1][p] is the decoded (post-XOR-prediction) packed bitplane p
-	// of level l, nil when not yet loaded. Kept so refinement can undo the
-	// predictive coding of newly loaded planes without re-reading old ones.
-	planes [][][]byte
-	// trunc[l-1] is each level's current truncated quantization index
-	// (decoded from the loaded planes): what rebuild reconstructs from.
+	// trunc[l-1] is each level's current truncated quantization index: what
+	// rebuild reconstructs from, and — its negabinary code is exactly the
+	// loaded planes — all a raise needs of the planes loaded before it.
 	trunc [][]int32
 	// loadedBytes counts every archive byte read so far, header included.
 	loadedBytes int64
@@ -157,7 +155,6 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 	r := &Result{
 		arch:        a,
 		plan:        Plan{Keep: make([]int, a.h.levels)}, // raised by loadPlanes
-		planes:      make([][][]byte, a.h.levels),
 		trunc:       make([][]int32, a.h.levels),
 		loadedBytes: a.h.headerSize,
 		stats:       st,
@@ -179,7 +176,6 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 			}
 			prev = int(oi)
 		}
-		r.planes[l-1] = make([][]byte, m.usedPlanes)
 		r.trunc[l-1] = make([]int32, m.count)
 		// Non-progressive levels always load everything.
 		want := plan.Keep[l-1]
@@ -201,19 +197,24 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 	// bear out has been refused above, before the shape sized anything.
 	data := make([]T, a.h.shape.Len())
 	setData(r, data)
-	rebuild(a, data, r.trunc)
+	rebuild(a, data, r.trunc, a.h.levels)
 	return r, nil
 }
 
-// rebuild reruns the full reconstruction recursion (anchors, then every
-// level coarse to fine) into data from the current truncated indices. It is
-// the body of Retrieve and of RefineTo: the field is a function of the
-// archive and these indices alone.
-func rebuild[T grid.Scalar](a *Archive, data []T, trunc [][]int32) {
-	for i, idx := range a.dec.Anchors() {
-		data[idx] = T(a.h.anchors[i])
+// rebuild reruns the reconstruction recursion into data from the current
+// truncated indices, level `from` first and the finest last; from = L, the
+// coarsest level, places the anchors before it. It is the body of Retrieve
+// and of RefineTo: the field is a function of the archive and these indices
+// alone. applyLevel assigns every point of its level from coarser points
+// and the level's own indices, so the anchors and the levels coarser than
+// `from`, whose indices have not changed, already hold their bits.
+func rebuild[T grid.Scalar](a *Archive, data []T, trunc [][]int32, from int) {
+	if from == a.h.levels {
+		for i, idx := range a.dec.Anchors() {
+			data[idx] = T(a.h.anchors[i])
+		}
 	}
-	for l := a.h.levels; l >= 1; l-- {
+	for l := from; l >= 1; l-- {
 		applyLevel(a, data, l, trunc[l-1])
 	}
 }
@@ -221,10 +222,11 @@ func rebuild[T grid.Scalar](a *Archive, data []T, trunc [][]int32) {
 // loadPlanes raises level l's loaded plane count to want: fetchPlanes, then
 // mergePlanes.
 func (r *Result) loadPlanes(level, want int) error {
-	if err := r.fetchPlanes(level, want); err != nil {
+	got, err := r.fetchPlanes(level, want)
+	if err != nil {
 		return err
 	}
-	r.mergePlanes(level, want)
+	r.mergePlanes(level, want, got)
 	return nil
 }
 
@@ -238,17 +240,17 @@ func (r *Result) newPlanes(level, want int) (have, to int) {
 }
 
 // fetchPlanes is the half of a raise that can fail: it reads the blocks of
-// planes [have, want) of a level and entropy-decodes them into r.planes.
-// Nothing the result's values, plan or guarantee are computed from changes
-// — slots of r.planes at and beyond the plan's count are not read by
-// anything — so a refinement that fails here, on any level, leaves the
-// result exactly at its previous plan and can simply be tried again.
-func (r *Result) fetchPlanes(level, want int) error {
+// planes [have, want) of a level and entropy-decodes them into one backing,
+// which it returns (nil when there is nothing to load), plane have first.
+// It changes nothing in the result, so a refinement that fails here, on any
+// level, leaves the result exactly at its previous plan and can simply be
+// tried again.
+func (r *Result) fetchPlanes(level, want int) ([]byte, error) {
 	a := r.arch
 	m := a.h.metaOf(level)
 	have, want := r.newPlanes(level, want)
 	if want <= have {
-		return nil
+		return nil, nil
 	}
 	// The blocks [have, want) are adjacent in the archive (plan-ordered
 	// layout), so they arrive as one span read — one syscall, one pooled
@@ -265,7 +267,7 @@ func (r *Result) fetchPlanes(level, want int) error {
 		r.stats.ReadNanos.Add(time.Since(readT).Nanoseconds())
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer release()
 	var ferr firstError
@@ -283,21 +285,29 @@ func (r *Result) fetchPlanes(level, want int) error {
 		plane := backing[i*planeBytes : (i+1)*planeBytes : (i+1)*planeBytes]
 		if err := codec.DecodeBlockInto(plane, raw[at:at+int(m.blockSizes[p])]); err != nil {
 			ferr.set(fmt.Errorf("core: level %d plane %d: %w", level, p, err))
-			return
 		}
-		r.planes[level-1][p] = plane
 	})
 	if r.stats != nil {
 		r.stats.CodecNanos.Add(time.Since(codecT).Nanoseconds())
 	}
-	return ferr.get()
+	if err := ferr.get(); err != nil {
+		return nil, err
+	}
+	return backing, nil
 }
 
-// mergePlanes is the half of a raise that cannot fail: it undoes the
-// predictive coding of the planes fetchPlanes decoded, recomputes the
-// level's truncated indices from the loaded prefix and records the new
-// plane count and the bytes it cost.
-func (r *Result) mergePlanes(level, want int) {
+// mergePlanes is the half of a raise that cannot fail: it merges the planes
+// [have, want) that fetchPlanes decoded into got into the level's truncated
+// indices and records the new plane count and the bytes it cost.
+//
+// Only the new planes are touched. Their XOR prediction (plane p was stored
+// as the XOR of bits p, p−1 and p−2) is undone among themselves, as if the
+// planes above were zero. The error that makes is linear and reaches the
+// new planes only through the two loaded bits nearest them, so it is one of
+// four words: corr[ab] for those bits ab, the recurrence e_p = e_{p−1} ^
+// e_{p−2} run from them down through plane want−1. A value's new bits are
+// its merged new planes XOR that word, ORed under its old negabinary code.
+func (r *Result) mergePlanes(level, want int, got []byte) {
 	a := r.arch
 	m := a.h.metaOf(level)
 	have, want := r.newPlanes(level, want)
@@ -306,27 +316,44 @@ func (r *Result) mergePlanes(level, want int) {
 	}
 	_, spanLen := a.h.planeSpan(level, have, want)
 	r.loadedBytes += spanLen
-	// Undo the predictive XOR coding for the newly loaded planes only; the
-	// planes above them were decoded when they were loaded.
+	// The new planes at their bit positions among the 32 (plane p of the
+	// level is bit usedPlanes−1−p), every other position nil.
 	planeBytes := (m.count + 7) / 8
-	parallelChunks(planeBytes, minShardTargets/8, 1, func(lo, hi int) {
-		bitplane.PredictDecodeRangeBytes(r.planes[level-1], have, want, lo, hi)
-	})
-
-	// Recompute the truncated indices from the loaded prefix: word-level
-	// merge plus negabinary decode, chunk-sharded over pooled scratch.
-	var full [bitplane.Planes][]byte
-	base := bitplane.Planes - m.usedPlanes
-	for p := 0; p < want; p++ {
-		full[base+p] = r.planes[level-1][p]
+	var planes [bitplane.Planes][]byte
+	used := planes[bitplane.Planes-m.usedPlanes:]
+	for p := have; p < want; p++ {
+		i := p - have
+		used[p] = got[i*planeBytes : (i+1)*planeBytes : (i+1)*planeBytes]
 	}
+	parallelChunks(planeBytes, minShardTargets/8, 1, func(lo, hi int) {
+		bitplane.PredictDecodeRangeBytes(used, have, want, lo, hi)
+	})
+	top := uint(m.usedPlanes - have) // bit of plane have−1; plane have−2 is top+1
+	var corr [4]uint32
+	for ab := range corr {
+		e1, e2 := uint32(ab&1), uint32(ab>>1) // the errors of planes p−1, p−2
+		for p := have; p < want; p++ {
+			e1, e2 = e1^e2, e1
+			corr[ab] |= e1 << (m.usedPlanes - 1 - p)
+		}
+	}
+
+	// Word-level merge of the new planes plus negabinary decode,
+	// chunk-sharded over pooled scratch.
 	nbv := uint32Scratch.Get(m.count)
 	defer uint32Scratch.Put(nbv)
 	ks := r.trunc[level-1]
 	parallelChunks(m.count, minShardTargets, 8, func(lo, hi int) {
-		bitplane.MergeRange(nbv, full[:], lo, hi)
+		bitplane.MergeRange(nbv, planes[:], lo, hi)
+		if have == 0 { // a level's first raise, every retrieval's: no old bits
+			for i := lo; i < hi; i++ {
+				ks[i] = nb.Decode32(nbv[i])
+			}
+			return
+		}
 		for i := lo; i < hi; i++ {
-			ks[i] = nb.Decode32(nbv[i])
+			o := nb.Encode32(ks[i])
+			ks[i] = nb.Decode32(o | nbv[i] ^ corr[o>>top&3])
 		}
 	})
 	r.plan.Keep[level-1] = want
@@ -335,10 +362,10 @@ func (r *Result) mergePlanes(level, want int) {
 // RefineTo raises the result to a finer plan in place (Algorithm 2): only
 // the newly selected bitplanes are read and entropy-decoded. They are merged
 // into the truncated indices and the reconstruction recursion reruns from
-// those, at either scalar width, so a refined result is bit for bit the
-// fresh retrieval of its plan — a function of (archive, plan) and of nothing
-// that came before — and never carries error beyond what PlanErrorBound
-// models for that plan.
+// the coarsest level that gained planes, at either scalar width, so a
+// refined result is bit for bit the fresh retrieval of its plan — a
+// function of (archive, plan) and of nothing that came before — and never
+// carries error beyond what PlanErrorBound models for that plan.
 //
 // Plans that would *drop* planes at some level are clamped: progressive
 // retrieval only ever adds information.
@@ -354,12 +381,15 @@ func (r *Result) RefineTo(plan Plan) error {
 	// Coarse to fine, so that the finest level — seven eighths of the
 	// planes — is merged, first, while what was decoded, last, is still in
 	// cache.
-	changedBelow := 0 // coarsest level that gains planes, 0 = none
+	got := make([][]byte, a.h.prog) // got[l-1]: level l's new planes, decoded
+	changedBelow := 0               // coarsest level that gains planes, 0 = none
 	for l := a.h.prog; l >= 1; l-- {
 		if have, want := r.newPlanes(l, plan.Keep[l-1]); want > have {
-			if err := r.fetchPlanes(l, want); err != nil {
+			b, err := r.fetchPlanes(l, want)
+			if err != nil {
 				return err
 			}
+			got[l-1] = b
 			changedBelow = max(changedBelow, l)
 		}
 	}
@@ -367,12 +397,12 @@ func (r *Result) RefineTo(plan Plan) error {
 		return nil
 	}
 	for l := 1; l <= changedBelow; l++ {
-		r.mergePlanes(l, plan.Keep[l-1])
+		r.mergePlanes(l, plan.Keep[l-1], got[l-1])
 	}
 	if r.data32 != nil {
-		rebuild(a, r.data32, r.trunc)
+		rebuild(a, r.data32, r.trunc, changedBelow)
 	} else {
-		rebuild(a, r.data64, r.trunc)
+		rebuild(a, r.data64, r.trunc, changedBelow)
 	}
 	return nil
 }
@@ -396,13 +426,7 @@ func (r *Result) RefineBitrate(bitsPerValue float64) error {
 	if err != nil {
 		return err
 	}
-	// Never drop below the current plan.
-	for i := range plan.Keep {
-		if plan.Keep[i] < r.plan.Keep[i] {
-			plan.Keep[i] = r.plan.Keep[i]
-		}
-	}
-	return r.RefineTo(plan)
+	return r.RefineTo(plan) // clamped: never drops below the current plan
 }
 
 // RefineAll loads every remaining block, reaching full fidelity.

@@ -327,12 +327,13 @@ func (a *Archive) truncErr(l, keep int) float64 {
 	return a.weight[l-1] * float64(m.maxDrop[m.usedPlanes-keep]) * a.quant.Step()
 }
 
-// dpOption is one per-level choice for the knapsack optimizers: drop d low
-// bitplanes, paying a discretized cost and gaining a value.
+// dpOption is one per-level choice for the planning knapsack: a discretized
+// budget cost (error units or size units) and the score the solver
+// maximizes — bytes saved in error-bound mode, exact in a float64 below
+// 2^53; the negated truncation error in fixed-rate mode.
 type dpOption struct {
-	cost  int   // discretized budget cost (error units or size units)
-	value int64 // bytes saved (error-bound mode)
-	errF  float64
+	cost  int
+	score float64
 }
 
 // errorUnits is the discretization granularity of the error-bound knapsack.
@@ -374,58 +375,57 @@ func (a *Archive) PlanErrorBoundMode(bound float64) (Plan, error) {
 			errCost := a.truncErr(l, m.usedPlanes-d)
 			c := 0
 			switch {
-			case errCost <= 0:
+			case d == 0 || errCost <= 0: // dropping nothing costs nothing
 			case errCost > budget:
 				c = errorUnits + 1 // infeasible on its own
 			default:
 				c = int(math.Ceil(errCost / unit))
 			}
-			opts[d] = dpOption{cost: c, value: cum, errF: errCost}
+			opts[d] = dpOption{cost: c, score: float64(cum)}
 		}
 		levelOpts[l-1] = opts
 	}
 
-	drops := maximizeValue(levelOpts, errorUnits)
+	drops := solveKnapsack(levelOpts, errorUnits)
 	for l := 1; l <= a.h.prog; l++ {
 		plan.Keep[l-1] = a.h.metaOf(l).usedPlanes - drops[l-1]
 	}
 	return plan, nil
 }
 
-// maximizeValue solves the layered knapsack: pick one option per layer,
-// maximizing total value subject to total cost <= budget units. dp[li][u]
-// holds the best value of layers 0..li-1 within cost u; monotonicity in u
-// is inherent to the recurrence. Returns the chosen option index per layer.
-func maximizeValue(layers [][]dpOption, budget int) []int {
-	const neg = int64(math.MinInt64)
+// solveKnapsack solves the layered knapsack of both planning modes: pick one
+// option per layer, maximizing the summed score subject to a summed cost of
+// at most budget units. dp[li][u] holds the best score of layers 0..li-1
+// within cost u. Option 0 of every layer costs nothing (keep every plane,
+// or load none), so every state is reachable and seeds its maximum; ties go
+// to the lowest option index. Returns the chosen option index per layer.
+func solveKnapsack(layers [][]dpOption, budget int) []int {
 	nl := len(layers)
-	dp := make([][]int64, nl+1)
-	dp[0] = make([]int64, budget+1) // all zeros: empty assignment
+	dp := make([][]float64, nl+1)
+	dp[0] = make([]float64, budget+1) // all zeros: empty assignment
 	for li, opts := range layers {
-		cur := make([]int64, budget+1)
+		cur := make([]float64, budget+1)
 		prev := dp[li]
-		for u := 0; u <= budget; u++ {
-			best := neg
-			for _, op := range opts {
-				if op.cost > u {
-					continue
-				}
-				if v := prev[u-op.cost] + op.value; v > best {
-					best = v
+		first, rest := opts[0].score, opts[1:]
+		for u := range cur {
+			best := prev[u] + first
+			for _, op := range rest {
+				if op.cost <= u {
+					if v := prev[u-op.cost] + op.score; v > best {
+						best = v
+					}
 				}
 			}
 			cur[u] = best
 		}
 		dp[li+1] = cur
 	}
-	// Backtrack. Every layer always has the d=0 option with cost 0, so the
-	// final state (nl, budget) is reachable.
 	choice := make([]int, nl)
 	u := budget
 	for li := nl - 1; li >= 0; li-- {
 		target := dp[li+1][u]
 		for d, op := range layers[li] {
-			if op.cost <= u && dp[li][u-op.cost]+op.value == target {
+			if op.cost <= u && dp[li][u-op.cost]+op.score == target {
 				choice[li] = d
 				u -= op.cost
 				break
@@ -458,8 +458,8 @@ func (a *Archive) PlanBitrateMode(maxBytes int64) (Plan, error) {
 	unit := float64(remaining) / sizeUnits
 
 	// One layer per progressive level; option = keep k planes, cost = bytes
-	// of the kept planes (rounded UP), value = negated truncation error so
-	// maximizeValue minimizes the error.
+	// of the kept planes (rounded UP), score = the negated truncation error,
+	// so maximizing it minimizes the error.
 	levelOpts := make([][]dpOption, a.h.prog)
 	for l := 1; l <= a.h.prog; l++ {
 		m := a.h.metaOf(l)
@@ -477,55 +477,15 @@ func (a *Archive) PlanBitrateMode(maxBytes int64) (Plan, error) {
 					c = int(math.Ceil(float64(cum) / unit))
 				}
 			}
-			opts[k] = dpOption{cost: c, errF: a.truncErr(l, k)}
+			opts[k] = dpOption{cost: c, score: -a.truncErr(l, k)}
 		}
 		levelOpts[l-1] = opts
 	}
 
-	keeps := minimizeError(levelOpts, sizeUnits)
+	keeps := solveKnapsack(levelOpts, sizeUnits)
 	plan := minimal.clone()
 	for l := 1; l <= a.h.prog; l++ {
 		plan.Keep[l-1] = keeps[l-1]
 	}
 	return plan, nil
-}
-
-// minimizeError solves the layered knapsack minimizing the summed errF
-// subject to total cost <= budget units. Returns the chosen option index
-// (number of planes kept) per layer.
-func minimizeError(layers [][]dpOption, budget int) []int {
-	inf := math.Inf(1)
-	nl := len(layers)
-	dp := make([][]float64, nl+1)
-	dp[0] = make([]float64, budget+1)
-	for li, opts := range layers {
-		cur := make([]float64, budget+1)
-		prev := dp[li]
-		for u := 0; u <= budget; u++ {
-			best := inf
-			for _, op := range opts {
-				if op.cost > u {
-					continue
-				}
-				if v := prev[u-op.cost] + op.errF; v < best {
-					best = v
-				}
-			}
-			cur[u] = best
-		}
-		dp[li+1] = cur
-	}
-	choice := make([]int, nl)
-	u := budget
-	for li := nl - 1; li >= 0; li-- {
-		target := dp[li+1][u]
-		for k, op := range layers[li] {
-			if op.cost <= u && dp[li][u-op.cost]+op.errF == target {
-				choice[li] = k
-				u -= op.cost
-				break
-			}
-		}
-	}
-	return choice
 }

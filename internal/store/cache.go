@@ -27,17 +27,10 @@ const DefaultCacheBytes = 256 << 20
 const cacheShards = 16
 
 // cachedBytesPerElem is what one cached element is charged against the
-// budget. A cached core.Result holds the decoded values (8 or 4 B/elem by
-// scalar width) plus the refinement state that makes in-place tightening
-// possible: per-elem int32 truncated indices (4 B) and the packed
-// bitplanes kept for predictive decoding (up to ~4 B). 16 B/elem (12 for
-// float32 tiles) keeps the budget honest.
-func cachedBytesPerElem(s core.ScalarType) int64 {
-	if s == core.Float32 {
-		return 12
-	}
-	return 16
-}
+// budget: a cached core.Result holds the decoded values (8 or 4 B/elem by
+// scalar width) and one int32 truncated index per value, its whole
+// refinement state — 12 B/elem, 8 for float32 tiles.
+func cachedBytesPerElem(s core.ScalarType) int64 { return int64(s.Bytes()) + 4 }
 
 // tileKey identifies a decoded tile by what it is, so that one TileCache
 // can serve every store of a process. A tile of a CAS snapshot is its
