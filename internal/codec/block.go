@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -14,7 +13,7 @@ import (
 // compressors do for incompressible bitplanes (e.g. the sign-noise LSBs).
 const (
 	methodRaw      = 0 // payload verbatim
-	methodDeflate  = 1 // DEFLATE stream (flateLevel)
+	methodDeflate  = 1 // DEFLATE stream (compress/flate level 1, deflate.go)
 	methodZero     = 2 // all-zero payload, no body
 	methodRLE      = 3 // zero-run / literal-run coding (sparse planes)
 	methodReserved = 4 // never emitted; a decoder refuses it
@@ -74,9 +73,8 @@ func ParsePolicy(s string) (Policy, error) {
 
 // EncodeBlock stores src in whichever of zero/raw/DEFLATE form is smaller.
 // All-zero payloads (empty bitplanes) collapse to a single tag byte. The
-// compressed stream is produced directly behind its tag byte, so choosing
-// DEFLATE costs a single allocation. This is the Deflate policy; its output
-// is pinned byte-for-byte by the golden-SHA archive tests.
+// returned block is the only allocation. This is the Deflate policy; its
+// output is pinned byte-for-byte by the golden-SHA archive tests.
 func EncodeBlock(src []byte) []byte {
 	zero := true
 	for _, b := range src {
@@ -88,11 +86,8 @@ func EncodeBlock(src []byte) []byte {
 	if zero {
 		return count(opEncode, []byte{methodZero})
 	}
-	var buf bytes.Buffer
-	buf.WriteByte(methodDeflate)
-	deflateInto(&buf, src)
-	if buf.Len() < 1+len(src) {
-		return count(opEncode, buf.Bytes())
+	if blk := deflateBlock(src, 1+len(src)); blk != nil {
+		return count(opEncode, blk)
 	}
 	return count(opEncode, rawBlock(src))
 }
@@ -117,15 +112,12 @@ func EncodeBlockPolicy(src []byte, policy Policy) []byte {
 	// it against DEFLATE (cheap on near-zero input) and keep the smaller.
 	if hist[0] >= n-n/16 {
 		rle := rleEncode(src)
-		var buf bytes.Buffer
-		buf.WriteByte(methodDeflate)
-		deflateInto(&buf, src)
 		best := rawBlock(src)
 		if rle != nil && len(rle) < len(best) {
 			best = rle
 		}
-		if buf.Len() < len(best) {
-			best = buf.Bytes()
+		if blk := deflateBlock(src, len(best)); blk != nil {
+			best = blk
 		}
 		return count(opEncode, best)
 	}
@@ -146,11 +138,8 @@ func EncodeBlockPolicy(src []byte, policy Policy) []byte {
 		best = rawBlock(src)
 	}
 	if est <= n*8*lzEntropyPct/100 {
-		var buf bytes.Buffer
-		buf.WriteByte(methodDeflate)
-		deflateInto(&buf, src)
-		if buf.Len() < len(best) {
-			best = buf.Bytes()
+		if blk := deflateBlock(src, len(best)); blk != nil {
+			best = blk
 		}
 	}
 	return count(opEncode, best)

@@ -5,10 +5,16 @@ import (
 	"testing"
 )
 
-// benchPlane builds a 32 KiB plane (one bitplane of a 256Ki-value level)
-// with the character the sub-benchmark targets.
-func benchPlane(kind string) []byte {
-	const n = 32 << 10
+// Plane sizes: one bitplane of a 32³ tile's finest level (28 672 values)
+// and one of a 256Ki-value level.
+const (
+	tilePlaneBytes = 3584
+	benchPlaneSize = 32 << 10
+)
+
+// benchPlane builds an n-byte plane with the character the sub-benchmark
+// targets.
+func benchPlane(kind string, n int) []byte {
 	rng := rand.New(rand.NewSource(7))
 	p := make([]byte, n)
 	switch kind {
@@ -32,19 +38,25 @@ func benchPlane(kind string) []byte {
 }
 
 // BenchmarkCodecEncodeBlock measures the Auto policy on the three plane
-// shapes it routes between; the deflate case costs the same as legacy,
-// raw and rle show the skip-DEFLATE win.
+// shapes it routes between (raw and rle show the skip-DEFLATE win), and the
+// Deflate policy — what every workload packs with — on a compressible plane
+// at the 32³ tile's size and at 32 KiB, where the per-block Huffman table
+// build is a visible share.
 func BenchmarkCodecEncodeBlock(b *testing.B) {
-	for _, kind := range []string{"deflate", "raw", "rle"} {
-		p := benchPlane(kind)
-		b.Run(kind, func(b *testing.B) {
+	run := func(name string, p []byte, policy Policy) {
+		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(p)))
-			for i := 0; i < b.N; i++ {
-				blk := EncodeBlockPolicy(p, PolicyAuto)
-				if len(blk) == 0 {
+			b.ReportAllocs()
+			for b.Loop() {
+				if blk := EncodeBlockPolicy(p, policy); len(blk) == 0 {
 					b.Fatal("empty block")
 				}
 			}
 		})
 	}
+	for _, kind := range []string{"deflate", "raw", "rle"} {
+		run(kind, benchPlane(kind, benchPlaneSize), PolicyAuto)
+	}
+	run("policy=deflate/tile3584", benchPlane("deflate", tilePlaneBytes), PolicyDeflate)
+	run("policy=deflate/32KiB", benchPlane("deflate", benchPlaneSize), PolicyDeflate)
 }

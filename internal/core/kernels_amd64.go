@@ -86,16 +86,14 @@ func quantizeRunAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, f, seq, n
 	if !useAVX2 {
 		return 0
 	}
-	a := kernArgs{
-		ks:    unsafe.Pointer(&ks[seq]),
-		f:     int64(f),
-		fstep: int64(r.Step),
-		n:     int64(n),
-		off1:  int64(r.Off1),
-		off3:  int64(r.Off3),
-		mode:  int64(r.Mode),
-		step:  float64(step), invStep: float64(invStep), eb: eb,
-	}
+	// Field by field, not a composite literal: the literal is built in a
+	// zeroed temporary and block-copied into a (DUFFZERO + DUFFCOPY on every
+	// call, and a tile makes one call per run of ≤ 16 points).
+	var a kernArgs
+	a.ks = unsafe.Pointer(&ks[seq])
+	a.f, a.fstep, a.n = int64(f), int64(r.Step), int64(n)
+	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
+	a.step, a.invStep, a.eb = float64(step), float64(invStep), eb
 	switch wt := any(w).(type) {
 	case []float64:
 		if n < 4 {
@@ -119,16 +117,11 @@ func applyRunAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, f, seq, n
 	if !useAVX2 {
 		return 0
 	}
-	a := kernArgs{
-		ks:    unsafe.Pointer(&ks[seq]),
-		f:     int64(f),
-		fstep: int64(r.Step),
-		n:     int64(n),
-		off1:  int64(r.Off1),
-		off3:  int64(r.Off3),
-		mode:  int64(r.Mode),
-		step:  float64(step),
-	}
+	var a kernArgs // field by field, as in quantizeRunAccel
+	a.ks = unsafe.Pointer(&ks[seq])
+	a.f, a.fstep, a.n = int64(f), int64(r.Step), int64(n)
+	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
+	a.step = float64(step)
 	switch dt := any(data).(type) {
 	case []float64:
 		if n < 4 {

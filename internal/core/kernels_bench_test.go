@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"compress/flate"
 	"math"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/datagen"
 	"repro/internal/grid"
 	"repro/internal/interp"
@@ -38,16 +41,18 @@ func BenchmarkQuantizeLevel(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeRealPlanes measures the entropy-decode half of a full
-// retrieval — fetchPlanes for every level, no merge, no reconstruction —
-// over planes a real archive holds: Density as float32 at 1e-5 of its
-// range, once as the 128³ field and once as that field's corner 32³ tile,
-// the unit a chunked store decodes. MB/s are decoded plane bytes; allocs/op
-// pin that a raise costs one backing, not one allocation per plane.
-func BenchmarkDecodeRealPlanes(b *testing.B) {
+type namedArchive struct {
+	name string
+	a    *Archive
+}
+
+// realPlaneArchives compresses Density as float32 at 1e-5 of its range,
+// once as the 128³ field and once as that field's corner 32³ tile, the
+// unit a chunked store decodes.
+func realPlaneArchives(tb testing.TB) []namedArchive {
 	field, err := datagen.GenerateShape("Density", grid.Shape{128, 128, 128})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	eb := 1e-5 * field.ValueRange()
 	tile := grid.MustNew[float32](grid.Shape{32, 32, 32})
@@ -58,19 +63,33 @@ func BenchmarkDecodeRealPlanes(b *testing.B) {
 			}
 		}
 	}
+	var out []namedArchive
 	for _, c := range []struct {
 		name string
 		g    *grid.Grid[float32]
 	}{{"tile32", tile}, {"field128", grid.Narrow(field)}} {
+		blob, err := Compress(c.g, Options{ErrorBound: eb, Interpolation: interp.Cubic})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		a, err := NewArchive(blob)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, namedArchive{c.name, a})
+	}
+	return out
+}
+
+// BenchmarkDecodeRealPlanes measures the entropy-decode half of a full
+// retrieval — fetchPlanes for every level, no merge, no reconstruction —
+// over the planes of realPlaneArchives. MB/s are decoded plane bytes;
+// allocs/op pin that a raise costs one backing, not one allocation per
+// plane.
+func BenchmarkDecodeRealPlanes(b *testing.B) {
+	for _, c := range realPlaneArchives(b) {
+		a := c.a
 		b.Run(c.name, func(b *testing.B) {
-			blob, err := Compress(c.g, Options{ErrorBound: eb, Interpolation: interp.Cubic})
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := NewArchive(blob)
-			if err != nil {
-				b.Fatal(err)
-			}
 			var planeBytes int64
 			for l := 1; l <= a.h.levels; l++ {
 				m := a.h.metaOf(l)
@@ -87,5 +106,47 @@ func BenchmarkDecodeRealPlanes(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeflateMatchesFlateOnRealPlanes holds codec's DEFLATE encoder to
+// compress/flate's Writer at level 1 on every plane of realPlaneArchives,
+// and wants each plane to re-encode to the block the archive stores.
+func TestDeflateMatchesFlateOnRealPlanes(t *testing.T) {
+	for _, c := range realPlaneArchives(t) {
+		a := c.a
+		r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}}
+		deflated := 0
+		for l := 1; l <= a.h.levels; l++ {
+			m := a.h.metaOf(l)
+			got, err := r.fetchPlanes(l, m.usedPlanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			planeBytes := (m.count + 7) / 8
+			for p := 0; p < m.usedPlanes; p++ {
+				plane := got[p*planeBytes : (p+1)*planeBytes]
+				var want bytes.Buffer
+				w, _ := flate.NewWriter(&want, 1)
+				w.Write(plane)
+				w.Close()
+				if !bytes.Equal(codec.Deflate(plane), want.Bytes()) {
+					t.Fatalf("%s level %d plane %d: Deflate differs from compress/flate", c.name, l, p)
+				}
+				stored, err := a.src.ReadRange(a.h.blockOff[l-1][p], int(m.blockSizes[p]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(codec.EncodeBlock(plane), stored) {
+					t.Fatalf("%s level %d plane %d: EncodeBlock differs from the stored block", c.name, l, p)
+				}
+				if stored[0] == 1 { // tag 1: DEFLATE
+					deflated++
+				}
+			}
+		}
+		if deflated == 0 {
+			t.Fatalf("%s: no plane is stored as DEFLATE", c.name)
+		}
 	}
 }
