@@ -21,20 +21,20 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/baselines/harness"
+	"repro/internal/baselines/lossy"
+	"repro/internal/baselines/mgard"
+	"repro/internal/baselines/residual"
+	"repro/internal/baselines/sperr"
+	"repro/internal/baselines/sz3"
+	"repro/internal/baselines/zfp"
 	"repro/internal/bitplane"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/grid"
-	"repro/internal/harness"
 	"repro/internal/interp"
-	"repro/internal/lossy"
 	"repro/internal/metrics"
-	"repro/internal/mgard"
-	"repro/internal/residual"
-	"repro/internal/sperr"
-	"repro/internal/sz3"
-	"repro/internal/zfp"
 	"repro/ipcomp"
 )
 

@@ -9,10 +9,10 @@
 // fig11, all. Results print as aligned text tables; EXPERIMENTS.md records
 // a reference run next to the paper's reported numbers.
 //
-// These tables reproduce the paper's orderings (internal/harness tests pin
-// them); they are not the repository's performance instrument. Speed,
-// ratio and bytes-loaded figures that may be cited come from benchmark/
-// (bash benchmark/run.sh, see docs/PERF.md).
+// These tables reproduce the paper's orderings (the tests of
+// internal/baselines/harness pin them); they are not the repository's
+// performance instrument. Speed, ratio and bytes-loaded figures that may be
+// cited come from benchmark/ (bash benchmark/run.sh, see docs/PERF.md).
 //
 // Scale note: -divisor 1 uses the paper's dataset shapes (hundreds of MB
 // per field, long runtimes); the default 4 shrinks each dimension 4x.
@@ -25,7 +25,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/harness"
+	"repro/internal/baselines/harness"
 )
 
 func main() {

@@ -30,14 +30,12 @@ import (
 //     mode).
 //
 // Reads are coalesced (concurrent identical ranges share one request),
-// bounded (at most Parallel requests in flight), and retried with
+// bounded (at most httpParallel requests in flight), and retried with
 // exponential backoff on transport errors and 5xx responses. HTTP does no
 // caching of its own; wrap it in Cached for a read-through tier.
 type HTTP struct {
 	base    *url.URL // dir mode: ends in "/"; single mode: the file URL
 	single  string   // non-empty selects single-container mode
-	hc      *http.Client
-	ctx     context.Context // base context for origin requests and backoff
 	sem     chan struct{}
 	retries int // total attempts per request
 	backoff time.Duration
@@ -51,52 +49,19 @@ type HTTP struct {
 	coalesced    atomic.Int64
 }
 
-// HTTPOption configures an HTTP backend.
-type HTTPOption func(*HTTP)
-
-// WithHTTPClient substitutes the http.Client used for requests.
-func WithHTTPClient(hc *http.Client) HTTPOption {
-	return func(h *HTTP) { h.hc = hc }
-}
-
-// WithParallel bounds the number of in-flight origin requests.
-func WithParallel(n int) HTTPOption {
-	return func(h *HTTP) {
-		if n > 0 {
-			h.sem = make(chan struct{}, n)
-		}
-	}
-}
-
-// WithRetry sets the total attempts per read (min 1) and the base backoff
-// doubled between attempts.
-func WithRetry(attempts int, backoff time.Duration) HTTPOption {
-	return func(h *HTTP) {
-		if attempts >= 1 {
-			h.retries = attempts
-		}
-		h.backoff = backoff
-	}
-}
-
-// WithBaseContext bounds every origin request and retry backoff by ctx.
-// The Backend read interface carries no per-call context, so this is the
-// seam a server uses to abandon in-flight retries at shutdown instead of
-// letting them sleep out their backoff ladders.
-func WithBaseContext(ctx context.Context) HTTPOption {
-	return func(h *HTTP) {
-		if ctx != nil {
-			h.ctx = ctx
-		}
-	}
-}
+// The origin-request policy of every HTTP backend.
+const (
+	httpParallel = 8                     // origin requests in flight at once
+	httpAttempts = 3                     // attempts per origin request
+	httpBackoff  = 50 * time.Millisecond // backoff before the second attempt, doubled after
+)
 
 // NewHTTP creates a backend for the given URL. A URL with an empty or "/"
 // path is treated as an ipcompd root and rewritten to its
 // /v1/containers/ listing; a URL ending in "/" addresses a directory of
 // containers (names resolve relative to it); anything else is a single
 // container named by the URL's last path element.
-func NewHTTP(rawurl string, opts ...HTTPOption) (*HTTP, error) {
+func NewHTTP(rawurl string) (*HTTP, error) {
 	u, err := url.Parse(rawurl)
 	if err != nil {
 		return nil, fmt.Errorf("backend: bad URL %q: %w", rawurl, err)
@@ -109,11 +74,9 @@ func NewHTTP(rawurl string, opts ...HTTPOption) (*HTTP, error) {
 	}
 	h := &HTTP{
 		base:       u,
-		hc:         http.DefaultClient,
-		ctx:        context.Background(),
-		sem:        make(chan struct{}, 8),
-		retries:    3,
-		backoff:    50 * time.Millisecond,
+		sem:        make(chan struct{}, httpParallel),
+		retries:    httpAttempts,
+		backoff:    httpBackoff,
 		sizes:      make(map[string]int64),
 		validators: make(map[string]string),
 		flights:    make(map[flightKey]*flight),
@@ -136,9 +99,6 @@ func NewHTTP(rawurl string, opts ...HTTPOption) (*HTTP, error) {
 			return nil, fmt.Errorf("backend: URL %q does not name a container", rawurl)
 		}
 		h.single = name
-	}
-	for _, o := range opts {
-		o(h)
 	}
 	return h, nil
 }
@@ -184,14 +144,14 @@ func (h *HTTP) List() ([]string, error) {
 	}
 	u := strings.TrimSuffix(h.base.String(), "/")
 	var doc listDoc
-	err := h.withRetry(h.ctx, u, func() (bool, error) {
+	err := h.withRetry(func() (bool, error) {
 		h.sem <- struct{}{}
 		defer func() { <-h.sem }()
-		req, err := http.NewRequestWithContext(h.ctx, http.MethodGet, u, nil)
+		req, err := http.NewRequest(http.MethodGet, u, nil)
 		if err != nil {
 			return false, err
 		}
-		resp, err := h.hc.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return true, err
 		}
@@ -277,15 +237,15 @@ func parseContentRange(cr string) (start, end, total int64, err error) {
 func (h *HTTP) probeSize(u string) (int64, string, error) {
 	var size int64
 	var validator string
-	err := h.withRetry(h.ctx, u, func() (bool, error) {
+	err := h.withRetry(func() (bool, error) {
 		h.sem <- struct{}{}
 		defer func() { <-h.sem }()
-		req, err := http.NewRequestWithContext(h.ctx, http.MethodGet, u, nil)
+		req, err := http.NewRequest(http.MethodGet, u, nil)
 		if err != nil {
 			return false, err
 		}
 		req.Header.Set("Range", "bytes=0-0")
-		resp, err := h.hc.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return true, err
 		}
@@ -401,10 +361,10 @@ func (h *HTTP) fetch(name string, off int64, n int, trace string) ([]byte, error
 	validator := h.validators[name]
 	h.mu.Unlock()
 	buf := make([]byte, n)
-	err = h.withRetry(h.ctx, u, func() (bool, error) {
+	err = h.withRetry(func() (bool, error) {
 		h.sem <- struct{}{}
 		defer func() { <-h.sem }()
-		req, err := http.NewRequestWithContext(h.ctx, http.MethodGet, u, nil)
+		req, err := http.NewRequest(http.MethodGet, u, nil)
 		if err != nil {
 			return false, err
 		}
@@ -418,7 +378,7 @@ func (h *HTTP) fetch(name string, off int64, n int, trace string) ([]byte, error
 			// (detected below) instead of silently splicing two versions.
 			req.Header.Set("If-Range", validator)
 		}
-		resp, err := h.hc.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return true, err
 		}
@@ -461,16 +421,14 @@ func (h *HTTP) fetch(name string, off int64, n int, trace string) ([]byte, error
 }
 
 // withRetry runs op up to h.retries times, backing off (with jitter)
-// between attempts while op reports its failure as retryable. The
-// backoff honors ctx so a caller that gave up does not pin a goroutine
-// through the whole retry ladder.
-func (h *HTTP) withRetry(ctx context.Context, u string, op func() (retryable bool, err error)) error {
+// between attempts while op reports its failure as retryable.
+func (h *HTTP) withRetry(op func() (retryable bool, err error)) error {
 	var err error
 	for attempt := 0; attempt < h.retries; attempt++ {
 		if attempt > 0 {
-			if serr := SleepBackoff(ctx, attempt, h.backoff); serr != nil {
-				return fmt.Errorf("%w (retry abandoned: %v)", err, serr)
-			}
+			// The Backend read interface carries no context, and one that
+			// is never done cannot cut the sleep short.
+			_ = SleepBackoff(context.TODO(), attempt, h.backoff)
 		}
 		var retryable bool
 		retryable, err = op()
@@ -518,6 +476,6 @@ func (h *HTTP) Counters() Counters {
 
 // Close releases idle origin connections.
 func (h *HTTP) Close() error {
-	h.hc.CloseIdleConnections()
+	http.DefaultClient.CloseIdleConnections()
 	return nil
 }

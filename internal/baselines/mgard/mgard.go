@@ -21,6 +21,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/baselines/lossy"
 	"repro/internal/bitplane"
 	"repro/internal/codec"
 	"repro/internal/grid"
@@ -136,7 +137,7 @@ func CompressProgressive(g *grid.Grid[float64], eb float64) (*Archive, error) {
 		var ks []int32
 		seq := uint32(0)
 		li := l - 1
-		dec.VisitLevel(work, l, interp.Linear, func(idx int, pred float64) float64 {
+		lossy.VisitLevel(dec, work, l, interp.Linear, func(idx int, pred float64) float64 {
 			k, ok := q.Quantize(orig[idx] - pred)
 			if !ok {
 				a.OutIdx[li] = append(a.OutIdx[li], seq)
@@ -261,7 +262,7 @@ func (a *Archive) RetrieveErrorBound(e float64) (*Retrieval, error) {
 
 		seq := 0
 		oi := 0
-		dec.VisitLevel(data, l, interp.Linear, func(_ int, pred float64) float64 {
+		lossy.VisitLevel(dec, data, l, interp.Linear, func(_ int, pred float64) float64 {
 			v := pred + q.Dequantize(nb.Decode32(nbv[seq]))
 			if oi < len(a.OutIdx[li]) && a.OutIdx[li][oi] == uint32(seq) {
 				v = a.OutVal[li][oi]

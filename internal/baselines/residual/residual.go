@@ -22,8 +22,8 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/baselines/lossy"
 	"repro/internal/grid"
-	"repro/internal/lossy"
 )
 
 // DefaultLadder builds the paper's bound ladder: nine bounds from 2^16·eb

@@ -4,9 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/baselines/sz3"
+	"repro/internal/baselines/zfp"
 	"repro/internal/grid"
-	"repro/internal/sz3"
-	"repro/internal/zfp"
 )
 
 func field(shape grid.Shape) *grid.Grid[float64] {

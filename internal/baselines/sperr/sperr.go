@@ -19,11 +19,11 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/baselines/huffman"
+	"repro/internal/baselines/wavelet"
 	"repro/internal/codec"
 	"repro/internal/grid"
-	"repro/internal/huffman"
 	"repro/internal/quant"
-	"repro/internal/wavelet"
 )
 
 const magic = 0x525053 // "SPR"

@@ -17,9 +17,10 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/baselines/huffman"
+	"repro/internal/baselines/lossy"
 	"repro/internal/codec"
 	"repro/internal/grid"
-	"repro/internal/huffman"
 	"repro/internal/interp"
 	"repro/internal/quant"
 )
@@ -65,7 +66,7 @@ func (c *Codec) Compress(g *grid.Grid[float64], eb float64) ([]byte, error) {
 	var outVal []float64
 	seq := uint32(0)
 	for l := dec.NumLevels(); l >= 1; l-- {
-		dec.VisitLevel(work, l, c.Kind, func(idx int, pred float64) float64 {
+		lossy.VisitLevel(dec, work, l, c.Kind, func(idx int, pred float64) float64 {
 			k, recon, ok := q.QuantizeReconstruct(work[idx], pred)
 			if !ok {
 				outIdx = append(outIdx, seq)
@@ -184,7 +185,7 @@ func (c *Codec) Decompress(blob []byte, shape grid.Shape) (*grid.Grid[float64], 
 		return nil, fmt.Errorf("sz3: %d indices for %d points", len(ks), shape.Len()-len(anchors))
 	}
 	for l := dec.NumLevels(); l >= 1; l-- {
-		dec.VisitLevel(data, l, interp.Kind(kind), func(_ int, pred float64) float64 {
+		lossy.VisitLevel(dec, data, l, interp.Kind(kind), func(_ int, pred float64) float64 {
 			v := pred + q.Dequantize(ks[pos])
 			if oi < len(outIdx) && outIdx[oi] == uint32(pos) {
 				v = outVal[oi]

@@ -146,9 +146,6 @@ func (r *Ring) Owns(node, container string) bool {
 // Primary returns the container's first replica.
 func (r *Ring) Primary(container string) string { return r.Replicas(container)[0] }
 
-// Nodes returns the ring's membership in sorted order.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
 // Replication returns the effective replication factor (clamped to the
 // node count at construction).
 func (r *Ring) Replication() int { return r.replication }

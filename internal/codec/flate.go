@@ -6,7 +6,7 @@
 // far better than DEFLATE's default level 6) and decoder (inflate.go) — a
 // byte-alphabet Huffman coder for mid-entropy bitplanes, and a byte-oriented
 // run-length coder for sparse ones. (The int32 Huffman coder of the
-// SZ3-lite and SPERR-lite baselines is internal/huffman.)
+// SZ3-lite and SPERR-lite baselines is internal/baselines/huffman.)
 package codec
 
 // Deflate compresses src with DEFLATE: the stream compress/flate writes at

@@ -4,7 +4,7 @@
 // reproduces the statistical character that drives compressor behaviour —
 // smoothness, spectral decay, anisotropy, fronts — at a configurable scale.
 // What the paper's claims become on these stand-ins is pinned as orderings,
-// not magnitudes, by internal/harness/harness_test.go.
+// not magnitudes, by internal/baselines/harness/harness_test.go.
 //
 // All generators are deterministic for a given seed.
 package datagen

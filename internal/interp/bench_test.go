@@ -38,28 +38,3 @@ func BenchmarkInterpPass(b *testing.B) {
 	}
 	_ = sink
 }
-
-// BenchmarkVisitLevelShim measures the same walk through the per-point
-// VisitFunc compatibility shim, quantifying what the run batching saves.
-func BenchmarkVisitLevelShim(b *testing.B) {
-	shape := grid.Shape{128, 128, 128}
-	d, err := NewDecomposition(shape)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]float64, shape.Len())
-	for i := range data {
-		data[i] = float64(i%251) * 0.25
-	}
-	var sink float64
-	b.SetBytes(int64(d.LevelCount(1) * 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.VisitLevel(data, 1, Cubic, func(idx int, pred float64) float64 {
-			sink += pred
-			return data[idx]
-		})
-	}
-	_ = sink
-}

@@ -11,15 +11,13 @@
 // which are guaranteed to be already reconstructed. The visit order is fully
 // deterministic, so compression and decompression see identical predictions.
 //
-// The package exposes the geometry at three granularities:
+// The package exposes the geometry at two granularities:
 //
 //   - Decomposition answers shape-level questions (NumLevels, LevelCount,
 //     Anchors) in closed form.
 //   - LevelPasses / VisitRuns decompose a level's pass into maximal runs
 //     of uniform prediction, shardable by target range — the batched form
 //     internal/core's fused kernels consume, with no per-point closures.
-//   - VisitLevel is the legacy per-point visitor, kept as a thin shim
-//     over the run enumeration for tests and reference code.
 //
 // Predict evaluates the interpolation formulas themselves, generically
 // over float32/float64.

@@ -97,35 +97,6 @@ func (d *Decomposition) LevelCount(l int) int {
 	return count
 }
 
-// VisitFunc receives a target point's flat index and its interpolation
-// prediction and returns the value to store there (the reconstructed value).
-type VisitFunc func(idx int, pred float64) float64
-
-// VisitLevel runs all dimension passes of level l (stride 2^(l-1)) over data
-// in canonical order. When data is nil the predictions are reported as zero
-// and nothing is stored — used only for counting.
-//
-// This is a compatibility shim over the batched run engine (see runs.go);
-// hot paths iterate runs directly instead of paying a call per point.
-func (d *Decomposition) VisitLevel(data []float64, l int, kind Kind, fn VisitFunc) {
-	for _, p := range d.LevelPasses(l) {
-		p.VisitRuns(kind, 0, p.Targets(), func(r *Run) {
-			f := r.Flat
-			for i := 0; i < r.N; i++ {
-				pred := 0.0
-				if data != nil {
-					pred = r.Predict(data, f)
-				}
-				v := fn(f, pred)
-				if data != nil {
-					data[f] = v
-				}
-				f += r.Step
-			}
-		})
-	}
-}
-
 type coordStep struct {
 	start, step, limit int
 }

@@ -53,7 +53,7 @@ func TestCoverage(t *testing.T) {
 			visits[a]++
 		}
 		for l := d.NumLevels(); l >= 1; l-- {
-			d.VisitLevel(nil, l, Linear, func(idx int, _ float64) float64 {
+			visitPoints(d, nil, l, Linear, func(idx int, _ float64) float64 {
 				visits[idx]++
 				return 0
 			})
@@ -66,7 +66,7 @@ func TestCoverage(t *testing.T) {
 	}
 }
 
-// TestVisitLevelNilDataCounts checks LevelCount sums with anchors to the
+// TestLevelCountSums checks LevelCount sums with anchors to the
 // total element count.
 func TestLevelCountSums(t *testing.T) {
 	shape := grid.Shape{33, 20, 7}
@@ -96,7 +96,7 @@ func TestPredictionExactOnLinearField(t *testing.T) {
 	d, _ := NewDecomposition(shape)
 	data := g.Clone().Data()
 	for l := d.NumLevels(); l >= 1; l-- {
-		d.VisitLevel(data, l, Linear, func(idx int, pred float64) float64 {
+		visitPoints(d, data, l, Linear, func(idx int, pred float64) float64 {
 			// Interior points of an affine field are predicted exactly;
 			// boundary copies may differ. Check only exact predictions on
 			// interior-ish points via the residual magnitude.
@@ -115,13 +115,13 @@ func TestDeterministicOrder(t *testing.T) {
 	d, _ := NewDecomposition(shape)
 	var a, b []int
 	for l := d.NumLevels(); l >= 1; l-- {
-		d.VisitLevel(nil, l, Cubic, func(idx int, _ float64) float64 {
+		visitPoints(d, nil, l, Cubic, func(idx int, _ float64) float64 {
 			a = append(a, idx)
 			return 0
 		})
 	}
 	for l := d.NumLevels(); l >= 1; l-- {
-		d.VisitLevel(nil, l, Cubic, func(idx int, _ float64) float64 {
+		visitPoints(d, nil, l, Cubic, func(idx int, _ float64) float64 {
 			b = append(b, idx)
 			return 0
 		})
@@ -152,7 +152,7 @@ func TestLosslessReconstruction(t *testing.T) {
 		work := append([]float64(nil), orig...)
 		var residuals []float64
 		for l := d.NumLevels(); l >= 1; l-- {
-			d.VisitLevel(work, l, Cubic, func(idx int, pred float64) float64 {
+			visitPoints(d, work, l, Cubic, func(idx int, pred float64) float64 {
 				residuals = append(residuals, work[idx]-pred)
 				return work[idx]
 			})
@@ -165,7 +165,7 @@ func TestLosslessReconstruction(t *testing.T) {
 		}
 		pos := 0
 		for l := d.NumLevels(); l >= 1; l-- {
-			d.VisitLevel(rec, l, Cubic, func(idx int, pred float64) float64 {
+			visitPoints(d, rec, l, Cubic, func(idx int, pred float64) float64 {
 				v := pred + residuals[pos]
 				pos++
 				return v

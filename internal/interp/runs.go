@@ -3,7 +3,7 @@ package interp
 import "repro/internal/grid"
 
 // This file implements the batched interpolation engine that replaced the
-// original per-point VisitFunc walk. A level is a sequence of dimension
+// original per-point closure walk. A level is a sequence of dimension
 // passes; within one pass every target point (odd multiple of the stride s
 // along the active dimension) is predicted exclusively from even multiples
 // of s along that dimension, which the pass never writes. All targets of a
@@ -32,7 +32,7 @@ const (
 
 // Run is a maximal batch of target points sharing one prediction formula.
 // The k-th point (k = 0..N-1) lives at flat index Flat + k*Step and has
-// canonical (VisitLevel-order) sequence index Seq + k within its level.
+// canonical sequence index Seq + k within its level.
 type Run struct {
 	Flat int // flat index of the first target
 	Step int // flat stride between successive targets
@@ -63,16 +63,15 @@ func Predict[T grid.Scalar](r *Run, data []T, f int) T {
 }
 
 // Predict is the float64 form of the generic Predict function, kept as a
-// method for the VisitLevel shim and the sibling float64-only compressors.
+// method for the float64-only baselines and the benchmark's probes.
 func (r *Run) Predict(data []float64, f int) float64 { return Predict(r, data, f) }
 
 // Pass is one dimension pass of one level: the set of points whose
-// coordinate along Dim is an odd multiple of the level stride s, whose
-// earlier coordinates are multiples of s and later coordinates multiples
-// of 2s, in lexicographic order.
+// coordinate along the active dimension is an odd multiple of the level
+// stride s, whose earlier coordinates are multiples of s and later
+// coordinates multiples of 2s, in lexicographic order.
 type Pass struct {
 	dec    *Decomposition
-	level  int
 	dim    int
 	s      int
 	rank   int
@@ -91,7 +90,7 @@ func (d *Decomposition) LevelPasses(l int) []Pass {
 	seq := 0
 	for dim := 0; dim < nd; dim++ {
 		p := &passes[dim]
-		p.dec, p.level, p.dim, p.s, p.rank, p.seqOff = d, l, dim, s, nd, seq
+		p.dec, p.dim, p.s, p.rank, p.seqOff = d, dim, s, nd, seq
 		p.total = 1
 		for j := 0; j < nd; j++ {
 			p.cnt[j] = passIterations(d.shape[j], s, j, dim)
@@ -125,12 +124,6 @@ func (p *Pass) Targets() int { return p.total }
 // SeqOffset returns the level-local canonical sequence index of the pass's
 // first target.
 func (p *Pass) SeqOffset() int { return p.seqOff }
-
-// Dim returns the active dimension of the pass.
-func (p *Pass) Dim() int { return p.dim }
-
-// Stride returns the level stride s = 2^(l-1).
-func (p *Pass) Stride() int { return p.s }
 
 // runSeg is a range of active-dimension iteration indices sharing a mode.
 type runSeg struct {

@@ -7,10 +7,34 @@ import (
 	"repro/internal/grid"
 )
 
+// visitFunc receives a target point's flat index and its prediction and
+// returns the value to store there.
+type visitFunc = func(idx int, pred float64) float64
+
+// visitPoints walks level l of d one point at a time in canonical order by
+// driving LevelPasses/VisitRuns directly. When data is nil the predictions
+// are zero and nothing is stored.
+func visitPoints(d *Decomposition, data []float64, l int, kind Kind, fn visitFunc) {
+	for _, p := range d.LevelPasses(l) {
+		p.VisitRuns(kind, 0, p.Targets(), func(r *Run) {
+			for i, f := 0, r.Flat; i < r.N; i, f = i+1, f+r.Step {
+				pred := 0.0
+				if data != nil {
+					pred = r.Predict(data, f)
+				}
+				v := fn(f, pred)
+				if data != nil {
+					data[f] = v
+				}
+			}
+		})
+	}
+}
+
 // refVisitLevel is the original per-point closure implementation, kept
 // verbatim as the oracle the batched run engine must match exactly: same
 // visit order, same flat indices, bit-identical predictions.
-func refVisitLevel(d *Decomposition, data []float64, l int, kind Kind, fn VisitFunc) {
+func refVisitLevel(d *Decomposition, data []float64, l int, kind Kind, fn visitFunc) {
 	s := 1 << uint(l-1)
 	for dim := 0; dim < len(d.shape); dim++ {
 		nd := len(d.shape)
@@ -87,7 +111,7 @@ var crossShapes = []grid.Shape{
 }
 
 // TestRunEngineMatchesReference replays every level of many shapes through
-// both the batched engine (via the VisitLevel shim) and the original
+// both the batched engine (LevelPasses/VisitRuns) and the original
 // per-point walk, asserting identical visit order, indices, and predictions.
 func TestRunEngineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -105,7 +129,7 @@ func TestRunEngineMatchesReference(t *testing.T) {
 				idx  int
 				pred float64
 			}
-			collect := func(walk func(data []float64, l int, fn VisitFunc)) []visit {
+			collect := func(walk func(data []float64, l int, fn visitFunc)) []visit {
 				data := append([]float64(nil), orig...)
 				var out []visit
 				for l := d.NumLevels(); l >= 1; l-- {
@@ -116,10 +140,10 @@ func TestRunEngineMatchesReference(t *testing.T) {
 				}
 				return out
 			}
-			got := collect(func(data []float64, l int, fn VisitFunc) {
-				d.VisitLevel(data, l, kind, fn)
+			got := collect(func(data []float64, l int, fn visitFunc) {
+				visitPoints(d, data, l, kind, fn)
 			})
-			want := collect(func(data []float64, l int, fn VisitFunc) {
+			want := collect(func(data []float64, l int, fn visitFunc) {
 				refVisitLevel(d, data, l, kind, fn)
 			})
 			if len(got) != len(want) {
@@ -145,7 +169,7 @@ func TestLevelCountClosedForm(t *testing.T) {
 		}
 		for l := 1; l <= d.NumLevels(); l++ {
 			walked := 0
-			d.VisitLevel(nil, l, Linear, func(int, float64) float64 { walked++; return 0 })
+			visitPoints(d, nil, l, Linear, func(int, float64) float64 { walked++; return 0 })
 			ref := 0
 			refVisitLevel(d, nil, l, Linear, func(int, float64) float64 { ref++; return 0 })
 			if got := d.LevelCount(l); got != ref || walked != ref {

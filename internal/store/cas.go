@@ -7,9 +7,7 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
 
-	"repro/internal/backend"
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -182,9 +180,6 @@ func snapshotContainer(c *cas.Store, m *cas.Manifest) (*snapshotReaderAt, error)
 	return r, nil
 }
 
-// Size returns the synthetic container's total size.
-func (r *snapshotReaderAt) Size() int64 { return r.size }
-
 // ReadAt implements io.ReaderAt over the container image; reads may span
 // the preamble, any number of blobs, and the tail.
 func (r *snapshotReaderAt) ReadAt(p []byte, off int64) (int, error) {
@@ -263,78 +258,3 @@ func OpenSnapshot(c *cas.Store, field string, t int) (*Store, error) {
 	s.snap = r
 	return s, nil
 }
-
-// CASBackend presents a CAS's snapshots as a storage backend: every
-// snapshot is a container named field@tN over the standard ranged-read
-// contract, so ipcompd can serve a CAS directory exactly as it serves a
-// directory of packed containers (and an edge can proxy one).
-type CASBackend struct {
-	c  *cas.Store
-	mu sync.Mutex
-	rs map[string]*snapshotReaderAt
-}
-
-// NewCASBackend wraps a CAS as a read-only backend.
-func NewCASBackend(c *cas.Store) *CASBackend {
-	return &CASBackend{c: c, rs: make(map[string]*snapshotReaderAt)}
-}
-
-// List names every snapshot, sealed and staged, ordered by field then t.
-func (b *CASBackend) List() ([]string, error) {
-	snaps := b.c.Snapshots()
-	out := make([]string, len(snaps))
-	for i, sn := range snaps {
-		out[i] = sn.Name
-	}
-	return out, nil
-}
-
-// container returns the (cached) synthetic container image of a
-// snapshot. Manifests are immutable once staged, so an entry never goes
-// stale; deleted snapshots simply stop being listed.
-func (b *CASBackend) container(name string) (*snapshotReaderAt, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if r, ok := b.rs[name]; ok {
-		return r, nil
-	}
-	field, t, err := cas.ParseSnapshotName(name)
-	if err != nil {
-		return nil, err
-	}
-	m, ok := b.c.Manifest(field, t)
-	if !ok {
-		return nil, fmt.Errorf("store: no snapshot %s in CAS %s", name, b.c.Dir())
-	}
-	r, err := snapshotContainer(b.c, m)
-	if err != nil {
-		return nil, err
-	}
-	b.rs[name] = r
-	return r, nil
-}
-
-// Size returns the named snapshot container's size.
-func (b *CASBackend) Size(name string) (int64, error) {
-	r, err := b.container(name)
-	if err != nil {
-		return 0, err
-	}
-	return r.size, nil
-}
-
-// ReadAt fills p from the named snapshot container per the backend
-// contract: the range must lie inside the container and a nil error
-// means p was filled completely.
-func (b *CASBackend) ReadAt(name string, p []byte, off int64) (int, error) {
-	r, err := b.container(name)
-	if err != nil {
-		return 0, err
-	}
-	if off < 0 || off > r.size || int64(len(p)) > r.size-off {
-		return 0, fmt.Errorf("backend: read [%d,%d) outside container %q of %d bytes", off, off+int64(len(p)), name, r.size)
-	}
-	return r.ReadAt(p, off)
-}
-
-var _ backend.Backend = (*CASBackend)(nil)

@@ -257,49 +257,6 @@ func f64bytes(v []float64) []byte {
 	return out
 }
 
-// TestCASBackendContract checks the backend facade over a CAS: listing,
-// sizes, in-range reads, and the strict out-of-range error the backend
-// contract requires.
-func TestCASBackendContract(t *testing.T) {
-	c, err := cas.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := seriesGrid(t, []int{16, 16, 16}, []int{8, 8, 8}, 0, nil)
-	m, _, err := PackSnapshot(c, "f", g, WriteOptions{ErrorBound: 1e-4, ChunkShape: []int{8, 8, 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewCASBackend(c)
-	names, err := b.List()
-	if err != nil || len(names) != 1 || names[0] != "f@t0" {
-		t.Fatalf("List = %v, %v", names, err)
-	}
-	size, err := b.Size("f@t0")
-	if err != nil || size <= 0 {
-		t.Fatalf("Size = %d, %v", size, err)
-	}
-	// A backend-opened store serves the same data.
-	s, err := OpenBackend(b, "f@t0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RetrieveRegion(m.Name(), []int{0, 0, 0}, []int{8, 8, 8}, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Contract: reads outside the container must error, not truncate.
-	p := make([]byte, 10)
-	if _, err := b.ReadAt("f@t0", p, size-5); err == nil {
-		t.Fatal("out-of-range ReadAt succeeded")
-	}
-	if _, err := b.ReadAt("f@t0", p, -1); err == nil {
-		t.Fatal("negative-offset ReadAt succeeded")
-	}
-	if _, err := b.Size("nope@t0"); err == nil {
-		t.Fatal("Size of a missing snapshot succeeded")
-	}
-}
-
 // TestSeriesBound pins the one rule both writers (the POST endpoints and
 // `ipcomp snapshot put`) resolve a snapshot's bound by.
 func TestSeriesBound(t *testing.T) {

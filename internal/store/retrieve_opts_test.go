@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/grid"
 )
 
@@ -103,6 +104,7 @@ func TestRetrieveGate(t *testing.T) {
 	gateErr := errors.New("admission denied")
 	calls := 0
 	deny := RetrieveOptions{Gate: func() error { calls++; return gateErr }}
+	cacheBefore := s.TileCache().Stats()
 	if _, err := s.RetrieveRegionOpts("field", lo, hi, 64*eb, deny); !errors.Is(err, gateErr) {
 		t.Fatalf("cold retrieval with denying gate: err = %v, want gate error", err)
 	}
@@ -111,6 +113,11 @@ func TestRetrieveGate(t *testing.T) {
 	}
 	if st := s.Stats(); st.TileDecodes != 0 {
 		t.Fatalf("denied retrieval still decoded %d tiles", st.TileDecodes)
+	}
+	// A refused retrieval admits nothing: no empty entry is charged a
+	// decoded tile's size.
+	if got := s.TileCache().Stats(); got != cacheBefore {
+		t.Fatalf("denied retrieval changed the tile cache: %+v -> %+v", cacheBefore, got)
 	}
 
 	calls = 0
@@ -149,6 +156,43 @@ func TestRetrieveGate(t *testing.T) {
 		}
 	} else {
 		t.Logf("loose decode already guarantees %g <= eb %g; refine-gating covered elsewhere", warm.GuaranteedError(), eb)
+	}
+}
+
+// TestRefusedRetrievalKeepsWarmTiles: a retrieval the gate refuses must
+// not evict the warm tiles of a cache it does not fit beside. With room for
+// 32 tiles, half of a 64-tile field warm, and a refused retrieval over the
+// other half, re-reading the warm half decodes nothing.
+func TestRefusedRetrievalKeepsWarmTiles(t *testing.T) {
+	g := testField(t, grid.Shape{64, 64, 64})
+	eb := 1e-6 * g.ValueRange()
+	s := openStore(t, packOne(t, g, eb, grid.Shape{16, 16, 16}))
+	s.SetCacheBytes(32 * 16 * 16 * 16 * cachedBytesPerElem(core.Float64))
+	bound := 64 * eb
+	warmLo, warmHi := []int{0, 0, 0}, []int{32, 64, 64}
+
+	if _, err := s.RetrieveRegion("field", warmLo, warmHi, bound); err != nil {
+		t.Fatal(err)
+	}
+	warm := s.TileCache().Stats()
+	decodes := s.Stats().TileDecodes
+	if warm.Entries != 32 || warm.Evictions != 0 {
+		t.Fatalf("warming half the field: %+v, want 32 entries and no eviction", warm)
+	}
+
+	gateErr := errors.New("admission denied")
+	deny := RetrieveOptions{Gate: func() error { return gateErr }}
+	if _, err := s.RetrieveRegionOpts("field", []int{32, 0, 0}, []int{64, 64, 64}, bound, deny); !errors.Is(err, gateErr) {
+		t.Fatalf("refused retrieval: err = %v, want gate error", err)
+	}
+	if got := s.TileCache().Stats(); got != warm {
+		t.Fatalf("refused retrieval changed the tile cache: %+v -> %+v", warm, got)
+	}
+	if _, err := s.RetrieveRegion("field", warmLo, warmHi, bound); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().TileDecodes; got != decodes {
+		t.Fatalf("re-reading the warm half decoded %d tiles, want 0", got-decodes)
 	}
 }
 

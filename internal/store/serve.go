@@ -99,7 +99,7 @@ func (s *Store) PlanRegion(name string, lo, hi []int, bound, haveBound float64) 
 		return nil, fmt.Errorf("%w (%g < %g)", ErrBadRefineBase, haveBound, ds.eb)
 	}
 
-	chunks := ds.til.intersecting(lo, hi)
+	chunks := ds.til.intersectingInto(nil, lo, hi)
 	plans := make([]ChunkPlan, len(chunks))
 	skip := make([]bool, len(chunks))
 	guaranteed := make([]float64, len(chunks))

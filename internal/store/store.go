@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -357,16 +356,21 @@ func retrieveRegionAs[T grid.Scalar](s *Store, ds *datasetMeta, lo, hi []int, bo
 	// Warm sweep: serve every tile already decoded at sufficient fidelity
 	// under its read lock — no goroutines, no channel, no allocation. The
 	// copy-out happens while the entry is read-locked because a concurrent
-	// tighter query could otherwise refine the shared slice mid-copy.
+	// tighter query could otherwise refine the shared slice mid-copy. The
+	// sweep only peeks: a tile not in the cache is admitted after the gate
+	// passes, so a refused retrieval charges and evicts nothing.
 	var stageT time.Time
 	if opts.Stage != nil {
 		stageT = time.Now()
 	}
 	for pos, ci := range sc.chunks {
 		rec := &ds.chunks[ci]
-		entry := s.cache.acquire(s.tileKey(ds, ci),
-			int64(boxLen(rec.lo, rec.hi))*cachedBytesPerElem(ds.scalar))
+		entry := s.cache.peek(s.tileKey(ds, ci))
 		sc.entries = append(sc.entries, entry)
+		if entry == nil {
+			sc.cold = append(sc.cold, pos)
+			continue
+		}
 		entry.mu.RLock()
 		if entry.res != nil && entry.res.GuaranteedError() <= bound {
 			s.stats.hits.Add(1)
@@ -389,10 +393,20 @@ func retrieveRegionAs[T grid.Scalar](s *Store, ds *datasetMeta, lo, hi []int, bo
 	}
 
 	// At least one tile needs decode or refine work: pass through the
-	// admission gate once, then fan out over just the cold tiles.
+	// admission gate once, admit the tiles the cache does not hold, then fan
+	// out over just the cold tiles. acquire is idempotent under the shard
+	// lock, so concurrent retrievals of one tile still share one entry and
+	// one decode.
 	if opts.Gate != nil {
 		if err := opts.Gate(); err != nil {
 			return nil, err
+		}
+	}
+	for _, pos := range sc.cold {
+		if sc.entries[pos] == nil {
+			rec := &ds.chunks[sc.chunks[pos]]
+			sc.entries[pos] = s.cache.acquire(s.tileKey(ds, sc.chunks[pos]),
+				int64(boxLen(rec.lo, rec.hi))*cachedBytesPerElem(ds.scalar))
 		}
 	}
 	if cap(sc.loaded) < len(sc.cold) {
@@ -572,24 +586,4 @@ func (s *Store) ensureChunk(entry *chunkEntry, ds *datasetMeta, ci int, bound fl
 	// write lock.
 	s.stats.hits.Add(1)
 	return nil
-}
-
-// ChunksIntersecting reports which chunk boxes of a dataset a region
-// touches, for planning and instrumentation. The boxes are returned in
-// row-major chunk order.
-func (s *Store) ChunksIntersecting(name string, lo, hi []int) ([][2][]int, error) {
-	ds, ok := s.datasets[name]
-	if !ok {
-		return nil, fmt.Errorf("store: no dataset %q (have %v)", name, s.order)
-	}
-	if err := validateRegion(ds.shape, lo, hi); err != nil {
-		return nil, err
-	}
-	idx := ds.til.intersecting(lo, hi)
-	sort.Ints(idx)
-	out := make([][2][]int, len(idx))
-	for i, ci := range idx {
-		out[i] = [2][]int{ds.chunks[ci].lo, ds.chunks[ci].hi}
-	}
-	return out, nil
 }

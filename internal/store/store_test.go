@@ -82,7 +82,7 @@ func TestTiling(t *testing.T) {
 	if lo[0] != 8 || hi[0] != 10 || lo[1] != 6 || hi[1] != 7 {
 		t.Fatalf("last chunk box [%v,%v)", lo, hi)
 	}
-	got := til.intersecting([]int{3, 2}, []int{5, 4})
+	got := til.intersectingInto(nil, []int{3, 2}, []int{5, 4})
 	// Rows 0-1 x cols 0-1 of the 3x3 chunk grid.
 	want := []int{0, 1, 3, 4}
 	if len(got) != len(want) {

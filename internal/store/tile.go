@@ -104,16 +104,11 @@ func (t *tiling) box(i int) (lo, hi []int) {
 // dataset reaches) fall back to allocating the coordinate scratch.
 const maxStackRank = 8
 
-// intersecting returns the linear indices of every chunk whose box overlaps
-// the region [lo, hi), in row-major chunk order.
-func (t *tiling) intersecting(lo, hi []int) []int {
-	return t.intersectingInto(nil, lo, hi)
-}
-
-// intersectingInto is intersecting with a reusable destination slice: the
-// indices are appended to dst[:0]'s backing array, so a caller that keeps
-// the returned slice as the next call's dst performs no allocation once
-// its capacity has grown to the working-set size.
+// intersectingInto returns the linear indices of every chunk whose box
+// overlaps the region [lo, hi), in row-major chunk order. The indices are
+// appended to dst[:0]'s backing array, so a caller that keeps the returned
+// slice as the next call's dst performs no allocation once its capacity has
+// grown to the working-set size.
 func (t *tiling) intersectingInto(dst []int, lo, hi []int) []int {
 	r := len(t.shape)
 	var c0a, c1a, cura [maxStackRank]int

@@ -72,7 +72,7 @@ func TestSharedCacheDecodesWhatChanged(t *testing.T) {
 
 	s0 := openShared(t, c, 0, tiles)
 	name0, name1 := ms[0].Name(), ms[1].Name()
-	inBox := s0.datasets[name0].til.intersecting(lo, hi)
+	inBox := s0.datasets[name0].til.intersectingInto(nil, lo, hi)
 	changed := 0
 	for _, ci := range inBox {
 		if ms[0].Tiles[ci].Score != ms[1].Tiles[ci].Score {
