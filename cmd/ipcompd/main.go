@@ -5,12 +5,14 @@
 //
 // Usage:
 //
-//	ipcompd [-listen :8080] [-cache-mb 256] [-backend-cache-mb 64] [-prefetch-kb 0]
+//	ipcompd [-listen :8080] [-cache-mb 256] [-backend-cache-mb 64]
 //	        [-max-decode-concurrency 0] [-max-request-bytes 0] [-queue-timeout 1s] [-degrade]
 //	        [-writable -cas-dir DIR [-seal-interval 10s]]
-//	        [-self NAME -peers NAME=URL,... [-replication 2] [-vnodes 64]]
+//	        [-self NAME -peers NAME=URL,... [-replication 2]]
 //	        [-trace-sample N] [-trace-slow 250ms] [-debug-addr 127.0.0.1:6060] [-log-format text|json]
 //	        [<container> ...]
+//
+// ipcompd -h lists every flag with its default.
 //
 // -cache-mb is one budget for the process: every container and every
 // snapshot served keeps its decoded tiles in the same cache, so the
@@ -22,10 +24,11 @@
 // directory of containers, or an http(s) origin — another ipcompd (all of
 // its containers, or one named via /v1/containers/<name>) or a file on
 // any Range-capable static server. Remote containers are read through a
-// span-granular byte cache, which is what turns an ipcompd pointed at
-// another ipcompd into an edge proxy: progressive plane spans are
-// forwarded from the cache without decoding, and warm traffic never
-// touches the origin.
+// span-granular byte cache (-backend-cache-mb; at 0 it caches nothing but
+// still joins concurrent identical reads into one origin request), which
+// is what turns an ipcompd pointed at another ipcompd into an edge proxy:
+// progressive plane spans are forwarded from the cache without decoding,
+// and warm traffic never touches the origin.
 //
 // Every dataset of every container is served under its own name; names
 // must be unique across the given containers. A quick session:
@@ -76,7 +79,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/cas"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -89,12 +91,10 @@ var logx *obs.Logger
 func main() {
 	listen := flag.String("listen", ":8080", "address to serve HTTP on")
 	cacheMB := flag.Int64("cache-mb", 256, "decoded-tile cache budget of the process, shared by every container and snapshot served, in MiB (0 disables)")
-	backendCacheMB := flag.Int64("backend-cache-mb", 64, "span-cache budget per remote backend, in MiB (0 disables)")
-	prefetchKB := flag.Int64("prefetch-kb", 0, "sequential readahead per remote container, in KiB (0 disables)")
+	backendCacheMB := flag.Int64("backend-cache-mb", 64, "span-cache budget per remote backend, in MiB (0 caches nothing; identical concurrent reads still share one origin request)")
 	self := flag.String("self", "", "cluster mode: this node's name in -peers")
 	peers := flag.String("peers", "", "cluster mode: full membership as name=url,name=url,... (identical on every node)")
 	replication := flag.Int("replication", 2, "cluster mode: replicas per container")
-	vnodes := flag.Int("vnodes", 0, "cluster mode: virtual nodes per peer (0 = default)")
 	maxDecode := flag.Int("max-decode-concurrency", 0, "admission: concurrent decode slots; cold requests queue for one (0 = unlimited)")
 	maxReqBytes := flag.Int64("max-request-bytes", 0, "admission: per-request response byte budget (0 = unlimited)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "admission: max wait for a decode slot (0 = default 1s)")
@@ -107,7 +107,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and expvar on this separate address (empty disables)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ipcompd [-listen :8080] [-cache-mb 256] [-backend-cache-mb 64] [-prefetch-kb 0] [-max-decode-concurrency N] [-max-request-bytes N] [-degrade] [-writable -cas-dir DIR] [-self NAME -peers NAME=URL,...] [-trace-sample N] [-trace-slow D] [-debug-addr ADDR] [-log-format text|json] [<path|dir|url> ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: ipcompd [flags] [<path|dir|url> ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -122,16 +122,13 @@ func main() {
 	if !*writable && *casDir != "" {
 		logx.Fatal("-cas-dir requires -writable (a snapshot store has exactly one writer)")
 	}
-	if *prefetchKB > 0 && *backendCacheMB <= 0 {
-		logx.Fatal("-prefetch-kb requires a span cache to land in; set -backend-cache-mb > 0")
-	}
 	if (*self == "") != (*peers == "") {
 		logx.Fatal("cluster mode needs both -self and -peers")
 	}
 	if *writable && *self != "" {
 		logx.Fatal("-writable is incompatible with cluster mode; run the writable node standalone")
 	}
-	cl := clusterFlags{self: *self, peers: *peers, replication: *replication, vnodes: *vnodes}
+	cl := clusterFlags{self: *self, peers: *peers, replication: *replication}
 	adm := server.AdmissionOptions{
 		MaxDecodeConcurrency: *maxDecode,
 		MaxRequestBytes:      *maxReqBytes,
@@ -140,7 +137,7 @@ func main() {
 	}
 	ing := ingestFlags{writable: *writable, casDir: *casDir, sealInterval: *sealInterval}
 	ob := obsFlags{traceSample: *traceSample, traceSlow: *traceSlow, debugAddr: *debugAddr}
-	if err := run(*listen, *cacheMB, *backendCacheMB, *prefetchKB, cl, adm, ing, ob, flag.Args()); err != nil {
+	if err := run(*listen, *cacheMB, *backendCacheMB, cl, adm, ing, ob, flag.Args()); err != nil {
 		logx.Fatal(err.Error())
 	}
 }
@@ -166,7 +163,6 @@ type clusterFlags struct {
 	self        string
 	peers       string
 	replication int
-	vnodes      int
 }
 
 // parsePeers parses "n1=http://h1:8080,n2=http://h2:8080" into the
@@ -190,18 +186,20 @@ func parsePeers(s string) ([]server.Peer, error) {
 	return out, nil
 }
 
-// openSpec resolves one container argument to its backend (cached when
-// remote) and the container names to serve from it. explicit reports
-// whether the spec named one container itself (so a failure to open it
-// must abort) or enumerated a backend (where a stray non-container file
-// in a served directory should be skipped, not fatal).
-func openSpec(spec string, backendCacheMB, prefetchKB int64) (b backend.Backend, names []string, explicit bool, err error) {
+// openSpec resolves one container argument to its backend (behind a
+// Cached tier when remote, whatever its budget: that tier is where
+// concurrent identical origin reads are joined) and the container names
+// to serve from it. explicit reports whether the spec named one
+// container itself (so a failure to open it must abort) or enumerated a
+// backend (where a stray non-container file in a served directory should
+// be skipped, not fatal).
+func openSpec(spec string, backendCacheMB int64) (b backend.Backend, names []string, explicit bool, err error) {
 	b, name, err := backend.Open(spec)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	if backend.IsRemote(b) && backendCacheMB > 0 {
-		b = backend.NewCached(b, backendCacheMB<<20, prefetchKB<<10)
+	if backend.IsRemote(b) {
+		b = backend.NewCached(b, backendCacheMB<<20)
 	}
 	if name != "" {
 		return b, []string{name}, true, nil
@@ -221,7 +219,7 @@ func openSpec(spec string, backendCacheMB, prefetchKB int64) (b backend.Backend,
 // register opens every container spec and registers it with the server:
 // owned containers are served (AddStore), peer-owned ones enter the
 // routing catalog (AddRemote). Outside cluster mode everything is owned.
-func register(srv *server.Server, clustered bool, backendCacheMB, prefetchKB int64, specs []string) (cleanup func(), err error) {
+func register(srv *server.Server, clustered bool, backendCacheMB int64, specs []string) (cleanup func(), err error) {
 	var backends []backend.Backend
 	cleanup = func() {
 		for _, b := range backends {
@@ -230,7 +228,7 @@ func register(srv *server.Server, clustered bool, backendCacheMB, prefetchKB int
 	}
 	used := make(map[string]bool)
 	for _, spec := range specs {
-		b, names, explicit, err := openSpec(spec, backendCacheMB, prefetchKB)
+		b, names, explicit, err := openSpec(spec, backendCacheMB)
 		if err != nil {
 			return cleanup, err
 		}
@@ -298,7 +296,7 @@ func register(srv *server.Server, clustered bool, backendCacheMB, prefetchKB int
 	return cleanup, nil
 }
 
-func run(listen string, cacheMB, backendCacheMB, prefetchKB int64, cl clusterFlags, adm server.AdmissionOptions, ing ingestFlags, ob obsFlags, specs []string) error {
+func run(listen string, cacheMB, backendCacheMB int64, cl clusterFlags, adm server.AdmissionOptions, ing ingestFlags, ob obsFlags, specs []string) error {
 	srv := server.New()
 	srv.TileCache().Resize(cacheMB << 20)
 	srv.SetAdmission(adm)
@@ -313,10 +311,9 @@ func run(listen string, cacheMB, backendCacheMB, prefetchKB int64, cl clusterFla
 			return err
 		}
 		if err := srv.EnableCluster(server.ClusterOptions{
-			Self:         cl.self,
-			Peers:        peers,
-			Replication:  cl.replication,
-			VirtualNodes: cl.vnodes,
+			Self:        cl.self,
+			Peers:       peers,
+			Replication: cl.replication,
 		}); err != nil {
 			return err
 		}
@@ -366,7 +363,7 @@ func run(listen string, cacheMB, backendCacheMB, prefetchKB int64, cl clusterFla
 	go func() { errc <- hs.ListenAndServe() }()
 	logx.Info("ipcompd listening", "addr", listen)
 
-	cleanup, err := register(srv, clustered, backendCacheMB, prefetchKB, specs)
+	cleanup, err := register(srv, clustered, backendCacheMB, specs)
 	defer cleanup()
 	if err != nil {
 		hs.Close()
@@ -378,13 +375,7 @@ func run(listen string, cacheMB, backendCacheMB, prefetchKB int64, cl clusterFla
 			hs.Close()
 			return err
 		}
-		if err := srv.EnableIngest(server.IngestOptions{
-			CAS:          c,
-			SealInterval: ing.sealInterval,
-			// Cubic is the pack-time default too, so an ingested snapshot and
-			// an offline pack of the same bytes are byte-identical.
-			DefaultInterpolation: interp.Cubic,
-		}); err != nil {
+		if err := srv.EnableIngest(server.IngestOptions{CAS: c, SealInterval: ing.sealInterval}); err != nil {
 			hs.Close()
 			return err
 		}

@@ -10,7 +10,7 @@
 //
 // The seam is deliberately dumb: no writes, no locking protocol, no
 // container structure. Storage stays simple; smarts (caching, request
-// coalescing, prefetch, retry) layer on the read path, which is what lets
+// coalescing, retry) layer on the read path, which is what lets
 // an edge ipcompd proxy an origin ipcompd by doing nothing more than
 // opening its containers through Cached(HTTP).
 package backend
@@ -66,11 +66,8 @@ type Counters struct {
 	Hits int64
 	// Misses counts ReadAt calls that needed at least one origin fetch.
 	Misses int64
-	// BytesFetched is the total bytes demand-read from the origin.
+	// BytesFetched is the total bytes read from the origin.
 	BytesFetched int64
-	// Prefetched is the total bytes read from the origin speculatively by
-	// sequential readahead.
-	Prefetched int64
 	// Coalesced counts reads that joined an identical in-flight origin
 	// fetch instead of issuing their own.
 	Coalesced int64

@@ -102,7 +102,7 @@ func BenchmarkBackendHTTPWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := backend.NewCached(h, 8<<20, 0)
+	c := backend.NewCached(h, 8<<20)
 	// Warm every range the loop will touch.
 	buf := make([]byte, benchReadSize)
 	for off := int64(0); off+benchReadSize <= benchBlobSize; off += benchReadSize {
@@ -150,7 +150,7 @@ func BenchmarkBackendCachedProxy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cb := backend.NewCached(hb, 8<<20, 0)
+	cb := backend.NewCached(hb, 8<<20)
 	edgeStore, err := store.OpenBackend(cb, "c.ipcs")
 	if err != nil {
 		b.Fatal(err)

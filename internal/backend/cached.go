@@ -15,9 +15,10 @@ const DefaultCachedBytes = 64 << 20
 // span-granular: it keeps exactly the ranges that were read, merged when
 // adjacent, and evicts least-recently-touched spans when over budget.
 // Concurrent reads of the same missing range coalesce into one origin
-// fetch, and an optional sequential readahead prefetches the bytes that
-// follow a read which continued the previous one — the shape of a client
-// walking a tile's bitplanes plane by plane.
+// fetch. This is the one place reads are coalesced: every read Cached
+// sends to its inner backend goes through fetchShared, including the
+// pass-through of a zero budget, so a Cached tier with nothing to cache
+// still joins identical in-flight reads.
 //
 // Locking is per container (warm reads of different containers never
 // contend) with a global mutex only around the container/flight maps and
@@ -29,22 +30,19 @@ const DefaultCachedBytes = 64 << 20
 // first contact) and plane spans (cached from the first request that
 // shipped them).
 type Cached struct {
-	inner    Backend
-	budget   int64
-	prefetch int64
+	inner  Backend
+	budget int64
 
 	gen  atomic.Int64 // recency stamp for span LRU
 	held atomic.Int64 // resident bytes across all containers
 
-	mu          sync.Mutex // guards the maps below, never held with a container lock
-	containers  map[string]*cachedContainer
-	flights     map[flightKey]*flight
-	prefetching map[string]bool
+	mu         sync.Mutex // guards the maps below, never held with a container lock
+	containers map[string]*cachedContainer
+	flights    map[flightKey]*flight
 
 	hits         atomic.Int64
 	misses       atomic.Int64
 	bytesFetched atomic.Int64
-	prefetched   atomic.Int64
 	coalesced    atomic.Int64
 }
 
@@ -53,25 +51,20 @@ type Cached struct {
 type cachedContainer struct {
 	size int64
 
-	mu      sync.Mutex
-	sp      *Sparse
-	lastEnd int64 // end offset of the most recent read, for readahead
+	mu sync.Mutex
+	sp *Sparse
 }
 
 // NewCached wraps inner with a cache of budgetBytes. A non-positive
-// budget disables caching entirely — reads pass straight through; there
-// is no implicit default, so callers wanting one pass
-// DefaultCachedBytes themselves. prefetchBytes enables sequential
-// readahead of that many bytes after a read that continued the previous
-// one; 0 disables it.
-func NewCached(inner Backend, budgetBytes, prefetchBytes int64) *Cached {
+// budget disables caching — reads pass through, coalesced but not kept;
+// there is no implicit default, so callers wanting one pass
+// DefaultCachedBytes themselves.
+func NewCached(inner Backend, budgetBytes int64) *Cached {
 	return &Cached{
-		inner:       inner,
-		budget:      budgetBytes,
-		prefetch:    prefetchBytes,
-		containers:  make(map[string]*cachedContainer),
-		flights:     make(map[flightKey]*flight),
-		prefetching: make(map[string]bool),
+		inner:      inner,
+		budget:     budgetBytes,
+		containers: make(map[string]*cachedContainer),
+		flights:    make(map[flightKey]*flight),
 	}
 }
 
@@ -104,7 +97,7 @@ func (c *Cached) container(name string) (*cachedContainer, error) {
 	if cc, ok := c.containers[name]; ok {
 		return cc, nil
 	}
-	cc = &cachedContainer{sp: NewSparse(size), size: size, lastEnd: -1}
+	cc = &cachedContainer{sp: NewSparse(size), size: size}
 	c.containers[name] = cc
 	return cc, nil
 }
@@ -117,8 +110,7 @@ func (c *Cached) ReadAt(name string, p []byte, off int64) (int, error) {
 
 // ReadAtTrace is ReadAt with a request-trace id forwarded to the wrapped
 // backend on every origin fetch this read causes (a fully resident read
-// touches no origin and propagates nothing). Prefetches triggered by the
-// read stay untraced — they belong to no single request.
+// touches no origin and propagates nothing).
 func (c *Cached) ReadAtTrace(name string, p []byte, off int64, trace string) (int, error) {
 	return c.readAt(name, p, off, trace)
 }
@@ -137,10 +129,7 @@ func (c *Cached) readAt(name string, p []byte, off int64, trace string) (int, er
 	// A read at or beyond the whole budget would evict itself while being
 	// assembled; bypass the cache entirely (still counted as a miss).
 	if c.budget <= 0 || int64(len(p)) >= c.budget {
-		c.misses.Add(1)
-		n, err := ReadAtTrace(c.inner, name, p, off, trace)
-		c.bytesFetched.Add(int64(n))
-		return n, err
+		return c.passThrough(name, p, off, trace)
 	}
 	missed := false
 	// The fetch-insert-read loop re-checks coverage each round: a span a
@@ -159,16 +148,11 @@ func (c *Cached) readAt(name string, p []byte, off int64, trace string) (int, er
 				return 0, err
 			}
 			copy(p, b)
-			seq := off == cc.lastEnd
-			cc.lastEnd = off + int64(len(p))
 			cc.mu.Unlock()
 			if missed {
 				c.misses.Add(1)
 			} else {
 				c.hits.Add(1)
-			}
-			if seq {
-				c.maybePrefetch(name, cc, off+int64(len(p)))
 			}
 			return len(p), nil
 		}
@@ -178,10 +162,7 @@ func (c *Cached) readAt(name string, p []byte, off int64, trace string) (int, er
 			// exceeding a tight budget) must degrade to an uncached origin
 			// read, not a client-visible error — the origin can always serve
 			// what the cache cannot hold.
-			c.misses.Add(1)
-			n, err := ReadAtTrace(c.inner, name, p, off, trace)
-			c.bytesFetched.Add(int64(n))
-			return n, err
+			return c.passThrough(name, p, off, trace)
 		}
 		missed = true
 		// Fetch the gaps concurrently: a range interleaved with resident
@@ -190,14 +171,14 @@ func (c *Cached) readAt(name string, p []byte, off int64, trace string) (int, er
 		bufs := make([][]byte, len(gaps))
 		errs := make([]error, len(gaps))
 		if len(gaps) == 1 {
-			bufs[0], errs[0] = c.fetchShared(name, gaps[0], false, trace)
+			bufs[0], errs[0] = c.fetchShared(name, gaps[0], trace)
 		} else {
 			var wg sync.WaitGroup
 			for gi, g := range gaps {
 				wg.Add(1)
 				go func(gi int, g Range) {
 					defer wg.Done()
-					bufs[gi], errs[gi] = c.fetchShared(name, g, false, trace)
+					bufs[gi], errs[gi] = c.fetchShared(name, g, trace)
 				}(gi, g)
 			}
 			wg.Wait()
@@ -209,6 +190,18 @@ func (c *Cached) readAt(name string, p []byte, off int64, trace string) (int, er
 			c.insert(cc, gaps[gi].Off, bufs[gi])
 		}
 	}
+}
+
+// passThrough reads [off, off+len(p)) from the wrapped backend without
+// keeping it, counted as a miss. It still goes through fetchShared, so
+// concurrent identical uncached reads share one origin request.
+func (c *Cached) passThrough(name string, p []byte, off int64, trace string) (int, error) {
+	c.misses.Add(1)
+	b, err := c.fetchShared(name, Range{Off: off, Len: int64(len(p))}, trace)
+	if err != nil {
+		return 0, err
+	}
+	return copy(p, b), nil
 }
 
 // insert adds fetched bytes to a container's spans, maintaining the
@@ -291,107 +284,64 @@ func (c *Cached) oldestContainer() *cachedContainer {
 	return victim
 }
 
-// fetchShared reads one gap from the wrapped backend, coalescing
+// flightKey identifies one coalescable origin read.
+type flightKey struct {
+	name string
+	off  int64
+	n    int
+}
+
+// flight is one in-flight origin read; concurrent identical reads wait on
+// done and share b.
+type flight struct {
+	done chan struct{}
+	b    []byte
+	err  error
+}
+
+// fetchShared reads one range from the wrapped backend, coalescing
 // concurrent identical fetches into a single origin read. trace (may be
 // "") is forwarded to the origin on the fetch this call initiates;
-// joiners inherit the initiating fetch's attribution.
-func (c *Cached) fetchShared(name string, g Range, speculative bool, trace string) ([]byte, error) {
+// joiners inherit the initiating fetch's attribution. Joiners share the
+// returned slice and must not write to it.
+func (c *Cached) fetchShared(name string, g Range, trace string) ([]byte, error) {
 	key := flightKey{name: name, off: g.Off, n: int(g.Len)}
 	c.mu.Lock()
 	if fl, ok := c.flights[key]; ok {
-		// A demand read joining a readahead's flight demotes it, so the
-		// bytes are booked as demand traffic — the counters describe why
-		// the origin was read, not who asked first. The demotion is always
-		// seen: the initiator books under the same mutex that removes the
-		// flight from the map.
-		if fl.speculative && !speculative {
-			fl.speculative = false
-		}
 		c.mu.Unlock()
 		c.coalesced.Add(1)
 		<-fl.done
 		return fl.b, fl.err
 	}
-	fl := &flight{done: make(chan struct{}), speculative: speculative}
+	fl := &flight{done: make(chan struct{})}
 	c.flights[key] = fl
 	c.mu.Unlock()
 
 	buf := make([]byte, g.Len)
-	_, err := ReadAtTrace(c.inner, name, buf, g.Off, trace)
-	fl.err = err
-	c.mu.Lock()
-	if err == nil {
-		if fl.speculative {
-			c.prefetched.Add(g.Len)
-		} else {
-			c.bytesFetched.Add(g.Len)
-		}
+	if _, fl.err = ReadAtTrace(c.inner, name, buf, g.Off, trace); fl.err == nil {
+		c.bytesFetched.Add(g.Len)
 		fl.b = buf
 	}
+	c.mu.Lock()
 	delete(c.flights, key)
 	c.mu.Unlock()
 	close(fl.done)
 	return fl.b, fl.err
 }
 
-// maybePrefetch starts (at most one per container) a background fetch of
-// the bytes following from, which a sequential reader is about to want.
-func (c *Cached) maybePrefetch(name string, cc *cachedContainer, from int64) {
-	n := c.prefetch
-	if n <= 0 || from >= cc.size {
-		return
-	}
-	if from+n > cc.size {
-		n = cc.size - from
-	}
-	cc.mu.Lock()
-	gaps := cc.sp.Missing(from, n)
-	cc.mu.Unlock()
-	if len(gaps) == 0 {
-		return
-	}
-	c.mu.Lock()
-	if c.prefetching[name] {
-		c.mu.Unlock()
-		return
-	}
-	c.prefetching[name] = true
-	c.mu.Unlock()
-	go func() {
-		defer func() {
-			c.mu.Lock()
-			delete(c.prefetching, name)
-			c.mu.Unlock()
-		}()
-		for _, g := range gaps {
-			b, err := c.fetchShared(name, g, true, "")
-			if err != nil {
-				return // speculative: the demand path will retry and report
-			}
-			c.insert(cc, g.Off, b)
-		}
-	}()
-}
-
 // Held reports the resident cache bytes.
 func (c *Cached) Held() int64 { return c.held.Load() }
 
-// Counters reports the tier's instrumentation. Coalesced includes reads
-// coalesced by the wrapped backend (an HTTP origin dedupes too);
-// BytesFetched and Prefetched count this tier's own origin reads, so
-// wrapping does not double-count.
+// Counters reports the tier's instrumentation. BytesFetched counts this
+// tier's own origin reads, so wrapping a counting backend does not
+// double-count.
 func (c *Cached) Counters() Counters {
-	out := Counters{
+	return Counters{
 		Hits:         c.hits.Load(),
 		Misses:       c.misses.Load(),
 		BytesFetched: c.bytesFetched.Load(),
-		Prefetched:   c.prefetched.Load(),
 		Coalesced:    c.coalesced.Load(),
 	}
-	if cs, ok := c.inner.(CounterSource); ok {
-		out.Coalesced += cs.Counters().Coalesced
-	}
-	return out
 }
 
 // Close closes the wrapped backend.

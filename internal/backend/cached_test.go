@@ -34,7 +34,7 @@ func newCountingBackend(blobs map[string][]byte) *countingBackend {
 func TestCachedReadThrough(t *testing.T) {
 	blob := testBlob(4096, 1)
 	origin := newCountingBackend(map[string][]byte{"c": blob})
-	c := NewCached(origin, 1<<20, 0)
+	c := NewCached(origin, 1<<20)
 
 	p := make([]byte, 256)
 	if _, err := c.ReadAt("c", p, 512); err != nil {
@@ -86,7 +86,7 @@ func TestCachedReadThrough(t *testing.T) {
 func TestCachedEvictsToBudget(t *testing.T) {
 	blob := testBlob(1<<16, 2)
 	origin := newCountingBackend(map[string][]byte{"c": blob})
-	c := NewCached(origin, 4096, 0)
+	c := NewCached(origin, 4096)
 
 	// Fill well past the budget with disjoint kilobyte reads.
 	for i := 0; i < 16; i++ {
@@ -136,7 +136,7 @@ func TestCachedCoalescesConcurrentFetches(t *testing.T) {
 	blob := testBlob(8192, 3)
 	origin := newCountingBackend(map[string][]byte{"c": blob})
 	slow := &slowBackend{Backend: origin, release: make(chan struct{})}
-	c := NewCached(slow, 1<<20, 0)
+	c := NewCached(slow, 1<<20)
 
 	const readers = 8
 	var wg sync.WaitGroup
@@ -179,46 +179,10 @@ func (s *slowBackend) ReadAt(name string, p []byte, off int64) (int, error) {
 	return s.Backend.ReadAt(name, p, off)
 }
 
-func TestCachedSequentialPrefetch(t *testing.T) {
-	blob := testBlob(1<<16, 4)
-	origin := newCountingBackend(map[string][]byte{"c": blob})
-	c := NewCached(origin, 1<<20, 4096)
-
-	p := make([]byte, 1024)
-	if _, err := c.ReadAt("c", p, 0); err != nil { // cold
-		t.Fatal(err)
-	}
-	if _, err := c.ReadAt("c", p, 1024); err != nil { // sequential: arms readahead
-		t.Fatal(err)
-	}
-	// The readahead of [2048, 2048+4096) lands asynchronously.
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Counters().Prefetched < 4096 {
-		if time.Now().After(deadline) {
-			t.Fatalf("prefetch never completed (counters %+v)", c.Counters())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// This read is sequential too, so it arms a second readahead whose origin
-	// read and Prefetched bytes land whenever they land: assert on what the
-	// demand read itself did, which no background fetch moves.
-	before := c.Counters()
-	if _, err := c.ReadAt("c", p, 2048); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p, blob[2048:3072]) {
-		t.Fatal("prefetched read wrong bytes")
-	}
-	cs := c.Counters()
-	if cs.Hits != before.Hits+1 || cs.Misses != before.Misses || cs.BytesFetched != before.BytesFetched {
-		t.Errorf("read of prefetched range was not a pure hit: before %+v, after %+v", before, cs)
-	}
-}
-
 func TestCachedMultiContainerAndPassthroughList(t *testing.T) {
 	blobs := map[string][]byte{"a": testBlob(512, 5), "b": testBlob(256, 6)}
 	origin := newCountingBackend(blobs)
-	c := NewCached(origin, 1<<20, 0)
+	c := NewCached(origin, 1<<20)
 	names, err := c.List()
 	if err != nil || len(names) != 2 {
 		t.Fatalf("List = %v, %v", names, err)

@@ -29,10 +29,10 @@ import (
 //     (open by name, no listing) or directly at one file (single-container
 //     mode).
 //
-// Reads are coalesced (concurrent identical ranges share one request),
-// bounded (at most httpParallel requests in flight), and retried with
-// exponential backoff on transport errors and 5xx responses. HTTP does no
-// caching of its own; wrap it in Cached for a read-through tier.
+// Reads are bounded (at most httpParallel requests in flight) and retried
+// with exponential backoff on transport errors and 5xx responses. HTTP
+// neither caches nor coalesces; wrap it in Cached, which does both (every
+// remote backend a program opens is wrapped so).
 type HTTP struct {
 	base    *url.URL // dir mode: ends in "/"; single mode: the file URL
 	single  string   // non-empty selects single-container mode
@@ -43,10 +43,8 @@ type HTTP struct {
 	mu         sync.Mutex
 	sizes      map[string]int64
 	validators map[string]string // ETag/Last-Modified per container, for If-Range
-	flights    map[flightKey]*flight
 
 	bytesFetched atomic.Int64
-	coalesced    atomic.Int64
 }
 
 // The origin-request policy of every HTTP backend.
@@ -79,7 +77,6 @@ func NewHTTP(rawurl string) (*HTTP, error) {
 		backoff:    httpBackoff,
 		sizes:      make(map[string]int64),
 		validators: make(map[string]string),
-		flights:    make(map[flightKey]*flight),
 	}
 	switch {
 	case u.Path == "" || u.Path == "/" || u.Path == "/v1/containers":
@@ -286,81 +283,36 @@ func (h *HTTP) probeSize(u string) (int64, string, error) {
 	return size, validator, nil
 }
 
-// flightKey identifies one coalescable origin read.
-type flightKey struct {
-	name string
-	off  int64
-	n    int
-}
-
-// flight is one in-flight origin read; concurrent identical reads wait on
-// done and share b. speculative marks a readahead-initiated flight (used
-// by Cached for counter attribution; guarded by the owner's map mutex —
-// a demand joiner demotes the flight to demand before the initiator
-// books its bytes).
-type flight struct {
-	done        chan struct{}
-	b           []byte
-	err         error
-	speculative bool
-}
-
 // ReadAt fetches [off, off+len(p)) of the named container with one Range
-// request, coalescing concurrent identical reads into a single fetch.
+// request.
 func (h *HTTP) ReadAt(name string, p []byte, off int64) (int, error) {
-	return h.readAt(name, p, off, "")
+	return h.ReadAtTrace(name, p, off, "")
 }
 
 // ReadAtTrace is ReadAt with a request-trace id that rides the origin
 // fetch as the X-Ipcomp-Trace header, so an ipcompd origin records its
-// side of the read into the same trace. A read that coalesces into an
-// in-flight identical fetch keeps the initiator's trace id — span
-// attribution follows whoever actually paid for the origin round trip.
+// side of the read into the same trace.
 func (h *HTTP) ReadAtTrace(name string, p []byte, off int64, trace string) (int, error) {
-	return h.readAt(name, p, off, trace)
-}
-
-func (h *HTTP) readAt(name string, p []byte, off int64, trace string) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	key := flightKey{name: name, off: off, n: len(p)}
-	h.mu.Lock()
-	if fl, ok := h.flights[key]; ok {
-		h.mu.Unlock()
-		h.coalesced.Add(1)
-		<-fl.done
-		if fl.err != nil {
-			return 0, fl.err
-		}
-		return copy(p, fl.b), nil
+	if err := h.fetch(name, p, off, trace); err != nil {
+		return 0, err
 	}
-	fl := &flight{done: make(chan struct{})}
-	h.flights[key] = fl
-	h.mu.Unlock()
-
-	fl.b, fl.err = h.fetch(name, off, len(p), trace)
-	h.mu.Lock()
-	delete(h.flights, key)
-	h.mu.Unlock()
-	close(fl.done)
-	if fl.err != nil {
-		return 0, fl.err
-	}
-	return copy(p, fl.b), nil
+	return len(p), nil
 }
 
-// fetch performs the origin Range request under the parallelism bound,
-// retrying transient failures.
-func (h *HTTP) fetch(name string, off int64, n int, trace string) ([]byte, error) {
+// fetch fills buf with the origin Range request for [off, off+len(buf))
+// under the parallelism bound, retrying transient failures.
+func (h *HTTP) fetch(name string, buf []byte, off int64, trace string) error {
 	u, err := h.containerURL(name)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	h.mu.Lock()
 	validator := h.validators[name]
 	h.mu.Unlock()
-	buf := make([]byte, n)
+	n := len(buf)
 	err = h.withRetry(func() (bool, error) {
 		h.sem <- struct{}{}
 		defer func() { <-h.sem }()
@@ -414,10 +366,10 @@ func (h *HTTP) fetch(name string, off int64, n int, trace string) ([]byte, error
 		}
 	})
 	if err != nil {
-		return nil, fmt.Errorf("backend: %s: %w", u, err)
+		return fmt.Errorf("backend: %s: %w", u, err)
 	}
 	h.bytesFetched.Add(int64(n))
-	return buf, nil
+	return nil
 }
 
 // withRetry runs op up to h.retries times, backing off (with jitter)
@@ -465,13 +417,9 @@ func SleepBackoff(ctx context.Context, attempt int, base time.Duration) error {
 	}
 }
 
-// Counters reports origin-read instrumentation: bytes fetched over the
-// network and reads that joined an identical in-flight request.
+// Counters reports the bytes fetched over the network.
 func (h *HTTP) Counters() Counters {
-	return Counters{
-		BytesFetched: h.bytesFetched.Load(),
-		Coalesced:    h.coalesced.Load(),
-	}
+	return Counters{BytesFetched: h.bytesFetched.Load()}
 }
 
 // Close releases idle origin connections.

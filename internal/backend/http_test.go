@@ -212,59 +212,70 @@ func TestHTTPBackendNoRangeSupport(t *testing.T) {
 	}
 }
 
-// TestHTTPBackendCoalescing pins request coalescing: N concurrent reads
-// of the same range produce one origin request, and the joiners are
-// counted.
+// TestHTTPBackendCoalescing pins the one coalescing point: N concurrent
+// identical reads through Cached(HTTP) reach the origin as exactly one
+// Range request, both with a span cache to land in and at budget 0, where
+// Cached caches nothing and only passes reads through. HTTP itself does
+// not coalesce, so the budget-0 case fails if the pass-through bypasses
+// Cached's flights.
 func TestHTTPBackendCoalescing(t *testing.T) {
-	blob := testBlob(1024, 6)
-	var requests atomic.Int32
-	release := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		<-release
-		http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(blob))
-	}))
-	defer ts.Close()
+	for _, budget := range []int64{DefaultCachedBytes, 0} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			blob := testBlob(1024, 6)
+			var ranged atomic.Int32
+			release := make(chan struct{})
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Header.Get("Range") != "bytes=0-0" { // the size probe is not held
+					ranged.Add(1)
+					<-release
+				}
+				http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(blob))
+			}))
+			defer ts.Close()
+			h, err := NewHTTP(ts.URL + "/c.ipcs")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := NewCached(h, budget)
+			if _, err := c.Size("c.ipcs"); err != nil {
+				t.Fatal(err)
+			}
 
-	h, err := NewHTTP(ts.URL + "/c.ipcs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.mu.Lock()
-	h.sizes["c.ipcs"] = int64(len(blob)) // skip the probe request
-	h.mu.Unlock()
-
-	const readers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, readers)
-	bufs := make([][]byte, readers)
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bufs[i] = make([]byte, 128)
-			_, errs[i] = h.ReadAt("c.ipcs", bufs[i], 256)
-		}(i)
-	}
-	// Let the readers pile onto the single in-flight request, then serve it.
-	for int(h.Counters().Coalesced) < readers-1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("reader %d: %v", i, err)
-		}
-		if !bytes.Equal(bufs[i], blob[256:384]) {
-			t.Fatalf("reader %d got wrong bytes", i)
-		}
-	}
-	if got := requests.Load(); got != 1 {
-		t.Errorf("%d origin requests, want 1", got)
-	}
-	if c := h.Counters(); c.Coalesced != readers-1 {
-		t.Errorf("Coalesced = %d, want %d", c.Coalesced, readers-1)
+			const readers = 8
+			var wg sync.WaitGroup
+			errs := make([]error, readers)
+			bufs := make([][]byte, readers)
+			for i := 0; i < readers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					bufs[i] = make([]byte, 128)
+					_, errs[i] = c.ReadAt("c.ipcs", bufs[i], 256)
+				}(i)
+			}
+			// Let the readers pile onto the single in-flight request, or (were
+			// they not joined) each reach the origin, then serve.
+			deadline := time.Now().Add(5 * time.Second)
+			for c.Counters().Coalesced < readers-1 && ranged.Load() < readers && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("reader %d: %v", i, err)
+				}
+				if !bytes.Equal(bufs[i], blob[256:384]) {
+					t.Fatalf("reader %d got wrong bytes", i)
+				}
+			}
+			if got := ranged.Load(); got != 1 {
+				t.Errorf("%d origin Range requests, want 1", got)
+			}
+			if got := c.Counters(); got.Coalesced != readers-1 || got.BytesFetched != 128 {
+				t.Errorf("Coalesced = %d, BytesFetched = %d, want %d, 128", got.Coalesced, got.BytesFetched, readers-1)
+			}
+		})
 	}
 }
 

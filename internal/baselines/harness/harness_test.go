@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/datagen"
 )
 
 // tiny keeps integration runs fast: one dataset, short ladder, 1/16 scale.
@@ -97,18 +100,39 @@ func TestFig9ResidualSpeedDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := ts[0]
-	if len(comp.Rows) != 5 {
-		t.Fatalf("%d rows", len(comp.Rows))
+	if len(ts[0].Rows) != 5 {
+		t.Fatalf("%d rows", len(ts[0].Rows))
 	}
 	// SZ3-R with 9 residuals must be slower than with 3 (paper Fig 9). The
 	// rungs=1 row is skipped: at test scale a single pass at the final 1e-9
 	// bound is dominated by the enormous quantizer alphabet, which makes it
 	// slower than the whole ladder and not a clean baseline for the trend.
-	first := cell(t, comp, 1, 1)
-	last := cell(t, comp, len(comp.Rows)-1, 1)
-	if last >= first {
-		t.Errorf("SZ3-R compression did not slow down with residual count: %v -> %v MB/s", first, last)
+	// One compression here takes milliseconds, so a single reading (what a
+	// Fig9 cell is) measures whatever else the machine runs as much as the
+	// ladder. The two ladders are timed alternately, seven times each, on
+	// Fig9's field and bound, and each keeps its fastest run: load only
+	// ever slows a run, and alternation exposes both to the same load.
+	ds, err := datagen.Generate("Density", cfg.Divisor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb := 1e-9 * ds.Grid.ValueRange()
+	best := make(map[int]time.Duration)
+	for run := 0; run < 7; run++ {
+		for _, rungs := range []int{3, 9} {
+			p := NewSZ3R(rungs)
+			start := time.Now()
+			if _, err := p.Compress(ds.Grid, eb); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); best[rungs] == 0 || d < best[rungs] {
+				best[rungs] = d
+			}
+		}
+	}
+	t.Logf("SZ3-R fastest of seven: %v at 3 rungs, %v at 9", best[3], best[9])
+	if best[9] <= best[3] {
+		t.Errorf("SZ3-R compression did not slow down with residual count: fastest of seven %v (3 rungs), %v (9 rungs)", best[3], best[9])
 	}
 }
 

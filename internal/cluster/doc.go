@@ -12,8 +12,8 @@
 // Two pieces live here, both deliberately free of I/O so they are
 // trivially testable and reusable:
 //
-//   - Ring: a consistent-hash ring over container names with configurable
-//     virtual nodes and R-way replication. Membership is fixed at
+//   - Ring: a consistent-hash ring over container names with a fixed
+//     count of virtual nodes per peer and R-way replication. Membership is fixed at
 //     construction — production deployments pass the same -peers list to
 //     every node, which is what makes every node compute identical replica
 //     sets. Node failure is handled by routing-time failover, not by ring

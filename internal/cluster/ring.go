@@ -29,15 +29,15 @@ type point struct {
 	node string
 }
 
-// DefaultVirtualNodes balances placement smoothness against ring size;
-// at 64 points per node the max/min container spread across nodes stays
-// within a few tens of percent, plenty for whole-container placement.
-const DefaultVirtualNodes = 64
+// VirtualNodes balances placement smoothness against ring size; at 64
+// points per node the max/min container spread across nodes stays within
+// a few tens of percent, plenty for whole-container placement. Changing it
+// moves placement, so every node of a cluster must agree on it.
+const VirtualNodes = 64
 
 // New builds a ring over the given node names. replication is clamped to
-// the node count; vnodes <= 0 selects DefaultVirtualNodes. Node names
-// must be non-empty and unique.
-func New(nodes []string, replication, vnodes int) (*Ring, error) {
+// the node count. Node names must be non-empty and unique.
+func New(nodes []string, replication int) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")
 	}
@@ -47,13 +47,10 @@ func New(nodes []string, replication, vnodes int) (*Ring, error) {
 	if replication > len(nodes) {
 		replication = len(nodes)
 	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
 	seen := make(map[string]bool, len(nodes))
 	r := &Ring{
 		replication: replication,
-		points:      make([]point, 0, len(nodes)*vnodes),
+		points:      make([]point, 0, len(nodes)*VirtualNodes),
 		nodes:       make([]string, 0, len(nodes)),
 	}
 	for _, n := range nodes {
@@ -65,7 +62,7 @@ func New(nodes []string, replication, vnodes int) (*Ring, error) {
 		}
 		seen[n] = true
 		r.nodes = append(r.nodes, n)
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < VirtualNodes; v++ {
 			r.points = append(r.points, point{hash: hashPoint(n, v), node: n})
 		}
 	}

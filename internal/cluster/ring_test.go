@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -9,11 +10,11 @@ func TestRingDeterministicAcrossBuilds(t *testing.T) {
 	// Two rings built from the same membership in different input order
 	// must agree on every placement — that is what lets every node route
 	// without coordination.
-	a, err := New([]string{"n1", "n2", "n3"}, 2, 64)
+	a, err := New([]string{"n1", "n2", "n3"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New([]string{"n3", "n1", "n2"}, 2, 64)
+	b, err := New([]string{"n3", "n1", "n2"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestRingDeterministicAcrossBuilds(t *testing.T) {
 
 func TestRingSpread(t *testing.T) {
 	nodes := []string{"a", "b", "c", "d", "e"}
-	r, err := New(nodes, 1, 0) // default vnodes
+	r, err := New(nodes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestRingSpread(t *testing.T) {
 }
 
 func TestRingReplicationClampAndOwns(t *testing.T) {
-	r, err := New([]string{"solo"}, 3, 8)
+	r, err := New([]string{"solo"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,11 @@ func TestRingReplicationClampAndOwns(t *testing.T) {
 func TestRingMinimalDisruption(t *testing.T) {
 	// Consistent hashing's point: adding a node moves only ~1/N of the
 	// keyspace. Compare primaries between a 4-node and 5-node ring.
-	old, err := New([]string{"a", "b", "c", "d"}, 1, 64)
+	old, err := New([]string{"a", "b", "c", "d"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown, err := New([]string{"a", "b", "c", "d", "e"}, 1, 64)
+	grown, err := New([]string{"a", "b", "c", "d", "e"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,16 +104,45 @@ func TestRingMinimalDisruption(t *testing.T) {
 }
 
 func TestRingRejectsBadMembership(t *testing.T) {
-	if _, err := New(nil, 1, 8); err == nil {
+	if _, err := New(nil, 1); err == nil {
 		t.Error("empty membership accepted")
 	}
-	if _, err := New([]string{"a", "a"}, 1, 8); err == nil {
+	if _, err := New([]string{"a", "a"}, 1); err == nil {
 		t.Error("duplicate node accepted")
 	}
-	if _, err := New([]string{"a", ""}, 1, 8); err == nil {
+	if _, err := New([]string{"a", ""}, 1); err == nil {
 		t.Error("empty node name accepted")
 	}
-	if _, err := New([]string{"a"}, 0, 8); err == nil {
+	if _, err := New([]string{"a"}, 0); err == nil {
 		t.Error("replication 0 accepted")
+	}
+}
+
+// TestRingGoldenPlacement pins placement itself: the replicas of 100 fixed
+// container names on a five-node ring at replication 2. Every node of a
+// running cluster computes these independently, so a change to the hash,
+// the point layout or VirtualNodes that moves any of them strands
+// containers on nodes that no longer own them after an upgrade.
+func TestRingGoldenPlacement(t *testing.T) {
+	// Primary and secondary node digits of c000.ipcs … c099.ipcs.
+	const golden = `35 21 41 15 12 43 25 32 43 23 14 12 15 14 14 25 43 53 51 35
+32 51 25 35 14 53 35 32 52 35 34 53 12 43 54 24 12 35 54 13
+12 51 14 43 32 21 52 31 15 31 45 15 15 31 14 42 13 41 41 23
+14 51 45 23 34 12 51 15 41 23 13 53 21 54 23 23 52 42 12 23
+24 13 45 23 12 21 23 23 13 53 23 45 21 32 24 43 53 32 15 51`
+	r, err := New([]string{"n1", "n2", "n3", "n4", "n5"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(golden)
+	if len(want) != 100 {
+		t.Fatalf("golden table has %d entries", len(want))
+	}
+	for i, w := range want {
+		name := fmt.Sprintf("c%03d.ipcs", i)
+		got := r.Replicas(name)
+		if len(got) != 2 || got[0] != "n"+w[:1] || got[1] != "n"+w[1:] {
+			t.Errorf("Replicas(%q) = %v, want [n%c n%c]", name, got, w[0], w[1])
+		}
 	}
 }

@@ -21,11 +21,6 @@ type Options struct {
 	// few allocations per request; leave at 0 on hot serving tiers and
 	// rely on Sample instead.
 	Slow time.Duration
-	// Ring is the capacity of the recent-traces ring (default 64).
-	Ring int
-	// SlowKeep is the capacity of the keep-the-slowest reservoir
-	// (default 16).
-	SlowKeep int
 	// Node names this node in trace ids and merged spans; defaults to
 	// "node" (standalone deployments).
 	Node string
@@ -34,9 +29,11 @@ type Options struct {
 	OnSlow func(TraceDoc)
 }
 
+// The capacities of the recent-traces ring and of the keep-the-slowest
+// reservoir.
 const (
-	defaultRing     = 64
-	defaultSlowKeep = 16
+	recentTraces  = 64
+	slowestTraces = 16
 )
 
 // Recorder samples requests into Traces, keeps a bounded ring of recent
@@ -56,24 +53,18 @@ type Recorder struct {
 	mu      sync.Mutex
 	ring    []TraceDoc // newest at ring[ringN-1 mod len], bounded
 	ringN   int        // total finished traces, ring index = ringN % len
-	slowest []TraceDoc // sorted slowest-first, bounded by SlowKeep
+	slowest []TraceDoc // sorted slowest-first, bounded by slowestTraces
 }
 
 // NewRecorder builds a Recorder; see Options for defaults.
 func NewRecorder(opts Options) *Recorder {
-	if opts.Ring <= 0 {
-		opts.Ring = defaultRing
-	}
-	if opts.SlowKeep <= 0 {
-		opts.SlowKeep = defaultSlowKeep
-	}
 	if opts.Node == "" {
 		opts.Node = "node"
 	}
 	r := &Recorder{
 		opts:    opts,
 		procTag: rand.Uint64(),
-		ring:    make([]TraceDoc, 0, opts.Ring),
+		ring:    make([]TraceDoc, 0, recentTraces),
 	}
 	for s := range r.stages {
 		r.stages[s] = NewHistogram(stageBuckets[:])
@@ -188,12 +179,12 @@ func (r *Recorder) Finish(t *Trace) {
 	for i > 0 && r.slowest[i-1].DurationNanos < doc.DurationNanos {
 		i--
 	}
-	if i < r.opts.SlowKeep {
+	if i < slowestTraces {
 		r.slowest = append(r.slowest, TraceDoc{})
 		copy(r.slowest[i+1:], r.slowest[i:])
 		r.slowest[i] = doc
-		if len(r.slowest) > r.opts.SlowKeep {
-			r.slowest = r.slowest[:r.opts.SlowKeep]
+		if len(r.slowest) > slowestTraces {
+			r.slowest = r.slowest[:slowestTraces]
 		}
 	}
 	r.mu.Unlock()

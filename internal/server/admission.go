@@ -31,18 +31,15 @@ type AdmissionOptions struct {
 	// a coarser error bound (with the X-Ipcomp-Degraded: true header)
 	// instead of failing them. When false, those requests get 429.
 	Degrade bool
-	// RetryAfter is the Retry-After hint attached to 429 responses.
-	// 0 selects DefaultRetryAfter.
-	RetryAfter time.Duration
 }
 
-// DefaultQueueTimeout and DefaultRetryAfter are the admission defaults:
-// a cold request waits up to a second for a decode slot, and rejected
-// clients are told to come back after a second.
-const (
-	DefaultQueueTimeout = time.Second
-	DefaultRetryAfter   = time.Second
-)
+// DefaultQueueTimeout is how long a cold request waits for a decode slot
+// by default.
+const DefaultQueueTimeout = time.Second
+
+// retryAfterSeconds is the Retry-After hint of every 429: rejected clients
+// are told to come back after a second.
+const retryAfterSeconds = "1"
 
 // errQueueTimeout aborts a gated retrieval whose wait for a decode slot
 // expired; errDecodeDenied aborts one that was not allowed to decode at
@@ -70,9 +67,6 @@ type admission struct {
 func (srv *Server) SetAdmission(opts AdmissionOptions) {
 	if opts.QueueTimeout <= 0 {
 		opts.QueueTimeout = DefaultQueueTimeout
-	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = DefaultRetryAfter
 	}
 	srv.adm.opts = opts
 	if opts.MaxDecodeConcurrency > 0 {

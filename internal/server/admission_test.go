@@ -39,7 +39,6 @@ func TestAdmissionQueueAndDegradeRaw(t *testing.T) {
 		MaxDecodeConcurrency: 1,
 		QueueTimeout:         30 * time.Millisecond,
 		Degrade:              true,
-		RetryAfter:           2 * time.Second,
 	})
 	ts := httptest.NewServer(env.srv.Handler())
 	defer ts.Close()
@@ -56,8 +55,8 @@ func TestAdmissionQueueAndDegradeRaw(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("cold request with decode slots exhausted: status %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 	if q := env.srv.adm.queued.Load(); q != 1 {
 		t.Fatalf("queued counter = %d, want 1", q)

@@ -51,27 +51,19 @@ type Peer struct {
 // list (placement is computed independently on each node and must
 // agree).
 type ClusterOptions struct {
-	Self         string
-	Peers        []Peer
-	Replication  int // replicas per container; default 2, clamped to the peer count
-	VirtualNodes int // ring points per node; default cluster.DefaultVirtualNodes
-
-	// Client performs forwarded requests; default is a dedicated client.
-	Client *http.Client
-	// AttemptTimeout bounds one forwarded attempt to one peer; default 15s.
-	AttemptTimeout time.Duration
-	// Rounds is how many passes over a container's replica list a forward
-	// makes before giving up; default 2 (the second pass rides the jittered
-	// backoff, catching peers that blipped rather than died).
-	Rounds int
-	// Backoff is the base sleep between rounds, jittered and
-	// context-bounded by backend.SleepBackoff; default 50ms.
-	Backoff time.Duration
-	// FailureThreshold and Cooldown configure peer ejection; defaults are
-	// cluster.DefaultThreshold and cluster.DefaultCooldown.
-	FailureThreshold int
-	Cooldown         time.Duration
+	Self        string
+	Peers       []Peer
+	Replication int // replicas per container; default 2, clamped to the peer count
 }
+
+// The forward policy of every cluster node. A forward makes
+// forwardRounds passes over a container's replicas: the second rides the
+// jittered backoff, catching peers that blipped rather than died.
+const (
+	forwardAttemptTimeout = 15 * time.Second      // one forwarded attempt to one peer
+	forwardRounds         = 2                     // passes over the replica list
+	forwardBackoff        = 50 * time.Millisecond // base sleep between rounds
+)
 
 // remoteDataset routes a dataset served by a peer: which container holds
 // it (the ring key) plus its metadata for cluster-wide listings.
@@ -97,9 +89,10 @@ type clusterState struct {
 	order  []string // peer names, sorted, self included
 	health *cluster.Health
 
+	// The forward policy, from the constants above; tests shorten it, and
+	// replace health, before the node serves.
 	hc             *http.Client
 	attemptTimeout time.Duration
-	rounds         int
 	backoff        time.Duration
 
 	mu               sync.RWMutex
@@ -133,22 +126,9 @@ func (srv *Server) EnableCluster(opts ClusterOptions) error {
 	if _, ok := peers[opts.Self]; !ok {
 		return fmt.Errorf("server: -self %q is not in the peer list %v", opts.Self, names)
 	}
-	ring, err := cluster.New(names, opts.Replication, opts.VirtualNodes)
+	ring, err := cluster.New(names, opts.Replication)
 	if err != nil {
 		return err
-	}
-	hc := opts.Client
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	if opts.AttemptTimeout <= 0 {
-		opts.AttemptTimeout = 15 * time.Second
-	}
-	if opts.Rounds <= 0 {
-		opts.Rounds = 2
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
 	}
 	sort.Strings(names)
 	srv.cluster = &clusterState{
@@ -156,11 +136,10 @@ func (srv *Server) EnableCluster(opts ClusterOptions) error {
 		ring:             ring,
 		peers:            peers,
 		order:            names,
-		health:           cluster.NewHealth(opts.FailureThreshold, opts.Cooldown),
-		hc:               hc,
-		attemptTimeout:   opts.AttemptTimeout,
-		rounds:           opts.Rounds,
-		backoff:          opts.Backoff,
+		health:           cluster.NewHealth(cluster.DefaultThreshold, cluster.DefaultCooldown),
+		hc:               &http.Client{},
+		attemptTimeout:   forwardAttemptTimeout,
+		backoff:          forwardBackoff,
 		remoteDatasets:   make(map[string]remoteDataset),
 		remoteContainers: make(map[string]ContainerDoc),
 	}
@@ -287,7 +266,7 @@ func (cs *clusterState) forward(w http.ResponseWriter, r *http.Request, containe
 		return
 	}
 	var lastErr error
-	for round := 0; round < cs.rounds; round++ {
+	for round := 0; round < forwardRounds; round++ {
 		if round > 0 {
 			if err := backend.SleepBackoff(ctx, round, cs.backoff); err != nil {
 				break // client gave up; no one is listening for the answer

@@ -88,8 +88,8 @@ func BenchmarkClusterRegionFailover(b *testing.B) {
 	// steady state is one Healthy() lookup plus the Forwarded hop —
 	// half-open recovery probes run in the background, never on the
 	// request path, so this should sit within noise of Forwarded.
-	env := newClusterEnv(b, 6, 2, func(o *ClusterOptions) {
-		o.AttemptTimeout = 2 * time.Second
+	env := newClusterEnv(b, 6, 2, func(cs *clusterState) {
+		cs.attemptTimeout = 2 * time.Second
 	})
 	// Find a container whose replica order is [dead, alive] as seen from
 	// a third node that owns neither.

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/grid"
 	"repro/internal/store"
@@ -83,7 +84,7 @@ var clusterFields = []string{"Density", "Pressure", "VelocityX", "Wave", "SpeedX
 // budget is capped far below one dataset's decoded size, so the full
 // dataset set cannot fit any single node's cache — serving it correctly
 // requires the ring to spread ownership.
-func newClusterEnv(t testing.TB, numContainers, replication int, mod func(*ClusterOptions)) *clusterEnv {
+func newClusterEnv(t testing.TB, numContainers, replication int, mod func(*clusterState)) *clusterEnv {
 	t.Helper()
 	env := &clusterEnv{
 		truth:  make(map[string]*store.Store),
@@ -135,18 +136,13 @@ func newClusterEnv(t testing.TB, numContainers, replication int, mod func(*Clust
 	}
 	for _, n := range env.nodes {
 		srv := New()
-		opts := ClusterOptions{
-			Self:        n.name,
-			Peers:       peers,
-			Replication: replication,
-			Backoff:     5 * time.Millisecond,
-			Cooldown:    100 * time.Millisecond,
-		}
-		if mod != nil {
-			mod(&opts)
-		}
-		if err := srv.EnableCluster(opts); err != nil {
+		if err := srv.EnableCluster(ClusterOptions{Self: n.name, Peers: peers, Replication: replication}); err != nil {
 			t.Fatal(err)
+		}
+		srv.cluster.backoff = 5 * time.Millisecond
+		srv.cluster.health = cluster.NewHealth(cluster.DefaultThreshold, 100*time.Millisecond)
+		if mod != nil {
+			mod(srv.cluster)
 		}
 		for _, cname := range env.containers {
 			st, err := store.OpenBackend(mem, cname)
@@ -472,9 +468,8 @@ func TestClusterForwardLoopGuard(t *testing.T) {
 // HTTP: a killed peer is ejected after repeated failures (so forwards
 // stop paying its timeout), and a restarted peer is probed back in.
 func TestClusterEjectionAndRecovery(t *testing.T) {
-	env := newClusterEnv(t, 6, 1, func(o *ClusterOptions) {
-		o.FailureThreshold = 2
-		o.Cooldown = 50 * time.Millisecond
+	env := newClusterEnv(t, 6, 1, func(cs *clusterState) {
+		cs.health = cluster.NewHealth(2, 50*time.Millisecond)
 	})
 	// R=1: find a container owned by the victim so forwards must use it.
 	victim := env.nodes[2]

@@ -39,10 +39,6 @@ type IngestOptions struct {
 	// SealInterval is how often the open epoch is flushed to disk;
 	// 0 disables the ticker (seals happen only via ?seal=now and Close).
 	SealInterval time.Duration
-	// DefaultInterpolation and DefaultCodec apply when a request does not
-	// name them.
-	DefaultInterpolation interp.Kind
-	DefaultCodec         codec.Policy
 }
 
 // ingestState is the server's write-path runtime.
@@ -238,14 +234,16 @@ type ingestParams struct {
 // parseIngestParams validates the query of a write request. create
 // requires shape; snapshot appends inherit any omitted geometry from the
 // field's previous manifest (prev non-nil). eb stays 0 when the request
-// gives none: store.SeriesBound resolves it once the values are in.
-func (srv *Server) parseIngestParams(r *http.Request, prev *cas.Manifest, opts IngestOptions) (*ingestParams, error) {
+// gives none: store.SeriesBound resolves it once the values are in. An
+// omitted interp or codec takes the default of `ipcomp snapshot put`, so
+// an ingested snapshot and an offline one of the same bytes are
+// byte-identical.
+func (srv *Server) parseIngestParams(r *http.Request, prev *cas.Manifest) (*ingestParams, error) {
 	q := r.URL.Query()
 	p := &ingestParams{
 		scalar: core.Float64,
-		eb:     0,
-		interp: opts.DefaultInterpolation,
-		codec:  opts.DefaultCodec,
+		interp: interp.Cubic,
+		codec:  codec.PolicyDeflate,
 	}
 	if s := q.Get("shape"); s != "" {
 		shape, err := parseShapeParam(s)
@@ -387,7 +385,7 @@ func (srv *Server) serveIngest(w http.ResponseWriter, r *http.Request, snapshots
 		writeError(w, http.StatusConflict, fmt.Sprintf("dataset %q is already served by a packed container", field))
 		return outError
 	}
-	p, err := srv.parseIngestParams(r, prev, ing.opts)
+	p, err := srv.parseIngestParams(r, prev)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return outError

@@ -14,8 +14,11 @@ import (
 	"testing"
 
 	"repro/internal/cas"
+	"repro/internal/codec"
 	"repro/internal/datagen"
 	"repro/internal/grid"
+	"repro/internal/interp"
+	"repro/internal/store"
 )
 
 // ingestEnv is a writable server over a fresh CAS.
@@ -124,6 +127,51 @@ func TestIngestCreateAndServe(t *testing.T) {
 		got := math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 		if math.Abs(got-want) > e.eb {
 			t.Fatalf("value %d: |%v - %v| above the bound %g", i, got, want, e.eb)
+		}
+	}
+}
+
+// TestIngestDefaultsMatchSnapshotPut pins what a POST that names no interp
+// or codec stores: blobs byte-identical to an offline store.PackSnapshot
+// with the defaults of `ipcomp snapshot put` (cubic interpolation, deflate
+// blocks), so a series can be written through either path and dedupe
+// across both.
+func TestIngestDefaultsMatchSnapshotPut(t *testing.T) {
+	e := newIngestEnv(t, nil)
+	if code, doc := e.post(t, "/v1/datasets/density"+e.createQuery(), bodyF64(e.g)); code != http.StatusCreated {
+		t.Fatalf("create: %d %v", code, doc)
+	}
+	got, ok := e.c.Manifest("density", 0)
+	if !ok {
+		t.Fatal("ingested snapshot has no manifest")
+	}
+	offline, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := store.PackSnapshot(offline, "density", e.g, store.WriteOptions{
+		ErrorBound:    e.eb,
+		ChunkShape:    grid.Shape{16, 16, 16},
+		Interpolation: interp.Cubic,
+		Codec:         codec.PolicyDeflate,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ErrorBound != want.ErrorBound || len(got.Tiles) != len(want.Tiles) {
+		t.Fatalf("ingested eb %g, %d tiles; offline eb %g, %d tiles", got.ErrorBound, len(got.Tiles), want.ErrorBound, len(want.Tiles))
+	}
+	for i := range want.Tiles {
+		a, err := e.c.ReadBlob(got.Tiles[i].Score)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := offline.ReadBlob(want.Tiles[i].Score)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("tile %d: ingested blob (%d B) differs from the offline one (%d B)", i, len(a), len(b))
 		}
 	}
 }

@@ -43,8 +43,7 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("ipcomp_tile_cache_evictions_total", "Tiles dropped from the tile cache to honour its budget.", doc.TileCacheEvictions)
 	counter("ipcomp_backend_hits_total", "Backend reads served entirely from the span cache.", doc.BackendHits)
 	counter("ipcomp_backend_misses_total", "Backend reads needing at least one origin fetch.", doc.BackendMisses)
-	counter("ipcomp_backend_fetched_bytes_total", "Bytes demand-read from storage origins.", doc.BackendBytesFetched)
-	counter("ipcomp_backend_prefetched_bytes_total", "Bytes read speculatively by sequential readahead.", doc.BackendPrefetched)
+	counter("ipcomp_backend_fetched_bytes_total", "Bytes read from storage origins.", doc.BackendBytesFetched)
 	counter("ipcomp_backend_coalesced_reads_total", "Reads that joined an identical in-flight origin fetch.", doc.BackendCoalesced)
 
 	counter("ipcomp_admission_queued_total", "Cold requests that waited for a decode slot.", srv.adm.queued.Load())

@@ -33,7 +33,7 @@ func newEdgeEnv(t testing.TB) *edgeEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := backend.NewCached(hb, 8<<20, 0)
+	cb := backend.NewCached(hb, 8<<20)
 	st, err := store.OpenBackend(cb, "test.ipcs")
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +127,8 @@ func TestEdgeProxy(t *testing.T) {
 		t.Fatal("warm edge fetch differs from direct local retrieval")
 	}
 	after := env.edgeStore.Stats().Backend
-	if after.BytesFetched != before.BytesFetched || after.Prefetched != before.Prefetched {
-		t.Fatalf("warm request read %d origin bytes (and %d prefetched), want 0",
-			after.BytesFetched-before.BytesFetched, after.Prefetched-before.Prefetched)
+	if after.BytesFetched != before.BytesFetched {
+		t.Fatalf("warm request read %d origin bytes, want 0", after.BytesFetched-before.BytesFetched)
 	}
 	if after.Hits <= before.Hits {
 		t.Error("warm request recorded no span-cache hits")
@@ -186,7 +185,7 @@ func TestStatsSharedBackendNotDoubleCounted(t *testing.T) {
 		}
 		mem.Add(name, buf.Bytes())
 	}
-	cb := backend.NewCached(mem, 1<<20, 0)
+	cb := backend.NewCached(mem, 1<<20)
 	srv := New()
 	for _, name := range []string{"one.ipcs", "two.ipcs"} {
 		st, err := store.OpenBackend(cb, name)

@@ -164,7 +164,7 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 // writeRetryAfter answers 429 with the admission Retry-After hint.
 func (srv *Server) writeRetryAfter(w http.ResponseWriter, msg string) {
 	srv.adm.rejected.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(int((srv.adm.opts.RetryAfter+time.Second-1)/time.Second)))
+	w.Header().Set("Retry-After", retryAfterSeconds)
 	writeError(w, http.StatusTooManyRequests, msg)
 }
 

@@ -388,7 +388,6 @@ type StatsDoc struct {
 	BackendHits         int64 `json:"backend_hits"`
 	BackendMisses       int64 `json:"backend_misses"`
 	BackendBytesFetched int64 `json:"backend_bytes_fetched"`
-	BackendPrefetched   int64 `json:"backend_prefetched_bytes"`
 	BackendCoalesced    int64 `json:"backend_coalesced_reads"`
 	// Codec reports the process-wide compressed bytes moved through each
 	// block-coding method (DEFLATE, raw, zero, RLE, Huffman) while decoding
@@ -427,7 +426,6 @@ func (srv *Server) statsDoc() StatsDoc {
 		doc.BackendHits += c.Hits
 		doc.BackendMisses += c.Misses
 		doc.BackendBytesFetched += c.BytesFetched
-		doc.BackendPrefetched += c.Prefetched
 		doc.BackendCoalesced += c.Coalesced
 	}
 	srv.mu.RUnlock()

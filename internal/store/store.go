@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -31,6 +32,7 @@ type Store struct {
 	id       uint64            // this store's identity in positional tile keys
 	snap     *snapshotReaderAt // non-nil for OpenSnapshot stores: tiles are keyed by score
 	cache    *TileCache        // private until SetTileCache attaches a shared one
+	shared   bool              // SetTileCache attached cache; SetCacheBytes refuses it
 	stats    cacheStats
 	counters backend.CounterSource // non-nil for backend-opened stores
 }
@@ -119,19 +121,25 @@ func OpenBackend(b backend.Backend, name string) (*Store, error) {
 // value — aggregate by identity to avoid double-counting.
 func (s *Store) CounterSource() backend.CounterSource { return s.counters }
 
-// SetCacheBytes resizes the store's decoded-tile cache (TileCache.Resize);
-// 0 disables caching. A store opened on its own has a private cache of
-// DefaultCacheBytes. On a store attached to a shared cache this resizes
-// the shared cache, for every store on it — size a shared cache where it
-// is made instead.
-func (s *Store) SetCacheBytes(n int64) { s.cache.Resize(n) }
+// SetCacheBytes resizes the store's private decoded-tile cache
+// (TileCache.Resize); 0 disables caching. A store opened on its own has a
+// private cache of DefaultCacheBytes. A store attached to a shared cache
+// returns an error and leaves that cache alone: its budget bounds every
+// store on it, so it is sized where it is made.
+func (s *Store) SetCacheBytes(n int64) error {
+	if s.shared {
+		return errors.New("store: SetCacheBytes on a store attached to a shared tile cache; resize the shared cache instead")
+	}
+	s.cache.Resize(n)
+	return nil
+}
 
 // SetTileCache makes the store keep its decoded tiles in c instead of its
 // private cache, which is dropped along with whatever it held. A process
 // that serves many stores attaches one cache to all of them, so that one
 // budget bounds them together and a tile that several snapshots reference
 // is decoded once. Call it before the store serves requests.
-func (s *Store) SetTileCache(c *TileCache) { s.cache = c }
+func (s *Store) SetTileCache(c *TileCache) { s.cache, s.shared = c, true }
 
 // TileCache returns the cache the store keeps its decoded tiles in.
 // Aggregators that sum occupancy across stores dedupe by identity.

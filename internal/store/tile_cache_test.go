@@ -276,6 +276,51 @@ func TestSharedCachePackedContainersIsolated(t *testing.T) {
 	}
 }
 
+// TestSetCacheBytesLeavesSharedCacheAlone: on a store attached to a shared
+// cache SetCacheBytes is an error, and the budget and tiles of every store
+// on that cache stay as they were; a store with a cache of its own still
+// resizes it.
+func TestSetCacheBytesLeavesSharedCacheAlone(t *testing.T) {
+	shape, chunk := grid.Shape{32, 32, 32}, grid.Shape{16, 16, 16}
+	pack := packOffline(t, "density", seriesGrid(t, shape, chunk, 0, nil), WriteOptions{ErrorBound: 1e-4, ChunkShape: chunk})
+	tiles := NewTileCache(DefaultCacheBytes)
+	var stores []*Store
+	for k := 0; k < 2; k++ {
+		s := openStore(t, pack)
+		s.SetTileCache(tiles)
+		if _, err := s.RetrieveDataset("density", 0); err != nil {
+			t.Fatal(err)
+		}
+		stores = append(stores, s)
+	}
+	before := tiles.Stats()
+	stores[1].SetCacheBytes(0)
+	if after := tiles.Stats(); after != before {
+		t.Errorf("SetCacheBytes(0) on one attached store moved the shared cache: %+v, then %+v", before, after)
+	}
+	for i := range tiles.shards {
+		if got := tiles.shards[i].cap; got != DefaultCacheBytes/cacheShards {
+			t.Fatalf("shard %d budget is %d after SetCacheBytes(0) on one attached store, want %d", i, got, DefaultCacheBytes/cacheShards)
+		}
+	}
+	set, ok := any(stores[0]).(interface{ SetCacheBytes(int64) error })
+	if !ok {
+		t.Fatal("SetCacheBytes reports no error")
+	}
+	if err := set.SetCacheBytes(1); err == nil {
+		t.Error("SetCacheBytes on an attached store returned no error")
+	}
+
+	own := openStore(t, pack)
+	if _, err := own.RetrieveDataset("density", 0); err != nil {
+		t.Fatal(err)
+	}
+	own.SetCacheBytes(0)
+	if st := own.TileCache().Stats(); st.Entries != 0 {
+		t.Errorf("a private cache resized to 0 still holds %d tiles", st.Entries)
+	}
+}
+
 // liveHeap is the heap in use after two collections: the second frees what
 // the first moved out of the sync.Pools, so pooled scratch is not counted.
 func liveHeap() int64 {

@@ -201,7 +201,7 @@ func OpenURL(spec string) (*Store, error) {
 		name = names[0]
 	}
 	if backend.IsRemote(b) {
-		b = backend.NewCached(b, backend.DefaultCachedBytes, 0)
+		b = backend.NewCached(b, backend.DefaultCachedBytes)
 	}
 	s, err := store.OpenBackend(b, name)
 	if err != nil {
@@ -245,7 +245,9 @@ func (s *Store) Size() int64 { return s.s.Size() }
 // 256 MiB); 0 disables caching. A Store opened through this package has a
 // cache of its own, so the budget bounds this store alone; ipcompd instead
 // keeps the tiles of everything it serves in one cache sized by -cache-mb.
-func (s *Store) SetCacheBytes(n int64) { s.s.SetCacheBytes(n) }
+func (s *Store) SetCacheBytes(n int64) {
+	_ = s.s.SetCacheBytes(n) // fails only on an attached cache, and nothing here attaches one
+}
 
 // RetrieveRegion reconstructs the box [lo, hi) of the named dataset with a
 // guaranteed L∞ error of at most bound; bound 0 means full fidelity. The
