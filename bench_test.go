@@ -712,7 +712,8 @@ func BenchmarkStoreExtractF32(b *testing.B) {
 func BenchmarkSPERRCompress(b *testing.B) { benchCodecCompress(b, sperr.New(), "Wave") }
 
 // BenchmarkBitplaneSplit measures the engine's actual split stage: the
-// compressor transposes into pooled backings via SplitInto, allocation-free.
+// compressor predicts and transposes into pooled backings via
+// SplitPredictRange, allocation-free.
 // (Before PR 2 the compressor used the allocating Split inside this loop;
 // BenchmarkBitplaneSplitAlloc below still measures that API for
 // apples-to-apples comparison with pre-PR-2 numbers.)
@@ -731,7 +732,7 @@ func BenchmarkBitplaneSplit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bitplane.SplitInto(planes, vals)
+		bitplane.SplitPredictRange(planes, vals, 0, len(vals))
 	}
 }
 

@@ -3,6 +3,8 @@ package bitplane
 import (
 	"math"
 	"math/bits"
+
+	"repro/internal/nb"
 )
 
 // Planes is the number of bitplanes per 32-bit integer.
@@ -39,9 +41,8 @@ func Split(values []uint32) [][]byte {
 
 // SplitInto transposes values into caller-provided planes: len(planes) must
 // be Planes and every plane at least ceil(len(values)/8) bytes. Every plane
-// byte in range is overwritten, so pooled backings need no zeroing. This is
-// the allocation-free entry of the compression hot path — Split and
-// SplitInto both run on the word-level 8×32 bit-matrix transpose.
+// byte in range is overwritten, so pooled backings need no zeroing. Split
+// and SplitInto both run on the word-level 8×32 bit-matrix transpose.
 func SplitInto(planes [][]byte, values []uint32) {
 	if len(planes) != Planes {
 		panic("bitplane: SplitInto needs exactly 32 planes")
@@ -58,6 +59,23 @@ func SplitInto(planes [][]byte, values []uint32) {
 // loop below is the reference implementation, handles the tail, and is the
 // only path everywhere else. Both orders produce identical plane bytes.
 func SplitRange(planes [][]byte, values []uint32, lo, hi int) {
+	splitRange(planes, values, lo, hi, 0)
+}
+
+// SplitPredictRange is SplitRange with the XOR prediction applied on the
+// way: its planes are those of SplitRange followed by PredictEncode over
+// all 32 of them. Prediction commutes with the transpose — it is
+// s = v ^ v>>1 ^ v>>2 on each whole value — so it costs three vector ops
+// per eight values instead of a pass over the plane bytes. Planes above a
+// value set's top used plane stay zero, so the used suffix is exactly
+// what PredictEncode makes of it alone.
+func SplitPredictRange(planes [][]byte, values []uint32, lo, hi int) {
+	splitRange(planes, values, lo, hi, ^uint32(0))
+}
+
+// splitRange transposes values ^ (values>>1 ^ values>>2) & pm: pm is zero
+// for the plain transpose and all ones for the predicted one.
+func splitRange(planes [][]byte, values []uint32, lo, hi int, pm uint32) {
 	if lo&7 != 0 {
 		panic("bitplane: SplitRange start must be 8-aligned")
 	}
@@ -65,14 +83,14 @@ func SplitRange(planes [][]byte, values []uint32, lo, hi int) {
 		hi = len(values)
 	}
 	if lo < hi {
-		lo = splitRangeAccel(planes, values, lo, hi)
+		lo = splitRangeAccel(planes, values, lo, hi, pm)
 	}
-	splitRangeGeneric(planes, values, lo, hi)
+	splitRangeGeneric(planes, values, lo, hi, pm)
 }
 
 // splitRangeGeneric is the portable word-at-a-time transpose: one
 // transpose8 butterfly per byte-block of eight values.
-func splitRangeGeneric(planes [][]byte, values []uint32, lo, hi int) {
+func splitRangeGeneric(planes [][]byte, values []uint32, lo, hi int, pm uint32) {
 	var vv [8]uint32
 	for base := lo; base < hi; base += 8 {
 		g := base >> 3
@@ -82,6 +100,9 @@ func splitRangeGeneric(planes [][]byte, values []uint32, lo, hi int) {
 		} else {
 			vv = [8]uint32{}
 			copy(vv[:], values[base:hi])
+		}
+		for i, v := range vv {
+			vv[i] = v ^ (v>>1^v>>2)&pm
 		}
 		// One 8×8 transpose per byte of the values: block b covers planes
 		// 8b..8b+7, fed by byte (3-b) of every value.
@@ -116,9 +137,7 @@ func Merge(planes [][]byte, n int) []uint32 {
 }
 
 // MergeInto reassembles into an existing slice; every element is
-// overwritten. Like Split it runs on the word-level transpose — merging is
-// on the critical decompression path (every retrieval and refinement
-// rebuilds its truncated indices through it).
+// overwritten. Like Split it runs on the word-level transpose.
 func MergeInto(out []uint32, planes [][]byte) {
 	MergeRange(out, planes, 0, len(out))
 }
@@ -143,42 +162,90 @@ func MergeRange(out []uint32, planes [][]byte, lo, hi int) {
 }
 
 func mergeRangeGeneric(out []uint32, planes [][]byte, lo, hi int) {
-	np := len(planes)
-	if np > Planes {
-		np = Planes
-	}
 	for base := lo; base < hi; base += 8 {
-		g := base >> 3
-		var vv [8]uint32
-		for b := 0; b < 4; b++ {
-			var x uint64
-			for r := 0; r < 8; r++ {
-				p := 8*b + r
-				if p >= np || planes[p] == nil {
-					continue
-				}
-				x |= uint64(planes[p][g]) << uint(56-8*r)
-			}
-			if x == 0 {
+		vv := mergeBlock(planes, base>>3)
+		copy(out[base:min(base+8, hi)], vv[:])
+	}
+}
+
+// mergeBlock rebuilds the eight values of plane byte g.
+func mergeBlock(planes [][]byte, g int) (vv [8]uint32) {
+	np := min(len(planes), Planes)
+	for b := 0; b < 4; b++ {
+		var x uint64
+		for r := 0; r < 8; r++ {
+			p := 8*b + r
+			if p >= np || planes[p] == nil {
 				continue
 			}
-			y := transpose8(x)
-			shift := uint(24 - 8*b)
-			vv[0] |= uint32(byte(y>>56)) << shift
-			vv[1] |= uint32(byte(y>>48)) << shift
-			vv[2] |= uint32(byte(y>>40)) << shift
-			vv[3] |= uint32(byte(y>>32)) << shift
-			vv[4] |= uint32(byte(y>>24)) << shift
-			vv[5] |= uint32(byte(y>>16)) << shift
-			vv[6] |= uint32(byte(y>>8)) << shift
-			vv[7] |= uint32(byte(y)) << shift
+			x |= uint64(planes[p][g]) << uint(56-8*r)
 		}
-		if hi-base >= 8 {
-			copy(out[base:base+8], vv[:])
-		} else {
-			copy(out[base:hi], vv[:hi-base])
+		if x == 0 {
+			continue
+		}
+		y := transpose8(x)
+		shift := uint(24 - 8*b)
+		vv[0] |= uint32(byte(y>>56)) << shift
+		vv[1] |= uint32(byte(y>>48)) << shift
+		vv[2] |= uint32(byte(y>>40)) << shift
+		vv[3] |= uint32(byte(y>>32)) << shift
+		vv[4] |= uint32(byte(y>>24)) << shift
+		vv[5] |= uint32(byte(y>>16)) << shift
+		vv[6] |= uint32(byte(y>>8)) << shift
+		vv[7] |= uint32(byte(y)) << shift
+	}
+	return vv
+}
+
+// MergeDecodeRange raises the quantization indices ks[lo:hi) by a run of
+// newly loaded planes in one pass: it merges the planes, undoes their XOR
+// prediction, ORs them under each index's negabinary code and decodes.
+// lo must be a multiple of 8; disjoint 8-aligned ranges may run
+// concurrently.
+//
+// planes holds the new planes as stored (predicted) at their bit positions
+// among the 32 — nil everywhere else. Their prediction is undone on whole
+// words as if every other plane were zero (see unpredict); keep masks the
+// bits of the planes above the last new one, clearing what that spills
+// below it. The planes already in ks are corrected for by one of four
+// words: corr[ab], where a and b are the bits at top+1 and top of the old
+// code, the two loaded bits nearest the new planes. An index's first
+// raise has ks[i] == 0 and corr[0] == 0, so it needs no special case.
+//
+// Like MergeRange this dispatches the bulk of the range to the AVX2 kernel
+// when one is compiled in; the scalar loop is the reference implementation
+// and the tail/fallback path.
+func MergeDecodeRange(ks []int32, planes [][]byte, lo, hi int, keep uint32, top uint, corr *[4]uint32) {
+	if lo&7 != 0 {
+		panic("bitplane: MergeDecodeRange start must be 8-aligned")
+	}
+	if hi > len(ks) {
+		hi = len(ks)
+	}
+	if lo < hi {
+		lo = mergeDecodeAccel(ks, planes, lo, hi, keep, top, corr)
+	}
+	mergeDecodeGeneric(ks, planes, lo, hi, keep, top, corr)
+}
+
+func mergeDecodeGeneric(ks []int32, planes [][]byte, lo, hi int, keep uint32, top uint, corr *[4]uint32) {
+	for base := lo; base < hi; base += 8 {
+		vv := mergeBlock(planes, base>>3)
+		for i, k := range ks[base:min(base+8, hi)] {
+			o := nb.Encode32(k)
+			ks[base+i] = nb.Decode32(o | unpredict(vv[i])&keep ^ corr[o>>top&3])
 		}
 	}
+}
+
+// unpredict inverts the prediction s = b ^ b>>1 ^ b>>2 on a whole word:
+// b = (s ^ s>>1) / (1+x³), the word-domain identity of the package doc.
+func unpredict(s uint32) uint32 {
+	u := s ^ s>>1
+	u ^= u >> 3
+	u ^= u >> 6
+	u ^= u >> 12
+	return u ^ u>>24
 }
 
 // NumUsedPlanes returns how many MSB-first planes are needed to represent
@@ -207,35 +274,26 @@ func NumUsedPlanes(values []uint32) int {
 // The transformation must run on the ORIGINAL plane bits, so encoding walks
 // planes LSB-to-MSB (a plane's sources are modified after it is, never
 // before).
+//
+// The IPComp coder itself predicts inside the transpose (SplitPredictRange)
+// and undoes it inside the merge (MergeDecodeRange); these byte-plane forms
+// serve callers that hold planes, not values.
 func PredictEncode(planes [][]byte) {
-	PredictEncodeBytes(planes, 0, planesMaxLen(planes))
-}
-
-// PredictEncodeBytes applies the prediction to the byte columns [lo, hi)
-// only. The transform is element-wise across byte positions, so disjoint
-// column ranges may run concurrently.
-func PredictEncodeBytes(planes [][]byte, lo, hi int) {
+	hi := planesMaxLen(planes)
 	for p := len(planes) - 1; p >= 1; p-- {
-		xorWithPrefixBytes(planes, p, lo, hi)
+		xorWithPrefixBytes(planes, p, 0, hi)
 	}
 }
 
 // PredictDecode inverts PredictEncode for the loaded prefix of planes.
 // Decoding walks MSB-to-LSB so each plane's sources are already restored.
 func PredictDecode(planes [][]byte) {
-	PredictDecodeRange(planes, 0, len(planes))
+	predictDecodeRangeBytes(planes, 0, len(planes), 0, planesMaxLen(planes))
 }
 
-// PredictDecodeRange decodes only planes [from, to), assuming planes above
-// `from` were decoded earlier. This is what incremental refinement uses when
-// it appends newly loaded planes below an already-decoded prefix.
-func PredictDecodeRange(planes [][]byte, from, to int) {
-	PredictDecodeRangeBytes(planes, from, to, 0, planesMaxLen(planes))
-}
-
-// PredictDecodeRangeBytes decodes planes [from, to) restricted to the byte
-// columns [lo, hi); disjoint column ranges may run concurrently.
-func PredictDecodeRangeBytes(planes [][]byte, from, to, lo, hi int) {
+// predictDecodeRangeBytes decodes planes [from, to), restricted to the byte
+// columns [lo, hi), assuming planes above `from` were decoded earlier.
+func predictDecodeRangeBytes(planes [][]byte, from, to, lo, hi int) {
 	if from < 1 {
 		from = 1 // the MSB plane is stored unpredicted
 	}

@@ -94,8 +94,8 @@ func TestPredictDecodeRangeIncremental(t *testing.T) {
 	for i, p := range planes {
 		twoBatches[i] = append([]byte(nil), p...)
 	}
-	PredictDecodeRange(twoBatches, 0, 10)
-	PredictDecodeRange(twoBatches, 10, 32)
+	predictDecodeRangeBytes(twoBatches, 0, 10, 0, len(planes[0]))
+	predictDecodeRangeBytes(twoBatches, 10, 32, 0, len(planes[0]))
 
 	for i := range planes {
 		for j := range planes[i] {

@@ -13,6 +13,19 @@
 // plane loading order (MSB first), so a partially loaded archive can always
 // undo it.
 //
+// The prediction is also a word operation. Read a value's bits as a
+// polynomial over GF(2) in x, a right shift by one: the stored word is
+// s = b ^ b>>1 ^ b>>2, b times 1+x+x². Since (1+x+x²)(1+x) = 1+x³, the
+// inverse is b = (s ^ s>>1) / (1+x³), and 1/(1+x³) is the product of
+// 1+x³, 1+x⁶, 1+x¹² and 1+x²⁴ once powers past x³¹ are dropped: four
+// shift-XORs. The coder therefore never predicts plane by plane:
+// SplitPredictRange predicts each value before the transpose, and
+// MergeDecodeRange undoes it on the merged words of a raise's new planes —
+// the planes not loaded count as zero, and the bits the recurrence spills
+// below the last loaded plane are masked off — before it finishes the
+// negabinary raise in the same pass. PredictEncode and PredictDecode remain
+// the byte-plane forms for callers that hold planes.
+//
 // Split/Merge run on a word-level 8×32 bit-matrix transpose; the *Into
 // variants write into pooled backings (allocation-free hot path) and the
 // *Range variants shard by element or byte range for the parallel

@@ -22,12 +22,13 @@ func SetAVX2(on bool) bool {
 	return useAVX2
 }
 
-// splitAVX2 transposes iters×32 values starting at values into the plane
-// byte arrays: per iteration it writes 4 bytes at the current group offset
-// into each of the 32 planes. Implemented in transpose_amd64.s.
+// splitAVX2 transposes iters×32 values starting at values, each first
+// replaced by v ^ (v>>1 ^ v>>2) & pm, into the plane byte arrays: per
+// iteration it writes 4 bytes at the current group offset into each of the
+// 32 planes. Implemented in transpose_amd64.s.
 //
 //go:noescape
-func splitAVX2(planes *[Planes]unsafe.Pointer, values *uint32, iters int)
+func splitAVX2(planes *[Planes]unsafe.Pointer, values *uint32, iters int, pm uint32)
 
 // mergeAVX2 is the inverse: it rebuilds iters×32 values from plane bytes.
 // Nil plane pointers contribute zero bits; blocks is a bitmask of plane
@@ -38,9 +39,16 @@ func splitAVX2(planes *[Planes]unsafe.Pointer, values *uint32, iters int)
 //go:noescape
 func mergeAVX2(planes *[Planes]unsafe.Pointer, out *uint32, iters int, blocks uint8)
 
+// mergeDecodeAVX2 runs mergeDecodeGeneric's arithmetic over iters×32
+// indices starting at ks, on the values mergeAVX2 would rebuild from the
+// same planes. Implemented in transpose_amd64.s.
+//
+//go:noescape
+func mergeDecodeAVX2(planes *[Planes]unsafe.Pointer, ks *int32, iters int, blocks uint8, keep uint32, top uint, corr *[4]uint32)
+
 // splitRangeAccel runs the vector kernel over the longest 32-value-aligned
 // prefix of [lo, hi) and returns the new lo for the scalar tail.
-func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int) int {
+func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int, pm uint32) int {
 	n32 := (hi - lo) &^ 31
 	if !useAVX2 || n32 == 0 || len(planes) < Planes {
 		return lo
@@ -49,7 +57,7 @@ func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int) int {
 	for p := 0; p < Planes; p++ {
 		ptrs[p] = unsafe.Pointer(&planes[p][lo>>3])
 	}
-	splitAVX2(&ptrs, &values[lo], n32>>5)
+	splitAVX2(&ptrs, &values[lo], n32>>5, pm)
 	return lo + n32
 }
 
@@ -59,18 +67,31 @@ func mergeRangeAccel(out []uint32, planes [][]byte, lo, hi int) int {
 	if !useAVX2 || n32 == 0 {
 		return lo
 	}
-	np := len(planes)
-	if np > Planes {
-		np = Planes
+	ptrs, blocks := planePointers(planes, lo)
+	mergeAVX2(&ptrs, &out[lo], n32>>5, blocks)
+	return lo + n32
+}
+
+// mergeDecodeAccel mirrors mergeRangeAccel for MergeDecodeRange.
+func mergeDecodeAccel(ks []int32, planes [][]byte, lo, hi int, keep uint32, top uint, corr *[4]uint32) int {
+	n32 := (hi - lo) &^ 31
+	if !useAVX2 || n32 == 0 {
+		return lo
 	}
-	var ptrs [Planes]unsafe.Pointer
-	var blocks uint8
-	for p := 0; p < np; p++ {
-		if planes[p] != nil {
-			ptrs[p] = unsafe.Pointer(&planes[p][lo>>3])
+	ptrs, blocks := planePointers(planes, lo)
+	mergeDecodeAVX2(&ptrs, &ks[lo], n32>>5, blocks, keep, top, corr)
+	return lo + n32
+}
+
+// planePointers returns the merge kernels' arguments for the value range
+// starting at lo: each loaded plane's byte lo/8, and the bitmask of plane
+// octets holding at least one of them.
+func planePointers(planes [][]byte, lo int) (ptrs [Planes]unsafe.Pointer, blocks uint8) {
+	for p, plane := range planes[:min(len(planes), Planes)] {
+		if plane != nil {
+			ptrs[p] = unsafe.Pointer(&plane[lo>>3])
 			blocks |= 1 << uint(p>>3)
 		}
 	}
-	mergeAVX2(&ptrs, &out[lo], n32>>5, blocks)
-	return lo + n32
+	return ptrs, blocks
 }

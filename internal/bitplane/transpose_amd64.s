@@ -2,8 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for the 8×32 bit-matrix transpose behind SplitRange and
-// MergeRange. Both process 32 values (4 groups of 8) per iteration.
+// AVX2 kernels for the 8×32 bit-matrix transpose behind SplitRange,
+// SplitPredictRange, MergeRange and MergeDecodeRange. All process 32 values
+// (4 groups of 8) per iteration.
 //
 // The core trick: arrange value bytes so that within each 8-byte chunk of a
 // YMM register the bytes belong to one fixed value-byte B, values in
@@ -49,6 +50,23 @@ DATA mergeB<>+16(SB)/8, $0x808080800e0a0602
 DATA mergeB<>+24(SB)/8, $0x808080800f0b0703
 GLOBL mergeB<>(SB), RODATA|NOPTR, $32
 
+// nbmask<> is the negabinary mask 0xAAAAAAAA, three<> the two-bit index
+// mask of the correction lookup; both are broadcast to every dword.
+DATA nbmask<>+0(SB)/4, $0xaaaaaaaa
+GLOBL nbmask<>(SB), RODATA|NOPTR, $4
+
+DATA three<>+0(SB)/4, $3
+GLOBL three<>(SB), RODATA|NOPTR, $4
+
+// PREDICT replaces the values in V by v ^ (v>>1 ^ v>>2) & pm, pm in Y14:
+// the XOR prediction of all 32 planes at once, or nothing when pm is zero.
+#define PREDICT(V) \
+	VPSRLD $1, V, Y4  \
+	VPXOR  V, Y4, Y4  \
+	VPSRLD $1, Y4, Y4 \
+	VPAND  Y14, Y4, Y4 \
+	VPXOR  Y4, V, V
+
 // STORE8 emits the 8 plane stores for one value-byte register: plane
 // (base+s) gets the VPMOVMSKB mask of the register shifted left s times.
 #define STORE8(T, base) \
@@ -84,21 +102,28 @@ GLOBL mergeB<>(SB), RODATA|NOPTR, $32
 	MOVQ      (base*8+56)(R8), BX  \
 	MOVL      AX, (BX)(R10*1)
 
-// func splitAVX2(planes *[32]unsafe.Pointer, values *uint32, iters int)
-TEXT ·splitAVX2(SB), NOSPLIT, $0-24
+// func splitAVX2(planes *[32]unsafe.Pointer, values *uint32, iters int, pm uint32)
+TEXT ·splitAVX2(SB), NOSPLIT, $0-28
 	MOVQ    planes+0(FP), R8
 	MOVQ    values+8(FP), R9
 	MOVQ    iters+16(FP), R11
 	XORQ    R10, R10
 	VMOVDQU shuffle<>(SB), Y12
 	VMOVDQU permute<>(SB), Y13
+	MOVL    pm+24(FP), AX
+	VMOVD   AX, X14
+	VPBROADCASTD X14, Y14
 
 splitloop:
-	// Load 4 groups and bring each into chunked per-byte form.
+	// Load 4 groups, predict, and bring each into chunked per-byte form.
 	VMOVDQU (R9), Y0
 	VMOVDQU 32(R9), Y1
 	VMOVDQU 64(R9), Y2
 	VMOVDQU 96(R9), Y3
+	PREDICT(Y0)
+	PREDICT(Y1)
+	PREDICT(Y2)
+	PREDICT(Y3)
 	VPSHUFB Y12, Y0, Y0
 	VPSHUFB Y12, Y1, Y1
 	VPSHUFB Y12, Y2, Y2
@@ -244,5 +269,110 @@ mergeloop:
 	ADDQ $4, R10
 	DECQ R11
 	JNZ  mergeloop
+	VZEROUPPER
+	RET
+
+// ROW loads scratch row s (the four per-octet masks) into X as the 4 values
+// 8g+s, g = 0..3, by a 4×4 byte transpose — VALUES4 without the scatter.
+#define ROW(s, X) \
+	VMOVDQU scratch-128+(s*16)(SP), X \
+	VPSHUFB X13, X, X
+
+// DECODE8 raises the 8 indices at off(R9) by the 8 merged, still predicted
+// words in V: mergeDecodeGeneric's arithmetic, Y4-Y6 as temporaries.
+#define DECODE8(V, off) \
+	VPSRLD  $1, V, Y4   \
+	VPXOR   Y4, V, V    \
+	VPSRLD  $3, V, Y4   \
+	VPXOR   Y4, V, V    \
+	VPSRLD  $6, V, Y4   \
+	VPXOR   Y4, V, V    \
+	VPSRLD  $12, V, Y4  \
+	VPXOR   Y4, V, V    \
+	VPSRLD  $24, V, Y4  \
+	VPXOR   Y4, V, V    \
+	VPAND   Y9, V, V    \
+	VMOVDQU off(R9), Y5 \
+	VPADDD  Y8, Y5, Y5  \
+	VPXOR   Y8, Y5, Y5  \
+	VPSRLD  X12, Y5, Y6 \
+	VPAND   Y11, Y6, Y6 \
+	VPERMD  Y10, Y6, Y6 \
+	VPOR    Y5, V, V    \
+	VPXOR   Y6, V, V    \
+	VPSUBD  Y8, V, V    \
+	VMOVDQU V, off(R9)
+
+// func mergeDecodeAVX2(planes *[32]unsafe.Pointer, ks *int32, iters int, blocks uint8, keep uint32, top uint, corr *[4]uint32)
+//
+// The merge is mergeAVX2's up to the mask rows; the rows' 32 values then
+// stay in registers: ROW gives value 8g+s in dword g of Xs, and a 4×4 dword
+// transpose per lane of [Xs | Xs+4] turns them into the 8 values of group g
+// in Yg. DECODE8 undoes the prediction (u = s ^ s>>1, then u ^= u>>3, >>6,
+// >>12, >>24), masks with keep, and ORs under o = (k + m) ^ m, m =
+// 0xAAAAAAAA, XOR corr[o>>top & 3] ^ m, picked by VPERMD from corr^m
+// broadcast to both lanes; subtracting m finishes the negabinary decode.
+TEXT ·mergeDecodeAVX2(SB), NOSPLIT, $128-48
+	MOVQ    planes+0(FP), R8
+	MOVQ    ks+8(FP), R9
+	MOVQ    iters+16(FP), R11
+	MOVBLZX blocks+24(FP), R12
+	XORQ    R10, R10
+	VMOVDQU mergeA<>(SB), Y14
+	VMOVDQU mergeB<>(SB), Y15
+	VMOVDQU shuffle<>(SB), X13
+	VPBROADCASTD nbmask<>(SB), Y8
+	MOVL    keep+28(FP), AX
+	VMOVD   AX, X9
+	VPBROADCASTD X9, Y9
+	MOVQ    corr+40(FP), AX
+	VBROADCASTI128 (AX), Y10
+	VPXOR   Y8, Y10, Y10
+	VPBROADCASTD three<>(SB), Y11
+	MOVQ    top+32(FP), AX
+	VMOVQ   AX, X12
+
+	VPXOR   Y0, Y0, Y0
+	VMOVDQU Y0, scratch-128(SP)
+	VMOVDQU Y0, scratch-96(SP)
+	VMOVDQU Y0, scratch-64(SP)
+	VMOVDQU Y0, scratch-32(SP)
+
+mdloop:
+	MERGEBLOCK(0, md0)
+	MERGEBLOCK(1, md1)
+	MERGEBLOCK(2, md2)
+	MERGEBLOCK(3, md3)
+
+	ROW(0, X0)
+	ROW(1, X1)
+	ROW(2, X2)
+	ROW(3, X3)
+	ROW(4, X4)
+	ROW(5, X5)
+	ROW(6, X6)
+	ROW(7, X7)
+	VINSERTI128 $1, X4, Y0, Y0
+	VINSERTI128 $1, X5, Y1, Y1
+	VINSERTI128 $1, X6, Y2, Y2
+	VINSERTI128 $1, X7, Y3, Y3
+	VPUNPCKLDQ  Y1, Y0, Y4
+	VPUNPCKHDQ  Y1, Y0, Y5
+	VPUNPCKLDQ  Y3, Y2, Y6
+	VPUNPCKHDQ  Y3, Y2, Y7
+	VPUNPCKLQDQ Y6, Y4, Y0 // values 0..7
+	VPUNPCKHQDQ Y6, Y4, Y1 // values 8..15
+	VPUNPCKLQDQ Y7, Y5, Y2 // values 16..23
+	VPUNPCKHQDQ Y7, Y5, Y3 // values 24..31
+
+	DECODE8(Y0, 0)
+	DECODE8(Y1, 32)
+	DECODE8(Y2, 64)
+	DECODE8(Y3, 96)
+
+	ADDQ $128, R9
+	ADDQ $4, R10
+	DECQ R11
+	JNZ  mdloop
 	VZEROUPPER
 	RET

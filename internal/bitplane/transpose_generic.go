@@ -7,6 +7,10 @@ package bitplane
 // reports false.
 func SetAVX2(on bool) bool { return false }
 
-func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int) int { return lo }
+func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int, pm uint32) int { return lo }
 
 func mergeRangeAccel(out []uint32, planes [][]byte, lo, hi int) int { return lo }
+
+func mergeDecodeAccel(ks []int32, planes [][]byte, lo, hi int, keep uint32, top uint, corr *[4]uint32) int {
+	return lo
+}

@@ -150,8 +150,8 @@ func Compress[T grid.Scalar](g *grid.Grid[T], opt Options) ([]byte, error) {
 		m.usedPlanes = used
 		m.maxDrop = exactMaxDrop(ks, nbvL, used)
 
-		// Transpose into a pooled backing (SplitRange overwrites every byte
-		// in range, so no zeroing), then XOR-predict by byte columns.
+		// XOR-predict and transpose in one pass into a pooled backing
+		// (SplitPredictRange overwrites every byte in range, so no zeroing).
 		nbytes := (n + 7) / 8
 		backing := byteScratch.Get(bitplane.Planes * nbytes)
 		var all [bitplane.Planes][]byte
@@ -159,12 +159,9 @@ func Compress[T grid.Scalar](g *grid.Grid[T], opt Options) ([]byte, error) {
 			all[p] = backing[p*nbytes : (p+1)*nbytes : (p+1)*nbytes]
 		}
 		parallelChunks(n, minShardTargets, 8, func(lo, hi int) {
-			bitplane.SplitRange(all[:], nbvL, lo, hi)
+			bitplane.SplitPredictRange(all[:], nbvL, lo, hi)
 		})
 		planes := all[32-used:] // drop the identically-zero leading planes
-		parallelChunks(nbytes, minShardTargets/8, 1, func(lo, hi int) {
-			bitplane.PredictEncodeBytes(planes, lo, hi)
-		})
 		m.blockSizes = make([]uint32, used)
 		blocks[l] = make([][]byte, used)
 		// Blocks are independent after predictive coding; DEFLATE them

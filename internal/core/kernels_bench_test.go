@@ -84,8 +84,8 @@ func realPlaneArchives(tb testing.TB) []namedArchive {
 // BenchmarkDecodeRealPlanes measures the entropy-decode half of a full
 // retrieval — fetchPlanes for every level, no merge, no reconstruction —
 // over the planes of realPlaneArchives. MB/s are decoded plane bytes;
-// allocs/op pin that a raise costs one backing, not one allocation per
-// plane.
+// allocs/op pin that a raise costs no allocation per plane, and its
+// pooled backing none.
 func BenchmarkDecodeRealPlanes(b *testing.B) {
 	for _, c := range realPlaneArchives(b) {
 		a := c.a
@@ -100,12 +100,51 @@ func BenchmarkDecodeRealPlanes(b *testing.B) {
 			for b.Loop() {
 				r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}}
 				for l := 1; l <= a.h.levels; l++ {
-					if _, err := r.fetchPlanes(l, a.h.metaOf(l).usedPlanes); err != nil {
+					want := a.h.metaOf(l).usedPlanes
+					got := byteScratch.Get(r.raiseBytes(l, want))
+					if err := r.fetchPlanes(l, want, got); err != nil {
 						b.Fatal(err)
 					}
+					byteScratch.Put(got)
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkMergeRealPlanes measures the other half, mergePlanes, on the
+// finest level of realPlaneArchives — seven eighths of the values and the
+// most planes: a first raise to half the level's planes, as a retrieval
+// makes, and a later one from there to all of them, as a refinement does.
+// It reports ns per value of the level. The merge reads its planes without
+// changing them and does the same work whatever indices it raises, so each
+// iteration only rewinds the plan.
+func BenchmarkMergeRealPlanes(b *testing.B) {
+	for _, c := range realPlaneArchives(b) {
+		a := c.a
+		m := a.h.metaOf(1)
+		half := m.usedPlanes / 2
+		for _, s := range []struct {
+			name       string
+			have, want int
+		}{{"first", 0, half}, {"later", half, m.usedPlanes}} {
+			b.Run(c.name+"/"+s.name, func(b *testing.B) {
+				r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}, trunc: make([][]int32, a.h.levels)}
+				r.trunc[0] = make([]int32, m.count)
+				if err := r.loadPlanes(1, s.have); err != nil {
+					b.Fatal(err)
+				}
+				got := make([]byte, r.raiseBytes(1, s.want))
+				if err := r.fetchPlanes(1, s.want, got); err != nil {
+					b.Fatal(err)
+				}
+				for b.Loop() {
+					r.plan.Keep[0] = s.have
+					r.mergePlanes(1, s.want, got)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.count), "ns/value")
+			})
+		}
 	}
 }
 
@@ -119,8 +158,8 @@ func TestDeflateMatchesFlateOnRealPlanes(t *testing.T) {
 		deflated := 0
 		for l := 1; l <= a.h.levels; l++ {
 			m := a.h.metaOf(l)
-			got, err := r.fetchPlanes(l, m.usedPlanes)
-			if err != nil {
+			got := make([]byte, r.raiseBytes(l, m.usedPlanes))
+			if err := r.fetchPlanes(l, m.usedPlanes, got); err != nil {
 				t.Fatal(err)
 			}
 			planeBytes := (m.count + 7) / 8

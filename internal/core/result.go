@@ -7,7 +7,6 @@ import (
 	"repro/internal/bitplane"
 	"repro/internal/codec"
 	"repro/internal/grid"
-	"repro/internal/nb"
 )
 
 // Result is a progressive reconstruction: the decompressed field at some
@@ -220,10 +219,15 @@ func rebuild[T grid.Scalar](a *Archive, data []T, trunc [][]int32, from int) {
 }
 
 // loadPlanes raises level l's loaded plane count to want: fetchPlanes, then
-// mergePlanes.
+// mergePlanes, through a pooled backing. A retrieval raises its levels one
+// after another, so one backing serves them all.
 func (r *Result) loadPlanes(level, want int) error {
-	got, err := r.fetchPlanes(level, want)
-	if err != nil {
+	if have, want := r.newPlanes(level, want); want <= have {
+		return nil
+	}
+	got := byteScratch.Get(r.raiseBytes(level, want))
+	defer byteScratch.Put(got)
+	if err := r.fetchPlanes(level, want, got); err != nil {
 		return err
 	}
 	r.mergePlanes(level, want, got)
@@ -239,18 +243,28 @@ func (r *Result) newPlanes(level, want int) (have, to int) {
 	return r.plan.Keep[level-1], want
 }
 
+// raiseBytes is the size of the planes a raise of level to want decodes.
+// It is bounded by checks already made: m.count is the decomposition's own
+// count for the level (retrieveStatsAs) and a level stores at most 32
+// planes (parse).
+func (r *Result) raiseBytes(level, want int) int {
+	have, want := r.newPlanes(level, want)
+	return max(want-have, 0) * ((r.arch.h.metaOf(level).count + 7) / 8)
+}
+
 // fetchPlanes is the half of a raise that can fail: it reads the blocks of
-// planes [have, want) of a level and entropy-decodes them into one backing,
-// which it returns (nil when there is nothing to load), plane have first.
-// It changes nothing in the result, so a refinement that fails here, on any
-// level, leaves the result exactly at its previous plan and can simply be
-// tried again.
-func (r *Result) fetchPlanes(level, want int) ([]byte, error) {
+// planes [have, want) of a level and entropy-decodes them into got, which
+// holds raiseBytes(level, want) bytes, plane have first. DecodeBlockInto
+// writes every byte of its plane whatever the block's method, so got needs
+// no zeroing. fetchPlanes changes nothing in the result, so a refinement
+// that fails here, on any level, leaves the result exactly at its previous
+// plan and can simply be tried again.
+func (r *Result) fetchPlanes(level, want int, got []byte) error {
 	a := r.arch
 	m := a.h.metaOf(level)
 	have, want := r.newPlanes(level, want)
 	if want <= have {
-		return nil, nil
+		return nil
 	}
 	// The blocks [have, want) are adjacent in the archive (plan-ordered
 	// layout), so they arrive as one span read — one syscall, one pooled
@@ -267,7 +281,7 @@ func (r *Result) fetchPlanes(level, want int) ([]byte, error) {
 		r.stats.ReadNanos.Add(time.Since(readT).Nanoseconds())
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer release()
 	var ferr firstError
@@ -275,14 +289,10 @@ func (r *Result) fetchPlanes(level, want int) ([]byte, error) {
 	if r.stats != nil {
 		codecT = time.Now()
 	}
-	// One allocation holds every plane of the raise. Its size is bounded by
-	// checks already made: m.count is the decomposition's own count for the
-	// level (retrieveStatsAs) and a level stores at most 32 planes (parse).
-	backing := make([]byte, (want-have)*planeBytes)
 	ParallelFor(want-have, func(i int) {
 		p := have + i
 		at := int(offs[p] - spanOff)
-		plane := backing[i*planeBytes : (i+1)*planeBytes : (i+1)*planeBytes]
+		plane := got[i*planeBytes : (i+1)*planeBytes : (i+1)*planeBytes]
 		if err := codec.DecodeBlockInto(plane, raw[at:at+int(m.blockSizes[p])]); err != nil {
 			ferr.set(fmt.Errorf("core: level %d plane %d: %w", level, p, err))
 		}
@@ -290,10 +300,7 @@ func (r *Result) fetchPlanes(level, want int) ([]byte, error) {
 	if r.stats != nil {
 		r.stats.CodecNanos.Add(time.Since(codecT).Nanoseconds())
 	}
-	if err := ferr.get(); err != nil {
-		return nil, err
-	}
-	return backing, nil
+	return ferr.get()
 }
 
 // mergePlanes is the half of a raise that cannot fail: it merges the planes
@@ -307,6 +314,7 @@ func (r *Result) fetchPlanes(level, want int) ([]byte, error) {
 // four words: corr[ab] for those bits ab, the recurrence e_p = e_{p−1} ^
 // e_{p−2} run from them down through plane want−1. A value's new bits are
 // its merged new planes XOR that word, ORed under its old negabinary code.
+// bitplane.MergeDecodeRange does all of it in one pass over the values.
 func (r *Result) mergePlanes(level, want int, got []byte) {
 	a := r.arch
 	m := a.h.metaOf(level)
@@ -325,10 +333,8 @@ func (r *Result) mergePlanes(level, want int, got []byte) {
 		i := p - have
 		used[p] = got[i*planeBytes : (i+1)*planeBytes : (i+1)*planeBytes]
 	}
-	parallelChunks(planeBytes, minShardTargets/8, 1, func(lo, hi int) {
-		bitplane.PredictDecodeRangeBytes(used, have, want, lo, hi)
-	})
-	top := uint(m.usedPlanes - have) // bit of plane have−1; plane have−2 is top+1
+	keep := ^uint32(0) << (m.usedPlanes - want) // the bits of planes < want
+	top := uint(m.usedPlanes - have)            // bit of plane have−1; plane have−2 is top+1
 	var corr [4]uint32
 	for ab := range corr {
 		e1, e2 := uint32(ab&1), uint32(ab>>1) // the errors of planes p−1, p−2
@@ -337,24 +343,9 @@ func (r *Result) mergePlanes(level, want int, got []byte) {
 			corr[ab] |= e1 << (m.usedPlanes - 1 - p)
 		}
 	}
-
-	// Word-level merge of the new planes plus negabinary decode,
-	// chunk-sharded over pooled scratch.
-	nbv := uint32Scratch.Get(m.count)
-	defer uint32Scratch.Put(nbv)
 	ks := r.trunc[level-1]
 	parallelChunks(m.count, minShardTargets, 8, func(lo, hi int) {
-		bitplane.MergeRange(nbv, planes[:], lo, hi)
-		if have == 0 { // a level's first raise, every retrieval's: no old bits
-			for i := lo; i < hi; i++ {
-				ks[i] = nb.Decode32(nbv[i])
-			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			o := nb.Encode32(ks[i])
-			ks[i] = nb.Decode32(o | nbv[i] ^ corr[o>>top&3])
-		}
+		bitplane.MergeDecodeRange(ks, planes[:], lo, hi, keep, top, &corr)
 	})
 	r.plan.Keep[level-1] = want
 }
@@ -374,6 +365,14 @@ func (r *Result) RefineTo(plan Plan) error {
 	if len(plan.Keep) != a.h.levels {
 		return fmt.Errorf("core: plan has %d levels, archive %d", len(plan.Keep), a.h.levels)
 	}
+	// All levels' new planes share one pooled backing.
+	total := 0
+	for l := 1; l <= a.h.prog; l++ {
+		total += r.raiseBytes(l, plan.Keep[l-1])
+	}
+	backing := byteScratch.Get(total)
+	defer byteScratch.Put(backing)
+	rest := backing
 	// Everything that can fail — reading and entropy-decoding the new
 	// blocks — runs for every level before the first level is merged, so a
 	// refinement either happens in full or leaves the result at its old
@@ -385,11 +384,11 @@ func (r *Result) RefineTo(plan Plan) error {
 	changedBelow := 0               // coarsest level that gains planes, 0 = none
 	for l := a.h.prog; l >= 1; l-- {
 		if have, want := r.newPlanes(l, plan.Keep[l-1]); want > have {
-			b, err := r.fetchPlanes(l, want)
-			if err != nil {
+			n := r.raiseBytes(l, want)
+			got[l-1], rest = rest[:n:n], rest[n:]
+			if err := r.fetchPlanes(l, want, got[l-1]); err != nil {
 				return err
 			}
-			got[l-1] = b
 			changedBelow = max(changedBelow, l)
 		}
 	}

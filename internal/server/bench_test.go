@@ -362,11 +362,12 @@ func TestServerRegionWarmAllocs(t *testing.T) {
 // request that has to decode one 32³ tile — open its archive, read its
 // spans, entropy-decode every plane of every level, merge, reconstruct,
 // admit to the cache — allocates a number of objects that counts levels,
-// not planes: 150 here (151 on one CPU), where the tile has some 70 planes.
-// The planes of one raise share one backing (core.fetchPlanes), which the
-// result drops once merged, and the DEFLATE decoder allocates nothing; with
+// not planes: 146 here, where the tile has some 70 planes. The planes of
+// one raise share one pooled backing (core.loadPlanes), handed back once
+// merged, and the DEFLATE decoder allocates nothing; with
 // compress/flate's stream reader and one make per plane the same request
-// took 396, and with a per-level table of retained planes 156.
+// took 396, with a per-level table of retained planes 156, and with a fresh
+// backing per raise 150.
 func TestServerRegionColdTileAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -385,8 +386,8 @@ func TestServerRegionColdTileAllocs(t *testing.T) {
 		w.reset()
 		handler.ServeHTTP(w, req)
 	})
-	if allocs > 155 {
-		t.Fatalf("cold one-tile region request allocates %.1f objects/op, budget is 155", allocs)
+	if allocs > 151 {
+		t.Fatalf("cold one-tile region request allocates %.1f objects/op, budget is 151", allocs)
 	}
 	t.Logf("cold one-tile region request: %.1f allocs/op", allocs)
 }
