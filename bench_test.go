@@ -29,7 +29,6 @@ import (
 	"repro/internal/baselines/sz3"
 	"repro/internal/baselines/zfp"
 	"repro/internal/bitplane"
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/grid"
@@ -187,27 +186,16 @@ func BenchmarkFig8CompressZFP(b *testing.B)   { benchCodecCompress(b, zfp.New(),
 func BenchmarkFig8CompressMGARD(b *testing.B) { benchCodecCompress(b, mgard.New(), "Density") }
 func BenchmarkFig8CompressSPERR(b *testing.B) { benchCodecCompress(b, sperr.New(), "Density") }
 
-// BenchmarkFig8CompressIPComp measures the production-recommended
-// configuration: the Auto codec policy (format v3), which skips DEFLATE on
-// planes the entropy estimate says cannot compress. The Deflate variant
-// below tracks the legacy (v1 byte-identical) configuration so the BENCH
-// series keeps a comparable line.
+// BenchmarkFig8CompressIPComp compresses the Density field on default
+// options, the configuration every archive is written with.
 func BenchmarkFig8CompressIPComp(b *testing.B) {
-	benchFig8Compress(b, codec.PolicyAuto)
-}
-
-func BenchmarkFig8CompressIPCompDeflate(b *testing.B) {
-	benchFig8Compress(b, codec.PolicyDeflate)
-}
-
-func benchFig8Compress(b *testing.B, pol codec.Policy) {
 	g := benchField(b, "Density")
 	eb := 1e-9 * g.ValueRange()
 	b.SetBytes(int64(g.Len() * 8))
 	b.ResetTimer()
 	var size int
 	for i := 0; i < b.N; i++ {
-		blob, err := core.Compress(g, core.Options{ErrorBound: eb, Interpolation: interp.Cubic, Codec: pol})
+		blob, err := core.Compress(g, core.Options{ErrorBound: eb, Interpolation: interp.Cubic})
 		if err != nil {
 			b.Fatal(err)
 		}

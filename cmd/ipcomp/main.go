@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	ipcomp compress   -in data.f64 -shape 256x384x384 -eb 1e-6 [-rel] [-interp cubic] [-dtype f32] [-codec auto] -out data.ipc
+//	ipcomp compress   -in data.f64 -shape 256x384x384 -eb 1e-6 [-rel] [-interp cubic] [-dtype f32] -out data.ipc
 //	ipcomp decompress -in data.ipc -out recon.f64 [-dtype f32]
 //	ipcomp retrieve   -in data.ipc (-bound 1e-3 | -bitrate 2.0) -out recon.f64 [-dtype f32]
 //	ipcomp info       -in data.ipc
@@ -212,7 +212,6 @@ func cmdCompress(args []string) error {
 	rel := fs.Bool("rel", false, "interpret -eb relative to the value range")
 	interpName := fs.String("interp", "cubic", "interpolation: linear|cubic")
 	dtypeStr := fs.String("dtype", "f64", "input element type: f32|f64")
-	codecName := fs.String("codec", "deflate", "block codec policy: deflate|auto (auto emits format v3 when it wins)")
 	fs.Parse(args)
 	if *in == "" || *out == "" || *shapeStr == "" {
 		return fmt.Errorf("compress requires -in, -out, -shape")
@@ -229,11 +228,7 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	cpol, err := ipcomp.ParseCodec(*codecName)
-	if err != nil {
-		return err
-	}
-	opt := ipcomp.Options{ErrorBound: *eb, Relative: *rel, Interpolation: kind, Codec: cpol}
+	opt := ipcomp.Options{ErrorBound: *eb, Relative: *rel, Interpolation: kind}
 	var blob []byte
 	var n, rawBytes int
 	if dtype == ipcomp.Float32 {
@@ -368,7 +363,6 @@ func cmdInfo(args []string) error {
 	elem := arch.Scalar().Bytes()
 	fmt.Printf("shape:        %v (%d values)\n", arch.Shape(), n)
 	fmt.Printf("dtype:        %s (format v%d)\n", arch.Scalar(), arch.FormatVersion())
-	fmt.Printf("codec:        %s\n", arch.Codec())
 	fmt.Printf("error bound:  %g\n", arch.ErrorBound())
 	fmt.Printf("size:         %d bytes (CR %.2f, %.3f bits/value)\n",
 		arch.CompressedSize(), float64(n*elem)/float64(arch.CompressedSize()),

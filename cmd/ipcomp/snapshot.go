@@ -8,13 +8,12 @@ import (
 	"repro/internal/grid"
 	"repro/internal/interp"
 	"repro/internal/store"
-	"repro/ipcomp"
 )
 
 // cmdSnapshot dispatches the content-addressed snapshot-store
 // subcommands (see docs/INGEST.md):
 //
-//	ipcomp snapshot put -cas DIR -field name [-shape 64x96x96] [-eb 1e-6] [-rel] [-chunk 64x64x64] [-interp cubic] [-dtype f32] [-codec auto] file
+//	ipcomp snapshot put -cas DIR -field name [-shape 64x96x96] [-eb 1e-6] [-rel] [-chunk 64x64x64] [-interp cubic] [-dtype f32] file
 //	ipcomp snapshot ls  -cas DIR
 //	ipcomp snapshot rm  -cas DIR -name field@tN
 //	ipcomp snapshot gc  -cas DIR
@@ -52,7 +51,6 @@ func cmdSnapshotPut(args []string) error {
 	chunkStr := fs.String("chunk", "", "tile shape, e.g. 64x64x64 (default 64 per dimension)")
 	interpName := fs.String("interp", "cubic", "interpolation: linear|cubic")
 	dtypeStr := fs.String("dtype", "", "input element type: f32|f64 (default: the series dtype, f64 on first put)")
-	codecName := fs.String("codec", "deflate", "block codec policy: deflate|auto")
 	fs.Parse(args)
 	if *dir == "" || *field == "" || fs.NArg() != 1 {
 		return fmt.Errorf("snapshot put requires -cas, -field, and exactly one raw float file")
@@ -69,10 +67,6 @@ func cmdSnapshotPut(args []string) error {
 		kind = interp.Cubic
 	default:
 		return fmt.Errorf("unknown interpolation %q (want linear or cubic)", *interpName)
-	}
-	cpol, err := ipcomp.ParseCodec(*codecName)
-	if err != nil {
-		return err
 	}
 
 	// The series' previous manifest supplies every omitted parameter; an
@@ -128,7 +122,6 @@ func cmdSnapshotPut(args []string) error {
 	opt := store.WriteOptions{
 		Interpolation: kind,
 		ChunkShape:    chunk,
-		Codec:         cpol,
 	}
 	var m *cas.Manifest
 	var st cas.PutStats

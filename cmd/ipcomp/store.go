@@ -12,7 +12,7 @@ import (
 
 // cmdStore dispatches the chunked-container subcommands:
 //
-//	ipcomp store pack    -out c.ipcs [-eb 1e-6] [-rel] [-chunk 64x64x64] [-interp cubic] [-dtype f32] [-codec auto] name=file:shape[:dtype] ...
+//	ipcomp store pack    -out c.ipcs [-eb 1e-6] [-rel] [-chunk 64x64x64] [-interp cubic] [-dtype f32] name=file:shape[:dtype] ...
 //	ipcomp store ls      -in c.ipcs
 //	ipcomp store extract -in c.ipcs -dataset name [-bound 1e-3] -out out.f64
 //	ipcomp store region  -in c.ipcs -dataset name -lo 0,0,0 -hi 64,64,64 [-bound 1e-3] [-out out.f64]
@@ -72,7 +72,6 @@ func cmdStorePack(args []string) error {
 	chunkStr := fs.String("chunk", "", "tile shape, e.g. 64x64x64 (default 64 per dimension)")
 	interpName := fs.String("interp", "cubic", "interpolation: linear|cubic")
 	dtypeStr := fs.String("dtype", "f64", "input element type of every file: f32|f64")
-	codecName := fs.String("codec", "deflate", "block codec policy: deflate|auto (auto emits format v3 chunks when it wins)")
 	fs.Parse(args)
 	specs := fs.Args()
 	if *out == "" || len(specs) == 0 {
@@ -90,10 +89,6 @@ func cmdStorePack(args []string) error {
 		return err
 	}
 	dtype, err := parseDtype(*dtypeStr, ipcomp.Float64)
-	if err != nil {
-		return err
-	}
-	cpol, err := ipcomp.ParseCodec(*codecName)
 	if err != nil {
 		return err
 	}
@@ -139,7 +134,6 @@ func cmdStorePack(args []string) error {
 			Relative:      *rel,
 			Interpolation: kind,
 			ChunkShape:    chunk,
-			Codec:         cpol,
 		}
 		var n int
 		if dtype == ipcomp.Float32 {

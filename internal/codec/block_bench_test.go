@@ -12,8 +12,8 @@ const (
 	benchPlaneSize = 32 << 10
 )
 
-// benchPlane builds an n-byte plane with the character the sub-benchmark
-// targets.
+// benchPlane builds an n-byte plane of one of three bitplane shapes, for
+// the encode benchmark and the DEFLATE differential test.
 func benchPlane(kind string, n int) []byte {
 	rng := rand.New(rand.NewSource(7))
 	p := make([]byte, n)
@@ -37,26 +37,22 @@ func benchPlane(kind string, n int) []byte {
 	return p
 }
 
-// BenchmarkCodecEncodeBlock measures the Auto policy on the three plane
-// shapes it routes between (raw and rle show the skip-DEFLATE win), and the
-// Deflate policy — what every workload packs with — on a compressible plane
-// at the 32³ tile's size and at 32 KiB, where the per-block Huffman table
-// build is a visible share.
+// BenchmarkCodecEncodeBlock measures EncodeBlock — what every archive is
+// packed with — on a compressible plane at the 32³ tile's size and at
+// 32 KiB, where the per-block Huffman table build is a visible share. The
+// sub-benchmark names are cited by docs/PERF.md.
 func BenchmarkCodecEncodeBlock(b *testing.B) {
-	run := func(name string, p []byte, policy Policy) {
+	run := func(name string, p []byte) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(p)))
 			b.ReportAllocs()
 			for b.Loop() {
-				if blk := EncodeBlockPolicy(p, policy); len(blk) == 0 {
+				if blk := EncodeBlock(p); len(blk) == 0 {
 					b.Fatal("empty block")
 				}
 			}
 		})
 	}
-	for _, kind := range []string{"deflate", "raw", "rle"} {
-		run(kind, benchPlane(kind, benchPlaneSize), PolicyAuto)
-	}
-	run("policy=deflate/tile3584", benchPlane("deflate", tilePlaneBytes), PolicyDeflate)
-	run("policy=deflate/32KiB", benchPlane("deflate", benchPlaneSize), PolicyDeflate)
+	run("policy=deflate/tile3584", benchPlane("deflate", tilePlaneBytes))
+	run("policy=deflate/32KiB", benchPlane("deflate", benchPlaneSize))
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 )
@@ -80,6 +81,67 @@ func TestHuffDecodeRejectsOverlongCode(t *testing.T) {
 		blk[33] = nib | nib<<4
 		if _, err := DecodeBlock(blk, 8); err == nil {
 			t.Errorf("code length %d accepted", nib+1)
+		}
+	}
+}
+
+// committedBlock is a block captured from an encoder, with the payload it
+// was encoded from.
+type committedBlock struct {
+	name    string
+	tag     byte
+	blk     []byte
+	payload []byte
+}
+
+// committedBlocks returns blocks written by the encoders of earlier
+// releases: the "auto" policy's block of a periodic plane (it chose
+// DEFLATE), its Huffman block of a mid-entropy plane and its RLE block of a
+// sparse plane. No encoder writes tags 3 or 5 any more, so these literals
+// are what keeps rleDecode and huffDecode tested against real output.
+func committedBlocks(tb testing.TB) []committedBlock {
+	unhex := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
+	}
+	mid := make([]byte, 256)
+	for i := range mid {
+		mid[i] = byte(i * i * 37 % 11)
+	}
+	sparse := make([]byte, 128)
+	for i := 5; i < len(sparse); i += 37 {
+		sparse[i] = byte(i)
+	}
+	return []committedBlock{
+		{"periodic", methodDeflate, unhex("01e4c32101000000c2b019fa5726c8c5b0b2070000ffff"),
+			bytes.Repeat([]byte{0, 0, 0, 5}, 64)},
+		{"mid-entropy", methodHuff, unhex("053b02000000000000000000000000000000000000000000000000000000000000" +
+			"22122183bdbf241dedf920ef6fc9077b7e483bdbf241dedf920ef6fc9077b7e483bdbf241dedf920ef6fc9077b7e48" +
+			"3bdbf241dedf920ef6fc9077b7e483bdbf241dedf920ef6fc9077b7e483bdbf241dedf920ef6fc9040"), mid},
+		{"sparse", methodRLE, unhex("0305010524012a24014f2401740b00"), sparse},
+	}
+}
+
+// TestDecodeCommittedBlocks decodes the committed blocks to their known
+// payloads, through both entry points.
+func TestDecodeCommittedBlocks(t *testing.T) {
+	for _, c := range committedBlocks(t) {
+		if c.blk[0] != c.tag {
+			t.Fatalf("%s: tag %d, want %d", c.name, c.blk[0], c.tag)
+		}
+		got, err := DecodeBlock(c.blk, len(c.payload))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(got, c.payload) {
+			t.Fatalf("%s: decoded payload differs", c.name)
+		}
+		dst := bytes.Repeat([]byte{0xEE}, len(c.payload))
+		if err := DecodeBlockInto(dst, c.blk); err != nil || !bytes.Equal(dst, c.payload) {
+			t.Fatalf("%s: DecodeBlockInto: err %v, payload equal %v", c.name, err, bytes.Equal(dst, c.payload))
 		}
 	}
 }

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzEncodeBlock round-trips arbitrary payloads through every encodable
-// policy and pins the legacy invariant: the Deflate policy through
-// EncodeBlockPolicy is byte-identical to EncodeBlock.
+// FuzzEncodeBlock round-trips arbitrary payloads through EncodeBlock and
+// pins its size bound: a block is never larger than raw storage.
 func FuzzEncodeBlock(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -22,29 +21,24 @@ func FuzzEncodeBlock(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, src []byte) {
-		legacy := EncodeBlock(src)
-		if got := EncodeBlockPolicy(src, PolicyDeflate); !bytes.Equal(got, legacy) {
-			t.Fatalf("EncodeBlockPolicy(Deflate) diverges from EncodeBlock: %d vs %d bytes", len(got), len(legacy))
+		blk := EncodeBlock(src)
+		if len(blk) > 1+len(src) {
+			t.Fatalf("block %d bytes exceeds raw bound %d", len(blk), 1+len(src))
 		}
-		for _, p := range []Policy{PolicyDeflate, PolicyAuto} {
-			blk := EncodeBlockPolicy(src, p)
-			if len(blk) > 1+len(src) {
-				t.Fatalf("policy %v: block %d bytes exceeds raw bound %d", p, len(blk), 1+len(src))
-			}
-			dec, err := DecodeBlock(blk, len(src))
-			if err != nil {
-				t.Fatalf("policy %v: decode: %v", p, err)
-			}
-			if !bytes.Equal(dec, src) {
-				t.Fatalf("policy %v: round trip mismatch (%d bytes)", p, len(src))
-			}
+		dec, err := DecodeBlock(blk, len(src))
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !bytes.Equal(dec, src) {
+			t.Fatalf("round trip mismatch (%d bytes)", len(src))
 		}
 	})
 }
 
 // FuzzDecodeBlock feeds arbitrary (often corrupt) blocks to DecodeBlock:
-// it must return data or an error, never panic, and a success must re-encode
-// losslessly (i.e. the accepted payload really has the declared size).
+// it must return data or an error, never panic, and a success must have
+// exactly the declared size. The committed blocks seed every decoder,
+// including the RLE and Huffman ones no encoder writes any more.
 func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{methodZero}, 16)
 	f.Add([]byte{methodRaw, 1, 2, 3}, 3)
@@ -53,7 +47,9 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{methodRLE, 0, 0}, 4)
 	f.Add([]byte{methodReserved}, 4)
 	f.Add([]byte{0xF0}, 4)
-	f.Add(EncodeBlockPolicy(bytes.Repeat([]byte{0, 0, 0, 5}, 64), PolicyAuto), 256)
+	for _, c := range committedBlocks(f) {
+		f.Add(c.blk, len(c.payload))
+	}
 	f.Fuzz(func(t *testing.T, blk []byte, dstSize int) {
 		if dstSize < 0 || dstSize > 1<<20 {
 			return

@@ -31,9 +31,6 @@ func Compress[T grid.Scalar](g *grid.Grid[T], opt Options) ([]byte, error) {
 	if opt.Interpolation != interp.Linear && opt.Interpolation != interp.Cubic {
 		return nil, fmt.Errorf("core: unknown interpolation kind %d", opt.Interpolation)
 	}
-	if !opt.Codec.Valid() {
-		return nil, fmt.Errorf("core: unknown codec policy %v", opt.Codec)
-	}
 	threshold := opt.ProgressiveThreshold
 	if threshold <= 0 {
 		threshold = DefaultProgressiveThreshold
@@ -53,7 +50,6 @@ func Compress[T grid.Scalar](g *grid.Grid[T], opt Options) ([]byte, error) {
 		eb:     opt.ErrorBound,
 		levels: L,
 		meta:   make([]levelMeta, L),
-		cpol:   opt.Codec,
 	}
 
 	// Work on a copy: compression simulates decompression in place so that
@@ -167,7 +163,7 @@ func Compress[T grid.Scalar](g *grid.Grid[T], opt Options) ([]byte, error) {
 		// Blocks are independent after predictive coding; DEFLATE them
 		// concurrently (bit-identical to the serial order).
 		ParallelFor(used, func(p int) {
-			blocks[l][p] = codec.EncodeBlockPolicy(planes[p], opt.Codec)
+			blocks[l][p] = codec.EncodeBlock(planes[p])
 		})
 		for p := 0; p < used; p++ {
 			m.blockSizes[p] = uint32(len(blocks[l][p]))

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/interp"
 )
@@ -21,17 +20,16 @@ const Magic = 0x31435049
 // 4-byte floats. The encoder emits the lowest version that can represent an
 // archive — float64 archives are still written as version 1, byte-identical
 // to earlier releases (the golden digests pin this) — and the reader
-// accepts both.
+// accepts both, and version 3 (see Version3).
 const (
 	// Version1 is the original float64-only format.
 	Version1 = 1
 	// Version adds the scalar-type header field (float32 archives).
 	Version = 2
-	// Version3 adds the codec-policy header byte: archives whose planes may
-	// use block methods beyond zero/raw/DEFLATE (RLE and byte Huffman)
-	// declare the policy that produced them. Encoders still emit the lowest
-	// version that fits, so the default (legacy DEFLATE) policy keeps
-	// producing byte-identical v1/v2 archives.
+	// Version3 adds a codec-policy header byte, written by earlier releases
+	// whose "auto" policy could code planes with RLE and byte Huffman
+	// blocks. This encoder never writes it; the reader still opens v3
+	// archives (testdata/v3_auto_cubic.ipc pins one).
 	Version3 = 3
 )
 
@@ -107,12 +105,6 @@ type Options struct {
 	Interpolation interp.Kind
 	// ProgressiveThreshold overrides DefaultProgressiveThreshold when > 0.
 	ProgressiveThreshold int
-	// Codec selects the final-stage block-coding policy. The zero value,
-	// codec.PolicyDeflate, is the legacy zero/raw/DEFLATE chooser and keeps
-	// archives byte-identical to earlier releases; codec.PolicyAuto routes
-	// each plane by an entropy estimate (skipping DEFLATE on planes that
-	// cannot compress, adding RLE for sparse ones) and emits a v3 archive.
-	Codec codec.Policy
 }
 
 // levelMeta is the per-level bookkeeping stored in the header.
@@ -140,11 +132,6 @@ type header struct {
 	// archives so the optimizer can bound the per-level float32 rounding of
 	// truncated reconstructions (see Archive.roundSlack). Zero for v1.
 	maxAbs float64
-	// cpol is the codec policy the encoder ran under, recorded by v3
-	// archives. Decoding does not depend on it — every block names its own
-	// method — but tools and operators want to know how an archive was
-	// built. PolicyDeflate (0) for v1/v2.
-	cpol   codec.Policy
 	levels int // L
 	prog   int // Lp: levels 1..prog are progressive
 	// anchors and the outlier values below are held as float64 in memory
@@ -212,9 +199,6 @@ func (h *header) marshal() []byte {
 	if h.scalar != Float64 {
 		version = Version
 	}
-	if h.cpol != codec.PolicyDeflate {
-		version = Version3
-	}
 	h.version = version
 	w(uint32(Magic))
 	w(version)
@@ -227,9 +211,6 @@ func (h *header) marshal() []byte {
 	w(h.eb)
 	if version >= Version {
 		wval(h.maxAbs) // v2 only: keeps v1 bytes identical
-	}
-	if version >= Version3 {
-		w(uint8(h.cpol)) // v3 only: codec policy the planes were coded under
 	}
 	w(uint8(h.levels))
 	w(uint8(h.prog))
@@ -400,10 +381,10 @@ func unmarshalHeader(raw []byte) (*header, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.cpol = codec.Policy(cp)
-		// A v3 header declaring the deflate policy is legal (another writer
-		// need not minimize the version); an unknown policy ID is not.
-		if !h.cpol.Valid() {
+		// The policy an earlier writer ran under: 0 deflate, 1 auto.
+		// Decoding does not depend on it — every block names its own
+		// method — but an unknown policy ID is refused.
+		if cp > 1 {
 			return nil, fmt.Errorf("core: unknown codec policy %d", cp)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/interp"
 	"repro/internal/quant"
@@ -229,13 +228,9 @@ func (a *Archive) Scalar() ScalarType { return a.h.scalar }
 // FormatVersion returns the archive format version as parsed from the
 // header: 1 for archives this encoder writes for float64 data, 2 for
 // float32 — but a v2 blob that declares float64 (legal, from another
-// writer) reports 2, not what this encoder would have emitted.
+// writer) reports 2, not what this encoder would have emitted. Earlier
+// releases' "auto" codec policy wrote version 3, which still opens.
 func (a *Archive) FormatVersion() int { return int(a.h.version) }
-
-// Codec returns the block-coding policy the archive was encoded under:
-// codec.PolicyDeflate for v1/v2 archives (the only policy those versions
-// could express), the recorded header byte for v3.
-func (a *Archive) Codec() codec.Policy { return a.h.cpol }
 
 // NumLevels returns the interpolation level count L.
 func (a *Archive) NumLevels() int { return a.h.levels }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -33,99 +37,181 @@ func v3Field(t *testing.T) *grid.Grid[float64] {
 	return g
 }
 
-// TestV3AutoRoundTrip pins the v3 format end to end: the Auto policy emits
-// a version-3 archive that records its policy, decodes within the bound at
-// full fidelity, and still supports progressive plans.
-func TestV3AutoRoundTrip(t *testing.T) {
-	g := v3Field(t)
-	const eb = 1e-6
-	blob, err := Compress(g, Options{ErrorBound: eb, Interpolation: interp.Cubic, Codec: codec.PolicyAuto})
+// v3Fixture is a version-3 archive written by an earlier release's "auto"
+// codec policy: v3Field, eb 1e-6, cubic. Its blocks use all five block
+// methods, and the current encoder cannot write it, so it is the only
+// test of the v3 header and of the RLE and Huffman decoders on a real
+// archive.
+const v3Fixture = "testdata/v3_auto_cubic.ipc"
+
+// Pinned digests: the fixture's bytes, and the float64 little-endian bytes
+// of its RetrieveAll and RetrieveErrorBound(1e-3) outputs, recorded by the
+// release that wrote it.
+const (
+	v3FixtureDigest = "1a4522507414577737fd85c7bc1ebcb155d91e098921bbd97d5717a9e8c18a85"
+	v3AllDigest     = "36331a28434634d64802f6d4f1c04441d59217132487469c5001b01d2ceb0d86"
+	v3LooseDigest   = "abdcd3d174c54f45dd1aaac3e6fb3ec9655ede21c28b27222fd9c466e8171d6d"
+)
+
+func readV3Fixture(t *testing.T) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(v3Fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := sha256.Sum256(blob)
+	if got := hex.EncodeToString(sum[:]); got != v3FixtureDigest {
+		t.Fatalf("fixture drifted from the pinned v3 bytes:\n got  %s\n want %s", got, v3FixtureDigest)
+	}
+	return blob
+}
+
+func valuesDigest(v []float64) string {
+	b := make([]byte, 8*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// decodedBytes snapshots codec.Stats' per-method decoded byte counters.
+func decodedBytes() map[string]int64 {
+	m := make(map[string]int64)
+	for _, s := range codec.Stats() {
+		m[s.Method] = s.DecodedBytes
+	}
+	return m
+}
+
+// TestV3AutoRoundTrip opens the committed v3 archive and decodes it to the
+// pinned outputs, at full fidelity and through a progressive plan, each
+// within its bound of the field it was written from. The codec counters
+// show the full decode passed through every block method the archive
+// uses, the RLE and Huffman ones included.
+func TestV3AutoRoundTrip(t *testing.T) {
+	blob := readV3Fixture(t)
 	a, err := NewArchive(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.FormatVersion() != Version3 {
-		t.Fatalf("FormatVersion = %d, want %d", a.FormatVersion(), Version3)
+	if a.FormatVersion() != Version3 || a.Scalar() != Float64 {
+		t.Fatalf("FormatVersion = %d scalar %v, want %d Float64", a.FormatVersion(), a.Scalar(), Version3)
 	}
-	if a.Codec() != codec.PolicyAuto {
-		t.Fatalf("Codec = %v, want auto", a.Codec())
-	}
-	res, err := a.RetrieveAll()
+	in := v3Field(t).Data()
+
+	before := decodedBytes()
+	all, err := a.RetrieveAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, out := g.Data(), res.Data()
-	for i := range in {
-		if d := math.Abs(in[i] - out[i]); d > eb {
-			t.Fatalf("point %d: |%g - %g| = %g > %g", i, in[i], out[i], d, eb)
+	after := decodedBytes()
+	if got := valuesDigest(all.Data()); got != v3AllDigest {
+		t.Fatalf("RetrieveAll digest %s, want %s", got, v3AllDigest)
+	}
+	if d := maxAbsDiff(in, all.Data()); d > 1e-6 {
+		t.Fatalf("RetrieveAll error %g > 1e-6", d)
+	}
+	for _, m := range []string{"raw", "deflate", "zero", "rle", "huff"} {
+		if after[m] <= before[m] {
+			t.Errorf("full decode read no %s block", m)
 		}
 	}
-	// Progressive plan under a looser bound must still decode and honor it.
+
 	loose, err := a.RetrieveErrorBound(1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range loose.Data() {
-		if d := math.Abs(in[i] - v); d > loose.GuaranteedError() {
-			t.Fatalf("progressive point %d: err %g > guaranteed %g", i, d, loose.GuaranteedError())
+	if got := valuesDigest(loose.Data()); got != v3LooseDigest {
+		t.Fatalf("RetrieveErrorBound(1e-3) digest %s, want %s", got, v3LooseDigest)
+	}
+	if d := maxAbsDiff(in, loose.Data()); d > loose.GuaranteedError() || loose.GuaranteedError() > 1e-3 {
+		t.Fatalf("progressive error %g, guaranteed %g, bound 1e-3", d, loose.GuaranteedError())
+	}
+	if loose.LoadedBytes() >= all.LoadedBytes() {
+		t.Errorf("progressive plan loaded %d of %d bytes", loose.LoadedBytes(), all.LoadedBytes())
+	}
+}
+
+// TestV3DefaultStaysLegacy pins that the writer emits only the versions
+// without a codec-policy byte: v1 for float64 grids, v2 for float32.
+func TestV3DefaultStaysLegacy(t *testing.T) {
+	g := v3Field(t)
+	opt := Options{ErrorBound: 1e-6, Interpolation: interp.Cubic}
+	b64, err := Compress(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b32, err := Compress(grid.Narrow(g), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		blob []byte
+		want int
+	}{{b64, Version1}, {b32, Version}} {
+		a, err := NewArchive(c.blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.FormatVersion() != c.want {
+			t.Fatalf("writer emitted v%d, want v%d", a.FormatVersion(), c.want)
 		}
 	}
 }
 
-// TestV3DefaultStaysLegacy pins the version-minimization rule: the
-// zero-value Options still emit v1 (f64) bytes with no codec field.
-func TestV3DefaultStaysLegacy(t *testing.T) {
-	g := v3Field(t)
-	legacy, err := Compress(g, Options{ErrorBound: 1e-6, Interpolation: interp.Cubic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := Compress(g, Options{ErrorBound: 1e-6, Interpolation: interp.Cubic, Codec: codec.PolicyDeflate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(legacy) != string(explicit) {
-		t.Fatal("explicit PolicyDeflate diverges from zero-value options")
-	}
-	a, err := NewArchive(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.FormatVersion() != Version1 || a.Codec() != codec.PolicyDeflate {
-		t.Fatalf("legacy archive reports v%d codec %v", a.FormatVersion(), a.Codec())
-	}
-}
-
 // TestV3ReservedPolicyRejected: there is no policy 2 (it was once held for
-// zstd). It is refused at compress time and as the policy byte of a v3
-// header, and block tag 4, which stays reserved in the format, is refused
-// by the block decoder — never an undecodable archive, never wrong data.
+// zstd). It is refused as the policy byte of a v3 header, and block tag 4,
+// which stays reserved in the format, is refused by the block decoder —
+// never an undecodable archive, never wrong data.
 func TestV3ReservedPolicyRejected(t *testing.T) {
-	g := v3Field(t)
-	opts := Options{ErrorBound: 1e-6, Interpolation: interp.Cubic, Codec: codec.Policy(2)}
-	if _, err := Compress(g, opts); err == nil {
-		t.Fatal("compress under policy 2 succeeded; want error")
-	}
-	opts.Codec = codec.PolicyAuto
-	blob, err := Compress(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := readV3Fixture(t)
 	// 8-byte length prefix, then magic, version, kind, rank, scalar, three
 	// u32 extents, eb and maxAbs (f64): the policy byte follows.
 	const policyAt = 8 + 4 + 4 + 3*4 + 8 + 8
-	if blob[policyAt] != byte(codec.PolicyAuto) {
+	if blob[policyAt] != 1 {
 		t.Fatalf("byte %d is %d, not the policy byte of an auto archive", policyAt, blob[policyAt])
 	}
-	blob[policyAt] = 2
-	if _, err := NewArchive(blob); err == nil || !strings.Contains(err.Error(), "unknown codec policy 2") {
+	bad := append([]byte(nil), blob...)
+	bad[policyAt] = 2
+	if _, err := NewArchive(bad); err == nil || !strings.Contains(err.Error(), "unknown codec policy 2") {
 		t.Fatalf("header with policy byte 2: err = %v; want unknown codec policy", err)
+	}
+	// Policy 0 (deflate) in a v3 header is legal: another writer need not
+	// minimize the version, and the byte does not steer decoding.
+	bad[policyAt] = 0
+	if _, err := NewArchive(bad); err != nil {
+		t.Fatalf("header with policy byte 0: %v", err)
 	}
 	if _, err := codec.DecodeBlock([]byte{4, 0, 0, 0}, 3); err == nil || !strings.Contains(err.Error(), "reserved") {
 		t.Fatalf("block tag 4: err = %v; want the reserved-method error", err)
+	}
+	// The same tag patched over the archive's first Huffman block: the
+	// archive still opens (blocks are read lazily), but decoding it fails.
+	a, err := NewArchive(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad = append(bad[:0], blob...)
+	patched := false
+	for l := 0; l < a.h.levels && !patched; l++ {
+		for _, off := range a.h.blockOff[l] {
+			if bad[off] == 5 {
+				bad[off] = 4
+				patched = true
+				break
+			}
+		}
+	}
+	if !patched {
+		t.Fatal("fixture has no Huffman block")
+	}
+	b, err := NewArchive(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RetrieveAll(); err == nil || !strings.Contains(err.Error(), "reserved") {
+		t.Fatalf("archive with a tag-4 block: err = %v; want the reserved-method error", err)
 	}
 }
 

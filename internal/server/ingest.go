@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/cas"
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/interp"
@@ -227,7 +226,6 @@ type ingestParams struct {
 	eb      float64
 	rel     bool
 	interp  interp.Kind
-	codec   codec.Policy
 	sealNow bool
 }
 
@@ -235,15 +233,14 @@ type ingestParams struct {
 // requires shape; snapshot appends inherit any omitted geometry from the
 // field's previous manifest (prev non-nil). eb stays 0 when the request
 // gives none: store.SeriesBound resolves it once the values are in. An
-// omitted interp or codec takes the default of `ipcomp snapshot put`, so
-// an ingested snapshot and an offline one of the same bytes are
+// omitted interp takes the default of `ipcomp snapshot put`, so an
+// ingested snapshot and an offline one of the same bytes are
 // byte-identical.
 func (srv *Server) parseIngestParams(r *http.Request, prev *cas.Manifest) (*ingestParams, error) {
 	q := r.URL.Query()
 	p := &ingestParams{
 		scalar: core.Float64,
 		interp: interp.Cubic,
-		codec:  codec.PolicyDeflate,
 	}
 	if s := q.Get("shape"); s != "" {
 		shape, err := parseShapeParam(s)
@@ -292,12 +289,10 @@ func (srv *Server) parseIngestParams(r *http.Request, prev *cas.Manifest) (*inge
 			return nil, fmt.Errorf("interp must be linear or cubic, got %q", s)
 		}
 	}
-	if s := q.Get("codec"); s != "" {
-		pol, err := codec.ParsePolicy(s)
-		if err != nil {
-			return nil, err
-		}
-		p.codec = pol
+	// A removed parameter is refused, not ignored: a client asking for a
+	// block coder it cannot get must hear so.
+	if v, ok := q["codec"]; ok {
+		return nil, fmt.Errorf("codec=%q: the codec parameter was removed; every snapshot is coded with DEFLATE", v[0])
 	}
 	if s := q.Get("seal"); s != "" {
 		if s != "now" {
@@ -471,7 +466,6 @@ func ingestBody[T grid.Scalar](srv *Server, ing *ingestState, w http.ResponseWri
 	opt := store.WriteOptions{
 		Interpolation: p.interp,
 		ChunkShape:    p.chunk,
-		Codec:         p.codec,
 	}
 	if opt.ErrorBound, err = store.SeriesBound(g, prev, p.eb, p.rel); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

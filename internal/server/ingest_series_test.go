@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/cas"
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/interp"
@@ -34,7 +33,6 @@ func TestIngestSeriesProperty(t *testing.T) {
 type seriesParams struct {
 	eb     float64
 	interp string
-	codec  string
 }
 
 // seriesServer is a writable server over a CAS the test keeps hold of, so
@@ -160,7 +158,7 @@ func ingestSeriesProperty[T grid.Scalar](t *testing.T, seed int64) {
 	defer func() { s.stop(t) }()
 	ref := open(refDir) // every tile of every snapshot compressed, plain Put
 
-	p := seriesParams{eb: 1e-4, interp: "cubic", codec: "deflate"}
+	p := seriesParams{eb: 1e-4, interp: "cubic"}
 	var (
 		history  [][]T // every body posted so far, for tiles that flip back
 		last     []T   // the body of the previous POST the store remembers …
@@ -201,7 +199,6 @@ func ingestSeriesProperty[T grid.Scalar](t *testing.T, seed int64) {
 			p = seriesParams{
 				eb:     []float64{1e-4, 3e-4, 1e-3}[rng.Intn(3)],
 				interp: []string{"cubic", "linear"}[rng.Intn(2)],
-				codec:  []string{"deflate", "auto"}[rng.Intn(2)],
 			}
 		}
 		// What happens to the field. Every fifth POST repeats its predecessor.
@@ -259,10 +256,10 @@ func ingestSeriesProperty[T grid.Scalar](t *testing.T, seed int64) {
 
 		// The POST. The series' bound is named only when it moves, so that
 		// inheriting it is covered too.
-		path := fmt.Sprintf("/v1/datasets/%s/snapshots?interp=%s&codec=%s", field, p.interp, p.codec)
+		path := fmt.Sprintf("/v1/datasets/%s/snapshots?interp=%s", field, p.interp)
 		_, exists := s.c.Latest(field)
 		if !exists {
-			path = fmt.Sprintf("/v1/datasets/%s?shape=20x12x12&chunk=8x8x8&dtype=%s&interp=%s&codec=%s", field, dtype, p.interp, p.codec)
+			path = fmt.Sprintf("/v1/datasets/%s?shape=20x12x12&chunk=8x8x8&dtype=%s&interp=%s", field, dtype, p.interp)
 		}
 		if !exists || lastM == nil || p.eb != lastM.ErrorBound {
 			path += "&eb=" + strconv.FormatFloat(p.eb, 'g', -1, 64)
@@ -292,10 +289,6 @@ func ingestSeriesProperty[T grid.Scalar](t *testing.T, seed int64) {
 		if p.interp == "linear" {
 			kind = interp.Linear
 		}
-		pol, err := codec.ParsePolicy(p.codec)
-		if err != nil {
-			t.Fatal(err)
-		}
 		blobs := make([][]byte, tiles)
 		for i, b := range boxes {
 			vals, sh := crop(body, shape, b)
@@ -310,7 +303,7 @@ func ingestSeriesProperty[T grid.Scalar](t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if blobs[i], err = core.Compress(sub, core.Options{ErrorBound: p.eb, Interpolation: kind, Codec: pol}); err != nil {
+			if blobs[i], err = core.Compress(sub, core.Options{ErrorBound: p.eb, Interpolation: kind}); err != nil {
 				t.Fatal(err)
 			}
 			scratch[key] = blobs[i]

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/cas"
-	"repro/internal/codec"
 	"repro/internal/datagen"
 	"repro/internal/grid"
 	"repro/internal/interp"
@@ -132,10 +131,9 @@ func TestIngestCreateAndServe(t *testing.T) {
 }
 
 // TestIngestDefaultsMatchSnapshotPut pins what a POST that names no interp
-// or codec stores: blobs byte-identical to an offline store.PackSnapshot
-// with the defaults of `ipcomp snapshot put` (cubic interpolation, deflate
-// blocks), so a series can be written through either path and dedupe
-// across both.
+// stores: blobs byte-identical to an offline store.PackSnapshot with the
+// defaults of `ipcomp snapshot put` (cubic interpolation), so a series can
+// be written through either path and dedupe across both.
 func TestIngestDefaultsMatchSnapshotPut(t *testing.T) {
 	e := newIngestEnv(t, nil)
 	if code, doc := e.post(t, "/v1/datasets/density"+e.createQuery(), bodyF64(e.g)); code != http.StatusCreated {
@@ -153,7 +151,6 @@ func TestIngestDefaultsMatchSnapshotPut(t *testing.T) {
 		ErrorBound:    e.eb,
 		ChunkShape:    grid.Shape{16, 16, 16},
 		Interpolation: interp.Cubic,
-		Codec:         codec.PolicyDeflate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +251,36 @@ func TestIngestValidation(t *testing.T) {
 		if code != tc.code || !strings.Contains(msg, tc.want) {
 			t.Errorf("%s: status %d msg %q, want %d containing %q", tc.name, code, msg, tc.code, tc.want)
 		}
+	}
+}
+
+// TestIngestRejectsCodecParam: codec= once picked a block-coding policy and
+// was removed with it. A write that still names one, any value, is refused
+// with a 400 naming the value, on create and on append, and stores
+// nothing — it is never silently coded some other way.
+func TestIngestRejectsCodecParam(t *testing.T) {
+	e := newIngestEnv(t, nil)
+	body := bodyF64(e.g)
+	q := e.createQuery()
+	for _, v := range []string{"auto", "deflate", ""} {
+		code, doc := e.post(t, "/v1/datasets/density"+q+"&codec="+v, body)
+		msg, _ := doc["error"].(string)
+		if code != http.StatusBadRequest || !strings.Contains(msg, fmt.Sprintf("codec=%q", v)) || !strings.Contains(msg, "removed") {
+			t.Fatalf("create with codec=%s: status %d msg %q, want 400 naming the value and the removal", v, code, msg)
+		}
+	}
+	if snaps := e.c.Snapshots(); len(snaps) != 0 {
+		t.Fatalf("refused creates stored %v", snaps)
+	}
+	if code, doc := e.post(t, "/v1/datasets/density"+q, body); code != http.StatusCreated {
+		t.Fatalf("create: %d %v", code, doc)
+	}
+	code, doc := e.post(t, "/v1/datasets/density/snapshots?codec=auto", body)
+	if msg, _ := doc["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, `codec="auto"`) {
+		t.Fatalf("append with codec=auto: status %d msg %q, want 400", code, msg)
+	}
+	if snaps := e.c.Snapshots(); len(snaps) != 1 {
+		t.Fatalf("after a refused append the store holds %v, want one snapshot", snaps)
 	}
 }
 

@@ -85,9 +85,9 @@ func PackSnapshot[T grid.Scalar](c *cas.Store, field string, g *grid.Grid[T], op
 }
 
 // tilePrint fingerprints a staged tile: SHA-256 over everything
-// core.Compress is given — the bound, the predictor, the codec policy, the
-// progressive threshold, the scalar width, the extents — and then the
-// values bit for bit, so -0.0 and a NaN's payload count as changes. It
+// core.Compress is given — the bound, the predictor, the progressive
+// threshold, the scalar width, the extents — and then the values bit for
+// bit, so -0.0 and a NaN's payload count as changes. It
 // lives for one process (cas.Store never writes it), which is why host
 // byte order is good enough.
 func tilePrint[T grid.Scalar](tile *grid.Grid[T], opt WriteOptions) cas.Fingerprint {
@@ -95,7 +95,7 @@ func tilePrint[T grid.Scalar](tile *grid.Grid[T], opt WriteOptions) cas.Fingerpr
 	hdr := make([]byte, 0, 64)
 	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(opt.ErrorBound))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(opt.ProgressiveThreshold))
-	hdr = append(hdr, byte(opt.Interpolation), byte(opt.Codec), byte(len(raw)/tile.Len()), byte(tile.NDims()))
+	hdr = append(hdr, byte(opt.Interpolation), byte(len(raw)/tile.Len()), byte(tile.NDims()))
 	for _, n := range tile.Shape() {
 		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(n))
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/interp"
@@ -22,10 +21,6 @@ type WriteOptions struct {
 	ChunkShape grid.Shape
 	// ProgressiveThreshold is passed through to core.Options.
 	ProgressiveThreshold int
-	// Codec is the block-coding policy every chunk is compressed under;
-	// the zero value (codec.PolicyDeflate) reproduces legacy containers
-	// byte for byte.
-	Codec codec.Policy
 }
 
 // Writer builds a container by streaming compressed chunks to an io.Writer
@@ -157,7 +152,6 @@ func compressTiles[T grid.Scalar](name string, g *grid.Grid[T], til *tiling, opt
 			ErrorBound:           opt.ErrorBound,
 			Interpolation:        opt.Interpolation,
 			ProgressiveThreshold: opt.ProgressiveThreshold,
-			Codec:                opt.Codec,
 		})
 		if err != nil {
 			return fmt.Errorf("store: dataset %q chunk %d: %w", name, i, err)

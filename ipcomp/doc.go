@@ -44,6 +44,11 @@
 // the lossless outlier path. Float64 archives remain version 1,
 // byte-identical with earlier releases.
 //
+// Every plane block is coded one way: zero, DEFLATE or raw, whichever is
+// smallest. Version-3 archives, which earlier releases wrote under an
+// "auto" codec policy with RLE and Huffman blocks, still open and decode;
+// nothing writes them any more.
+//
 // # Containers and region-of-interest retrieval
 //
 // StoreWriter packs any number of named datasets into one container,

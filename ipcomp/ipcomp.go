@@ -10,25 +10,6 @@ import (
 	"repro/internal/interp"
 )
 
-// Codec selects the final-stage per-plane entropy-coding policy. The zero
-// value (CodecDeflate) reproduces the historical format byte for byte;
-// CodecAuto lets the encoder pick the cheapest method per plane block and
-// upgrades the archive to format version 3 only when a non-DEFLATE method
-// actually wins somewhere.
-type Codec = codec.Policy
-
-const (
-	// CodecDeflate always codes plane blocks with DEFLATE (v1/v2 archives,
-	// bit-identical to earlier releases).
-	CodecDeflate = codec.PolicyDeflate
-	// CodecAuto picks the smallest of raw, RLE, Huffman, and DEFLATE per
-	// block, emitting a v3 archive when that changes any byte.
-	CodecAuto = codec.PolicyAuto
-)
-
-// ParseCodec parses the CLI spelling of a codec policy ("deflate", "auto").
-func ParseCodec(s string) (Codec, error) { return codec.ParsePolicy(s) }
-
 // CodecStat reports the compressed bytes this process moved through one
 // block-coding method; see CodecStats.
 type CodecStat = codec.MethodStat
@@ -90,9 +71,6 @@ type Options struct {
 	// ProgressiveThreshold is the minimum level size (elements) that is
 	// bitplane-progressive; 0 means the library default.
 	ProgressiveThreshold int
-	// Codec selects the final-stage block-coding policy; the zero value
-	// (CodecDeflate) keeps archives bit-identical to earlier releases.
-	Codec Codec
 }
 
 // Compress encodes a row-major float64 array of the given shape into an
@@ -126,7 +104,6 @@ func compressAs[T grid.Scalar](data []T, shape []int, opt Options) ([]byte, erro
 		ErrorBound:           eb,
 		Interpolation:        opt.Interpolation.kind(),
 		ProgressiveThreshold: opt.ProgressiveThreshold,
-		Codec:                opt.Codec,
 	})
 }
 
@@ -202,11 +179,9 @@ func (ar *Archive) ErrorBound() float64 { return ar.a.ErrorBound() }
 func (ar *Archive) Scalar() ScalarType { return ar.a.Scalar() }
 
 // FormatVersion returns the archive format version: 1 for float64
-// archives, 2 for float32, 3 when a non-default codec policy was used.
+// archives, 2 for float32, 3 for archives an earlier release wrote under
+// its "auto" codec policy.
 func (ar *Archive) FormatVersion() int { return ar.a.FormatVersion() }
-
-// Codec returns the block-coding policy the archive was encoded under.
-func (ar *Archive) Codec() Codec { return ar.a.Codec() }
 
 // CompressedSize returns the total archive size in bytes.
 func (ar *Archive) CompressedSize() int64 { return ar.a.TotalSize() }

@@ -2,7 +2,12 @@ package ipcomp_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -218,5 +223,54 @@ func TestConstantFieldRelativeBound(t *testing.T) {
 	}
 	if got := maxErr(data, out); got > 1e-3 {
 		t.Errorf("constant field error %g", got)
+	}
+}
+
+// TestOpenV3Archive reads the committed version-3 archive, which an
+// earlier release wrote under its "auto" codec policy, through the public
+// API: it opens, decodes to the values internal/core pins for it, serves a
+// progressive plan, and its RLE and Huffman blocks show in CodecStats.
+func TestOpenV3Archive(t *testing.T) {
+	blob, err := os.ReadFile("../internal/core/testdata/v3_auto_cubic.ipc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := ipcomp.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, shape := arch.FormatVersion(), arch.Shape(); v != 3 || !slices.Equal(shape, []int{33, 29, 21}) {
+		t.Fatalf("format v%d shape %v, want v3 [33 29 21]", v, shape)
+	}
+	data, _, err := ipcomp.Decompress(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, 8*len(data))
+	for i, v := range data {
+		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
+	}
+	sum := sha256.Sum256(raw)
+	if got, want := hex.EncodeToString(sum[:]), "36331a28434634d64802f6d4f1c04441d59217132487469c5001b01d2ceb0d86"; got != want {
+		t.Fatalf("decoded digest %s, want %s", got, want)
+	}
+	res, err := arch.RetrieveErrorBound(1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both decodes are within their bounds of the field, so of each other
+	// within the sum.
+	if got := maxErr(data, res.Data()); got > res.GuaranteedError()+arch.ErrorBound() || res.GuaranteedError() > 1e-3 {
+		t.Errorf("progressive plan: %g from the full decode, guaranteed %g", got, res.GuaranteedError())
+	}
+	if res.LoadedBytes() >= arch.CompressedSize() {
+		t.Errorf("progressive plan loaded %d of %d bytes", res.LoadedBytes(), arch.CompressedSize())
+	}
+	decoded := map[string]int64{}
+	for _, s := range ipcomp.CodecStats() {
+		decoded[s.Method] = s.DecodedBytes
+	}
+	if decoded["rle"] == 0 || decoded["huff"] == 0 {
+		t.Errorf("CodecStats after decoding a v3 archive: %v", ipcomp.CodecStats())
 	}
 }

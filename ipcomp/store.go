@@ -26,10 +26,6 @@ type StoreOptions struct {
 	// ProgressiveThreshold is the minimum level size (elements) that is
 	// bitplane-progressive within each chunk; 0 means the library default.
 	ProgressiveThreshold int
-	// Codec selects the final-stage block-coding policy for every chunk;
-	// the zero value (CodecDeflate) keeps containers bit-identical to
-	// earlier releases.
-	Codec Codec
 }
 
 // StoreWriter builds a chunked multi-dataset container. Each Add tiles the
@@ -91,7 +87,6 @@ func addAs[T grid.Scalar](sw *StoreWriter, name string, data []T, shape []int, o
 		Interpolation:        opt.Interpolation.kind(),
 		ChunkShape:           grid.Shape(opt.ChunkShape),
 		ProgressiveThreshold: opt.ProgressiveThreshold,
-		Codec:                opt.Codec,
 	})
 }
 
