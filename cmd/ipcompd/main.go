@@ -16,9 +16,9 @@
 //
 // -cache-mb is one budget for the process: every container and every
 // snapshot served keeps its decoded tiles in the same cache, so the
-// resident decoded tiles stay within the budget (plus at most one tile per
-// cache shard) however many containers and snapshots there are, and a
-// tile that did not change between two snapshots is decoded once for both.
+// resident decoded tiles stay within the budget plus one tile however
+// many containers and snapshots there are, and a tile that did not change
+// between two snapshots is decoded once for both.
 //
 // Each container argument is a local path or a URL: a .ipcs file, a
 // directory of containers, or an http(s) origin — another ipcompd (all of
@@ -90,7 +90,7 @@ var logx *obs.Logger
 
 func main() {
 	listen := flag.String("listen", ":8080", "address to serve HTTP on")
-	cacheMB := flag.Int64("cache-mb", 256, "decoded-tile cache budget of the process, shared by every container and snapshot served, in MiB (0 disables)")
+	cacheMB := flag.Int64("cache-mb", 256, "decoded-tile cache budget of the process, shared by every container and snapshot served, in MiB; resident tiles stay within it plus one tile (0 disables)")
 	backendCacheMB := flag.Int64("backend-cache-mb", 64, "span-cache budget per remote backend, in MiB (0 caches nothing; identical concurrent reads still share one origin request)")
 	self := flag.String("self", "", "cluster mode: this node's name in -peers")
 	peers := flag.String("peers", "", "cluster mode: full membership as name=url,name=url,... (identical on every node)")

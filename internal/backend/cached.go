@@ -22,8 +22,8 @@ const DefaultCachedBytes = 64 << 20
 //
 // Locking is per container (warm reads of different containers never
 // contend) with a global mutex only around the container/flight maps and
-// atomic byte accounting, so the warm path scales with the request
-// concurrency the store's own 16-way sharded tile cache was built for.
+// atomic byte accounting, so warm reads of one container contend only
+// with each other.
 //
 // An edge ipcompd built on Cached(HTTP) serves warm traffic with zero
 // origin reads: region plans touch only archive headers (cached after

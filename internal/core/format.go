@@ -362,6 +362,9 @@ func unmarshalHeader(raw []byte) (*header, error) {
 	if h.eb, err = r.f64(); err != nil {
 		return nil, err
 	}
+	if !(h.eb > 0) || math.IsInf(h.eb, 1) {
+		return nil, fmt.Errorf("core: error bound %v is not positive and finite", h.eb)
+	}
 	if version >= Version {
 		if h.maxAbs, err = r.val(h.scalar); err != nil {
 			return nil, err

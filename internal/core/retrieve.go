@@ -370,9 +370,11 @@ func (a *Archive) PlanErrorBoundMode(bound float64) (Plan, error) {
 			errCost := a.truncErr(l, m.usedPlanes-d)
 			c := 0
 			switch {
-			case d == 0 || errCost <= 0: // dropping nothing costs nothing
-			case errCost > budget:
-				c = errorUnits + 1 // infeasible on its own
+			// Dropping nothing costs nothing, nor does any drop under an
+			// infinite budget, where errCost/unit could be Inf/Inf.
+			case d == 0 || errCost <= 0 || math.IsInf(budget, 1):
+			case !(errCost <= budget):
+				c = errorUnits + 1 // infeasible on its own, or not a number
 			default:
 				c = int(math.Ceil(errCost / unit))
 			}
@@ -438,13 +440,12 @@ func solveKnapsack(layers [][]dpOption, budget int) []int {
 func (a *Archive) PlanBitrateMode(maxBytes int64) (Plan, error) {
 	minimal := a.minimalPlan()
 	mandatory := a.PlanBytes(minimal)
-	if a.h.prog == 0 {
+	// Compared before subtracting: maxBytes - mandatory would wrap for a
+	// budget near math.MinInt64.
+	if a.h.prog == 0 || maxBytes <= mandatory {
 		return minimal, nil
 	}
 	remaining := maxBytes - mandatory
-	if remaining <= 0 {
-		return minimal, nil
-	}
 	// Quick exit: everything fits.
 	full := a.fullPlan()
 	if a.PlanBytes(full) <= maxBytes {

@@ -14,9 +14,10 @@
 // therefore pay incremental bytes, exactly like local RefineErrorBound.
 //
 // For curl and non-Go consumers the same endpoint also serves format=raw:
-// the server decodes the region itself — through the store's shared,
-// lock-sharded tile cache, so concurrent requests decode each hot tile
-// once — and streams raw little-endian values.
+// the server decodes the region itself — through the process-wide tile
+// cache, which holds at most its budget plus one tile, so concurrent
+// requests decode each hot tile once — and streams raw little-endian
+// values.
 //
 // Endpoints:
 //

@@ -2,7 +2,6 @@ package store
 
 import (
 	"container/list"
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -16,15 +15,6 @@ import (
 // tiles instead of re-reading and re-decoding them. It is the budget of
 // the private cache a Store is opened with and of a server's shared one.
 const DefaultCacheBytes = 256 << 20
-
-// cacheShards is the lock-shard count of the tile cache. Admission and
-// eviction touch only the shard a key hashes to, so concurrent requests —
-// the HTTP server runs one goroutine per request, each fanning out across
-// its region's tiles — contend on a shard lock for nanoseconds instead of
-// serializing on one cache-wide mutex. 16 shards keeps per-shard LRU
-// behavior close to global LRU while making the lock invisible in
-// profiles.
-const cacheShards = 16
 
 // cachedBytesPerElem is what one cached element is charged against the
 // budget: a cached core.Result holds the decoded values (8 or 4 B/elem by
@@ -44,29 +34,6 @@ type tileKey struct {
 	owner   uint64    // packed containers: the opening Store's id, never 0
 	dataset string
 	chunk   int
-}
-
-// hash picks the cache shard. A score is already uniform; a positional
-// key hashes its dataset and chunk with FNV-1a (the owner is left out: a
-// container's tiles land on the shards they would in a cache of its own).
-func (k tileKey) hash() uint32 {
-	if k.owner == 0 {
-		return binary.LittleEndian.Uint32(k.score[:4])
-	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(k.dataset); i++ {
-		h = (h ^ uint32(k.dataset[i])) * prime32
-	}
-	v := uint64(k.chunk)
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint32(v&0xff)) * prime32
-		v >>= 8
-	}
-	return h
 }
 
 // chunkEntry holds one tile's parsed archive and decoded result.
@@ -142,24 +109,19 @@ func (c *cacheStats) snapshot() Stats {
 	}
 }
 
-// TileCache is a byte-budgeted LRU over decoded tiles, sharded by key
-// hash. One cache can back any number of stores: a process that serves
-// many containers and snapshots attaches one to all of them
+// TileCache is a byte-budgeted LRU over decoded tiles, under one lock.
+// One cache can back any number of stores: a process that serves many
+// containers and snapshots attaches one to all of them
 // (Store.SetTileCache), and its budget then bounds the decoded tiles of
 // the whole process — resident bytes stay within the budget plus one tile
-// per shard however many stores there are. Entries are charged their
-// decoded size up front, at admission: the decoded size is known exactly
-// from the tiling before any work happens, and charging early keeps
-// concurrent fills from overshooting the budget. Evicted entries vanish
-// from the map only — goroutines holding a pointer finish their copy-out
-// safely, and the memory is reclaimed when they drop it.
+// however many stores there are. Entries are charged their decoded size up
+// front, at admission: the decoded size is known exactly from the tiling
+// before any work happens, and charging early keeps concurrent fills from
+// overshooting the budget. Evicted entries vanish from the map only —
+// goroutines holding a pointer finish their copy-out safely, and the
+// memory is reclaimed when they drop it. The lock guards map and list
+// operations only; decodes run under each entry's own lock.
 type TileCache struct {
-	shards [cacheShards]cacheShard
-}
-
-// cacheShard is one independently locked slice of the cache, with 1/16 of
-// the byte budget.
-type cacheShard struct {
 	mu        sync.Mutex
 	cap       int64
 	used      int64
@@ -171,25 +133,19 @@ type cacheShard struct {
 // NewTileCache returns a cache with the given byte budget; a non-positive
 // budget disables caching (see Resize).
 func NewTileCache(capBytes int64) *TileCache {
-	c := &TileCache{}
-	for i := range c.shards {
-		c.shards[i].ll = list.New()
-		c.shards[i].entries = make(map[tileKey]*list.Element)
-	}
-	c.Resize(capBytes)
-	return c
+	return &TileCache{cap: capBytes, ll: list.New(), entries: make(map[tileKey]*list.Element)}
 }
 
-// evictTo drops entries from the LRU end until the shard is within its
-// budget or only keep entries remain. Callers hold sh.mu.
-func (sh *cacheShard) evictTo(keep int) {
-	for sh.used > sh.cap && sh.ll.Len() > keep {
-		el := sh.ll.Back()
+// evictTo drops entries from the LRU end until the cache is within its
+// budget or only keep entries remain. Callers hold c.mu.
+func (c *TileCache) evictTo(keep int) {
+	for c.used > c.cap && c.ll.Len() > keep {
+		el := c.ll.Back()
 		victim := el.Value.(*chunkEntry)
-		sh.ll.Remove(el)
-		delete(sh.entries, victim.key)
-		sh.used -= victim.charged
-		sh.evictions++
+		c.ll.Remove(el)
+		delete(c.entries, victim.key)
+		c.used -= victim.charged
+		c.evictions++
 	}
 }
 
@@ -197,25 +153,24 @@ func (sh *cacheShard) evictTo(keep int) {
 // needed. With a non-positive capacity, caching is disabled and every call
 // returns a fresh uncached entry.
 func (c *TileCache) acquire(key tileKey, decodedBytes int64) *chunkEntry {
-	sh := &c.shards[key.hash()%cacheShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.cap <= 0 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cap <= 0 {
 		return &chunkEntry{key: key, charged: decodedBytes}
 	}
-	if el, ok := sh.entries[key]; ok {
-		sh.ll.MoveToFront(el)
+	if el, ok := c.entries[key]; ok {
+		c.ll.MoveToFront(el)
 		return el.Value.(*chunkEntry)
 	}
 	e := &chunkEntry{key: key, charged: decodedBytes}
-	sh.entries[key] = sh.ll.PushFront(e)
-	sh.used += e.charged
+	c.entries[key] = c.ll.PushFront(e)
+	c.used += e.charged
 	// Evict from the LRU end, but never the entry just admitted: a tile
-	// bigger than the shard's slice of the budget must still be cached,
-	// or concurrent requests for it would each decode their own copy and
-	// the single-decode guarantee would silently vanish for large tiles.
-	// The budget is therefore soft by at most one resident tile per shard.
-	sh.evictTo(1)
+	// bigger than the whole budget must still be cached, or concurrent
+	// requests for it would each decode their own copy and the
+	// single-decode guarantee would silently vanish for large tiles. The
+	// budget is therefore soft by at most that one resident tile.
+	c.evictTo(1)
 	return e
 }
 
@@ -223,31 +178,22 @@ func (c *TileCache) acquire(key tileKey, decodedBytes int64) *chunkEntry {
 // Header-only consumers (wire planning) use it so the budget is never
 // charged a full decoded-tile size for an entry that holds no decode.
 func (c *TileCache) peek(key tileKey) *chunkEntry {
-	sh := &c.shards[key.hash()%cacheShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[key]; ok {
-		sh.ll.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.ll.MoveToFront(el)
 		return el.Value.(*chunkEntry)
 	}
 	return nil
 }
 
-// Resize updates the byte budget (split evenly across the lock shards),
-// evicting down to it. Each shard always retains its most recent tile even
-// when that tile alone exceeds the shard's slice, so the budget is soft by
-// at most one tile per shard and oversized tiles still deduplicate
-// concurrent decodes. A non-positive budget clears the cache and disables
-// it.
+// Resize updates the byte budget, evicting down to it. A non-positive
+// budget clears the cache and disables it.
 func (c *TileCache) Resize(capBytes int64) {
-	per := capBytes / cacheShards
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.cap = per
-		sh.evictTo(0) // every entry is charged > 0, so a budget <= 0 empties the shard
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cap = capBytes
+	c.evictTo(0) // every entry is charged > 0, so a budget <= 0 empties the cache
 }
 
 // TileCacheStats is a snapshot of a cache's occupancy.
@@ -261,18 +207,9 @@ type TileCacheStats struct {
 	Evictions int64
 }
 
-// Stats sums the shards' occupancy. Shards are read one after another, so
-// under concurrent traffic the totals are approximate by the requests in
-// flight.
+// Stats returns the cache's occupancy, read under its lock.
 func (c *TileCache) Stats() TileCacheStats {
-	var st TileCacheStats
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Bytes += sh.used
-		st.Entries += int64(sh.ll.Len())
-		st.Evictions += sh.evictions
-		sh.mu.Unlock()
-	}
-	return st
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return TileCacheStats{Bytes: c.used, Entries: int64(c.ll.Len()), Evictions: c.evictions}
 }

@@ -120,3 +120,33 @@ func TestConcurrentRefine(t *testing.T) {
 		t.Errorf("decoded %d tiles for 8 distinct tiles under mixed-bound load", st.TileDecodes)
 	}
 }
+
+// BenchmarkRetrieveWarmParallel prices the tile cache's lock at its worst:
+// every goroutine re-reads a 16³ box that straddles all 8 warm tiles of a
+// 32³ field, so each operation is eight cache lookups and eight small
+// copies and nothing else. Run it at -cpu 2,8 to see contention.
+func BenchmarkRetrieveWarmParallel(b *testing.B) {
+	g := testField(b, grid.Shape{32, 32, 32})
+	eb := 1e-4 * g.ValueRange()
+	s := openStore(b, packOne(b, g, eb, grid.Shape{16, 16, 16}))
+	lo, hi := []int{8, 8, 8}, []int{24, 24, 24}
+	if _, err := s.RetrieveRegion("field", lo, hi, eb); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var opts RetrieveOptions
+		for pb.Next() {
+			reg, err := s.RetrieveRegionOpts("field", lo, hi, eb, opts)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			opts.Reuse = reg
+		}
+	})
+	if st := s.Stats(); st.TileDecodes != 8 {
+		b.Fatalf("%d decodes: the box was not warm", st.TileDecodes)
+	}
+}

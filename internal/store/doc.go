@@ -26,12 +26,13 @@
 // Reading splits into two independent paths:
 //
 //   - RetrieveRegion / RetrieveDataset decode. Decoded tiles live in a
-//     lock-sharded, byte-budgeted LRU cache of progressively refinable
-//     results: concurrent requests for a cold tile decode it exactly
-//     once, warm requests stream it concurrently under a read lock, and
-//     a tighter bound refines the cached tile in place. A Store is safe
-//     for concurrent use by any number of goroutines (the serving story
-//     of internal/server depends on this).
+//     byte-budgeted LRU cache of progressively refinable results, which
+//     holds at most its budget plus one tile: concurrent requests for a
+//     cold tile decode it exactly once, warm requests stream it
+//     concurrently under a read lock, and a tighter bound refines the
+//     cached tile in place. A Store is safe for concurrent use by any
+//     number of goroutines (the serving story of internal/server depends
+//     on this).
 //   - PlanRegion does not decode. It computes, per intersecting tile,
 //     the loading plan for a bound and the raw byte ranges a client is
 //     missing — the wire-serving path, where the server ships compressed

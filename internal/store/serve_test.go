@@ -119,15 +119,7 @@ func TestPlanRegionDoesNotChargeCache(t *testing.T) {
 	eb := 1e-5 * g.ValueRange()
 	s := openStore(t, packOne(t, g, eb, grid.Shape{16, 16, 16}))
 
-	countEntries := func() (n int) {
-		for i := range s.cache.shards {
-			sh := &s.cache.shards[i]
-			sh.mu.Lock()
-			n += len(sh.entries)
-			sh.mu.Unlock()
-		}
-		return n
-	}
+	countEntries := func() int64 { return s.TileCache().Stats().Entries }
 	if _, err := s.PlanRegion("field", []int{0, 0, 0}, []int{32, 32, 32}, 64*eb, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,10 @@ import (
 //
 // A Store is safe for concurrent use by any number of goroutines provided
 // the underlying reader's ReadAt is (os.File and bytes.Reader are): the
-// dataset index is immutable after Open, the tile cache is lock-sharded,
-// and per-tile state is guarded by a read-write mutex, so concurrent
-// requests for the same tile decode it exactly once while warm requests
-// stream it concurrently.
+// dataset index is immutable after Open, the tile cache is one
+// mutex-guarded LRU, and per-tile state is guarded by a read-write mutex,
+// so concurrent requests for the same tile decode it exactly once while
+// warm requests stream it concurrently.
 type Store struct {
 	src      io.ReaderAt
 	size     int64
@@ -85,6 +85,9 @@ func Open(r io.ReaderAt, size int64) (*Store, error) {
 		cache:    NewTileCache(DefaultCacheBytes),
 	}
 	for _, ds := range metas {
+		if s.datasets[ds.name] != nil {
+			return nil, fmt.Errorf("store: duplicate dataset name %q in index", ds.name)
+		}
 		s.datasets[ds.name] = ds
 		s.order = append(s.order, ds.name)
 	}
@@ -402,7 +405,7 @@ func retrieveRegionAs[T grid.Scalar](s *Store, ds *datasetMeta, lo, hi []int, bo
 
 	// At least one tile needs decode or refine work: pass through the
 	// admission gate once, admit the tiles the cache does not hold, then fan
-	// out over just the cold tiles. acquire is idempotent under the shard
+	// out over just the cold tiles. acquire is idempotent under the cache
 	// lock, so concurrent retrievals of one tile still share one entry and
 	// one decode.
 	if opts.Gate != nil {

@@ -454,7 +454,8 @@ func TestCacheEviction(t *testing.T) {
 	eb := 1e-4 * g.ValueRange()
 	blob := packOne(t, g, eb, grid.Shape{16, 16, 16}) // 8 chunks, 32 KiB decoded each
 	s := openStore(t, blob)
-	s.SetCacheBytes(2 * 16 * 16 * 16 * cachedBytesPerElem(core.Float64)) // room for 2 decoded chunks
+	chunkBytes := 16 * 16 * 16 * cachedBytesPerElem(core.Float64)
+	s.SetCacheBytes(2 * chunkBytes) // room for 2 decoded chunks
 	full, err := s.RetrieveDataset("field", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -462,16 +463,10 @@ func TestCacheEviction(t *testing.T) {
 	if d := maxAbsDiff(full.Data(), g.Data()); d > eb {
 		t.Errorf("error %g > %g with tiny cache", d, eb)
 	}
-	// Sharded budget invariant: a shard is within its slice of the budget,
-	// or it retains exactly one (possibly oversized) entry — never more.
-	for i := range s.cache.shards {
-		sh := &s.cache.shards[i]
-		sh.mu.Lock()
-		used, capB, entries := sh.used, sh.cap, len(sh.entries)
-		sh.mu.Unlock()
-		if used > capB && entries > 1 {
-			t.Errorf("shard %d holds %d entries (%d bytes) beyond its %d budget", i, entries, used, capB)
-		}
+	// Budget invariant: the whole cache is within its budget, which holds
+	// exactly the two most recent chunks; every entry is charged.
+	if st := s.TileCache().Stats(); st.Bytes > 2*chunkBytes || st.Entries != 2 || st.Bytes != st.Entries*chunkBytes || st.Evictions != 6 {
+		t.Errorf("a two-chunk cache after reading 8 chunks holds %+v", st)
 	}
 	// Disabled cache still serves queries.
 	s.SetCacheBytes(0)

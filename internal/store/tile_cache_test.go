@@ -213,8 +213,8 @@ func TestSharedCacheConcurrentSnapshots(t *testing.T) {
 }
 
 // TestSharedCacheBudgetAcrossSnapshots: fifty snapshots each read once
-// through one cache never charge it more than its budget plus one tile
-// per shard, however many stores are attached.
+// through one cache never charge it more than its budget plus one tile,
+// however many stores are attached.
 func TestSharedCacheBudgetAcrossSnapshots(t *testing.T) {
 	shape, chunk := []int{32, 32, 32}, []int{16, 16, 16} // 8 tiles
 	const steps, eb = 50, 1e-6
@@ -224,15 +224,15 @@ func TestSharedCacheBudgetAcrossSnapshots(t *testing.T) {
 	}
 	c, ms := packSeries(t, shape, chunk, steps, churn, eb)
 	tile := int64(16*16*16) * cachedBytesPerElem(core.Float64)
-	budget := cacheShards * 5 * tile / 2 // two and a half tiles per shard
+	budget := 5 * tile / 2 // two and a half tiles
 	tiles := NewTileCache(budget)
 	for s := 0; s < steps; s++ {
 		st := openShared(t, c, s, tiles)
 		if _, err := st.RetrieveDataset(ms[s].Name(), 16*eb); err != nil {
 			t.Fatal(err)
 		}
-		if got := tiles.Stats(); got.Bytes > budget+cacheShards*tile || got.Bytes != got.Entries*tile {
-			t.Fatalf("after t%d the cache is charged %d bytes for %d entries; the budget is %d + one %d-byte tile per shard", s, got.Bytes, got.Entries, budget, tile)
+		if got := tiles.Stats(); got.Bytes > budget+tile || got.Bytes != got.Entries*tile {
+			t.Fatalf("after t%d the cache is charged %d bytes for %d entries; the budget is %d + one %d-byte tile", s, got.Bytes, got.Entries, budget, tile)
 		}
 	}
 	// More distinct blobs went through than the budget holds.
@@ -298,10 +298,8 @@ func TestSetCacheBytesLeavesSharedCacheAlone(t *testing.T) {
 	if after := tiles.Stats(); after != before {
 		t.Errorf("SetCacheBytes(0) on one attached store moved the shared cache: %+v, then %+v", before, after)
 	}
-	for i := range tiles.shards {
-		if got := tiles.shards[i].cap; got != DefaultCacheBytes/cacheShards {
-			t.Fatalf("shard %d budget is %d after SetCacheBytes(0) on one attached store, want %d", i, got, DefaultCacheBytes/cacheShards)
-		}
+	if got := tiles.cap; got != DefaultCacheBytes {
+		t.Fatalf("the shared budget is %d after SetCacheBytes(0) on one attached store, want %d", got, DefaultCacheBytes)
 	}
 	set, ok := any(stores[0]).(interface{ SetCacheBytes(int64) error })
 	if !ok {
