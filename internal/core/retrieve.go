@@ -395,15 +395,45 @@ func (a *Archive) PlanErrorBoundMode(bound float64) (Plan, error) {
 // at most budget units. dp[li][u] holds the best score of layers 0..li-1
 // within cost u. Option 0 of every layer costs nothing (keep every plane,
 // or load none), so every state is reachable and seeds its maximum; ties go
-// to the lowest option index. Returns the chosen option index per layer.
+// to the lowest option index. Returns the chosen option index per layer;
+// layers must not be empty.
+//
+// Only the rows the backtrack reads are built, all from one buffer: dp[0]
+// is all zeros and never stored, dp[1] is a prefix maximum of the first
+// layer's scores by cost, and dp[nl] is needed only at u = budget. A
+// one-layer knapsack (a 32³ tile) is a scan of its options. Every cell is
+// the same sum, in the same order, as in the full table, so the plans are.
 func solveKnapsack(layers [][]dpOption, budget int) []int {
 	nl := len(layers)
-	dp := make([][]float64, nl+1)
-	dp[0] = make([]float64, budget+1) // all zeros: empty assignment
-	for li, opts := range layers {
-		cur := make([]float64, budget+1)
-		prev := dp[li]
-		first, rest := opts[0].score, opts[1:]
+	choice := make([]int, nl)
+	w := budget + 1
+	rows := make([]float64, (nl-1)*w) // dp[li] is rows[(li-1)*w : li*w]
+	at := func(li, u int) float64 {
+		if li == 0 {
+			return 0
+		}
+		return rows[(li-1)*w+u]
+	}
+	if nl > 1 {
+		cur := rows[:w]
+		first := 0 + layers[0][0].score // the full table's sum over dp[0], bit for bit
+		for u := range cur {
+			cur[u] = first
+		}
+		for _, op := range layers[0][1:] {
+			if v := 0 + op.score; op.cost <= budget && v > cur[op.cost] {
+				cur[op.cost] = v
+			}
+		}
+		for u := 1; u < w; u++ {
+			if cur[u-1] > cur[u] {
+				cur[u] = cur[u-1]
+			}
+		}
+	}
+	for li := 1; li < nl-1; li++ {
+		prev, cur := rows[(li-1)*w:li*w], rows[li*w:(li+1)*w]
+		first, rest := layers[li][0].score, layers[li][1:]
 		for u := range cur {
 			best := prev[u] + first
 			for _, op := range rest {
@@ -415,14 +445,23 @@ func solveKnapsack(layers [][]dpOption, budget int) []int {
 			}
 			cur[u] = best
 		}
-		dp[li+1] = cur
 	}
-	choice := make([]int, nl)
+	last := layers[nl-1]
+	target := at(nl-1, budget) + last[0].score
+	for _, op := range last[1:] {
+		if op.cost <= budget {
+			if v := at(nl-1, budget-op.cost) + op.score; v > target {
+				target = v
+			}
+		}
+	}
 	u := budget
 	for li := nl - 1; li >= 0; li-- {
-		target := dp[li+1][u]
+		if li < nl-1 {
+			target = at(li+1, u)
+		}
 		for d, op := range layers[li] {
-			if op.cost <= u && dp[li][u-op.cost]+op.score == target {
+			if op.cost <= u && at(li, u-op.cost)+op.score == target {
 				choice[li] = d
 				u -= op.cost
 				break

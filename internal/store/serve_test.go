@@ -1,11 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/grid"
+	"repro/internal/interp"
 )
 
 func TestPlanRegion(t *testing.T) {
@@ -138,5 +142,67 @@ func TestPlanRegionDoesNotChargeCache(t *testing.T) {
 	}
 	if st := s.Stats(); st.TileDecodes != 8 {
 		t.Errorf("planning triggered decodes: %d, want 8 from the one retrieval", st.TileDecodes)
+	}
+}
+
+// BenchmarkPlanRegion prices PlanRegion alone on the shape serve_warm_refine
+// serves: the 96³ Pressure field in float64 at a relative bound of 1e-6,
+// cubic, 32³ tiles, and 48³ boxes on a pitch-8 lattice (27 tiles for the
+// box at the origin, 8 for one aligned to the tiles). A "fresh" plan is a
+// planes request at 16·eb; a "refine" plan is a token refinement from
+// 256·eb to 16·eb, which plans every tile twice. On "warm" entries every
+// tile has been retrieved, so planning peeks at the parsed archive; on
+// "peek-miss" entries nothing is cached and every tile's header is parsed
+// afresh, as on a planes-only node or an edge.
+func BenchmarkPlanRegion(b *testing.B) {
+	g, err := datagen.GenerateShape("Pressure", grid.Shape{96, 96, 96})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eb := 1e-6 * g.ValueRange()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.AddGrid("pressure", g, WriteOptions{ErrorBound: eb, Interpolation: interp.Cubic,
+		ChunkShape: grid.Shape{32, 32, 32}}); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	type box struct{ lo, hi []int }
+	r := rand.New(rand.NewSource(1))
+	boxes := make([]box, 64)
+	for i := range boxes {
+		lo, hi := make([]int, 3), make([]int, 3)
+		for d := range lo {
+			lo[d] = r.Intn((96-48)/8+1) * 8
+			hi[d] = lo[d] + 48
+		}
+		boxes[i] = box{lo, hi}
+	}
+	for _, entries := range []string{"warm", "peek-miss"} {
+		s := openStore(b, buf.Bytes())
+		if entries == "warm" {
+			if _, err := s.RetrieveDataset("pressure", 64*eb); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, p := range []struct {
+			name        string
+			bound, have float64
+		}{{"fresh", 16 * eb, 0}, {"refine", 16 * eb, 256 * eb}} {
+			b.Run(entries+"/"+p.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := range b.N {
+					bx := boxes[i%len(boxes)]
+					if _, err := s.PlanRegion("pressure", bx.lo, bx.hi, p.bound, p.have); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
