@@ -1,12 +1,15 @@
-// Package codec provides the lossless back ends used by the compressors in
-// this repository: DEFLATE where the paper's implementation uses zstd (the
-// Go standard library has no zstd; both are LZ77-family pattern extractors)
-// — this package's own encoder (deflate.go, byte for byte compress/flate at
-// level 1, "best speed", which approximates zstd's default-speed behaviour
-// far better than DEFLATE's default level 6) and decoder (inflate.go) — a
-// byte-alphabet Huffman coder for mid-entropy bitplanes, and a byte-oriented
-// run-length coder for sparse ones. (The int32 Huffman coder of the
-// SZ3-lite and SPERR-lite baselines is internal/baselines/huffman.)
+// Package codec provides the lossless back end of the compressors in this
+// repository: one block coder (block.go) that stores each bitplane as an
+// all-zero tag, verbatim, or as DEFLATE — where the paper's implementation
+// uses zstd (the Go standard library has no zstd; both are LZ77-family
+// pattern extractors). DEFLATE is this package's own encoder (deflate.go,
+// byte for byte compress/flate at level 1, "best speed", which
+// approximates zstd's default-speed behaviour far better than DEFLATE's
+// default level 6) and decoder (inflate.go). Two more block methods are
+// decoded but never written: a byte-alphabet Huffman coding and a
+// zero-run coding, kept so archives from releases that chose them per
+// plane stay readable. (The int32 Huffman coder of the SZ3-lite and
+// SPERR-lite baselines is internal/baselines/huffman.)
 package codec
 
 // Deflate compresses src with DEFLATE: the stream compress/flate writes at

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/grid"
@@ -56,6 +57,26 @@ var (
 	uint32Scratch SlicePool[uint32]  // negabinary value scratch (level-sized)
 	byteScratch   SlicePool[byte]    // bitplane backings: compress's, a raise's (multi-MB class)
 	spanScratch   SlicePool[byte]    // block span reads (KB class)
+)
+
+// classPool is a SlicePool per capacity class: class k holds slices whose
+// capacity has bit length k, so Get(n) hands out capacity n to 2n−1 and
+// never a backing much larger than what it is asked for.
+type classPool[T any] [bits.UintSize + 1]SlicePool[T]
+
+func (p *classPool[T]) Get(n int) []T { return p[bits.Len(uint(n))].Get(n) }
+func (p *classPool[T]) Put(s []T)     { p[bits.Len(uint(cap(s)))].Put(s) }
+
+// The backings of released results (Result.Release), and only those: a
+// retrieval takes its values and indices from here, so a program that
+// never releases allocates exactly what it did without them. The size
+// classes keep what a recycled result retains within twice what it holds,
+// which is what lets the store's tile cache go on charging a tile its
+// length.
+var (
+	released64  classPool[float64]
+	released32  classPool[float32]
+	releasedIdx classPool[int32] // zeroed by Release: merges OR under them
 )
 
 // PoolGet and PoolPut route a scalar-generic slice to the pool matching

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/bitplane"
@@ -25,6 +26,7 @@ type Result struct {
 	// rebuild reconstructs from, and — its negabinary code is exactly the
 	// loaded planes — all a raise needs of the planes loaded before it.
 	trunc [][]int32
+	idx   []int32 // the one backing every trunc[l-1] is cut from
 	// loadedBytes counts every archive byte read so far, header included.
 	loadedBytes int64
 	// stats, when non-nil, receives span-read and codec-decode timings
@@ -158,6 +160,7 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 		loadedBytes: a.h.headerSize,
 		stats:       st,
 	}
+	total := 0
 	for l := 1; l <= a.h.levels; l++ {
 		m := a.h.metaOf(l)
 		// The kernels below index level buffers by the decomposition's
@@ -175,7 +178,14 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 			}
 			prev = int(oi)
 		}
-		r.trunc[l-1] = make([]int32, m.count)
+		total += m.count
+	}
+	// Every level's indices are cut from one backing, zeroed: a fresh one,
+	// or a released one, which Release zeroed.
+	r.idx = releasedIdx.Get(total)
+	for l, off := 1, 0; l <= a.h.levels; l++ {
+		m := a.h.metaOf(l)
+		r.trunc[l-1], off = r.idx[off:off+m.count:off+m.count], off+m.count
 		// Non-progressive levels always load everything.
 		want := plan.Keep[l-1]
 		if l > a.h.prog {
@@ -192,12 +202,44 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 	if len(a.h.anchors) < len(a.dec.Anchors()) {
 		return nil, fmt.Errorf("core: anchor table too short")
 	}
-	// Allocated only now: a header whose shape its own level tables do not
+	// Taken only now: a header whose shape its own level tables do not
 	// bear out has been refused above, before the shape sized anything.
-	data := make([]T, a.h.shape.Len())
+	// A released backing is not zeroed; rebuild writes every point.
+	data := getReleased[T](a.h.shape.Len())
 	setData(r, data)
 	rebuild(a, data, r.trunc, a.h.levels)
 	return r, nil
+}
+
+// getReleased returns a length-n value backing, a released result's when
+// one of its size class is pooled.
+func getReleased[T grid.Scalar](n int) []T {
+	var z T
+	if _, ok := any(z).(float32); ok {
+		return any(released32.Get(n)).([]T)
+	}
+	return any(released64.Get(n)).([]T)
+}
+
+// Release hands the result's values and indices to a later retrieval and
+// leaves the result empty. Nothing may use the result after it, nor any
+// slice it shared (Data and Grid of a float64 result, DataFloat32 of a
+// float32 one, DataOf of the native type). A program that keeps its
+// results need not call it; the store's tile cache calls it on the tiles
+// it evicts, so that a steady stream of cold tiles decodes into the
+// memory of the tiles they displace.
+func (r *Result) Release() {
+	if r.data32 != nil {
+		released32.Put(r.data32)
+	}
+	if r.data64 != nil {
+		released64.Put(r.data64)
+	}
+	if r.idx != nil {
+		clear(r.idx[:cap(r.idx)])
+		releasedIdx.Put(r.idx)
+	}
+	r.data32, r.data64, r.idx, r.trunc = nil, nil, nil, nil
 }
 
 // rebuild reruns the reconstruction recursion into data from the current
@@ -326,28 +368,49 @@ func (r *Result) mergePlanes(level, want int, got []byte) {
 	r.loadedBytes += spanLen
 	// The new planes at their bit positions among the 32 (plane p of the
 	// level is bit usedPlanes−1−p), every other position nil.
+	j := mergeJobs.Get().(*mergeJob)
+	j.ks = r.trunc[level-1]
 	planeBytes := (m.count + 7) / 8
-	var planes [bitplane.Planes][]byte
-	used := planes[bitplane.Planes-m.usedPlanes:]
+	used := j.planes[bitplane.Planes-m.usedPlanes:]
 	for p := have; p < want; p++ {
 		i := p - have
 		used[p] = got[i*planeBytes : (i+1)*planeBytes : (i+1)*planeBytes]
 	}
-	keep := ^uint32(0) << (m.usedPlanes - want) // the bits of planes < want
-	top := uint(m.usedPlanes - have)            // bit of plane have−1; plane have−2 is top+1
-	var corr [4]uint32
-	for ab := range corr {
+	j.keep = ^uint32(0) << (m.usedPlanes - want) // the bits of planes < want
+	j.top = uint(m.usedPlanes - have)            // bit of plane have−1; plane have−2 is top+1
+	for ab := range j.corr {
 		e1, e2 := uint32(ab&1), uint32(ab>>1) // the errors of planes p−1, p−2
 		for p := have; p < want; p++ {
 			e1, e2 = e1^e2, e1
-			corr[ab] |= e1 << (m.usedPlanes - 1 - p)
+			j.corr[ab] |= e1 << (m.usedPlanes - 1 - p)
 		}
 	}
-	ks := r.trunc[level-1]
-	parallelChunks(m.count, minShardTargets, 8, func(lo, hi int) {
-		bitplane.MergeDecodeRange(ks, planes[:], lo, hi, keep, top, &corr)
-	})
+	parallelChunks(m.count, minShardTargets, 8, j.shard)
+	*j = mergeJob{shard: j.shard} // drop the references to ks and got
+	mergeJobs.Put(j)
 	r.plan.Keep[level-1] = want
+}
+
+// mergeJob is what the shards of one mergePlanes share. It is pooled with
+// its shard function bound once, so a raise allocates neither the plane
+// table nor a closure for the helpers to run.
+type mergeJob struct {
+	ks     []int32
+	planes [bitplane.Planes][]byte
+	keep   uint32
+	top    uint
+	corr   [4]uint32
+	shard  func(lo, hi int) // merge, bound to this job
+}
+
+var mergeJobs = sync.Pool{New: func() any {
+	j := new(mergeJob)
+	j.shard = j.merge
+	return j
+}}
+
+func (j *mergeJob) merge(lo, hi int) {
+	bitplane.MergeDecodeRange(j.ks, j.planes[:], lo, hi, j.keep, j.top, &j.corr)
 }
 
 // RefineTo raises the result to a finer plan in place (Algorithm 2): only

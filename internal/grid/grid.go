@@ -8,6 +8,7 @@ package grid
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // MaxDims is the maximum number of dimensions supported by Grid.
@@ -30,7 +31,8 @@ type Scalar interface {
 // (slowest-varying) first, matching C/row-major order.
 type Shape []int
 
-// Validate reports whether the shape has 1..MaxDims strictly positive extents.
+// Validate reports whether the shape has 1..MaxDims strictly positive
+// extents whose product, Len, fits an int.
 func (s Shape) Validate() error {
 	if len(s) == 0 {
 		return errors.New("grid: empty shape")
@@ -38,10 +40,15 @@ func (s Shape) Validate() error {
 	if len(s) > MaxDims {
 		return fmt.Errorf("grid: %d dimensions exceeds maximum %d", len(s), MaxDims)
 	}
+	n := 1
 	for i, d := range s {
 		if d <= 0 {
 			return fmt.Errorf("grid: dimension %d has non-positive extent %d", i, d)
 		}
+		if n > math.MaxInt/d {
+			return fmt.Errorf("grid: shape %v has more than %d elements", []int(s), math.MaxInt)
+		}
+		n *= d
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"testing"
 )
 
@@ -16,6 +17,21 @@ func TestShapeValidate(t *testing.T) {
 	}
 	if err := (Shape{4, 3, 2}).Validate(); err != nil {
 		t.Errorf("valid shape rejected: %v", err)
+	}
+	// Len multiplies unchecked, so Validate must refuse a product that
+	// wraps: here to a small positive count, which would size a buffer far
+	// smaller than the extents index.
+	const big = 1 << 31
+	for _, s := range []Shape{{big, big, 4}, {math.MaxInt, 2}, {1 << 16, 1 << 16, 1 << 16, 1 << 16}} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%v: a product past MaxInt must be invalid (Len wraps to %d)", []int(s), s.Len())
+		}
+	}
+	if err := (Shape{math.MaxInt}).Validate(); err != nil {
+		t.Errorf("a product of exactly MaxInt rejected: %v", err)
+	}
+	if err := (Shape{1 << 31, 1<<31 - 1}).Validate(); err != nil {
+		t.Errorf("a product below MaxInt rejected: %v", err)
 	}
 }
 

@@ -47,6 +47,9 @@ type tileKey struct {
 //     monotonically gains fidelity per tile.
 //   - Warm queries copy their overlap out under the read lock, so any
 //     number of requests stream the same hot tile concurrently.
+//   - Eviction takes res back to nil under the write lock, if it can get
+//     the lock without waiting (recycle); a goroutine that still holds
+//     the entry then decodes it afresh, as on first touch.
 //
 // arch caches the parsed archive header (tiny: it is read to plan wire
 // responses even when nothing is decoded). It is an atomic pointer, set
@@ -117,9 +120,12 @@ func (c *cacheStats) snapshot() Stats {
 // however many stores there are. Entries are charged their decoded size up
 // front, at admission: the decoded size is known exactly from the tiling
 // before any work happens, and charging early keeps concurrent fills from
-// overshooting the budget. Evicted entries vanish from the map only —
-// goroutines holding a pointer finish their copy-out safely, and the
-// memory is reclaimed when they drop it. The lock guards map and list
+// overshooting the budget. An evicted entry leaves the map and, unless a
+// goroutine holds it locked at that moment, gives its decoded values and
+// indices to the next cold decode (recycle), so a cache that evicts as
+// fast as it admits decodes into the memory it evicts instead of
+// allocating a tile's worth per admission. A locked victim is left to the
+// garbage collector once its holder lets go. The lock guards map and list
 // operations only; decodes run under each entry's own lock.
 type TileCache struct {
 	mu        sync.Mutex
@@ -137,8 +143,10 @@ func NewTileCache(capBytes int64) *TileCache {
 }
 
 // evictTo drops entries from the LRU end until the cache is within its
-// budget or only keep entries remain. Callers hold c.mu.
-func (c *TileCache) evictTo(keep int) {
+// budget or only keep entries remain, and returns them appended to
+// victims. Callers hold c.mu, and pass the victims to recycle once they
+// have let go of it.
+func (c *TileCache) evictTo(keep int, victims []*chunkEntry) []*chunkEntry {
 	for c.used > c.cap && c.ll.Len() > keep {
 		el := c.ll.Back()
 		victim := el.Value.(*chunkEntry)
@@ -146,6 +154,29 @@ func (c *TileCache) evictTo(keep int) {
 		delete(c.entries, victim.key)
 		c.used -= victim.charged
 		c.evictions++
+		victims = append(victims, victim)
+	}
+	return victims
+}
+
+// recycle hands the decoded results of evicted entries to later cold
+// decodes (core.Result.Release). An entry that some goroutine holds
+// locked — decoding, refining or copying out of it — is left to the
+// garbage collector, so eviction never waits on a decode. One it can lock
+// loses its result: a goroutine still holding a pointer to the entry
+// finds res nil under the lock and decodes afresh.
+func recycle(victims []*chunkEntry) {
+	for _, e := range victims {
+		if !e.mu.TryLock() {
+			continue
+		}
+		res := e.res
+		e.res = nil
+		e.counted.Store(0)
+		e.mu.Unlock()
+		if res != nil {
+			res.Release()
+		}
 	}
 }
 
@@ -154,12 +185,13 @@ func (c *TileCache) evictTo(keep int) {
 // returns a fresh uncached entry.
 func (c *TileCache) acquire(key tileKey, decodedBytes int64) *chunkEntry {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.cap <= 0 {
+		c.mu.Unlock()
 		return &chunkEntry{key: key, charged: decodedBytes}
 	}
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
+		c.mu.Unlock()
 		return el.Value.(*chunkEntry)
 	}
 	e := &chunkEntry{key: key, charged: decodedBytes}
@@ -170,7 +202,10 @@ func (c *TileCache) acquire(key tileKey, decodedBytes int64) *chunkEntry {
 	// requests for it would each decode their own copy and the
 	// single-decode guarantee would silently vanish for large tiles. The
 	// budget is therefore soft by at most that one resident tile.
-	c.evictTo(1)
+	var buf [2]*chunkEntry
+	victims := c.evictTo(1, buf[:0])
+	c.mu.Unlock()
+	recycle(victims)
 	return e
 }
 
@@ -191,9 +226,10 @@ func (c *TileCache) peek(key tileKey) *chunkEntry {
 // budget clears the cache and disables it.
 func (c *TileCache) Resize(capBytes int64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.cap = capBytes
-	c.evictTo(0) // every entry is charged > 0, so a budget <= 0 empties the cache
+	victims := c.evictTo(0, nil) // every entry is charged > 0, so a budget <= 0 empties the cache
+	c.mu.Unlock()
+	recycle(victims)
 }
 
 // TileCacheStats is a snapshot of a cache's occupancy.

@@ -546,11 +546,16 @@ func (s *Store) openChunkArchive(entry *chunkEntry, ds *datasetMeta, ci int) (*c
 		}
 	}
 	// Retrievals read the cached result through the dataset's scalar type
-	// without conversion; a chunk encoded at another width is a corrupt
-	// container, not a silently-degraded copy. Checked on every call: a
-	// shared entry may have been parsed on behalf of another dataset.
+	// without conversion, and stride it by the chunk record's box; a chunk
+	// encoded at another width or of another shape is a corrupt container,
+	// not a silently-degraded copy. A tile therefore decodes at most its
+	// box. Checked on every call: a shared entry may have been parsed on
+	// behalf of another dataset.
 	if arch.Scalar() != ds.scalar {
 		return nil, fmt.Errorf("store: chunk archive is %v, dataset index says %v", arch.Scalar(), ds.scalar)
+	}
+	if rec := &ds.chunks[ci]; !isBox(arch.Shape(), rec.lo, rec.hi) {
+		return nil, fmt.Errorf("store: chunk archive has shape %v, dataset index box is [%v,%v)", arch.Shape(), rec.lo, rec.hi)
 	}
 	return arch, nil
 }
@@ -586,6 +591,7 @@ func (s *Store) ensureChunk(entry *chunkEntry, ds *datasetMeta, ci int, bound fl
 			// GuaranteedError reports) without applying the data delta.
 			// Drop the entry so the next query re-decodes instead of
 			// trusting a guarantee the data no longer meets.
+			entry.res.Release()
 			entry.res = nil
 			entry.counted.Store(0)
 			return err

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"sync/atomic"
@@ -419,6 +420,62 @@ func TestRetrieveErrors(t *testing.T) {
 }
 
 func isBoundErr(err error) bool { return err == core.ErrBoundTooTight }
+
+// TestChunkArchiveMustBeItsBox re-points the one chunk record of a 32³
+// dataset at the archive of another dataset, which is what Open returns
+// for a corrupt or mis-assembled container: Open reads no archive. The
+// store strides a decoded tile by its record's box, so a tile of another
+// shape must be refused by every route that opens it: with the same
+// element count (16×64×32) it would be served with wrong data, and with
+// fewer elements (16×32×32) the region copy would run off the end of the
+// tile on a helper goroutine, which ends the process. A recycled tile
+// backing is not zeroed, so a mismatched tile could also serve another
+// tile's stale values.
+func TestChunkArchiveMustBeItsBox(t *testing.T) {
+	for _, other := range []grid.Shape{{16, 64, 32}, {16, 32, 32}} {
+		t.Run(fmt.Sprint(other), func(t *testing.T) {
+			g := testField(t, grid.Shape{32, 32, 32})
+			h := testField(t, other)
+			eb := 1e-4 * g.ValueRange()
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, add := range []struct {
+				name string
+				g    *grid.Grid[float64]
+			}{{"field", g}, {"other", h}} {
+				if err := Add(w, add.name, add.g, WriteOptions{ErrorBound: eb, ChunkShape: add.g.Shape()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s := openStore(t, buf.Bytes())
+			rec, src := &s.datasets["field"].chunks[0], s.datasets["other"].chunks[0]
+			rec.off, rec.size = src.off, src.size
+
+			lo, hi := []int{0, 0, 0}, []int{32, 32, 32}
+			if r, err := s.RetrieveRegion("field", lo, hi, 0); err == nil {
+				t.Errorf("a %v archive served for a 32³ box, max |error| %g against a bound of %g",
+					other, maxAbsDiff(r.Data(), g.Data()), eb)
+			}
+			if _, err := s.PlanRegion("field", lo, hi, 0, 0); err == nil {
+				t.Errorf("a %v archive planned for a 32³ box", other)
+			}
+			// The dataset the archive belongs to still serves it.
+			r, err := s.RetrieveDataset("other", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(r.Data(), h.Data()); d > eb {
+				t.Errorf("other: error %g > %g", d, eb)
+			}
+		})
+	}
+}
 
 func TestOpenRejectsGarbage(t *testing.T) {
 	if _, err := Open(bytes.NewReader(nil), 0); err == nil {

@@ -162,6 +162,19 @@ func boxLen(lo, hi []int) int {
 	return n
 }
 
+// isBox reports whether shape is the extent of the box [lo, hi).
+func isBox(shape, lo, hi []int) bool {
+	if len(shape) != len(lo) {
+		return false
+	}
+	for d := range lo {
+		if shape[d] != hi[d]-lo[d] {
+			return false
+		}
+	}
+	return true
+}
+
 // Intersect clips [alo, ahi) to [blo, bhi); ok is false when they are
 // disjoint. Exported alongside CopyRegion for ipcomp/client, which clips
 // remotely fetched tiles against its region the same way the store clips
