@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/interp"
@@ -155,7 +155,8 @@ func (e *levelQuantizer[T]) quantizeRange(p *interp.Pass, kind interp.Kind, tLo,
 // positions restored to their exact stored values. The pred+k·step sum
 // runs at T's native width, the exact expression the compressor's work
 // array evaluated, so reconstruction tracks the encoder bit for bit at any
-// scalar width.
+// scalar width. Each pass is walked a column at a time (interp.Pass.Walk)
+// and sharded by lines across cores.
 func applyLevel[T grid.Scalar](a *Archive, data []T, l int, ks []int32) {
 	m := a.h.metaOf(l)
 	step := T(a.quant.Step())
@@ -163,54 +164,53 @@ func applyLevel[T grid.Scalar](a *Archive, data []T, l int, ks []int32) {
 	passes := a.dec.LevelPasses(l)
 	for pi := range passes {
 		p := &passes[pi]
-		parallelChunks(p.Targets(), minShardTargets, 1, func(tLo, tHi int) {
-			// Outlier positions are sorted by sequence index; each shard
-			// starts its cursor at the first index in its range.
-			seqStart := uint32(p.SeqOffset() + tLo)
-			oi := sort.Search(len(m.outlierIdx), func(i int) bool {
-				return m.outlierIdx[i] >= seqStart
-			})
-			outIdx, outVal := m.outlierIdx, m.outlierVal
-			p.VisitRuns(kind, tLo, tHi, func(r *interp.Run) {
-				f, seq, fstep := r.Flat, r.Seq, r.Step
-				remaining := r.N
-				for remaining > 0 {
-					// The vector kernel takes the outlier-free span before
-					// the next stored exact value; the scalar loop absorbs
-					// the outlier point itself (and short tails).
-					if asmKernels {
-						free := remaining
-						if oi < len(outIdx) {
-							if until := int(outIdx[oi]) - seq; until < free {
-								free = until
-							}
-						}
-						if free >= 4 {
-							if done := applyRunAccel(data, ks, r, f, seq, free, step); done > 0 {
-								f += done * fstep
-								seq += done
-								remaining -= done
-								continue
-							}
-						}
-					}
-					g := remaining
-					if asmKernels && g > 8 {
-						g = 8
-					}
-					remaining -= g
-					for n := g; n > 0; n-- {
-						v := interp.Predict(r, data, f) + T(ks[seq])*step
-						if oi < len(outIdx) && outIdx[oi] == uint32(seq) {
-							v = T(outVal[oi])
-							oi++
-						}
-						data[f] = v
-						seq++
-						f += fstep
-					}
-				}
-			})
+		lines, width := p.Lines()
+		if lines == 0 {
+			continue
+		}
+		// The shard closure escapes to the helpers: make it only when the
+		// pass shards.
+		minLines := max(1, minShardTargets/width)
+		if chunks, _ := chunkSpan(lines, minLines, 1); chunks <= 1 {
+			applyLines(p, kind, 0, lines, data, ks, step, m)
+			continue
+		}
+		parallelChunks(lines, minLines, 1, func(lo, hi int) {
+			applyLines(p, kind, lo, hi, data, ks, step, m)
 		})
+	}
+}
+
+// applyLines reconstructs lines [lo, hi) of pass p, then restores the
+// outliers among them. The runs write pred + k·step at an outlier's
+// position too (its index is 0); nothing in the pass reads a target, so
+// overwriting it afterwards is exact.
+func applyLines[T grid.Scalar](p *interp.Pass, kind interp.Kind, lo, hi int, data []T, ks []int32, step T, m *levelMeta) {
+	// The walk is declared outside the loop: a for-clause variable is
+	// copied into every iteration, and Walk is a dozen words.
+	var r interp.Run
+	w := p.Walk(kind, lo, hi)
+	for w.Next(&r) {
+		applyRun(data, ks, &r, step)
+	}
+	_, width := p.Lines()
+	seqLo, seqHi := p.SeqOffset()+lo*width, p.SeqOffset()+hi*width
+	oi, _ := slices.BinarySearch(m.outlierIdx, uint32(seqLo))
+	for ; oi < len(m.outlierIdx) && int(m.outlierIdx[oi]) < seqHi; oi++ {
+		data[p.FlatIndex(int(m.outlierIdx[oi])-p.SeqOffset())] = T(m.outlierVal[oi])
+	}
+}
+
+// applyRun writes pred + k·step to every point of r: through the vector
+// kernel when it takes the run, else through the scalar loop.
+func applyRun[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) {
+	if applyRunAccel(data, ks, r, step) {
+		return
+	}
+	f, seq := r.Flat, r.Seq
+	for n := r.N; n > 0; n-- {
+		data[f] = interp.Predict(r, data, f) + T(ks[seq])*step
+		f += r.Step
+		seq += r.SeqStep
 	}
 }

@@ -43,6 +43,7 @@ type kernArgs struct {
 	step    float64        // quantizer step (narrowed in the f32 kernels)
 	invStep float64
 	eb      float64
+	ksStep  int64 // index stride between points (apply kernels only)
 }
 
 // quantizeRunF64 commits points through the fused predict+quantize+bound
@@ -60,8 +61,9 @@ func quantizeRunF64(a *kernArgs) int64
 //go:noescape
 func quantizeRunF32(a *kernArgs) int64
 
-// applyRunF64 reconstructs pred + k·step four points at a time. No bail
-// conditions: the wrapper only hands it outlier-free spans.
+// applyRunF64 reconstructs pred + k·step four points at a time, reading
+// the indices ksStep apart. No bail conditions: the caller restores
+// outlier positions afterwards.
 //
 //go:noescape
 func applyRunF64(a *kernArgs) int64
@@ -111,32 +113,53 @@ func quantizeRunAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, f, seq, n
 	return 0
 }
 
-// applyRunAccel reconstructs a prefix of the run (which the caller
-// guarantees is free of outlier positions) and returns the points done.
-func applyRunAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, f, seq, n int, step T) int {
+// applyRunAccel reconstructs the whole run through the vector kernel and
+// reports whether it did; a run shorter than one group (4 float64, 8
+// float32 lanes) is left to the caller's scalar loop. The kernel commits
+// the run's full groups, then one last group that ends at the run's last
+// point and overlaps them: a target reads only points the pass never
+// writes, so recomputing one is exact.
+func applyRunAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
 	if !useAVX2 {
-		return 0
+		return false
 	}
+	lanes := 8
+	if _, ok := any(data).([]float64); ok {
+		lanes = 4
+	}
+	n := r.N
+	if n < lanes {
+		return false
+	}
+	// The kernel does not bound-check; the run's last target and index do.
+	last := n - 1
+	_ = data[r.Flat+last*r.Step]
+	_ = ks[r.Seq+last*r.SeqStep]
 	var a kernArgs // field by field, as in quantizeRunAccel
-	a.ks = unsafe.Pointer(&ks[seq])
-	a.f, a.fstep, a.n = int64(f), int64(r.Step), int64(n)
+	a.fstep, a.ksStep = int64(r.Step), int64(r.SeqStep)
 	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
 	a.step = float64(step)
+	full := n &^ (lanes - 1)
+	applyGroups(data, ks, r, &a, 0, full)
+	if full < n {
+		applyGroups(data, ks, r, &a, n-lanes, lanes)
+	}
+	return true
+}
+
+// applyGroups runs the width's apply kernel over cnt points of r, from its
+// at-th on.
+func applyGroups[T grid.Scalar](data []T, ks []int32, r *interp.Run, a *kernArgs, at, cnt int) {
+	a.ks = unsafe.Pointer(&ks[r.Seq+at*r.SeqStep])
+	a.f, a.n = int64(r.Flat+at*r.Step), int64(cnt)
 	switch dt := any(data).(type) {
 	case []float64:
-		if n < 4 {
-			return 0
-		}
 		a.data = unsafe.Pointer(&dt[0])
-		return int(applyRunF64(&a))
+		applyRunF64(a)
 	case []float32:
-		if n < 8 {
-			return 0
-		}
 		a.data = unsafe.Pointer(&dt[0])
-		return int(applyRunF32(&a))
+		applyRunF32(a)
 	}
-	return 0
 }
 
 // maxDropAccel scans nbv[lo:lo+n4] (n4 a multiple of 4) into local and

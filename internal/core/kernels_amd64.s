@@ -13,12 +13,20 @@
 // fails the group and the scalar path (which owns the outlier protocol)
 // takes over.
 //
+// The apply kernels read the quantization indices ksStep apart (a column
+// of a pass walks its indices a row of targets apart) with strided
+// inserts, as LOAD4/LOAD8 read data. They commit whole groups only; the
+// Go wrapper covers a run's tail with one more group that ends at the
+// run's last point and overlaps the groups before it, which is exact
+// because a target reads only points its pass never writes.
+//
 // Register conventions shared by all kernels:
 //	R8  = *kernArgs     AX  = &data[f] (advances)
 //	BX  = off1 bytes    CX  = off3 bytes
 //	R13 = elem stride   R15 = 3*stride
 //	R10 = ks cursor     R11 = groups remaining    R12 = groups total
-//	SI/DI/DX/R9/R14     scratch
+//	R9/R14 = ks stride / 3*ks stride bytes (apply kernels)
+//	SI/DI/DX/R9/R14     scratch (quantize kernels)
 
 DATA nine4<>+0(SB)/8, $0x4022000000000000
 DATA nine4<>+8(SB)/8, $0x4022000000000000
@@ -422,16 +430,30 @@ qf32done:
 	VZEROUPPER
 	RET
 
+// LOADK4: four int32 indices R9 bytes apart from R10 into Xd.
+#define LOADK4(Xd) \
+	VMOVD   (R10), Xd                \
+	VPINSRD $1, (R10)(R9*1), Xd, Xd  \
+	VPINSRD $2, (R10)(R9*2), Xd, Xd  \
+	VPINSRD $3, (R10)(R14*1), Xd, Xd
+
 // ATAIL64: dequantize-and-apply commit (no guards).
 #define ATAIL64(L) \
-	VCVTDQ2PD (R10), Y1        \
+	LOADK4(X1)                 \
+	VCVTDQ2PD X1, Y1           \
 	VMULPD    Y10, Y1, Y1      \
 	VADDPD    Y1, Y0, Y1       \
 	STORE4(Y1, X1, X2)         \
 	LEAQ      (AX)(R13*4), AX  \
-	ADDQ      $16, R10         \
+	LEAQ      (R10)(R9*4), R10 \
 	DECQ      R11              \
 	JNZ       L
+
+// APRO: the apply kernels' index stride, R9 = ksStep bytes, R14 = 3×.
+#define APRO \
+	MOVQ 88(R8), R9          \
+	SHLQ $2, R9              \
+	LEAQ (R9)(R9*2), R14
 
 // func applyRunF64(a *kernArgs) int64
 TEXT ·applyRunF64(SB), NOSPLIT, $0-16
@@ -443,6 +465,7 @@ TEXT ·applyRunF64(SB), NOSPLIT, $0-16
 	SHLQ  $3, R13
 	LEAQ  (R13)(R13*2), R15
 	MOVQ  8(R8), R10
+	APRO
 	MOVQ  32(R8), R11
 	SHRQ  $2, R11
 	MOVQ  R11, R12
@@ -480,14 +503,18 @@ af64done:
 	VZEROUPPER
 	RET
 
-// ATAIL32: eight-lane apply commit.
+// ATAIL32: eight-lane apply commit (clobbers DI).
 #define ATAIL32(L) \
-	VCVTDQ2PS (R10), Y1        \
+	LOADK4(X1)                 \
+	LEAQ      (R10)(R9*4), R10 \
+	LOADK4(X2)                 \
+	VINSERTI128 $1, X2, Y1, Y1 \
+	VCVTDQ2PS Y1, Y1           \
 	VMULPS    Y10, Y1, Y1      \
 	VADDPS    Y1, Y0, Y1       \
 	STORE8F(Y1, X1, X2)        \
 	LEAQ      (AX)(R13*8), AX  \
-	ADDQ      $32, R10         \
+	LEAQ      (R10)(R9*4), R10 \
 	DECQ      R11              \
 	JNZ       L
 
@@ -501,6 +528,7 @@ TEXT ·applyRunF32(SB), NOSPLIT, $0-16
 	SHLQ  $2, R13
 	LEAQ  (R13)(R13*2), R15
 	MOVQ  8(R8), R10
+	APRO
 	MOVQ  32(R8), R11
 	SHRQ  $3, R11
 	MOVQ  R11, R12

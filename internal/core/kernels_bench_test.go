@@ -189,3 +189,25 @@ func TestDeflateMatchesFlateOnRealPlanes(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRebuild measures the reconstruction half of a retrieval —
+// rebuild, Algorithm 1's dequantize-and-interpolate over every level from
+// the anchors down — on realPlaneArchives, from indices decoded once. It
+// reports ns per value of the field.
+func BenchmarkRebuild(b *testing.B) {
+	for _, c := range realPlaneArchives(b) {
+		a := c.a
+		b.Run(c.name, func(b *testing.B) {
+			r, err := a.RetrieveAll()
+			if err != nil {
+				b.Fatal(err)
+			}
+			data := make([]float32, a.h.shape.Len())
+			b.ReportAllocs()
+			for b.Loop() {
+				rebuild(a, data, r.trunc, a.h.levels)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(data)), "ns/value")
+		})
+	}
+}

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bitplane"
+	"repro/internal/grid"
 	"repro/internal/interp"
 	"repro/internal/nb"
 )
@@ -69,6 +72,9 @@ func TestQuantizeDispatchDifferential(t *testing.T) {
 // TestApplyDispatchDifferential retrieves the same archive down both
 // kernel paths — full fidelity and a truncated progressive plan — and
 // requires bit-identical reconstructions (outlier overrides included).
+// Beside goldenCases it runs columnShapes, whose level-1 columns carry
+// planted outliers, and holds both paths there to refRebuild too: a
+// reconstruction that drops the outliers would pass a differential alone.
 func TestApplyDispatchDifferential(t *testing.T) {
 	if !SetAVX2(true) {
 		t.Skip("AVX2 kernels unavailable on this host")
@@ -122,6 +128,150 @@ func TestApplyDispatchDifferential(t *testing.T) {
 			}
 		})
 	}
+	for _, cs := range columnShapes {
+		for _, kind := range []interp.Kind{interp.Linear, interp.Cubic} {
+			t.Run(fmt.Sprintf("columns/%s/%s", cs.tag, kind), func(t *testing.T) {
+				g := goldenField(t, cs.shape)
+				planted := plantColumnOutliers(t, g.Data(), cs.shape, kind)
+				opt := Options{ErrorBound: 1e-6, Interpolation: kind}
+				blob64, err := Compress(g, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob32, err := Compress(grid.Narrow(g), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, bound := range []float64{0, 1e-3} {
+					checkColumnRebuild[float64](t, blob64, bound, planted)
+					checkColumnRebuild[float32](t, blob32, bound, planted)
+				}
+			})
+		}
+	}
+}
+
+// columnShapes are the fields TestApplyDispatchDifferential walks for the
+// column walk (interp.Pass.Walk); goldenCases stays as it is, its archive
+// SHAs being pinned.
+var columnShapes = []struct {
+	tag   string
+	shape grid.Shape
+}{
+	{"3Dx32x32x32", grid.Shape{32, 32, 32}}, // a store tile: level-1 columns of 32
+	{"3Dx9x5x41", grid.Shape{9, 5, 41}},     // columns of 5, 3, 2, 1: shorter than a vector
+	{"3Dx6x29x21", grid.Shape{6, 29, 21}},   // columns of 29: a full group, then an overlapped one
+	{"2Dx70x45", grid.Shape{70, 45}},        // 2-D: 70 rows, walked as blocks of 24, 23 and 23
+	{"4Dx3x5x27x11", grid.Shape{3, 5, 27, 11}},
+}
+
+// plantColumnOutliers spikes targets of level 1's innermost pass: both
+// ends of every third column of its walk, and the first point of the
+// column's overlapped last group at either vector width. It returns their
+// flat indices.
+func plantColumnOutliers(t *testing.T, data []float64, shape grid.Shape, kind interp.Kind) map[int]bool {
+	t.Helper()
+	dec, err := interp.NewDecomposition(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes := dec.LevelPasses(1)
+	p := &passes[len(passes)-1]
+	lines, _ := p.Lines()
+	planted := make(map[int]bool)
+	var r interp.Run
+	w := p.Walk(kind, 0, lines)
+	for c := 0; w.Next(&r); c++ {
+		if c%3 != 0 {
+			continue
+		}
+		at := []int{0, r.N - 1}
+		for _, lanes := range []int{4, 8} {
+			if r.N > lanes && r.N%lanes != 0 {
+				at = append(at, r.N-lanes)
+			}
+		}
+		for _, k := range at {
+			planted[r.Flat+k*r.Step] = true
+		}
+	}
+	for f := range planted {
+		data[f] += 1e6
+	}
+	return planted
+}
+
+// checkColumnRebuild retrieves blob at bound down both kernel paths and
+// requires both to be refRebuild's reconstruction bit for bit, and every
+// planted point to be one of the archive's outliers.
+func checkColumnRebuild[T grid.Scalar](t *testing.T, blob []byte, bound float64, planted map[int]bool) {
+	t.Helper()
+	a, err := NewArchive(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := make(map[int]bool)
+	m := a.h.metaOf(1)
+	for _, p := range a.dec.LevelPasses(1) {
+		p.VisitRuns(a.h.kind, 0, p.Targets(), func(r *interp.Run) {
+			for k := 0; k < r.N; k++ {
+				if _, ok := slices.BinarySearch(m.outlierIdx, uint32(r.Seq+k)); ok {
+					stored[r.Flat+k*r.Step] = true
+				}
+			}
+		})
+	}
+	for f := range planted {
+		if !stored[f] {
+			t.Fatalf("planted point %d is not an outlier of the archive", f)
+		}
+	}
+	for _, avx := range []bool{true, false} {
+		SetAVX2(avx)
+		var res *Result
+		if bound > 0 {
+			res, err = a.RetrieveErrorBound(bound)
+		} else {
+			res, err = a.RetrieveAll()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := DataOf[T](res), refRebuild[T](a, res.trunc)
+		for i := range want {
+			if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+				t.Fatalf("%T avx2=%v bound=%v: value %d = %v, reference %v (planted %v)", got[i], avx, bound, i, got[i], want[i], planted[i])
+			}
+		}
+	}
+}
+
+// refRebuild is the reconstruction before the column walk: every pass in
+// canonical order (VisitRuns), one point at a time, the outlier cursor
+// advancing with the sequence index.
+func refRebuild[T grid.Scalar](a *Archive, trunc [][]int32) []T {
+	data := make([]T, a.h.shape.Len())
+	for i, f := range a.dec.Anchors() {
+		data[f] = T(a.h.anchors[i])
+	}
+	step := T(a.quant.Step())
+	for l := a.h.levels; l >= 1; l-- {
+		m, ks, oi := a.h.metaOf(l), trunc[l-1], 0
+		for _, p := range a.dec.LevelPasses(l) {
+			p.VisitRuns(a.h.kind, 0, p.Targets(), func(r *interp.Run) {
+				for k := 0; k < r.N; k++ {
+					f, seq := r.Flat+k*r.Step, r.Seq+k
+					v := interp.Predict(r, data, f) + T(ks[seq])*step
+					if oi < len(m.outlierIdx) && int(m.outlierIdx[oi]) == seq {
+						v = T(m.outlierVal[oi])
+						oi++
+					}
+					data[f] = v
+				}
+			})
+		}
+	}
+	return data
 }
 
 // TestMaxDropDispatchDifferential runs exactMaxDrop down both paths over
@@ -191,7 +341,7 @@ func TestQuantizeAccelCommits(t *testing.T) {
 		w[i] = math.Sin(float64(i) * 0.05)
 	}
 	want := append([]float64(nil), w...)
-	r := &interp.Run{Flat: 1, Step: 2, Seq: 0, N: n, Off1: 1, Mode: interp.RunCopyLeft}
+	r := &interp.Run{Flat: 1, Step: 2, Seq: 0, SeqStep: 1, N: n, Off1: 1, Mode: interp.RunCopyLeft}
 	ks := make([]int32, n)
 	done := quantizeRunAccel(w, ks, r, r.Flat, 0, n, step, invStep, eb)
 	if done != n {
@@ -228,9 +378,8 @@ func TestQuantizeAccelCommits(t *testing.T) {
 	for i := 0; i < len(data); i += 2 {
 		data[i] = want[i]
 	}
-	adone := applyRunAccel(data, ks, r, r.Flat, 0, n, step)
-	if adone != n {
-		t.Fatalf("applyRunAccel committed %d of %d points", adone, n)
+	if !applyRunAccel(data, ks, r, step) {
+		t.Fatalf("applyRunAccel left the %d-point run to the scalar loop", n)
 	}
 	for f := 1; f < 2*n; f += 2 {
 		if data[f] != want[f] {
@@ -245,7 +394,7 @@ func TestQuantizeAccelCommits(t *testing.T) {
 		w32[i] = float32(math.Sin(float64(i) * 0.05))
 	}
 	want32 := append([]float32(nil), w32...)
-	r32 := &interp.Run{Flat: 1, Step: 2, Seq: 0, N: n32, Off1: 1, Mode: interp.RunCopyLeft}
+	r32 := &interp.Run{Flat: 1, Step: 2, Seq: 0, SeqStep: 1, N: n32, Off1: 1, Mode: interp.RunCopyLeft}
 	ks32 := make([]int32, n32)
 	eb32 := 1e-3
 	step32, invStep32 := float32(2e-3), float32(5e2)
@@ -276,8 +425,8 @@ func TestQuantizeAccelCommits(t *testing.T) {
 	for i := 0; i < len(data32); i += 2 {
 		data32[i] = want32[i]
 	}
-	if adone32 := applyRunAccel(data32, ks32, r32, 1, 0, n32, step32); adone32 != n32 {
-		t.Fatalf("float32 applyRunAccel committed %d of %d points", adone32, n32)
+	if !applyRunAccel(data32, ks32, r32, step32) {
+		t.Fatalf("float32 applyRunAccel left the %d-point run to the scalar loop", n32)
 	}
 	for f := 1; f < 2*n32; f += 2 {
 		if data32[f] != want32[f] {

@@ -19,8 +19,8 @@ func quantizeRunAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, f, seq, n
 	return 0
 }
 
-func applyRunAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, f, seq, n int, step T) int {
-	return 0
+func applyRunAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
+	return false
 }
 
 func maxDropAccel(nbv []uint32, lo, n4, used int, local *[33]uint32, pend *[34]uint32) bool {

@@ -168,7 +168,7 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 		if want := a.dec.LevelCount(l); m.count != want {
 			return nil, fmt.Errorf("core: level %d has %d points, header says %d", l, want, m.count)
 		}
-		// The outlier cursor (applyLevel) assumes a sorted, in-range table;
+		// The outlier patch (applyLines) assumes a sorted, in-range table;
 		// reject corrupt headers here, once, so retrieval and refinement
 		// fail loudly instead of silently mis-reconstructing.
 		prev := -1

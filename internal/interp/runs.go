@@ -8,14 +8,23 @@ import "repro/internal/grid"
 // along the active dimension) is predicted exclusively from even multiples
 // of s along that dimension, which the pass never writes. All targets of a
 // pass are therefore mutually independent: they can be visited in any
-// partition, in parallel, and still reconstruct bit-identically to the
-// serial canonical order.
+// partition, in any order, in parallel, and even more than once, and still
+// reconstruct bit-identically to the serial canonical order.
 //
-// The engine exposes the pass geometry as "runs": maximal arithmetic
-// progressions of flat indices whose points all share one prediction
-// formula (the Mode). Kernels — quantization during compression,
-// dequantize-and-apply during retrieval — iterate runs with tight inlined
-// loops instead of paying an indirect call per grid point.
+// The engine exposes the pass geometry as "runs": arithmetic progressions
+// of flat indices whose points all share one prediction formula (the
+// Mode). Kernels — quantization during compression, dequantize-and-apply
+// during retrieval — iterate runs with tight inlined loops instead of
+// paying an indirect call per grid point. A pass is walked two ways:
+//
+//   - VisitRuns, in canonical order, with maximal runs along the innermost
+//     dimension. The compressor uses it: its outliers are recorded in this
+//     order, and that order is part of the archive bytes.
+//   - Walk, for retrieval, which may take any order. The pass along the
+//     innermost dimension splits each row into up to four short runs of
+//     different modes, so Walk turns it sideways: a run is a column across
+//     the second-innermost dimension, one per innermost target, in blocks
+//     of at most colBlock rows (32 rows of a 128-wide f32 field are 16 KB).
 
 // RunMode identifies the single prediction formula that applies to every
 // point of a run, mirroring the cases of the scalar predictor.
@@ -30,17 +39,21 @@ const (
 	RunCubic
 )
 
-// Run is a maximal batch of target points sharing one prediction formula.
-// The k-th point (k = 0..N-1) lives at flat index Flat + k*Step and has
-// canonical sequence index Seq + k within its level.
+// Run is a batch of target points sharing one prediction formula. The
+// k-th point (k = 0..N-1) lives at flat index Flat + k*Step and has
+// level-local sequence index Seq + k*SeqStep, which is where its
+// quantization index lives. VisitRuns emits maximal runs in canonical
+// order, all with SeqStep 1; Walk's columns step Seq by the number of
+// targets in a row.
 type Run struct {
-	Flat int // flat index of the first target
-	Step int // flat stride between successive targets
-	Seq  int // level-local canonical sequence index of the first target
-	N    int // number of targets
-	Off1 int // flat offset of the ±s neighbours along the active dimension
-	Off3 int // flat offset of the ±3s neighbours (RunCubic only)
-	Mode RunMode
+	Flat    int // flat index of the first target
+	Step    int // flat stride between successive targets
+	Seq     int // level-local canonical sequence index of the first target
+	SeqStep int // sequence-index stride between successive targets
+	N       int // number of targets
+	Off1    int // flat offset of the ±s neighbours along the active dimension
+	Off3    int // flat offset of the ±3s neighbours (RunCubic only)
+	Mode    RunMode
 }
 
 // Predict evaluates the run's prediction formula for the point at flat
@@ -211,7 +224,7 @@ func (p *Pass) VisitRuns(kind Kind, tLo, tHi int, fn func(*Run)) {
 		rowBase += (p.passStart(d) + p.passStep(d)*idx[d]) * st[d]
 	}
 
-	run := Run{Off1: off1, Off3: 3 * off1}
+	run := Run{SeqStep: 1, Off1: off1, Off3: 3 * off1}
 	for t := tLo; t < tHi; {
 		jTo := jFrom + (tHi - t)
 		if jTo > innerCnt {
@@ -285,4 +298,162 @@ func (p *Pass) passStep(d int) int {
 		return p.s
 	}
 	return 2 * p.s
+}
+
+// colBlock caps the rows of one block of Walk's columns.
+const colBlock = 32
+
+// Lines reports how a retrieval walk of the pass is sharded: the pass holds
+// lines × width targets, line i being the pass-local indices [i·width,
+// (i+1)·width). A line is a row along the innermost dimension; a 1-D pass,
+// which is a single row, counts each target as a line.
+func (p *Pass) Lines() (lines, width int) {
+	if p.total == 0 {
+		return 0, 0
+	}
+	if p.rank == 1 {
+		return p.total, 1
+	}
+	width = p.cnt[p.rank-1]
+	return p.total / width, width
+}
+
+// FlatIndex returns the flat index of the target with pass-local sequence
+// index t.
+func (p *Pass) FlatIndex(t int) int {
+	f := 0
+	for d := p.rank - 1; d >= 0; d-- {
+		i := t % p.cnt[d]
+		t /= p.cnt[d]
+		f += (p.passStart(d) + p.passStep(d)*i) * p.dec.strides[d]
+	}
+	return f
+}
+
+// Walk iterates the runs covering lines [lo, hi) of the pass (see Lines),
+// each target exactly once, in no canonical order. Disjoint line ranges
+// cover disjoint targets, so shards may run concurrently. A pass along the
+// innermost dimension of a field of rank ≥ 2 comes out as columns: for
+// each block of at most colBlock consecutive rows that share their outer
+// coordinates, one run per innermost target, N = the block's rows, Step =
+// the flat stride of a row, SeqStep = width. Every other pass comes out as
+// VisitRuns would emit it.
+func (p *Pass) Walk(kind Kind, lo, hi int) Walk {
+	w := Walk{p: p, line: lo, hi: hi}
+	w.segs, w.nseg = p.segments(kind)
+	switch {
+	case lo >= hi || p.rank == 1:
+	case p.dim == p.rank-1:
+		w.nextBlock()
+	default:
+		w.seek(lo)
+	}
+	return w
+}
+
+// Walk is the iterator Pass.Walk returns; it holds no heap state, so a
+// caller that keeps it and its Run on the stack allocates nothing.
+type Walk struct {
+	p        *Pass
+	segs     [4]runSeg
+	nseg     int
+	line, hi int               // next line to cover, end of the walk
+	idx      [grid.MaxDims]int // iteration indices of line's row, dims 0..rank-2
+	rowBase  int               // flat index of line's row at innermost coordinate 0
+	blockEnd int               // columns: end of the block being emitted
+	si, j    int               // rank 1: next segment; columns: its segment and innermost index
+}
+
+// seek positions the walk at the row of line.
+func (w *Walk) seek(line int) {
+	p := w.p
+	w.rowBase = 0
+	for d := p.rank - 2; d >= 0; d-- {
+		w.idx[d] = line % p.cnt[d]
+		line /= p.cnt[d]
+		w.rowBase += (p.passStart(d) + p.passStep(d)*w.idx[d]) * p.dec.strides[d]
+	}
+}
+
+// Next fills r with the next run and reports whether there was one.
+func (w *Walk) Next(r *Run) bool {
+	p := w.p
+	st := p.dec.strides
+	s, inner := p.s, p.rank-1
+	r.Off1 = s * st[p.dim]
+	r.Off3 = 3 * r.Off1
+	switch {
+	case p.rank == 1:
+		// Lines are the targets of the pass's one row: the boundary
+		// segments, clipped to [line, hi).
+		for ; w.si < w.nseg; w.si++ {
+			seg := w.segs[w.si]
+			lo, hi := max(seg.lo, w.line), min(seg.hi, w.hi)
+			if lo >= hi {
+				continue
+			}
+			r.Flat, r.Step = (s+2*s*lo)*st[0], 2*s*st[0]
+			r.Seq, r.SeqStep, r.N, r.Mode = p.seqOff+lo, 1, hi-lo, seg.mode
+			w.si++
+			return true
+		}
+		return false
+	case p.dim < inner:
+		// One run per row, whose mode the row's active coordinate picks.
+		if w.line >= w.hi {
+			return false
+		}
+		width := p.cnt[inner]
+		r.Mode = RunLinear
+		for si := 0; si < w.nseg; si++ {
+			if jd := w.idx[p.dim]; jd >= w.segs[si].lo && jd < w.segs[si].hi {
+				r.Mode = w.segs[si].mode
+				break
+			}
+		}
+		r.Flat, r.Step = w.rowBase, 2*s*st[inner]
+		r.Seq, r.SeqStep, r.N = p.seqOff+w.line*width, 1, width
+		w.line++
+		for d := inner - 1; d >= 0; d-- {
+			w.idx[d]++
+			w.rowBase += p.passStep(d) * st[d]
+			if w.idx[d] < p.cnt[d] {
+				break
+			}
+			w.rowBase -= p.passStep(d) * st[d] * p.cnt[d]
+			w.idx[d] = 0
+		}
+		return true
+	}
+	// Columns of the innermost pass; the segments cover [0, width) in
+	// order.
+	width := p.cnt[inner]
+	if w.j == width {
+		w.line, w.j = w.blockEnd, 0
+		if w.line < w.hi {
+			w.nextBlock()
+		}
+	}
+	if w.line >= w.hi {
+		return false
+	}
+	for w.j >= w.segs[w.si].hi {
+		w.si++
+	}
+	r.Flat, r.Step = w.rowBase+(s+2*s*w.j)*st[inner], s*st[inner-1]
+	r.Seq, r.SeqStep = p.seqOff+w.line*width+w.j, width
+	r.N, r.Mode = w.blockEnd-w.line, w.segs[w.si].mode
+	w.j++
+	return true
+}
+
+// nextBlock starts the block of columns at line: the rows left in its
+// outer group up to hi, split evenly into blocks of at most colBlock.
+func (w *Walk) nextBlock() {
+	rows := w.p.cnt[w.p.rank-2]
+	n := min(w.hi, (w.line/rows+1)*rows) - w.line
+	blocks := (n + colBlock - 1) / colBlock
+	w.seek(w.line)
+	w.blockEnd = w.line + (n+blocks-1)/blocks
+	w.si, w.j = 0, 0
 }

@@ -230,3 +230,65 @@ func TestVisitRunsSharding(t *testing.T) {
 		}
 	}
 }
+
+// TestWalkCoversPass asserts that any line partition of a pass walks every
+// target exactly once, each with its canonical flat index, prediction
+// formula and neighbour offsets, whatever the order, and that FlatIndex
+// agrees with the canonical walk. Two extra shapes have more rows than a
+// block of columns.
+func TestWalkCoversPass(t *testing.T) {
+	type target struct {
+		flat, off1, off3 int
+		mode             RunMode
+	}
+	for _, shape := range append(crossShapes, grid.Shape{70, 45}, grid.Shape{3, 100, 7}) {
+		d, err := NewDecomposition(shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 1; l <= d.NumLevels(); l++ {
+			for _, kind := range []Kind{Linear, Cubic} {
+				for _, p := range d.LevelPasses(l) {
+					canon := make(map[int]target)
+					p.VisitRuns(kind, 0, p.Targets(), func(r *Run) {
+						for i := 0; i < r.N; i++ {
+							canon[r.Seq+i] = target{r.Flat + i*r.Step, r.Off1, r.Off3, r.Mode}
+						}
+					})
+					lines, width := p.Lines()
+					if lines*width != p.Targets() {
+						t.Fatalf("shape %v level %d: %d lines of %d for %d targets", shape, l, lines, width, p.Targets())
+					}
+					seen := make(map[int]bool, len(canon))
+					cuts := []int{0, lines / 3, lines / 3 * 2, lines}
+					for c := 0; c+1 < len(cuts); c++ {
+						var r Run
+						w := p.Walk(kind, cuts[c], cuts[c+1])
+						for w.Next(&r) {
+							for i := 0; i < r.N; i++ {
+								seq := r.Seq + i*r.SeqStep
+								got := target{r.Flat + i*r.Step, r.Off1, r.Off3, r.Mode}
+								if want, ok := canon[seq]; !ok || got != want || seen[seq] {
+									t.Fatalf("shape %v level %d %s seq %d: walked %+v (again: %v), canonical %+v",
+										shape, l, kind, seq, got, seen[seq], want)
+								}
+								if seq < p.SeqOffset()+cuts[c]*width || seq >= p.SeqOffset()+cuts[c+1]*width {
+									t.Fatalf("shape %v level %d: seq %d outside lines [%d, %d)", shape, l, seq, cuts[c], cuts[c+1])
+								}
+								seen[seq] = true
+							}
+						}
+					}
+					if len(seen) != len(canon) {
+						t.Fatalf("shape %v level %d %s: walked %d of %d targets", shape, l, kind, len(seen), len(canon))
+					}
+					for seq, tg := range canon {
+						if f := p.FlatIndex(seq - p.SeqOffset()); f != tg.flat {
+							t.Fatalf("shape %v level %d: FlatIndex(%d) = %d, canonical %d", shape, l, seq-p.SeqOffset(), f, tg.flat)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -53,7 +53,7 @@ func parseCoordsInto(dst []int, s string, rank int) ([]int, error) {
 		}
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || len(out) == rank {
-			return nil, fmt.Errorf("want %d comma-separated coordinates, got %q", rank, s)
+			return nil, coordsError(rank, s)
 		}
 		out = append(out, v)
 		if last {
@@ -61,7 +61,18 @@ func parseCoordsInto(dst []int, s string, rank int) ([]int, error) {
 		}
 	}
 	if len(out) != rank {
-		return nil, fmt.Errorf("want %d comma-separated coordinates, got %q", rank, s)
+		return nil, coordsError(rank, s)
 	}
 	return out, nil
+}
+
+// coordsError reports a malformed coordinate list, quoting no more than
+// its first 64 bytes: the list comes from the request, and a 400 must not
+// echo an unbounded one back, inflated up to fourfold by the quoting.
+func coordsError(rank int, s string) error {
+	const quoted = 64
+	if len(s) > quoted {
+		return fmt.Errorf("want %d comma-separated coordinates, got %q…", rank, s[:quoted])
+	}
+	return fmt.Errorf("want %d comma-separated coordinates, got %q", rank, s)
 }

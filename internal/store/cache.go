@@ -62,6 +62,7 @@ type tileKey struct {
 type chunkEntry struct {
 	key     tileKey
 	charged int64 // bytes charged against the cache budget
+	private bool  // made by a disabled cache for one retrieval, never shared
 
 	arch atomic.Pointer[core.Archive]
 
@@ -182,12 +183,13 @@ func recycle(victims []*chunkEntry) {
 
 // acquire returns the entry for key, creating (and admitting) it if
 // needed. With a non-positive capacity, caching is disabled and every call
-// returns a fresh uncached entry.
+// returns a fresh private entry, which its retrieval releases once it has
+// copied out of it.
 func (c *TileCache) acquire(key tileKey, decodedBytes int64) *chunkEntry {
 	c.mu.Lock()
 	if c.cap <= 0 {
 		c.mu.Unlock()
-		return &chunkEntry{key: key, charged: decodedBytes}
+		return &chunkEntry{key: key, charged: decodedBytes, private: true}
 	}
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -214,5 +216,58 @@ func TestTileCacheRecycleSizeClass(t *testing.T) {
 	}
 	if st := s.TileCache().Stats(); st.Evictions == 0 {
 		t.Errorf("no tile was evicted: %+v", st)
+	}
+}
+
+// TestCacheOffRecycles holds a store whose tile cache is disabled to the
+// recycling an evicting cache does: each retrieval releases its private
+// entry's decode once it has copied out of it, so after warm-up a cold
+// one-tile request allocates less than one decoded tile.
+func TestCacheOffRecycles(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	g := testField(t, grid.Shape{32, 32, 64})
+	eb := 1e-5 * g.ValueRange()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Add(w, "f32", grid.Narrow(g), WriteOptions{ErrorBound: eb, ChunkShape: recycleChunk}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, buf.Bytes())
+	s.SetCacheBytes(0)
+	var region *Region
+	request := func() {
+		var err error
+		region, err = s.RetrieveRegionOpts("f32", []int{4, 4, 4}, []int{12, 12, 12}, 4*eb, RetrieveOptions{Reuse: region})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		request()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		request()
+	}
+	runtime.ReadMemStats(&after)
+	perReq := (after.TotalAlloc - before.TotalAlloc) / runs
+	tile := uint64(recycleChunk.Len()) * 4
+	t.Logf("cold one-tile request at cache 0: %d B/op, a decoded tile's values %d B", perReq, tile)
+	if perReq >= tile {
+		t.Fatalf("a cold one-tile request at cache 0 allocates %d B, one decoded tile is %d B", perReq, tile)
+	}
+	if st := s.Stats(); st.TileDecodes != 3+runs {
+		t.Fatalf("%d tile decodes, want %d: every request at cache 0 decodes", st.TileDecodes, 3+runs)
 	}
 }

@@ -444,6 +444,12 @@ func retrieveRegionAs[T grid.Scalar](s *Store, ds *datasetMeta, lo, hi []int, bo
 		loaded[k] = entry.claimLoaded()
 		worst[k] = entry.res.GuaranteedError()
 		copyChunk(data, sc.shape, lo, hi, entry.res, rec)
+		if entry.private {
+			// Nothing evicts an entry no cache holds: hand its decode to
+			// the next cold tile here, as eviction would.
+			entry.res.Release()
+			entry.res = nil
+		}
 		return nil
 	})
 	if opts.Stage != nil {
