@@ -111,7 +111,7 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	logx = obs.NewLogger(os.Stderr, *logFormat, obs.LevelInfo)
+	logx = obs.NewLogger(os.Stderr, *logFormat)
 	if flag.NArg() == 0 && !*writable {
 		flag.Usage()
 		os.Exit(2)

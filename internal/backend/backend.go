@@ -4,9 +4,8 @@
 // range. Everything above it — archive header parsing, loading plans,
 // tile decodes, wire-span serving — already works through ranged reads
 // (io.ReaderAt / core.BlockSource), so the same store, server, and CLI
-// code runs identically against a local directory (Dir, File), a byte
-// slice (Mem), a remote HTTP origin (HTTP), or any of those behind a
-// read-through cache tier (Cached).
+// code runs identically against a local directory (Dir, File), a remote
+// HTTP origin (HTTP), or either behind a read-through cache tier (Cached).
 //
 // The seam is deliberately dumb: no writes, no locking protocol, no
 // container structure. Storage stays simple; smarts (caching, request

@@ -59,12 +59,22 @@ func checkBackend(t *testing.T, b Backend, want map[string][]byte) {
 	}
 }
 
-func TestMemBackend(t *testing.T) {
-	m := NewMem()
-	want := map[string][]byte{"a.ipcs": testBlob(256, 1), "b.ipcs": testBlob(300, 2)}
-	m.Add("a.ipcs", want["a.ipcs"])
-	m.Add("b.ipcs", want["b.ipcs"])
-	checkBackend(t, m, want)
+// dirWith writes each blob under its name into a fresh temporary
+// directory and serves the directory.
+func dirWith(t testing.TB, blobs map[string][]byte) *Dir {
+	t.Helper()
+	dir := t.TempDir()
+	for name, blob := range blobs {
+		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := NewDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
 }
 
 func TestDirBackend(t *testing.T) {
@@ -140,9 +150,8 @@ func TestFileBackend(t *testing.T) {
 }
 
 func TestOpenContainerAdapter(t *testing.T) {
-	m := NewMem()
 	blob := testBlob(128, 3)
-	m.Add("x", blob)
+	m := dirWith(t, map[string][]byte{"x": blob})
 	c, err := OpenContainer(m, "x")
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +167,7 @@ func TestOpenContainerAdapter(t *testing.T) {
 		t.Error("adapter read wrong bytes")
 	}
 	if _, ok := c.Counters(); ok {
-		t.Error("Mem backend reported counters")
+		t.Error("Dir backend reported counters")
 	}
 	if _, err := OpenContainer(m, "y"); err == nil {
 		t.Error("OpenContainer on unknown name succeeded")

@@ -37,7 +37,7 @@ var benchBlobOnce = sync.OnceValue(func() []byte {
 })
 
 // readRanges drives b.N ranged reads through any backend, the common
-// body of the file/mem/http benchmarks.
+// body of the file/http benchmarks.
 func readRanges(b *testing.B, be backend.Backend, name string) {
 	b.Helper()
 	buf := make([]byte, benchReadSize)
@@ -49,12 +49,6 @@ func readRanges(b *testing.B, be backend.Backend, name string) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkBackendMem(b *testing.B) {
-	m := backend.NewMem()
-	m.Add("c", benchBlobOnce())
-	readRanges(b, m, "c")
 }
 
 func BenchmarkBackendFile(b *testing.B) {
@@ -129,7 +123,7 @@ func BenchmarkBackendCachedProxy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := w.AddGrid("density", g, store.WriteOptions{ErrorBound: eb, ChunkShape: grid.Shape{16, 16, 16}}); err != nil {
+	if err := store.Add(w, "density", g, store.WriteOptions{ErrorBound: eb, ChunkShape: grid.Shape{16, 16, 16}}); err != nil {
 		b.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -8,32 +8,28 @@ import (
 	"time"
 )
 
-// countingBackend wraps Mem, counting ReadAt calls and bytes, so tests
+// countingBackend wraps Dir, counting ReadAt calls and bytes, so tests
 // can assert what reached the origin.
 type countingBackend struct {
-	*Mem
+	*Dir
 	reads atomic.Int64
 	bytes atomic.Int64
 }
 
 func (c *countingBackend) ReadAt(name string, p []byte, off int64) (int, error) {
 	c.reads.Add(1)
-	n, err := c.Mem.ReadAt(name, p, off)
+	n, err := c.Dir.ReadAt(name, p, off)
 	c.bytes.Add(int64(n))
 	return n, err
 }
 
-func newCountingBackend(blobs map[string][]byte) *countingBackend {
-	m := NewMem()
-	for n, b := range blobs {
-		m.Add(n, b)
-	}
-	return &countingBackend{Mem: m}
+func newCountingBackend(t testing.TB, blobs map[string][]byte) *countingBackend {
+	return &countingBackend{Dir: dirWith(t, blobs)}
 }
 
 func TestCachedReadThrough(t *testing.T) {
 	blob := testBlob(4096, 1)
-	origin := newCountingBackend(map[string][]byte{"c": blob})
+	origin := newCountingBackend(t, map[string][]byte{"c": blob})
 	c := NewCached(origin, 1<<20)
 
 	p := make([]byte, 256)
@@ -85,7 +81,7 @@ func TestCachedReadThrough(t *testing.T) {
 
 func TestCachedEvictsToBudget(t *testing.T) {
 	blob := testBlob(1<<16, 2)
-	origin := newCountingBackend(map[string][]byte{"c": blob})
+	origin := newCountingBackend(t, map[string][]byte{"c": blob})
 	c := NewCached(origin, 4096)
 
 	// Fill well past the budget with disjoint kilobyte reads.
@@ -134,7 +130,7 @@ func TestCachedEvictsToBudget(t *testing.T) {
 
 func TestCachedCoalescesConcurrentFetches(t *testing.T) {
 	blob := testBlob(8192, 3)
-	origin := newCountingBackend(map[string][]byte{"c": blob})
+	origin := newCountingBackend(t, map[string][]byte{"c": blob})
 	slow := &slowBackend{Backend: origin, release: make(chan struct{})}
 	c := NewCached(slow, 1<<20)
 
@@ -181,7 +177,7 @@ func (s *slowBackend) ReadAt(name string, p []byte, off int64) (int, error) {
 
 func TestCachedMultiContainerAndPassthroughList(t *testing.T) {
 	blobs := map[string][]byte{"a": testBlob(512, 5), "b": testBlob(256, 6)}
-	origin := newCountingBackend(blobs)
+	origin := newCountingBackend(t, blobs)
 	c := NewCached(origin, 1<<20)
 	names, err := c.List()
 	if err != nil || len(names) != 2 {

@@ -46,9 +46,6 @@ func (s *Sparse) Size() int64 { return s.size }
 // Held returns the bytes currently resident.
 func (s *Sparse) Held() int64 { return s.held }
 
-// SpanCount returns the number of resident (merged) spans.
-func (s *Sparse) SpanCount() int { return len(s.spans) }
-
 // Clone returns a view that holds what s holds now and is unaffected by
 // later Inserts into s (and the reverse): an owner takes one before a
 // batch of Inserts it may have to take back. Resident bytes are never
@@ -142,9 +139,6 @@ func (s *Sparse) Insert(off int64, b []byte, gen int64) error {
 	s.spans = merged
 	return nil
 }
-
-// Covers reports whether [off, off+n) is entirely resident.
-func (s *Sparse) Covers(off, n int64) bool { return len(s.Missing(off, n)) == 0 }
 
 // Missing returns the sub-ranges of [off, off+n) that are not resident,
 // in offset order. A fully resident range returns nil. It runs in

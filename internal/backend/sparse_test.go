@@ -22,8 +22,8 @@ func TestSparseMergeAndRead(t *testing.T) {
 	mustInsert(t, s, 0, append([]byte(nil), data[0:10]...), 0)
 	mustInsert(t, s, 20, append([]byte(nil), data[20:30]...), 0)
 	mustInsert(t, s, 10, append([]byte(nil), data[10:20]...), 0) // fills the gap
-	if s.SpanCount() != 1 {
-		t.Fatalf("contiguous inserts left %d spans", s.SpanCount())
+	if len(s.spans) != 1 {
+		t.Fatalf("contiguous inserts left %d spans", len(s.spans))
 	}
 	if s.Held() != 30 {
 		t.Fatalf("Held = %d, want 30", s.Held())
@@ -64,8 +64,8 @@ func TestSparseResend(t *testing.T) {
 
 	// Re-send covering: a prefix overlap, the gap, and the second span.
 	mustInsert(t, s, 20, append([]byte(nil), data[20:70]...), 0)
-	if s.SpanCount() != 1 {
-		t.Fatalf("overlapping re-send left %d spans", s.SpanCount())
+	if len(s.spans) != 1 {
+		t.Fatalf("overlapping re-send left %d spans", len(s.spans))
 	}
 	got, err := s.ReadRange(10, 60, 0)
 	if err != nil {
@@ -80,8 +80,8 @@ func TestSparseResend(t *testing.T) {
 
 	// An exact replay (retry after a dropped connection) is a no-op.
 	mustInsert(t, s, 10, append([]byte(nil), data[10:70]...), 0)
-	if s.SpanCount() != 1 {
-		t.Fatalf("replay left %d spans", s.SpanCount())
+	if len(s.spans) != 1 {
+		t.Fatalf("replay left %d spans", len(s.spans))
 	}
 
 	// A re-send whose bytes disagree is stream corruption.
@@ -96,10 +96,10 @@ func TestSparseMissing(t *testing.T) {
 	s := NewSparse(100)
 	mustInsert(t, s, 10, make([]byte, 10), 0) // [10,20)
 	mustInsert(t, s, 40, make([]byte, 10), 0) // [40,50)
-	if s.Covers(10, 10) == false || s.Covers(12, 5) == false {
+	if len(s.Missing(10, 10)) != 0 || len(s.Missing(12, 5)) != 0 {
 		t.Error("resident range reported missing")
 	}
-	if s.Covers(10, 11) {
+	if len(s.Missing(10, 11)) == 0 {
 		t.Error("range straddling a hole reported covered")
 	}
 	gaps := s.Missing(0, 100)
@@ -137,8 +137,8 @@ func TestSparseEviction(t *testing.T) {
 	if freed := s.EvictUpTo(1); freed != 20 {
 		t.Fatalf("evict freed %d, want 20 (span B)", freed)
 	}
-	if s.Held() != 40 || s.SpanCount() != 2 {
-		t.Fatalf("after evict: held %d spans %d, want 40, 2", s.Held(), s.SpanCount())
+	if s.Held() != 40 || len(s.spans) != 2 {
+		t.Fatalf("after evict: held %d spans %d, want 40, 2", s.Held(), len(s.spans))
 	}
 	if _, err := s.ReadRange(100, 20, 5); err == nil {
 		t.Error("evicted span still readable")

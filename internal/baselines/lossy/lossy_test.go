@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/baselines/lossy"
-	"repro/internal/baselines/mgard"
 	"repro/internal/baselines/sperr"
 	"repro/internal/baselines/sz3"
 	"repro/internal/baselines/zfp"
@@ -17,7 +16,7 @@ import (
 )
 
 func codecs() []lossy.Codec {
-	return []lossy.Codec{sz3.New(), zfp.New(), mgard.New(), sperr.New()}
+	return []lossy.Codec{sz3.New(), zfp.New(), sperr.New()}
 }
 
 func smoothField(shape grid.Shape, seed int64) *grid.Grid[float64] {

@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/baselines/lossy"
@@ -31,15 +30,6 @@ import (
 )
 
 const magic = 0x44474D // "MGD"
-
-// Codec is the non-progressive MGARD-lite compressor (lossy.Codec).
-type Codec struct{}
-
-// New returns an MGARD-lite codec.
-func New() *Codec { return &Codec{} }
-
-// Name implements lossy.Codec.
-func (c *Codec) Name() string { return "MGARD" }
 
 // levelBounds splits the global bound across levels: level l's quantization
 // error is amplified by weight(l) on the way to the finest grid, so each
@@ -55,31 +45,6 @@ func levelBounds(eb float64, levels, ndims int) []float64 {
 		out[l] = eb / (float64(levels) * w)
 	}
 	return out
-}
-
-// Compress implements lossy.Codec.
-func (c *Codec) Compress(g *grid.Grid[float64], eb float64) ([]byte, error) {
-	a, err := CompressProgressive(g, eb)
-	if err != nil {
-		return nil, err
-	}
-	return a.Marshal(), nil
-}
-
-// Decompress implements lossy.Codec.
-func (c *Codec) Decompress(blob []byte, shape grid.Shape) (*grid.Grid[float64], error) {
-	a, err := Unmarshal(blob)
-	if err != nil {
-		return nil, err
-	}
-	if !a.Shape.Equal(shape) {
-		return nil, fmt.Errorf("mgard: archive shape %v, requested %v", a.Shape, shape)
-	}
-	res, err := a.RetrieveErrorBound(a.EB)
-	if err != nil {
-		return nil, err
-	}
-	return res.Data, nil
 }
 
 // Archive is a PMGARD progressive archive: per-level bitplane-coded
@@ -329,103 +294,4 @@ func (a *Archive) Marshal() []byte {
 		}
 	}
 	return buf.Bytes()
-}
-
-// Unmarshal parses a serialized archive.
-func Unmarshal(blob []byte) (*Archive, error) {
-	r := bytes.NewReader(blob)
-	rd := func(v interface{}) error { return binary.Read(r, binary.LittleEndian, v) }
-	var m uint32
-	if err := rd(&m); err != nil || m != magic {
-		return nil, fmt.Errorf("mgard: bad magic")
-	}
-	var nd uint8
-	if err := rd(&nd); err != nil {
-		return nil, err
-	}
-	if nd == 0 || int(nd) > grid.MaxDims {
-		return nil, fmt.Errorf("mgard: bad rank %d", nd)
-	}
-	a := &Archive{Shape: make(grid.Shape, nd)}
-	for i := range a.Shape {
-		var d uint32
-		if err := rd(&d); err != nil {
-			return nil, err
-		}
-		a.Shape[i] = int(d)
-	}
-	if err := rd(&a.EB); err != nil {
-		return nil, err
-	}
-	var lv uint8
-	if err := rd(&lv); err != nil {
-		return nil, err
-	}
-	a.Levels = int(lv)
-	var nAnchor uint32
-	if err := rd(&nAnchor); err != nil {
-		return nil, err
-	}
-	a.Anchors = make([]float64, nAnchor)
-	for i := range a.Anchors {
-		if err := rd(&a.Anchors[i]); err != nil {
-			return nil, err
-		}
-	}
-	a.Counts = make([]int, a.Levels)
-	a.UsedPlanes = make([]int, a.Levels)
-	a.MaxDrop = make([][]uint32, a.Levels)
-	a.Blocks = make([][][]byte, a.Levels)
-	a.OutIdx = make([][]uint32, a.Levels)
-	a.OutVal = make([][]float64, a.Levels)
-	blockSizes := make([][]uint32, a.Levels)
-	for li := 0; li < a.Levels; li++ {
-		var cnt uint32
-		if err := rd(&cnt); err != nil {
-			return nil, err
-		}
-		a.Counts[li] = int(cnt)
-		var up uint8
-		if err := rd(&up); err != nil {
-			return nil, err
-		}
-		a.UsedPlanes[li] = int(up)
-		a.MaxDrop[li] = make([]uint32, a.UsedPlanes[li]+1)
-		for d := range a.MaxDrop[li] {
-			if err := rd(&a.MaxDrop[li][d]); err != nil {
-				return nil, err
-			}
-		}
-		blockSizes[li] = make([]uint32, a.UsedPlanes[li])
-		for p := range blockSizes[li] {
-			if err := rd(&blockSizes[li][p]); err != nil {
-				return nil, err
-			}
-		}
-		var nOut uint32
-		if err := rd(&nOut); err != nil {
-			return nil, err
-		}
-		a.OutIdx[li] = make([]uint32, nOut)
-		a.OutVal[li] = make([]float64, nOut)
-		for i := range a.OutIdx[li] {
-			if err := rd(&a.OutIdx[li][i]); err != nil {
-				return nil, err
-			}
-			if err := rd(&a.OutVal[li][i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for li := 0; li < a.Levels; li++ {
-		a.Blocks[li] = make([][]byte, a.UsedPlanes[li])
-		for p := range a.Blocks[li] {
-			b := make([]byte, blockSizes[li][p])
-			if _, err := io.ReadFull(r, b); err != nil {
-				return nil, err
-			}
-			a.Blocks[li][p] = b
-		}
-	}
-	return a, nil
 }

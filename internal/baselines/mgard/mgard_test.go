@@ -1,6 +1,10 @@
 package mgard
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -34,23 +38,37 @@ func maxErr(a, b []float64) float64 {
 	return worst
 }
 
+// TestCodecRoundTrip compresses, serializes and parses an archive at
+// several ranks and bounds; its full-fidelity retrieval stays within eb,
+// and a smooth 32³ field at eb = 1e-4 takes at most half its raw bytes.
 func TestCodecRoundTrip(t *testing.T) {
-	c := New()
-	for _, shape := range []grid.Shape{{100}, {24, 26}, {14, 15, 16}} {
-		for _, eb := range []float64{1e-3, 1e-6} {
+	for _, shape := range []grid.Shape{{100}, {200}, {24, 26}, {40, 37}, {14, 15, 16}, {20, 22, 24}} {
+		for _, eb := range []float64{1e-2, 1e-3, 1e-4, 1e-6, 1e-7} {
 			g := field(shape)
-			blob, err := c.Compress(g, eb)
+			a, err := CompressProgressive(g, eb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := c.Decompress(blob, shape)
+			b, err := unmarshal(a.Marshal())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := maxErr(g.Data(), rec.Data()); got > eb {
+			ret, err := b.RetrieveErrorBound(b.EB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := maxErr(g.Data(), ret.Data.Data()); got > eb {
 				t.Errorf("%v eb=%g: error %g", shape, eb, got)
 			}
 		}
+	}
+	g := field(grid.Shape{32, 32, 32})
+	a, err := CompressProgressive(g, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw := int64(g.Len() * 8); a.TotalSize() > raw/2 {
+		t.Errorf("%d bytes for %d raw — not compressing", a.TotalSize(), raw)
 	}
 }
 
@@ -108,7 +126,7 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Unmarshal(a.Marshal())
+	b, err := unmarshal(a.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +137,7 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	if got := maxErr(g.Data(), ret.Data.Data()); got > eb {
 		t.Errorf("round-tripped archive error %g", got)
 	}
-	if _, err := Unmarshal([]byte{1, 2, 3}); err == nil {
+	if _, err := unmarshal([]byte{1, 2, 3}); err == nil {
 		t.Error("garbage must fail")
 	}
 }
@@ -149,4 +167,104 @@ func TestRejectsBadBound(t *testing.T) {
 	if _, err := CompressProgressive(g, math.Inf(1)); err == nil {
 		t.Error("inf bound must error")
 	}
+}
+
+// unmarshal parses what Marshal writes, so a round trip can show that the
+// bytes TotalSize counts hold the whole archive.
+func unmarshal(blob []byte) (*Archive, error) {
+	r := bytes.NewReader(blob)
+	rd := func(v interface{}) error { return binary.Read(r, binary.LittleEndian, v) }
+	var m uint32
+	if err := rd(&m); err != nil || m != magic {
+		return nil, fmt.Errorf("mgard: bad magic")
+	}
+	var nd uint8
+	if err := rd(&nd); err != nil {
+		return nil, err
+	}
+	if nd == 0 || int(nd) > grid.MaxDims {
+		return nil, fmt.Errorf("mgard: bad rank %d", nd)
+	}
+	a := &Archive{Shape: make(grid.Shape, nd)}
+	for i := range a.Shape {
+		var d uint32
+		if err := rd(&d); err != nil {
+			return nil, err
+		}
+		a.Shape[i] = int(d)
+	}
+	if err := rd(&a.EB); err != nil {
+		return nil, err
+	}
+	var lv uint8
+	if err := rd(&lv); err != nil {
+		return nil, err
+	}
+	a.Levels = int(lv)
+	var nAnchor uint32
+	if err := rd(&nAnchor); err != nil {
+		return nil, err
+	}
+	a.Anchors = make([]float64, nAnchor)
+	for i := range a.Anchors {
+		if err := rd(&a.Anchors[i]); err != nil {
+			return nil, err
+		}
+	}
+	a.Counts = make([]int, a.Levels)
+	a.UsedPlanes = make([]int, a.Levels)
+	a.MaxDrop = make([][]uint32, a.Levels)
+	a.Blocks = make([][][]byte, a.Levels)
+	a.OutIdx = make([][]uint32, a.Levels)
+	a.OutVal = make([][]float64, a.Levels)
+	blockSizes := make([][]uint32, a.Levels)
+	for li := 0; li < a.Levels; li++ {
+		var cnt uint32
+		if err := rd(&cnt); err != nil {
+			return nil, err
+		}
+		a.Counts[li] = int(cnt)
+		var up uint8
+		if err := rd(&up); err != nil {
+			return nil, err
+		}
+		a.UsedPlanes[li] = int(up)
+		a.MaxDrop[li] = make([]uint32, a.UsedPlanes[li]+1)
+		for d := range a.MaxDrop[li] {
+			if err := rd(&a.MaxDrop[li][d]); err != nil {
+				return nil, err
+			}
+		}
+		blockSizes[li] = make([]uint32, a.UsedPlanes[li])
+		for p := range blockSizes[li] {
+			if err := rd(&blockSizes[li][p]); err != nil {
+				return nil, err
+			}
+		}
+		var nOut uint32
+		if err := rd(&nOut); err != nil {
+			return nil, err
+		}
+		a.OutIdx[li] = make([]uint32, nOut)
+		a.OutVal[li] = make([]float64, nOut)
+		for i := range a.OutIdx[li] {
+			if err := rd(&a.OutIdx[li][i]); err != nil {
+				return nil, err
+			}
+			if err := rd(&a.OutVal[li][i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for li := 0; li < a.Levels; li++ {
+		a.Blocks[li] = make([][]byte, a.UsedPlanes[li])
+		for p := range a.Blocks[li] {
+			b := make([]byte, blockSizes[li][p])
+			if _, err := io.ReadFull(r, b); err != nil {
+				return nil, err
+			}
+			a.Blocks[li][p] = b
+		}
+	}
+	return a, nil
 }

@@ -16,25 +16,12 @@
 package residual
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/baselines/lossy"
 	"repro/internal/grid"
 )
-
-// DefaultLadder builds the paper's bound ladder: nine bounds from 2^16·eb
-// down to eb in factor-4 steps (§6.1.3: 2^16 eb, 2^14 eb, ..., 2^2 eb, eb).
-func DefaultLadder(eb float64) []float64 {
-	bounds := make([]float64, 0, 9)
-	for k := 16; k >= 0; k -= 2 {
-		bounds = append(bounds, eb*math.Pow(2, float64(k)))
-	}
-	return bounds
-}
 
 // Ladder with n rungs from 2^16·eb down to eb, geometrically spaced —
 // used by the Figure 9 sweep over residual counts.
@@ -53,9 +40,9 @@ func Ladder(eb float64, n int) []float64 {
 	return bounds
 }
 
-// Archive is a serialized ladder of compressed passes. The same container
-// serves both strategies; Residual records whether pass i holds residuals
-// (to be summed) or independent reconstructions (to be selected).
+// Archive is a ladder of compressed passes. The same container serves
+// both strategies; Residual records whether pass i holds residuals (to be
+// summed) or independent reconstructions (to be selected).
 type Archive struct {
 	Residual bool
 	Shape    grid.Shape
@@ -216,74 +203,4 @@ func (a *Archive) retrieveRung(c lossy.Codec, rung int) (*Retrieval, error) {
 		LoadedBytes: int64(len(a.Blobs[rung])),
 		Passes:      1,
 	}, nil
-}
-
-// Marshal serializes the archive.
-func (a *Archive) Marshal() []byte {
-	var buf bytes.Buffer
-	w := func(v interface{}) { binary.Write(&buf, binary.LittleEndian, v) }
-	if a.Residual {
-		w(uint8(1))
-	} else {
-		w(uint8(0))
-	}
-	w(uint8(len(a.Shape)))
-	for _, d := range a.Shape {
-		w(uint32(d))
-	}
-	w(uint32(len(a.Bounds)))
-	for i := range a.Bounds {
-		w(a.Bounds[i])
-		w(uint64(len(a.Blobs[i])))
-	}
-	for _, b := range a.Blobs {
-		buf.Write(b)
-	}
-	return buf.Bytes()
-}
-
-// Unmarshal parses a serialized archive.
-func Unmarshal(blob []byte) (*Archive, error) {
-	r := bytes.NewReader(blob)
-	rd := func(v interface{}) error { return binary.Read(r, binary.LittleEndian, v) }
-	var resid, nd uint8
-	if err := rd(&resid); err != nil {
-		return nil, err
-	}
-	if err := rd(&nd); err != nil {
-		return nil, err
-	}
-	if nd == 0 || int(nd) > grid.MaxDims {
-		return nil, fmt.Errorf("residual: bad rank %d", nd)
-	}
-	a := &Archive{Residual: resid == 1, Shape: make(grid.Shape, nd)}
-	for i := range a.Shape {
-		var d uint32
-		if err := rd(&d); err != nil {
-			return nil, err
-		}
-		a.Shape[i] = int(d)
-	}
-	var nb uint32
-	if err := rd(&nb); err != nil {
-		return nil, err
-	}
-	sizes := make([]uint64, nb)
-	a.Bounds = make([]float64, nb)
-	for i := range a.Bounds {
-		if err := rd(&a.Bounds[i]); err != nil {
-			return nil, err
-		}
-		if err := rd(&sizes[i]); err != nil {
-			return nil, err
-		}
-	}
-	for _, sz := range sizes {
-		b := make([]byte, sz)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		a.Blobs = append(a.Blobs, b)
-	}
-	return a, nil
 }

@@ -36,8 +36,10 @@ func maxErr(a, b []float64) float64 {
 	return worst
 }
 
+// TestDefaultLadder pins the paper's bound ladder (§6.1.3: 2^16 eb,
+// 2^14 eb, ..., 2^2 eb, eb) as Ladder's nine-rung case.
 func TestDefaultLadder(t *testing.T) {
-	l := DefaultLadder(1e-6)
+	l := Ladder(1e-6, 9)
 	if len(l) != 9 {
 		t.Fatalf("ladder has %d rungs, want 9", len(l))
 	}
@@ -73,7 +75,7 @@ func TestResidualProgressiveBounds(t *testing.T) {
 	g := field(grid.Shape{24, 20, 16})
 	eb := 1e-6
 	c := sz3.New()
-	a, err := CompressResidual(c, g, DefaultLadder(eb))
+	a, err := CompressResidual(c, g, Ladder(eb, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,32 +162,6 @@ func TestRetrieveBitrate(t *testing.T) {
 	}
 	if _, err := a.RetrieveBitrate(c, 4); err == nil {
 		t.Error("absurdly small budget must error")
-	}
-}
-
-func TestMarshalUnmarshal(t *testing.T) {
-	g := field(grid.Shape{12, 10})
-	c := sz3.New()
-	a, err := CompressResidual(c, g, Ladder(1e-4, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Unmarshal(a.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Shape.Equal(a.Shape) || b.Residual != a.Residual || len(b.Blobs) != len(a.Blobs) {
-		t.Fatal("metadata mismatch after round trip")
-	}
-	ret, err := b.RetrieveErrorBound(c, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := maxErr(g.Data(), ret.Data.Data()); got > 1e-4 {
-		t.Errorf("round-tripped archive error %g", got)
-	}
-	if _, err := Unmarshal([]byte{9}); err == nil {
-		t.Error("garbage must fail to unmarshal")
 	}
 }
 

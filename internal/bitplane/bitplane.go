@@ -126,18 +126,10 @@ func splitRangeGeneric(planes [][]byte, values []uint32, lo, hi int, pm uint32) 
 	}
 }
 
-// Merge reassembles integers from a prefix of MSB-first planes. Absent
-// planes (nil entries or a short slice) contribute zero bits, which is
-// exactly the truncation semantics of progressive loading. n is the number
-// of values to produce.
-func Merge(planes [][]byte, n int) []uint32 {
-	out := make([]uint32, n)
-	MergeInto(out, planes)
-	return out
-}
-
-// MergeInto reassembles into an existing slice; every element is
-// overwritten. Like Split it runs on the word-level transpose.
+// MergeInto reassembles integers from a prefix of MSB-first planes into
+// out, overwriting every element. Absent planes (nil entries or a short
+// slice) contribute zero bits, which is exactly the truncation semantics
+// of progressive loading. Like Split it runs on the word-level transpose.
 func MergeInto(out []uint32, planes [][]byte) {
 	MergeRange(out, planes, 0, len(out))
 }

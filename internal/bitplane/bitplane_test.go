@@ -31,7 +31,8 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 		if len(planes) != Planes {
 			t.Fatalf("Split returned %d planes", len(planes))
 		}
-		got := Merge(planes, n)
+		got := make([]uint32, n)
+		MergeInto(got, planes)
 		for i := range vals {
 			if got[i] != vals[i] {
 				t.Fatalf("n=%d: value %d: got %#x want %#x", n, i, got[i], vals[i])
@@ -47,7 +48,8 @@ func TestMergeWithMissingLowPlanesTruncates(t *testing.T) {
 	for p := 24; p < 32; p++ {
 		planes[p] = nil
 	}
-	got := Merge(planes, len(vals))
+	got := make([]uint32, len(vals))
+	MergeInto(got, planes)
 	for i, v := range vals {
 		if want := v &^ 0xFF; got[i] != want {
 			t.Errorf("value %d: got %#x want %#x", i, got[i], want)
@@ -114,7 +116,8 @@ func TestPredictRoundTripProperty(t *testing.T) {
 		planes := Split(raw)
 		PredictEncode(planes)
 		PredictDecode(planes)
-		got := Merge(planes, len(raw))
+		got := make([]uint32, len(raw))
+		MergeInto(got, planes)
 		for i := range raw {
 			if got[i] != raw[i] {
 				return false
@@ -160,7 +163,8 @@ func TestSubsliceSkipLeadingZeroPlanes(t *testing.T) {
 	for i, p := range sub {
 		full[32-used+i] = p
 	}
-	got := Merge(full, len(vals))
+	got := make([]uint32, len(vals))
+	MergeInto(got, full)
 	for i := range vals {
 		if got[i] != vals[i] {
 			t.Fatalf("value %d: got %d want %d", i, got[i], vals[i])

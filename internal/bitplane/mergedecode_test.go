@@ -76,8 +76,8 @@ func (r *raise) threePass() []int32 {
 
 // fused runs MergeDecodeRange through the requested dispatch path.
 func (r *raise) fused(asm bool) []int32 {
-	SetAVX2(asm)
-	defer SetAVX2(true)
+	setAVX2(asm)
+	defer setAVX2(true)
 	ks := append([]int32(nil), r.truncHave...)
 	MergeDecodeRange(ks, r.newPlanes[:], r.lo, r.hi, r.keep, r.top, &r.corr)
 	return ks
@@ -91,7 +91,7 @@ func (r *raise) check(t *testing.T) {
 	oracle := r.threePass()
 	generic := r.fused(false)
 	paths := [][]int32{generic}
-	if SetAVX2(true) {
+	if setAVX2(true) {
 		paths = append(paths, r.fused(true))
 	}
 	for i := range r.codes {
@@ -156,7 +156,7 @@ func TestSplitPredictRange(t *testing.T) {
 func checkSplitPredict(t *testing.T, values []uint32, want [][]byte) {
 	t.Helper()
 	for _, asm := range []bool{false, true} {
-		if SetAVX2(asm) != asm {
+		if setAVX2(asm) != asm {
 			continue
 		}
 		got := make([][]byte, Planes)
@@ -167,7 +167,7 @@ func checkSplitPredict(t *testing.T, values []uint32, want [][]byte) {
 			}
 		}
 		SplitPredictRange(got, values, 0, len(values))
-		SetAVX2(true)
+		setAVX2(true)
 		for p := range want {
 			for g := range want[p] {
 				if got[p][g] != want[p][g] {

@@ -9,15 +9,15 @@ import (
 )
 
 // useAVX2 gates the vector transpose kernels. It starts at whatever the
-// CPUID probe found and can be forced by SetAVX2 in tests.
+// CPUID probe found and can be forced by setAVX2 in tests.
 var useAVX2 = cpu.X86.HasAVX2
 
-// SetAVX2 forces the AVX2 transpose kernels on or off and reports whether
+// setAVX2 forces the AVX2 transpose kernels on or off and reports whether
 // they are active afterwards. Enabling is a no-op on hardware without AVX2,
 // and under the purego build tag this always reports false. Tests use it to
 // run the same suite through both paths; toggling concurrently with
-// Split/Merge calls is not safe.
-func SetAVX2(on bool) bool {
+// Split/MergeInto calls is not safe.
+func setAVX2(on bool) bool {
 	useAVX2 = on && cpu.X86.HasAVX2
 	return useAVX2
 }

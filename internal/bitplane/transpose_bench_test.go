@@ -19,10 +19,10 @@ func benchValues() []uint32 {
 }
 
 func benchSplit(b *testing.B, asm bool) {
-	if SetAVX2(asm) != asm {
+	if setAVX2(asm) != asm {
 		b.Skip("AVX2 path unavailable")
 	}
-	defer SetAVX2(true)
+	defer setAVX2(true)
 	values := benchValues()
 	planes := make([][]byte, Planes)
 	for p := range planes {
@@ -36,10 +36,10 @@ func benchSplit(b *testing.B, asm bool) {
 }
 
 func benchMerge(b *testing.B, asm bool) {
-	if SetAVX2(asm) != asm {
+	if setAVX2(asm) != asm {
 		b.Skip("AVX2 path unavailable")
 	}
-	defer SetAVX2(true)
+	defer setAVX2(true)
 	planes := Split(benchValues())
 	out := make([]uint32, benchN)
 	b.SetBytes(benchN * 4)

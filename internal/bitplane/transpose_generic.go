@@ -2,10 +2,10 @@
 
 package bitplane
 
-// SetAVX2 is the stub for builds without vector kernels (non-amd64 targets
+// setAVX2 is the stub for builds without vector kernels (non-amd64 targets
 // and the purego build tag): there is nothing to enable, so it always
 // reports false.
-func SetAVX2(on bool) bool { return false }
+func setAVX2(on bool) bool { return false }
 
 func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int, pm uint32) int { return lo }
 

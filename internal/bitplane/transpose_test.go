@@ -9,10 +9,10 @@ import (
 // splitBoth runs SplitRange through the requested dispatch path and returns
 // the planes. Skips the caller when the path is unavailable.
 func splitPath(t testing.TB, values []uint32, asm bool) [][]byte {
-	if SetAVX2(asm) != asm {
+	if setAVX2(asm) != asm {
 		t.Skipf("AVX2 path unavailable on this build/CPU")
 	}
-	defer SetAVX2(true)
+	defer setAVX2(true)
 	n := len(values)
 	nbytes := (n + 7) / 8
 	planes := make([][]byte, Planes)
@@ -27,10 +27,10 @@ func splitPath(t testing.TB, values []uint32, asm bool) [][]byte {
 // the same inputs, including sizes that straddle the 32-value kernel
 // boundary, and demands identical plane bytes.
 func TestSplitDispatchDifferential(t *testing.T) {
-	if !SetAVX2(true) {
+	if !setAVX2(true) {
 		t.Skip("no AVX2 kernels in this build")
 	}
-	defer SetAVX2(true)
+	defer setAVX2(true)
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 7, 8, 31, 32, 33, 40, 63, 64, 65, 96, 127, 256, 1000} {
 		values := make([]uint32, n)
@@ -52,10 +52,10 @@ func TestSplitDispatchDifferential(t *testing.T) {
 // TestMergeDispatchDifferential does the same for MergeRange, including
 // truncated plane sets and nil (unloaded) planes.
 func TestMergeDispatchDifferential(t *testing.T) {
-	if !SetAVX2(true) {
+	if !setAVX2(true) {
 		t.Skip("no AVX2 kernels in this build")
 	}
-	defer SetAVX2(true)
+	defer setAVX2(true)
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 8, 32, 40, 63, 64, 100, 256} {
 		values := make([]uint32, n)
@@ -74,9 +74,9 @@ func TestMergeDispatchDifferential(t *testing.T) {
 			}
 			gotBuf := make([]uint32, n)
 			wantBuf := make([]uint32, n)
-			SetAVX2(false)
+			setAVX2(false)
 			MergeInto(wantBuf, planes)
-			SetAVX2(true)
+			setAVX2(true)
 			MergeInto(gotBuf, planes)
 			for i := range wantBuf {
 				if gotBuf[i] != wantBuf[i] {
@@ -95,10 +95,10 @@ func FuzzTransposeDispatch(f *testing.F) {
 	f.Add(uint8(9), []byte{0xff, 0xee, 0xdd, 0xcc, 0, 0, 0, 1})
 	f.Add(uint8(0), []byte{})
 	f.Fuzz(func(t *testing.T, np uint8, raw []byte) {
-		if !SetAVX2(true) {
+		if !setAVX2(true) {
 			t.Skip("no AVX2 kernels in this build")
 		}
-		defer SetAVX2(true)
+		defer setAVX2(true)
 		n := len(raw) / 4
 		if n > 1<<12 {
 			n = 1 << 12
@@ -127,9 +127,9 @@ func FuzzTransposeDispatch(f *testing.F) {
 		}
 		gotBuf := make([]uint32, n)
 		wantBuf := make([]uint32, n)
-		SetAVX2(false)
+		setAVX2(false)
 		MergeInto(wantBuf, planes)
-		SetAVX2(true)
+		setAVX2(true)
 		MergeInto(gotBuf, planes)
 		for i := range wantBuf {
 			if gotBuf[i] != wantBuf[i] {

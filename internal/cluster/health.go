@@ -11,7 +11,7 @@ import (
 // success fully restores the peer; a probe failure re-ejects it for
 // another Cooldown. Success at any point resets the failure count.
 //
-// Ejection is advisory: the router consults Allow to *order and prune*
+// Ejection is advisory: the router consults Healthy to *order and prune*
 // candidates, but when every replica of a container is ejected it must
 // still try them — a wrong "all dead" verdict must degrade to slower
 // requests, never to refused ones.
@@ -67,31 +67,12 @@ func (h *Health) state(peer string) *peerState {
 	return ps
 }
 
-// Allow reports whether the router should send peer a request right now.
-// An ejected peer answers false until its cooldown elapses, then true for
-// exactly one caller (the half-open probe); others keep getting false
-// until the probe settles via Success or Failure.
-func (h *Health) Allow(peer string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ps := h.state(peer)
-	if !ps.ejected {
-		return true
-	}
-	if ps.probing || h.now().Sub(ps.ejectedAt) < h.cooldown {
-		return false
-	}
-	ps.probing = true
-	return true
-}
-
 // TryProbe claims the half-open probe for an ejected peer whose cooldown
 // has elapsed: it returns true for exactly one caller, which must settle
 // the probe via Success or Failure. Routable peers, peers still cooling
 // down, and peers with a probe already in flight return false. Routers
 // use it to run probes out-of-band (against /healthz) so no live request
-// ever pays a known-dead peer's dial; Allow remains the inline variant
-// where the probe rides a real request.
+// ever pays a known-dead peer's dial.
 func (h *Health) TryProbe(peer string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -10,39 +10,39 @@ func TestHealthEjectionAndProbe(t *testing.T) {
 	now := time.Unix(0, 0)
 	h := newHealthClock(3, time.Second, func() time.Time { return now })
 
-	if !h.Allow("p") || !h.Healthy("p") {
-		t.Fatal("unknown peer should be routable")
+	if !h.Healthy("p") || h.TryProbe("p") {
+		t.Fatal("unknown peer should be routable, with no probe to claim")
 	}
 	h.Failure("p")
 	h.Failure("p")
-	if !h.Allow("p") {
+	if !h.Healthy("p") {
 		t.Fatal("two failures must not eject below threshold 3")
 	}
 	h.Failure("p")
-	if h.Allow("p") || h.Healthy("p") {
-		t.Fatal("third consecutive failure should eject")
+	if h.Healthy("p") || h.TryProbe("p") {
+		t.Fatal("third consecutive failure should eject until the cooldown elapses")
 	}
 
 	// Cooldown elapses: exactly one probe gets through.
 	now = now.Add(time.Second)
-	if !h.Allow("p") {
+	if !h.TryProbe("p") {
 		t.Fatal("cooldown elapsed, probe should be allowed")
 	}
-	if h.Allow("p") {
+	if h.TryProbe("p") {
 		t.Fatal("second caller should wait for the in-flight probe")
 	}
 
 	// Failed probe re-ejects immediately (no threshold accumulation).
 	h.Failure("p")
-	if h.Allow("p") {
+	if h.Healthy("p") || h.TryProbe("p") {
 		t.Fatal("failed probe should re-eject")
 	}
 	now = now.Add(time.Second)
-	if !h.Allow("p") {
+	if !h.TryProbe("p") {
 		t.Fatal("second cooldown elapsed, probe should be allowed again")
 	}
 	h.Success("p")
-	if !h.Allow("p") || !h.Allow("p") || !h.Healthy("p") {
+	if !h.Healthy("p") || h.TryProbe("p") {
 		t.Fatal("successful probe should fully restore the peer")
 	}
 
@@ -71,7 +71,7 @@ func TestHealthTryProbe(t *testing.T) {
 	if !h.TryProbe("p") {
 		t.Fatal("cooldown elapsed, probe should be claimable")
 	}
-	if h.TryProbe("p") || h.Allow("p") {
+	if h.TryProbe("p") {
 		t.Fatal("a second probe must not run while one is in flight")
 	}
 	if h.Healthy("p") {
@@ -119,7 +119,8 @@ func TestHealthConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				h.Allow("p")
+				h.Healthy("p")
+				h.TryProbe("p")
 				h.Failure("p")
 				h.Success("p")
 				h.Snapshot()

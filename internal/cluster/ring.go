@@ -140,9 +140,6 @@ func (r *Ring) Owns(node, container string) bool {
 	return false
 }
 
-// Primary returns the container's first replica.
-func (r *Ring) Primary(container string) string { return r.Replicas(container)[0] }
-
 // Replication returns the effective replication factor (clamped to the
 // node count at construction).
 func (r *Ring) Replication() int { return r.replication }

@@ -44,7 +44,7 @@ func TestRingSpread(t *testing.T) {
 	counts := make(map[string]int)
 	const keys = 5000
 	for i := 0; i < keys; i++ {
-		counts[r.Primary(fmt.Sprintf("c%d", i))]++
+		counts[r.Replicas(fmt.Sprintf("c%d", i))[0]]++
 	}
 	for _, n := range nodes {
 		got := counts[n]
@@ -87,10 +87,10 @@ func TestRingMinimalDisruption(t *testing.T) {
 	moved := 0
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("c%d", i)
-		if old.Primary(key) != grown.Primary(key) {
+		if old.Replicas(key)[0] != grown.Replicas(key)[0] {
 			moved++
-			if grown.Primary(key) != "e" {
-				t.Fatalf("key %q moved to %q, not the new node", key, grown.Primary(key))
+			if grown.Replicas(key)[0] != "e" {
+				t.Fatalf("key %q moved to %q, not the new node", key, grown.Replicas(key)[0])
 			}
 		}
 	}

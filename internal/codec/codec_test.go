@@ -12,7 +12,7 @@ func TestDeflateInflateRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 10000} {
 		src := make([]byte, n)
 		r.Read(src)
-		got, err := Inflate(Deflate(src), n)
+		got, err := inflate(Deflate(src), n)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -24,10 +24,10 @@ func TestDeflateInflateRoundTrip(t *testing.T) {
 
 func TestInflateRejectsWrongSize(t *testing.T) {
 	blob := Deflate([]byte("hello world"))
-	if _, err := Inflate(blob, 5); err == nil {
+	if _, err := inflate(blob, 5); err == nil {
 		t.Error("expected error for declared size shorter than stream")
 	}
-	if _, err := Inflate(blob, 50); err == nil {
+	if _, err := inflate(blob, 50); err == nil {
 		t.Error("expected error for declared size longer than stream")
 	}
 }

@@ -13,22 +13,14 @@
 package codec
 
 // Deflate compresses src with DEFLATE: the stream compress/flate writes at
-// level 1.
+// level 1. Writers reach the encoder through EncodeBlock; Deflate is
+// exported so that core's tests can hold it to compress/flate on every
+// plane of a real archive, the planes EncodeBlock stores raw included.
 func Deflate(src []byte) []byte {
 	d := deflaterPool.Get().(*deflater)
 	out := append([]byte(nil), d.deflate(src)...)
 	deflaterPool.Put(d)
 	return out
-}
-
-// Inflate decompresses a DEFLATE stream whose decompressed size is exactly
-// dstSize; a stream that decodes to more or fewer bytes is an error.
-func Inflate(src []byte, dstSize int) ([]byte, error) {
-	dst := make([]byte, dstSize)
-	if err := inflateInto(dst, src); err != nil {
-		return nil, err
-	}
-	return dst, nil
 }
 
 // Block coding — the per-plane method tag, the encode policies, and the

@@ -11,6 +11,16 @@ import (
 	"testing"
 )
 
+// inflate decompresses a DEFLATE stream whose decompressed size is exactly
+// dstSize; a stream that decodes to more or fewer bytes is an error.
+func inflate(src []byte, dstSize int) ([]byte, error) {
+	dst := make([]byte, dstSize)
+	if err := inflateInto(dst, src); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 // refInflate is the oracle: compress/flate's stream reader, held to what
 // inflateInto promises — exactly dstSize bytes, then a clean end of stream.
 func refInflate(src []byte, dstSize int) ([]byte, error) {
@@ -121,7 +131,7 @@ func TestInflateMatchesFlate(t *testing.T) {
 			c.fill(rand.New(rand.NewSource(int64(n)+1)), data)
 			for _, level := range levels {
 				stream := flateCompress(t, level, data)
-				got, err := Inflate(stream, n)
+				got, err := inflate(stream, n)
 				if err != nil {
 					t.Fatalf("%s n=%d level=%d: %v", c.name, n, level, err)
 				}
@@ -149,18 +159,18 @@ func TestInflateRejectsBrokenTail(t *testing.T) {
 	}
 	msg := []byte("hello world hello world")
 	stream := Deflate(msg)
-	if _, err := Inflate(stream, len(msg)); err != nil {
+	if _, err := inflate(stream, len(msg)); err != nil {
 		t.Fatal(err)
 	}
 	for cut := 1; cut <= 5; cut++ {
-		if _, err := Inflate(stream[:len(stream)-cut], len(msg)); err == nil {
+		if _, err := inflate(stream[:len(stream)-cut], len(msg)); err == nil {
 			t.Errorf("stream without its last %d bytes accepted", cut)
 		}
 	}
 	// Level 1 closes with an empty stored block: LEN, then NLEN.
 	bad := bytes.Clone(stream)
 	bad[len(bad)-1] ^= 0x01
-	if _, err := Inflate(bad, len(msg)); err == nil {
+	if _, err := inflate(bad, len(msg)); err == nil {
 		t.Error("stream whose final NLEN is not ~LEN accepted")
 	}
 }

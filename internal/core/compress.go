@@ -273,23 +273,6 @@ func exactMaxDrop(ks []int32, nbv []uint32, used int) []uint32 {
 	return maxDrop
 }
 
-// Decompress performs a full-fidelity reconstruction of an archive held
-// entirely in memory. It is equivalent to NewArchive(blob) followed by
-// RetrieveAll, without retaining progressive state. Float32 archives are
-// widened to float64 (losslessly); use RetrieveAll plus DataOf[float32]
-// for a native single-precision view.
-func Decompress(blob []byte) (*grid.Grid[float64], error) {
-	a, err := NewArchive(blob)
-	if err != nil {
-		return nil, err
-	}
-	res, err := a.RetrieveAll()
-	if err != nil {
-		return nil, err
-	}
-	return res.Grid(), nil
-}
-
 // ErrBoundTooTight is returned when a retrieval error bound is below the
 // compression-time bound, which no loading strategy can satisfy.
 var ErrBoundTooTight = errors.New("core: requested bound is tighter than the compression error bound")

@@ -63,6 +63,20 @@ func maxAbsDiff(a, b []float64) float64 {
 	return worst
 }
 
+// decompress reconstructs an archive held in memory at full fidelity,
+// widened to float64.
+func decompress(blob []byte) (*grid.Grid[float64], error) {
+	a, err := NewArchive(blob)
+	if err != nil {
+		return nil, err
+	}
+	res, err := a.RetrieveAll()
+	if err != nil {
+		return nil, err
+	}
+	return res.Grid(), nil
+}
+
 func TestCompressDecompressFullFidelity(t *testing.T) {
 	shapes := []grid.Shape{{100}, {33, 21}, {17, 18, 19}, {6, 7, 8, 5}}
 	for _, shape := range shapes {
@@ -73,7 +87,7 @@ func TestCompressDecompressFullFidelity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%v: %v", shape, kind, err)
 			}
-			out, err := Decompress(blob)
+			out, err := decompress(blob)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", shape, kind, err)
 			}
@@ -225,7 +239,7 @@ func TestRefinementMatchesFreshRetrieval(t *testing.T) {
 		if err := res.RefineErrorBound(bound); err != nil {
 			t.Fatalf("refine to %v: %v", bound, err)
 		}
-		fresh, err := a.Retrieve(res.Plan())
+		fresh, err := a.Retrieve(res.plan.clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +297,7 @@ func TestRetrieveAllEqualsDecompress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompress(blob)
+	dec, err := decompress(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +327,7 @@ func TestOutlierEscape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Decompress(blob)
+	out, err := decompress(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +347,7 @@ func TestNaNAndInfEscape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Decompress(blob)
+	out, err := decompress(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +371,7 @@ func TestConstantField(t *testing.T) {
 	if len(blob) > 2000 {
 		t.Errorf("constant field compressed to %d bytes", len(blob))
 	}
-	out, _ := Decompress(blob)
+	out, _ := decompress(blob)
 	if d := maxAbsDiff(g.Data(), out.Data()); d > 1e-8 {
 		t.Errorf("constant field error %v", d)
 	}

@@ -185,7 +185,7 @@ func TestGoldenParallelDeterminism(t *testing.T) {
 			decompressAt := func(procs int) []float64 {
 				prev := runtime.GOMAXPROCS(procs)
 				defer runtime.GOMAXPROCS(prev)
-				out, err := Decompress(par)
+				out, err := decompress(par)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -18,11 +18,11 @@ const asmKernels = true
 
 var useAVX2 = cpu.X86.HasAVX2
 
-// SetAVX2 forces the core vector kernels (fused predict+quantize,
+// setAVX2 forces the core vector kernels (fused predict+quantize,
 // dequantize+apply, negabinary drop scan) on or off and reports whether
 // they are active afterwards. It exists so tests and benchmarks can drive
 // both paths; it is not safe to toggle concurrently with Compress/Retrieve.
-func SetAVX2(on bool) bool {
+func setAVX2(on bool) bool {
 	useAVX2 = on && cpu.X86.HasAVX2
 	return useAVX2
 }

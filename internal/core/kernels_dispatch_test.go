@@ -18,10 +18,10 @@ import (
 // the hardware default on cleanup.
 func vectorPath(t *testing.T, on bool) {
 	t.Helper()
-	if got := SetAVX2(on); on && !got {
+	if got := setAVX2(on); on && !got {
 		t.Skip("AVX2 kernels unavailable on this host")
 	}
-	t.Cleanup(func() { SetAVX2(true) })
+	t.Cleanup(func() { setAVX2(true) })
 }
 
 // TestQuantizeDispatchDifferential compresses the golden datasets (which
@@ -29,20 +29,20 @@ func vectorPath(t *testing.T, on bool) {
 // group boundaries) down both kernel paths and requires byte-identical
 // archives for both scalar widths.
 func TestQuantizeDispatchDifferential(t *testing.T) {
-	if !SetAVX2(true) {
+	if !setAVX2(true) {
 		t.Skip("AVX2 kernels unavailable on this host")
 	}
-	t.Cleanup(func() { SetAVX2(true) })
+	t.Cleanup(func() { setAVX2(true) })
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := Options{ErrorBound: 1e-6, Interpolation: tc.kind}
 			g64 := goldenField(t, tc.shape)
-			SetAVX2(true)
+			setAVX2(true)
 			asm64, err := Compress(g64, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			SetAVX2(false)
+			setAVX2(false)
 			gen64, err := Compress(g64, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -52,12 +52,12 @@ func TestQuantizeDispatchDifferential(t *testing.T) {
 			}
 
 			g32 := goldenField32(t, tc.shape)
-			SetAVX2(true)
+			setAVX2(true)
 			asm32, err := Compress(g32, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			SetAVX2(false)
+			setAVX2(false)
 			gen32, err := Compress(g32, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -76,10 +76,10 @@ func TestQuantizeDispatchDifferential(t *testing.T) {
 // planted outliers, and holds both paths there to refRebuild too: a
 // reconstruction that drops the outliers would pass a differential alone.
 func TestApplyDispatchDifferential(t *testing.T) {
-	if !SetAVX2(true) {
+	if !setAVX2(true) {
 		t.Skip("AVX2 kernels unavailable on this host")
 	}
-	t.Cleanup(func() { SetAVX2(true) })
+	t.Cleanup(func() { setAVX2(true) })
 	retrieve := func(t *testing.T, blob []byte, bound float64) []float64 {
 		t.Helper()
 		a, err := NewArchive(blob)
@@ -112,9 +112,9 @@ func TestApplyDispatchDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, bound := range []float64{0, 1e-3} {
-					SetAVX2(true)
+					setAVX2(true)
 					asm := retrieve(t, blob, bound)
-					SetAVX2(false)
+					setAVX2(false)
 					gen := retrieve(t, blob, bound)
 					if len(asm) != len(gen) {
 						t.Fatalf("%s bound=%v: length mismatch", width, bound)
@@ -227,7 +227,7 @@ func checkColumnRebuild[T grid.Scalar](t *testing.T, blob []byte, bound float64,
 		}
 	}
 	for _, avx := range []bool{true, false} {
-		SetAVX2(avx)
+		setAVX2(avx)
 		var res *Result
 		if bound > 0 {
 			res, err = a.RetrieveErrorBound(bound)
@@ -278,10 +278,10 @@ func refRebuild[T grid.Scalar](a *Archive, trunc [][]int32) []T {
 // index distributions with mixed digit lengths (zeros, short runs, full
 // 31-digit values) and requires identical drop tables.
 func TestMaxDropDispatchDifferential(t *testing.T) {
-	if !SetAVX2(true) {
+	if !setAVX2(true) {
 		t.Skip("AVX2 kernels unavailable on this host")
 	}
-	t.Cleanup(func() { SetAVX2(true) })
+	t.Cleanup(func() { setAVX2(true) })
 	rng := uint64(0x1234_5678_9ABC_DEF0)
 	next := func() uint64 {
 		rng += 0x9E3779B97F4A7C15
@@ -311,9 +311,9 @@ func TestMaxDropDispatchDifferential(t *testing.T) {
 			nbv[i] = nb.Encode32(k)
 		}
 		used := bitplane.NumUsedPlanes(nbv)
-		SetAVX2(true)
+		setAVX2(true)
 		asm := exactMaxDrop(ks, nbv, used)
-		SetAVX2(false)
+		setAVX2(false)
 		gen := exactMaxDrop(ks, nbv, used)
 		if len(asm) != len(gen) {
 			t.Fatalf("n=%d: table length mismatch %d vs %d", n, len(asm), len(gen))

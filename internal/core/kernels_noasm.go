@@ -12,8 +12,8 @@ import (
 // dispatch branch outright.
 const asmKernels = false
 
-// SetAVX2 reports false: there is nothing to enable.
-func SetAVX2(on bool) bool { return false }
+// setAVX2 reports false: there is nothing to enable.
+func setAVX2(on bool) bool { return false }
 
 func quantizeRunAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, f, seq, n int, step, invStep T, eb float64) int {
 	return 0

@@ -227,8 +227,8 @@ var progArchives = sync.OnceValues(func() ([]*Archive, error) {
 		if err != nil {
 			return nil, err
 		}
-		if a.ProgressiveLevels() != i+1 {
-			return nil, fmt.Errorf("%d³ archive has %d progressive levels, want %d", edge, a.ProgressiveLevels(), i+1)
+		if a.h.prog != i+1 {
+			return nil, fmt.Errorf("%d³ archive has %d progressive levels, want %d", edge, a.h.prog, i+1)
 		}
 		archives = append(archives, a)
 	}
@@ -321,7 +321,7 @@ func TestKnapsackMatchesFormerSolvers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := a.refPlanErrorBound(bound); !slices.Equal(got.Keep, want.Keep) {
-				t.Fatalf("prog %d: PlanErrorBoundMode(%g) = %v, former solver %v", a.ProgressiveLevels(), bound, got.Keep, want.Keep)
+				t.Fatalf("prog %d: PlanErrorBoundMode(%g) = %v, former solver %v", a.h.prog, bound, got.Keep, want.Keep)
 			}
 		}
 		total := a.TotalSize()
@@ -332,7 +332,7 @@ func TestKnapsackMatchesFormerSolvers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := a.refPlanBitrate(maxBytes); !slices.Equal(got.Keep, want.Keep) {
-				t.Fatalf("prog %d: PlanBitrateMode(%d) = %v, former solver %v", a.ProgressiveLevels(), maxBytes, got.Keep, want.Keep)
+				t.Fatalf("prog %d: PlanBitrateMode(%d) = %v, former solver %v", a.h.prog, maxBytes, got.Keep, want.Keep)
 			}
 		}
 	}
@@ -350,7 +350,7 @@ func TestPlanAllocatesNoFullTable(t *testing.T) {
 	}
 	const row = 8 * (errorUnits + 1)
 	for _, a := range archives[:2] {
-		prog := a.ProgressiveLevels()
+		prog := a.h.prog
 		bound := 300 * 1e-8 // 300·eb: the knapsack runs
 		if _, err := a.PlanErrorBoundMode(bound); err != nil {
 			t.Fatal(err)

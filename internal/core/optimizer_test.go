@@ -206,19 +206,19 @@ func TestPlanAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Plan()
+	p := res.plan.clone()
 	if len(p.Keep) != a.NumLevels() {
 		t.Errorf("plan has %d levels", len(p.Keep))
 	}
 	// Mutating the copy must not affect the result.
 	p.Keep[0] = -999
-	if res.Plan().Keep[0] == -999 {
-		t.Error("Plan() exposes internal state")
+	if res.plan.Keep[0] == -999 {
+		t.Error("clone shares the plan's Keep")
 	}
 	if res.Bitrate() <= 0 {
 		t.Error("bitrate not positive")
 	}
-	if a.ProgressiveLevels() < 1 || a.ProgressiveLevels() > a.NumLevels() {
-		t.Errorf("Lp=%d of L=%d", a.ProgressiveLevels(), a.NumLevels())
+	if a.h.prog < 1 || a.h.prog > a.NumLevels() {
+		t.Errorf("Lp=%d of L=%d", a.h.prog, a.NumLevels())
 	}
 }

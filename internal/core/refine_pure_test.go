@@ -102,13 +102,13 @@ func refineIsPure[T grid.Scalar](t *testing.T, relEB, spike float64) {
 				}
 				check := func(step string) {
 					t.Helper()
-					fresh, err := a.Retrieve(res.Plan())
+					fresh, err := a.Retrieve(res.plan.clone())
 					if err != nil {
-						t.Fatalf("%s: fresh retrieval of %v: %v", step, res.Plan().Keep, err)
+						t.Fatalf("%s: fresh retrieval of %v: %v", step, res.plan.clone().Keep, err)
 					}
 					if n := bitDiffs(DataOf[T](res), DataOf[T](fresh)); n != 0 {
-						t.Fatalf("%s: plan %v: %d of %d values differ in bits from Retrieve(res.Plan())",
-							step, res.Plan().Keep, n, len(src))
+						t.Fatalf("%s: plan %v: %d of %d values differ in bits from Retrieve(res.plan.clone())",
+							step, res.plan.clone().Keep, n, len(src))
 					}
 					if res.LoadedBytes() != fresh.LoadedBytes() {
 						t.Errorf("%s: loaded %d bytes, a fresh retrieval of the plan %d", step, res.LoadedBytes(), fresh.LoadedBytes())
@@ -118,7 +118,7 @@ func refineIsPure[T grid.Scalar](t *testing.T, relEB, spike float64) {
 						worst = max(worst, math.Abs(float64(v)-float64(src[i])))
 					}
 					if guar := res.GuaranteedError(); worst > guar*(1+1e-9) {
-						t.Errorf("%s: plan %v: error %g exceeds the guaranteed %g", step, res.Plan().Keep, worst, guar)
+						t.Errorf("%s: plan %v: error %g exceeds the guaranteed %g", step, res.plan.clone().Keep, worst, guar)
 					}
 				}
 				check("retrieve")
@@ -142,14 +142,14 @@ func refineIsPure[T grid.Scalar](t *testing.T, relEB, spike float64) {
 					default:
 						// Any plan at all: levels it would lower are clamped, so
 						// the chain stays monotone whatever is drawn.
-						plan, want := res.Plan(), res.Plan()
+						plan, want := res.plan.clone(), res.plan.clone()
 						for l := 1; l <= a.h.prog; l++ {
 							plan.Keep[l-1] = rng.Intn(a.h.metaOf(l).usedPlanes + 1)
 							want.Keep[l-1] = max(want.Keep[l-1], plan.Keep[l-1])
 						}
 						name = fmt.Sprintf("RefineTo(%v)", plan.Keep)
 						err = res.RefineTo(plan)
-						if got := res.Plan(); err == nil && !slices.Equal(got.Keep, want.Keep) {
+						if got := res.plan.clone(); err == nil && !slices.Equal(got.Keep, want.Keep) {
 							t.Errorf("step %d %s: holds %v, want %v", step, name, got.Keep, want.Keep)
 						}
 					}
@@ -158,8 +158,8 @@ func refineIsPure[T grid.Scalar](t *testing.T, relEB, spike float64) {
 					}
 					check(fmt.Sprintf("step %d %s", step, name))
 				}
-				if full := a.fullPlan(); !slices.Equal(res.Plan().Keep, full.Keep) {
-					t.Errorf("RefineAll ended at %v, full plan is %v", res.Plan().Keep, full.Keep)
+				if full := a.fullPlan(); !slices.Equal(res.plan.clone().Keep, full.Keep) {
+					t.Errorf("RefineAll ended at %v, full plan is %v", res.plan.clone().Keep, full.Keep)
 				}
 			})
 		}

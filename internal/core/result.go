@@ -111,9 +111,6 @@ func (r *Result) Bitrate() float64 {
 // GuaranteedError returns the L∞ bound that the current plan guarantees.
 func (r *Result) GuaranteedError() float64 { return r.arch.PlanErrorBound(r.plan) }
 
-// Plan returns a copy of the current loading plan.
-func (r *Result) Plan() Plan { return r.plan.clone() }
-
 // RetrieveAll loads every block and reconstructs at full fidelity (error
 // within the compression bound eb).
 func (a *Archive) RetrieveAll() (*Result, error) { return a.Retrieve(a.fullPlan()) }

@@ -235,9 +235,6 @@ func (a *Archive) FormatVersion() int { return int(a.h.version) }
 // NumLevels returns the interpolation level count L.
 func (a *Archive) NumLevels() int { return a.h.levels }
 
-// ProgressiveLevels returns Lp, the number of bitplane-progressive levels.
-func (a *Archive) ProgressiveLevels() int { return a.h.prog }
-
 // TotalSize returns the archive size in bytes.
 func (a *Archive) TotalSize() int64 { return a.h.totalSize() }
 

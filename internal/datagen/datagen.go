@@ -98,19 +98,6 @@ func GenerateShape(name string, shape grid.Shape) (*grid.Grid[float64], error) {
 	}
 }
 
-// All generates the whole suite at the given divisor.
-func All(divisor int) ([]*Dataset, error) {
-	out := make([]*Dataset, 0, 6)
-	for _, n := range Names() {
-		d, err := Generate(n, divisor)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
 // coordinates iterates normalized coordinates once per point.
 func coordinates(shape grid.Shape, fn func(i int, c []float64)) {
 	nd := len(shape)

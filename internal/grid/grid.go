@@ -232,13 +232,6 @@ func NarrowSlice[T Scalar](src []T) []float32 {
 	return out
 }
 
-// Widen converts the grid to float64, copying the data. A float64 grid
-// still copies, so mutations never alias.
-func Widen[T Scalar](g *Grid[T]) *Grid[float64] {
-	out, _ := FromSlice(WidenSlice(g.data), g.shape)
-	return out
-}
-
 // Narrow converts the grid to float32, copying (and rounding) the data.
 func Narrow[T Scalar](g *Grid[T]) *Grid[float32] {
 	out, _ := FromSlice(NarrowSlice(g.data), g.shape)

@@ -64,20 +64,3 @@ func Bitrate(compressedBytes int64, numValues int) float64 {
 	}
 	return float64(compressedBytes) * 8 / float64(numValues)
 }
-
-// ValueRange returns max-min of the data.
-func ValueRange(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	lo, hi := x[0], x[0]
-	for _, v := range x[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return hi - lo
-}

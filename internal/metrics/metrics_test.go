@@ -62,12 +62,3 @@ func TestCompressionRatioAndBitrate(t *testing.T) {
 		t.Errorf("Bitrate of empty = %v", got)
 	}
 }
-
-func TestValueRange(t *testing.T) {
-	if got := ValueRange([]float64{3, -2, 5}); got != 7 {
-		t.Errorf("ValueRange = %v", got)
-	}
-	if got := ValueRange(nil); got != 0 {
-		t.Errorf("empty range = %v", got)
-	}
-}

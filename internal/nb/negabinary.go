@@ -44,28 +44,6 @@ func Decode32(u uint32) int32 {
 // and escape anything larger through the outlier path.
 const MaxIndex = 1 << 30
 
-// TruncationBound returns the paper's closed-form worst-case error of
-// zeroing the d lowest negabinary digits (§4.4.2):
-//
-//	d odd:  (2/3)·2^d − 1/3
-//	d even: (2/3)·2^d − 2/3
-//
-// expressed exactly in integers: (2^(d+1) − 1)/3 for odd d and
-// (2^(d+1) − 2)/3 for even d. d must be in [0, 63].
-func TruncationBound(d int) uint64 {
-	if d <= 0 {
-		return 0
-	}
-	if d >= 63 {
-		d = 63
-	}
-	p := uint64(1) << uint(d+1)
-	if d&1 == 1 {
-		return (p - 1) / 3
-	}
-	return (p - 2) / 3
-}
-
 // Truncate zeroes the d lowest digits of a negabinary value, the operation
 // performed implicitly when low bitplanes are not loaded.
 func Truncate(u uint32, d int) uint32 {

@@ -65,12 +65,34 @@ func TestRoundTrip64Property(t *testing.T) {
 	}
 }
 
+// truncationBound returns the paper's closed-form worst-case error of
+// zeroing the d lowest negabinary digits (§4.4.2):
+//
+//	d odd:  (2/3)·2^d − 1/3
+//	d even: (2/3)·2^d − 2/3
+//
+// expressed exactly in integers: (2^(d+1) − 1)/3 for odd d and
+// (2^(d+1) − 2)/3 for even d. d must be in [0, 63].
+func truncationBound(d int) uint64 {
+	if d <= 0 {
+		return 0
+	}
+	if d >= 63 {
+		d = 63
+	}
+	p := uint64(1) << uint(d+1)
+	if d&1 == 1 {
+		return (p - 1) / 3
+	}
+	return (p - 2) / 3
+}
+
 // TestTruncationBoundHolds verifies the paper's closed-form truncation
 // uncertainty: zeroing the d lowest negabinary digits changes the decoded
-// value by at most TruncationBound(d), and the bound is tight (achieved).
+// value by at most truncationBound(d), and the bound is tight (achieved).
 func TestTruncationBoundHolds(t *testing.T) {
 	for d := 0; d <= 12; d++ {
-		bound := int64(TruncationBound(d))
+		bound := int64(truncationBound(d))
 		var worst int64
 		for v := int64(-5000); v <= 5000; v++ {
 			u := Encode(v)
@@ -100,8 +122,8 @@ func TestTruncationBoundFormula(t *testing.T) {
 		if d%2 == 0 {
 			want = 2.0/3.0*math.Pow(2, float64(d)) - 2.0/3.0
 		}
-		if got := float64(TruncationBound(d)); got != want {
-			t.Errorf("TruncationBound(%d) = %v, want %v", d, got, want)
+		if got := float64(truncationBound(d)); got != want {
+			t.Errorf("truncationBound(%d) = %v, want %v", d, got, want)
 		}
 	}
 }

@@ -11,23 +11,20 @@ import (
 	"time"
 )
 
-// Level is a log severity.
-type Level int8
+// level is a log severity.
+type level int8
 
 const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
+	levelInfo level = iota
+	levelWarn
+	levelError
 )
 
-func (l Level) String() string {
+func (l level) String() string {
 	switch l {
-	case LevelDebug:
-		return "DEBUG"
-	case LevelInfo:
+	case levelInfo:
 		return "INFO"
-	case LevelWarn:
+	case levelWarn:
 		return "WARN"
 	default:
 		return "ERROR"
@@ -42,22 +39,18 @@ type Logger struct {
 	mu     sync.Mutex
 	w      io.Writer
 	format string // "text" or "json"
-	min    Level
 }
 
 // NewLogger builds a Logger. format is "text" or "json" (anything else
-// falls back to text); records below min are discarded.
-func NewLogger(w io.Writer, format string, min Level) *Logger {
+// falls back to text).
+func NewLogger(w io.Writer, format string) *Logger {
 	if format != "json" {
 		format = "text"
 	}
-	return &Logger{w: w, format: format, min: min}
+	return &Logger{w: w, format: format}
 }
 
-func (l *Logger) log(lv Level, msg string, kv ...any) {
-	if lv < l.min {
-		return
-	}
+func (l *Logger) log(lv level, msg string, kv ...any) {
 	now := time.Now()
 	var b strings.Builder
 	if l.format == "json" {
@@ -102,21 +95,18 @@ func (l *Logger) log(lv Level, msg string, kv ...any) {
 	l.mu.Unlock()
 }
 
-// Debug logs at debug level; kv are alternating key/value pairs.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv...) }
-
-// Info logs at info level.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv...) }
+// Info logs at info level; kv are alternating key/value pairs.
+func (l *Logger) Info(msg string, kv ...any) { l.log(levelInfo, msg, kv...) }
 
 // Warn logs at warn level.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv...) }
+func (l *Logger) Warn(msg string, kv ...any) { l.log(levelWarn, msg, kv...) }
 
 // Error logs at error level.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv...) }
+func (l *Logger) Error(msg string, kv ...any) { l.log(levelError, msg, kv...) }
 
 // Fatal logs at error level and exits the process.
 func (l *Logger) Fatal(msg string, kv ...any) {
-	l.log(LevelError, msg, kv...)
+	l.log(levelError, msg, kv...)
 	os.Exit(1)
 }
 

@@ -116,11 +116,6 @@ func (t *Trace) ID() string {
 	return t.id
 }
 
-// Joined reports whether the trace id was propagated from another node
-// (the request arrived with TraceHeader), i.e. this node should publish
-// its spans back via SpansHeader.
-func (t *Trace) Joined() bool { return t != nil && t.joined }
-
 // observe appends one span.
 func (t *Trace) observe(s Stage, node string, start time.Time, d time.Duration) {
 	t.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -99,6 +100,168 @@ func TestAdmissionQueueAndDegradeRaw(t *testing.T) {
 	<-env.srv.adm.slots
 }
 
+// TestRawDegradeOneSweep pins the cost and the answer of a degraded raw
+// request. With the decode slot taken, a region that meets an uncached
+// tile is refused after one sweep of the cache, which reads each cached
+// tile once; a fully cached region is answered with exactly what the
+// cache holds, as a warm request at the cached fidelity would be.
+func TestRawDegradeOneSweep(t *testing.T) {
+	env := newBenchEnv(t)
+	env.srv.SetAdmission(AdmissionOptions{
+		MaxDecodeConcurrency: 1,
+		QueueTimeout:         30 * time.Millisecond,
+		Degrade:              true,
+	})
+	ts := httptest.NewServer(env.srv.Handler())
+	defer ts.Close()
+
+	regionURL := func(hi0 int, bound float64) string {
+		return ts.URL + "/v1/datasets/density/region?lo=0,0,0&hi=" + strconv.Itoa(hi0) +
+			",64,64&bound=" + strconv.FormatFloat(bound, 'g', -1, 64)
+	}
+	get := func(url string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	coarse := 64 * env.eb
+
+	// Warm half the field (four of its eight 32³ tiles) at the coarse bound.
+	if resp, _ := get(regionURL(32, coarse)); resp.StatusCode != 200 {
+		t.Fatalf("warming request: status %d", resp.StatusCode)
+	}
+	cached := env.st.Stats().TileDecodes
+	if cached != 4 {
+		t.Fatalf("warming decoded %d tiles, want 4", cached)
+	}
+
+	// A tight request for the whole field finds no tile fine enough, queues
+	// and times out; four of its tiles are cached, four are not, so it is
+	// refused, and the cache is swept once.
+	env.srv.adm.slots <- struct{}{}
+	hits := env.st.Stats().TileHits
+	resp, _ := get(regionURL(64, env.eb))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("region with uncached tiles: status %d, want 429", resp.StatusCode)
+	}
+	if got := env.st.Stats().TileHits - hits; got != cached {
+		t.Fatalf("refused request read %d cached tiles, want %d (one sweep)", got, cached)
+	}
+	<-env.srv.adm.slots
+
+	// Warm the rest; the coarse request that follows is what the cache holds.
+	if resp, _ := get(regionURL(64, coarse)); resp.StatusCode != 200 {
+		t.Fatalf("warming request: status %d", resp.StatusCode)
+	}
+	want, wantBody := get(regionURL(64, coarse))
+	if want.StatusCode != 200 || want.Header.Get("X-Ipcomp-Degraded") != "" {
+		t.Fatalf("warm request: status %d degraded=%q", want.StatusCode, want.Header.Get("X-Ipcomp-Degraded"))
+	}
+
+	env.srv.adm.slots <- struct{}{}
+	defer func() { <-env.srv.adm.slots }()
+	hits = env.st.Stats().TileHits
+	got, gotBody := get(regionURL(64, env.eb))
+	if got.StatusCode != 200 || got.Header.Get("X-Ipcomp-Degraded") != "true" {
+		t.Fatalf("fully cached region: status %d degraded=%q, want a degraded 200",
+			got.StatusCode, got.Header.Get("X-Ipcomp-Degraded"))
+	}
+	if n := env.st.Stats().TileHits - hits; n != 8 {
+		t.Fatalf("degraded request read %d cached tiles, want 8 (one sweep)", n)
+	}
+	if !bytes.Equal(gotBody, wantBody) {
+		t.Fatal("degraded body differs from the cached tiles")
+	}
+	for _, h := range []string{"Content-Length", "X-Ipcomp-Shape", "X-Ipcomp-Scalar",
+		"X-Ipcomp-Guaranteed-Error", "X-Ipcomp-Loaded-Bytes", "X-Ipcomp-Chunks"} {
+		if got.Header.Get(h) != want.Header.Get(h) {
+			t.Errorf("%s = %q, want %q", h, got.Header.Get(h), want.Header.Get(h))
+		}
+	}
+}
+
+// TestPlanBytesMonotoneInBound pins the premise of the planes degrade
+// ladder on the tiles the server is benchmarked with: a region plan's wire
+// size never grows as the bound loosens. It walks bounds up by ×1.07 on
+// random boxes, for fresh and refine plans, at both scalar widths, on a
+// field whose tiles divide it and on one whose edge tiles are partial.
+//
+// A 32³ tile at the default progressive threshold has one progressive
+// level, so its plan is a single plane count, monotone by construction.
+// The premise does not hold in general: with two or more progressive
+// levels per tile (64³ tiles, or a progressive threshold of 8 or 64),
+// per-level plans move both ways as the bound loosens, and the same walk
+// finds plans that grow, refine plans above all, by up to 16 KB.
+func TestPlanBytesMonotoneInBound(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := store.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := map[string]grid.Shape{}
+	for _, shape := range []grid.Shape{{64, 64, 64}, {48, 40, 36}} {
+		g, err := datagen.GenerateShape("Density", shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := shape.String()
+		opt := store.WriteOptions{ErrorBound: 1e-6 * g.ValueRange(), ChunkShape: grid.Shape{32, 32, 32}}
+		if err := store.Add(w, name, g, opt); err != nil {
+			t.Fatal(err)
+		}
+		opt.ErrorBound = 1e-4 * g.ValueRange()
+		if err := store.Add(w, name+"/f32", grid.Narrow(g), opt); err != nil {
+			t.Fatal(err)
+		}
+		shapes[name], shapes[name+"/f32"] = shape, shape
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := rand.New(rand.NewSource(7))
+	for _, info := range st.Datasets() {
+		shape, eb := shapes[info.Name], info.ErrorBound
+		for box := 0; box < 6; box++ {
+			lo, hi := make([]int, len(shape)), make([]int, len(shape))
+			for d, n := range shape {
+				lo[d] = r.Intn(n)
+				hi[d] = lo[d] + 1 + r.Intn(n-lo[d])
+			}
+			// A fresh plan, and a refine from a bound the client holds.
+			for _, have := range []float64{0, eb * math.Pow(2, 2+14*r.Float64())} {
+				prev := int64(-1)
+				for b := eb; b < eb*(1<<20); b *= 1.07 {
+					rp, err := st.PlanRegion(info.Name, lo, hi, b, have)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n, err := planTotal(rp, len(lo))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if prev >= 0 && n > prev {
+						t.Fatalf("%s [%v,%v) have %g: %d wire bytes at bound %g, %d at %g", info.Name, lo, hi, have, n, b, prev, b/1.07)
+					}
+					prev = n
+				}
+			}
+		}
+	}
+}
+
 // TestAdmissionByteBudget checks the per-request byte budget: raw
 // responses over budget are 413 (their size cannot degrade), planes
 // responses over budget are 429 when degradation is off.
@@ -153,7 +316,7 @@ func TestDegradedPlanesRefineBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddGrid("density", g, store.WriteOptions{ErrorBound: eb, ChunkShape: grid.Shape{32, 32, 32}}); err != nil {
+	if err := store.Add(w, "density", g, store.WriteOptions{ErrorBound: eb, ChunkShape: grid.Shape{32, 32, 32}}); err != nil {
 		t.Fatal(err)
 	}
 	g32, err := grid.FromSlice(grid.NarrowSlice(g.Data()), g.Shape())

@@ -38,7 +38,7 @@ func newBenchEnv(b testing.TB) *benchEnv {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := w.AddGrid("density", g, store.WriteOptions{ErrorBound: eb, ChunkShape: grid.Shape{32, 32, 32}}); err != nil {
+	if err := store.Add(w, "density", g, store.WriteOptions{ErrorBound: eb, ChunkShape: grid.Shape{32, 32, 32}}); err != nil {
 		b.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

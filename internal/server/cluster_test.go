@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -63,7 +65,7 @@ func (n *clusterNode) kill() {
 }
 
 // clusterEnv is the in-process 3-node harness: containers packed into a
-// shared Mem backend (the "shared catalog" deployment — every node can
+// shared Dir backend (the "shared catalog" deployment — every node can
 // open every container; the ring decides who serves what), one dataset
 // per container, and a directly-opened ground-truth store per dataset.
 type clusterEnv struct {
@@ -91,7 +93,11 @@ func newClusterEnv(t testing.TB, numContainers, replication int, mod func(*clust
 		fields: make(map[string]*grid.Grid[float64]),
 		shape:  grid.Shape{16, 16, 16},
 	}
-	mem := backend.NewMem()
+	catDir := t.TempDir()
+	cat, err := backend.NewDir(catDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var refRange float64
 	for k := 0; k < numContainers; k++ {
 		g, err := datagen.GenerateShape(clusterFields[k%len(clusterFields)], env.shape)
@@ -108,17 +114,19 @@ func newClusterEnv(t testing.TB, numContainers, replication int, mod func(*clust
 			t.Fatal(err)
 		}
 		ds := fmt.Sprintf("d%02d", k)
-		if err := w.AddGrid(ds, g, store.WriteOptions{ErrorBound: env.eb, ChunkShape: grid.Shape{8, 8, 8}}); err != nil {
+		if err := store.Add(w, ds, g, store.WriteOptions{ErrorBound: env.eb, ChunkShape: grid.Shape{8, 8, 8}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 		cname := fmt.Sprintf("c%02d.ipcs", k)
-		mem.Add(cname, buf.Bytes())
+		if err := os.WriteFile(filepath.Join(catDir, cname), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		env.containers = append(env.containers, cname)
 		env.datasets = append(env.datasets, ds)
-		truth, err := store.OpenBackend(mem, cname)
+		truth, err := store.OpenBackend(cat, cname)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +153,7 @@ func newClusterEnv(t testing.TB, numContainers, replication int, mod func(*clust
 			mod(srv.cluster)
 		}
 		for _, cname := range env.containers {
-			st, err := store.OpenBackend(mem, cname)
+			st, err := store.OpenBackend(cat, cname)
 			if err != nil {
 				t.Fatal(err)
 			}

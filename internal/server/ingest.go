@@ -126,17 +126,6 @@ func (ing *ingestState) seal() error {
 	return nil
 }
 
-// SealIngest flushes the open epoch now. No-op without ingest.
-func (srv *Server) SealIngest() error {
-	srv.mu.RLock()
-	ing := srv.ingest
-	srv.mu.RUnlock()
-	if ing == nil {
-		return nil
-	}
-	return ing.seal()
-}
-
 // CloseIngest stops the seal ticker and performs a final seal, making
 // every accepted snapshot durable. Safe to call more than once.
 func (srv *Server) CloseIngest() error {

@@ -230,7 +230,7 @@ func newMixedNode(t *testing.T) (*Server, *store.Store, *mixedField, string) {
 		t.Fatal(err)
 	}
 	opt := store.WriteOptions{ErrorBound: f.eb, ChunkShape: grid.Shape{16, 16, 16}, ProgressiveThreshold: 64}
-	if err := w.AddGrid(f.name, g, opt); err != nil {
+	if err := store.Add(w, f.name, g, opt); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/backend"
@@ -166,7 +168,7 @@ func TestEdgeProxyStatsEndpoint(t *testing.T) {
 // contribute the backend's counters to /v1/stats once, not once per
 // container.
 func TestStatsSharedBackendNotDoubleCounted(t *testing.T) {
-	mem := backend.NewMem()
+	dir := t.TempDir()
 	for _, name := range []string{"one.ipcs", "two.ipcs"} {
 		var buf bytes.Buffer
 		w, err := store.NewWriter(&buf)
@@ -177,15 +179,22 @@ func TestStatsSharedBackendNotDoubleCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.AddGrid("d-"+name, g, store.WriteOptions{ErrorBound: 1e-4 * g.ValueRange()}); err != nil {
+		if err := store.Add(w, "d-"+name, g, store.WriteOptions{ErrorBound: 1e-4 * g.ValueRange()}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		mem.Add(name, buf.Bytes())
+		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cb := backend.NewCached(mem, 1<<20)
+	d, err := backend.NewDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cb := backend.NewCached(d, 1<<20)
 	srv := New()
 	for _, name := range []string{"one.ipcs", "two.ipcs"} {
 		st, err := store.OpenBackend(cb, name)

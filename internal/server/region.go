@@ -168,9 +168,9 @@ func (srv *Server) writeRetryAfter(w http.ResponseWriter, msg string) {
 	writeError(w, http.StatusTooManyRequests, msg)
 }
 
-// maxDegradeSteps bounds both degrade ladders: bounds double per step, so
-// 40 steps span a fidelity range of 2^40 — any cached or fitting plan
-// lives well inside it.
+// maxDegradeSteps bounds the planes degrade ladder: bounds double per
+// step, so 40 steps span a fidelity range of 2^40 — any fitting plan lives
+// well inside it.
 const maxDegradeSteps = 40
 
 // serveRaw decodes the region server-side and streams raw values.
@@ -238,7 +238,7 @@ func (srv *Server) serveRaw(w http.ResponseWriter, r *http.Request, ds *dataset,
 	if err != nil {
 		if errors.Is(err, errQueueTimeout) {
 			if srv.adm.opts.Degrade {
-				return srv.degradeRaw(w, ds, name, lo, hi, bound, scalar, forced, sc)
+				return srv.degradeRaw(w, ds, name, lo, hi, scalar, forced, sc)
 			}
 			srv.writeRetryAfter(w, "decode queue is full; retry shortly")
 			return outRejected
@@ -256,34 +256,28 @@ func (srv *Server) serveRaw(w http.ResponseWriter, r *http.Request, ds *dataset,
 }
 
 // degradeRaw is the raw path's graceful degradation: the decode queue is
-// full, so walk looser bounds looking for a fidelity the tile cache can
-// answer without any decode. The first fully-warm bound is served with
-// X-Ipcomp-Degraded: true (its real fidelity is in the Guaranteed-Error
-// header, as always); if nothing is cached the request gets the 429.
-func (srv *Server) degradeRaw(w http.ResponseWriter, ds *dataset, name string, lo, hi []int, bound float64, scalar core.ScalarType, forced bool, sc *reqScratch) int {
-	b := bound
-	if b == 0 {
-		b = ds.info.ErrorBound
+// full, so answer from the tile cache alone. One warm sweep at an infinite
+// bound copies every intersecting tile at whatever fidelity the cache
+// holds, served with X-Ipcomp-Degraded: true (its real fidelity, the worst
+// cached guarantee, is in the Guaranteed-Error header, as always). One
+// uncached intersecting tile is enough for the 429.
+func (srv *Server) degradeRaw(w http.ResponseWriter, ds *dataset, name string, lo, hi []int, scalar core.ScalarType, forced bool, sc *reqScratch) int {
+	reg, err := ds.s.RetrieveRegionOpts(name, lo, hi, math.Inf(1), store.RetrieveOptions{
+		Reuse: sc.reg,
+		Gate:  denyDecode,
+	})
+	if err == nil {
+		sc.reg = reg
+		srv.adm.degraded.Add(1)
+		srv.writeRawRegion(w, reg, scalar, forced, true, sc)
+		return outDegraded
 	}
-	for step := 0; step < maxDegradeSteps; step++ {
-		b *= 2
-		reg, err := ds.s.RetrieveRegionOpts(name, lo, hi, b, store.RetrieveOptions{
-			Reuse: sc.reg,
-			Gate:  denyDecode,
-		})
-		if err == nil {
-			sc.reg = reg
-			srv.adm.degraded.Add(1)
-			srv.writeRawRegion(w, reg, scalar, forced, true, sc)
-			return outDegraded
-		}
-		if !errors.Is(err, errDecodeDenied) {
-			status, msg := boundStatus(err)
-			writeError(w, status, msg)
-			return outError
-		}
+	if !errors.Is(err, errDecodeDenied) {
+		status, msg := boundStatus(err)
+		writeError(w, status, msg)
+		return outError
 	}
-	srv.writeRetryAfter(w, "decode queue is full and no cached fidelity covers the region; retry shortly")
+	srv.writeRetryAfter(w, "decode queue is full and the tile cache does not hold the whole region; retry shortly")
 	return outRejected
 }
 
@@ -390,9 +384,11 @@ func (srv *Server) servePlanes(w http.ResponseWriter, ds *dataset, name string, 
 				fmt.Sprintf("planes response is %d bytes, above the %d-byte request budget", total, max))
 			return outRejected
 		}
-		// Degrade ladder: bounds double until the plan fits. Plan bytes
-		// shrink monotonically as the bound loosens, so the first fitting
-		// bound is the tightest the budget allows (up to ladder granularity).
+		// Degrade ladder: bounds double until the plan fits, so the first
+		// fitting rung is the tightest the ladder holds. Only where plan
+		// bytes shrink monotonically as the bound loosens (one progressive
+		// level per tile; TestPlanBytesMonotoneInBound) is it also the
+		// tightest the budget allows, up to ladder granularity.
 		b := rp.Bound
 		fit := false
 		for step := 0; step < maxDegradeSteps; step++ {

@@ -45,7 +45,7 @@ func newTestEnv(t testing.TB) *testEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddGrid("density", g, store.WriteOptions{ErrorBound: eb, ChunkShape: grid.Shape{16, 16, 16}}); err != nil {
+	if err := store.Add(w, "density", g, store.WriteOptions{ErrorBound: eb, ChunkShape: grid.Shape{16, 16, 16}}); err != nil {
 		t.Fatal(err)
 	}
 	gf32, err := grid.FromSlice(g32, g.Shape())

@@ -157,7 +157,7 @@ func sharedTileCacheProperty[T grid.Scalar](t *testing.T, seed int64) {
 		if firstBy[score] != a || manifests[a].Tiles[i].Score != score {
 			t.Fatalf("tile %d of t%d was first read through t%d, not t%d", i, b, firstBy[score], a)
 		}
-		if err := s.srv.SealIngest(); err != nil {
+		if err := s.srv.ingest.seal(); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Delete(field, a); err != nil {

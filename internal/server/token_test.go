@@ -32,7 +32,7 @@ func FuzzRefineToken(f *testing.F) {
 		f.Fatal(err)
 	}
 	opt := store.WriteOptions{ErrorBound: eb, ChunkShape: grid.Shape{16, 16, 16}, ProgressiveThreshold: 8}
-	if err := w.AddGrid("field", g, opt); err != nil {
+	if err := store.Add(w, "field", g, opt); err != nil {
 		f.Fatal(err)
 	}
 	opt.ErrorBound = 1e-4 * g.ValueRange()

@@ -115,7 +115,7 @@ func TestMixedScalarContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddGrid("wide", g64, WriteOptions{ErrorBound: eb64}); err != nil {
+	if err := Add(w, "wide", g64, WriteOptions{ErrorBound: eb64}); err != nil {
 		t.Fatal(err)
 	}
 	if err := Add(w, "narrow", g32, WriteOptions{ErrorBound: eb32}); err != nil {
@@ -204,7 +204,7 @@ func TestV1ContainerCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddGrid("field", g, WriteOptions{ErrorBound: 1e-4, ChunkShape: grid.Shape{16, 16, 16}}); err != nil {
+	if err := Add(w, "field", g, WriteOptions{ErrorBound: 1e-4, ChunkShape: grid.Shape{16, 16, 16}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -29,7 +29,7 @@ func FuzzOpenContainer(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := w.AddGrid("wide", g, WriteOptions{ErrorBound: eb, ChunkShape: chunk}); err != nil {
+	if err := Add(w, "wide", g, WriteOptions{ErrorBound: eb, ChunkShape: chunk}); err != nil {
 		f.Fatal(err)
 	}
 	if err := Add(w, "thin", testField32(f, grid.Shape{4, 8, 4}), WriteOptions{ErrorBound: 1e-3, ChunkShape: chunk}); err != nil {

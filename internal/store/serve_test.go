@@ -165,7 +165,7 @@ func BenchmarkPlanRegion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := w.AddGrid("pressure", g, WriteOptions{ErrorBound: eb, Interpolation: interp.Cubic,
+	if err := Add(w, "pressure", g, WriteOptions{ErrorBound: eb, Interpolation: interp.Cubic,
 		ChunkShape: grid.Shape{32, 32, 32}}); err != nil {
 		b.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func packOne(t testing.TB, g *grid.Grid[float64], eb float64, chunk grid.Shape) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddGrid("field", g, WriteOptions{ErrorBound: eb, ChunkShape: chunk}); err != nil {
+	if err := Add(w, "field", g, WriteOptions{ErrorBound: eb, ChunkShape: chunk}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -245,7 +245,7 @@ func TestRegionCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddGrid("field", g, WriteOptions{
+	if err := Add(w, "field", g, WriteOptions{
 		ErrorBound: eb, ChunkShape: grid.Shape{16, 16, 16}, ProgressiveThreshold: 128,
 	}); err != nil {
 		t.Fatal(err)
@@ -357,13 +357,13 @@ func TestMultiDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddGrid("density", a, WriteOptions{ErrorBound: ebA, ChunkShape: grid.Shape{16, 16, 16}}); err != nil {
+	if err := Add(w, "density", a, WriteOptions{ErrorBound: ebA, ChunkShape: grid.Shape{16, 16, 16}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddGrid("wave", b, WriteOptions{ErrorBound: ebB, ChunkShape: grid.Shape{8, 8}}); err != nil {
+	if err := Add(w, "wave", b, WriteOptions{ErrorBound: ebB, ChunkShape: grid.Shape{8, 8}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AddGrid("density", a, WriteOptions{ErrorBound: ebA}); err == nil {
+	if err := Add(w, "density", a, WriteOptions{ErrorBound: ebA}); err == nil {
 		t.Fatal("duplicate dataset name accepted")
 	}
 	if err := w.Close(); err != nil {

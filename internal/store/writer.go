@@ -52,12 +52,6 @@ func (w *Writer) write(p []byte) error {
 	return err
 }
 
-// AddGrid is the float64 form of the generic Add function, kept as a
-// method for existing callers.
-func (w *Writer) AddGrid(name string, g *grid.Grid[float64], opt WriteOptions) error {
-	return Add(w, name, g, opt)
-}
-
 // Add tiles the grid, compresses every tile as an independent IPComp
 // archive on a worker pool, and appends the blobs to the container. The
 // compression work fans out across all cores; the writes land sequentially

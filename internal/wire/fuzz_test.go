@@ -54,7 +54,7 @@ var realPlanesResponse = sync.OnceValues(func() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := w.AddGrid("d", g, store.WriteOptions{
+	if err := store.Add(w, "d", g, store.WriteOptions{
 		ErrorBound: 1e-4 * g.ValueRange(), ChunkShape: grid.Shape{16, 16, 16},
 	}); err != nil {
 		return nil, err
