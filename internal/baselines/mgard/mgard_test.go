@@ -2,7 +2,9 @@ package mgard
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -267,4 +269,20 @@ func unmarshal(blob []byte) (*Archive, error) {
 		}
 	}
 	return a, nil
+}
+
+// TestMarshalBytesPinned pins the bytes Marshal writes for a fixed field
+// whose spike takes the outlier path.
+func TestMarshalBytesPinned(t *testing.T) {
+	const want = "20e2a6f2e45dd6bb5cf81600611a478892d7861500e869ba2d2a25f1a5fc25b2"
+	g := field(grid.Shape{17, 19, 23})
+	g.Data()[50] = 1e16
+	a, err := CompressProgressive(g, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(a.Marshal())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("archive digest drifted:\n got  %s\n want %s", got, want)
+	}
 }

@@ -1,6 +1,8 @@
 package sperr
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -121,5 +123,21 @@ func TestSmoothDataHasFewOutliers(t *testing.T) {
 	}
 	if len(blob) > g.Len()*8/2 {
 		t.Errorf("sperr blob %d bytes vs raw %d — outlier storm?", len(blob), g.Len()*8)
+	}
+}
+
+// TestCompressBytesPinned pins the blob Compress writes for a fixed field
+// whose spike escapes the coefficient quantizer.
+func TestCompressBytesPinned(t *testing.T) {
+	const want = "f2353d491a62ce8bd7675aca0f11058478459d22edfaf8fe38d771295d971560"
+	g := field(grid.Shape{18, 20, 22})
+	g.Data()[100] = 1e17
+	blob, err := New().Compress(g, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("blob digest drifted:\n got  %s\n want %s", got, want)
 	}
 }

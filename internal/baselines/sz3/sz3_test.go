@@ -1,6 +1,8 @@
 package sz3
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -118,5 +120,21 @@ func TestSpikeOutlier(t *testing.T) {
 		if d := math.Abs(g.Data()[i] - rec.Data()[i]); d > eb {
 			t.Fatalf("error %g at %d", d, i)
 		}
+	}
+}
+
+// TestCompressBytesPinned pins the blob Compress writes for a fixed field
+// whose spike takes the outlier path.
+func TestCompressBytesPinned(t *testing.T) {
+	const want = "f00f8ce8e45149eb78c9cd363108832e8c3fa30199892fdadf0d86ac37f84a58"
+	g := wave2D(grid.Shape{33, 29})
+	g.Data()[100] = 1e17
+	blob, err := New().Compress(g, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("blob digest drifted:\n got  %s\n want %s", got, want)
 	}
 }

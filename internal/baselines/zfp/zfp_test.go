@@ -1,6 +1,8 @@
 package zfp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -178,5 +180,26 @@ func TestZeroBlocks(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("element %d = %v", i, v)
 		}
+	}
+}
+
+// TestCompressBytesPinned pins the blob Compress writes for a fixed random
+// walk whose extents leave partial blocks.
+func TestCompressBytesPinned(t *testing.T) {
+	const want = "768fa5652142540323ba1ccc3eaa0283b8d521cbcac9b0d3a0ed3633ee42f1df"
+	g := grid.MustNew[float64](grid.Shape{9, 6, 7})
+	r := rand.New(rand.NewSource(3))
+	prev := 0.0
+	for i := range g.Data() {
+		prev += r.NormFloat64() * 0.1
+		g.Data()[i] = prev
+	}
+	blob, err := New().Compress(g, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("blob digest drifted:\n got  %s\n want %s", got, want)
 	}
 }

@@ -108,3 +108,19 @@ func FuzzRefineToken(f *testing.F) {
 		}
 	})
 }
+
+// TestTokenBytesPinned pins the text token.encode produces at rank 1 and
+// rank 4.
+func TestTokenBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		tok  token
+		want string
+	}{
+		{token{dataset: "field", lo: []int{3}, hi: []int{1 << 20}, bound: 1e-3}, "AQEFAGZpZWxkAwAAAAAAEAD8qfHSTWJQPw"},
+		{token{dataset: "density@t2", lo: []int{0, 16, 32, 48}, hi: []int{64, 80, 96, 112}, bound: 2.5e-7}, "AQQKAGRlbnNpdHlAdDIAAAAAEAAAACAAAAAwAAAAQAAAAFAAAABgAAAAcAAAAI3ttaD3xpA-"},
+	} {
+		if got := tc.tok.encode(); got != tc.want {
+			t.Errorf("rank-%d token drifted:\n got  %s\n want %s", len(tc.tok.lo), got, tc.want)
+		}
+	}
+}
