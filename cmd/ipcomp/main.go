@@ -35,13 +35,13 @@
 package main
 
 import (
-	"encoding/binary"
+	"bytes"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/datagen"
 	"repro/internal/grid"
@@ -140,44 +140,29 @@ func readRaw(path string, width int) ([]byte, error) {
 	return raw, nil
 }
 
-func readFloats(path string) ([]float64, error) {
-	raw, err := readRaw(path, 8)
+// readFloats loads a raw little-endian array file of T.
+func readFloats[T grid.Scalar](path string) ([]T, error) {
+	width := int(unsafe.Sizeof(T(0)))
+	raw, err := readRaw(path, width)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(raw)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return out, nil
+	out := make([]T, len(raw)/width)
+	_, err = grid.ReadLE(bytes.NewReader(raw), out)
+	return out, err
 }
 
-func readFloats32(path string) ([]float32, error) {
-	raw, err := readRaw(path, 4)
+// writeFloats writes data to a raw little-endian array file.
+func writeFloats[T grid.Scalar](path string, data []T) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]float32, len(raw)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
+	if _, err := grid.WriteLE(f, data); err != nil {
+		f.Close()
+		return err
 	}
-	return out, nil
-}
-
-func writeFloats(path string, data []float64) error {
-	raw := make([]byte, len(data)*8)
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
-	}
-	return os.WriteFile(path, raw, 0o644)
-}
-
-func writeFloats32(path string, data []float32) error {
-	raw := make([]byte, len(data)*4)
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(v))
-	}
-	return os.WriteFile(path, raw, 0o644)
+	return f.Close()
 }
 
 // floatSource is the accessor pair shared by *ipcomp.Result and
@@ -191,7 +176,7 @@ type floatSource interface {
 // requested element width — the single output path of every read command.
 func writeAtWidth(path string, src floatSource, dtype ipcomp.ScalarType) error {
 	if dtype == ipcomp.Float32 {
-		return writeFloats32(path, src.DataFloat32())
+		return writeFloats(path, src.DataFloat32())
 	}
 	return writeFloats(path, src.Data())
 }
@@ -232,7 +217,7 @@ func cmdCompress(args []string) error {
 	var blob []byte
 	var n, rawBytes int
 	if dtype == ipcomp.Float32 {
-		data, err := readFloats32(*in)
+		data, err := readFloats[float32](*in)
 		if err != nil {
 			return err
 		}
@@ -242,7 +227,7 @@ func cmdCompress(args []string) error {
 			return err
 		}
 	} else {
-		data, err := readFloats(*in)
+		data, err := readFloats[float64](*in)
 		if err != nil {
 			return err
 		}

@@ -39,14 +39,14 @@ func TestFloatFileRoundTrip(t *testing.T) {
 	if err := writeFloats(p64, w64); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFloats32(p32, w32); err != nil {
+	if err := writeFloats(p32, w32); err != nil {
 		t.Fatal(err)
 	}
-	r64, err := readFloats(p64)
+	r64, err := readFloats[float64](p64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r32, err := readFloats32(p32)
+	r32, err := readFloats[float32](p32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFloatFileRoundTrip(t *testing.T) {
 	}
 	// A float32 file misread at the wrong width must fail loudly, not
 	// decode garbage: 5 elements * 4 bytes = 20 bytes, not divisible by 8.
-	if _, err := readFloats(p32); err == nil {
+	if _, err := readFloats[float64](p32); err == nil {
 		t.Error("reading a 20-byte f32 file as f64 should error")
 	}
 }

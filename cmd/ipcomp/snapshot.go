@@ -126,7 +126,7 @@ func cmdSnapshotPut(args []string) error {
 	var m *cas.Manifest
 	var st cas.PutStats
 	if scalar == scalarF32 {
-		data, err := readFloats32(fs.Arg(0))
+		data, err := readFloats[float32](fs.Arg(0))
 		if err != nil {
 			return err
 		}
@@ -135,7 +135,7 @@ func cmdSnapshotPut(args []string) error {
 			return err
 		}
 	} else {
-		data, err := readFloats(fs.Arg(0))
+		data, err := readFloats[float64](fs.Arg(0))
 		if err != nil {
 			return err
 		}

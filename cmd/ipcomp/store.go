@@ -137,7 +137,7 @@ func cmdStorePack(args []string) error {
 		}
 		var n int
 		if dtype == ipcomp.Float32 {
-			data, err := readFloats32(path)
+			data, err := readFloats[float32](path)
 			if err != nil {
 				return err
 			}
@@ -146,7 +146,7 @@ func cmdStorePack(args []string) error {
 			}
 			n = len(data)
 		} else {
-			data, err := readFloats(path)
+			data, err := readFloats[float64](path)
 			if err != nil {
 				return err
 			}

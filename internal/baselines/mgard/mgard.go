@@ -15,7 +15,6 @@
 package mgard
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -25,6 +24,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/interp"
+	"repro/internal/le"
 	"repro/internal/nb"
 	"repro/internal/quant"
 )
@@ -260,38 +260,36 @@ func (a *Archive) headerSize() int64 {
 
 // Marshal serializes the archive.
 func (a *Archive) Marshal() []byte {
-	var buf bytes.Buffer
-	w := func(v interface{}) { binary.Write(&buf, binary.LittleEndian, v) }
-	w(uint32(magic))
-	w(uint8(len(a.Shape)))
+	b := binary.LittleEndian.AppendUint32(nil, magic)
+	b = append(b, uint8(len(a.Shape)))
 	for _, d := range a.Shape {
-		w(uint32(d))
+		b = binary.LittleEndian.AppendUint32(b, uint32(d))
 	}
-	w(a.EB)
-	w(uint8(a.Levels))
-	w(uint32(len(a.Anchors)))
+	b = le.AppendF64(b, a.EB)
+	b = append(b, uint8(a.Levels))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(a.Anchors)))
 	for _, v := range a.Anchors {
-		w(v)
+		b = le.AppendF64(b, v)
 	}
 	for li := 0; li < a.Levels; li++ {
-		w(uint32(a.Counts[li]))
-		w(uint8(a.UsedPlanes[li]))
+		b = binary.LittleEndian.AppendUint32(b, uint32(a.Counts[li]))
+		b = append(b, uint8(a.UsedPlanes[li]))
 		for _, d := range a.MaxDrop[li] {
-			w(d)
+			b = binary.LittleEndian.AppendUint32(b, d)
 		}
-		for _, b := range a.Blocks[li] {
-			w(uint32(len(b)))
+		for _, blk := range a.Blocks[li] {
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(blk)))
 		}
-		w(uint32(len(a.OutIdx[li])))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(a.OutIdx[li])))
 		for i := range a.OutIdx[li] {
-			w(a.OutIdx[li][i])
-			w(a.OutVal[li][i])
+			b = binary.LittleEndian.AppendUint32(b, a.OutIdx[li][i])
+			b = le.AppendF64(b, a.OutVal[li][i])
 		}
 	}
 	for li := 0; li < a.Levels; li++ {
-		for _, b := range a.Blocks[li] {
-			buf.Write(b)
+		for _, blk := range a.Blocks[li] {
+			b = append(b, blk...)
 		}
 	}
-	return buf.Bytes()
+	return b
 }

@@ -13,16 +13,16 @@
 package sperr
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/baselines/huffman"
 	"repro/internal/baselines/wavelet"
 	"repro/internal/codec"
 	"repro/internal/grid"
+	"repro/internal/le"
 	"repro/internal/quant"
 )
 
@@ -89,81 +89,60 @@ func (c *Codec) Compress(g *grid.Grid[float64], eb float64) ([]byte, error) {
 	huff := huffman.Encode(ks)
 	payload := codec.EncodeBlock(huff)
 
-	var buf bytes.Buffer
-	w := func(v interface{}) { binary.Write(&buf, binary.LittleEndian, v) }
-	w(uint32(magic))
-	w(eb)
-	w(uint8(levels))
-	w(uint32(len(wOutIdx)))
-	for i := range wOutIdx {
-		w(wOutIdx[i])
-		w(wOutVal[i])
+	b := binary.LittleEndian.AppendUint32(nil, magic)
+	b = le.AppendF64(b, eb)
+	b = append(b, uint8(levels))
+	b = appendOutliers(b, wOutIdx, wOutVal)
+	b = appendOutliers(b, oIdx, oVal)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(huff)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	return append(b, payload...), nil
+}
+
+// appendOutliers appends a count, then each (index u32, value f64) pair.
+func appendOutliers(b []byte, idx []uint32, val []float64) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(idx)))
+	for i := range idx {
+		b = binary.LittleEndian.AppendUint32(b, idx[i])
+		b = le.AppendF64(b, val[i])
 	}
-	w(uint32(len(oIdx)))
-	for i := range oIdx {
-		w(oIdx[i])
-		w(oVal[i])
+	return b
+}
+
+var errTruncated = errors.New("sperr: truncated blob")
+
+// readOutliers reads what appendOutliers wrote.
+func readOutliers(r *le.Reader) ([]uint32, []float64, error) {
+	n := int(r.U32())
+	if !r.Fits(n, 4+8) {
+		return nil, nil, errTruncated
 	}
-	w(uint32(len(huff)))
-	w(uint32(len(payload)))
-	buf.Write(payload)
-	return buf.Bytes(), nil
+	idx, val := make([]uint32, n), make([]float64, n)
+	for i := range idx {
+		idx[i], val[i] = r.U32(), r.F64()
+	}
+	return idx, val, nil
 }
 
 // Decompress implements lossy.Codec.
 func (c *Codec) Decompress(blob []byte, shape grid.Shape) (*grid.Grid[float64], error) {
-	r := bytes.NewReader(blob)
-	rd := func(v interface{}) error { return binary.Read(r, binary.LittleEndian, v) }
-	var m uint32
-	if err := rd(&m); err != nil || m != magic {
+	r := le.NewReader(blob, errTruncated)
+	if m := r.U32(); r.Err != nil || m != magic {
 		return nil, fmt.Errorf("sperr: bad magic")
 	}
-	var eb float64
-	if err := rd(&eb); err != nil {
+	eb, levels := r.F64(), r.U8()
+	wOutIdx, wOutVal, err := readOutliers(r)
+	if err != nil {
 		return nil, err
 	}
-	var levels uint8
-	if err := rd(&levels); err != nil {
+	oIdx, oVal, err := readOutliers(r)
+	if err != nil {
 		return nil, err
 	}
-	var nw uint32
-	if err := rd(&nw); err != nil {
-		return nil, err
-	}
-	wOutIdx := make([]uint32, nw)
-	wOutVal := make([]float64, nw)
-	for i := range wOutIdx {
-		if err := rd(&wOutIdx[i]); err != nil {
-			return nil, err
-		}
-		if err := rd(&wOutVal[i]); err != nil {
-			return nil, err
-		}
-	}
-	var no uint32
-	if err := rd(&no); err != nil {
-		return nil, err
-	}
-	oIdx := make([]uint32, no)
-	oVal := make([]float64, no)
-	for i := range oIdx {
-		if err := rd(&oIdx[i]); err != nil {
-			return nil, err
-		}
-		if err := rd(&oVal[i]); err != nil {
-			return nil, err
-		}
-	}
-	var huffLen, payLen uint32
-	if err := rd(&huffLen); err != nil {
-		return nil, err
-	}
-	if err := rd(&payLen); err != nil {
-		return nil, err
-	}
-	payload := make([]byte, payLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	huffLen := r.U32()
+	payload := r.Bytes(int(r.U32()))
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	huff, err := codec.DecodeBlock(payload, int(huffLen))
 	if err != nil {

@@ -11,10 +11,9 @@
 package sz3
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/baselines/huffman"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/interp"
+	"repro/internal/le"
 	"repro/internal/quant"
 )
 
@@ -82,76 +82,53 @@ func (c *Codec) Compress(g *grid.Grid[float64], eb float64) ([]byte, error) {
 	huff := huffman.Encode(ks)
 	payload := codec.EncodeBlock(huff) // DEFLATE after Huffman, as SZ3+zstd
 
-	var buf bytes.Buffer
-	w := func(v interface{}) { binary.Write(&buf, binary.LittleEndian, v) }
-	w(uint32(magic))
-	w(uint8(c.Kind))
-	w(eb)
-	w(uint32(len(anchorVals)))
+	b := binary.LittleEndian.AppendUint32(nil, magic)
+	b = append(b, uint8(c.Kind))
+	b = le.AppendF64(b, eb)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(anchorVals)))
 	for _, a := range anchorVals {
-		w(a)
+		b = le.AppendF64(b, a)
 	}
-	w(uint32(len(outIdx)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(outIdx)))
 	for i := range outIdx {
-		w(outIdx[i])
-		w(outVal[i])
+		b = binary.LittleEndian.AppendUint32(b, outIdx[i])
+		b = le.AppendF64(b, outVal[i])
 	}
-	w(uint32(len(huff)))
-	w(uint32(len(payload)))
-	buf.Write(payload)
-	return buf.Bytes(), nil
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(huff)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	return append(b, payload...), nil
 }
+
+var errTruncated = errors.New("sz3: truncated blob")
 
 // Decompress implements lossy.Codec.
 func (c *Codec) Decompress(blob []byte, shape grid.Shape) (*grid.Grid[float64], error) {
-	r := bytes.NewReader(blob)
-	rd := func(v interface{}) error { return binary.Read(r, binary.LittleEndian, v) }
-	var m uint32
-	if err := rd(&m); err != nil || m != magic {
+	r := le.NewReader(blob, errTruncated)
+	if m := r.U32(); r.Err != nil || m != magic {
 		return nil, fmt.Errorf("sz3: bad magic")
 	}
-	var kind uint8
-	if err := rd(&kind); err != nil {
-		return nil, err
-	}
-	var eb float64
-	if err := rd(&eb); err != nil {
-		return nil, err
-	}
-	var nAnchor uint32
-	if err := rd(&nAnchor); err != nil {
-		return nil, err
+	kind, eb := r.U8(), r.F64()
+	nAnchor := int(r.U32())
+	if !r.Fits(nAnchor, 8) {
+		return nil, errTruncated
 	}
 	anchorVals := make([]float64, nAnchor)
 	for i := range anchorVals {
-		if err := rd(&anchorVals[i]); err != nil {
-			return nil, err
-		}
+		anchorVals[i] = r.F64()
 	}
-	var nOut uint32
-	if err := rd(&nOut); err != nil {
-		return nil, err
+	nOut := int(r.U32())
+	if !r.Fits(nOut, 4+8) {
+		return nil, errTruncated
 	}
 	outIdx := make([]uint32, nOut)
 	outVal := make([]float64, nOut)
 	for i := range outIdx {
-		if err := rd(&outIdx[i]); err != nil {
-			return nil, err
-		}
-		if err := rd(&outVal[i]); err != nil {
-			return nil, err
-		}
+		outIdx[i], outVal[i] = r.U32(), r.F64()
 	}
-	var huffLen, payLen uint32
-	if err := rd(&huffLen); err != nil {
-		return nil, err
-	}
-	if err := rd(&payLen); err != nil {
-		return nil, err
-	}
-	payload := make([]byte, payLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("sz3: truncated payload: %w", err)
+	huffLen := r.U32()
+	payload := r.Bytes(int(r.U32()))
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	huff, err := codec.DecodeBlock(payload, int(huffLen))
 	if err != nil {

@@ -17,12 +17,14 @@ package zfp
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/codec"
 	"repro/internal/grid"
+	"repro/internal/le"
 	"repro/internal/nb"
 )
 
@@ -127,14 +129,11 @@ func (c *Codec) Compress(g *grid.Grid[float64], eb float64) ([]byte, error) {
 
 	payload := codec.EncodeBlock(body.Bytes())
 
-	var out bytes.Buffer
-	w := func(v interface{}) { binary.Write(&out, binary.LittleEndian, v) }
-	w(uint32(magic))
-	w(eb)
-	w(uint32(body.Len()))
-	w(uint32(len(payload)))
-	out.Write(payload)
-	return out.Bytes(), nil
+	b := binary.LittleEndian.AppendUint32(nil, magic)
+	b = le.AppendF64(b, eb)
+	b = binary.LittleEndian.AppendUint32(b, uint32(body.Len()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	return append(b, payload...), nil
 }
 
 // Exponent encoding: biased so ordinary exponents never collide with the
@@ -145,28 +144,19 @@ const (
 	rawBlockMarker  = 60001
 )
 
+var errTruncated = errors.New("zfp: truncated blob")
+
 // Decompress implements lossy.Codec.
 func (c *Codec) Decompress(blob []byte, shape grid.Shape) (*grid.Grid[float64], error) {
-	r := bytes.NewReader(blob)
-	rd := func(v interface{}) error { return binary.Read(r, binary.LittleEndian, v) }
-	var m uint32
-	if err := rd(&m); err != nil || m != magic {
+	r := le.NewReader(blob, errTruncated)
+	if m := r.U32(); r.Err != nil || m != magic {
 		return nil, fmt.Errorf("zfp: bad magic")
 	}
-	var eb float64
-	if err := rd(&eb); err != nil {
-		return nil, err
-	}
-	var bodyLen, payLen uint32
-	if err := rd(&bodyLen); err != nil {
-		return nil, err
-	}
-	if err := rd(&payLen); err != nil {
-		return nil, err
-	}
-	payload := make([]byte, payLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	r.F64() // the error bound: decoding does not need it
+	bodyLen := r.U32()
+	payload := r.Bytes(int(r.U32()))
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	bodyBytes, err := codec.DecodeBlock(payload, int(bodyLen))
 	if err != nil {

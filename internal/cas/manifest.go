@@ -1,16 +1,16 @@
 package cas
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math"
 	"regexp"
 	"strconv"
 	"strings"
+
+	"repro/internal/le"
 )
 
 // Score is a blob's content address: the SHA-256 of its bytes.
@@ -166,56 +166,24 @@ func EncodeManifest(m *Manifest) ([]byte, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.WriteString(manifestMagic)
-	buf.WriteByte(manifestVersion)
-	buf.WriteByte(uint8(len(m.Shape)))
-	buf.WriteByte(m.Scalar)
-	buf.WriteByte(0)
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(m.Field)))
-	buf.Write(u16[:])
-	buf.WriteString(m.Field)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(m.T))
-	buf.Write(u32[:])
+	b := append([]byte(manifestMagic), manifestVersion, uint8(len(m.Shape)), m.Scalar, 0)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(m.Field)))
+	b = append(b, m.Field...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.T))
 	for _, e := range m.Shape {
-		binary.LittleEndian.PutUint32(u32[:], uint32(e))
-		buf.Write(u32[:])
+		b = binary.LittleEndian.AppendUint32(b, uint32(e))
 	}
 	for _, e := range m.Chunk {
-		binary.LittleEndian.PutUint32(u32[:], uint32(e))
-		buf.Write(u32[:])
+		b = binary.LittleEndian.AppendUint32(b, uint32(e))
 	}
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], math.Float64bits(m.ErrorBound))
-	buf.Write(u64[:])
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(m.Tiles)))
-	buf.Write(u32[:])
+	b = le.AppendF64(b, m.ErrorBound)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Tiles)))
 	for i := range m.Tiles {
-		buf.Write(m.Tiles[i].Score[:])
-		binary.LittleEndian.PutUint64(u64[:], uint64(m.Tiles[i].Size))
-		buf.Write(u64[:])
+		b = append(b, m.Tiles[i].Score[:]...)
+		b = binary.LittleEndian.AppendUint64(b, uint64(m.Tiles[i].Size))
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	buf.Write(sum[:])
-	return buf.Bytes(), nil
-}
-
-// manifestReader is a bounds-checked cursor; every read fails cleanly past
-// the end instead of panicking — the fuzz contract.
-type manifestReader struct {
-	b   []byte
-	pos int
-}
-
-func (r *manifestReader) take(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.b) || r.pos+n < r.pos {
-		return nil, errManifestCorrupt
-	}
-	out := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return out, nil
+	sum := sha256.Sum256(b)
+	return append(b, sum[:]...), nil
 }
 
 // DecodeManifest parses and verifies a manifest. It never panics on
@@ -230,82 +198,43 @@ func DecodeManifest(raw []byte) (*Manifest, error) {
 	if sha256.Sum256(body) != Score(sum) {
 		return nil, fmt.Errorf("cas: manifest checksum mismatch")
 	}
-	r := &manifestReader{b: body}
-	head, err := r.take(len(manifestMagic) + 4)
-	if err != nil {
-		return nil, err
+	r := le.NewReader(body, errManifestCorrupt)
+	magic, version, rank, scalar, _ := r.Bytes(len(manifestMagic)), r.U8(), int(r.U8()), r.U8(), r.U8()
+	if string(magic) != manifestMagic {
+		return nil, fmt.Errorf("cas: bad manifest magic %q", magic)
 	}
-	if string(head[:len(manifestMagic)]) != manifestMagic {
-		return nil, fmt.Errorf("cas: bad manifest magic %q", head[:len(manifestMagic)])
+	if version != manifestVersion {
+		return nil, fmt.Errorf("cas: unsupported manifest version %d", version)
 	}
-	if head[4] != manifestVersion {
-		return nil, fmt.Errorf("cas: unsupported manifest version %d", head[4])
-	}
-	rank := int(head[5])
 	if rank == 0 || rank > maxManifestRank {
 		return nil, fmt.Errorf("cas: manifest rank %d out of range", rank)
 	}
-	m := &Manifest{Scalar: head[6]}
-	lb, err := r.take(2)
-	if err != nil {
-		return nil, err
+	m := &Manifest{Scalar: scalar, Shape: make([]int, rank), Chunk: make([]int, rank)}
+	m.Field = string(r.Bytes(int(r.U16())))
+	m.T = int(r.U32())
+	for d := range m.Shape {
+		m.Shape[d] = int(r.U32())
 	}
-	fb, err := r.take(int(binary.LittleEndian.Uint16(lb)))
-	if err != nil {
-		return nil, err
+	for d := range m.Chunk {
+		m.Chunk[d] = int(r.U32())
 	}
-	m.Field = string(fb)
-	tb, err := r.take(4)
-	if err != nil {
-		return nil, err
-	}
-	m.T = int(binary.LittleEndian.Uint32(tb))
-	m.Shape = make([]int, rank)
-	m.Chunk = make([]int, rank)
-	for d := 0; d < rank; d++ {
-		eb, err := r.take(4)
-		if err != nil {
-			return nil, err
-		}
-		m.Shape[d] = int(binary.LittleEndian.Uint32(eb))
-	}
-	for d := 0; d < rank; d++ {
-		eb, err := r.take(4)
-		if err != nil {
-			return nil, err
-		}
-		m.Chunk[d] = int(binary.LittleEndian.Uint32(eb))
-	}
-	ebb, err := r.take(8)
-	if err != nil {
-		return nil, err
-	}
-	m.ErrorBound = math.Float64frombits(binary.LittleEndian.Uint64(ebb))
-	nb, err := r.take(4)
-	if err != nil {
-		return nil, err
-	}
-	ntiles := binary.LittleEndian.Uint32(nb)
+	m.ErrorBound = r.F64()
 	// Bound the allocation by the bytes that could encode that many tiles:
 	// a corrupt count must not OOM the reader.
-	if int64(ntiles) > int64(len(body)-r.pos)/tileRefSize {
+	ntiles := int(r.U32())
+	if !r.Fits(ntiles, tileRefSize) {
 		return nil, errManifestCorrupt
 	}
 	m.Tiles = make([]TileRef, ntiles)
 	for i := range m.Tiles {
-		sb, err := r.take(sha256.Size)
-		if err != nil {
-			return nil, err
-		}
-		copy(m.Tiles[i].Score[:], sb)
-		zb, err := r.take(8)
-		if err != nil {
-			return nil, err
-		}
-		m.Tiles[i].Size = int64(binary.LittleEndian.Uint64(zb))
+		copy(m.Tiles[i].Score[:], r.Bytes(sha256.Size))
+		m.Tiles[i].Size = int64(r.U64())
 	}
-	if r.pos != len(body) {
-		return nil, fmt.Errorf("cas: %d trailing bytes after manifest", len(body)-r.pos)
+	if r.Err != nil {
+		return nil, r.Err
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("cas: %d trailing bytes after manifest", r.Len())
 	}
 	if err := m.validate(); err != nil {
 		return nil, err

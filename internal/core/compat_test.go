@@ -2,8 +2,10 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -102,5 +104,32 @@ func TestV2RejectsNegativeMaxAbs(t *testing.T) {
 	bad[off] |= 0x80
 	if _, err := NewArchive(bad); err == nil {
 		t.Fatal("v2 archive with negative maxAbs accepted")
+	}
+}
+
+// TestHeaderRejectsTrailingBytes: a header whose length prefix claims
+// bytes its fields do not use is refused, like a container index or a
+// manifest with trailing bytes, in every format version.
+func TestHeaderRejectsTrailingBytes(t *testing.T) {
+	v2, err := Compress(grid.Narrow(goldenField(t, grid.Shape{17, 19, 23})), Options{ErrorBound: 1e-3, Interpolation: interp.Cubic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := map[string][]byte{"v2": v2}
+	for name, path := range map[string]string{"v1": "testdata/v1_3d_cubic.ipc", "v3": v3Fixture} {
+		if blobs[name], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, blob := range blobs {
+		hlen := binary.LittleEndian.Uint64(blob)
+		bad := append([]byte(nil), blob[:8+hlen]...)
+		bad = append(bad, 1, 2, 3, 4, 5)
+		bad = append(bad, blob[8+hlen:]...)
+		binary.LittleEndian.PutUint64(bad, hlen+5)
+		_, err := NewArchive(bad)
+		if err == nil || !strings.Contains(err.Error(), "5 trailing bytes after archive header") {
+			t.Errorf("%s header with 5 trailing bytes: err = %v", name, err)
+		}
 	}
 }

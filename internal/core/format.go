@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/interp"
+	"repro/internal/le"
 )
 
 // Magic identifies IPComp archives ("IPC1" little-endian).
@@ -184,285 +184,174 @@ func (h *header) totalSize() int64 {
 }
 
 func (h *header) marshal() []byte {
-	var buf bytes.Buffer
-	w := func(v interface{}) { binary.Write(&buf, binary.LittleEndian, v) }
-	// Lossless values (anchors, outliers) are stored at the archive's
-	// native width: float32 archives lose nothing by storing 4 bytes.
-	wval := func(v float64) {
-		if h.scalar == Float32 {
-			w(float32(v))
-		} else {
-			w(v)
-		}
-	}
 	version := uint8(Version1)
 	if h.scalar != Float64 {
 		version = Version
 	}
 	h.version = version
-	w(uint32(Magic))
-	w(version)
-	w(uint8(h.kind))
-	w(uint8(len(h.shape)))
-	w(uint8(h.scalar)) // v1's reserved byte: Float64 is 0, so v1 bytes match
+	// Lossless values (anchors, outliers) are stored at the archive's
+	// native width: float32 archives lose nothing by storing 4 bytes.
+	val := func(b []byte, v float64) []byte {
+		if h.scalar == Float32 {
+			return le.AppendF32(b, float32(v))
+		}
+		return le.AppendF64(b, v)
+	}
+	// The header is prefixed with its own length so readers know where
+	// blocks start: 8-byte little-endian length, then the payload.
+	b := binary.LittleEndian.AppendUint32(make([]byte, 8, 64), Magic)
+	// v1's reserved byte is the scalar type: Float64 is 0, so v1 bytes match.
+	b = append(b, version, uint8(h.kind), uint8(len(h.shape)), uint8(h.scalar))
 	for _, d := range h.shape {
-		w(uint32(d))
+		b = binary.LittleEndian.AppendUint32(b, uint32(d))
 	}
-	w(h.eb)
+	b = le.AppendF64(b, h.eb)
 	if version >= Version {
-		wval(h.maxAbs) // v2 only: keeps v1 bytes identical
+		b = val(b, h.maxAbs) // v2 only: keeps v1 bytes identical
 	}
-	w(uint8(h.levels))
-	w(uint8(h.prog))
-	w(uint32(len(h.anchors)))
+	b = append(b, uint8(h.levels), uint8(h.prog))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(h.anchors)))
 	for _, a := range h.anchors {
-		wval(a)
+		b = val(b, a)
 	}
 	for l := 1; l <= h.levels; l++ {
 		m := h.metaOf(l)
-		w(uint32(m.count))
-		w(uint32(len(m.outlierIdx)))
+		b = binary.LittleEndian.AppendUint32(b, uint32(m.count))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(m.outlierIdx)))
 		for i := range m.outlierIdx {
-			w(m.outlierIdx[i])
-			wval(m.outlierVal[i])
+			b = binary.LittleEndian.AppendUint32(b, m.outlierIdx[i])
+			b = val(b, m.outlierVal[i])
 		}
-		w(uint8(m.usedPlanes))
+		b = append(b, uint8(m.usedPlanes))
 		for _, s := range m.blockSizes {
-			w(s)
+			b = binary.LittleEndian.AppendUint32(b, s)
 		}
 		for _, d := range m.maxDrop {
-			w(d)
+			b = binary.LittleEndian.AppendUint32(b, d)
 		}
 	}
-	// Prefix the header with its own length so readers know where blocks
-	// start: 8-byte little-endian length, then the payload above.
-	out := make([]byte, 8+buf.Len())
-	binary.LittleEndian.PutUint64(out, uint64(buf.Len()))
-	copy(out[8:], buf.Bytes())
-	return out
+	binary.LittleEndian.PutUint64(b, uint64(len(b)-8))
+	return b
 }
 
 var errTruncated = errors.New("core: truncated archive header")
 
-type reader struct {
-	b   []byte
-	pos int
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if r.pos+n > len(r.b) {
-		return nil, errTruncated
-	}
-	out := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return out, nil
-}
-
-// holds reports whether the unread part of the header is long enough for
-// n entries of the given size. A count is believed only then: it sizes an
-// allocation, and the header may be forged.
-func (r *reader) holds(n uint32, size int) bool {
-	return uint64(n)*uint64(size) <= uint64(len(r.b)-r.pos)
-}
-
-func (r *reader) u8() (uint8, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *reader) f64() (float64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
-}
-
-// val reads one lossless value at the archive's native width, widened to
-// float64 (exact for both scalar types).
-func (r *reader) val(s ScalarType) (float64, error) {
-	if s == Float32 {
-		b, err := r.bytes(4)
-		if err != nil {
-			return 0, err
-		}
-		return float64(math.Float32frombits(binary.LittleEndian.Uint32(b))), nil
-	}
-	return r.f64()
-}
-
-// unmarshalHeader parses a serialized header (including the length prefix).
-func unmarshalHeader(raw []byte) (*header, error) {
-	if len(raw) < 8 {
-		return nil, errTruncated
-	}
-	payloadLen := binary.LittleEndian.Uint64(raw)
-	if uint64(len(raw)-8) < payloadLen {
-		return nil, errTruncated
-	}
-	r := &reader{b: raw[8 : 8+payloadLen]}
-	magic, err := r.u32()
-	if err != nil {
-		return nil, err
+// unmarshalHeader parses a header payload: the serialized header after
+// its 8-byte length prefix, which must hold nothing else.
+func unmarshalHeader(payload []byte) (*header, error) {
+	r := le.NewReader(payload, errTruncated)
+	magic, version, kind, ndims, scalar := r.U32(), r.U8(), r.U8(), r.U8(), ScalarType(r.U8())
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	if magic != Magic {
 		return nil, fmt.Errorf("core: bad magic %#x", magic)
 	}
-	version, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
 	if version != Version1 && version != Version && version != Version3 {
 		return nil, fmt.Errorf("core: unsupported archive version %d", version)
 	}
-	kind, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	ndims, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	scalar, err := r.u8() // v1: reserved (always 0 == Float64)
-	if err != nil {
-		return nil, err
-	}
-	if ScalarType(scalar) != Float64 && ScalarType(scalar) != Float32 {
+	if scalar != Float64 && scalar != Float32 {
 		return nil, fmt.Errorf("core: unknown scalar type %d", scalar)
 	}
-	if version == Version1 && ScalarType(scalar) != Float64 {
+	if version == Version1 && scalar != Float64 {
 		return nil, fmt.Errorf("core: version 1 archive declares scalar type %d", scalar)
 	}
 	if ndims == 0 || int(ndims) > grid.MaxDims {
 		return nil, fmt.Errorf("core: invalid rank %d", ndims)
 	}
-	h := &header{version: version, kind: interp.Kind(kind), scalar: ScalarType(scalar)}
+	h := &header{version: version, kind: interp.Kind(kind), scalar: scalar}
+	// val reads one lossless value at the archive's native width, widened
+	// to float64 (exact for both scalar types).
+	val := r.F64
+	if scalar == Float32 {
+		val = func() float64 { return float64(r.F32()) }
+	}
 	h.shape = make(grid.Shape, ndims)
 	for i := range h.shape {
-		d, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		h.shape[i] = int(d)
+		h.shape[i] = int(r.U32())
+	}
+	h.eb = r.F64()
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	if err := h.shape.Validate(); err != nil {
-		return nil, err
-	}
-	if h.eb, err = r.f64(); err != nil {
 		return nil, err
 	}
 	if !(h.eb > 0) || math.IsInf(h.eb, 1) {
 		return nil, fmt.Errorf("core: error bound %v is not positive and finite", h.eb)
 	}
 	if version >= Version {
-		if h.maxAbs, err = r.val(h.scalar); err != nil {
-			return nil, err
-		}
+		h.maxAbs = val()
 		// A magnitude is non-negative by construction; a negative value
 		// would flip roundSlack's sign and silently loosen every truncated
 		// plan's guarantee, so reject it here like every other semantic
 		// header field. (+Inf/NaN are in-spec for non-finite data — they
 		// make truncated-plan guarantees infinite, which is honest. The
 		// comparison is phrased so NaN passes: NaN < 0 is false.)
-		if h.maxAbs < 0 {
+		if r.Err == nil && h.maxAbs < 0 {
 			return nil, fmt.Errorf("core: negative max-magnitude field %v", h.maxAbs)
 		}
 	}
 	if version >= Version3 {
-		cp, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
 		// The policy an earlier writer ran under: 0 deflate, 1 auto.
 		// Decoding does not depend on it — every block names its own
 		// method — but an unknown policy ID is refused.
-		if cp > 1 {
+		if cp := r.U8(); cp > 1 {
 			return nil, fmt.Errorf("core: unknown codec policy %d", cp)
 		}
 	}
-	lv, err := r.u8()
-	if err != nil {
-		return nil, err
+	h.levels, h.prog = int(r.U8()), int(r.U8())
+	nanchor := int(r.U32())
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	pg, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	h.levels, h.prog = int(lv), int(pg)
 	if h.levels < 1 || h.prog > h.levels {
 		return nil, fmt.Errorf("core: invalid level counts L=%d Lp=%d", h.levels, h.prog)
 	}
-	nanchor, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if !r.holds(nanchor, h.scalar.Bytes()) {
+	if !r.Fits(nanchor, scalar.Bytes()) {
 		return nil, errTruncated
 	}
 	h.anchors = make([]float64, nanchor)
 	for i := range h.anchors {
-		if h.anchors[i], err = r.val(h.scalar); err != nil {
-			return nil, err
-		}
+		h.anchors[i] = val()
 	}
 	h.meta = make([]levelMeta, h.levels)
 	for l := 1; l <= h.levels; l++ {
 		m := h.metaOf(l)
-		cnt, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		m.count = int(cnt)
-		nout, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if !r.holds(nout, 4+h.scalar.Bytes()) {
+		m.count = int(r.U32())
+		nout := int(r.U32())
+		if !r.Fits(nout, 4+scalar.Bytes()) {
 			return nil, errTruncated
 		}
 		m.outlierIdx = make([]uint32, nout)
 		m.outlierVal = make([]float64, nout)
-		for i := 0; i < int(nout); i++ {
-			if m.outlierIdx[i], err = r.u32(); err != nil {
-				return nil, err
-			}
-			if m.outlierVal[i], err = r.val(h.scalar); err != nil {
-				return nil, err
-			}
+		for i := range m.outlierIdx {
+			m.outlierIdx[i] = r.U32()
+			m.outlierVal[i] = val()
 		}
-		up, err := r.u8()
-		if err != nil {
-			return nil, err
+		m.usedPlanes = int(r.U8())
+		if r.Err != nil {
+			return nil, r.Err
 		}
-		m.usedPlanes = int(up)
 		if m.usedPlanes > 32 {
 			return nil, fmt.Errorf("core: level %d has %d planes", l, m.usedPlanes)
 		}
 		m.blockSizes = make([]uint32, m.usedPlanes)
 		for p := range m.blockSizes {
-			if m.blockSizes[p], err = r.u32(); err != nil {
-				return nil, err
-			}
+			m.blockSizes[p] = r.U32()
 		}
 		m.maxDrop = make([]uint32, m.usedPlanes+1)
 		for d := range m.maxDrop {
-			if m.maxDrop[d], err = r.u32(); err != nil {
-				return nil, err
-			}
+			m.maxDrop[d] = r.U32()
 		}
 	}
-	h.headerSize = int64(8 + payloadLen)
+	if r.Err != nil {
+		return nil, r.Err
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after archive header", r.Len())
+	}
+	h.headerSize = int64(8 + len(payload))
 	h.computeOffsets()
 	return h, nil
 }

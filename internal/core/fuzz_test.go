@@ -66,7 +66,7 @@ func FuzzArchiveHeader(f *testing.F) {
 		// That step overflowing where the progressive levels record no
 		// loss for any drop: 0·Inf makes every drop's cost NaN.
 		if a.h.prog > 0 {
-			h, err := unmarshalHeader(header)
+			h, err := unmarshalHeader(header[8:])
 			if err != nil {
 				f.Fatal(err)
 			}

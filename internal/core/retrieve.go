@@ -124,14 +124,11 @@ func NewArchiveFrom(src BlockSource) (*Archive, error) {
 	if hlen <= 0 || hlen > src.Size()-8 {
 		return nil, fmt.Errorf("core: implausible header length %d", hlen)
 	}
-	rest, err := src.ReadRange(8, int(hlen))
+	payload, err := src.ReadRange(8, int(hlen))
 	if err != nil {
 		return nil, err
 	}
-	raw := make([]byte, 8+hlen)
-	copy(raw, pre)
-	copy(raw[8:], rest)
-	h, err := unmarshalHeader(raw)
+	h, err := unmarshalHeader(payload)
 	if err != nil {
 		return nil, err
 	}

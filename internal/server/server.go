@@ -121,16 +121,14 @@ func (srv *Server) TileCache() *store.TileCache { return srv.tiles }
 // a same-size repack, which is exactly the corruption this exists to
 // stop.
 func containerETag(s *store.Store) (string, error) {
-	h := fnv.New64a()
-	binary.Write(h, binary.LittleEndian, s.Size())
-	tail := make([]byte, 64)
-	if s.Size() < int64(len(tail)) {
-		tail = tail[:s.Size()]
-	}
-	if _, err := s.SectionReader().ReadAt(tail, s.Size()-int64(len(tail))); err != nil {
+	// The hash input: the size as 8 little-endian bytes, then the tail.
+	n := min(64, s.Size())
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+n), uint64(s.Size()))[:8+n]
+	if _, err := s.SectionReader().ReadAt(b[8:], s.Size()-n); err != nil {
 		return "", fmt.Errorf("server: reading container tail for its validator: %w", err)
 	}
-	h.Write(tail)
+	h := fnv.New64a()
+	h.Write(b)
 	return fmt.Sprintf(`"%016x"`, h.Sum64()), nil
 }
 

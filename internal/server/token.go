@@ -1,12 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"encoding/base64"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"math"
+
+	"repro/internal/le"
 )
 
 // A retrieval token is the receipt a region response hands the client: an
@@ -29,57 +30,44 @@ const tokenVersion = 1
 var tokenEncoding = base64.RawURLEncoding
 
 func (t *token) encode() string {
-	var buf bytes.Buffer
-	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
-	w(uint8(tokenVersion))
-	w(uint8(len(t.lo)))
-	w(uint16(len(t.dataset)))
-	buf.WriteString(t.dataset)
+	b := append(make([]byte, 0, 4+len(t.dataset)+8*len(t.lo)+8), tokenVersion, uint8(len(t.lo)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(t.dataset)))
+	b = append(b, t.dataset...)
 	for _, v := range t.lo {
-		w(uint32(v))
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
 	for _, v := range t.hi {
-		w(uint32(v))
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
-	w(math.Float64bits(t.bound))
-	return tokenEncoding.EncodeToString(buf.Bytes())
+	return tokenEncoding.EncodeToString(le.AppendF64(b, t.bound))
 }
+
+var errMalformedToken = errors.New("malformed refine token")
 
 func decodeToken(s string) (*token, error) {
 	raw, err := tokenEncoding.DecodeString(s)
 	if err != nil {
 		return nil, fmt.Errorf("refine token is not base64url: %w", err)
 	}
-	r := bytes.NewReader(raw)
-	var ver, rank uint8
-	var nameLen uint16
-	if err := binary.Read(r, binary.LittleEndian, &ver); err != nil || ver != tokenVersion {
+	r := le.NewReader(raw, errMalformedToken)
+	if ver := r.U8(); r.Err != nil || ver != tokenVersion {
 		return nil, fmt.Errorf("unsupported refine token version")
 	}
-	if err := binary.Read(r, binary.LittleEndian, &rank); err != nil || rank == 0 || rank > 16 {
-		return nil, fmt.Errorf("malformed refine token")
+	rank := int(r.U8())
+	if r.Err != nil || rank == 0 || rank > 16 {
+		return nil, errMalformedToken
 	}
-	if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-		return nil, fmt.Errorf("malformed refine token")
+	t := &token{dataset: string(r.Bytes(int(r.U16()))), lo: make([]int, rank), hi: make([]int, rank)}
+	for i := range t.lo {
+		t.lo[i] = int(r.U32())
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return nil, fmt.Errorf("malformed refine token")
+	for i := range t.hi {
+		t.hi[i] = int(r.U32())
 	}
-	t := &token{dataset: string(name), lo: make([]int, rank), hi: make([]int, rank)}
-	coords := make([]uint32, 2*int(rank))
-	if err := binary.Read(r, binary.LittleEndian, coords); err != nil {
-		return nil, fmt.Errorf("malformed refine token")
+	t.bound = r.F64()
+	if r.Err != nil || r.Len() != 0 {
+		return nil, errMalformedToken
 	}
-	for i := 0; i < int(rank); i++ {
-		t.lo[i] = int(coords[i])
-		t.hi[i] = int(coords[int(rank)+i])
-	}
-	var bits uint64
-	if err := binary.Read(r, binary.LittleEndian, &bits); err != nil || r.Len() != 0 {
-		return nil, fmt.Errorf("malformed refine token")
-	}
-	t.bound = math.Float64frombits(bits)
 	if t.bound <= 0 || math.IsNaN(t.bound) || math.IsInf(t.bound, 0) {
 		return nil, fmt.Errorf("refine token carries invalid bound %g", t.bound)
 	}

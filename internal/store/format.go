@@ -1,14 +1,13 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/le"
 )
 
 // Magic identifies IPComp store containers ("IPCS" little-endian).
@@ -67,32 +66,31 @@ func (ds *datasetMeta) compressedBytes() int64 {
 }
 
 func marshalPreamble() []byte {
-	p := make([]byte, preambleSize)
-	binary.LittleEndian.PutUint32(p, Magic)
-	p[4] = Version1 // framing version; the index version lives in the footer
-	return p
+	p := binary.LittleEndian.AppendUint32(make([]byte, 0, preambleSize), Magic)
+	// The framing version; the index version lives in the footer.
+	return append(p, Version1, 0, 0, 0)
 }
 
 func checkPreamble(p []byte) error {
-	if len(p) < preambleSize {
-		return errCorrupt
+	r := le.NewReader(p, errCorrupt)
+	magic, version, _ := r.U32(), r.U8(), r.Bytes(3) // 3 reserved bytes
+	if r.Err != nil {
+		return r.Err
 	}
-	if binary.LittleEndian.Uint32(p) != Magic {
-		return fmt.Errorf("store: bad container magic %#x", binary.LittleEndian.Uint32(p))
+	if magic != Magic {
+		return fmt.Errorf("store: bad container magic %#x", magic)
 	}
-	if p[4] != Version1 && p[4] != Version {
-		return fmt.Errorf("store: unsupported container version %d", p[4])
+	if version != Version1 && version != Version {
+		return fmt.Errorf("store: unsupported container version %d", version)
 	}
 	return nil
 }
 
 func marshalFooter(indexOff, indexSize int64, version uint8) []byte {
-	f := make([]byte, footerSize)
-	binary.LittleEndian.PutUint64(f, uint64(indexOff))
-	binary.LittleEndian.PutUint64(f[8:], uint64(indexSize))
-	binary.LittleEndian.PutUint32(f[16:], Magic)
-	f[20] = version
-	return f
+	f := binary.LittleEndian.AppendUint64(make([]byte, 0, footerSize), uint64(indexOff))
+	f = binary.LittleEndian.AppendUint64(f, uint64(indexSize))
+	f = binary.LittleEndian.AppendUint32(f, Magic)
+	return append(f, version, 0, 0, 0)
 }
 
 // unmarshalFooter returns the index extent and the container version that
@@ -101,13 +99,15 @@ func unmarshalFooter(f []byte) (indexOff, indexSize int64, version uint8, err er
 	if len(f) != footerSize {
 		return 0, 0, 0, errCorrupt
 	}
-	if binary.LittleEndian.Uint32(f[16:]) != Magic {
-		return 0, 0, 0, fmt.Errorf("store: bad footer magic %#x", binary.LittleEndian.Uint32(f[16:]))
+	r := le.NewReader(f, errCorrupt)
+	indexOff, indexSize = int64(r.U64()), int64(r.U64())
+	if magic := r.U32(); magic != Magic {
+		return 0, 0, 0, fmt.Errorf("store: bad footer magic %#x", magic)
 	}
-	if f[20] != Version1 && f[20] != Version {
-		return 0, 0, 0, fmt.Errorf("store: unsupported container version %d", f[20])
+	if version = r.U8(); version != Version1 && version != Version {
+		return 0, 0, 0, fmt.Errorf("store: unsupported container version %d", version)
 	}
-	return int64(binary.LittleEndian.Uint64(f)), int64(binary.LittleEndian.Uint64(f[8:])), f[20], nil
+	return indexOff, indexSize, version, nil
 }
 
 var errCorrupt = errors.New("store: corrupt container")
@@ -124,136 +124,64 @@ func indexVersion(datasets []*datasetMeta) uint8 {
 }
 
 func marshalIndex(datasets []*datasetMeta, version uint8) []byte {
-	var buf bytes.Buffer
-	w := func(v interface{}) { binary.Write(&buf, binary.LittleEndian, v) }
-	w(uint32(len(datasets)))
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(datasets)))
 	for _, ds := range datasets {
-		w(uint16(len(ds.name)))
-		buf.WriteString(ds.name)
-		w(uint8(len(ds.shape)))
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(ds.name)))
+		b = append(b, ds.name...)
+		b = append(b, uint8(len(ds.shape)))
 		if version >= Version {
-			w(uint8(ds.scalar)) // element type of this dataset's chunks
+			b = append(b, uint8(ds.scalar)) // element type of this dataset's chunks
 		}
 		for _, e := range ds.shape {
-			w(uint32(e))
+			b = binary.LittleEndian.AppendUint32(b, uint32(e))
 		}
 		for _, e := range ds.chunk {
-			w(uint32(e))
+			b = binary.LittleEndian.AppendUint32(b, uint32(e))
 		}
-		w(ds.eb)
-		w(uint32(len(ds.chunks)))
+		b = le.AppendF64(b, ds.eb)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(ds.chunks)))
 		for i := range ds.chunks {
 			c := &ds.chunks[i]
-			w(c.off)
-			w(c.size)
+			b = binary.LittleEndian.AppendUint64(b, uint64(c.off))
+			b = binary.LittleEndian.AppendUint64(b, uint64(c.size))
 			for d := range ds.shape {
-				w(uint32(c.lo[d]))
-				w(uint32(c.hi[d] - c.lo[d]))
+				b = binary.LittleEndian.AppendUint32(b, uint32(c.lo[d]))
+				b = binary.LittleEndian.AppendUint32(b, uint32(c.hi[d]-c.lo[d]))
 			}
-			w(c.maxErr)
+			b = le.AppendF64(b, c.maxErr)
 		}
 	}
-	return buf.Bytes()
-}
-
-type indexReader struct {
-	b   []byte
-	pos int
-}
-
-func (r *indexReader) remaining() int { return len(r.b) - r.pos }
-
-func (r *indexReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.b) {
-		return nil, errCorrupt
-	}
-	out := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return out, nil
-}
-
-func (r *indexReader) u8() (uint8, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *indexReader) u16() (uint16, error) {
-	b, err := r.bytes(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *indexReader) u32() (uint32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *indexReader) i64() (int64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return int64(binary.LittleEndian.Uint64(b)), nil
-}
-
-func (r *indexReader) f64() (float64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
+	return b
 }
 
 func unmarshalIndex(raw []byte, containerSize int64, version uint8) ([]*datasetMeta, error) {
-	r := &indexReader{b: raw}
-	nds, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+	r := le.NewReader(raw, errCorrupt)
+	nds := int(r.U32())
 	// Every count below sizes an allocation, so bound it by the bytes that
 	// could possibly encode that many records before calling make():
 	// otherwise a tiny corrupt container could declare 2^32 entries and
 	// OOM the reader. 23 bytes is the minimum dataset record (empty name,
 	// rank 1, no chunks); 32 the minimum chunk record (rank 1).
 	const minDatasetRecord, minChunkRecord = 23, 32
-	if int64(nds) > int64(r.remaining())/minDatasetRecord {
+	if !r.Fits(nds, minDatasetRecord) {
 		return nil, errCorrupt
 	}
 	datasets := make([]*datasetMeta, 0, nds)
-	for di := uint32(0); di < nds; di++ {
-		nameLen, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		nameB, err := r.bytes(int(nameLen))
-		if err != nil {
-			return nil, err
-		}
-		rank, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if rank == 0 || int(rank) > grid.MaxDims {
-			return nil, fmt.Errorf("store: dataset %q has invalid rank %d", nameB, rank)
-		}
+	for range nds {
+		nameB := r.Bytes(int(r.U16()))
+		rank := int(r.U8())
 		scalar := core.Float64 // v1 containers are float64 throughout
 		if version >= Version {
-			sb, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			if core.ScalarType(sb) != core.Float64 && core.ScalarType(sb) != core.Float32 {
-				return nil, fmt.Errorf("store: dataset %q has unknown scalar type %d", nameB, sb)
-			}
-			scalar = core.ScalarType(sb)
+			scalar = core.ScalarType(r.U8())
+		}
+		if r.Err != nil {
+			return nil, r.Err
+		}
+		if rank == 0 || rank > grid.MaxDims {
+			return nil, fmt.Errorf("store: dataset %q has invalid rank %d", nameB, rank)
+		}
+		if scalar != core.Float64 && scalar != core.Float32 {
+			return nil, fmt.Errorf("store: dataset %q has unknown scalar type %d", nameB, scalar)
 		}
 		ds := &datasetMeta{
 			name:   string(nameB),
@@ -262,45 +190,39 @@ func unmarshalIndex(raw []byte, containerSize int64, version uint8) ([]*datasetM
 			scalar: scalar,
 		}
 		for d := range ds.shape {
-			e, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			ds.shape[d] = int(e)
+			ds.shape[d] = int(r.U32())
 		}
 		for d := range ds.chunk {
-			e, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			ds.chunk[d] = int(e)
+			ds.chunk[d] = int(r.U32())
 		}
-		if ds.eb, err = r.f64(); err != nil {
+		ds.eb = r.F64()
+		if r.Err != nil {
+			return nil, r.Err
+		}
+		var err error
+		if ds.til, err = newTiling(ds.shape, ds.chunk); err != nil {
 			return nil, err
 		}
-		ds.til, err = newTiling(ds.shape, ds.chunk)
-		if err != nil {
-			return nil, err
-		}
-		nchunks, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if int64(nchunks) > int64(r.remaining())/minChunkRecord {
+		nchunks := int(r.U32())
+		if !r.Fits(nchunks, minChunkRecord) {
 			return nil, errCorrupt
 		}
-		if int(nchunks) != ds.til.n {
+		if nchunks != ds.til.n {
 			return nil, fmt.Errorf("store: dataset %q has %d chunks, tiling %v/%v implies %d",
 				ds.name, nchunks, ds.shape, ds.chunk, ds.til.n)
 		}
 		ds.chunks = make([]chunkRecord, nchunks)
 		for i := range ds.chunks {
 			c := &ds.chunks[i]
-			if c.off, err = r.i64(); err != nil {
-				return nil, err
+			c.off, c.size = int64(r.U64()), int64(r.U64())
+			c.lo, c.hi = make([]int, rank), make([]int, rank)
+			for d := range rank {
+				c.lo[d] = int(r.U32())
+				c.hi[d] = c.lo[d] + int(r.U32())
 			}
-			if c.size, err = r.i64(); err != nil {
-				return nil, err
+			c.maxErr = r.F64()
+			if r.Err != nil {
+				return nil, r.Err
 			}
 			// Subtraction, not c.off+c.size: crafted extents near 2^63
 			// would overflow the addition and pass the bound check.
@@ -308,25 +230,8 @@ func unmarshalIndex(raw []byte, containerSize int64, version uint8) ([]*datasetM
 				return nil, fmt.Errorf("store: dataset %q chunk %d extent [%d,%d) outside container of %d bytes",
 					ds.name, i, c.off, c.off+c.size, containerSize)
 			}
-			c.lo = make([]int, rank)
-			c.hi = make([]int, rank)
-			for d := 0; d < int(rank); d++ {
-				o, err := r.u32()
-				if err != nil {
-					return nil, err
-				}
-				e, err := r.u32()
-				if err != nil {
-					return nil, err
-				}
-				c.lo[d] = int(o)
-				c.hi[d] = int(o) + int(e)
-			}
-			if c.maxErr, err = r.f64(); err != nil {
-				return nil, err
-			}
 			wantLo, wantHi := ds.til.box(i)
-			for d := 0; d < int(rank); d++ {
+			for d := range rank {
 				if c.lo[d] != wantLo[d] || c.hi[d] != wantHi[d] {
 					return nil, fmt.Errorf("store: dataset %q chunk %d covers [%v,%v), tiling implies [%v,%v)",
 						ds.name, i, c.lo, c.hi, wantLo, wantHi)
@@ -335,8 +240,8 @@ func unmarshalIndex(raw []byte, containerSize int64, version uint8) ([]*datasetM
 		}
 		datasets = append(datasets, ds)
 	}
-	if r.pos != len(r.b) {
-		return nil, fmt.Errorf("store: %d trailing bytes after index", len(r.b)-r.pos)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("store: %d trailing bytes after index", r.Len())
 	}
 	return datasets, nil
 }

@@ -12,11 +12,13 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/le"
 )
 
 // Magic opens every planes response ("IPRF" little-endian).
@@ -65,54 +67,41 @@ type SpanHeader struct {
 	Len int64
 }
 
-type leWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (w *leWriter) write(v any) {
-	if w.err == nil {
-		w.err = binary.Write(w.w, binary.LittleEndian, v)
-	}
-}
-
 // WriteRegionHeader emits the response preamble.
 func WriteRegionHeader(w io.Writer, h *RegionHeader) error {
-	lw := &leWriter{w: w}
-	lw.write(uint32(Magic))
-	lw.write(uint8(Version))
-	lw.write(uint8(h.Scalar))
-	lw.write(uint8(h.Rank))
-	lw.write(uint8(0)) // reserved
-	for _, v := range h.Lo {
-		lw.write(uint32(v))
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, RegionHeaderSize(len(h.Lo))), Magic)
+	b = append(b, Version, uint8(h.Scalar), uint8(h.Rank), 0) // 0: reserved
+	b = appendBox(b, h.Lo, h.Hi)
+	b = le.AppendF64(b, h.Bound)
+	b = le.AppendF64(b, h.Guaranteed)
+	b = binary.LittleEndian.AppendUint32(b, uint32(h.NumChunks))
+	_, err := w.Write(b)
+	return err
+}
+
+// appendBox appends a box as its corner and its extents.
+func appendBox(b []byte, lo, hi []int) []byte {
+	for _, v := range lo {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
-	for i, v := range h.Hi {
-		lw.write(uint32(v - h.Lo[i]))
+	for i, v := range hi {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v-lo[i]))
 	}
-	lw.write(h.Bound)
-	lw.write(h.Guaranteed)
-	lw.write(uint32(h.NumChunks))
-	return lw.err
+	return b
 }
 
 // WriteChunkHeader emits one tile's frame header.
 func WriteChunkHeader(w io.Writer, h *ChunkHeader) error {
-	lw := &leWriter{w: w}
-	lw.write(uint32(h.Index))
-	for _, v := range h.Lo {
-		lw.write(uint32(v))
-	}
-	for i, v := range h.Hi {
-		lw.write(uint32(v - h.Lo[i]))
-	}
-	lw.write(uint64(h.BlobSize))
-	lw.write(uint8(len(h.Keep)))
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, ChunkHeaderSize(len(h.Lo), len(h.Keep))), uint32(h.Index))
+	b = appendBox(b, h.Lo, h.Hi)
+	b = binary.LittleEndian.AppendUint64(b, uint64(h.BlobSize))
+	b = append(b, uint8(len(h.Keep)))
 	for _, k := range h.Keep {
-		lw.write(uint8(k))
+		b = append(b, uint8(k))
 	}
-	lw.write(uint16(h.NumSpans))
-	return lw.err
+	b = binary.LittleEndian.AppendUint16(b, uint16(h.NumSpans))
+	_, err := w.Write(b)
+	return err
 }
 
 // MaxSpanLen is the largest payload one span header can frame (its
@@ -124,10 +113,9 @@ func WriteSpanHeader(w io.Writer, s SpanHeader) error {
 	if s.Len < 0 || s.Len > MaxSpanLen {
 		return fmt.Errorf("wire: span length %d outside the u32 framing field", s.Len)
 	}
-	lw := &leWriter{w: w}
-	lw.write(uint64(s.Off))
-	lw.write(uint32(s.Len))
-	return lw.err
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, SpanHeaderSize), uint64(s.Off))
+	_, err := w.Write(binary.LittleEndian.AppendUint32(b, uint32(s.Len)))
+	return err
 }
 
 // RegionHeaderSize returns the encoded preamble size for a rank.
@@ -139,90 +127,89 @@ func ChunkHeaderSize(rank, levels int) int64 { return 4 + int64(rank)*8 + 8 + 1 
 // SpanHeaderSize is the encoded span header size.
 const SpanHeaderSize = 12
 
-type leReader struct {
-	r   io.Reader
-	b   [8]byte
-	err error
-}
+// maxLevels bounds the level count of a chunk frame when decoding.
+const maxLevels = 64
 
-func (r *leReader) read(n int) []byte {
-	if r.err != nil {
-		return r.b[:n]
+// readFull reads exactly len(b) bytes of the header named what.
+func readFull(r io.Reader, b []byte, what string) error {
+	if _, err := io.ReadFull(r, b); err != nil {
+		return fmt.Errorf("wire: truncated %s header: %w", what, err)
 	}
-	_, r.err = io.ReadFull(r.r, r.b[:n])
-	return r.b[:n]
+	return nil
 }
 
-func (r *leReader) u8() uint8   { return r.read(1)[0] }
-func (r *leReader) u16() uint16 { return binary.LittleEndian.Uint16(r.read(2)) }
-func (r *leReader) u32() uint32 { return binary.LittleEndian.Uint32(r.read(4)) }
-func (r *leReader) u64() uint64 { return binary.LittleEndian.Uint64(r.read(8)) }
-func (r *leReader) f64() float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(r.read(8)))
+// readBox reads a box written by appendBox.
+func readBox(r *le.Reader, rank int) (lo, hi []int) {
+	lo, hi = make([]int, rank), make([]int, rank)
+	for i := range lo {
+		lo[i] = int(r.U32())
+	}
+	for i := range hi {
+		hi[i] = lo[i] + int(r.U32())
+	}
+	return lo, hi
 }
 
 // ReadRegionHeader parses the response preamble.
 func ReadRegionHeader(r io.Reader) (*RegionHeader, error) {
-	lr := &leReader{r: r}
-	if m := lr.u32(); lr.err == nil && m != Magic {
-		return nil, fmt.Errorf("wire: bad response magic %#x", m)
+	// The first 8 bytes give the rank; the rank gives the size.
+	b := make([]byte, RegionHeaderSize(MaxRank))
+	if err := readFull(r, b[:8], "region"); err != nil {
+		return nil, err
 	}
-	if v := lr.u8(); lr.err == nil && v != Version {
-		return nil, fmt.Errorf("wire: unsupported frame version %d", v)
+	lr := le.NewReader(b, errTruncated)
+	magic, version := lr.U32(), lr.U8()
+	h := &RegionHeader{Scalar: core.ScalarType(lr.U8()), Rank: int(lr.U8())}
+	lr.U8() // reserved
+	if magic != Magic {
+		return nil, fmt.Errorf("wire: bad response magic %#x", magic)
 	}
-	h := &RegionHeader{}
-	h.Scalar = core.ScalarType(lr.u8())
-	h.Rank = int(lr.u8())
-	lr.u8() // reserved
-	if lr.err == nil && (h.Rank == 0 || h.Rank > MaxRank) {
+	if version != Version {
+		return nil, fmt.Errorf("wire: unsupported frame version %d", version)
+	}
+	if h.Rank == 0 || h.Rank > MaxRank {
 		return nil, fmt.Errorf("wire: invalid rank %d", h.Rank)
 	}
-	if lr.err == nil && h.Scalar != core.Float64 && h.Scalar != core.Float32 {
+	if h.Scalar != core.Float64 && h.Scalar != core.Float32 {
 		return nil, fmt.Errorf("wire: unknown scalar type %d", h.Scalar)
 	}
-	h.Lo = make([]int, h.Rank)
-	h.Hi = make([]int, h.Rank)
-	for i := range h.Lo {
-		h.Lo[i] = int(lr.u32())
+	if err := readFull(r, b[8:RegionHeaderSize(h.Rank)], "region"); err != nil {
+		return nil, err
 	}
-	for i := range h.Hi {
-		h.Hi[i] = h.Lo[i] + int(lr.u32())
-	}
-	h.Bound = lr.f64()
-	h.Guaranteed = lr.f64()
-	h.NumChunks = int(lr.u32())
-	if lr.err != nil {
-		return nil, fmt.Errorf("wire: truncated region header: %w", lr.err)
-	}
+	h.Lo, h.Hi = readBox(lr, h.Rank)
+	h.Bound, h.Guaranteed = lr.F64(), lr.F64()
+	h.NumChunks = int(lr.U32())
 	return h, nil
 }
 
+// errTruncated is the cursor error of a header buffer, which readFull has
+// already filled to the header's size; reaching it is a bug.
+var errTruncated = errors.New("wire: header shorter than its size")
+
 // ReadChunkHeader parses one tile frame header.
 func ReadChunkHeader(r io.Reader, rank int) (*ChunkHeader, error) {
-	lr := &leReader{r: r}
-	h := &ChunkHeader{}
-	h.Index = int(lr.u32())
-	h.Lo = make([]int, rank)
-	h.Hi = make([]int, rank)
-	for i := range h.Lo {
-		h.Lo[i] = int(lr.u32())
+	// Up to the level count the size is the rank's; the count gives the rest.
+	b := make([]byte, ChunkHeaderSize(rank, maxLevels))
+	fixed := int(ChunkHeaderSize(rank, 0)) - 2
+	if err := readFull(r, b[:fixed], "chunk"); err != nil {
+		return nil, err
 	}
-	for i := range h.Hi {
-		h.Hi[i] = h.Lo[i] + int(lr.u32())
-	}
-	h.BlobSize = int64(lr.u64())
-	nlev := int(lr.u8())
-	if lr.err == nil && nlev > 64 {
+	nlev := int(b[fixed-1])
+	if nlev > maxLevels {
 		return nil, fmt.Errorf("wire: implausible level count %d", nlev)
 	}
-	h.Keep = make([]int, nlev)
+	if err := readFull(r, b[fixed:ChunkHeaderSize(rank, nlev)], "chunk"); err != nil {
+		return nil, err
+	}
+	lr := le.NewReader(b, errTruncated)
+	h := &ChunkHeader{Index: int(lr.U32())}
+	h.Lo, h.Hi = readBox(lr, rank)
+	h.BlobSize = int64(lr.U64())
+	h.Keep = make([]int, lr.U8())
 	for i := range h.Keep {
-		h.Keep[i] = int(lr.u8())
+		h.Keep[i] = int(lr.U8())
 	}
-	h.NumSpans = int(lr.u16())
-	if lr.err != nil {
-		return nil, fmt.Errorf("wire: truncated chunk header: %w", lr.err)
-	}
+	h.NumSpans = int(lr.U16())
 	if h.BlobSize <= 0 {
 		return nil, fmt.Errorf("wire: chunk %d declares blob size %d", h.Index, h.BlobSize)
 	}
@@ -232,13 +219,12 @@ func ReadChunkHeader(r io.Reader, rank int) (*ChunkHeader, error) {
 // ReadSpanHeader parses one range header; the caller must then consume
 // exactly Len payload bytes.
 func ReadSpanHeader(r io.Reader) (SpanHeader, error) {
-	lr := &leReader{r: r}
-	s := SpanHeader{}
-	s.Off = int64(lr.u64())
-	s.Len = int64(lr.u32())
-	if lr.err != nil {
-		return s, fmt.Errorf("wire: truncated span header: %w", lr.err)
+	var b [SpanHeaderSize]byte
+	if err := readFull(r, b[:], "span"); err != nil {
+		return SpanHeader{}, err
 	}
+	lr := le.NewReader(b[:], errTruncated)
+	s := SpanHeader{Off: int64(lr.U64()), Len: int64(lr.U32())}
 	if s.Off < 0 {
 		return s, fmt.Errorf("wire: negative span offset %d", s.Off)
 	}
