@@ -722,15 +722,15 @@ func BenchmarkStoreExtractF32(b *testing.B) {
 func BenchmarkSPERRCompress(b *testing.B) { benchCodecCompress(b, sperr.New(), "Wave") }
 
 // BenchmarkBitplaneSplit measures the engine's actual split stage: the
-// compressor predicts and transposes into pooled backings via
-// SplitPredictRange, allocation-free.
+// compressor encodes, predicts and transposes indices into pooled backings
+// via SplitEncodeRange, allocation-free.
 // (Before PR 2 the compressor used the allocating Split inside this loop;
 // BenchmarkBitplaneSplitAlloc below still measures that API for
 // apples-to-apples comparison with pre-PR-2 numbers.)
 func BenchmarkBitplaneSplit(b *testing.B) {
-	vals := make([]uint32, 1<<16)
+	vals := make([]int32, 1<<16)
 	for i := range vals {
-		vals[i] = uint32(i * 2654435761)
+		vals[i] = int32(i * 2654435761)
 	}
 	nbytes := (len(vals) + 7) / 8
 	backing := make([]byte, bitplane.Planes*nbytes)
@@ -742,7 +742,7 @@ func BenchmarkBitplaneSplit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bitplane.SplitPredictRange(planes, vals, 0, len(vals))
+		bitplane.SplitEncodeRange(planes, vals, 0, len(vals))
 	}
 }
 

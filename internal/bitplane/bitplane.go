@@ -3,6 +3,7 @@ package bitplane
 import (
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/nb"
 )
@@ -59,23 +60,31 @@ func SplitInto(planes [][]byte, values []uint32) {
 // loop below is the reference implementation, handles the tail, and is the
 // only path everywhere else. Both orders produce identical plane bytes.
 func SplitRange(planes [][]byte, values []uint32, lo, hi int) {
-	splitRange(planes, values, lo, hi, 0)
+	splitRange(planes, values, lo, hi, 0, 0)
 }
 
-// SplitPredictRange is SplitRange with the XOR prediction applied on the
-// way: its planes are those of SplitRange followed by PredictEncode over
-// all 32 of them. Prediction commutes with the transpose — it is
-// s = v ^ v>>1 ^ v>>2 on each whole value — so it costs three vector ops
-// per eight values instead of a pass over the plane bytes. Planes above a
-// value set's top used plane stay zero, so the used suffix is exactly
-// what PredictEncode makes of it alone.
-func SplitPredictRange(planes [][]byte, values []uint32, lo, hi int) {
-	splitRange(planes, values, lo, hi, ^uint32(0))
+// SplitEncodeRange is the coder's split: it transposes the negabinary codes
+// of the quantization indices ks[lo:hi) with the XOR prediction applied on
+// the way. Its planes are those of SplitRange over nb.Encode32(ks[i])
+// followed by PredictEncode over all 32 of them. Both steps are whole-word
+// operations — the encoding is (k + m) ^ m, the prediction commutes with
+// the transpose as s = v ^ v>>1 ^ v>>2 — so they cost a few vector ops per
+// eight values instead of a pass each. Planes above the codes' top used
+// plane stay zero, so the used suffix is exactly what PredictEncode makes
+// of it alone.
+func SplitEncodeRange(planes [][]byte, ks []int32, lo, hi int) {
+	codes := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(ks))), len(ks))
+	splitRange(planes, codes, lo, hi, ^uint32(0), nbMask)
 }
 
-// splitRange transposes values ^ (values>>1 ^ values>>2) & pm: pm is zero
-// for the plain transpose and all ones for the predicted one.
-func splitRange(planes [][]byte, values []uint32, lo, hi int, pm uint32) {
+// nbMask is the negabinary mask of nb.Encode32: (k + nbMask) ^ nbMask.
+const nbMask = 0xAAAAAAAA
+
+// splitRange transposes p(e(v)) for each value: e(v) = (v + nbm) ^ nbm
+// encodes int32 bits to negabinary when nbm is nbMask and is the identity
+// when nbm is zero; p(e) = e ^ (e>>1 ^ e>>2) & pm predicts when pm is all
+// ones and is the identity when pm is zero.
+func splitRange(planes [][]byte, values []uint32, lo, hi int, pm, nbm uint32) {
 	if lo&7 != 0 {
 		panic("bitplane: SplitRange start must be 8-aligned")
 	}
@@ -83,14 +92,14 @@ func splitRange(planes [][]byte, values []uint32, lo, hi int, pm uint32) {
 		hi = len(values)
 	}
 	if lo < hi {
-		lo = splitRangeAccel(planes, values, lo, hi, pm)
+		lo = splitRangeAccel(planes, values, lo, hi, pm, nbm)
 	}
-	splitRangeGeneric(planes, values, lo, hi, pm)
+	splitRangeGeneric(planes, values, lo, hi, pm, nbm)
 }
 
 // splitRangeGeneric is the portable word-at-a-time transpose: one
 // transpose8 butterfly per byte-block of eight values.
-func splitRangeGeneric(planes [][]byte, values []uint32, lo, hi int, pm uint32) {
+func splitRangeGeneric(planes [][]byte, values []uint32, lo, hi int, pm, nbm uint32) {
 	var vv [8]uint32
 	for base := lo; base < hi; base += 8 {
 		g := base >> 3
@@ -102,6 +111,7 @@ func splitRangeGeneric(planes [][]byte, values []uint32, lo, hi int, pm uint32) 
 			copy(vv[:], values[base:hi])
 		}
 		for i, v := range vv {
+			v = (v + nbm) ^ nbm
 			vv[i] = v ^ (v>>1^v>>2)&pm
 		}
 		// One 8×8 transpose per byte of the values: block b covers planes
@@ -267,7 +277,7 @@ func NumUsedPlanes(values []uint32) int {
 // planes LSB-to-MSB (a plane's sources are modified after it is, never
 // before).
 //
-// The IPComp coder itself predicts inside the transpose (SplitPredictRange)
+// The IPComp coder itself predicts inside the transpose (SplitEncodeRange)
 // and undoes it inside the merge (MergeDecodeRange); these byte-plane forms
 // serve callers that hold planes, not values.
 func PredictEncode(planes [][]byte) {

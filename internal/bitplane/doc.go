@@ -19,7 +19,7 @@
 // inverse is b = (s ^ s>>1) / (1+x³), and 1/(1+x³) is the product of
 // 1+x³, 1+x⁶, 1+x¹² and 1+x²⁴ once powers past x³¹ are dropped: four
 // shift-XORs. The coder therefore never predicts plane by plane:
-// SplitPredictRange predicts each value before the transpose, and
+// SplitEncodeRange predicts each code before the transpose, and
 // MergeDecodeRange undoes it on the merged words of a raise's new planes —
 // the planes not loaded count as zero, and the bits the recurrence spills
 // below the last loaded plane are masked off — before it finishes the

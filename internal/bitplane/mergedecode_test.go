@@ -138,23 +138,30 @@ func TestMergeDecodeRangeDifferential(t *testing.T) {
 	}
 }
 
-// TestSplitPredictRange holds the predicted transpose to SplitRange plus
-// PredictEncode on both dispatch paths, for any 32-bit values and for
-// values below a top plane, where the used planes alone are predicted.
-func TestSplitPredictRange(t *testing.T) {
+// TestSplitEncodeRange holds the coder's split — negabinary encoding and
+// prediction inside the transpose — to SplitRange over the codes plus
+// PredictEncode, on both dispatch paths, for any 32-bit codes and for codes
+// below a top plane, where the used planes alone are predicted.
+func TestSplitEncodeRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 8, 31, 32, 33, 100, 1000} {
 		for _, used := range []int{1, 13, 32} {
 			codes := randomCodes(rng, n, used)
 			want := Split(codes)
 			PredictEncode(want[Planes-used:])
-			checkSplitPredict(t, codes, want)
+			checkSplitEncode(t, codes, want)
 		}
 	}
 }
 
-func checkSplitPredict(t *testing.T, values []uint32, want [][]byte) {
+// checkSplitEncode splits the indices whose negabinary codes are codes and
+// wants the planes want.
+func checkSplitEncode(t *testing.T, codes []uint32, want [][]byte) {
 	t.Helper()
+	ks := make([]int32, len(codes))
+	for i, u := range codes {
+		ks[i] = nb.Decode32(u)
+	}
 	for _, asm := range []bool{false, true} {
 		if setAVX2(asm) != asm {
 			continue
@@ -166,12 +173,12 @@ func checkSplitPredict(t *testing.T, values []uint32, want [][]byte) {
 				got[p][i] = 0xA5 // poison: every byte in range is written
 			}
 		}
-		SplitPredictRange(got, values, 0, len(values))
+		SplitEncodeRange(got, ks, 0, len(ks))
 		setAVX2(true)
 		for p := range want {
 			for g := range want[p] {
 				if got[p][g] != want[p][g] {
-					t.Fatalf("n=%d asm=%v plane %d byte %d: %08b want %08b", len(values), asm, p, g, got[p][g], want[p][g])
+					t.Fatalf("n=%d asm=%v plane %d byte %d: %08b want %08b", len(codes), asm, p, g, got[p][g], want[p][g])
 				}
 			}
 		}
@@ -181,7 +188,7 @@ func checkSplitPredict(t *testing.T, values []uint32, want [][]byte) {
 // FuzzMergeDecodeDispatch holds MergeDecodeRange's AVX2 and generic
 // kernels to the three-pass oracle and to plain truncation, for a
 // fuzz-chosen plane count, raise, 8-aligned start and length; the same
-// codes also check the predicted transpose.
+// codes also check the coder's split (SplitEncodeRange).
 func FuzzMergeDecodeDispatch(f *testing.F) {
 	f.Add(uint8(31), uint8(0), uint8(12), uint16(0), uint16(100), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(20), uint8(7), uint8(19), uint16(9), uint16(40), []byte{0xff, 0xee, 0xdd, 0xcc, 0, 0, 0, 1})
@@ -200,6 +207,6 @@ func FuzzMergeDecodeDispatch(f *testing.F) {
 		newRaise(codes, u, h, w, l, e).check(t)
 		planes := Split(codes)
 		PredictEncode(planes[Planes-u:])
-		checkSplitPredict(t, codes, planes)
+		checkSplitEncode(t, codes, planes)
 	})
 }

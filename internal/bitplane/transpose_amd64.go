@@ -23,12 +23,12 @@ func setAVX2(on bool) bool {
 }
 
 // splitAVX2 transposes iters×32 values starting at values, each first
-// replaced by v ^ (v>>1 ^ v>>2) & pm, into the plane byte arrays: per
-// iteration it writes 4 bytes at the current group offset into each of the
-// 32 planes. Implemented in transpose_amd64.s.
+// replaced by e ^ (e>>1 ^ e>>2) & pm with e = (v + nbm) ^ nbm, into the
+// plane byte arrays: per iteration it writes 4 bytes at the current group
+// offset into each of the 32 planes. Implemented in transpose_amd64.s.
 //
 //go:noescape
-func splitAVX2(planes *[Planes]unsafe.Pointer, values *uint32, iters int, pm uint32)
+func splitAVX2(planes *[Planes]unsafe.Pointer, values *uint32, iters int, pm, nbm uint32)
 
 // mergeAVX2 is the inverse: it rebuilds iters×32 values from plane bytes.
 // Nil plane pointers contribute zero bits; blocks is a bitmask of plane
@@ -48,7 +48,7 @@ func mergeDecodeAVX2(planes *[Planes]unsafe.Pointer, ks *int32, iters int, block
 
 // splitRangeAccel runs the vector kernel over the longest 32-value-aligned
 // prefix of [lo, hi) and returns the new lo for the scalar tail.
-func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int, pm uint32) int {
+func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int, pm, nbm uint32) int {
 	n32 := (hi - lo) &^ 31
 	if !useAVX2 || n32 == 0 || len(planes) < Planes {
 		return lo
@@ -57,7 +57,7 @@ func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int, pm uint32) in
 	for p := 0; p < Planes; p++ {
 		ptrs[p] = unsafe.Pointer(&planes[p][lo>>3])
 	}
-	splitAVX2(&ptrs, &values[lo], n32>>5, pm)
+	splitAVX2(&ptrs, &values[lo], n32>>5, pm, nbm)
 	return lo + n32
 }
 

@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // AVX2 kernels for the 8×32 bit-matrix transpose behind SplitRange,
-// SplitPredictRange, MergeRange and MergeDecodeRange. All process 32 values
+// SplitEncodeRange, MergeRange and MergeDecodeRange. All process 32 values
 // (4 groups of 8) per iteration.
 //
 // The core trick: arrange value bytes so that within each 8-byte chunk of a
@@ -102,8 +102,15 @@ GLOBL three<>(SB), RODATA|NOPTR, $4
 	MOVQ      (base*8+56)(R8), BX  \
 	MOVL      AX, (BX)(R10*1)
 
-// func splitAVX2(planes *[32]unsafe.Pointer, values *uint32, iters int, pm uint32)
-TEXT ·splitAVX2(SB), NOSPLIT, $0-28
+// ENCODE replaces the values in V by (v + nbm) ^ nbm, nbm in Y15: their
+// negabinary codes when V holds int32 indices and nbm is 0xAAAAAAAA, or
+// nothing when nbm is zero.
+#define ENCODE(V) \
+	VPADDD Y15, V, V \
+	VPXOR  Y15, V, V
+
+// func splitAVX2(planes *[32]unsafe.Pointer, values *uint32, iters int, pm, nbm uint32)
+TEXT ·splitAVX2(SB), NOSPLIT, $0-32
 	MOVQ    planes+0(FP), R8
 	MOVQ    values+8(FP), R9
 	MOVQ    iters+16(FP), R11
@@ -113,13 +120,21 @@ TEXT ·splitAVX2(SB), NOSPLIT, $0-28
 	MOVL    pm+24(FP), AX
 	VMOVD   AX, X14
 	VPBROADCASTD X14, Y14
+	MOVL    nbm+28(FP), AX
+	VMOVD   AX, X15
+	VPBROADCASTD X15, Y15
 
 splitloop:
-	// Load 4 groups, predict, and bring each into chunked per-byte form.
+	// Load 4 groups, encode, predict, and bring each into chunked
+	// per-byte form.
 	VMOVDQU (R9), Y0
 	VMOVDQU 32(R9), Y1
 	VMOVDQU 64(R9), Y2
 	VMOVDQU 96(R9), Y3
+	ENCODE(Y0)
+	ENCODE(Y1)
+	ENCODE(Y2)
+	ENCODE(Y3)
 	PREDICT(Y0)
 	PREDICT(Y1)
 	PREDICT(Y2)

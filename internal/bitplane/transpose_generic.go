@@ -7,7 +7,9 @@ package bitplane
 // reports false.
 func setAVX2(on bool) bool { return false }
 
-func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int, pm uint32) int { return lo }
+func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int, pm, nbm uint32) int {
+	return lo
+}
 
 func mergeRangeAccel(out []uint32, planes [][]byte, lo, hi int) int { return lo }
 

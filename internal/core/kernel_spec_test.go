@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/grid"
@@ -36,59 +37,7 @@ func kernelSpecCase[T grid.Scalar](t *testing.T) {
 	q := quant.New(1e-6)
 	kind := interp.Cubic
 
-	// Reference: the spec functions, serial canonical order.
-	refWork := make([]T, len(data))
-	copy(refWork, data)
-	refKs := make([][]int32, dec.NumLevels()+1)
-	refOutliers := make(map[int][]uint32)
-	for l := dec.NumLevels(); l >= 1; l-- {
-		ks := make([]int32, dec.LevelCount(l))
-		for _, p := range dec.LevelPasses(l) {
-			p.VisitRuns(kind, 0, p.Targets(), func(r *interp.Run) {
-				f, seq := r.Flat, r.Seq
-				for i := 0; i < r.N; i++ {
-					pred := interp.Predict(r, refWork, f)
-					k, recon, ok := quant.QuantizeReconstruct(q, refWork[f], pred)
-					ks[seq] = k
-					refWork[f] = recon
-					if !ok {
-						refOutliers[l] = append(refOutliers[l], uint32(seq))
-					}
-					seq++
-					f += r.Step
-				}
-			})
-		}
-		refKs[l] = ks
-	}
-
-	// Subject: the fused kernel.
-	work := make([]T, len(data))
-	copy(work, data)
-	enc := newLevelQuantizer(work, q)
-	for l := dec.NumLevels(); l >= 1; l-- {
-		var m levelMeta
-		ks := make([]int32, dec.LevelCount(l))
-		enc.quantizeLevel(dec, l, kind, ks, &m)
-		for i := range ks {
-			if ks[i] != refKs[l][i] {
-				t.Fatalf("level %d index %d: kernel k=%d, spec k=%d", l, i, ks[i], refKs[l][i])
-			}
-		}
-		if len(m.outlierIdx) != len(refOutliers[l]) {
-			t.Fatalf("level %d: kernel %d outliers, spec %d", l, len(m.outlierIdx), len(refOutliers[l]))
-		}
-		for i, oi := range m.outlierIdx {
-			if oi != refOutliers[l][i] {
-				t.Fatalf("level %d outlier %d: kernel seq %d, spec seq %d", l, i, oi, refOutliers[l][i])
-			}
-		}
-	}
-	for i := range work {
-		if work[i] != refWork[i] {
-			t.Fatalf("work array diverges at %d: kernel %v, spec %v", i, work[i], refWork[i])
-		}
-	}
+	refKs, refOutliers, work := checkQuantizerSpec(t, data, dec, kind, q)
 
 	// Reference decode: anchors plus interp.Predict + quant.DequantizeApply
 	// per point (outlier positions overridden with their exact originals)
@@ -101,8 +50,8 @@ func kernelSpecCase[T grid.Scalar](t *testing.T) {
 	}
 	for l := dec.NumLevels(); l >= 1; l-- {
 		outSet := make(map[uint32]bool, len(refOutliers[l]))
-		for _, seq := range refOutliers[l] {
-			outSet[seq] = true
+		for _, o := range refOutliers[l] {
+			outSet[o.idx] = true
 		}
 		for _, p := range dec.LevelPasses(l) {
 			p.VisitRuns(kind, 0, p.Targets(), func(r *interp.Run) {
@@ -149,4 +98,69 @@ func kernelSpecCase[T grid.Scalar](t *testing.T) {
 			t.Fatalf("retrieval diverges from encoder work array at %d: %v vs %v", i, recon[i], work[i])
 		}
 	}
+}
+
+// specQuantize is the compressor's quantization composed from the spec
+// functions, interp.Predict + quant.QuantizeReconstruct, point by point in
+// canonical order: every level's indices and outliers' sequence indices,
+// and the work array after level 1.
+func specQuantize[T grid.Scalar](data []T, dec *interp.Decomposition, kind interp.Kind, q quant.Quantizer) (ks [][]int32, outliers map[int][]outlier, work []T) {
+	work = append([]T(nil), data...)
+	ks = make([][]int32, dec.NumLevels()+1)
+	outliers = make(map[int][]outlier)
+	for l := dec.NumLevels(); l >= 1; l-- {
+		ks[l] = make([]int32, dec.LevelCount(l))
+		for _, p := range dec.LevelPasses(l) {
+			p.VisitRuns(kind, 0, p.Targets(), func(r *interp.Run) {
+				f, seq := r.Flat, r.Seq
+				for i := 0; i < r.N; i++ {
+					pred, orig := interp.Predict(r, work, f), work[f]
+					k, recon, ok := quant.QuantizeReconstruct(q, orig, pred)
+					ks[l][seq] = k
+					work[f] = recon
+					if !ok {
+						outliers[l] = append(outliers[l], outlier{uint32(seq), float64(orig)})
+					}
+					seq++
+					f += r.Step
+				}
+			})
+		}
+	}
+	return ks, outliers, work
+}
+
+// checkQuantizerSpec runs the fused kernel (levelQuantizer) over every
+// level of data and requires specQuantize's indices, outliers — sequence
+// indices in canonical order, and values — and work array, bit for bit. It
+// returns the spec's results.
+func checkQuantizerSpec[T grid.Scalar](t *testing.T, data []T, dec *interp.Decomposition, kind interp.Kind, q quant.Quantizer) ([][]int32, map[int][]outlier, []T) {
+	t.Helper()
+	refKs, refOutliers, refWork := specQuantize(data, dec, kind, q)
+	work := append([]T(nil), data...)
+	enc := newLevelQuantizer(work, q)
+	for l := dec.NumLevels(); l >= 1; l-- {
+		var m levelMeta
+		ks := make([]int32, dec.LevelCount(l))
+		enc.quantizeLevel(dec, l, kind, ks, &m)
+		for i := range ks {
+			if ks[i] != refKs[l][i] {
+				t.Fatalf("level %d index %d: kernel k=%d, spec k=%d", l, i, ks[i], refKs[l][i])
+			}
+		}
+		if len(m.outlierIdx) != len(refOutliers[l]) {
+			t.Fatalf("level %d: kernel %d outliers, spec %d", l, len(m.outlierIdx), len(refOutliers[l]))
+		}
+		for i, o := range refOutliers[l] {
+			if m.outlierIdx[i] != o.idx || math.Float64bits(m.outlierVal[i]) != math.Float64bits(o.val) {
+				t.Fatalf("level %d outlier %d: kernel (%d, %v), spec (%d, %v)", l, i, m.outlierIdx[i], m.outlierVal[i], o.idx, o.val)
+			}
+		}
+	}
+	for i := range work {
+		if math.Float64bits(float64(work[i])) != math.Float64bits(float64(refWork[i])) {
+			t.Fatalf("work array diverges at %d: kernel %v, spec %v", i, work[i], refWork[i])
+		}
+	}
+	return refKs, refOutliers, work
 }

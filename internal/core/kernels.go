@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -27,16 +28,24 @@ import (
 // never writes, so shards of a pass execute concurrently and still produce
 // bit-identical output to the serial canonical order.
 
-// minShardTargets is the smallest number of pass targets worth handing to
-// one worker; below it the goroutine overhead beats the win.
+// minShardTargets is the smallest number of values worth handing to one
+// worker in a flat per-value pass (the merge of a raise); below it the
+// goroutine overhead beats the win.
 const minShardTargets = 4096
 
-// outlierAcc collects outlier escapes of one shard in sequence order. The
-// values widen to float64 in memory for both scalar types (lossless); the
-// header serializes them at the native width.
-type outlierAcc struct {
-	idx []uint32
-	val []float64
+// minPassTargets is the same floor for an interpolation pass, which the
+// quantizer and the rebuild walk with their vector kernels at a few ns a
+// target. It keeps every pass of a 32³ tile — 16 384 targets at most — on
+// one goroutine, where a second one costs more than it saves, while a
+// 128³ field's passes still shard.
+const minPassTargets = 1 << 15
+
+// outlier is one outlier escape: its level-local sequence index and its
+// value, widened to float64 in memory for both scalar types (lossless); the
+// header serializes it at the native width.
+type outlier struct {
+	idx uint32
+	val float64
 }
 
 // levelQuantizer fuses prediction and quantization for one compression
@@ -61,93 +70,109 @@ func newLevelQuantizer[T grid.Scalar](work []T, q quant.Quantizer) levelQuantize
 
 // quantizeLevel quantizes every point of level l against predictions from
 // the (lossy) work array, writing indices into ks (len = LevelCount(l)) and
-// appending outliers to m in canonical sequence order.
+// appending outliers to m in canonical sequence order. Each pass is walked
+// a column at a time (interp.Pass.Walk) and sharded by lines across cores,
+// as the rebuild walks it; a pass's outliers come out in walk order and are
+// sorted once before they are appended.
 func (e *levelQuantizer[T]) quantizeLevel(dec *interp.Decomposition, l int, kind interp.Kind, ks []int32, m *levelMeta) {
 	passes := dec.LevelPasses(l)
 	for pi := range passes {
 		p := &passes[pi]
-		total := p.Targets()
-		if total == 0 {
+		lines, width := p.Lines()
+		if lines == 0 {
 			continue
 		}
-		shards, per := chunkSpan(total, minShardTargets, 1)
-		if shards <= 1 {
-			var acc outlierAcc
-			e.quantizeRange(p, kind, 0, total, ks, &acc)
-			m.outlierIdx = append(m.outlierIdx, acc.idx...)
-			m.outlierVal = append(m.outlierVal, acc.val...)
-			continue
+		var outliers []outlier
+		minLines := max(1, minPassTargets/width)
+		if chunks, per := chunkSpan(lines, minLines, 1); chunks <= 1 {
+			outliers = e.quantizeLines(p, kind, 0, lines, ks)
+		} else {
+			shards := make([][]outlier, chunks)
+			ParallelFor(chunks, func(c int) {
+				lo := c * per
+				shards[c] = e.quantizeLines(p, kind, lo, min(lo+per, lines), ks)
+			})
+			outliers = slices.Concat(shards...)
 		}
-		accs := make([]outlierAcc, shards)
-		ParallelFor(shards, func(sh int) {
-			lo := sh * per
-			hi := min(lo+per, total)
-			e.quantizeRange(p, kind, lo, hi, ks, &accs[sh])
-		})
-		// Shards cover ascending sequence ranges, so appending in shard
-		// order keeps the outlier table sorted by sequence index.
-		for i := range accs {
-			m.outlierIdx = append(m.outlierIdx, accs[i].idx...)
-			m.outlierVal = append(m.outlierVal, accs[i].val...)
+		byIdx := func(a, b outlier) int { return cmp.Compare(a.idx, b.idx) }
+		if !slices.IsSortedFunc(outliers, byIdx) {
+			slices.SortFunc(outliers, byIdx)
+		}
+		for _, o := range outliers {
+			m.outlierIdx = append(m.outlierIdx, o.idx)
+			m.outlierVal = append(m.outlierVal, o.val)
 		}
 	}
 }
 
-func (e *levelQuantizer[T]) quantizeRange(p *interp.Pass, kind interp.Kind, tLo, tHi int, ks []int32, acc *outlierAcc) {
+// quantizeLines quantizes lines [lo, hi) of pass p and returns their
+// outliers in walk order.
+func (e *levelQuantizer[T]) quantizeLines(p *interp.Pass, kind interp.Kind, lo, hi int, ks []int32) []outlier {
+	var acc []outlier
+	var r interp.Run // outside the loop, as in applyLines
+	w := p.Walk(kind, lo, hi)
+	for w.Next(&r) {
+		acc = e.quantizeRun(&r, ks, acc)
+	}
+	return acc
+}
+
+// quantizeRun quantizes every point of r and appends its outliers to acc.
+func (e *levelQuantizer[T]) quantizeRun(r *interp.Run, ks []int32, acc []outlier) []outlier {
 	w := e.work
 	step, invStep, eb := e.step, e.invStep, e.eb
-	p.VisitRuns(kind, tLo, tHi, func(r *interp.Run) {
-		f, seq, fstep := r.Flat, r.Seq, r.Step
-		remaining := r.N
-		for remaining > 0 {
-			// The vector kernel commits whole groups until one trips the
-			// window or bound guard; the scalar loop below then absorbs a
-			// short span (which owns the outlier protocol) before retrying.
-			if done := quantizeRunAccel(w, ks, r, f, seq, remaining, step, invStep, eb); done > 0 {
-				f += done * fstep
-				seq += done
-				remaining -= done
-				continue
-			}
-			g := remaining
-			if asmKernels && g > 8 {
-				g = 8
-			}
-			remaining -= g
-			for n := g; n > 0; n-- {
-				// Predict inlines (it is a small switch on the run's Mode, a
-				// loop-invariant and thus perfectly predicted branch), and the
-				// quantize-reconstruct arithmetic below is the exact expression
-				// sequence of quant.QuantizeReconstruct (pinned by the kernel
-				// spec test), inlined because the call does not. The residual
-				// scales in T and widens — exactly — for the window test, so
-				// math.Round of an in-window value can never produce an index
-				// outside the negabinary window; the bound is checked in
-				// float64 against the value as stored in T, so float32
-				// rounding can only escape to the outlier path, never break
-				// the guarantee.
-				pred := interp.Predict(r, w, f)
-				orig := w[f]
-				qf := float64((orig - pred) * invStep)
-				if qf >= -nb.MaxIndex && qf <= nb.MaxIndex {
-					k := int32(math.Round(qf))
-					recon := pred + T(k)*step
-					if d := float64(recon) - float64(orig); d <= eb && d >= -eb {
-						ks[seq] = k
-						w[f] = recon
-						seq++
-						f += fstep
-						continue
-					}
-				}
-				acc.idx = append(acc.idx, uint32(seq))
-				acc.val = append(acc.val, float64(orig))
-				ks[seq] = 0
-				seq++
-				f += fstep
-			}
+	f, seq := r.Flat, r.Seq
+	remaining := r.N
+	for remaining > 0 {
+		// The vector kernel commits whole groups until one trips the
+		// window or bound guard; the scalar loop below then absorbs a
+		// short span (which owns the outlier protocol) before retrying,
+		// and takes the tail shorter than a group.
+		if done := quantizeRunAccel(w, ks, r, f, seq, remaining, step, invStep, eb); done > 0 {
+			f += done * r.Step
+			seq += done * r.SeqStep
+			remaining -= done
+			continue
 		}
-	})
+		g := remaining
+		if asmKernels && g > 8 {
+			g = 8
+		}
+		remaining -= g
+		for ; g > 0; g-- {
+			// Predict inlines (it is a small switch on the run's Mode, a
+			// loop-invariant and thus perfectly predicted branch), and the
+			// quantize-reconstruct arithmetic below is the exact expression
+			// sequence of quant.QuantizeReconstruct (pinned by the kernel
+			// spec test), inlined because the call does not. The residual
+			// scales in T and widens — exactly — for the window test, so
+			// math.Round of an in-window value can never produce an index
+			// outside the negabinary window; the bound is checked in
+			// float64 against the value as stored in T, so float32
+			// rounding can only escape to the outlier path, never break
+			// the guarantee.
+			pred := interp.Predict(r, w, f)
+			orig := w[f]
+			qf := float64((orig - pred) * invStep)
+			k := int32(0)
+			if qf >= -nb.MaxIndex && qf <= nb.MaxIndex {
+				k = int32(math.Round(qf))
+				recon := pred + T(k)*step
+				if d := float64(recon) - float64(orig); d <= eb && d >= -eb {
+					w[f] = recon
+				} else {
+					k = 0
+					acc = append(acc, outlier{uint32(seq), float64(orig)})
+				}
+			} else {
+				acc = append(acc, outlier{uint32(seq), float64(orig)})
+			}
+			ks[seq] = k
+			seq += r.SeqStep
+			f += r.Step
+		}
+	}
+	return acc
 }
 
 // applyLevel reconstructs level l into data (the retrieval side of the
@@ -170,7 +195,7 @@ func applyLevel[T grid.Scalar](a *Archive, data []T, l int, ks []int32) {
 		}
 		// The shard closure escapes to the helpers: make it only when the
 		// pass shards.
-		minLines := max(1, minShardTargets/width)
+		minLines := max(1, minPassTargets/width)
 		if chunks, _ := chunkSpan(lines, minLines, 1); chunks <= 1 {
 			applyLines(p, kind, 0, lines, data, ks, step, m)
 			continue

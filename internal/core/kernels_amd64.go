@@ -19,9 +19,9 @@ const asmKernels = true
 var useAVX2 = cpu.X86.HasAVX2
 
 // setAVX2 forces the core vector kernels (fused predict+quantize,
-// dequantize+apply, negabinary drop scan) on or off and reports whether
-// they are active afterwards. It exists so tests and benchmarks can drive
-// both paths; it is not safe to toggle concurrently with Compress/Retrieve.
+// dequantize+apply) on or off and reports whether they are active
+// afterwards. It exists so tests and benchmarks can drive both paths; it
+// is not safe to toggle concurrently with Compress/Retrieve.
 func setAVX2(on bool) bool {
 	useAVX2 = on && cpu.X86.HasAVX2
 	return useAVX2
@@ -43,7 +43,7 @@ type kernArgs struct {
 	step    float64        // quantizer step (narrowed in the f32 kernels)
 	invStep float64
 	eb      float64
-	ksStep  int64 // index stride between points (apply kernels only)
+	ksStep  int64 // index stride between points
 }
 
 // quantizeRunF64 commits points through the fused predict+quantize+bound
@@ -73,34 +73,28 @@ func applyRunF64(a *kernArgs) int64
 //go:noescape
 func applyRunF32(a *kernArgs) int64
 
-// maxDropAVX2 runs the branchless negabinary partial-sum scan over
-// n (a multiple of 4) values. scratch points at 67 rows of 4 int64 lane
-// accumulators: rows 0..32 are per-depth |partial| maxima, rows 33..66 the
-// pending |k| maxima keyed by one past each group's top digit.
-//
-//go:noescape
-func maxDropAVX2(nbv *uint32, n, used int64, scratch *int64)
-
-// quantizeRunAccel hands a prefix of the run to the vector kernel and
-// returns how many points it committed (0 when inactive, when the first
-// group trips a guard, or when the run is too short to vectorize).
+// quantizeRunAccel hands the next n points of the run, from flat index f
+// and sequence index seq on, to the vector kernel and returns how many it
+// committed: whole groups, up to the first that trips a guard (0 when
+// inactive or when n is shorter than a group).
 func quantizeRunAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, f, seq, n int, step, invStep T, eb float64) int {
-	if !useAVX2 {
+	if !useAVX2 || n < 4 {
 		return 0
 	}
+	// The kernel does not bound-check; the last point and index do.
+	_ = w[f+(n-1)*r.Step]
+	_ = ks[seq+(n-1)*r.SeqStep]
 	// Field by field, not a composite literal: the literal is built in a
 	// zeroed temporary and block-copied into a (DUFFZERO + DUFFCOPY on every
 	// call, and a tile makes one call per run of ≤ 16 points).
 	var a kernArgs
 	a.ks = unsafe.Pointer(&ks[seq])
 	a.f, a.fstep, a.n = int64(f), int64(r.Step), int64(n)
+	a.ksStep = int64(r.SeqStep)
 	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
 	a.step, a.invStep, a.eb = float64(step), float64(invStep), eb
 	switch wt := any(w).(type) {
 	case []float64:
-		if n < 4 {
-			return 0
-		}
 		a.data = unsafe.Pointer(&wt[0])
 		return int(quantizeRunF64(&a))
 	case []float32:
@@ -160,30 +154,4 @@ func applyGroups[T grid.Scalar](data []T, ks []int32, r *interp.Run, a *kernArgs
 		a.data = unsafe.Pointer(&dt[0])
 		applyRunF32(a)
 	}
-}
-
-// maxDropAccel scans nbv[lo:lo+n4] (n4 a multiple of 4) into local and
-// pend, exactly as the scalar loop in exactMaxDrop would, and reports
-// whether it ran.
-func maxDropAccel(nbv []uint32, lo, n4, used int, local *[33]uint32, pend *[34]uint32) bool {
-	if !useAVX2 || n4 < 8 {
-		return false
-	}
-	scratch := make([]int64, 67*4)
-	maxDropAVX2(&nbv[lo], int64(n4), int64(used), &scratch[0])
-	for d := 1; d <= used; d++ {
-		for _, v := range scratch[d*4 : d*4+4] {
-			if uint32(v) > local[d] {
-				local[d] = uint32(v)
-			}
-		}
-	}
-	for d := 0; d <= used+1 && d < 34; d++ {
-		for _, v := range scratch[(33+d)*4 : (33+d)*4+4] {
-			if uint32(v) > pend[d] {
-				pend[d] = uint32(v)
-			}
-		}
-	}
-	return true
 }

@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // AVX2 kernels for the fused predict+quantize and dequantize+apply run
-// loops, plus the negabinary drop scan. The floating-point expression
+// loops. The floating-point expression
 // ORDER matches the generic kernels operation for operation (no FMA — Go
 // does not contract, and archives must be bit-identical across paths).
 // math.Round (half away from zero) is emulated over VROUNDPD/VROUNDPS
@@ -13,20 +13,23 @@
 // fails the group and the scalar path (which owns the outlier protocol)
 // takes over.
 //
-// The apply kernels read the quantization indices ksStep apart (a column
-// of a pass walks its indices a row of targets apart) with strided
-// inserts, as LOAD4/LOAD8 read data. They commit whole groups only; the
-// Go wrapper covers a run's tail with one more group that ends at the
-// run's last point and overlaps the groups before it, which is exact
-// because a target reads only points its pass never writes.
+// Every kernel walks the quantization indices ksStep apart (a column of a
+// pass walks its indices a row of targets apart): the apply kernels read
+// them with strided inserts, as LOAD4/LOAD8 read data, the quantize
+// kernels write them with strided extracts. All commit whole groups only.
+// The apply wrapper covers a run's tail with one more group that ends at
+// the run's last point and overlaps the groups before it, which is exact
+// because a target reads only points its pass never writes; the quantize
+// wrapper leaves the tail to the scalar loop, since a quantized point's
+// work value is already its reconstruction.
 //
 // Register conventions shared by all kernels:
 //	R8  = *kernArgs     AX  = &data[f] (advances)
 //	BX  = off1 bytes    CX  = off3 bytes
 //	R13 = elem stride   R15 = 3*stride
 //	R10 = ks cursor     R11 = groups remaining    R12 = groups total
-//	R9/R14 = ks stride / 3*ks stride bytes (apply kernels)
-//	SI/DI/DX/R9/R14     scratch (quantize kernels)
+//	R9/R14 = ks stride / 3*ks stride bytes
+//	SI/DI/DX            scratch (quantize kernels)
 
 DATA nine4<>+0(SB)/8, $0x4022000000000000
 DATA nine4<>+8(SB)/8, $0x4022000000000000
@@ -113,12 +116,6 @@ DATA absf8<>+16(SB)/8, $0x7fffffff7fffffff
 DATA absf8<>+24(SB)/8, $0x7fffffff7fffffff
 GLOBL absf8<>(SB), RODATA|NOPTR, $32
 
-DATA one64x4<>+0(SB)/8, $1
-DATA one64x4<>+8(SB)/8, $1
-DATA one64x4<>+16(SB)/8, $1
-DATA one64x4<>+24(SB)/8, $1
-GLOBL one64x4<>(SB), RODATA|NOPTR, $32
-
 // LOAD4: four strided float64 loads from SI into Yd.
 #define LOAD4(Yd, Xd, Xt) \
 	VMOVSD      (SI), Xd             \
@@ -160,6 +157,23 @@ GLOBL one64x4<>(SB), RODATA|NOPTR, $32
 	VEXTRACTPS   $1, Xt, (DI)(R13*1)    \
 	VEXTRACTPS   $2, Xt, (DI)(R13*2)    \
 	VEXTRACTPS   $3, Xt, (DI)(R15*1)
+
+// KSTRIDE: the index stride of every kernel, R9 = ksStep bytes, R14 = 3×.
+#define KSTRIDE \
+	MOVQ 88(R8), R9          \
+	SHLQ $2, R9              \
+	LEAQ (R9)(R9*2), R14
+
+// STOREK4: store the four int32 lanes of Xs R9 bytes apart from R10, and
+// advance R10 past them. The quantize tails store a row's indices (R9 = 4)
+// with one contiguous move instead, skipping the strided stores by a
+// PC-relative jump (a macro expanded three times can hold no label).
+#define STOREK4(Xs) \
+	VMOVD   Xs, (R10)                \
+	VPEXTRD $1, Xs, (R10)(R9*1)      \
+	VPEXTRD $2, Xs, (R10)(R9*2)      \
+	VPEXTRD $3, Xs, (R10)(R14*1)     \
+	LEAQ    (R10)(R9*4), R10
 
 // QPRED64_* leave the prediction in Y0 for the group at AX.
 #define QPRED64_COPY \
@@ -227,10 +241,14 @@ GLOBL one64x4<>(SB), RODATA|NOPTR, $32
 	CMPL       DX, $15                     \
 	JNE        D                           \
 	VCVTTPD2DQY Y7, X7                      \
+	CMPQ       R9, $4                      \
+	JEQ        7(PC)                       \
+	STOREK4(X7)                            \
+	JMP        3(PC)                       \
 	VMOVDQU    X7, (R10)                   \
+	ADDQ       $16, R10                    \
 	STORE4(Y1, X1, X2)                     \
 	LEAQ       (AX)(R13*4), AX             \
-	ADDQ       $16, R10                    \
 	DECQ       R11                         \
 	JNZ        L                           \
 	JMP        D
@@ -245,6 +263,7 @@ TEXT ·quantizeRunF64(SB), NOSPLIT, $0-16
 	SHLQ  $3, R13
 	LEAQ  (R13)(R13*2), R15
 	MOVQ  8(R8), R10
+	KSTRIDE
 	MOVQ  32(R8), R11
 	SHRQ  $2, R11
 	MOVQ  R11, R12
@@ -367,10 +386,16 @@ qf64done:
 	CMPL       DI, $15                     \
 	JNE        D                           \
 	VCVTTPS2DQ Y7, Y7                      \
+	CMPQ       R9, $4                      \
+	JEQ        13(PC)                      \
+	STOREK4(X7)                            \
+	VEXTRACTI128 $1, Y7, X7                \
+	STOREK4(X7)                            \
+	JMP        3(PC)                       \
 	VMOVDQU    Y7, (R10)                   \
+	ADDQ       $32, R10                    \
 	STORE8F(Y1, X1, X2)                    \
 	LEAQ       (AX)(R13*8), AX             \
-	ADDQ       $32, R10                    \
 	DECQ       R11                         \
 	JNZ        L                           \
 	JMP        D
@@ -385,6 +410,7 @@ TEXT ·quantizeRunF32(SB), NOSPLIT, $0-16
 	SHLQ  $2, R13
 	LEAQ  (R13)(R13*2), R15
 	MOVQ  8(R8), R10
+	KSTRIDE
 	MOVQ  32(R8), R11
 	SHRQ  $3, R11
 	MOVQ  R11, R12
@@ -449,12 +475,6 @@ qf32done:
 	DECQ      R11              \
 	JNZ       L
 
-// APRO: the apply kernels' index stride, R9 = ksStep bytes, R14 = 3×.
-#define APRO \
-	MOVQ 88(R8), R9          \
-	SHLQ $2, R9              \
-	LEAQ (R9)(R9*2), R14
-
 // func applyRunF64(a *kernArgs) int64
 TEXT ·applyRunF64(SB), NOSPLIT, $0-16
 	MOVQ  a+0(FP), R8
@@ -465,7 +485,7 @@ TEXT ·applyRunF64(SB), NOSPLIT, $0-16
 	SHLQ  $3, R13
 	LEAQ  (R13)(R13*2), R15
 	MOVQ  8(R8), R10
-	APRO
+	KSTRIDE
 	MOVQ  32(R8), R11
 	SHRQ  $2, R11
 	MOVQ  R11, R12
@@ -528,7 +548,7 @@ TEXT ·applyRunF32(SB), NOSPLIT, $0-16
 	SHLQ  $2, R13
 	LEAQ  (R13)(R13*2), R15
 	MOVQ  8(R8), R10
-	APRO
+	KSTRIDE
 	MOVQ  32(R8), R11
 	SHRQ  $3, R11
 	MOVQ  R11, R12
@@ -565,78 +585,5 @@ af32cubic:
 af32done:
 	SHLQ $3, R12
 	MOVQ R12, ret+8(FP)
-	VZEROUPPER
-	RET
-
-// func maxDropAVX2(nbv *uint32, n, used int64, scratch *int64)
-//
-// Four int64 lanes run the branchless digit loop of exactMaxDrop: per
-// depth d the signed partial sum gains w&-(u&1), w flips sign and doubles,
-// and |sum| max-folds into scratch row d. Lanes whose digits end early
-// keep a constant sum equal to |k|, which is exactly what the scalar
-// code's pend spreading would contribute, so iterating every lane to the
-// group's top digit needs no masking. The final |sum| vector max-folds
-// into pend row (top digit + 1) when the group ends before `used`.
-TEXT ·maxDropAVX2(SB), NOSPLIT, $0-32
-	MOVQ    nbv+0(FP), R9
-	MOVQ    n+8(FP), R11
-	SHRQ    $2, R11
-	MOVQ    used+16(FP), R14
-	MOVQ    scratch+24(FP), R8
-	VPXOR   Y0, Y0, Y0
-	VMOVDQU one64x4<>(SB), Y7
-
-mdloop:
-	MOVL (R9), AX
-	ORL  4(R9), AX
-	ORL  8(R9), AX
-	ORL  12(R9), AX
-	JZ   mdnext
-
-	BSRL AX, DX
-	INCL DX
-	CMPQ DX, R14
-	JLE  2(PC)
-	MOVQ R14, DX
-
-	VPMOVZXDQ (R9), Y1
-	VMOVDQU   Y7, Y2
-	VPXOR     Y3, Y3, Y3
-	LEAQ      32(R8), DI
-	MOVL      DX, SI
-
-mddigit:
-	VPAND     Y7, Y1, Y5
-	VPSUBQ    Y5, Y0, Y5
-	VPAND     Y2, Y5, Y5
-	VPADDQ    Y5, Y3, Y3
-	VPSRLQ    $1, Y1, Y1
-	VPSLLQ    $1, Y2, Y2
-	VPSUBQ    Y2, Y0, Y2
-	VPCMPGTQ  Y3, Y0, Y5
-	VPXOR     Y3, Y5, Y6
-	VPSUBQ    Y5, Y6, Y6
-	VMOVDQU   (DI), Y5
-	VPCMPGTQ  Y5, Y6, Y8
-	VBLENDVPD Y8, Y6, Y5, Y5
-	VMOVDQU   Y5, (DI)
-	ADDQ      $32, DI
-	DECL      SI
-	JNZ       mddigit
-
-	CMPQ DX, R14
-	JGE  mdnext
-	LEAQ 34(DX), SI
-	SHLQ $5, SI
-	ADDQ R8, SI
-	VMOVDQU   (SI), Y5
-	VPCMPGTQ  Y5, Y6, Y8
-	VBLENDVPD Y8, Y6, Y5, Y5
-	VMOVDQU   Y5, (SI)
-
-mdnext:
-	ADDQ $16, R9
-	DECQ R11
-	JNZ  mdloop
 	VZEROUPPER
 	RET

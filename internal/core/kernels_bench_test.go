@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"compress/flate"
-	"math"
 	"testing"
 
 	"repro/internal/codec"
@@ -13,31 +12,34 @@ import (
 	"repro/internal/quant"
 )
 
-// BenchmarkQuantizeLevel measures the fused predict+quantize kernel over
-// the finest level of a 128³ grid — the dominant stage of Compress.
+// BenchmarkQuantizeLevel measures the fused predict+quantize pass — the
+// dominant stage of Compress — over every level of realPlaneFields, coarse
+// to fine from a fresh copy of the field, as Compress runs it. It reports
+// ns per value of the field.
 func BenchmarkQuantizeLevel(b *testing.B) {
-	shape := grid.Shape{128, 128, 128}
-	dec, err := interp.NewDecomposition(shape)
-	if err != nil {
-		b.Fatal(err)
-	}
-	orig := make([]float64, shape.Len())
-	for i := range orig {
-		orig[i] = math.Sin(float64(i) * 1e-3)
-	}
-	work := make([]float64, len(orig))
-	ks := make([]int32, dec.LevelCount(1))
-	enc := newLevelQuantizer(work, quant.New(1e-6))
-	b.SetBytes(int64(len(ks) * 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, orig)
-		var m levelMeta
-		enc.quantizeLevel(dec, 1, interp.Cubic, ks, &m)
-		if len(m.outlierIdx) != 0 {
-			b.Fatalf("unexpected outliers: %d", len(m.outlierIdx))
-		}
+	for _, c := range realPlaneFields(b) {
+		b.Run(c.name, func(b *testing.B) {
+			dec, err := interp.NewDecomposition(c.g.Shape())
+			if err != nil {
+				b.Fatal(err)
+			}
+			L := dec.NumLevels()
+			ks := make([][]int32, L+1)
+			for l := 1; l <= L; l++ {
+				ks[l] = make([]int32, dec.LevelCount(l))
+			}
+			work := make([]float32, c.g.Len())
+			enc := newLevelQuantizer(work, quant.New(c.eb))
+			b.ReportAllocs()
+			for b.Loop() {
+				copy(work, c.g.Data())
+				for l := L; l >= 1; l-- {
+					var m levelMeta
+					enc.quantizeLevel(dec, l, interp.Cubic, ks[l], &m)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(work)), "ns/value")
+		})
 	}
 }
 
@@ -46,10 +48,16 @@ type namedArchive struct {
 	a    *Archive
 }
 
-// realPlaneArchives compresses Density as float32 at 1e-5 of its range,
-// once as the 128³ field and once as that field's corner 32³ tile, the
-// unit a chunked store decodes.
-func realPlaneArchives(tb testing.TB) []namedArchive {
+type namedField struct {
+	name string
+	g    *grid.Grid[float32]
+	eb   float64
+}
+
+// realPlaneFields is Density as float32, once as the 128³ field and once
+// as that field's corner 32³ tile, the unit a chunked store decodes, each
+// with the absolute bound 1e-5 of the field's range.
+func realPlaneFields(tb testing.TB) []namedField {
 	field, err := datagen.GenerateShape("Density", grid.Shape{128, 128, 128})
 	if err != nil {
 		tb.Fatal(err)
@@ -63,12 +71,14 @@ func realPlaneArchives(tb testing.TB) []namedArchive {
 			}
 		}
 	}
+	return []namedField{{"tile32", tile, eb}, {"field128", grid.Narrow(field), eb}}
+}
+
+// realPlaneArchives compresses realPlaneFields.
+func realPlaneArchives(tb testing.TB) []namedArchive {
 	var out []namedArchive
-	for _, c := range []struct {
-		name string
-		g    *grid.Grid[float32]
-	}{{"tile32", tile}, {"field128", grid.Narrow(field)}} {
-		blob, err := Compress(c.g, Options{ErrorBound: eb, Interpolation: interp.Cubic})
+	for _, c := range realPlaneFields(tb) {
+		blob, err := Compress(c.g, Options{ErrorBound: c.eb, Interpolation: interp.Cubic})
 		if err != nil {
 			tb.Fatal(err)
 		}

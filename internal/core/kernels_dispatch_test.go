@@ -7,10 +7,9 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bitplane"
 	"repro/internal/grid"
 	"repro/internal/interp"
-	"repro/internal/nb"
+	"repro/internal/quant"
 )
 
 // vectorPath switches the core kernels onto the AVX2 path (skipping the
@@ -27,14 +26,19 @@ func vectorPath(t *testing.T, on bool) {
 // TestQuantizeDispatchDifferential compresses the golden datasets (which
 // include outlier spikes, so the bail-to-scalar protocol is exercised at
 // group boundaries) down both kernel paths and requires byte-identical
-// archives for both scalar widths.
+// archives for both scalar widths. Its columns/* subtests quantize
+// columnShapes, whose level-1 columns carry planted outliers — at a
+// column's ends and inside it — and whose columns run from one point to
+// several groups, down both paths, and hold each to the spec functions in
+// canonical order (checkQuantizerSpec): indices, outlier order and values,
+// work array.
 func TestQuantizeDispatchDifferential(t *testing.T) {
-	if !setAVX2(true) {
-		t.Skip("AVX2 kernels unavailable on this host")
-	}
 	t.Cleanup(func() { setAVX2(true) })
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
+			if !setAVX2(true) {
+				t.Skip("AVX2 kernels unavailable on this host")
+			}
 			opt := Options{ErrorBound: 1e-6, Interpolation: tc.kind}
 			g64 := goldenField(t, tc.shape)
 			setAVX2(true)
@@ -66,6 +70,26 @@ func TestQuantizeDispatchDifferential(t *testing.T) {
 				t.Errorf("float32 archive differs between AVX2 and generic kernels (%d vs %d bytes)", len(asm32), len(gen32))
 			}
 		})
+	}
+	for _, cs := range columnShapes {
+		for _, kind := range []interp.Kind{interp.Linear, interp.Cubic} {
+			t.Run(fmt.Sprintf("columns/%s/%s", cs.tag, kind), func(t *testing.T) {
+				g := goldenField(t, cs.shape)
+				plantColumnOutliers(t, g.Data(), cs.shape, kind)
+				dec, err := interp.NewDecomposition(cs.shape)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q := quant.New(1e-6)
+				for _, avx := range []bool{true, false} {
+					if setAVX2(avx) != avx {
+						continue // no AVX2 here: the generic path alone
+					}
+					checkQuantizerSpec(t, g.Data(), dec, kind, q)
+					checkQuantizerSpec(t, grid.Narrow(g).Data(), dec, kind, q)
+				}
+			})
+		}
 	}
 }
 
@@ -272,58 +296,6 @@ func refRebuild[T grid.Scalar](a *Archive, trunc [][]int32) []T {
 		}
 	}
 	return data
-}
-
-// TestMaxDropDispatchDifferential runs exactMaxDrop down both paths over
-// index distributions with mixed digit lengths (zeros, short runs, full
-// 31-digit values) and requires identical drop tables.
-func TestMaxDropDispatchDifferential(t *testing.T) {
-	if !setAVX2(true) {
-		t.Skip("AVX2 kernels unavailable on this host")
-	}
-	t.Cleanup(func() { setAVX2(true) })
-	rng := uint64(0x1234_5678_9ABC_DEF0)
-	next := func() uint64 {
-		rng += 0x9E3779B97F4A7C15
-		z := rng
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
-	for _, n := range []int{1, 3, 4, 5, 7, 8, 31, 64, 1000, 40000} {
-		ks := make([]int32, n)
-		nbv := make([]uint32, n)
-		for i := range ks {
-			r := next()
-			var k int32
-			switch r % 5 {
-			case 0: // zero
-			case 1:
-				k = int32(r>>40)%7 - 3 // tiny
-			case 2:
-				k = int32(uint32(r>>32) % 1000)
-			case 3:
-				k = -int32(uint32(r>>32) % (1 << 20))
-			default:
-				k = int32(uint32(r>>33)%(nb.MaxIndex)) - nb.MaxIndex/2
-			}
-			ks[i] = k
-			nbv[i] = nb.Encode32(k)
-		}
-		used := bitplane.NumUsedPlanes(nbv)
-		setAVX2(true)
-		asm := exactMaxDrop(ks, nbv, used)
-		setAVX2(false)
-		gen := exactMaxDrop(ks, nbv, used)
-		if len(asm) != len(gen) {
-			t.Fatalf("n=%d: table length mismatch %d vs %d", n, len(asm), len(gen))
-		}
-		for d := range asm {
-			if asm[d] != gen[d] {
-				t.Fatalf("n=%d depth %d: asm=%d generic=%d", n, d, asm[d], gen[d])
-			}
-		}
-	}
 }
 
 // TestQuantizeAccelCommits drives the vector quantize kernel directly on

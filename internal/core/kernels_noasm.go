@@ -22,7 +22,3 @@ func quantizeRunAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, f, seq, n
 func applyRunAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
 	return false
 }
-
-func maxDropAccel(nbv []uint32, lo, n4, used int, local *[33]uint32, pend *[34]uint32) bool {
-	return false
-}

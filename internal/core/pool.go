@@ -54,7 +54,6 @@ var (
 	floatScratch  SlicePool[float64] // grid-length float64 work arrays
 	work32Scratch SlicePool[float32] // grid-length float32 work arrays
 	int32Scratch  SlicePool[int32]   // quantization index backings
-	uint32Scratch SlicePool[uint32]  // negabinary value scratch (level-sized)
 	byteScratch   SlicePool[byte]    // bitplane backings: compress's, a raise's (multi-MB class)
 	spanScratch   SlicePool[byte]    // block span reads (KB class)
 )

@@ -186,29 +186,21 @@ func (g *Grid[T]) Clone() *Grid[T] {
 	return out
 }
 
-// Range returns the minimum and maximum values of the grid. For an empty
-// grid both returns are zero (cannot happen for validated shapes).
-func (g *Grid[T]) Range() (lo, hi T) {
-	if len(g.data) == 0 {
-		return 0, 0
-	}
-	lo, hi = g.data[0], g.data[0]
-	for _, v := range g.data[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
+// Range returns the minimum and maximum values of the grid, ignoring NaN
+// wherever it sits (see CopyRange). A grid with no value but NaN returns
+// zeros.
+func (g *Grid[T]) Range() (lo, hi T) { return CopyRange(nil, g.data) }
 
 // ValueRange returns hi-lo, the span used to derive relative error bounds.
 // The subtraction is carried out in float64 regardless of T so bound
-// arithmetic stays exact for float32 grids.
+// arithmetic stays exact for float32 grids. NaN values are ignored, and a
+// grid whose other values are all equal — or that has none, or holds one
+// infinity throughout — spans 0: callers treat it as a constant field.
 func (g *Grid[T]) ValueRange() float64 {
 	lo, hi := g.Range()
+	if lo == hi {
+		return 0
+	}
 	return float64(hi) - float64(lo)
 }
 

@@ -16,11 +16,11 @@
 //   - Decomposition answers shape-level questions (NumLevels, LevelCount,
 //     Anchors) in closed form.
 //   - LevelPasses / VisitRuns decompose a level's pass into maximal runs
-//     of uniform prediction in canonical order, shardable by target range —
-//     the batched form internal/core's compressor consumes, with no
-//     per-point closures. Pass.Walk covers a pass, shardable by lines, in
-//     whatever order keeps runs long (columns for the innermost pass); it
-//     is what retrieval consumes.
+//     of uniform prediction in canonical order, shardable by target range,
+//     for the point-at-a-time baselines. Pass.Walk covers a pass, shardable
+//     by lines, in whatever order keeps runs long (columns for the
+//     innermost pass); it is what internal/core's compressor and retrieval
+//     consume.
 //
 // Predict evaluates the interpolation formulas themselves, generically
 // over float32/float64.

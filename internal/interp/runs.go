@@ -18,13 +18,15 @@ import "repro/internal/grid"
 // paying an indirect call per grid point. A pass is walked two ways:
 //
 //   - VisitRuns, in canonical order, with maximal runs along the innermost
-//     dimension. The compressor uses it: its outliers are recorded in this
-//     order, and that order is part of the archive bytes.
-//   - Walk, for retrieval, which may take any order. The pass along the
-//     innermost dimension splits each row into up to four short runs of
-//     different modes, so Walk turns it sideways: a run is a column across
-//     the second-innermost dimension, one per innermost target, in blocks
-//     of at most colBlock rows (32 rows of a 128-wide f32 field are 16 KB).
+//     dimension. The point-at-a-time baselines (internal/baselines/lossy)
+//     and the tests' reference coders use it.
+//   - Walk, for the codec's kernels, which may take any order: the
+//     compressor sorts a pass's outliers back into canonical order, the
+//     order the archive records them in. The pass along the innermost
+//     dimension splits each row into up to four short runs of different
+//     modes, so Walk turns it sideways: a run is a column across the
+//     second-innermost dimension, one per innermost target, in blocks of
+//     at most colBlock rows (32 rows of a 128-wide f32 field are 16 KB).
 
 // RunMode identifies the single prediction formula that applies to every
 // point of a run, mirroring the cases of the scalar predictor.

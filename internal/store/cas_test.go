@@ -264,6 +264,11 @@ func TestSeriesBound(t *testing.T) {
 	copy(g.Data(), []float32{-1, 0, 2, 3}) // value range 4
 	flat := grid.MustNew[float32](grid.Shape{4})
 	prev := &cas.Manifest{ErrorBound: 0.25}
+	nan := float32(math.NaN())
+	nanFirst := grid.MustNew[float32](grid.Shape{6})
+	copy(nanFirst.Data(), []float32{nan, -1, 0, 2, 3, 1})
+	nanLater := grid.MustNew[float32](grid.Shape{6})
+	copy(nanLater.Data(), []float32{-1, 0, 2, 3, 1, nan})
 	cases := []struct {
 		name    string
 		g       *grid.Grid[float32]
@@ -276,6 +281,8 @@ func TestSeriesBound(t *testing.T) {
 		{"absolute", g, nil, 1e-3, false, 1e-3, ""},
 		{"relative", g, nil, 1e-3, true, 4e-3, ""},
 		{"relative on a constant field stays absolute", flat, nil, 1e-3, true, 1e-3, ""},
+		{"relative ignores a NaN at index 0", nanFirst, nil, 1e-3, true, 4e-3, ""},
+		{"relative ignores a NaN at index 5", nanLater, nil, 1e-3, true, 4e-3, ""},
 		{"inherited", g, prev, 0, false, 0.25, ""},
 		{"given over inherited", g, prev, 1e-3, true, 4e-3, ""},
 		{"inherited is never rescaled", g, prev, 0, true, 0, "rel applies to an eb given with the same snapshot"},

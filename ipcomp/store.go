@@ -16,7 +16,9 @@ type StoreOptions struct {
 	ErrorBound float64
 	// Relative interprets ErrorBound as a fraction of the dataset's value
 	// range, the paper's convention. The range is computed over the whole
-	// dataset, so every chunk shares one absolute bound.
+	// dataset, so every chunk shares one absolute bound. It ignores NaN
+	// wherever it sits, and a dataset whose other values are all equal, or
+	// that has none, counts as constant (range 1), as in Options.Relative.
 	Relative bool
 	// Interpolation defaults to Cubic (DefaultInterpolation).
 	Interpolation Interpolation
