@@ -154,17 +154,17 @@ func (e *levelQuantizer[T]) quantizeRun(r *interp.Run, ks []int32, acc []outlier
 			pred := interp.Predict(r, w, f)
 			orig := w[f]
 			qf := float64((orig - pred) * invStep)
-			k := int32(0)
+			var k int32
+			ok := false
 			if qf >= -nb.MaxIndex && qf <= nb.MaxIndex {
 				k = int32(math.Round(qf))
 				recon := pred + T(k)*step
 				if d := float64(recon) - float64(orig); d <= eb && d >= -eb {
-					w[f] = recon
-				} else {
-					k = 0
-					acc = append(acc, outlier{uint32(seq), float64(orig)})
+					w[f], ok = recon, true
 				}
-			} else {
+			}
+			if !ok {
+				k = 0
 				acc = append(acc, outlier{uint32(seq), float64(orig)})
 			}
 			ks[seq] = k

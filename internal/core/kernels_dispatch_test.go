@@ -175,9 +175,10 @@ func TestApplyDispatchDifferential(t *testing.T) {
 	}
 }
 
-// columnShapes are the fields TestApplyDispatchDifferential walks for the
-// column walk (interp.Pass.Walk); goldenCases stays as it is, its archive
-// SHAs being pinned.
+// columnShapes are the fields TestApplyDispatchDifferential and
+// TestQuantizeDispatchDifferential walk for the column walk
+// (interp.Pass.Walk); goldenCases stays as it is, its archive SHAs being
+// pinned.
 var columnShapes = []struct {
 	tag   string
 	shape grid.Shape

@@ -83,13 +83,11 @@ func checkInputScan[T grid.Scalar](t *testing.T, src []T) {
 			m = v
 		}
 	}
-	g, err := grid.FromSlice(append([]T(nil), src...), grid.Shape{max(1, len(src))})
-	if len(src) == 0 {
-		g = nil
-	} else if err != nil {
-		t.Fatal(err)
-	}
-	if g != nil {
+	if len(src) > 0 { // a grid has at least one value
+		g, err := grid.FromSlice(src, grid.Shape{len(src)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		lo, hi := g.Range()
 		if bits(float64(lo)) != bits(float64(wantLo)) || bits(float64(hi)) != bits(float64(wantHi)) {
 			t.Fatalf("Range = (%v, %v), sequential (%v, %v) over %v", lo, hi, wantLo, wantHi, src)
