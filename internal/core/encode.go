@@ -21,21 +21,16 @@ import (
 // a code's top digit the loss is |k| at every depth; it is kept once per
 // top digit and spread over the deeper depths at the end.
 //
-// A shard of fewer than foldMin indices walks each code's digits one at a
-// time (digits). A larger one makes the per-value cost independent of the
-// number of used planes: for d ≤ lowBits the loss depends only on a code's
-// low lowBits digits, so the pass marks which of those 2^lowBits patterns
-// occur in a byte table, one store per value, and foldLow takes the maxima
-// over the patterns present once per shard. Only a code of more than
-// lowBits digits still walks its higher digits, from its low digits' value
-// on.
+// The per-value cost does not grow with the number of used planes: for
+// d ≤ lowBits the loss depends only on a code's low lowBits digits, so the
+// pass marks which of those 2^lowBits patterns occur in a byte table, one
+// store per value, and foldLow takes the maxima over the patterns present
+// once per shard. Only a code of more than lowBits digits still walks its
+// higher digits (high), from its low digits' value on.
 
 const (
 	lowBits  = 10
 	lowCodes = 1 << lowBits
-	// foldMin is the shard length from which the pattern table pays for
-	// its fold (about 3 000 operations).
-	foldMin = 2 * lowCodes
 	// encodeChunk is how many indices the pass encodes and splits at a
 	// time: 16 KB of indices and as many bytes of planes.
 	encodeChunk = 4096
@@ -88,7 +83,6 @@ type dropScan struct {
 
 // scan runs the pass over ks[lo:hi), lo a multiple of encodeChunk.
 func (s *dropScan) scan(ks []int32, planes [][]byte, lo, hi int) {
-	table := hi-lo >= foldMin
 	// The OR stays in a register: through s it would be stored and
 	// reloaded beside every store to the table.
 	or, low := uint32(0), &s.low
@@ -97,37 +91,30 @@ func (s *dropScan) scan(ks []int32, planes [][]byte, lo, hi int) {
 		for _, k := range ks[c:e] {
 			u := nb.Encode32(k)
 			or |= u
-			switch {
-			case !table:
-				if u != 0 {
-					s.digits(k, u, 0)
-				}
-			case u < lowCodes:
+			if u < lowCodes {
 				low[u] = 1
-			default:
+			} else {
 				low[lowCodes+u&(lowCodes-1)] = 1
-				s.digits(k, u, lowBits)
+				s.high(k, u)
 			}
 		}
 		bitplane.SplitEncodeRange(planes, ks, c, e)
 	}
 	s.or |= or
-	if table {
-		s.foldLow()
-	}
+	s.foldLow()
 }
 
-// digits records the losses of code u (of index k) at the depths past
-// from, an even number of digits the caller has accounted for: the running
-// partial sum from the value of its low digits on, then |k| past its top
-// digit. The digit loop is branchless: the digits are effectively random,
-// so a conditional add would mispredict constantly.
-func (s *dropScan) digits(k int32, u uint32, from int) {
+// high records the losses of a code u (of index k) longer than lowBits
+// digits at the depths past lowBits: the running partial sum from the value
+// of its low digits on, then |k| past its top digit. The digit loop is
+// branchless: the digits are effectively random, so a conditional add
+// would mispredict constantly.
+func (s *dropScan) high(k int32, u uint32) {
 	dEnd := bits.Len32(u) // one past the top set digit
-	diff := int64(nb.Decode32(u & (1<<from - 1)))
-	w := int64(1) << from // (−2)^from
-	u >>= from
-	for d := from + 1; d <= dEnd; d++ {
+	diff := int64(nb.Decode32(u & (lowCodes - 1)))
+	w := int64(lowCodes) // (−2)^lowBits, lowBits even
+	u >>= lowBits
+	for d := lowBits + 1; d <= dEnd; d++ {
 		diff += w & -int64(u&1)
 		u >>= 1
 		w *= -2

@@ -165,9 +165,7 @@ GLOBL absf8<>(SB), RODATA|NOPTR, $32
 	LEAQ (R9)(R9*2), R14
 
 // STOREK4: store the four int32 lanes of Xs R9 bytes apart from R10, and
-// advance R10 past them. The quantize tails store a row's indices (R9 = 4)
-// with one contiguous move instead, skipping the strided stores by a
-// PC-relative jump (a macro expanded three times can hold no label).
+// advance R10 past them.
 #define STOREK4(Xs) \
 	VMOVD   Xs, (R10)                \
 	VPEXTRD $1, Xs, (R10)(R9*1)      \
@@ -241,12 +239,7 @@ GLOBL absf8<>(SB), RODATA|NOPTR, $32
 	CMPL       DX, $15                     \
 	JNE        D                           \
 	VCVTTPD2DQY Y7, X7                      \
-	CMPQ       R9, $4                      \
-	JEQ        7(PC)                       \
 	STOREK4(X7)                            \
-	JMP        3(PC)                       \
-	VMOVDQU    X7, (R10)                   \
-	ADDQ       $16, R10                    \
 	STORE4(Y1, X1, X2)                     \
 	LEAQ       (AX)(R13*4), AX             \
 	DECQ       R11                         \
@@ -386,14 +379,9 @@ qf64done:
 	CMPL       DI, $15                     \
 	JNE        D                           \
 	VCVTTPS2DQ Y7, Y7                      \
-	CMPQ       R9, $4                      \
-	JEQ        13(PC)                      \
 	STOREK4(X7)                            \
 	VEXTRACTI128 $1, Y7, X7                \
 	STOREK4(X7)                            \
-	JMP        3(PC)                       \
-	VMOVDQU    Y7, (R10)                   \
-	ADDQ       $32, R10                    \
 	STORE8F(Y1, X1, X2)                    \
 	LEAQ       (AX)(R13*8), AX             \
 	DECQ       R11                         \

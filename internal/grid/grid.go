@@ -194,14 +194,26 @@ func (g *Grid[T]) Range() (lo, hi T) { return CopyRange(nil, g.data) }
 // ValueRange returns hi-lo, the span used to derive relative error bounds.
 // The subtraction is carried out in float64 regardless of T so bound
 // arithmetic stays exact for float32 grids. NaN values are ignored, and a
-// grid whose other values are all equal — or that has none, or holds one
-// infinity throughout — spans 0: callers treat it as a constant field.
+// grid with no finite value, or whose finite values are all equal with no
+// infinity beside them, spans 0: callers treat it as a constant field. A
+// grid holding finite values and an infinity spans +Inf.
 func (g *Grid[T]) ValueRange() float64 {
 	lo, hi := g.Range()
-	if lo == hi {
+	if lo == hi || math.IsInf(float64(hi)-float64(lo), 1) && !hasFinite(g.data) {
 		return 0
 	}
 	return float64(hi) - float64(lo)
+}
+
+// hasFinite reports whether s holds a value that is neither NaN nor an
+// infinity. ValueRange asks it only of a grid spanning −Inf to +Inf.
+func hasFinite[T Scalar](s []T) bool {
+	for _, v := range s {
+		if !math.IsInf(float64(v), 0) && v == v {
+			return true
+		}
+	}
+	return false
 }
 
 // WidenSlice converts a slice to float64 into a fresh slice (lossless for

@@ -109,6 +109,9 @@ func TestRangeIgnoresNaN(t *testing.T) {
 		{[]float64{nan, nan}, 0, 0, 0},
 		{[]float64{nan, 4, nan, 4}, 4, 4, 0},
 		{[]float64{math.Inf(1), nan, math.Inf(1)}, math.Inf(1), math.Inf(1), 0},
+		{[]float64{math.Inf(1), math.Inf(-1), nan}, math.Inf(-1), math.Inf(1), 0},
+		{[]float64{nan, math.Inf(-1), math.Inf(1)}, math.Inf(-1), math.Inf(1), 0},
+		{[]float64{math.Inf(-1), 1, math.Inf(1)}, math.Inf(-1), math.Inf(1), math.Inf(1)},
 	} {
 		g := MustNew[float64](Shape{len(c.data)})
 		copy(g.Data(), c.data)

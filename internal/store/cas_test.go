@@ -269,6 +269,9 @@ func TestSeriesBound(t *testing.T) {
 	copy(nanFirst.Data(), []float32{nan, -1, 0, 2, 3, 1})
 	nanLater := grid.MustNew[float32](grid.Shape{6})
 	copy(nanLater.Data(), []float32{-1, 0, 2, 3, 1, nan})
+	inf := float32(math.Inf(1))
+	noFinite := grid.MustNew[float32](grid.Shape{4})
+	copy(noFinite.Data(), []float32{inf, -inf, nan, inf})
 	cases := []struct {
 		name    string
 		g       *grid.Grid[float32]
@@ -283,6 +286,7 @@ func TestSeriesBound(t *testing.T) {
 		{"relative on a constant field stays absolute", flat, nil, 1e-3, true, 1e-3, ""},
 		{"relative ignores a NaN at index 0", nanFirst, nil, 1e-3, true, 4e-3, ""},
 		{"relative ignores a NaN at index 5", nanLater, nil, 1e-3, true, 4e-3, ""},
+		{"relative with no finite value stays absolute", noFinite, nil, 1e-3, true, 1e-3, ""},
 		{"inherited", g, prev, 0, false, 0.25, ""},
 		{"given over inherited", g, prev, 1e-3, true, 4e-3, ""},
 		{"inherited is never rescaled", g, prev, 0, true, 0, "rel applies to an eb given with the same snapshot"},

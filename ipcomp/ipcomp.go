@@ -65,9 +65,10 @@ type Options struct {
 	// Relative, when true, interprets ErrorBound as a fraction of the data
 	// value range (max-min), the convention used throughout the paper's
 	// evaluation (e.g. eb = 1e-6 means 1e-6 x range). The range ignores NaN
-	// wherever it sits, the first value included. Data whose other values
-	// are all equal, or that has none, is a constant field: the range
-	// counts as 1, so ErrorBound applies as given.
+	// wherever it sits, the first value included. Data with no finite
+	// value, or whose values are all equal, is a constant field: the range
+	// counts as 1, so ErrorBound applies as given. Data holding an infinity
+	// beside finite values has an infinite range and is refused.
 	Relative bool
 	// Interpolation defaults to Cubic (DefaultInterpolation).
 	Interpolation Interpolation

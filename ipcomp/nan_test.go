@@ -11,25 +11,37 @@ import (
 
 // TestRelativeBoundIgnoresNaN pins the NaN rule of a relative bound at the
 // library's two entry points: a NaN is ignored wherever it sits, the first
-// value included, so the bound is eb times the range of the other values.
+// value included, so the bound is eb times the range of the other values,
+// and a field with no finite value takes the constant-field rule (range 1).
 func TestRelativeBoundIgnoresNaN(t *testing.T) {
 	shape := []int{4, 4, 4}
 	const eb = 1e-3
-	for _, at := range []int{0, 5} {
+	for _, at := range []int{0, 5, -1} {
 		data := make([]float32, 64)
+		name := fmt.Sprintf("nan@%d", at)
 		for i := range data {
 			data[i] = float32(math.Sin(float64(i)*0.3)) * 10
 		}
-		data[at] = float32(math.NaN())
+		if at >= 0 {
+			data[at] = float32(math.NaN())
+		} else {
+			name = "no-finite-value"
+			for i := range data {
+				data[i] = float32([]float64{math.Inf(1), math.Inf(-1), math.NaN()}[i%3])
+			}
+		}
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range data {
-			if v == v {
+			if !math.IsInf(float64(v), 0) && v == v {
 				lo, hi = min(lo, float64(v)), max(hi, float64(v))
 			}
 		}
 		want := eb * (hi - lo)
+		if at < 0 {
+			want = eb
+		}
 
-		t.Run(fmt.Sprintf("Compress/nan@%d", at), func(t *testing.T) {
+		t.Run("Compress/"+name, func(t *testing.T) {
 			blob, err := ipcomp.CompressFloat32(data, shape, ipcomp.Options{ErrorBound: eb, Relative: true})
 			if err != nil {
 				t.Fatal(err)
@@ -42,7 +54,7 @@ func TestRelativeBoundIgnoresNaN(t *testing.T) {
 				t.Fatalf("archive bound %g, want %g", got, want)
 			}
 		})
-		t.Run(fmt.Sprintf("StoreWriter/nan@%d", at), func(t *testing.T) {
+		t.Run("StoreWriter/"+name, func(t *testing.T) {
 			var buf bytes.Buffer
 			sw, err := ipcomp.NewStoreWriter(&buf)
 			if err != nil {

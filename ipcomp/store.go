@@ -17,8 +17,9 @@ type StoreOptions struct {
 	// Relative interprets ErrorBound as a fraction of the dataset's value
 	// range, the paper's convention. The range is computed over the whole
 	// dataset, so every chunk shares one absolute bound. It ignores NaN
-	// wherever it sits, and a dataset whose other values are all equal, or
-	// that has none, counts as constant (range 1), as in Options.Relative.
+	// wherever it sits; a dataset with no finite value, or whose values are
+	// all equal, counts as constant (range 1), and one holding an infinity
+	// beside finite values is refused, as in Options.Relative.
 	Relative bool
 	// Interpolation defaults to Cubic (DefaultInterpolation).
 	Interpolation Interpolation
