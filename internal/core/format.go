@@ -172,6 +172,15 @@ func (h *header) planeSpan(level, have, want int) (off, n int64) {
 	return offs[have], offs[want-1] - offs[have] + int64(h.metaOf(level).blockSizes[want-1])
 }
 
+// indexCount is the number of quantization indices of all levels.
+func (h *header) indexCount() int {
+	n := 0
+	for i := range h.meta {
+		n += h.meta[i].count
+	}
+	return n
+}
+
 // totalSize returns the full archive size in bytes.
 func (h *header) totalSize() int64 {
 	size := h.headerSize

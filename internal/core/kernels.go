@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sync"
 
+	"repro/internal/bitplane"
 	"repro/internal/grid"
 	"repro/internal/interp"
 	"repro/internal/nb"
@@ -181,8 +183,9 @@ func (e *levelQuantizer[T]) quantizeRun(r *interp.Run, ks []int32, acc []outlier
 // runs at T's native width, the exact expression the compressor's work
 // array evaluated, so reconstruction tracks the encoder bit for bit at any
 // scalar width. Each pass is walked a column at a time (interp.Pass.Walk)
-// and sharded by lines across cores.
-func applyLevel[T grid.Scalar](a *Archive, data []T, l int, ks []int32) {
+// and sharded by lines across cores. The indices are ks, or, when ks is
+// nil, every stored plane of the level as decoded (see applyShard).
+func applyLevel[T grid.Scalar](a *Archive, data []T, l int, ks []int32, planes []byte) {
 	m := a.h.metaOf(l)
 	step := T(a.quant.Step())
 	kind := a.h.kind
@@ -197,25 +200,95 @@ func applyLevel[T grid.Scalar](a *Archive, data []T, l int, ks []int32) {
 		// pass shards.
 		minLines := max(1, minPassTargets/width)
 		if chunks, _ := chunkSpan(lines, minLines, 1); chunks <= 1 {
-			applyLines(p, kind, 0, lines, data, ks, step, m)
+			applyShard(p, kind, 0, lines, data, ks, planes, step, m)
 			continue
 		}
 		parallelChunks(lines, minLines, 1, func(lo, hi int) {
-			applyLines(p, kind, lo, hi, data, ks, step, m)
+			applyShard(p, kind, lo, hi, data, ks, planes, step, m)
 		})
 	}
 }
 
+// mergeBlockValues is how many indices a full-fidelity rebuild merges at a
+// time: 16 KB of int32, still in the first-level cache when applyLines
+// reads them back.
+const mergeBlockValues = 4096
+
+// applyShard reconstructs lines [lo, hi) of pass p from the level's
+// indices ks, or, when ks is nil, from its decoded planes: they are merged
+// into pooled scratch a block of lines at a time, each block just before
+// applyLines consumes it, so a full-fidelity retrieval never holds the
+// level's indices at once.
+func applyShard[T grid.Scalar](p *interp.Pass, kind interp.Kind, lo, hi int, data []T, ks []int32, planes []byte, step T, m *levelMeta) {
+	if ks != nil {
+		applyLines(p, kind, lo, hi, data, ks, 0, step, m)
+		return
+	}
+	_, width := p.Lines()
+	per := max(1, mergeBlockValues/width)
+	bm := blockMerges.Get().(*blockMerge)
+	for b := lo; b < hi; b += per {
+		e := min(b+per, hi)
+		// MergeDecodeRange starts on a plane byte: from the 8-aligned
+		// index at or below the block's first, shifted out by base.
+		base := (p.SeqOffset() + b*width) &^ 7
+		bks := bm.merge(planes, m, base, p.SeqOffset()+e*width)
+		applyLines(p, kind, b, e, data, bks, base, step, m)
+	}
+	bm.planes = [bitplane.Planes][]byte{} // drop the references to planes
+	if cap(bm.ks) > 2*mergeBlockValues {
+		bm.ks = nil // a block of one long line: not worth keeping
+	}
+	blockMerges.Put(bm)
+}
+
+// blockMerge is one shard's scratch for applyShard, pooled so that a
+// shard allocates neither the indices nor the plane table.
+type blockMerge struct {
+	ks     []int32
+	planes [bitplane.Planes][]byte
+}
+
+var blockMerges = sync.Pool{New: func() any { return new(blockMerge) }}
+
+// noCorr is the correction of a first raise: no planes were loaded before.
+var noCorr [4]uint32
+
+// merge returns the indices [base, end) of a level with every stored plane
+// loaded, merged from planes (usedPlanes planes of (count+7)/8 bytes, MSB
+// plane first, as fetchPlanes decodes them) into bm's scratch. base is a
+// multiple of 8.
+func (bm *blockMerge) merge(planes []byte, m *levelMeta, base, end int) []int32 {
+	n := end - base
+	if cap(bm.ks) < n {
+		bm.ks = make([]int32, n)
+	}
+	ks := bm.ks[:n]
+	clear(ks) // the merge ORs under what is there: a first raise's zeros
+	if m.usedPlanes == 0 {
+		return ks
+	}
+	planeBytes := (m.count + 7) / 8
+	used := bm.planes[bitplane.Planes-m.usedPlanes:]
+	for p := range used {
+		used[p] = planes[p*planeBytes+base>>3 : (p+1)*planeBytes]
+	}
+	bitplane.MergeDecodeRange(ks, bm.planes[:], 0, n, ^uint32(0), uint(m.usedPlanes), &noCorr)
+	return ks
+}
+
 // applyLines reconstructs lines [lo, hi) of pass p, then restores the
-// outliers among them. The runs write pred + k·step at an outlier's
-// position too (its index is 0); nothing in the pass reads a target, so
-// overwriting it afterwards is exact.
-func applyLines[T grid.Scalar](p *interp.Pass, kind interp.Kind, lo, hi int, data []T, ks []int32, step T, m *levelMeta) {
+// outliers among them. ks holds the level's indices from sequence index
+// base on. The runs write pred + k·step at an outlier's position too (its
+// index is 0); nothing in the pass reads a target, so overwriting it
+// afterwards is exact.
+func applyLines[T grid.Scalar](p *interp.Pass, kind interp.Kind, lo, hi int, data []T, ks []int32, base int, step T, m *levelMeta) {
 	// The walk is declared outside the loop: a for-clause variable is
 	// copied into every iteration, and Walk is a dozen words.
 	var r interp.Run
 	w := p.Walk(kind, lo, hi)
 	for w.Next(&r) {
+		r.Seq -= base
 		applyRun(data, ks, &r, step)
 	}
 	_, width := p.Lines()

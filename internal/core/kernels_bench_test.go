@@ -141,9 +141,7 @@ func BenchmarkMergeRealPlanes(b *testing.B) {
 			b.Run(c.name+"/"+s.name, func(b *testing.B) {
 				r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}, trunc: make([][]int32, a.h.levels)}
 				r.trunc[0] = make([]int32, m.count)
-				if err := r.loadPlanes(1, s.have); err != nil {
-					b.Fatal(err)
-				}
+				raiseLevel(b, r, 1, s.have)
 				got := make([]byte, r.raiseBytes(1, s.want))
 				if err := r.fetchPlanes(1, s.want, got); err != nil {
 					b.Fatal(err)
@@ -202,22 +200,58 @@ func TestDeflateMatchesFlateOnRealPlanes(t *testing.T) {
 
 // BenchmarkRebuild measures the reconstruction half of a retrieval —
 // rebuild, Algorithm 1's dequantize-and-interpolate over every level from
-// the anchors down — on realPlaneArchives, from indices decoded once. It
-// reports ns per value of the field.
+// the anchors down — on realPlaneArchives, from indices decoded once, as a
+// refinement rebuilds. It reports ns per value of the field.
 func BenchmarkRebuild(b *testing.B) {
 	for _, c := range realPlaneArchives(b) {
 		a := c.a
 		b.Run(c.name, func(b *testing.B) {
-			r, err := a.RetrieveAll()
-			if err != nil {
-				b.Fatal(err)
-			}
+			trunc := planIndices(b, a, a.fullPlan())
 			data := make([]float32, a.h.shape.Len())
 			b.ReportAllocs()
 			for b.Loop() {
-				rebuild(a, data, r.trunc, a.h.levels)
+				rebuild(a, data, trunc, nil, a.h.levels)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(data)), "ns/value")
 		})
+	}
+}
+
+// BenchmarkRetrieveAll measures a full-fidelity retrieval end to end — the
+// planes read and entropy-decoded, the value backing taken while they are,
+// every level merged and rebuilt — on realPlaneFields at both widths.
+// MB/s are bytes of the answer; B/op over them is what a retrieval
+// allocates for each byte it returns.
+func BenchmarkRetrieveAll(b *testing.B) {
+	for _, c := range realPlaneFields(b) {
+		for _, width := range []string{"f32", "f64"} {
+			var blob []byte
+			var err error
+			if width == "f32" {
+				blob, err = Compress(c.g, Options{ErrorBound: c.eb, Interpolation: interp.Cubic})
+			} else {
+				g, ferr := grid.FromSlice(grid.WidenSlice(c.g.Data()), c.g.Shape())
+				if ferr != nil {
+					b.Fatal(ferr)
+				}
+				blob, err = Compress(g, Options{ErrorBound: c.eb, Interpolation: interp.Cubic})
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := NewArchive(blob)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(c.name+"/"+width, func(b *testing.B) {
+				b.SetBytes(int64(c.g.Len() * a.h.scalar.Bytes()))
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := a.RetrieveAll(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

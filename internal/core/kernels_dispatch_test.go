@@ -262,13 +262,37 @@ func checkColumnRebuild[T grid.Scalar](t *testing.T, blob []byte, bound float64,
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := DataOf[T](res), refRebuild[T](a, res.trunc)
+		got, want := DataOf[T](res), refRebuild[T](a, planIndices(t, a, res.plan))
 		for i := range want {
 			if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
 				t.Fatalf("%T avx2=%v bound=%v: value %d = %v, reference %v (planted %v)", got[i], avx, bound, i, got[i], want[i], planted[i])
 			}
 		}
 	}
+}
+
+// planIndices returns the truncated indices of plan, each level raised
+// from zero by fetchPlanes and mergePlanes into fresh memory: what rebuild
+// reads, and what a result at full fidelity no longer keeps.
+func planIndices(tb testing.TB, a *Archive, plan Plan) [][]int32 {
+	tb.Helper()
+	r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}, trunc: make([][]int32, a.h.levels)}
+	for l := 1; l <= a.h.levels; l++ {
+		r.trunc[l-1] = make([]int32, a.h.metaOf(l).count)
+		raiseLevel(tb, r, l, a.keepOf(plan, l))
+	}
+	return r.trunc
+}
+
+// raiseLevel raises level l of r to want planes: fetchPlanes into a fresh
+// backing, then mergePlanes.
+func raiseLevel(tb testing.TB, r *Result, l, want int) {
+	tb.Helper()
+	got := make([]byte, r.raiseBytes(l, want))
+	if err := r.fetchPlanes(l, want, got); err != nil {
+		tb.Fatal(err)
+	}
+	r.mergePlanes(l, want, got)
 }
 
 // refRebuild is the reconstruction before the column walk: every pass in

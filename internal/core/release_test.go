@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -9,13 +10,15 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/interp"
 )
 
 // TestReleasedBackingsRetrieveFresh: a retrieval that takes the backings
 // of a released result — its values NaN and its indices garbage when it
 // was released, as a used tile's are stale — is, at every step of a
 // refinement chain, bit for bit the retrieval of the same plan into fresh
-// memory, at both scalar widths.
+// memory, at both scalar widths. The released result is one plane short
+// of full fidelity, so that it holds indices to hand on.
 func TestReleasedBackingsRetrieveFresh(t *testing.T) {
 	t.Run("float64", func(t *testing.T) { releasedIsFresh[float64](t, 1e-9) })
 	t.Run("float32", func(t *testing.T) { releasedIsFresh[float32](t, 1e-5) })
@@ -55,10 +58,12 @@ func releasedIsFresh[T grid.Scalar](t *testing.T, relEB float64) {
 		want[i] = slices.Clone(DataOf[T](r))
 	}
 
+	short := a.fullPlan()
+	short.Keep[0]--
 	rng := rand.New(rand.NewSource(9))
 	recycled := false
 	for round := 0; round < 4; round++ {
-		used, err := a.RetrieveAll()
+		used, err := a.Retrieve(short)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,6 +83,14 @@ func releasedIsFresh[T grid.Scalar](t *testing.T, relEB float64) {
 		}
 		got := DataOf[T](res)
 		recycled = recycled || &got[0] == oldVals && &res.idx[0] == oldIdx
+		// A recycled backing is of the size class of what it holds, so
+		// a result retains less than twice its length.
+		if c, n := cap(got), len(got); bits.Len(uint(c)) != bits.Len(uint(n)) {
+			t.Errorf("round %d: values of length %d on a backing of %d", round, n, c)
+		}
+		if c, n := cap(res.idx), len(res.idx); bits.Len(uint(c)) != bits.Len(uint(n)) {
+			t.Errorf("round %d: indices of length %d on a backing of %d", round, n, c)
+		}
 		for i := range plans {
 			if i > 0 {
 				if err := res.RefineTo(plans[i]); err != nil {
@@ -89,13 +102,8 @@ func releasedIsFresh[T grid.Scalar](t *testing.T, relEB float64) {
 					round, plans[i].Keep, n, len(want[i]))
 			}
 		}
-		// A recycled backing is of the size class of what it holds, so
-		// a result retains less than twice its length.
-		if c, n := cap(got), len(got); bits.Len(uint(c)) != bits.Len(uint(n)) {
-			t.Errorf("round %d: values of length %d on a backing of %d", round, n, c)
-		}
-		if c, n := cap(res.idx), len(res.idx); bits.Len(uint(c)) != bits.Len(uint(n)) {
-			t.Errorf("round %d: indices of length %d on a backing of %d", round, n, c)
+		if res.idx != nil || res.trunc != nil {
+			t.Errorf("round %d: a result refined to full fidelity still holds its indices", round)
 		}
 	}
 	if !recycled && !raceEnabled {
@@ -142,5 +150,110 @@ func TestMergePlanesAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("merging %d planes of %d values allocates %.1f objects", want-have, a.h.metaOf(level).count, allocs)
+	}
+}
+
+// TestFullFidelityPathsAgree is a differential property test of the ways a
+// result reaches full fidelity: Retrieve of the full plan, RefineAll from
+// the minimal plan, a fresh RetrieveAll, and a RetrieveAll that takes the
+// backings of a released result whose values were NaN. Over random small
+// shapes of rank 1 to 4 with odd extents, at both widths and with both
+// predictors, with outliers planted, all four are bit for bit equal, and
+// equal to refRebuild of the full indices; and none of them holds an index
+// backing, since nothing is left to refine.
+func TestFullFidelityPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	maxHalf := [5]int{0, 400, 40, 12, 6} // extents up to 2·maxHalf+9, by rank
+	for trial := 0; trial < 16; trial++ {
+		rank := 1 + trial%4
+		shape := make(grid.Shape, rank)
+		for d := range shape {
+			shape[d] = 2*rng.Intn(maxHalf[rank]) + 9
+		}
+		kind := [2]interp.Kind{interp.Linear, interp.Cubic}[trial/4%2]
+		seed := rng.Int63()
+		t.Run(fmt.Sprintf("%v/%v", shape, kind), func(t *testing.T) {
+			t.Run("float64", func(t *testing.T) { fullPathsAgree[float64](t, shape, kind, seed) })
+			t.Run("float32", func(t *testing.T) { fullPathsAgree[float32](t, shape, kind, seed) })
+		})
+	}
+}
+
+func fullPathsAgree[T grid.Scalar](t *testing.T, shape grid.Shape, kind interp.Kind, seed int64) {
+	g, maxAbs := pureField[T](shape, seed)
+	src := g.Data()
+	rng := rand.New(rand.NewSource(seed))
+	for range 3 {
+		src[rng.Intn(len(src))] += 1e6
+	}
+	blob, err := Compress(g, Options{ErrorBound: 1e-6 * maxAbs, Interpolation: kind, ProgressiveThreshold: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewArchive(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outliers := 0
+	for l := 1; l <= a.h.levels; l++ {
+		outliers += len(a.h.metaOf(l).outlierIdx)
+	}
+	if outliers == 0 || a.h.prog == 0 {
+		t.Fatalf("fixture has %d outliers and %d progressive levels; the test needs both", outliers, a.h.prog)
+	}
+	retrieve := func(p Plan) *Result {
+		t.Helper()
+		r, err := a.Retrieve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	refined := retrieve(a.minimalPlan())
+	if refined.idx == nil {
+		t.Fatal("a retrieval of the minimal plan holds no indices")
+	}
+	if err := refined.RefineAll(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := retrieve(a.fullPlan())
+	spent := retrieve(a.minimalPlan())
+	vals := DataOf[T](spent)
+	for i := range vals {
+		vals[i] = T(math.NaN())
+	}
+	spent.Release()
+	recycled, err := a.RetrieveAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := a.RetrieveAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refRebuild[T](a, planIndices(t, a, a.fullPlan()))
+	paths := []struct {
+		name string
+		r    *Result
+	}{
+		{"Retrieve(full plan)", fresh},
+		{"RefineAll from the minimal plan", refined},
+		{"RetrieveAll", all},
+		{"RetrieveAll into released backings", recycled},
+	}
+	for _, p := range paths {
+		if n := bitDiffs(DataOf[T](p.r), want); n != 0 {
+			t.Errorf("%s: %d of %d values differ in bits from refRebuild", p.name, n, len(want))
+		}
+		if p.r.idx != nil || p.r.trunc != nil {
+			t.Errorf("%s: a full-fidelity result holds an index backing", p.name)
+		}
+		if got := p.r.LoadedBytes(); got != a.TotalSize() {
+			t.Errorf("%s: loaded %d of the archive's %d bytes", p.name, got, a.TotalSize())
+		}
+		if !slices.Equal(p.r.plan.Keep, a.fullPlan().Keep) {
+			t.Errorf("%s: plan %v, want the full plan %v", p.name, p.r.plan.Keep, a.fullPlan().Keep)
+		}
 	}
 }

@@ -15,8 +15,10 @@ import (
 // bitplanes (paper Algorithm 2). The field is held at the archive's native
 // scalar width — exactly one of the two backing slices is non-nil — and is,
 // however the result reached its plan, bit for bit what Retrieve(Plan())
-// returns. Besides the values a result keeps one int32 per value and
-// nothing else that grows with the field.
+// returns. Besides the values, a result below full fidelity keeps one
+// int32 per value, the indices it refines from; one at full fidelity, with
+// nothing left to load, keeps none. Nothing else it holds grows with the
+// field.
 type Result struct {
 	arch   *Archive
 	plan   Plan
@@ -25,12 +27,13 @@ type Result struct {
 	// trunc[l-1] is each level's current truncated quantization index: what
 	// rebuild reconstructs from, and — its negabinary code is exactly the
 	// loaded planes — all a raise needs of the planes loaded before it.
+	// Both are nil at full fidelity.
 	trunc [][]int32
 	idx   []int32 // the one backing every trunc[l-1] is cut from
 	// loadedBytes counts every archive byte read so far, header included.
 	loadedBytes int64
 	// stats, when non-nil, receives span-read and codec-decode timings
-	// from loadPlanes (see DecodeStats).
+	// from fetchPlanes (see DecodeStats).
 	stats *DecodeStats
 }
 
@@ -150,14 +153,6 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 	if len(plan.Keep) != a.h.levels {
 		return nil, fmt.Errorf("core: plan has %d levels, archive %d", len(plan.Keep), a.h.levels)
 	}
-	r := &Result{
-		arch:        a,
-		plan:        Plan{Keep: make([]int, a.h.levels)}, // raised by loadPlanes
-		trunc:       make([][]int32, a.h.levels),
-		loadedBytes: a.h.headerSize,
-		stats:       st,
-	}
-	total := 0
 	for l := 1; l <= a.h.levels; l++ {
 		m := a.h.metaOf(l)
 		// The kernels below index level buffers by the decomposition's
@@ -175,38 +170,27 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 			}
 			prev = int(oi)
 		}
-		total += m.count
 	}
-	// Every level's indices are cut from one backing, zeroed: a fresh one,
-	// or a released one, which Release zeroed.
-	r.idx = releasedIdx.Get(total)
-	for l, off := 1, 0; l <= a.h.levels; l++ {
-		m := a.h.metaOf(l)
-		r.trunc[l-1], off = r.idx[off:off+m.count:off+m.count], off+m.count
-		// Non-progressive levels always load everything.
-		want := plan.Keep[l-1]
-		if l > a.h.prog {
-			want = m.usedPlanes
-		}
-		if err := r.loadPlanes(l, want); err != nil {
-			return nil, err
-		}
-	}
-
-	// Algorithm 1: place anchors, then predict level by level, coarse to
-	// fine, adding each level's dequantized (possibly truncated) residual.
-	// Each level runs through the fused pass kernel, sharded across cores.
 	if len(a.h.anchors) < len(a.dec.Anchors()) {
 		return nil, fmt.Errorf("core: anchor table too short")
 	}
-	// Taken only now: a header whose shape its own level tables do not
-	// bear out has been refused above, before the shape sized anything.
-	// A released backing is not zeroed; rebuild writes every point.
-	data := getReleased[T](a.h.shape.Len())
-	setData(r, data)
-	rebuild(a, data, r.trunc, a.h.levels)
+	r := &Result{
+		arch:        a,
+		plan:        Plan{Keep: make([]int, a.h.levels)}, // raised by raise
+		loadedBytes: a.h.headerSize,
+		stats:       st,
+	}
+	if err := raise[T](r, plan, nil); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
+
+// minAllocAhead is the smallest field, in values, whose retrieval takes its
+// backings on a helper while the planes decode. A fresh backing is zeroed
+// by the runtime, serially; below this a helper costs more to start than
+// the zeroing it takes off the caller.
+const minAllocAhead = 1 << 17
 
 // getReleased returns a length-n value backing, a released result's when
 // one of its size class is pooled.
@@ -239,38 +223,151 @@ func (r *Result) Release() {
 	r.data32, r.data64, r.idx, r.trunc = nil, nil, nil, nil
 }
 
-// rebuild reruns the reconstruction recursion into data from the current
-// truncated indices, level `from` first and the finest last; from = L, the
-// coarsest level, places the anchors before it. It is the body of Retrieve
-// and of RefineTo: the field is a function of the archive and these indices
-// alone. applyLevel assigns every point of its level from coarser points
-// and the level's own indices, so the anchors and the levels coarser than
-// `from`, whose indices have not changed, already hold their bits.
-func rebuild[T grid.Scalar](a *Archive, data []T, trunc [][]int32, from int) {
+// rebuild reruns the reconstruction recursion into data from each level's
+// current indices — trunc[l-1], or, when trunc is nil, every plane of the
+// level decoded in planes[l-1] (see applyShard) — level `from` first and
+// the finest last; from = L, the coarsest level, places the anchors before
+// it. It is the body of Retrieve and of RefineTo: the field is a function
+// of the archive and these indices alone. applyLevel assigns every point
+// of its level from coarser points and the level's own indices, so the
+// anchors and the levels coarser than `from`, whose indices have not
+// changed, already hold their bits.
+func rebuild[T grid.Scalar](a *Archive, data []T, trunc [][]int32, planes [][]byte, from int) {
 	if from == a.h.levels {
 		for i, idx := range a.dec.Anchors() {
 			data[idx] = T(a.h.anchors[i])
 		}
 	}
 	for l := from; l >= 1; l-- {
-		applyLevel(a, data, l, trunc[l-1])
+		if trunc != nil {
+			applyLevel(a, data, l, trunc[l-1], nil)
+		} else {
+			applyLevel(a, data, l, nil, planes[l-1])
+		}
 	}
 }
 
-// loadPlanes raises level l's loaded plane count to want: fetchPlanes, then
-// mergePlanes, through a pooled backing. A retrieval raises its levels one
-// after another, so one backing serves them all.
-func (r *Result) loadPlanes(level, want int) error {
-	if have, want := r.newPlanes(level, want); want <= have {
-		return nil
+// keepOf is the plane count plan asks of level l: a non-progressive level
+// always loads all of its planes.
+func (a *Archive) keepOf(plan Plan, l int) int {
+	if l > a.h.prog {
+		return a.h.metaOf(l).usedPlanes
 	}
-	got := byteScratch.Get(r.raiseBytes(level, want))
-	defer byteScratch.Put(got)
-	if err := r.fetchPlanes(level, want, got); err != nil {
+	return plan.Keep[l-1]
+}
+
+// raise brings r to plan (clamped: it never drops a plane) and rebuilds
+// its values: Algorithm 2 for a loaded result, and Algorithm 1 from an
+// empty one (data nil), which is what Retrieve is. Everything that can
+// fail — reading and entropy-decoding the new blocks — runs for every
+// level, into one pooled backing, before the first level is merged, so a
+// refinement either happens in full or leaves the result at its old plan
+// with its old values and guarantee.
+//
+// A retrieval takes its backings while the planes decode, on a helper
+// when the field is large enough. A result that ends with every plane of
+// every level loaded keeps no indices: a retrieval's rebuild merges each
+// level straight from the decoded planes, a block at a time, and a
+// refinement that gets there drops its indices to the collector.
+func raise[T grid.Scalar](r *Result, plan Plan, data []T) error {
+	a := r.arch
+	fresh := data == nil
+	total, full := 0, true
+	for l := 1; l <= a.h.levels; l++ {
+		have, want := r.newPlanes(l, a.keepOf(plan, l))
+		total += r.raiseBytes(l, want)
+		full = full && max(have, want) == a.h.metaOf(l).usedPlanes
+	}
+	var take func() []T
+	if fresh {
+		take = takeBackings[T](r, full)
+	}
+	backing := byteScratch.Get(total)
+	defer byteScratch.Put(backing)
+	got, from, err := r.fetch(plan, backing)
+	if fresh {
+		data = take()
+	}
+	if err != nil {
 		return err
 	}
-	r.mergePlanes(level, want, got)
+	if fresh {
+		setData(r, data)
+		from = a.h.levels
+		if full {
+			for l := 1; l <= a.h.levels; l++ {
+				if got[l-1] != nil {
+					r.raised(l, a.h.metaOf(l).usedPlanes)
+				}
+			}
+			rebuild(a, data, nil, got, from)
+			return nil
+		}
+		r.trunc = make([][]int32, a.h.levels)
+		for l, off := 1, 0; l <= a.h.levels; l++ {
+			n := a.h.metaOf(l).count
+			r.trunc[l-1], off = r.idx[off:off+n:off+n], off+n
+		}
+	}
+	if from == 0 {
+		return nil
+	}
+	for l := 1; l <= from; l++ {
+		r.mergePlanes(l, a.keepOf(plan, l), got[l-1])
+	}
+	rebuild(a, data, r.trunc, nil, from)
+	if full {
+		r.idx, r.trunc = nil, nil // nothing left to refine: to the collector
+	}
 	return nil
+}
+
+// takeBackings starts taking a retrieval's backings — the values, and the
+// indices unless the result ends at full fidelity — on a helper when the
+// field is large enough and one is free, else at once. The returned func
+// waits for them, installs the indices in r and returns the values.
+func takeBackings[T grid.Scalar](r *Result, full bool) func() []T {
+	a := r.arch
+	n := a.h.shape.Len()
+	var data []T
+	alloc := func() {
+		data = getReleased[T](n)
+		if !full {
+			// Zeroed, fresh or released: merges OR under it.
+			r.idx = releasedIdx.Get(a.h.indexCount())
+		}
+	}
+	var wg sync.WaitGroup
+	if n < minAllocAhead || !spawn(&wg, alloc) {
+		alloc()
+	}
+	return func() []T {
+		wg.Wait()
+		return data
+	}
+}
+
+// fetch is the half of a raise to plan that can fail: it reads and
+// entropy-decodes every level's new planes into backing, which holds the
+// sum of their raiseBytes, coarse level first. got[l-1] is level l's share,
+// nil for a level that gains nothing; from is the coarsest level that gains
+// planes, 0 for none. Like fetchPlanes it changes nothing in the result.
+func (r *Result) fetch(plan Plan, backing []byte) (got [][]byte, from int, err error) {
+	a := r.arch
+	got = make([][]byte, a.h.levels)
+	for l := a.h.levels; l >= 1; l-- {
+		want := a.keepOf(plan, l)
+		n := r.raiseBytes(l, want)
+		if n == 0 {
+			continue
+		}
+		got[l-1], backing = backing[:n:n], backing[n:]
+		if err := r.fetchPlanes(l, want, got[l-1]); err != nil {
+			return nil, 0, err
+		}
+		from = max(from, l)
+	}
+	return got, from, nil
 }
 
 // newPlanes clamps want to the level's stored planes and reports the
@@ -344,7 +441,7 @@ func (r *Result) fetchPlanes(level, want int, got []byte) error {
 
 // mergePlanes is the half of a raise that cannot fail: it merges the planes
 // [have, want) that fetchPlanes decoded into got into the level's truncated
-// indices and records the new plane count and the bytes it cost.
+// indices and records the raise (raised).
 //
 // Only the new planes are touched. Their XOR prediction (plane p was stored
 // as the XOR of bits p, p−1 and p−2) is undone among themselves, as if the
@@ -361,8 +458,6 @@ func (r *Result) mergePlanes(level, want int, got []byte) {
 	if want <= have {
 		return
 	}
-	_, spanLen := a.h.planeSpan(level, have, want)
-	r.loadedBytes += spanLen
 	// The new planes at their bit positions among the 32 (plane p of the
 	// level is bit usedPlanes−1−p), every other position nil.
 	j := mergeJobs.Get().(*mergeJob)
@@ -385,6 +480,15 @@ func (r *Result) mergePlanes(level, want int, got []byte) {
 	parallelChunks(m.count, minShardTargets, 8, j.shard)
 	*j = mergeJob{shard: j.shard} // drop the references to ks and got
 	mergeJobs.Put(j)
+	r.raised(level, want)
+}
+
+// raised records that level l now holds planes [0, want): the new plane
+// count and the bytes the raise read.
+func (r *Result) raised(level, want int) {
+	have, want := r.newPlanes(level, want)
+	_, spanLen := r.arch.h.planeSpan(level, have, want)
+	r.loadedBytes += spanLen
 	r.plan.Keep[level-1] = want
 }
 
@@ -421,49 +525,16 @@ func (j *mergeJob) merge(lo, hi int) {
 // Plans that would *drop* planes at some level are clamped: progressive
 // retrieval only ever adds information.
 func (r *Result) RefineTo(plan Plan) error {
-	a := r.arch
-	if len(plan.Keep) != a.h.levels {
-		return fmt.Errorf("core: plan has %d levels, archive %d", len(plan.Keep), a.h.levels)
+	if len(plan.Keep) != r.arch.h.levels {
+		return fmt.Errorf("core: plan has %d levels, archive %d", len(plan.Keep), r.arch.h.levels)
 	}
-	// All levels' new planes share one pooled backing.
-	total := 0
-	for l := 1; l <= a.h.prog; l++ {
-		total += r.raiseBytes(l, plan.Keep[l-1])
-	}
-	backing := byteScratch.Get(total)
-	defer byteScratch.Put(backing)
-	rest := backing
-	// Everything that can fail — reading and entropy-decoding the new
-	// blocks — runs for every level before the first level is merged, so a
-	// refinement either happens in full or leaves the result at its old
-	// plan with its old values and guarantee.
-	// Coarse to fine, so that the finest level — seven eighths of the
-	// planes — is merged, first, while what was decoded, last, is still in
-	// cache.
-	got := make([][]byte, a.h.prog) // got[l-1]: level l's new planes, decoded
-	changedBelow := 0               // coarsest level that gains planes, 0 = none
-	for l := a.h.prog; l >= 1; l-- {
-		if have, want := r.newPlanes(l, plan.Keep[l-1]); want > have {
-			n := r.raiseBytes(l, want)
-			got[l-1], rest = rest[:n:n], rest[n:]
-			if err := r.fetchPlanes(l, want, got[l-1]); err != nil {
-				return err
-			}
-			changedBelow = max(changedBelow, l)
-		}
-	}
-	if changedBelow == 0 {
-		return nil
-	}
-	for l := 1; l <= changedBelow; l++ {
-		r.mergePlanes(l, plan.Keep[l-1], got[l-1])
+	if r.data32 == nil && r.data64 == nil {
+		return fmt.Errorf("core: refining a released result")
 	}
 	if r.data32 != nil {
-		rebuild(a, r.data32, r.trunc, changedBelow)
-	} else {
-		rebuild(a, r.data64, r.trunc, changedBelow)
+		return raise(r, plan, r.data32)
 	}
-	return nil
+	return raise(r, plan, r.data64)
 }
 
 // RefineErrorBound refines the result so the guaranteed error drops to the

@@ -17,9 +17,11 @@ import (
 const DefaultCacheBytes = 256 << 20
 
 // cachedBytesPerElem is what one cached element is charged against the
-// budget: a cached core.Result holds the decoded values (8 or 4 B/elem by
-// scalar width) and one int32 truncated index per value, its whole
-// refinement state — 12 B/elem, 8 for float32 tiles.
+// budget at admission: a cached core.Result below full fidelity holds the
+// decoded values (8 or 4 B/elem by scalar width) and one int32 truncated
+// index per value, its whole refinement state — 12 B/elem, 8 for float32
+// tiles. A tile at full fidelity keeps no indices, and settle lowers its
+// charge to its values.
 func cachedBytesPerElem(s core.ScalarType) int64 { return int64(s.Bytes()) + 4 }
 
 // tileKey identifies a decoded tile by what it is, so that one TileCache
@@ -121,7 +123,8 @@ func (c *cacheStats) snapshot() Stats {
 // however many stores there are. Entries are charged their decoded size up
 // front, at admission: the decoded size is known exactly from the tiling
 // before any work happens, and charging early keeps concurrent fills from
-// overshooting the budget. An evicted entry leaves the map and, unless a
+// overshooting the budget. A tile that reaches full fidelity drops its
+// indices, and its charge drops to its values (settle). An evicted entry leaves the map and, unless a
 // goroutine holds it locked at that moment, gives its decoded values and
 // indices to the next cold decode (recycle), so a cache that evicts as
 // fast as it admits decodes into the memory it evicts instead of
@@ -209,6 +212,18 @@ func (c *TileCache) acquire(key tileKey, decodedBytes int64) *chunkEntry {
 	c.mu.Unlock()
 	recycle(victims)
 	return e
+}
+
+// settle lowers e's charge to valueBytes once its tile is at full
+// fidelity, where it keeps its values only. An entry the cache no longer
+// holds is left alone: nothing counts its charge any more.
+func (c *TileCache) settle(e *chunkEntry, valueBytes int64) {
+	c.mu.Lock()
+	if el, ok := c.entries[e.key]; ok && el.Value == e && valueBytes < e.charged {
+		c.used -= e.charged - valueBytes
+		e.charged = valueBytes
+	}
+	c.mu.Unlock()
 }
 
 // peek returns the cached entry for key, or nil without admitting one.

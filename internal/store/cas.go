@@ -113,11 +113,19 @@ func tilePrint[T grid.Scalar](tile *grid.Grid[T], opt WriteOptions) cas.Fingerpr
 // from prev, the field's latest manifest (nil for a new field, which must
 // give one). rel scales an eb given with this snapshot by the grid's value
 // range; it is refused without one, because the inherited bound is already
-// absolute and scaling it by the range again would silently change it.
+// absolute and scaling it by the range again would silently change it. It
+// is refused, too, over a field whose range is infinite: one that holds an
+// infinity beside finite values. A range of 0 — a constant field, or one
+// with no finite value — leaves eb as given. The library's relative
+// bounds (ipcomp.Options.Relative) follow the same rule.
 func SeriesBound[T grid.Scalar](g *grid.Grid[T], prev *cas.Manifest, eb float64, rel bool) (float64, error) {
 	switch {
 	case eb != 0 && rel:
-		if r := g.ValueRange(); r > 0 {
+		r := g.ValueRange()
+		if math.IsInf(r, 1) {
+			return 0, infiniteRange(g)
+		}
+		if r > 0 {
 			return eb * r, nil
 		}
 		return eb, nil
@@ -129,6 +137,18 @@ func SeriesBound[T grid.Scalar](g *grid.Grid[T], prev *cas.Manifest, eb float64,
 		return 0, fmt.Errorf("rel applies to an eb given with the same snapshot; the series' own bound is already absolute")
 	}
 	return prev.ErrorBound, nil
+}
+
+// infiniteRange is the refusal of a relative bound over a field whose
+// value range is infinite, naming why.
+func infiniteRange[T grid.Scalar](g *grid.Grid[T]) error {
+	lo, hi := g.Range()
+	for _, v := range []float64{float64(lo), float64(hi)} {
+		if math.IsInf(v, 0) {
+			return fmt.Errorf("relative error bound: the field holds an infinity (%v) beside finite values, so its value range is infinite", v)
+		}
+	}
+	return fmt.Errorf("relative error bound: the field's values run from %v to %v, a range beyond the largest float64", lo, hi)
 }
 
 // snapshotReaderAt presents one snapshot as a container image: head

@@ -306,3 +306,17 @@ func TestSeriesBound(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesBoundRefusesInfiniteRange: a relative bound over a field that
+// holds ±Inf beside finite values is refused with an error that says so,
+// not with one about the infinite bound it would derive.
+func TestSeriesBoundRefusesInfiniteRange(t *testing.T) {
+	for _, inf := range []float32{float32(math.Inf(1)), float32(math.Inf(-1))} {
+		g := grid.MustNew[float32](grid.Shape{4})
+		copy(g.Data(), []float32{-1, inf, 2, 3})
+		_, err := SeriesBound(g, nil, 1e-3, true)
+		if err == nil || !strings.Contains(err.Error(), "holds an infinity") {
+			t.Errorf("%v: err %v, want a refusal that names the field's infinity", inf, err)
+		}
+	}
+}

@@ -205,7 +205,11 @@ func TestTileCacheRecycleSizeClass(t *testing.T) {
 				} else {
 					cp = cap(core.DataOf[float64](e.res))
 				}
-				charged := e.charged / cachedBytesPerElem(e.res.Scalar())
+				perElem := cachedBytesPerElem(e.res.Scalar())
+				if fullFidelity(e) {
+					perElem = int64(e.res.Scalar().Bytes()) // no indices: settled
+				}
+				charged := e.charged / perElem
 				if int64(n) != charged || bits.Len(uint(cp)) != bits.Len(uint(n)) {
 					t.Errorf("op %d: tile %v is charged for %d values, holds %d on a backing of %d", op, e.key, charged, n, cp)
 				}

@@ -566,6 +566,23 @@ func (s *Store) openChunkArchive(entry *chunkEntry, ds *datasetMeta, ci int) (*c
 	return arch, nil
 }
 
+// fullFidelity reports whether an entry's result has loaded its whole
+// archive — every plane of every level — and so keeps no indices. Callers
+// hold entry.mu and a result.
+func fullFidelity(entry *chunkEntry) bool {
+	return entry.res.LoadedBytes() >= entry.arch.Load().TotalSize()
+}
+
+// settleFull charges a cached tile at full fidelity its values only.
+// Callers hold entry.mu.
+func (s *Store) settleFull(entry *chunkEntry, ds *datasetMeta, ci int) {
+	if entry.private || !fullFidelity(entry) {
+		return
+	}
+	rec := &ds.chunks[ci]
+	s.cache.settle(entry, int64(boxLen(rec.lo, rec.hi))*int64(ds.scalar.Bytes()))
+}
+
 // ensureChunk makes entry.res valid at fidelity `bound` or better: first
 // touch opens the chunk's archive through a section of the container and
 // retrieves at the bound; a cached result with a looser guarantee is
@@ -586,6 +603,7 @@ func (s *Store) ensureChunk(entry *chunkEntry, ds *datasetMeta, ci int, bound fl
 		res.SetDecodeStats(nil)
 		s.stats.decodes.Add(1)
 		entry.res = res
+		s.settleFull(entry, ds, ci)
 		return nil
 	}
 	if entry.res.GuaranteedError() > bound {
@@ -603,6 +621,7 @@ func (s *Store) ensureChunk(entry *chunkEntry, ds *datasetMeta, ci int, bound fl
 			return err
 		}
 		s.stats.refines.Add(1)
+		s.settleFull(entry, ds, ci)
 		return nil
 	}
 	// Another request decoded or refined the tile while we waited for the

@@ -521,8 +521,10 @@ func TestCacheEviction(t *testing.T) {
 		t.Errorf("error %g > %g with tiny cache", d, eb)
 	}
 	// Budget invariant: the whole cache is within its budget, which holds
-	// exactly the two most recent chunks; every entry is charged.
-	if st := s.TileCache().Stats(); st.Bytes > 2*chunkBytes || st.Entries != 2 || st.Bytes != st.Entries*chunkBytes || st.Evictions != 6 {
+	// exactly the two most recent chunks; every entry is charged, and at
+	// full fidelity, where it keeps no indices, its values only.
+	valueBytes := int64(16 * 16 * 16 * core.Float64.Bytes())
+	if st := s.TileCache().Stats(); st.Bytes > 2*chunkBytes || st.Entries != 2 || st.Bytes != st.Entries*valueBytes || st.Evictions != 6 {
 		t.Errorf("a two-chunk cache after reading 8 chunks holds %+v", st)
 	}
 	// Disabled cache still serves queries.

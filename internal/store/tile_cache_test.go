@@ -333,11 +333,13 @@ func liveHeap() int64 {
 // element to what a cached tile keeps alive. Eight 32³ tiles are decoded at
 // each width and at three bounds, from few planes to all of them. What the
 // cache retains — the live heap with the tiles cached, less the live heap
-// once they are evicted — must be the charge to within half a byte an
-// element either way: above it the budget would be a lie, below it the
-// cache would hold fewer tiles than its budget pays for. (What is not
-// values and indices — the parsed archive headers, the entries — measures
-// 0.13 B/elem for float64 tiles and 0.21 for float32 ones.)
+// once they are evicted — must be what the cache charges them to within
+// half a byte an element either way: above it the budget would be a lie,
+// below it the cache would hold fewer tiles than its budget pays for. The
+// charge is cachedBytesPerElem below full fidelity and the values alone at
+// it, where a tile keeps no indices. (What is not values and indices — the
+// parsed archive headers, the entries — measures 0.13 B/elem for float64
+// tiles and 0.21 for float32 ones.)
 func TestCachedTileChargeIsRetainedHeap(t *testing.T) {
 	const tolerance = 0.5 // B/elem
 	g := testField(t, grid.Shape{64, 64, 64})
@@ -360,11 +362,19 @@ func TestCachedTileChargeIsRetainedHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		charge := float64(cachedBytesPerElem(scalar))
 		for _, factor := range []float64{1024, 32, 1} {
 			s := openStore(t, buf.Bytes())
 			if _, err := s.RetrieveDataset("field", factor*eb); err != nil {
 				t.Fatal(err)
+			}
+			charge := float64(s.cache.Stats().Bytes) / float64(g.Len())
+			if want := float64(cachedBytesPerElem(scalar)); factor == 1 {
+				want = float64(scalar.Bytes())
+				if charge != want {
+					t.Errorf("%v at full fidelity: charged %.2f B/elem, want the values' %.0f", scalar, charge, want)
+				}
+			} else if charge != want {
+				t.Errorf("%v at %g·eb: charged %.2f B/elem, want %.0f", scalar, factor, charge, want)
 			}
 			held := liveHeap()
 			s.SetCacheBytes(0)

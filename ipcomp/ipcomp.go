@@ -96,13 +96,9 @@ func compressAs[T grid.Scalar](data []T, shape []int, opt Options) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	eb := opt.ErrorBound
-	if opt.Relative {
-		r := g.ValueRange()
-		if r == 0 {
-			r = 1 // constant field: any positive bound works
-		}
-		eb *= r
+	eb, err := absoluteBound(g, opt.ErrorBound, opt.Relative)
+	if err != nil {
+		return nil, err
 	}
 	return core.Compress(g, core.Options{
 		ErrorBound:           eb,

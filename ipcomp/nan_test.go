@@ -3,7 +3,9 @@ package ipcomp_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/ipcomp"
@@ -76,4 +78,61 @@ func TestRelativeBoundIgnoresNaN(t *testing.T) {
 			}
 		})
 	}
+}
+
+// infField is a 4³ field of finite values with one infinity of the given
+// sign at index 9.
+func infField(sign int) []float64 {
+	data := make([]float64, 64)
+	for i := range data {
+		data[i] = math.Sin(float64(i) * 0.3)
+	}
+	data[9] = math.Inf(sign)
+	return data
+}
+
+// wantInfinityRefusal fails t unless err refuses a relative bound by
+// naming the field's infinity, not the bound derived from it.
+func wantInfinityRefusal(t *testing.T, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "holds an infinity") {
+		t.Fatalf("err %v, want a refusal that names the field's infinity", err)
+	}
+}
+
+// TestCompressRelativeRefusesInfinity: a relative bound over a field that
+// holds ±Inf beside finite values is refused, at both widths, with an
+// error that says the field holds an infinity.
+func TestCompressRelativeRefusesInfinity(t *testing.T) {
+	opt := ipcomp.Options{ErrorBound: 1e-3, Relative: true}
+	for _, sign := range []int{1, -1} {
+		data := infField(sign)
+		_, err := ipcomp.Compress(data, []int{4, 4, 4}, opt)
+		wantInfinityRefusal(t, err)
+		_, err = ipcomp.CompressFloat32(narrow(data), []int{4, 4, 4}, opt)
+		wantInfinityRefusal(t, err)
+	}
+}
+
+// TestStoreWriterRelativeRefusesInfinity is the same refusal at
+// StoreWriter.Add and AddFloat32.
+func TestStoreWriterRelativeRefusesInfinity(t *testing.T) {
+	opt := ipcomp.StoreOptions{ErrorBound: 1e-3, Relative: true, ChunkShape: []int{2, 4, 4}}
+	for _, sign := range []int{1, -1} {
+		data := infField(sign)
+		sw, err := ipcomp.NewStoreWriter(io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantInfinityRefusal(t, sw.Add("f", data, []int{4, 4, 4}, opt))
+		wantInfinityRefusal(t, sw.AddFloat32("g", narrow(data), []int{4, 4, 4}, opt))
+	}
+}
+
+func narrow(data []float64) []float32 {
+	out := make([]float32, len(data))
+	for i, v := range data {
+		out[i] = float32(v)
+	}
+	return out
 }

@@ -77,13 +77,9 @@ func addAs[T grid.Scalar](sw *StoreWriter, name string, data []T, shape []int, o
 	if err != nil {
 		return err
 	}
-	eb := opt.ErrorBound
-	if opt.Relative {
-		r := g.ValueRange()
-		if r == 0 {
-			r = 1 // constant field: any positive bound works
-		}
-		eb *= r
+	eb, err := absoluteBound(g, opt.ErrorBound, opt.Relative)
+	if err != nil {
+		return err
 	}
 	return store.Add(sw.w, name, g, store.WriteOptions{
 		ErrorBound:           eb,
@@ -91,6 +87,17 @@ func addAs[T grid.Scalar](sw *StoreWriter, name string, data []T, shape []int, o
 		ChunkShape:           grid.Shape(opt.ChunkShape),
 		ProgressiveThreshold: opt.ProgressiveThreshold,
 	})
+}
+
+// absoluteBound resolves a bound given relative to the grid's value range
+// by the rule a snapshot's writer follows (store.SeriesBound): scaled by
+// the range, left as given on a constant field, and refused over a field
+// that holds an infinity.
+func absoluteBound[T grid.Scalar](g *grid.Grid[T], eb float64, rel bool) (float64, error) {
+	if !rel || eb == 0 {
+		return eb, nil
+	}
+	return store.SeriesBound(g, nil, eb, true)
 }
 
 // Close appends the index and footer, completing the container. It does
