@@ -256,7 +256,7 @@ var noCorr [4]uint32
 
 // merge returns the indices [base, end) of a level with every stored plane
 // loaded, merged from planes (usedPlanes planes of (count+7)/8 bytes, MSB
-// plane first, as fetchPlanes decodes them) into bm's scratch. base is a
+// plane first, as fetch decodes them) into bm's scratch. base is a
 // multiple of 8.
 func (bm *blockMerge) merge(planes []byte, m *levelMeta, base, end int) []int32 {
 	n := end - base

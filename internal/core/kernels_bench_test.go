@@ -92,31 +92,29 @@ func realPlaneArchives(tb testing.TB) []namedArchive {
 }
 
 // BenchmarkDecodeRealPlanes measures the entropy-decode half of a full
-// retrieval — fetchPlanes for every level, no merge, no reconstruction —
-// over the planes of realPlaneArchives. MB/s are decoded plane bytes;
-// allocs/op pin that a raise costs no allocation per plane, and its
-// pooled backing none.
+// retrieval — fetch for every level, no merge, no reconstruction — over
+// the planes of realPlaneArchives. MB/s are decoded plane bytes; allocs/op
+// pin that a raise costs no allocation per plane, and its pooled backing
+// none.
 func BenchmarkDecodeRealPlanes(b *testing.B) {
 	for _, c := range realPlaneArchives(b) {
 		a := c.a
 		b.Run(c.name, func(b *testing.B) {
-			var planeBytes int64
+			var planeBytes int
 			for l := 1; l <= a.h.levels; l++ {
 				m := a.h.metaOf(l)
-				planeBytes += int64(m.usedPlanes * ((m.count + 7) / 8))
+				planeBytes += m.usedPlanes * ((m.count + 7) / 8)
 			}
-			b.SetBytes(planeBytes)
+			full := a.fullPlan()
+			b.SetBytes(int64(planeBytes))
 			b.ReportAllocs()
 			for b.Loop() {
 				r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}}
-				for l := 1; l <= a.h.levels; l++ {
-					want := a.h.metaOf(l).usedPlanes
-					got := byteScratch.Get(r.raiseBytes(l, want))
-					if err := r.fetchPlanes(l, want, got); err != nil {
-						b.Fatal(err)
-					}
-					byteScratch.Put(got)
+				backing := byteScratch.Get(planeBytes)
+				if _, _, err := r.fetch(full, backing, nil); err != nil {
+					b.Fatal(err)
 				}
+				byteScratch.Put(backing)
 			}
 		})
 	}
@@ -139,13 +137,11 @@ func BenchmarkMergeRealPlanes(b *testing.B) {
 			have, want int
 		}{{"first", 0, half}, {"later", half, m.usedPlanes}} {
 			b.Run(c.name+"/"+s.name, func(b *testing.B) {
-				r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}, trunc: make([][]int32, a.h.levels)}
+				r := &Result{arch: a, plan: a.fullPlan(), trunc: make([][]int32, a.h.levels)}
+				r.plan.Keep[0] = 0 // level 1 alone raises
 				r.trunc[0] = make([]int32, m.count)
 				raiseLevel(b, r, 1, s.have)
-				got := make([]byte, r.raiseBytes(1, s.want))
-				if err := r.fetchPlanes(1, s.want, got); err != nil {
-					b.Fatal(err)
-				}
+				got := fetchLevel(b, r, 1, s.want)
 				for b.Loop() {
 					r.plan.Keep[0] = s.have
 					r.mergePlanes(1, s.want, got)
@@ -163,13 +159,11 @@ func TestDeflateMatchesFlateOnRealPlanes(t *testing.T) {
 	for _, c := range realPlaneArchives(t) {
 		a := c.a
 		r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}}
+		levels := fetchAll(t, r, a.fullPlan())
 		deflated := 0
 		for l := 1; l <= a.h.levels; l++ {
 			m := a.h.metaOf(l)
-			got := make([]byte, r.raiseBytes(l, m.usedPlanes))
-			if err := r.fetchPlanes(l, m.usedPlanes, got); err != nil {
-				t.Fatal(err)
-			}
+			got := levels[l-1]
 			planeBytes := (m.count + 7) / 8
 			for p := 0; p < m.usedPlanes; p++ {
 				plane := got[p*planeBytes : (p+1)*planeBytes]

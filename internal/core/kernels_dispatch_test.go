@@ -271,28 +271,49 @@ func checkColumnRebuild[T grid.Scalar](t *testing.T, blob []byte, bound float64,
 	}
 }
 
-// planIndices returns the truncated indices of plan, each level raised
-// from zero by fetchPlanes and mergePlanes into fresh memory: what rebuild
-// reads, and what a result at full fidelity no longer keeps.
+// planIndices returns the truncated indices of plan, raised from zero by
+// fetch and mergePlanes into fresh memory: what rebuild reads, and what a
+// result at full fidelity no longer keeps.
 func planIndices(tb testing.TB, a *Archive, plan Plan) [][]int32 {
 	tb.Helper()
 	r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}, trunc: make([][]int32, a.h.levels)}
+	got := fetchAll(tb, r, plan)
 	for l := 1; l <= a.h.levels; l++ {
 		r.trunc[l-1] = make([]int32, a.h.metaOf(l).count)
-		raiseLevel(tb, r, l, a.keepOf(plan, l))
+		r.mergePlanes(l, a.keepOf(plan, l), got[l-1])
 	}
 	return r.trunc
 }
 
-// raiseLevel raises level l of r to want planes: fetchPlanes into a fresh
-// backing, then mergePlanes.
-func raiseLevel(tb testing.TB, r *Result, l, want int) {
+// fetchAll runs fetch for a raise of r to plan into a fresh backing and
+// returns each level's new planes.
+func fetchAll(tb testing.TB, r *Result, plan Plan) [][]byte {
 	tb.Helper()
-	got := make([]byte, r.raiseBytes(l, want))
-	if err := r.fetchPlanes(l, want, got); err != nil {
+	total := 0
+	for l := 1; l <= r.arch.h.levels; l++ {
+		total += r.raiseBytes(l, r.arch.keepOf(plan, l))
+	}
+	got, _, err := r.fetch(plan, make([]byte, total), nil)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	r.mergePlanes(l, want, got)
+	return got
+}
+
+// fetchLevel returns the new planes of a raise of level l of r to want,
+// every other level as r holds it.
+func fetchLevel(tb testing.TB, r *Result, l, want int) []byte {
+	tb.Helper()
+	plan := r.plan.clone()
+	plan.Keep[l-1] = want
+	return fetchAll(tb, r, plan)[l-1]
+}
+
+// raiseLevel raises level l of r to want planes: fetchLevel, then
+// mergePlanes.
+func raiseLevel(tb testing.TB, r *Result, l, want int) {
+	tb.Helper()
+	r.mergePlanes(l, want, fetchLevel(tb, r, l, want))
 }
 
 // refRebuild is the reconstruction before the column walk: every pass in

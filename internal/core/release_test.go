@@ -140,10 +140,7 @@ func TestMergePlanesAllocatesNothing(t *testing.T) {
 	}
 	const level = 1 // the finest, seven eighths of the values
 	have, want := res.plan.Keep[level-1], a.h.metaOf(level).usedPlanes
-	got := make([]byte, res.raiseBytes(level, want))
-	if err := res.fetchPlanes(level, want, got); err != nil {
-		t.Fatal(err)
-	}
+	got := fetchLevel(t, res, level, want)
 	allocs := testing.AllocsPerRun(20, func() {
 		res.plan.Keep[level-1] = have
 		res.mergePlanes(level, want, got)

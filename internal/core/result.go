@@ -33,7 +33,7 @@ type Result struct {
 	// loadedBytes counts every archive byte read so far, header included.
 	loadedBytes int64
 	// stats, when non-nil, receives span-read and codec-decode timings
-	// from fetchPlanes (see DecodeStats).
+	// from fetch (see DecodeStats).
 	stats *DecodeStats
 }
 
@@ -186,12 +186,6 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 	return r, nil
 }
 
-// minAllocAhead is the smallest field, in values, whose retrieval takes its
-// backings on a helper while the planes decode. A fresh backing is zeroed
-// by the runtime, serially; below this a helper costs more to start than
-// the zeroing it takes off the caller.
-const minAllocAhead = 1 << 17
-
 // getReleased returns a length-n value backing, a released result's when
 // one of its size class is pooled.
 func getReleased[T grid.Scalar](n int) []T {
@@ -264,8 +258,8 @@ func (a *Archive) keepOf(plan Plan, l int) int {
 // refinement either happens in full or leaves the result at its old plan
 // with its old values and guarantee.
 //
-// A retrieval takes its backings while the planes decode, on a helper
-// when the field is large enough. A result that ends with every plane of
+// A retrieval takes its backings while the planes decode, as one more job
+// of their fan-out (fetch). A result that ends with every plane of
 // every level loaded keeps no indices: a retrieval's rebuild merges each
 // level straight from the decoded planes, a block at a time, and a
 // refinement that gets there drops its indices to the collector.
@@ -278,21 +272,25 @@ func raise[T grid.Scalar](r *Result, plan Plan, data []T) error {
 		total += r.raiseBytes(l, want)
 		full = full && max(have, want) == a.h.metaOf(l).usedPlanes
 	}
-	var take func() []T
+	var alloc func()
 	if fresh {
-		take = takeBackings[T](r, full)
+		n := a.h.shape.Len()
+		alloc = func() {
+			setData(r, getReleased[T](n))
+			if !full {
+				// Zeroed, fresh or released: merges OR under it.
+				r.idx = releasedIdx.Get(a.h.indexCount())
+			}
+		}
 	}
 	backing := byteScratch.Get(total)
 	defer byteScratch.Put(backing)
-	got, from, err := r.fetch(plan, backing)
-	if fresh {
-		data = take()
-	}
+	got, from, err := r.fetch(plan, backing, alloc)
 	if err != nil {
 		return err
 	}
 	if fresh {
-		setData(r, data)
+		data = DataOf[T](r)
 		from = a.h.levels
 		if full {
 			for l := 1; l <= a.h.levels; l++ {
@@ -322,54 +320,6 @@ func raise[T grid.Scalar](r *Result, plan Plan, data []T) error {
 	return nil
 }
 
-// takeBackings starts taking a retrieval's backings — the values, and the
-// indices unless the result ends at full fidelity — on a helper when the
-// field is large enough and one is free, else at once. The returned func
-// waits for them, installs the indices in r and returns the values.
-func takeBackings[T grid.Scalar](r *Result, full bool) func() []T {
-	a := r.arch
-	n := a.h.shape.Len()
-	var data []T
-	alloc := func() {
-		data = getReleased[T](n)
-		if !full {
-			// Zeroed, fresh or released: merges OR under it.
-			r.idx = releasedIdx.Get(a.h.indexCount())
-		}
-	}
-	var wg sync.WaitGroup
-	if n < minAllocAhead || !spawn(&wg, alloc) {
-		alloc()
-	}
-	return func() []T {
-		wg.Wait()
-		return data
-	}
-}
-
-// fetch is the half of a raise to plan that can fail: it reads and
-// entropy-decodes every level's new planes into backing, which holds the
-// sum of their raiseBytes, coarse level first. got[l-1] is level l's share,
-// nil for a level that gains nothing; from is the coarsest level that gains
-// planes, 0 for none. Like fetchPlanes it changes nothing in the result.
-func (r *Result) fetch(plan Plan, backing []byte) (got [][]byte, from int, err error) {
-	a := r.arch
-	got = make([][]byte, a.h.levels)
-	for l := a.h.levels; l >= 1; l-- {
-		want := a.keepOf(plan, l)
-		n := r.raiseBytes(l, want)
-		if n == 0 {
-			continue
-		}
-		got[l-1], backing = backing[:n:n], backing[n:]
-		if err := r.fetchPlanes(l, want, got[l-1]); err != nil {
-			return nil, 0, err
-		}
-		from = max(from, l)
-	}
-	return got, from, nil
-}
-
 // newPlanes clamps want to the level's stored planes and reports the
 // half-open range [have, want) of planes a raise to want still has to load.
 func (r *Result) newPlanes(level, want int) (have, to int) {
@@ -388,59 +338,102 @@ func (r *Result) raiseBytes(level, want int) int {
 	return max(want-have, 0) * ((r.arch.h.metaOf(level).count + 7) / 8)
 }
 
-// fetchPlanes is the half of a raise that can fail: it reads the blocks of
-// planes [have, want) of a level and entropy-decodes them into got, which
-// holds raiseBytes(level, want) bytes, plane have first. DecodeBlockInto
-// writes every byte of its plane whatever the block's method, so got needs
-// no zeroing. fetchPlanes changes nothing in the result, so a refinement
-// that fails here, on any level, leaves the result exactly at its previous
-// plan and can simply be tried again.
-func (r *Result) fetchPlanes(level, want int, got []byte) error {
+// fetch is the half of a raise to plan that can fail: it reads every
+// level's new blocks and entropy-decodes them into backing, which holds the
+// sum of their raiseBytes. got[l-1] is level l's new planes, plane have
+// first, nil for a level that gains nothing; from is the coarsest level that
+// gains planes, 0 for none. DecodeBlockInto writes every byte of its plane
+// whatever the block's method, so backing needs no zeroing. fetch changes
+// nothing in the result, so a refinement that fails here, on any level,
+// leaves the result exactly at its previous plan and can simply be tried
+// again.
+//
+// A level's blocks are adjacent in the archive (plan-ordered layout), so
+// they arrive as one span read; then every plane of every level inflates in
+// one fan-out, the blocks being independent. alongside, when not nil, is
+// one more job of that fan-out, taken first: a retrieval's backings are
+// allocated by one goroutine while the others decode.
+func (r *Result) fetch(plan Plan, backing []byte, alongside func()) (got [][]byte, from int, err error) {
 	a := r.arch
-	m := a.h.metaOf(level)
-	have, want := r.newPlanes(level, want)
-	if want <= have {
-		return nil
-	}
-	// The blocks [have, want) are adjacent in the archive (plan-ordered
-	// layout), so they arrive as one span read — one syscall, one pooled
-	// buffer — then inflate concurrently; blocks are independent.
-	planeBytes := (m.count + 7) / 8
-	offs := a.h.blockOff[level-1]
-	spanOff, spanLen := a.h.planeSpan(level, have, want)
+	got = make([][]byte, a.h.levels)
+	spans := make([]planeSpan, 0, a.h.levels)
+	defer func() {
+		for _, sp := range spans {
+			sp.release()
+		}
+	}()
 	var readT time.Time
 	if r.stats != nil {
 		readT = time.Now()
 	}
-	raw, release, err := readSpan(a.src, spanOff, int(spanLen))
+	jobs := 0
+	for l := a.h.levels; l >= 1; l-- {
+		have, want := r.newPlanes(l, a.keepOf(plan, l))
+		if want <= have {
+			continue
+		}
+		n := r.raiseBytes(l, want)
+		got[l-1], backing = backing[:n:n], backing[n:]
+		off, size := a.h.planeSpan(l, have, want)
+		raw, release, err := readSpan(a.src, off, int(size))
+		if err != nil {
+			return nil, 0, err
+		}
+		spans = append(spans, planeSpan{level: l, have: have, first: jobs, off: off, raw: raw, release: release})
+		jobs += want - have
+		from = max(from, l)
+	}
 	if r.stats != nil {
 		r.stats.ReadNanos.Add(time.Since(readT).Nanoseconds())
 	}
-	if err != nil {
-		return err
-	}
-	defer release()
 	var ferr firstError
 	var codecT time.Time
 	if r.stats != nil {
 		codecT = time.Now()
 	}
-	ParallelFor(want-have, func(i int) {
-		p := have + i
-		at := int(offs[p] - spanOff)
-		plane := got[i*planeBytes : (i+1)*planeBytes : (i+1)*planeBytes]
-		if err := codec.DecodeBlockInto(plane, raw[at:at+int(m.blockSizes[p])]); err != nil {
-			ferr.set(fmt.Errorf("core: level %d plane %d: %w", level, p, err))
+	extra := 0
+	if alongside != nil {
+		extra = 1
+	}
+	ParallelFor(jobs+extra, func(i int) {
+		if i -= extra; i < 0 {
+			alongside()
+			return
+		}
+		k := len(spans) - 1
+		for spans[k].first > i {
+			k--
+		}
+		sp := &spans[k]
+		m := a.h.metaOf(sp.level)
+		p, planeBytes := sp.have+i-sp.first, (m.count+7)/8
+		at := int(a.h.blockOff[sp.level-1][p] - sp.off)
+		j := (i - sp.first) * planeBytes
+		plane := got[sp.level-1][j : j+planeBytes : j+planeBytes]
+		if err := codec.DecodeBlockInto(plane, sp.raw[at:at+int(m.blockSizes[p])]); err != nil {
+			ferr.set(fmt.Errorf("core: level %d plane %d: %w", sp.level, p, err))
 		}
 	})
 	if r.stats != nil {
 		r.stats.CodecNanos.Add(time.Since(codecT).Nanoseconds())
 	}
-	return ferr.get()
+	if err := ferr.get(); err != nil {
+		return nil, 0, err
+	}
+	return got, from, nil
+}
+
+// planeSpan is one level's new blocks as fetch read them: planes
+// [have, …) of the level, the fan-out's jobs from first on.
+type planeSpan struct {
+	level, have, first int
+	off                int64
+	raw                []byte
+	release            func()
 }
 
 // mergePlanes is the half of a raise that cannot fail: it merges the planes
-// [have, want) that fetchPlanes decoded into got into the level's truncated
+// [have, want) that fetch decoded into got into the level's truncated
 // indices and records the raise (raised).
 //
 // Only the new planes are touched. Their XOR prediction (plane p was stored

@@ -365,8 +365,8 @@ func TestServerRegionWarmAllocs(t *testing.T) {
 // spans, entropy-decode every plane of every level, merge, reconstruct,
 // admit to the cache — allocates a number of objects that counts levels,
 // not planes: 124 here, where the tile has some 70 planes. The planes of
-// one raise share one pooled backing (core.loadPlanes), handed back once
-// merged, and the DEFLATE decoder allocates nothing; with
+// every level of a retrieval share one pooled backing (core's raise),
+// handed back once merged, and the DEFLATE decoder allocates nothing; with
 // compress/flate's stream reader and one make per plane the same request
 // took 396, with a per-level table of retained planes 156, with a fresh
 // backing per raise 150, and with a fresh value and index backing per
