@@ -124,11 +124,11 @@ func (c *cacheStats) snapshot() Stats {
 // front, at admission: the decoded size is known exactly from the tiling
 // before any work happens, and charging early keeps concurrent fills from
 // overshooting the budget. A tile that reaches full fidelity drops its
-// indices, and its charge drops to its values (settle). An evicted entry leaves the map and, unless a
-// goroutine holds it locked at that moment, gives its decoded values and
-// indices to the next cold decode (recycle), so a cache that evicts as
-// fast as it admits decodes into the memory it evicts instead of
-// allocating a tile's worth per admission. A locked victim is left to the
+// indices, and its charge drops to its values (settle). An evicted entry
+// leaves the map and, unless a goroutine holds it locked at that moment,
+// gives its decoded values and indices to the next cold decode (recycle),
+// so a cache that evicts as fast as it admits decodes into the memory it
+// evicts instead of allocating a tile's worth per admission. A locked victim is left to the
 // garbage collector once its holder lets go. The lock guards map and list
 // operations only; decodes run under each entry's own lock.
 type TileCache struct {
@@ -252,7 +252,8 @@ func (c *TileCache) Resize(capBytes int64) {
 // TileCacheStats is a snapshot of a cache's occupancy.
 type TileCacheStats struct {
 	// Bytes is what the resident entries are charged against the budget
-	// (their decoded size, fixed at admission); Entries how many there are.
+	// (their decoded size, set at admission and lowered to the values
+	// alone once a tile reaches full fidelity); Entries how many there are.
 	Bytes   int64
 	Entries int64
 	// Evictions counts entries dropped to honour the budget since the cache
