@@ -39,12 +39,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/grid"
+	"repro/internal/interp"
 	"repro/ipcomp"
 )
 
@@ -87,43 +87,24 @@ run "ipcomp <subcommand> -h" for flags`)
 }
 
 func parseInterp(name string) (ipcomp.Interpolation, error) {
-	switch name {
-	case "linear":
+	k, err := interp.ParseKind(name)
+	if err != nil {
+		return 0, err
+	}
+	if k == interp.Linear {
 		return ipcomp.Linear, nil
-	case "cubic":
-		return ipcomp.Cubic, nil
-	default:
-		return 0, fmt.Errorf("unknown interpolation %q (want linear or cubic)", name)
 	}
-}
-
-func parseShape(s string) ([]int, error) {
-	parts := strings.Split(s, "x")
-	shape := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad shape %q", s)
-		}
-		shape = append(shape, v)
-	}
-	return shape, nil
+	return ipcomp.Cubic, nil
 }
 
 // parseDtype maps a -dtype flag value to a scalar type; the empty string
 // selects def (the input default for writers, the archive's native type
 // for readers).
 func parseDtype(s string, def ipcomp.ScalarType) (ipcomp.ScalarType, error) {
-	switch s {
-	case "":
+	if s == "" {
 		return def, nil
-	case "f32", "float32":
-		return ipcomp.Float32, nil
-	case "f64", "float64":
-		return ipcomp.Float64, nil
-	default:
-		return 0, fmt.Errorf("unknown dtype %q (want f32 or f64)", s)
 	}
+	return core.ParseScalar(s)
 }
 
 // readRaw loads a raw little-endian array file, rejecting — never silently
@@ -201,7 +182,7 @@ func cmdCompress(args []string) error {
 	if *in == "" || *out == "" || *shapeStr == "" {
 		return fmt.Errorf("compress requires -in, -out, -shape")
 	}
-	shape, err := parseShape(*shapeStr)
+	shape, err := grid.ParseShape(*shapeStr)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/cas"
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/interp"
 	"repro/internal/store"
@@ -20,9 +21,10 @@ import (
 //
 // put appends the file as the field's next time step: the first put of a
 // field fixes the series geometry (-shape and -eb required), later puts
-// inherit it and only need the file. Tiles identical to any earlier
-// snapshot are stored once — put reports how many blobs were new. Every
-// put seals before returning, so a finished put is durable.
+// inherit it and only need the file — the rule of the server's write
+// endpoints (store.SeriesGeometry, store.SeriesBound). Tiles identical to
+// any earlier snapshot are stored once — put reports how many blobs were
+// new. Every put seals before returning, so a finished put is durable.
 func cmdSnapshot(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("snapshot requires a subcommand: put, ls, rm, gc")
@@ -45,12 +47,12 @@ func cmdSnapshotPut(args []string) error {
 	fs := flag.NewFlagSet("snapshot put", flag.ExitOnError)
 	dir := fs.String("cas", "", "snapshot store directory (created if missing)")
 	field := fs.String("field", "", "field name the snapshot extends")
-	shapeStr := fs.String("shape", "", "dimensions, e.g. 64x96x96 (required on a field's first put)")
+	shapeStr := fs.String("shape", "", "dimensions, e.g. 64x96x96 (required on a field's first put; later puts inherit it, and one given must match)")
 	eb := fs.Float64("eb", 0, "error bound (required on a field's first put)")
 	rel := fs.Bool("rel", false, "interpret -eb relative to the value range")
-	chunkStr := fs.String("chunk", "", "tile shape, e.g. 64x64x64 (default 64 per dimension)")
+	chunkStr := fs.String("chunk", "", "tile shape, e.g. 64x64x64 (default 64 per dimension; later puts inherit it, and one given must match)")
 	interpName := fs.String("interp", "cubic", "interpolation: linear|cubic")
-	dtypeStr := fs.String("dtype", "", "input element type: f32|f64 (default: the series dtype, f64 on first put)")
+	dtypeStr := fs.String("dtype", "", "input element type: f32|f64 (default f64 on a field's first put; later puts inherit it, and one given must match)")
 	fs.Parse(args)
 	if *dir == "" || *field == "" || fs.NArg() != 1 {
 		return fmt.Errorf("snapshot put requires -cas, -field, and exactly one raw float file")
@@ -59,64 +61,19 @@ func cmdSnapshotPut(args []string) error {
 	if err != nil {
 		return err
 	}
-	var kind interp.Kind
-	switch *interpName {
-	case "linear":
-		kind = interp.Linear
-	case "cubic":
-		kind = interp.Cubic
-	default:
-		return fmt.Errorf("unknown interpolation %q (want linear or cubic)", *interpName)
+	kind, err := interp.ParseKind(*interpName)
+	if err != nil {
+		return err
 	}
-
-	// The series' previous manifest supplies every omitted parameter; an
-	// explicit flag that disagrees with it is an error, not a new series.
-	var shape, chunk []int
-	var scalar scalarFlag = scalarF64
 	var prev *cas.Manifest
 	if t, ok := c.Latest(*field); ok {
 		if prev, _ = c.Manifest(*field, t); prev == nil {
 			return fmt.Errorf("field %q has no manifest at t%d", *field, t)
 		}
-		shape, chunk = prev.Shape, prev.Chunk
-		if *shapeStr != "" {
-			s, err := parseShape(*shapeStr)
-			if err != nil {
-				return err
-			}
-			if !grid.Shape(s).Equal(prev.Shape) {
-				return fmt.Errorf("-shape %v does not match the series shape %v", s, prev.Shape)
-			}
-		}
-		if *chunkStr != "" {
-			s, err := parseShape(*chunkStr)
-			if err != nil {
-				return err
-			}
-			if !grid.Shape(s).Equal(prev.Chunk) {
-				return fmt.Errorf("-chunk %v does not match the series tiling %v", s, prev.Chunk)
-			}
-		}
-		scalar = scalarFlag(prev.Scalar)
-	} else {
-		if *shapeStr == "" || *eb == 0 {
-			return fmt.Errorf("the first put of field %q requires -shape and -eb", *field)
-		}
-		if shape, err = parseShape(*shapeStr); err != nil {
-			return err
-		}
-		if *chunkStr != "" {
-			if chunk, err = parseShape(*chunkStr); err != nil {
-				return err
-			}
-		}
 	}
-	if *dtypeStr != "" {
-		d, err := parseDtype(*dtypeStr, 0)
-		if err != nil {
-			return err
-		}
-		scalar = scalarFlag(d)
+	shape, chunk, scalar, err := store.SeriesGeometry(prev, *shapeStr, *chunkStr, *dtypeStr)
+	if err != nil {
+		return err
 	}
 
 	opt := store.WriteOptions{
@@ -125,24 +82,13 @@ func cmdSnapshotPut(args []string) error {
 	}
 	var m *cas.Manifest
 	var st cas.PutStats
-	if scalar == scalarF32 {
-		data, err := readFloats[float32](fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		m, st, err = packSlice(c, prev, *field, data, shape, *eb, *rel, opt)
-		if err != nil {
-			return err
-		}
+	if scalar == core.Float32 {
+		m, st, err = packFile[float32](c, prev, *field, fs.Arg(0), shape, *eb, *rel, opt)
 	} else {
-		data, err := readFloats[float64](fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		m, st, err = packSlice(c, prev, *field, data, shape, *eb, *rel, opt)
-		if err != nil {
-			return err
-		}
+		m, st, err = packFile[float64](c, prev, *field, fs.Arg(0), shape, *eb, *rel, opt)
+	}
+	if err != nil {
+		return err
 	}
 	if err := c.Seal(); err != nil {
 		return err
@@ -152,19 +98,14 @@ func cmdSnapshotPut(args []string) error {
 	return nil
 }
 
-// scalarFlag mirrors the manifest's scalar byte without importing core
-// into flag parsing.
-type scalarFlag uint8
-
-const (
-	scalarF64 scalarFlag = 0
-	scalarF32 scalarFlag = 1
-)
-
-// packSlice stages data as the field's next snapshot; eb and rel are the
-// flags as given (0: no -eb), resolved against the series by the same
-// rule the server's write endpoints apply.
-func packSlice[T grid.Scalar](c *cas.Store, prev *cas.Manifest, field string, data []T, shape []int, eb float64, rel bool, opt store.WriteOptions) (*cas.Manifest, cas.PutStats, error) {
+// packFile stages the raw file at path as the field's next snapshot; eb
+// and rel are the flags as given (0: no -eb), resolved against the series
+// by the same rule the server's write endpoints apply.
+func packFile[T grid.Scalar](c *cas.Store, prev *cas.Manifest, field, path string, shape []int, eb float64, rel bool, opt store.WriteOptions) (*cas.Manifest, cas.PutStats, error) {
+	data, err := readFloats[T](path)
+	if err != nil {
+		return nil, cas.PutStats{}, err
+	}
 	g, err := grid.FromSlice(data, shape)
 	if err != nil {
 		return nil, cas.PutStats{}, err
@@ -191,11 +132,11 @@ func cmdSnapshotLs(args []string) error {
 		"SNAPSHOT", "SHAPE", "CHUNK", "DTYPE", "TILES", "EB", "BYTES")
 	for _, sn := range snaps {
 		dtype := "f64"
-		if sn.Scalar == uint8(scalarF32) {
+		if core.ScalarType(sn.Scalar) == core.Float32 {
 			dtype = "f32"
 		}
 		fmt.Printf("%-24s %-16s %-12s %-8s %8d %10.3g %12d\n",
-			sn.Name, shapeString(sn.Shape), shapeString(sn.Chunk),
+			sn.Name, grid.Shape(sn.Shape), grid.Shape(sn.Chunk),
 			dtype, sn.Tiles, sn.ErrorBound, sn.Bytes)
 	}
 	st := c.Stats()

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/grid"
 	"repro/ipcomp"
 )
 
@@ -80,7 +81,7 @@ func cmdStorePack(args []string) error {
 	var chunk []int
 	if *chunkStr != "" {
 		var err error
-		if chunk, err = parseShape(*chunkStr); err != nil {
+		if chunk, err = grid.ParseShape(*chunkStr); err != nil {
 			return err
 		}
 	}
@@ -125,7 +126,7 @@ func cmdStorePack(args []string) error {
 				return fmt.Errorf("bad dataset spec %q: %w", spec, err)
 			}
 		}
-		shape, err := parseShape(shapeStr)
+		shape, err := grid.ParseShape(shapeStr)
 		if err != nil {
 			return err
 		}
@@ -186,7 +187,7 @@ func cmdStoreLs(args []string) error {
 		"DATASET", "SHAPE", "CHUNK", "DTYPE", "CHUNKS", "EB", "BYTES")
 	for _, ds := range s.Datasets() {
 		fmt.Printf("%-20s %-16s %-12s %-8s %8d %10.3g %12d\n",
-			ds.Name, shapeString(ds.Shape), shapeString(ds.ChunkShape),
+			ds.Name, grid.Shape(ds.Shape), grid.Shape(ds.ChunkShape),
 			ds.Scalar, ds.NumChunks, ds.ErrorBound, ds.CompressedBytes)
 	}
 	fmt.Printf("container: %d bytes total\n", s.Size())
@@ -201,14 +202,6 @@ func writeRegion(path string, reg *ipcomp.Region, dtypeStr string) error {
 		return err
 	}
 	return writeAtWidth(path, reg, dtype)
-}
-
-func shapeString(shape []int) string {
-	parts := make([]string, len(shape))
-	for i, d := range shape {
-		parts[i] = strconv.Itoa(d)
-	}
-	return strings.Join(parts, "x")
 }
 
 func cmdStoreExtract(args []string) error {
@@ -240,7 +233,7 @@ func cmdStoreExtract(args []string) error {
 		return err
 	}
 	fmt.Printf("extracted %s (shape %s): %d chunks, loaded %d of %d bytes (%.1f%%), guaranteed error %.3g\n",
-		*name, shapeString(reg.Shape()), reg.Chunks(), reg.LoadedBytes(), s.Size(),
+		*name, grid.Shape(reg.Shape()), reg.Chunks(), reg.LoadedBytes(), s.Size(),
 		100*float64(reg.LoadedBytes())/float64(s.Size()), reg.GuaranteedError())
 	return nil
 }
@@ -286,7 +279,7 @@ func cmdStoreRegion(args []string) error {
 		}
 	}
 	fmt.Printf("region %s[%s..%s) (shape %s): %d chunks, loaded %d of %d bytes (%.2f%%), guaranteed error %.3g\n",
-		*name, *loStr, *hiStr, shapeString(reg.Shape()), reg.Chunks(),
+		*name, *loStr, *hiStr, grid.Shape(reg.Shape()), reg.Chunks(),
 		reg.LoadedBytes(), s.Size(),
 		100*float64(reg.LoadedBytes())/float64(s.Size()), reg.GuaranteedError())
 	return nil

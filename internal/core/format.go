@@ -57,6 +57,19 @@ func (s ScalarType) String() string {
 	}
 }
 
+// ParseScalar is the inverse of String, and reads the short spellings
+// f32 and f64 too. The text may come from a request, so an error quotes
+// at most 64 runes of it.
+func ParseScalar(s string) (ScalarType, error) {
+	switch s {
+	case "f32", "float32":
+		return Float32, nil
+	case "f64", "float64":
+		return Float64, nil
+	}
+	return 0, fmt.Errorf("dtype must be f32 or f64, got %.64q", s)
+}
+
 // Bytes returns the element width in bytes.
 func (s ScalarType) Bytes() int {
 	if s == Float32 {

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // MaxDims is the maximum number of dimensions supported by Grid.
@@ -102,6 +104,24 @@ func (s Shape) String() string {
 		out += fmt.Sprint(d)
 	}
 	return out
+}
+
+// ParseShape is the inverse of String: it reads extents joined by "x",
+// e.g. "64x96x96", and accepts only a shape that Validates. The text may
+// come from a request, so an error quotes at most 64 runes of it.
+func ParseShape(s string) (Shape, error) {
+	var out Shape
+	for _, part := range strings.Split(s, "x") {
+		v, err := strconv.Atoi(part)
+		if err != nil {
+			return nil, fmt.Errorf("bad extents %.64q (want e.g. 64x96x96)", s)
+		}
+		out = append(out, v)
+	}
+	if err := out.Validate(); err != nil {
+		return nil, fmt.Errorf("bad extents %.64q: %w", s, err)
+	}
+	return out, nil
 }
 
 // Grid is a dense row-major N-dimensional array of Scalar values.

@@ -28,6 +28,17 @@ func (k Kind) String() string {
 	}
 }
 
+// ParseKind is the inverse of String. The text may come from a request,
+// so an error quotes at most 64 runes of it.
+func ParseKind(s string) (Kind, error) {
+	for k := Linear; k <= Cubic; k++ {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("interp must be linear or cubic, got %.64q", s)
+}
+
 // Amplification returns the L∞ operator norm of one interpolation pass: the
 // sum of absolute coefficient values (paper Theorem 1: 1 for linear, 1.25
 // for cubic).

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -218,115 +217,51 @@ type ingestParams struct {
 	sealNow bool
 }
 
-// parseIngestParams validates the query of a write request. create
-// requires shape; snapshot appends inherit any omitted geometry from the
-// field's previous manifest (prev non-nil). eb stays 0 when the request
+// parseIngestParams validates the query of a write request. The geometry
+// follows the series rule (store.SeriesGeometry) against prev, the
+// field's previous manifest (nil on create). eb stays 0 when the request
 // gives none: store.SeriesBound resolves it once the values are in. An
 // omitted interp takes the default of `ipcomp snapshot put`, so an
 // ingested snapshot and an offline one of the same bytes are
-// byte-identical.
+// byte-identical. Every refusal quotes at most 64 runes of the value.
 func (srv *Server) parseIngestParams(r *http.Request, prev *cas.Manifest) (*ingestParams, error) {
 	q := r.URL.Query()
-	p := &ingestParams{
-		scalar: core.Float64,
-		interp: interp.Cubic,
-	}
-	if s := q.Get("shape"); s != "" {
-		shape, err := parseShapeParam(s)
-		if err != nil {
-			return nil, fmt.Errorf("shape: %w", err)
-		}
-		p.shape = shape
-	}
-	if s := q.Get("chunk"); s != "" {
-		chunk, err := parseShapeParam(s)
-		if err != nil {
-			return nil, fmt.Errorf("chunk: %w", err)
-		}
-		p.chunk = chunk
-	}
-	if s := q.Get("dtype"); s != "" {
-		scalar, _, err := parseScalar(s)
-		if err != nil {
-			return nil, err
-		}
-		p.scalar = scalar
-	} else if prev != nil {
-		p.scalar = core.ScalarType(prev.Scalar)
+	p := &ingestParams{interp: interp.Cubic}
+	var err error
+	if p.shape, p.chunk, p.scalar, err = store.SeriesGeometry(prev, q.Get("shape"), q.Get("chunk"), q.Get("dtype")); err != nil {
+		return nil, err
 	}
 	if s := q.Get("eb"); s != "" {
 		eb, err := strconv.ParseFloat(s, 64)
 		if err != nil || !(eb > 0) || math.IsInf(eb, 0) {
-			return nil, fmt.Errorf("eb must be a positive finite float, got %q", s)
+			return nil, fmt.Errorf("eb must be a positive finite float, got %.64q", s)
 		}
 		p.eb = eb
 	}
 	if s := q.Get("rel"); s != "" {
 		rel, err := strconv.ParseBool(s)
 		if err != nil {
-			return nil, fmt.Errorf("rel must be a boolean, got %q", s)
+			return nil, fmt.Errorf("rel must be a boolean, got %.64q", s)
 		}
 		p.rel = rel
 	}
 	if s := q.Get("interp"); s != "" {
-		switch s {
-		case "linear":
-			p.interp = interp.Linear
-		case "cubic":
-			p.interp = interp.Cubic
-		default:
-			return nil, fmt.Errorf("interp must be linear or cubic, got %q", s)
+		if p.interp, err = interp.ParseKind(s); err != nil {
+			return nil, err
 		}
 	}
 	// A removed parameter is refused, not ignored: a client asking for a
 	// block coder it cannot get must hear so.
 	if v, ok := q["codec"]; ok {
-		return nil, fmt.Errorf("codec=%q: the codec parameter was removed; every snapshot is coded with DEFLATE", v[0])
+		return nil, fmt.Errorf("codec=%.64q: the codec parameter was removed; every snapshot is coded with DEFLATE", v[0])
 	}
 	if s := q.Get("seal"); s != "" {
 		if s != "now" {
-			return nil, fmt.Errorf("seal must be \"now\", got %q", s)
+			return nil, fmt.Errorf("seal must be \"now\", got %.64q", s)
 		}
 		p.sealNow = true
 	}
-
-	if prev != nil {
-		// Appends inherit geometry; explicit values must agree — a shape
-		// change mid-series is a different field, not a snapshot.
-		if p.shape == nil {
-			p.shape = append(grid.Shape(nil), prev.Shape...)
-		} else if !p.shape.Equal(prev.Shape) {
-			return nil, fmt.Errorf("shape %v does not match the series shape %v", []int(p.shape), prev.Shape)
-		}
-		if p.chunk == nil {
-			p.chunk = append(grid.Shape(nil), prev.Chunk...)
-		} else if !p.chunk.Equal(prev.Chunk) {
-			return nil, fmt.Errorf("chunk %v does not match the series tiling %v (changing it would defeat dedup)", []int(p.chunk), prev.Chunk)
-		}
-		if p.scalar != core.ScalarType(prev.Scalar) {
-			return nil, fmt.Errorf("dtype %s does not match the series dtype %s", p.scalar, core.ScalarType(prev.Scalar))
-		}
-	}
-	if p.shape == nil {
-		return nil, fmt.Errorf("shape is required (e.g. shape=64x64x64)")
-	}
-	if err := p.shape.Validate(); err != nil {
-		return nil, err
-	}
 	return p, nil
-}
-
-// parseShapeParam parses "64x96x96".
-func parseShapeParam(s string) (grid.Shape, error) {
-	var out grid.Shape
-	for _, part := range strings.Split(s, "x") {
-		v, err := strconv.Atoi(part)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad extents %q (want e.g. 64x96x96)", s)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // serveIngest is the write handler body; it returns the outcome label

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -250,6 +251,31 @@ func TestIngestValidation(t *testing.T) {
 		msg, _ := doc["error"].(string)
 		if code != tc.code || !strings.Contains(msg, tc.want) {
 			t.Errorf("%s: status %d msg %q, want %d containing %q", tc.name, code, msg, tc.code, tc.want)
+		}
+	}
+}
+
+// TestIngestRefusalQuotesBoundedValue: a write's query comes from the
+// client, so a refusal quotes at most 64 runes of the value it refuses —
+// a 10 KB parameter draws a 400 of under 1 KB, whichever parameter it is.
+func TestIngestRefusalQuotesBoundedValue(t *testing.T) {
+	e := newIngestEnv(t, nil)
+	body := bodyF64(e.g)
+	long := strings.Repeat("1x", 5<<10)
+	for _, param := range []string{"shape", "chunk", "dtype", "interp", "eb", "rel", "seal", "codec"} {
+		q := url.Values{"shape": {"32x32x32"}, "eb": {"1e-6"}}
+		q.Set(param, long)
+		resp, err := http.Post(e.ts.URL+"/v1/datasets/density?"+q.Encode(), "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || len(msg) >= 1<<10 {
+			t.Errorf("%d-byte %s=: status %d, %d-byte body %.200q; want 400 under 1 KB", len(long), param, resp.StatusCode, len(msg), msg)
 		}
 	}
 }

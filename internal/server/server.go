@@ -512,13 +512,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // parseScalar maps the dtype query parameter; empty means native.
 func parseScalar(s string) (core.ScalarType, bool, error) {
-	switch s {
-	case "":
+	if s == "" {
 		return 0, false, nil
-	case "f32", "float32":
-		return core.Float32, true, nil
-	case "f64", "float64":
-		return core.Float64, true, nil
 	}
-	return 0, false, fmt.Errorf("dtype must be f32 or f64, got %q", s)
+	t, err := core.ParseScalar(s)
+	return t, err == nil, err
 }

@@ -107,6 +107,53 @@ func tilePrint[T grid.Scalar](tile *grid.Grid[T], opt WriteOptions) cas.Fingerpr
 	return p
 }
 
+// SeriesGeometry resolves the shape, tiling and element type of a field's
+// next snapshot from the texts its writer gave, "" for one not given:
+// shape and chunk as grid.ParseShape reads them, dtype as core.ParseScalar
+// does. prev is the field's latest manifest, nil for a new field. An
+// append inherits whatever it omits, and whatever it gives must agree with
+// the series: a snapshot of another shape, tiling or element type would
+// share no tile with those before it. A new field must give its shape; its
+// chunk stays nil (64 per dimension) unless given, and its element type
+// defaults to f64. Both writers, the POST endpoints and `ipcomp snapshot
+// put`, follow this rule, as they follow SeriesBound for the bound.
+func SeriesGeometry(prev *cas.Manifest, shape, chunk, dtype string) (grid.Shape, grid.Shape, core.ScalarType, error) {
+	var s, c grid.Shape
+	scalar := core.Float64
+	var err error
+	if shape != "" {
+		if s, err = grid.ParseShape(shape); err != nil {
+			return nil, nil, 0, fmt.Errorf("shape: %w", err)
+		}
+	}
+	if chunk != "" {
+		if c, err = grid.ParseShape(chunk); err != nil {
+			return nil, nil, 0, fmt.Errorf("chunk: %w", err)
+		}
+	}
+	if dtype != "" {
+		if scalar, err = core.ParseScalar(dtype); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	if prev == nil {
+		if s == nil {
+			return nil, nil, 0, fmt.Errorf("shape is required (e.g. shape=64x64x64)")
+		}
+		return s, c, scalar, nil
+	}
+	series := core.ScalarType(prev.Scalar)
+	switch {
+	case s != nil && !s.Equal(prev.Shape):
+		return nil, nil, 0, fmt.Errorf("shape %v does not match the series shape %v", []int(s), prev.Shape)
+	case c != nil && !c.Equal(prev.Chunk):
+		return nil, nil, 0, fmt.Errorf("chunk %v does not match the series tiling %v (changing it would defeat dedup)", []int(c), prev.Chunk)
+	case dtype != "" && scalar != series:
+		return nil, nil, 0, fmt.Errorf("dtype %s does not match the series dtype %s", scalar, series)
+	}
+	return grid.Shape(prev.Shape).Clone(), grid.Shape(prev.Chunk).Clone(), series, nil
+}
+
 // SeriesBound resolves the absolute error bound a field's next snapshot
 // is compressed under from what its writer gave. eb is the bound given
 // with this snapshot, 0 for none: the series' own bound then carries over

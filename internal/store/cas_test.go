@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cas"
+	"repro/internal/core"
 	"repro/internal/grid"
 )
 
@@ -305,6 +306,106 @@ func TestSeriesBound(t *testing.T) {
 			t.Errorf("%s: %g, %v; want %g", tc.name, got, err, tc.want)
 		}
 	}
+}
+
+// geometrySeries is the series the geometry tests append to: an f32 field,
+// so that inheriting its element type differs from a new field's f64.
+var geometrySeries = &cas.Manifest{Field: "density", Shape: []int{16, 24, 24}, Chunk: []int{8, 8, 8}, Scalar: uint8(core.Float32)}
+
+// TestSeriesGeometry pins the one rule both writers (the POST endpoints
+// and `ipcomp snapshot put`) resolve a snapshot's shape, tiling and
+// element type by: each inherited, agreed with and refused.
+func TestSeriesGeometry(t *testing.T) {
+	prev := geometrySeries
+	cases := []struct {
+		name                string
+		prev                *cas.Manifest
+		shape, chunk, dtype string
+		want                grid.Shape
+		wantChunk           grid.Shape
+		wantScalar          core.ScalarType
+		wantErr             string
+	}{
+		{"new field", nil, "16x24x24", "", "", grid.Shape{16, 24, 24}, nil, core.Float64, ""},
+		{"new field, everything given", nil, "16x24x24", "8x8x8", "float32", grid.Shape{16, 24, 24}, grid.Shape{8, 8, 8}, core.Float32, ""},
+		{"new field without a shape", nil, "", "8x8x8", "f32", nil, nil, 0, "shape is required"},
+		{"bad shape", nil, "32xx32", "", "", nil, nil, 0, "shape: bad extents"},
+		{"shape beyond the rank limit", nil, "1x1x1x1x1", "", "", nil, nil, 0, "shape: bad extents"},
+		{"bad chunk", nil, "16x24x24", "8x0x8", "", nil, nil, 0, "chunk: bad extents"},
+		{"bad dtype", nil, "16x24x24", "", "f16", nil, nil, 0, "dtype must be f32 or f64"},
+		{"append inherits everything", prev, "", "", "", grid.Shape{16, 24, 24}, grid.Shape{8, 8, 8}, core.Float32, ""},
+		{"append agrees on shape", prev, "16x24x24", "", "", grid.Shape{16, 24, 24}, grid.Shape{8, 8, 8}, core.Float32, ""},
+		{"append agrees on chunk", prev, "", "8x8x8", "", grid.Shape{16, 24, 24}, grid.Shape{8, 8, 8}, core.Float32, ""},
+		{"append agrees on dtype", prev, "", "", "float32", grid.Shape{16, 24, 24}, grid.Shape{8, 8, 8}, core.Float32, ""},
+		{"append refuses another shape", prev, "24x24x16", "", "", nil, nil, 0, "does not match the series shape"},
+		{"append refuses another chunk", prev, "", "16x16x16", "", nil, nil, 0, "does not match the series tiling"},
+		{"append refuses another dtype", prev, "", "", "f64", nil, nil, 0, "does not match the series dtype"},
+		{"append refuses a bad shape", prev, "16x24x", "", "", nil, nil, 0, "shape: bad extents"},
+	}
+	for _, tc := range cases {
+		shape, chunk, scalar, err := SeriesGeometry(tc.prev, tc.shape, tc.chunk, tc.dtype)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || !shape.Equal(tc.want) || !chunk.Equal(tc.wantChunk) || scalar != tc.wantScalar {
+			t.Errorf("%s: %v, %v, %v, %v; want %v, %v, %v", tc.name, shape, chunk, scalar, err, tc.want, tc.wantChunk, tc.wantScalar)
+		}
+	}
+	// What an append is given is the caller's own: it never aliases the
+	// series' manifest.
+	shape, chunk, _, _ := SeriesGeometry(prev, "", "", "")
+	shape[0], chunk[0] = 0, 0
+	if prev.Shape[0] != 16 || prev.Chunk[0] != 8 {
+		t.Fatalf("the resolved geometry aliases the manifest: %v, %v", prev.Shape, prev.Chunk)
+	}
+}
+
+// FuzzSeriesGeometry: over any shape, chunk and dtype text, on a new field
+// or an append, the series rule never panics, quotes a bounded share of
+// its input, and accepts only a geometry every writer can use: a valid
+// shape that round-trips through its String, a scalar that round-trips
+// through its, and on an append the series' own.
+func FuzzSeriesGeometry(f *testing.F) {
+	for _, s := range []string{"", "16x24x24", "8x8x8", "32xx32", "0x4", "1x1x1x1x1", "9223372036854775807x2", "+16x024x24"} {
+		f.Add(s, "", "", false)
+		f.Add(s, s, "f32", true)
+	}
+	f.Add("16x24x24", "", "float64", true)
+	f.Add("", "", "f16", false)
+	f.Fuzz(func(t *testing.T, shape, chunk, dtype string, appending bool) {
+		var prev *cas.Manifest
+		if appending {
+			prev = geometrySeries
+		}
+		s, c, scalar, err := SeriesGeometry(prev, shape, chunk, dtype)
+		if err != nil {
+			if n := len(err.Error()); n > 1024 {
+				t.Fatalf("a %d-byte refusal of %d bytes of input", n, len(shape)+len(chunk)+len(dtype))
+			}
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("accepted shape %v: %v", s, err)
+		}
+		if back, err := grid.ParseShape(s.String()); err != nil || !back.Equal(s) {
+			t.Fatalf("shape %v reads back as %v, %v", s, back, err)
+		}
+		if c != nil {
+			if back, err := grid.ParseShape(c.String()); err != nil || !back.Equal(c) {
+				t.Fatalf("chunk %v reads back as %v, %v", c, back, err)
+			}
+		}
+		if back, err := core.ParseScalar(scalar.String()); err != nil || back != scalar {
+			t.Fatalf("scalar %v reads back as %v, %v", scalar, back, err)
+		}
+		if appending && (!s.Equal(prev.Shape) || !c.Equal(prev.Chunk) || scalar != core.ScalarType(prev.Scalar)) {
+			t.Fatalf("append resolved to %v, %v, %v; the series is %v, %v, %v",
+				s, c, scalar, prev.Shape, prev.Chunk, core.ScalarType(prev.Scalar))
+		}
+	})
 }
 
 // TestSeriesBoundRefusesInfiniteRange: a relative bound over a field that

@@ -611,13 +611,10 @@ func (s *Store) ensureChunk(entry *chunkEntry, ds *datasetMeta, ci int, bound fl
 		err := entry.res.RefineErrorBound(bound)
 		entry.res.SetDecodeStats(nil)
 		if err != nil {
-			// A partial refinement can advance the plan (which is what
-			// GuaranteedError reports) without applying the data delta.
-			// Drop the entry so the next query re-decodes instead of
-			// trusting a guarantee the data no longer meets.
-			entry.res.Release()
-			entry.res = nil
-			entry.counted.Store(0)
+			// A refinement reads and decodes every new plane before it
+			// changes the result, so one that fails leaves the tile at
+			// its previous plan: it stays cached and still serves the
+			// bound it guarantees.
 			return err
 		}
 		s.stats.refines.Add(1)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -339,6 +340,78 @@ func TestCachedTileRefinedIsFreshRetrieval(t *testing.T) {
 				t.Fatalf("%g·eb: value %d through the cache is %x, from a fresh store %x",
 					factor, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
+		}
+	}
+}
+
+// failingReaderAt fails every read while down is set.
+type failingReaderAt struct {
+	r    io.ReaderAt
+	down atomic.Bool
+}
+
+var errBackendDown = errors.New("backend down")
+
+func (f *failingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if f.down.Load() {
+		return 0, errBackendDown
+	}
+	return f.r.ReadAt(p, off)
+}
+
+// TestFailedRefineKeepsCachedTile: a refinement whose reads fail leaves
+// the cached tile at its previous plan, so a request that plan covers is
+// still a cache hit, and once the reads recover the tile refines to the
+// bits a fresh store returns.
+func TestFailedRefineKeepsCachedTile(t *testing.T) {
+	g := testField(t, grid.Shape{32, 32, 32})
+	eb := 1e-6 * g.ValueRange()
+	blob := packOne(t, g, eb, grid.Shape{32, 32, 32})
+	src := &failingReaderAt{r: bytes.NewReader(blob)}
+	s, err := Open(src, int64(len(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := []int{0, 0, 0}, []int{32, 32, 32}
+	coarse := 4096 * eb
+	warm, err := s.RetrieveRegion("field", lo, hi, coarse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]float64(nil), warm.Data()...)
+
+	src.down.Store(true)
+	if _, err := s.RetrieveRegion("field", lo, hi, eb); !errors.Is(err, errBackendDown) {
+		t.Fatalf("refine with the backend down: err = %v, want %v", err, errBackendDown)
+	}
+	before := s.Stats()
+	reg, err := s.RetrieveRegion("field", lo, hi, coarse)
+	if err != nil {
+		t.Fatalf("the cached plan after a failed refine: %v", err)
+	}
+	st := s.Stats()
+	if hits, decodes := st.TileHits-before.TileHits, st.TileDecodes-before.TileDecodes; hits != 1 || decodes != 0 {
+		t.Errorf("the cached plan after a failed refine: %d hits, %d decodes, want 1 and 0", hits, decodes)
+	}
+	for i, v := range reg.Data() {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("value %d after a failed refine is %x, was %x", i, math.Float64bits(v), math.Float64bits(want[i]))
+		}
+	}
+
+	src.down.Store(false)
+	got, err := s.RetrieveRegion("field", lo, hi, eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := openStore(t, blob).RetrieveRegion("field", lo, hi, eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range fresh.Data() {
+		if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
+			t.Fatalf("value %d refined after recovery is %x, from a fresh store %x",
+				i, math.Float64bits(got.Data()[i]), math.Float64bits(v))
 		}
 	}
 }
