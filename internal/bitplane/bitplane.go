@@ -199,25 +199,23 @@ func mergeBlock(planes [][]byte, g int) (vv [8]uint32) {
 	return vv
 }
 
-// MergeDecodeRange raises the quantization indices ks[lo:hi) by a run of
-// newly loaded planes in one pass: it merges the planes, undoes their XOR
-// prediction, ORs them under each index's negabinary code and decodes.
-// lo must be a multiple of 8; disjoint 8-aligned ranges may run
-// concurrently.
+// MergeDecodeRange rebuilds the quantization indices ks[lo:hi) from a
+// prefix of their stored planes in one pass: it merges the planes, undoes
+// their XOR prediction and negabinary-decodes, writing every index in
+// range and reading none. lo must be a multiple of 8; disjoint 8-aligned
+// ranges may run concurrently.
 //
-// planes holds the new planes as stored (predicted) at their bit positions
-// among the 32 — nil everywhere else. Their prediction is undone on whole
-// words as if every other plane were zero (see unpredict); keep masks the
-// bits of the planes above the last new one, clearing what that spills
-// below it. The planes already in ks are corrected for by one of four
-// words: corr[ab], where a and b are the bits at top+1 and top of the old
-// code, the two loaded bits nearest the new planes. An index's first
-// raise has ks[i] == 0 and corr[0] == 0, so it needs no special case.
+// planes holds the loaded planes as stored (predicted) at their bit
+// positions among the 32 — nil everywhere else, the planes below the last
+// loaded one included. The prediction is undone on whole words with every
+// plane not loaded counted as zero (see unpredict); keep masks the bits of
+// the loaded planes, clearing what that spills below them. Each index is
+// then nb.Decode32 of its code truncated to the loaded planes.
 //
 // Like MergeRange this dispatches the bulk of the range to the AVX2 kernel
 // when one is compiled in; the scalar loop is the reference implementation
 // and the tail/fallback path.
-func MergeDecodeRange(ks []int32, planes [][]byte, lo, hi int, keep uint32, top uint, corr *[4]uint32) {
+func MergeDecodeRange(ks []int32, planes [][]byte, lo, hi int, keep uint32) {
 	if lo&7 != 0 {
 		panic("bitplane: MergeDecodeRange start must be 8-aligned")
 	}
@@ -225,17 +223,16 @@ func MergeDecodeRange(ks []int32, planes [][]byte, lo, hi int, keep uint32, top 
 		hi = len(ks)
 	}
 	if lo < hi {
-		lo = mergeDecodeAccel(ks, planes, lo, hi, keep, top, corr)
+		lo = mergeDecodeAccel(ks, planes, lo, hi, keep)
 	}
-	mergeDecodeGeneric(ks, planes, lo, hi, keep, top, corr)
+	mergeDecodeGeneric(ks, planes, lo, hi, keep)
 }
 
-func mergeDecodeGeneric(ks []int32, planes [][]byte, lo, hi int, keep uint32, top uint, corr *[4]uint32) {
+func mergeDecodeGeneric(ks []int32, planes [][]byte, lo, hi int, keep uint32) {
 	for base := lo; base < hi; base += 8 {
 		vv := mergeBlock(planes, base>>3)
-		for i, k := range ks[base:min(base+8, hi)] {
-			o := nb.Encode32(k)
-			ks[base+i] = nb.Decode32(o | unpredict(vv[i])&keep ^ corr[o>>top&3])
+		for i := range ks[base:min(base+8, hi)] {
+			ks[base+i] = nb.Decode32(unpredict(vv[i]) & keep)
 		}
 	}
 }

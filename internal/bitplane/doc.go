@@ -20,11 +20,12 @@
 // 1+x³, 1+x⁶, 1+x¹² and 1+x²⁴ once powers past x³¹ are dropped: four
 // shift-XORs. The coder therefore never predicts plane by plane:
 // SplitEncodeRange predicts each code before the transpose, and
-// MergeDecodeRange undoes it on the merged words of a raise's new planes —
-// the planes not loaded count as zero, and the bits the recurrence spills
-// below the last loaded plane are masked off — before it finishes the
-// negabinary raise in the same pass. PredictEncode and PredictDecode remain
-// the byte-plane forms for callers that hold planes.
+// MergeDecodeRange undoes it on the merged words of a loaded prefix of
+// planes — the planes not loaded count as zero, and the bits the
+// recurrence spills below the last loaded plane are masked off — before it
+// negabinary-decodes in the same pass. A prefix is always merged whole, so
+// no bits of an earlier merge enter the recurrence. PredictEncode and
+// PredictDecode remain the byte-plane forms for callers that hold planes.
 //
 // Split/Merge run on a word-level 8×32 bit-matrix transpose; the *Into
 // variants write into pooled backings (allocation-free hot path) and the

@@ -8,103 +8,89 @@ import (
 	"repro/internal/nb"
 )
 
-// raise is one MergeDecodeRange case: the negabinary codes of a level of
-// usedPlanes planes, stored as the coder stores them (transposed, then
-// XOR-predicted), raised from have to want planes over ks[lo:hi).
-type raise struct {
-	codes                []uint32
-	used, have, want     int
-	lo, hi               int
-	stored               [][]byte // the used planes, predicted, MSB first
-	keep                 uint32
-	top                  uint
-	corr                 [4]uint32
-	newPlanes            [Planes][]byte
-	truncHave, truncWant []int32
+// mergeCase is one MergeDecodeRange case: the negabinary codes of a level of
+// used planes, stored as the coder stores them (transposed, then
+// XOR-predicted), rebuilt from their first want planes over ks[lo:hi).
+type mergeCase struct {
+	codes      []uint32
+	used, want int
+	lo, hi     int
+	stored     [][]byte // the used planes, predicted, MSB first
+	keep       uint32
+	loaded     [Planes][]byte
+	truncated  []int32
 }
 
-func newRaise(codes []uint32, used, have, want, lo, hi int) *raise {
-	r := &raise{codes: codes, used: used, have: have, want: want, lo: lo, hi: hi}
+func newMergeCase(codes []uint32, used, want, lo, hi int) *mergeCase {
+	r := &mergeCase{codes: codes, used: used, want: want, lo: lo, hi: hi}
 	all := Split(codes)
 	r.stored = all[Planes-used:]
 	PredictEncode(r.stored)
-	for p := have; p < want; p++ {
-		r.newPlanes[Planes-used+p] = r.stored[p]
+	for p := 0; p < want; p++ {
+		r.loaded[Planes-used+p] = r.stored[p]
 	}
 	r.keep = ^uint32(0) << uint(used-want)
-	r.top = uint(used - have)
-	for ab := range r.corr {
-		e1, e2 := uint32(ab&1), uint32(ab>>1)
-		for p := have; p < want; p++ {
-			e1, e2 = e1^e2, e1
-			r.corr[ab] |= e1 << uint(used-1-p)
-		}
-	}
-	r.truncHave = make([]int32, len(codes))
-	r.truncWant = make([]int32, len(codes))
+	r.truncated = make([]int32, len(codes))
 	for i, c := range codes {
-		r.truncHave[i] = nb.Decode32(c & (^uint32(0) << uint(used-have)))
-		r.truncWant[i] = nb.Decode32(c & r.keep)
+		r.truncated[i] = nb.Decode32(c & r.keep)
 	}
 	return r
 }
 
-// threePass is the raise as it was made before MergeDecodeRange, kept as
-// the oracle: undo the prediction of planes [have, want) by byte columns
-// with the planes above counted as zero, merge them into one word per
-// value, then encode each old index, OR, correct and decode.
-func (r *raise) threePass() []int32 {
+// bytePlanes is the oracle: undo the prediction of the loaded planes plane
+// by plane on their bytes (PredictDecode), merge them into one word per
+// value, then decode each.
+func (r *mergeCase) bytePlanes() []int32 {
 	var planes [Planes][]byte
 	sub := planes[Planes-r.used:]
-	for p := r.have; p < r.want; p++ {
+	for p := 0; p < r.want; p++ {
 		sub[p] = append([]byte(nil), r.stored[p]...)
 	}
-	predictDecodeRangeBytes(sub, r.have, r.want, 0, (len(r.codes)+7)/8)
+	PredictDecode(sub[:r.want])
 	nbv := make([]uint32, len(r.codes))
 	MergeRange(nbv, planes[:], 0, len(nbv))
-	ks := append([]int32(nil), r.truncHave...)
-	for i := r.lo; i < r.hi; i++ {
-		if r.have == 0 {
-			ks[i] = nb.Decode32(nbv[i])
-			continue
-		}
-		o := nb.Encode32(ks[i])
-		ks[i] = nb.Decode32(o | nbv[i] ^ r.corr[o>>r.top&3])
+	ks := make([]int32, len(r.codes))
+	for i, v := range nbv {
+		ks[i] = nb.Decode32(v)
 	}
 	return ks
 }
 
-// fused runs MergeDecodeRange through the requested dispatch path.
-func (r *raise) fused(asm bool) []int32 {
+// fused runs MergeDecodeRange through the requested dispatch path over
+// indices poisoned with garbage: the kernel reads none of them.
+func (r *mergeCase) fused(asm bool) []int32 {
 	setAVX2(asm)
 	defer setAVX2(true)
-	ks := append([]int32(nil), r.truncHave...)
-	MergeDecodeRange(ks, r.newPlanes[:], r.lo, r.hi, r.keep, r.top, &r.corr)
+	ks := make([]int32, len(r.codes))
+	for i := range ks {
+		ks[i] = int32(0x5A5A5A5A ^ i)
+	}
+	MergeDecodeRange(ks, r.loaded[:], r.lo, r.hi, r.keep)
 	return ks
 }
 
-// check demands that the generic and AVX2 kernels, the three-pass oracle
+// check demands that the generic and AVX2 kernels, the byte-plane oracle
 // and the truncation of the codes at want all agree inside [lo, hi), and
 // that nothing outside it moved.
-func (r *raise) check(t *testing.T) {
+func (r *mergeCase) check(t *testing.T) {
 	t.Helper()
-	oracle := r.threePass()
+	oracle := r.bytePlanes()
 	generic := r.fused(false)
 	paths := [][]int32{generic}
 	if setAVX2(true) {
 		paths = append(paths, r.fused(true))
 	}
 	for i := range r.codes {
-		want := r.truncHave[i]
-		if i >= r.lo && i < r.hi {
-			want = r.truncWant[i]
+		if oracle[i] != r.truncated[i] {
+			t.Fatalf("used=%d want=%d value %d: byte-plane oracle %d, truncation %d", r.used, r.want, i, oracle[i], r.truncated[i])
 		}
-		if oracle[i] != want {
-			t.Fatalf("used=%d have=%d want=%d [%d,%d) value %d: three-pass %d, truncation %d", r.used, r.have, r.want, r.lo, r.hi, i, oracle[i], want)
+		want := int32(0x5A5A5A5A ^ i)
+		if i >= r.lo && i < r.hi {
+			want = r.truncated[i]
 		}
 		for k, ks := range paths {
 			if ks[i] != want {
-				t.Fatalf("used=%d have=%d want=%d [%d,%d) value %d: path %d (0 generic, 1 AVX2) %d, want %d", r.used, r.have, r.want, r.lo, r.hi, i, k, ks[i], want)
+				t.Fatalf("used=%d want=%d [%d,%d) value %d: path %d (0 generic, 1 AVX2) %d, want %d", r.used, r.want, r.lo, r.hi, i, k, ks[i], want)
 			}
 		}
 	}
@@ -119,20 +105,18 @@ func randomCodes(rng *rand.Rand, n, used int) []uint32 {
 	return codes
 }
 
-// TestMergeDecodeRangeDifferential sweeps every (have, want) of several
+// TestMergeDecodeRangeDifferential sweeps every loaded prefix of several
 // plane counts over lengths on both sides of the 32-value kernel step.
 func TestMergeDecodeRangeDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, used := range []int{1, 2, 3, 7, 8, 9, 17, 24, 31, 32} {
 		for _, n := range []int{1, 31, 32, 77, 200} {
 			codes := randomCodes(rng, n, used)
-			for have := 0; have < used; have++ {
-				for want := have + 1; want <= used; want++ {
-					lo := rng.Intn(n+1) &^ 7
-					hi := lo + rng.Intn(n-lo+1)
-					newRaise(codes, used, have, want, 0, n).check(t)
-					newRaise(codes, used, have, want, lo, hi).check(t)
-				}
+			for want := 0; want <= used; want++ {
+				lo := rng.Intn(n+1) &^ 7
+				hi := lo + rng.Intn(n-lo+1)
+				newMergeCase(codes, used, want, 0, n).check(t)
+				newMergeCase(codes, used, want, lo, hi).check(t)
 			}
 		}
 	}
@@ -186,25 +170,24 @@ func checkSplitEncode(t *testing.T, codes []uint32, want [][]byte) {
 }
 
 // FuzzMergeDecodeDispatch holds MergeDecodeRange's AVX2 and generic
-// kernels to the three-pass oracle and to plain truncation, for a
-// fuzz-chosen plane count, raise, 8-aligned start and length; the same
-// codes also check the coder's split (SplitEncodeRange).
+// kernels to the byte-plane oracle and to plain truncation, for a
+// fuzz-chosen plane count, loaded prefix, 8-aligned start and length; the
+// same codes also check the coder's split (SplitEncodeRange).
 func FuzzMergeDecodeDispatch(f *testing.F) {
-	f.Add(uint8(31), uint8(0), uint8(12), uint16(0), uint16(100), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(uint8(20), uint8(7), uint8(19), uint16(9), uint16(40), []byte{0xff, 0xee, 0xdd, 0xcc, 0, 0, 0, 1})
-	f.Add(uint8(0), uint8(0), uint8(0), uint16(0), uint16(0), []byte{})
-	f.Fuzz(func(t *testing.T, used, have, want uint8, lo, hi uint16, raw []byte) {
+	f.Add(uint8(31), uint8(12), uint16(0), uint16(100), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(20), uint8(19), uint16(9), uint16(40), []byte{0xff, 0xee, 0xdd, 0xcc, 0, 0, 0, 1})
+	f.Add(uint8(0), uint8(0), uint16(0), uint16(0), []byte{})
+	f.Fuzz(func(t *testing.T, used, want uint8, lo, hi uint16, raw []byte) {
 		n := min(len(raw)/4, 1<<12)
 		u := 1 + int(used)%Planes
-		w := 1 + int(want)%u
-		h := int(have) % w
+		w := int(want) % (u + 1)
 		codes := make([]uint32, n)
 		for i := range codes {
 			codes[i] = binary.LittleEndian.Uint32(raw[4*i:]) >> uint(Planes-u)
 		}
 		l := int(lo) % (n + 1) &^ 7
 		e := l + int(hi)%(n-l+1)
-		newRaise(codes, u, h, w, l, e).check(t)
+		newMergeCase(codes, u, w, l, e).check(t)
 		planes := Split(codes)
 		PredictEncode(planes[Planes-u:])
 		checkSplitEncode(t, codes, planes)

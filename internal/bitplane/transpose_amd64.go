@@ -44,7 +44,7 @@ func mergeAVX2(planes *[Planes]unsafe.Pointer, out *uint32, iters int, blocks ui
 // same planes. Implemented in transpose_amd64.s.
 //
 //go:noescape
-func mergeDecodeAVX2(planes *[Planes]unsafe.Pointer, ks *int32, iters int, blocks uint8, keep uint32, top uint, corr *[4]uint32)
+func mergeDecodeAVX2(planes *[Planes]unsafe.Pointer, ks *int32, iters int, blocks uint8, keep uint32)
 
 // splitRangeAccel runs the vector kernel over the longest 32-value-aligned
 // prefix of [lo, hi) and returns the new lo for the scalar tail.
@@ -73,13 +73,13 @@ func mergeRangeAccel(out []uint32, planes [][]byte, lo, hi int) int {
 }
 
 // mergeDecodeAccel mirrors mergeRangeAccel for MergeDecodeRange.
-func mergeDecodeAccel(ks []int32, planes [][]byte, lo, hi int, keep uint32, top uint, corr *[4]uint32) int {
+func mergeDecodeAccel(ks []int32, planes [][]byte, lo, hi int, keep uint32) int {
 	n32 := (hi - lo) &^ 31
 	if !useAVX2 || n32 == 0 {
 		return lo
 	}
 	ptrs, blocks := planePointers(planes, lo)
-	mergeDecodeAVX2(&ptrs, &ks[lo], n32>>5, blocks, keep, top, corr)
+	mergeDecodeAVX2(&ptrs, &ks[lo], n32>>5, blocks, keep)
 	return lo + n32
 }
 

@@ -50,13 +50,9 @@ DATA mergeB<>+16(SB)/8, $0x808080800e0a0602
 DATA mergeB<>+24(SB)/8, $0x808080800f0b0703
 GLOBL mergeB<>(SB), RODATA|NOPTR, $32
 
-// nbmask<> is the negabinary mask 0xAAAAAAAA, three<> the two-bit index
-// mask of the correction lookup; both are broadcast to every dword.
+// nbmask<> is the negabinary mask 0xAAAAAAAA, broadcast to every dword.
 DATA nbmask<>+0(SB)/4, $0xaaaaaaaa
 GLOBL nbmask<>(SB), RODATA|NOPTR, $4
-
-DATA three<>+0(SB)/4, $3
-GLOBL three<>(SB), RODATA|NOPTR, $4
 
 // PREDICT replaces the values in V by v ^ (v>>1 ^ v>>2) & pm, pm in Y14:
 // the XOR prediction of all 32 planes at once, or nothing when pm is zero.
@@ -293,8 +289,8 @@ mergeloop:
 	VMOVDQU scratch-128+(s*16)(SP), X \
 	VPSHUFB X13, X, X
 
-// DECODE8 raises the 8 indices at off(R9) by the 8 merged, still predicted
-// words in V: mergeDecodeGeneric's arithmetic, Y4-Y6 as temporaries.
+// DECODE8 writes the 8 indices at off(R9) decoded from the 8 merged, still
+// predicted words in V: mergeDecodeGeneric's arithmetic, Y4 as temporary.
 #define DECODE8(V, off) \
 	VPSRLD  $1, V, Y4   \
 	VPXOR   Y4, V, V    \
@@ -307,27 +303,19 @@ mergeloop:
 	VPSRLD  $24, V, Y4  \
 	VPXOR   Y4, V, V    \
 	VPAND   Y9, V, V    \
-	VMOVDQU off(R9), Y5 \
-	VPADDD  Y8, Y5, Y5  \
-	VPXOR   Y8, Y5, Y5  \
-	VPSRLD  X12, Y5, Y6 \
-	VPAND   Y11, Y6, Y6 \
-	VPERMD  Y10, Y6, Y6 \
-	VPOR    Y5, V, V    \
-	VPXOR   Y6, V, V    \
+	VPXOR   Y8, V, V    \
 	VPSUBD  Y8, V, V    \
 	VMOVDQU V, off(R9)
 
-// func mergeDecodeAVX2(planes *[32]unsafe.Pointer, ks *int32, iters int, blocks uint8, keep uint32, top uint, corr *[4]uint32)
+// func mergeDecodeAVX2(planes *[32]unsafe.Pointer, ks *int32, iters int, blocks uint8, keep uint32)
 //
 // The merge is mergeAVX2's up to the mask rows; the rows' 32 values then
 // stay in registers: ROW gives value 8g+s in dword g of Xs, and a 4×4 dword
 // transpose per lane of [Xs | Xs+4] turns them into the 8 values of group g
 // in Yg. DECODE8 undoes the prediction (u = s ^ s>>1, then u ^= u>>3, >>6,
-// >>12, >>24), masks with keep, and ORs under o = (k + m) ^ m, m =
-// 0xAAAAAAAA, XOR corr[o>>top & 3] ^ m, picked by VPERMD from corr^m
-// broadcast to both lanes; subtracting m finishes the negabinary decode.
-TEXT ·mergeDecodeAVX2(SB), NOSPLIT, $128-48
+// >>12, >>24), masks with keep and negabinary-decodes: (u ^ m) − m, m =
+// 0xAAAAAAAA.
+TEXT ·mergeDecodeAVX2(SB), NOSPLIT, $128-32
 	MOVQ    planes+0(FP), R8
 	MOVQ    ks+8(FP), R9
 	MOVQ    iters+16(FP), R11
@@ -340,12 +328,6 @@ TEXT ·mergeDecodeAVX2(SB), NOSPLIT, $128-48
 	MOVL    keep+28(FP), AX
 	VMOVD   AX, X9
 	VPBROADCASTD X9, Y9
-	MOVQ    corr+40(FP), AX
-	VBROADCASTI128 (AX), Y10
-	VPXOR   Y8, Y10, Y10
-	VPBROADCASTD three<>(SB), Y11
-	MOVQ    top+32(FP), AX
-	VMOVQ   AX, X12
 
 	VPXOR   Y0, Y0, Y0
 	VMOVDQU Y0, scratch-128(SP)

@@ -70,8 +70,8 @@ func Compress[T grid.Scalar](g *grid.Grid[T], opt Options) ([]byte, error) {
 	// Anchors are stored losslessly and stay exact in the work array.
 	anchorIdx := dec.Anchors()
 	h.anchors = make([]float64, len(anchorIdx))
-	for i, idx := range anchorIdx {
-		h.anchors[i] = float64(work[idx])
+	for i, f := range anchorIdx {
+		h.anchors[i] = float64(work[f])
 	}
 
 	// Pre-size every level's index buffer from the closed-form level count:

@@ -26,6 +26,9 @@
 //     Retrieve*/Refine* families are the compression and progressive
 //     retrieval engine behind the public ipcomp package. Results refine
 //     in place: tightening a bound loads only additional plane blocks.
+//     A result below full fidelity keeps the planes it decoded, and a
+//     refinement decodes its new planes beside them and rebuilds from all
+//     of them, as a retrieval of its plan does: there is one rebuild.
 //   - Plan, PlanErrorBoundMode, PlanBitrateMode expose the loading
 //     optimizer; PlanSpans/HeaderSize (spans.go) turn a plan diff into
 //     the archive byte ranges it needs, which is what lets a server ship

@@ -185,13 +185,30 @@ func (h *header) planeSpan(level, have, want int) (off, n int64) {
 	return offs[have], offs[want-1] - offs[have] + int64(h.metaOf(level).blockSizes[want-1])
 }
 
-// indexCount is the number of quantization indices of all levels.
-func (h *header) indexCount() int {
+// planeBytes is the size of one of the level's planes: a bit per value.
+func (m *levelMeta) planeBytes() int { return (m.count + 7) / 8 }
+
+// planeSlots is the size of a backing with a slot for every stored plane
+// of every level (Result.planes). It is bounded by checks already made:
+// m.count is the decomposition's own count for the level
+// (retrieveStatsAs) and a level stores at most 32 planes (parse).
+func (h *header) planeSlots() int {
 	n := 0
 	for i := range h.meta {
-		n += h.meta[i].count
+		n += h.meta[i].usedPlanes * h.meta[i].planeBytes()
 	}
 	return n
+}
+
+// levelSlots returns level l's slots of such a backing: its usedPlanes
+// planes, MSB plane first, the finest level's slots first in the backing.
+func (h *header) levelSlots(planes []byte, level int) []byte {
+	off := 0
+	for l := 1; l < level; l++ {
+		off += h.metaOf(l).usedPlanes * h.metaOf(l).planeBytes()
+	}
+	n := h.metaOf(level).usedPlanes * h.metaOf(level).planeBytes()
+	return planes[off : off+n : off+n]
 }
 
 // totalSize returns the full archive size in bytes.

@@ -51,7 +51,7 @@ func kernelSpecCase[T grid.Scalar](t *testing.T) {
 	for l := dec.NumLevels(); l >= 1; l-- {
 		outSet := make(map[uint32]bool, len(refOutliers[l]))
 		for _, o := range refOutliers[l] {
-			outSet[o.idx] = true
+			outSet[o.seq] = true
 		}
 		for _, p := range dec.LevelPasses(l) {
 			p.VisitRuns(kind, 0, p.Targets(), func(r *interp.Run) {
@@ -152,8 +152,8 @@ func checkQuantizerSpec[T grid.Scalar](t *testing.T, data []T, dec *interp.Decom
 			t.Fatalf("level %d: kernel %d outliers, spec %d", l, len(m.outlierIdx), len(refOutliers[l]))
 		}
 		for i, o := range refOutliers[l] {
-			if m.outlierIdx[i] != o.idx || math.Float64bits(m.outlierVal[i]) != math.Float64bits(o.val) {
-				t.Fatalf("level %d outlier %d: kernel (%d, %v), spec (%d, %v)", l, i, m.outlierIdx[i], m.outlierVal[i], o.idx, o.val)
+			if m.outlierIdx[i] != o.seq || math.Float64bits(m.outlierVal[i]) != math.Float64bits(o.val) {
+				t.Fatalf("level %d outlier %d: kernel (%d, %v), spec (%d, %v)", l, i, m.outlierIdx[i], m.outlierVal[i], o.seq, o.val)
 			}
 		}
 	}

@@ -30,23 +30,19 @@ import (
 // never writes, so shards of a pass execute concurrently and still produce
 // bit-identical output to the serial canonical order.
 
-// minShardTargets is the smallest number of values worth handing to one
-// worker in a flat per-value pass (the merge of a raise); below it the
-// goroutine overhead beats the win.
-const minShardTargets = 4096
-
-// minPassTargets is the same floor for an interpolation pass, which the
-// quantizer and the rebuild walk with their vector kernels at a few ns a
-// target. It keeps every pass of a 32³ tile — 16 384 targets at most — on
-// one goroutine, where a second one costs more than it saves, while a
-// 128³ field's passes still shard.
+// minPassTargets is the smallest number of targets of an interpolation
+// pass worth handing to one worker: the quantizer and the rebuild walk a
+// pass with their vector kernels at a few ns a target, and below it the
+// goroutine overhead beats the win. It keeps every pass of a 32³ tile —
+// 16 384 targets at most — on one goroutine, where a second one costs more
+// than it saves, while a 128³ field's passes still shard.
 const minPassTargets = 1 << 15
 
 // outlier is one outlier escape: its level-local sequence index and its
 // value, widened to float64 in memory for both scalar types (lossless); the
 // header serializes it at the native width.
 type outlier struct {
-	idx uint32
+	seq uint32
 	val float64
 }
 
@@ -96,12 +92,12 @@ func (e *levelQuantizer[T]) quantizeLevel(dec *interp.Decomposition, l int, kind
 			})
 			outliers = slices.Concat(shards...)
 		}
-		byIdx := func(a, b outlier) int { return cmp.Compare(a.idx, b.idx) }
+		byIdx := func(a, b outlier) int { return cmp.Compare(a.seq, b.seq) }
 		if !slices.IsSortedFunc(outliers, byIdx) {
 			slices.SortFunc(outliers, byIdx)
 		}
 		for _, o := range outliers {
-			m.outlierIdx = append(m.outlierIdx, o.idx)
+			m.outlierIdx = append(m.outlierIdx, o.seq)
 			m.outlierVal = append(m.outlierVal, o.val)
 		}
 	}
@@ -183,9 +179,9 @@ func (e *levelQuantizer[T]) quantizeRun(r *interp.Run, ks []int32, acc []outlier
 // runs at T's native width, the exact expression the compressor's work
 // array evaluated, so reconstruction tracks the encoder bit for bit at any
 // scalar width. Each pass is walked a column at a time (interp.Pass.Walk)
-// and sharded by lines across cores. The indices are ks, or, when ks is
-// nil, every stored plane of the level as decoded (see applyShard).
-func applyLevel[T grid.Scalar](a *Archive, data []T, l int, ks []int32, planes []byte) {
+// and sharded by lines across cores. The indices are those of the level's
+// first keep planes, as fetch decoded them into planes (see applyShard).
+func applyLevel[T grid.Scalar](a *Archive, data []T, l int, planes []byte, keep int) {
 	m := a.h.metaOf(l)
 	step := T(a.quant.Step())
 	kind := a.h.kind
@@ -200,30 +196,24 @@ func applyLevel[T grid.Scalar](a *Archive, data []T, l int, ks []int32, planes [
 		// pass shards.
 		minLines := max(1, minPassTargets/width)
 		if chunks, _ := chunkSpan(lines, minLines, 1); chunks <= 1 {
-			applyShard(p, kind, 0, lines, data, ks, planes, step, m)
+			applyShard(p, kind, 0, lines, data, planes, keep, step, m)
 			continue
 		}
 		parallelChunks(lines, minLines, 1, func(lo, hi int) {
-			applyShard(p, kind, lo, hi, data, ks, planes, step, m)
+			applyShard(p, kind, lo, hi, data, planes, keep, step, m)
 		})
 	}
 }
 
-// mergeBlockValues is how many indices a full-fidelity rebuild merges at a
-// time: 16 KB of int32, still in the first-level cache when applyLines
-// reads them back.
+// mergeBlockValues is how many indices a rebuild merges at a time: 16 KB
+// of int32, still in the first-level cache when applyLines reads them back.
 const mergeBlockValues = 4096
 
-// applyShard reconstructs lines [lo, hi) of pass p from the level's
-// indices ks, or, when ks is nil, from its decoded planes: they are merged
-// into pooled scratch a block of lines at a time, each block just before
-// applyLines consumes it, so a full-fidelity retrieval never holds the
-// level's indices at once.
-func applyShard[T grid.Scalar](p *interp.Pass, kind interp.Kind, lo, hi int, data []T, ks []int32, planes []byte, step T, m *levelMeta) {
-	if ks != nil {
-		applyLines(p, kind, lo, hi, data, ks, 0, step, m)
-		return
-	}
+// applyShard reconstructs lines [lo, hi) of pass p from the level's first
+// keep planes: they are merged into pooled scratch a block of lines at a
+// time, each block just before applyLines consumes it, so a rebuild never
+// holds a level's indices at once.
+func applyShard[T grid.Scalar](p *interp.Pass, kind interp.Kind, lo, hi int, data []T, planes []byte, keep int, step T, m *levelMeta) {
 	_, width := p.Lines()
 	per := max(1, mergeBlockValues/width)
 	bm := blockMerges.Get().(*blockMerge)
@@ -232,7 +222,7 @@ func applyShard[T grid.Scalar](p *interp.Pass, kind interp.Kind, lo, hi int, dat
 		// MergeDecodeRange starts on a plane byte: from the 8-aligned
 		// index at or below the block's first, shifted out by base.
 		base := (p.SeqOffset() + b*width) &^ 7
-		bks := bm.merge(planes, m, base, p.SeqOffset()+e*width)
+		bks := bm.merge(planes, keep, m, base, p.SeqOffset()+e*width)
 		applyLines(p, kind, b, e, data, bks, base, step, m)
 	}
 	bm.planes = [bitplane.Planes][]byte{} // drop the references to planes
@@ -251,29 +241,23 @@ type blockMerge struct {
 
 var blockMerges = sync.Pool{New: func() any { return new(blockMerge) }}
 
-// noCorr is the correction of a first raise: no planes were loaded before.
-var noCorr [4]uint32
-
-// merge returns the indices [base, end) of a level with every stored plane
-// loaded, merged from planes (usedPlanes planes of (count+7)/8 bytes, MSB
+// merge returns the indices [base, end) of a level truncated to its first
+// keep planes, merged from planes (usedPlanes planes of planeBytes, MSB
 // plane first, as fetch decodes them) into bm's scratch. base is a
-// multiple of 8.
-func (bm *blockMerge) merge(planes []byte, m *levelMeta, base, end int) []int32 {
+// multiple of 8. The planes not loaded stay nil: the merge counts them as
+// zero and masks off what that spills below the last loaded one.
+func (bm *blockMerge) merge(planes []byte, keep int, m *levelMeta, base, end int) []int32 {
 	n := end - base
 	if cap(bm.ks) < n {
 		bm.ks = make([]int32, n)
 	}
+	planeBytes := m.planeBytes()
+	loaded := bm.planes[bitplane.Planes-m.usedPlanes:][:keep]
+	for p := range loaded {
+		loaded[p] = planes[p*planeBytes+base>>3 : (p+1)*planeBytes]
+	}
 	ks := bm.ks[:n]
-	clear(ks) // the merge ORs under what is there: a first raise's zeros
-	if m.usedPlanes == 0 {
-		return ks
-	}
-	planeBytes := (m.count + 7) / 8
-	used := bm.planes[bitplane.Planes-m.usedPlanes:]
-	for p := range used {
-		used[p] = planes[p*planeBytes+base>>3 : (p+1)*planeBytes]
-	}
-	bitplane.MergeDecodeRange(ks, bm.planes[:], 0, n, ^uint32(0), uint(m.usedPlanes), &noCorr)
+	bitplane.MergeDecodeRange(ks, bm.planes[:], 0, n, ^uint32(0)<<(m.usedPlanes-keep))
 	return ks
 }
 

@@ -100,51 +100,50 @@ func BenchmarkDecodeRealPlanes(b *testing.B) {
 	for _, c := range realPlaneArchives(b) {
 		a := c.a
 		b.Run(c.name, func(b *testing.B) {
-			var planeBytes int
-			for l := 1; l <= a.h.levels; l++ {
-				m := a.h.metaOf(l)
-				planeBytes += m.usedPlanes * ((m.count + 7) / 8)
-			}
+			planeBytes := a.h.planeSlots()
 			full := a.fullPlan()
 			b.SetBytes(int64(planeBytes))
 			b.ReportAllocs()
 			for b.Loop() {
 				r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}}
-				backing := byteScratch.Get(planeBytes)
-				if _, _, err := r.fetch(full, backing, nil); err != nil {
+				planes := byteScratch.Get(planeBytes)
+				if _, err := r.fetch(full, planes, nil); err != nil {
 					b.Fatal(err)
 				}
-				byteScratch.Put(backing)
+				byteScratch.Put(planes)
 			}
 		})
 	}
 }
 
-// BenchmarkMergeRealPlanes measures the other half, mergePlanes, on the
-// finest level of realPlaneArchives — seven eighths of the values and the
-// most planes: a first raise to half the level's planes, as a retrieval
-// makes, and a later one from there to all of them, as a refinement does.
-// It reports ns per value of the level. The merge reads its planes without
-// changing them and does the same work whatever indices it raises, so each
-// iteration only rewinds the plan.
+// BenchmarkMergeRealPlanes measures the other half, the block merge every
+// rebuild runs (applyShard's blockMerge), on the finest level of
+// realPlaneArchives — seven eighths of the values and the most planes —
+// merged from its decoded planes a block of mergeBlockValues indices at a
+// time, without the reconstruction that consumes each block: at the planes
+// a retrieval at 1e3·eb loads ("first", the first rung of the codec_field
+// workload), and at all of them ("all", a retrieval or refinement to full
+// fidelity). It reports ns per value of the level.
 func BenchmarkMergeRealPlanes(b *testing.B) {
 	for _, c := range realPlaneArchives(b) {
 		a := c.a
 		m := a.h.metaOf(1)
-		half := m.usedPlanes / 2
+		first, err := a.PlanErrorBoundMode(1e3 * a.h.eb)
+		if err != nil {
+			b.Fatal(err)
+		}
+		planes := a.h.levelSlots(fetchAll(b, &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}}, a.fullPlan()), 1)
 		for _, s := range []struct {
-			name       string
-			have, want int
-		}{{"first", 0, half}, {"later", half, m.usedPlanes}} {
+			name string
+			keep int
+		}{{"first", a.keepOf(first, 1)}, {"all", m.usedPlanes}} {
 			b.Run(c.name+"/"+s.name, func(b *testing.B) {
-				r := &Result{arch: a, plan: a.fullPlan(), trunc: make([][]int32, a.h.levels)}
-				r.plan.Keep[0] = 0 // level 1 alone raises
-				r.trunc[0] = make([]int32, m.count)
-				raiseLevel(b, r, 1, s.have)
-				got := fetchLevel(b, r, 1, s.want)
+				var bm blockMerge
+				b.ReportAllocs()
 				for b.Loop() {
-					r.plan.Keep[0] = s.have
-					r.mergePlanes(1, s.want, got)
+					for base := 0; base < m.count; base += mergeBlockValues {
+						bm.merge(planes, s.keep, m, base, min(base+mergeBlockValues, m.count))
+					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.count), "ns/value")
 			})
@@ -159,12 +158,12 @@ func TestDeflateMatchesFlateOnRealPlanes(t *testing.T) {
 	for _, c := range realPlaneArchives(t) {
 		a := c.a
 		r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}}
-		levels := fetchAll(t, r, a.fullPlan())
+		planes := fetchAll(t, r, a.fullPlan())
 		deflated := 0
 		for l := 1; l <= a.h.levels; l++ {
 			m := a.h.metaOf(l)
-			got := levels[l-1]
-			planeBytes := (m.count + 7) / 8
+			got := a.h.levelSlots(planes, l)
+			planeBytes := m.planeBytes()
 			for p := 0; p < m.usedPlanes; p++ {
 				plane := got[p*planeBytes : (p+1)*planeBytes]
 				var want bytes.Buffer
@@ -193,18 +192,20 @@ func TestDeflateMatchesFlateOnRealPlanes(t *testing.T) {
 }
 
 // BenchmarkRebuild measures the reconstruction half of a retrieval —
-// rebuild, Algorithm 1's dequantize-and-interpolate over every level from
-// the anchors down — on realPlaneArchives, from indices decoded once, as a
+// rebuild, the block merge of every level's planes and Algorithm 1's
+// dequantize-and-interpolate over every level from the anchors down — on
+// realPlaneArchives at full fidelity, from planes decoded once, as a
 // refinement rebuilds. It reports ns per value of the field.
 func BenchmarkRebuild(b *testing.B) {
 	for _, c := range realPlaneArchives(b) {
 		a := c.a
 		b.Run(c.name, func(b *testing.B) {
-			trunc := planIndices(b, a, a.fullPlan())
+			full := a.fullPlan()
+			planes := fetchAll(b, &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}}, full)
 			data := make([]float32, a.h.shape.Len())
 			b.ReportAllocs()
 			for b.Loop() {
-				rebuild(a, data, trunc, nil, a.h.levels)
+				rebuild(a, data, planes, full.Keep, a.h.levels)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(data)), "ns/value")
 		})

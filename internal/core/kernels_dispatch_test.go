@@ -7,8 +7,10 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bitplane"
 	"repro/internal/grid"
 	"repro/internal/interp"
+	"repro/internal/nb"
 	"repro/internal/quant"
 )
 
@@ -271,62 +273,57 @@ func checkColumnRebuild[T grid.Scalar](t *testing.T, blob []byte, bound float64,
 	}
 }
 
-// planIndices returns the truncated indices of plan, raised from zero by
-// fetch and mergePlanes into fresh memory: what rebuild reads, and what a
-// result at full fidelity no longer keeps.
+// planIndices returns the truncated indices of plan, decoded without the
+// kernel a rebuild merges with: fetch decodes every plane the plan loads
+// into a fresh backing, and each level's are un-predicted plane by plane
+// (bitplane.PredictDecode), merged (bitplane.MergeRange) and
+// negabinary-decoded value by value.
 func planIndices(tb testing.TB, a *Archive, plan Plan) [][]int32 {
 	tb.Helper()
-	r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}, trunc: make([][]int32, a.h.levels)}
-	got := fetchAll(tb, r, plan)
+	planes := fetchAll(tb, &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}}, plan)
+	ks := make([][]int32, a.h.levels)
 	for l := 1; l <= a.h.levels; l++ {
-		r.trunc[l-1] = make([]int32, a.h.metaOf(l).count)
-		r.mergePlanes(l, a.keepOf(plan, l), got[l-1])
+		m := a.h.metaOf(l)
+		keep, planeBytes := min(a.keepOf(plan, l), m.usedPlanes), m.planeBytes()
+		slots := a.h.levelSlots(planes, l)
+		var loaded [bitplane.Planes][]byte
+		used := loaded[bitplane.Planes-m.usedPlanes:]
+		for p := range keep {
+			used[p] = slots[p*planeBytes : (p+1)*planeBytes]
+		}
+		bitplane.PredictDecode(used[:keep])
+		codes := make([]uint32, m.count)
+		bitplane.MergeRange(codes, loaded[:], 0, m.count)
+		ks[l-1] = make([]int32, m.count)
+		for i, c := range codes {
+			ks[l-1][i] = nb.Decode32(c)
+		}
 	}
-	return r.trunc
+	return ks
 }
 
-// fetchAll runs fetch for a raise of r to plan into a fresh backing and
-// returns each level's new planes.
-func fetchAll(tb testing.TB, r *Result, plan Plan) [][]byte {
+// fetchAll runs fetch for a raise of r to plan into a fresh plane backing
+// and returns it; header.levelSlots cuts each level's planes out of it.
+func fetchAll(tb testing.TB, r *Result, plan Plan) []byte {
 	tb.Helper()
-	total := 0
-	for l := 1; l <= r.arch.h.levels; l++ {
-		total += r.raiseBytes(l, r.arch.keepOf(plan, l))
-	}
-	got, _, err := r.fetch(plan, make([]byte, total), nil)
-	if err != nil {
+	planes := make([]byte, r.arch.h.planeSlots())
+	if _, err := r.fetch(plan, planes, nil); err != nil {
 		tb.Fatal(err)
 	}
-	return got
-}
-
-// fetchLevel returns the new planes of a raise of level l of r to want,
-// every other level as r holds it.
-func fetchLevel(tb testing.TB, r *Result, l, want int) []byte {
-	tb.Helper()
-	plan := r.plan.clone()
-	plan.Keep[l-1] = want
-	return fetchAll(tb, r, plan)[l-1]
-}
-
-// raiseLevel raises level l of r to want planes: fetchLevel, then
-// mergePlanes.
-func raiseLevel(tb testing.TB, r *Result, l, want int) {
-	tb.Helper()
-	r.mergePlanes(l, want, fetchLevel(tb, r, l, want))
+	return planes
 }
 
 // refRebuild is the reconstruction before the column walk: every pass in
 // canonical order (VisitRuns), one point at a time, the outlier cursor
 // advancing with the sequence index.
-func refRebuild[T grid.Scalar](a *Archive, trunc [][]int32) []T {
+func refRebuild[T grid.Scalar](a *Archive, indices [][]int32) []T {
 	data := make([]T, a.h.shape.Len())
 	for i, f := range a.dec.Anchors() {
 		data[f] = T(a.h.anchors[i])
 	}
 	step := T(a.quant.Step())
 	for l := a.h.levels; l >= 1; l-- {
-		m, ks, oi := a.h.metaOf(l), trunc[l-1], 0
+		m, ks, oi := a.h.metaOf(l), indices[l-1], 0
 		for _, p := range a.dec.LevelPasses(l) {
 			p.VisitRuns(a.h.kind, 0, p.Targets(), func(r *interp.Run) {
 				for k := 0; k < r.N; k++ {

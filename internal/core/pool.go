@@ -54,7 +54,7 @@ var (
 	floatScratch  SlicePool[float64] // grid-length float64 work arrays
 	work32Scratch SlicePool[float32] // grid-length float32 work arrays
 	int32Scratch  SlicePool[int32]   // quantization index backings
-	byteScratch   SlicePool[byte]    // bitplane backings: compress's, a raise's (multi-MB class)
+	byteScratch   SlicePool[byte]    // bitplane backings: compress's, a full retrieval's (multi-MB class)
 	spanScratch   SlicePool[byte]    // block span reads (KB class)
 )
 
@@ -67,15 +67,15 @@ func (p *classPool[T]) Get(n int) []T { return p[bits.Len(uint(n))].Get(n) }
 func (p *classPool[T]) Put(s []T)     { p[bits.Len(uint(cap(s)))].Put(s) }
 
 // The backings of released results (Result.Release), and only those: a
-// retrieval takes its values and indices from here, so a program that
-// never releases allocates exactly what it did without them. The size
-// classes keep what a recycled result retains within twice what it holds,
-// which is what lets the store's tile cache go on charging a tile its
-// length.
+// retrieval takes its values and, below full fidelity, its planes from
+// here, so a program that never releases allocates exactly what it did
+// without them. The size classes keep what a recycled result retains
+// within twice what it holds, which is what lets the store's tile cache go
+// on charging a tile its length.
 var (
-	released64  classPool[float64]
-	released32  classPool[float32]
-	releasedIdx classPool[int32] // zeroed by Release: merges OR under them
+	released64     classPool[float64]
+	released32     classPool[float32]
+	releasedPlanes classPool[byte]
 )
 
 // PoolGet and PoolPut route a scalar-generic slice to the pool matching

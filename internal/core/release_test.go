@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -14,11 +15,11 @@ import (
 )
 
 // TestReleasedBackingsRetrieveFresh: a retrieval that takes the backings
-// of a released result — its values NaN and its indices garbage when it
+// of a released result — its values NaN and its planes garbage when it
 // was released, as a used tile's are stale — is, at every step of a
 // refinement chain, bit for bit the retrieval of the same plan into fresh
 // memory, at both scalar widths. The released result is one plane short
-// of full fidelity, so that it holds indices to hand on.
+// of full fidelity, so that it holds planes to hand on.
 func TestReleasedBackingsRetrieveFresh(t *testing.T) {
 	t.Run("float64", func(t *testing.T) { releasedIsFresh[float64](t, 1e-9) })
 	t.Run("float32", func(t *testing.T) { releasedIsFresh[float32](t, 1e-5) })
@@ -71,10 +72,8 @@ func releasedIsFresh[T grid.Scalar](t *testing.T, relEB float64) {
 		for i := range vals {
 			vals[i] = T(math.NaN())
 		}
-		for i := range used.idx {
-			used.idx[i] = int32(rng.Uint32())
-		}
-		oldVals, oldIdx := &vals[0], &used.idx[0]
+		rng.Read(used.planes)
+		oldVals, oldPlanes := &vals[0], &used.planes[0]
 		used.Release()
 
 		res, err := a.Retrieve(plans[0])
@@ -82,14 +81,14 @@ func releasedIsFresh[T grid.Scalar](t *testing.T, relEB float64) {
 			t.Fatal(err)
 		}
 		got := DataOf[T](res)
-		recycled = recycled || &got[0] == oldVals && &res.idx[0] == oldIdx
+		recycled = recycled || &got[0] == oldVals && &res.planes[0] == oldPlanes
 		// A recycled backing is of the size class of what it holds, so
 		// a result retains less than twice its length.
 		if c, n := cap(got), len(got); bits.Len(uint(c)) != bits.Len(uint(n)) {
 			t.Errorf("round %d: values of length %d on a backing of %d", round, n, c)
 		}
-		if c, n := cap(res.idx), len(res.idx); bits.Len(uint(c)) != bits.Len(uint(n)) {
-			t.Errorf("round %d: indices of length %d on a backing of %d", round, n, c)
+		if c, n := cap(res.planes), len(res.planes); bits.Len(uint(c)) != bits.Len(uint(n)) {
+			t.Errorf("round %d: planes of length %d on a backing of %d", round, n, c)
 		}
 		for i := range plans {
 			if i > 0 {
@@ -102,8 +101,8 @@ func releasedIsFresh[T grid.Scalar](t *testing.T, relEB float64) {
 					round, plans[i].Keep, n, len(want[i]))
 			}
 		}
-		if res.idx != nil || res.trunc != nil {
-			t.Errorf("round %d: a result refined to full fidelity still holds its indices", round)
+		if res.planes != nil {
+			t.Errorf("round %d: a result refined to full fidelity still holds its planes", round)
 		}
 	}
 	if !recycled && !raceEnabled {
@@ -111,17 +110,21 @@ func releasedIsFresh[T grid.Scalar](t *testing.T, relEB float64) {
 	}
 }
 
-// TestMergePlanesAllocatesNothing pins a raise's merge at zero
-// allocations: the planes of a real refinement of a 32³ tile's finest
-// level are merged again and again. One shard (GOMAXPROCS 1) keeps the
-// helper fan-out, whose cost is parallelChunks', out of the count.
-func TestMergePlanesAllocatesNothing(t *testing.T) {
+// TestRefineAllocatesNoBacking: a refinement decodes into the plane
+// backing its result holds and merges in pooled block scratch, so a step
+// of a chain below full fidelity allocates nothing that grows with the
+// field — under 1% of the answer's bytes, with the collector off while it
+// counts. One shard (GOMAXPROCS 1) keeps the helper fan-out's cost out of
+// the count.
+func TestRefineAllocatesNoBacking(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	g, maxAbs := pureField[float64](grid.Shape{32, 32, 32}, 3)
-	blob, err := Compress(g, Options{ErrorBound: 1e-9 * maxAbs})
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g, maxAbs := pureField[float64](grid.Shape{64, 64, 64}, 3)
+	eb := 1e-9 * maxAbs
+	blob, err := Compress(g, Options{ErrorBound: eb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,36 +132,119 @@ func TestMergePlanesAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.h.prog < 1 {
-		t.Fatal("fixture has no progressive level")
+	var plans [2]Plan
+	for i, f := range []float64{1 << 20, 1 << 10} {
+		if plans[i], err = a.PlanErrorBoundMode(f * eb); err != nil {
+			t.Fatal(err)
+		}
 	}
-	plan := a.fullPlan()
-	plan.Keep[0] = 2
-	res, err := a.Retrieve(plan)
-	if err != nil {
-		t.Fatal(err)
+	if a.PlanBytes(plans[0]) == a.PlanBytes(plans[1]) || a.PlanBytes(plans[1]) == a.TotalSize() {
+		t.Fatalf("plans %v, %v: the test needs a step that loads planes and stops short of full fidelity", plans[0].Keep, plans[1].Keep)
 	}
-	const level = 1 // the finest, seven eighths of the values
-	have, want := res.plan.Keep[level-1], a.h.metaOf(level).usedPlanes
-	got := fetchLevel(t, res, level, want)
-	allocs := testing.AllocsPerRun(20, func() {
-		res.plan.Keep[level-1] = have
-		res.mergePlanes(level, want, got)
-	})
-	if allocs != 0 {
-		t.Errorf("merging %d planes of %d values allocates %.1f objects", want-have, a.h.metaOf(level).count, allocs)
+	step := func() float64 {
+		res, err := a.Retrieve(plans[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := res.RefineTo(plans[1]); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	step() // fills the pools
+	answer := float64(8 * g.Len())
+	if got := step(); got > 0.01*answer {
+		t.Errorf("a refinement step allocates %.0f B, %.3f× its answer's %.0f", got, got/answer, answer)
 	}
 }
 
-// TestFullFidelityPathsAgree is a differential property test of the ways a
-// result reaches full fidelity: Retrieve of the full plan, RefineAll from
-// the minimal plan, a fresh RetrieveAll, and a RetrieveAll that takes the
-// backings of a released result whose values were NaN. Over random small
-// shapes of rank 1 to 4 with odd extents, at both widths and with both
-// predictors, with outliers planted, all four are bit for bit equal, and
-// equal to refRebuild of the full indices; and none of them holds an index
-// backing, since nothing is left to refine.
-func TestFullFidelityPathsAgree(t *testing.T) {
+// TestFailedRefineLeavesResult: a refinement whose fan-out hits a corrupt
+// DEFLATE block, while the other planes it loads decode fine into their
+// slots of the result's backing, returns an error and leaves the result
+// what Retrieve of its old plan returns — values bit for bit, guarantee,
+// loaded bytes and plan — and a later refinement to a plan that avoids the
+// corrupt plane is Retrieve of that plan, at both widths.
+func TestFailedRefineLeavesResult(t *testing.T) {
+	t.Run("float64", func(t *testing.T) { failedRefineLeaves[float64](t, 1e-9) })
+	t.Run("float32", func(t *testing.T) { failedRefineLeaves[float32](t, 1e-5) })
+}
+
+func failedRefineLeaves[T grid.Scalar](t *testing.T, relEB float64) {
+	g, maxAbs := pureField[T](grid.Shape{32, 32, 32}, 7)
+	blob, err := Compress(g, Options{ErrorBound: relEB * maxAbs, ProgressiveThreshold: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewArchive(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A DEFLATE plane of the finest level with two planes above it, both
+	// left unloaded by the old plan, so the failing raise decodes planes
+	// before and after it.
+	m, bad := a.h.metaOf(1), -1
+	for p := 2; p < m.usedPlanes-1 && bad < 0; p++ {
+		if blob[a.h.blockOff[0][p]] == 1 {
+			bad = p
+		}
+	}
+	if bad < 0 {
+		t.Fatalf("level 1 has no DEFLATE plane below its second of %d", m.usedPlanes)
+	}
+	corrupt := slices.Clone(blob)
+	corrupt[a.h.blockOff[0][bad]+1] = 0xff // DEFLATE block type 3: reserved
+	ca, err := NewArchive(corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retrieve := func(a *Archive, p Plan) *Result {
+		t.Helper()
+		r, err := a.Retrieve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	same := func(what string, got, want *Result) {
+		t.Helper()
+		if n := bitDiffs(DataOf[T](got), DataOf[T](want)); n != 0 {
+			t.Errorf("%s: %d values differ in bits from Retrieve of the plan", what, n)
+		}
+		if got.GuaranteedError() != want.GuaranteedError() || got.LoadedBytes() != want.LoadedBytes() || !slices.Equal(got.plan.Keep, want.plan.Keep) {
+			t.Errorf("%s: guarantee %g, %d bytes, plan %v; Retrieve of the plan: %g, %d bytes, plan %v", what,
+				got.GuaranteedError(), got.LoadedBytes(), got.plan.Keep, want.GuaranteedError(), want.LoadedBytes(), want.plan.Keep)
+		}
+	}
+	old := a.fullPlan()
+	old.Keep[0] = bad - 2
+	res := retrieve(ca, old)
+	if err := res.RefineAll(); err == nil {
+		t.Fatalf("a refinement through corrupt plane %d of level 1 succeeded", bad)
+	}
+	same("after the failed refinement", res, retrieve(a, old))
+	avoid := a.fullPlan()
+	avoid.Keep[0] = bad
+	if err := res.RefineTo(avoid); err != nil {
+		t.Fatal(err)
+	}
+	same("refined around the corrupt plane", res, retrieve(a, avoid))
+}
+
+// TestRebuildPathsAgree is a differential property test of the one
+// rebuild path, over every way a result reaches its plan. Over random
+// small shapes of rank 1 to 4 with odd extents, at both widths and with
+// both predictors, with outliers planted, each result is bit for bit
+// refRebuild of its plan's indices, loaded exactly its plan's bytes, and
+// holds planes exactly when it is below full fidelity. At full fidelity
+// four routes meet: Retrieve of the full plan, RefineAll from the minimal
+// plan, a fresh RetrieveAll, and a RetrieveAll that takes the backings of
+// a released result whose values were NaN. Below it, random plans are
+// retrieved fresh and reached by random refinement chains, whose plans
+// may ask for fewer planes than a result holds (RefineTo clamps).
+func TestRebuildPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	maxHalf := [5]int{0, 400, 40, 12, 6} // extents up to 2·maxHalf+9, by rank
 	for trial := 0; trial < 16; trial++ {
@@ -170,13 +256,13 @@ func TestFullFidelityPathsAgree(t *testing.T) {
 		kind := [2]interp.Kind{interp.Linear, interp.Cubic}[trial/4%2]
 		seed := rng.Int63()
 		t.Run(fmt.Sprintf("%v/%v", shape, kind), func(t *testing.T) {
-			t.Run("float64", func(t *testing.T) { fullPathsAgree[float64](t, shape, kind, seed) })
-			t.Run("float32", func(t *testing.T) { fullPathsAgree[float32](t, shape, kind, seed) })
+			t.Run("float64", func(t *testing.T) { rebuildPathsAgree[float64](t, shape, kind, seed) })
+			t.Run("float32", func(t *testing.T) { rebuildPathsAgree[float32](t, shape, kind, seed) })
 		})
 	}
 }
 
-func fullPathsAgree[T grid.Scalar](t *testing.T, shape grid.Shape, kind interp.Kind, seed int64) {
+func rebuildPathsAgree[T grid.Scalar](t *testing.T, shape grid.Shape, kind interp.Kind, seed int64) {
 	g, maxAbs := pureField[T](shape, seed)
 	src := g.Data()
 	rng := rand.New(rand.NewSource(seed))
@@ -206,15 +292,31 @@ func fullPathsAgree[T grid.Scalar](t *testing.T, shape grid.Shape, kind interp.K
 		}
 		return r
 	}
+	full := a.fullPlan()
+	check := func(name string, r *Result, p Plan) {
+		t.Helper()
+		if n := bitDiffs(DataOf[T](r), refRebuild[T](a, planIndices(t, a, p))); n != 0 {
+			t.Errorf("%s: %d of %d values differ in bits from refRebuild", name, n, r.NumElements())
+		}
+		if got, want := r.LoadedBytes(), a.PlanBytes(p); got != want {
+			t.Errorf("%s: loaded %d bytes, the plan %d", name, got, want)
+		}
+		if !slices.Equal(r.plan.Keep, p.Keep) {
+			t.Errorf("%s: plan %v, want %v", name, r.plan.Keep, p.Keep)
+		}
+		if atFull := slices.Equal(p.Keep, full.Keep); atFull != (r.planes == nil) {
+			t.Errorf("%s: at full fidelity %v, holds %d bytes of planes", name, atFull, len(r.planes))
+		}
+	}
 
 	refined := retrieve(a.minimalPlan())
-	if refined.idx == nil {
-		t.Fatal("a retrieval of the minimal plan holds no indices")
+	if refined.planes == nil {
+		t.Fatal("a retrieval of the minimal plan holds no planes")
 	}
 	if err := refined.RefineAll(); err != nil {
 		t.Fatal(err)
 	}
-	fresh := retrieve(a.fullPlan())
+	fresh := retrieve(full)
 	spent := retrieve(a.minimalPlan())
 	vals := DataOf[T](spent)
 	for i := range vals {
@@ -229,28 +331,31 @@ func fullPathsAgree[T grid.Scalar](t *testing.T, shape grid.Shape, kind interp.K
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := refRebuild[T](a, planIndices(t, a, a.fullPlan()))
-	paths := []struct {
-		name string
-		r    *Result
-	}{
-		{"Retrieve(full plan)", fresh},
-		{"RefineAll from the minimal plan", refined},
-		{"RetrieveAll", all},
-		{"RetrieveAll into released backings", recycled},
+	check("Retrieve(full plan)", fresh, full)
+	check("RefineAll from the minimal plan", refined, full)
+	check("RetrieveAll", all, full)
+	check("RetrieveAll into released backings", recycled, full)
+
+	randomPlan := func() Plan {
+		p := a.minimalPlan()
+		for l := 1; l <= a.h.prog; l++ {
+			p.Keep[l-1] = rng.Intn(a.h.metaOf(l).usedPlanes + 1)
+		}
+		return p
 	}
-	for _, p := range paths {
-		if n := bitDiffs(DataOf[T](p.r), want); n != 0 {
-			t.Errorf("%s: %d of %d values differ in bits from refRebuild", p.name, n, len(want))
-		}
-		if p.r.idx != nil || p.r.trunc != nil {
-			t.Errorf("%s: a full-fidelity result holds an index backing", p.name)
-		}
-		if got := p.r.LoadedBytes(); got != a.TotalSize() {
-			t.Errorf("%s: loaded %d of the archive's %d bytes", p.name, got, a.TotalSize())
-		}
-		if !slices.Equal(p.r.plan.Keep, a.fullPlan().Keep) {
-			t.Errorf("%s: plan %v, want the full plan %v", p.name, p.r.plan.Keep, a.fullPlan().Keep)
+	for chain := range 4 {
+		p := randomPlan()
+		r := retrieve(p)
+		check(fmt.Sprintf("chain %d: Retrieve(%v)", chain, p.Keep), r, p)
+		for step := range 3 {
+			next := randomPlan()
+			if err := r.RefineTo(next); err != nil {
+				t.Fatal(err)
+			}
+			for l := range p.Keep {
+				p.Keep[l] = max(p.Keep[l], next.Keep[l])
+			}
+			check(fmt.Sprintf("chain %d step %d: RefineTo(%v)", chain, step, next.Keep), r, p)
 		}
 	}
 }

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/bitplane"
 	"repro/internal/codec"
 	"repro/internal/grid"
 )
@@ -15,21 +13,21 @@ import (
 // bitplanes (paper Algorithm 2). The field is held at the archive's native
 // scalar width — exactly one of the two backing slices is non-nil — and is,
 // however the result reached its plan, bit for bit what Retrieve(Plan())
-// returns. Besides the values, a result below full fidelity keeps one
-// int32 per value, the indices it refines from; one at full fidelity, with
-// nothing left to load, keeps none. Nothing else it holds grows with the
-// field.
+// returns. Besides the values, a result below full fidelity keeps the
+// planes it has decoded, a bit per value and plane; one at full fidelity,
+// with nothing left to load, keeps none. Nothing else it holds grows with
+// the field.
 type Result struct {
 	arch   *Archive
 	plan   Plan
 	data64 []float64 // float64 archives
 	data32 []float32 // float32 archives
-	// trunc[l-1] is each level's current truncated quantization index: what
-	// rebuild reconstructs from, and — its negabinary code is exactly the
-	// loaded planes — all a raise needs of the planes loaded before it.
-	// Both are nil at full fidelity.
-	trunc [][]int32
-	idx   []int32 // the one backing every trunc[l-1] is cut from
+	// planes has a slot for every stored plane of every level
+	// (header.levelSlots), of which each level's first plan.Keep hold its
+	// decoded planes: what rebuild merges, a block at a time, and all a
+	// refinement keeps of what it loaded before. A raise decodes its new
+	// planes into the slots after them. nil at full fidelity.
+	planes []byte
 	// loadedBytes counts every archive byte read so far, header included.
 	loadedBytes int64
 	// stats, when non-nil, receives span-read and codec-decode timings
@@ -196,7 +194,14 @@ func getReleased[T grid.Scalar](n int) []T {
 	return any(released64.Get(n)).([]T)
 }
 
-// Release hands the result's values and indices to a later retrieval and
+// RetainedBytes reports the bytes of the result's backings: its values
+// and, below full fidelity, its decoded planes. It is what a cache that
+// holds the result keeps alive; a released result retains nothing.
+func (r *Result) RetainedBytes() int64 {
+	return int64(len(r.data64)*8 + len(r.data32)*4 + len(r.planes))
+}
+
+// Release hands the result's values and planes to a later retrieval and
 // leaves the result empty. Nothing may use the result after it, nor any
 // slice it shared (Data and Grid of a float64 result, DataFloat32 of a
 // float32 one, DataOf of the native type). A program that keeps its
@@ -210,34 +215,26 @@ func (r *Result) Release() {
 	if r.data64 != nil {
 		released64.Put(r.data64)
 	}
-	if r.idx != nil {
-		clear(r.idx[:cap(r.idx)])
-		releasedIdx.Put(r.idx)
-	}
-	r.data32, r.data64, r.idx, r.trunc = nil, nil, nil, nil
+	releasedPlanes.Put(r.planes)
+	r.data32, r.data64, r.planes = nil, nil, nil
 }
 
 // rebuild reruns the reconstruction recursion into data from each level's
-// current indices — trunc[l-1], or, when trunc is nil, every plane of the
-// level decoded in planes[l-1] (see applyShard) — level `from` first and
-// the finest last; from = L, the coarsest level, places the anchors before
-// it. It is the body of Retrieve and of RefineTo: the field is a function
-// of the archive and these indices alone. applyLevel assigns every point
-// of its level from coarser points and the level's own indices, so the
-// anchors and the levels coarser than `from`, whose indices have not
-// changed, already hold their bits.
-func rebuild[T grid.Scalar](a *Archive, data []T, trunc [][]int32, planes [][]byte, from int) {
+// loaded planes — keep[l-1] of them, in the level's slots of planes —
+// level `from` first and the finest last; from = L, the coarsest level,
+// places the anchors before it. It is the body of Retrieve and of RefineTo:
+// the field is a function of the archive and the loaded planes alone.
+// applyLevel assigns every point of its level from coarser points and the
+// level's own planes, so the anchors and the levels coarser than `from`,
+// whose planes have not changed, already hold their bits.
+func rebuild[T grid.Scalar](a *Archive, data []T, planes []byte, keep []int, from int) {
 	if from == a.h.levels {
-		for i, idx := range a.dec.Anchors() {
-			data[idx] = T(a.h.anchors[i])
+		for i, f := range a.dec.Anchors() {
+			data[f] = T(a.h.anchors[i])
 		}
 	}
 	for l := from; l >= 1; l-- {
-		if trunc != nil {
-			applyLevel(a, data, l, trunc[l-1], nil)
-		} else {
-			applyLevel(a, data, l, nil, planes[l-1])
-		}
+		applyLevel(a, data, l, a.h.levelSlots(planes, l), keep[l-1])
 	}
 }
 
@@ -252,71 +249,59 @@ func (a *Archive) keepOf(plan Plan, l int) int {
 
 // raise brings r to plan (clamped: it never drops a plane) and rebuilds
 // its values: Algorithm 2 for a loaded result, and Algorithm 1 from an
-// empty one (data nil), which is what Retrieve is. Everything that can
-// fail — reading and entropy-decoding the new blocks — runs for every
-// level, into one pooled backing, before the first level is merged, so a
+// empty one (data nil), which is what Retrieve is. Both are one shape:
+// fetch decodes the new planes into their slots of the result's plane
+// backing, and rebuild runs from the coarsest level that gained planes over
+// every plane loaded. Everything that can fail runs in fetch, for every
+// level, before anything the result shows changes: the new planes land in
+// slots past each level's plan.Keep, which rebuild does not read, so a
 // refinement either happens in full or leaves the result at its old plan
 // with its old values and guarantee.
 //
-// A retrieval takes its backings while the planes decode, as one more job
-// of their fan-out (fetch). A result that ends with every plane of
-// every level loaded keeps no indices: a retrieval's rebuild merges each
-// level straight from the decoded planes, a block at a time, and a
-// refinement that gets there drops its indices to the collector.
+// A retrieval takes its value backing while the planes decode, as one
+// more job of their fan-out (fetch). A result that ends with every plane
+// of every level loaded keeps no planes: a retrieval of every plane
+// decodes into pooled scratch, and a refinement that gets there drops its
+// backing to the collector, never to a pool, where it would outlive the
+// results that need it.
 func raise[T grid.Scalar](r *Result, plan Plan, data []T) error {
 	a := r.arch
-	fresh := data == nil
-	total, full := 0, true
+	if data != nil && r.planes == nil {
+		return nil // at full fidelity: nothing left to load
+	}
+	full := true
 	for l := 1; l <= a.h.levels; l++ {
 		have, want := r.newPlanes(l, a.keepOf(plan, l))
-		total += r.raiseBytes(l, want)
 		full = full && max(have, want) == a.h.metaOf(l).usedPlanes
 	}
-	var alloc func()
-	if fresh {
-		n := a.h.shape.Len()
-		alloc = func() {
-			setData(r, getReleased[T](n))
-			if !full {
-				// Zeroed, fresh or released: merges OR under it.
-				r.idx = releasedIdx.Get(a.h.indexCount())
-			}
-		}
+	planes := r.planes
+	switch {
+	case planes == nil && full:
+		// A retrieval of every plane holds them only while it rebuilds.
+		planes = byteScratch.Get(a.h.planeSlots())
+		defer byteScratch.Put(planes)
+	case planes == nil:
+		planes = releasedPlanes.Get(a.h.planeSlots())
 	}
-	backing := byteScratch.Get(total)
-	defer byteScratch.Put(backing)
-	got, from, err := r.fetch(plan, backing, alloc)
+	var alloc func()
+	if data == nil {
+		alloc = func() { setData(r, getReleased[T](a.h.shape.Len())) }
+	}
+	from, err := r.fetch(plan, planes, alloc)
 	if err != nil {
 		return err
 	}
-	if fresh {
-		data = DataOf[T](r)
-		from = a.h.levels
-		if full {
-			for l := 1; l <= a.h.levels; l++ {
-				if got[l-1] != nil {
-					r.raised(l, a.h.metaOf(l).usedPlanes)
-				}
-			}
-			rebuild(a, data, nil, got, from)
-			return nil
-		}
-		r.trunc = make([][]int32, a.h.levels)
-		for l, off := 1, 0; l <= a.h.levels; l++ {
-			n := a.h.metaOf(l).count
-			r.trunc[l-1], off = r.idx[off:off+n:off+n], off+n
-		}
+	if data == nil {
+		data, from = DataOf[T](r), a.h.levels
 	}
-	if from == 0 {
-		return nil
+	for l := 1; l <= a.h.levels; l++ {
+		r.raised(l, a.keepOf(plan, l))
 	}
-	for l := 1; l <= from; l++ {
-		r.mergePlanes(l, a.keepOf(plan, l), got[l-1])
-	}
-	rebuild(a, data, r.trunc, nil, from)
+	rebuild(a, data, planes, r.plan.Keep, from)
 	if full {
-		r.idx, r.trunc = nil, nil // nothing left to refine: to the collector
+		planes = nil // nothing left to refine: to the collector
 	}
+	r.planes = planes
 	return nil
 }
 
@@ -329,33 +314,22 @@ func (r *Result) newPlanes(level, want int) (have, to int) {
 	return r.plan.Keep[level-1], want
 }
 
-// raiseBytes is the size of the planes a raise of level to want decodes.
-// It is bounded by checks already made: m.count is the decomposition's own
-// count for the level (retrieveStatsAs) and a level stores at most 32
-// planes (parse).
-func (r *Result) raiseBytes(level, want int) int {
-	have, want := r.newPlanes(level, want)
-	return max(want-have, 0) * ((r.arch.h.metaOf(level).count + 7) / 8)
-}
-
 // fetch is the half of a raise to plan that can fail: it reads every
-// level's new blocks and entropy-decodes them into backing, which holds the
-// sum of their raiseBytes. got[l-1] is level l's new planes, plane have
-// first, nil for a level that gains nothing; from is the coarsest level that
+// level's new blocks and entropy-decodes them into their slots of planes,
+// a backing of header.planeSlots bytes. from is the coarsest level that
 // gains planes, 0 for none. DecodeBlockInto writes every byte of its plane
-// whatever the block's method, so backing needs no zeroing. fetch changes
-// nothing in the result, so a refinement that fails here, on any level,
-// leaves the result exactly at its previous plan and can simply be tried
-// again.
+// whatever the block's method, so a slot needs no zeroing. fetch changes
+// nothing that rebuild reads or the result reports, so a refinement that
+// fails here, on any level, leaves the result exactly at its previous plan
+// and can simply be tried again.
 //
 // A level's blocks are adjacent in the archive (plan-ordered layout), so
 // they arrive as one span read; then every plane of every level inflates in
 // one fan-out, the blocks being independent. alongside, when not nil, is
 // one more job of that fan-out, taken first: a retrieval's backings are
 // allocated by one goroutine while the others decode.
-func (r *Result) fetch(plan Plan, backing []byte, alongside func()) (got [][]byte, from int, err error) {
+func (r *Result) fetch(plan Plan, planes []byte, alongside func()) (from int, err error) {
 	a := r.arch
-	got = make([][]byte, a.h.levels)
 	spans := make([]planeSpan, 0, a.h.levels)
 	defer func() {
 		for _, sp := range spans {
@@ -372,12 +346,10 @@ func (r *Result) fetch(plan Plan, backing []byte, alongside func()) (got [][]byt
 		if want <= have {
 			continue
 		}
-		n := r.raiseBytes(l, want)
-		got[l-1], backing = backing[:n:n], backing[n:]
 		off, size := a.h.planeSpan(l, have, want)
 		raw, release, err := readSpan(a.src, off, int(size))
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		spans = append(spans, planeSpan{level: l, have: have, first: jobs, off: off, raw: raw, release: release})
 		jobs += want - have
@@ -406,10 +378,9 @@ func (r *Result) fetch(plan Plan, backing []byte, alongside func()) (got [][]byt
 		}
 		sp := &spans[k]
 		m := a.h.metaOf(sp.level)
-		p, planeBytes := sp.have+i-sp.first, (m.count+7)/8
+		p, planeBytes := sp.have+i-sp.first, m.planeBytes()
 		at := int(a.h.blockOff[sp.level-1][p] - sp.off)
-		j := (i - sp.first) * planeBytes
-		plane := got[sp.level-1][j : j+planeBytes : j+planeBytes]
+		plane := a.h.levelSlots(planes, sp.level)[p*planeBytes : (p+1)*planeBytes : (p+1)*planeBytes]
 		if err := codec.DecodeBlockInto(plane, sp.raw[at:at+int(m.blockSizes[p])]); err != nil {
 			ferr.set(fmt.Errorf("core: level %d plane %d: %w", sp.level, p, err))
 		}
@@ -418,9 +389,9 @@ func (r *Result) fetch(plan Plan, backing []byte, alongside func()) (got [][]byt
 		r.stats.CodecNanos.Add(time.Since(codecT).Nanoseconds())
 	}
 	if err := ferr.get(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return got, from, nil
+	return from, nil
 }
 
 // planeSpan is one level's new blocks as fetch read them: planes
@@ -432,85 +403,24 @@ type planeSpan struct {
 	release            func()
 }
 
-// mergePlanes is the half of a raise that cannot fail: it merges the planes
-// [have, want) that fetch decoded into got into the level's truncated
-// indices and records the raise (raised).
-//
-// Only the new planes are touched. Their XOR prediction (plane p was stored
-// as the XOR of bits p, p−1 and p−2) is undone among themselves, as if the
-// planes above were zero. The error that makes is linear and reaches the
-// new planes only through the two loaded bits nearest them, so it is one of
-// four words: corr[ab] for those bits ab, the recurrence e_p = e_{p−1} ^
-// e_{p−2} run from them down through plane want−1. A value's new bits are
-// its merged new planes XOR that word, ORed under its old negabinary code.
-// bitplane.MergeDecodeRange does all of it in one pass over the values.
-func (r *Result) mergePlanes(level, want int, got []byte) {
-	a := r.arch
-	m := a.h.metaOf(level)
+// raised records that level l now holds planes [0, want): the new plane
+// count and the bytes the raise read. A level that gains nothing is left
+// alone.
+func (r *Result) raised(level, want int) {
 	have, want := r.newPlanes(level, want)
 	if want <= have {
 		return
 	}
-	// The new planes at their bit positions among the 32 (plane p of the
-	// level is bit usedPlanes−1−p), every other position nil.
-	j := mergeJobs.Get().(*mergeJob)
-	j.ks = r.trunc[level-1]
-	planeBytes := (m.count + 7) / 8
-	used := j.planes[bitplane.Planes-m.usedPlanes:]
-	for p := have; p < want; p++ {
-		i := p - have
-		used[p] = got[i*planeBytes : (i+1)*planeBytes : (i+1)*planeBytes]
-	}
-	j.keep = ^uint32(0) << (m.usedPlanes - want) // the bits of planes < want
-	j.top = uint(m.usedPlanes - have)            // bit of plane have−1; plane have−2 is top+1
-	for ab := range j.corr {
-		e1, e2 := uint32(ab&1), uint32(ab>>1) // the errors of planes p−1, p−2
-		for p := have; p < want; p++ {
-			e1, e2 = e1^e2, e1
-			j.corr[ab] |= e1 << (m.usedPlanes - 1 - p)
-		}
-	}
-	parallelChunks(m.count, minShardTargets, 8, j.shard)
-	*j = mergeJob{shard: j.shard} // drop the references to ks and got
-	mergeJobs.Put(j)
-	r.raised(level, want)
-}
-
-// raised records that level l now holds planes [0, want): the new plane
-// count and the bytes the raise read.
-func (r *Result) raised(level, want int) {
-	have, want := r.newPlanes(level, want)
 	_, spanLen := r.arch.h.planeSpan(level, have, want)
 	r.loadedBytes += spanLen
 	r.plan.Keep[level-1] = want
 }
 
-// mergeJob is what the shards of one mergePlanes share. It is pooled with
-// its shard function bound once, so a raise allocates neither the plane
-// table nor a closure for the helpers to run.
-type mergeJob struct {
-	ks     []int32
-	planes [bitplane.Planes][]byte
-	keep   uint32
-	top    uint
-	corr   [4]uint32
-	shard  func(lo, hi int) // merge, bound to this job
-}
-
-var mergeJobs = sync.Pool{New: func() any {
-	j := new(mergeJob)
-	j.shard = j.merge
-	return j
-}}
-
-func (j *mergeJob) merge(lo, hi int) {
-	bitplane.MergeDecodeRange(j.ks, j.planes[:], lo, hi, j.keep, j.top, &j.corr)
-}
-
 // RefineTo raises the result to a finer plan in place (Algorithm 2): only
-// the newly selected bitplanes are read and entropy-decoded. They are merged
-// into the truncated indices and the reconstruction recursion reruns from
-// the coarsest level that gained planes, at either scalar width, so a
+// the newly selected bitplanes are read and entropy-decoded. The
+// reconstruction recursion then reruns from the coarsest level that gained
+// planes over every plane loaded, as a retrieval of the plan would, at
+// either scalar width, so a
 // refined result is bit for bit the fresh retrieval of its plan — a
 // function of (archive, plan) and of nothing that came before — and never
 // carries error beyond what PlanErrorBound models for that plan.

@@ -92,7 +92,7 @@ func (srv *Server) serveRegion(w http.ResponseWriter, r *http.Request, ds *datas
 	case "planes":
 		fidx = fmtPlanes
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("format must be raw or planes, got %q", format))
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("format must be raw or planes, got %.64q", format))
 		return fmtRaw, outError
 	}
 	rank := len(ds.info.Shape)
@@ -127,7 +127,7 @@ func (srv *Server) serveRegion(w http.ResponseWriter, r *http.Request, ds *datas
 	} else if s != "" {
 		bound, err = strconv.ParseFloat(s, 64)
 		if err != nil || bound < 0 || math.IsNaN(bound) || math.IsInf(bound, 0) {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bound must be a non-negative float, got %q", s))
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("bound must be a non-negative float, got %.64q", s))
 			return fidx, outError
 		}
 	}

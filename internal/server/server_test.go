@@ -10,7 +10,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -389,6 +391,30 @@ func TestRegionErrors(t *testing.T) {
 	}
 	if got := status(base + "?lo=0,0,0&hi=16,16,16&format=planes&refine=" + tok); got != 409 {
 		t.Errorf("mismatched token: status %d, want 409", got)
+	}
+}
+
+// TestRegionRefusalQuotesBoundedValue: a read's query comes from the
+// client too, so a refused format= or bound= quotes at most 64 runes of
+// it, as a refused write does — a 10 KB value draws a 400 of under 1 KB.
+func TestRegionRefusalQuotesBoundedValue(t *testing.T) {
+	e := newTestEnv(t)
+	long := strings.Repeat("1x", 5<<10)
+	for _, param := range []string{"format", "bound"} {
+		q := url.Values{"lo": {"0,0,0"}, "hi": {"8,8,8"}}
+		q.Set(param, long)
+		resp, err := http.Get(e.ts.URL + "/v1/datasets/density/region?" + q.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || len(msg) >= 1<<10 {
+			t.Errorf("%d-byte %s=: status %d, %d-byte body %.200q; want 400 under 1 KB", len(long), param, resp.StatusCode, len(msg), msg)
+		}
 	}
 }
 

@@ -17,11 +17,12 @@ import (
 const DefaultCacheBytes = 256 << 20
 
 // cachedBytesPerElem is what one cached element is charged against the
-// budget at admission: a cached core.Result below full fidelity holds the
-// decoded values (8 or 4 B/elem by scalar width) and one int32 truncated
-// index per value, its whole refinement state — 12 B/elem, 8 for float32
-// tiles. A tile at full fidelity keeps no indices, and settle lowers its
-// charge to its values.
+// budget at admission, before its decode: the decoded values (8 or 4
+// B/elem by scalar width) and at most 4 B/elem of decoded planes, a bit
+// for each of a value's stored planes — its whole refinement state — so
+// 12 B/elem, 8 for float32 tiles. Once the tile is decoded, settle lowers
+// the charge to what its result retains (core.Result.RetainedBytes): the
+// values and its decoded planes, or the values alone at full fidelity.
 func cachedBytesPerElem(s core.ScalarType) int64 { return int64(s.Bytes()) + 4 }
 
 // tileKey identifies a decoded tile by what it is, so that one TileCache
@@ -121,12 +122,13 @@ func (c *cacheStats) snapshot() Stats {
 // (Store.SetTileCache), and its budget then bounds the decoded tiles of
 // the whole process — resident bytes stay within the budget plus one tile
 // however many stores there are. Entries are charged their decoded size up
-// front, at admission: the decoded size is known exactly from the tiling
-// before any work happens, and charging early keeps concurrent fills from
-// overshooting the budget. A tile that reaches full fidelity drops its
-// indices, and its charge drops to its values (settle). An evicted entry
+// front, at admission: a bound on the decoded size is known from the
+// tiling before any work happens, and charging early keeps concurrent
+// fills from overshooting the budget. After every decode and refine the
+// charge drops to what the tile's result retains (settle): its values and
+// decoded planes, its values alone at full fidelity. An evicted entry
 // leaves the map and, unless a goroutine holds it locked at that moment,
-// gives its decoded values and indices to the next cold decode (recycle),
+// gives its decoded values and planes to the next cold decode (recycle),
 // so a cache that evicts as fast as it admits decodes into the memory it
 // evicts instead of allocating a tile's worth per admission. A locked victim is left to the
 // garbage collector once its holder lets go. The lock guards map and list
@@ -214,14 +216,15 @@ func (c *TileCache) acquire(key tileKey, decodedBytes int64) *chunkEntry {
 	return e
 }
 
-// settle lowers e's charge to valueBytes once its tile is at full
-// fidelity, where it keeps its values only. An entry the cache no longer
-// holds is left alone: nothing counts its charge any more.
-func (c *TileCache) settle(e *chunkEntry, valueBytes int64) {
+// settle lowers e's charge to retained, the bytes its result keeps alive.
+// It never raises one: the admission charge bounds what a decode of the
+// tile holds. An entry the cache no longer holds is left alone: nothing
+// counts its charge any more.
+func (c *TileCache) settle(e *chunkEntry, retained int64) {
 	c.mu.Lock()
-	if el, ok := c.entries[e.key]; ok && el.Value == e && valueBytes < e.charged {
-		c.used -= e.charged - valueBytes
-		e.charged = valueBytes
+	if el, ok := c.entries[e.key]; ok && el.Value == e && retained < e.charged {
+		c.used -= e.charged - retained
+		e.charged = retained
 	}
 	c.mu.Unlock()
 }
@@ -252,8 +255,9 @@ func (c *TileCache) Resize(capBytes int64) {
 // TileCacheStats is a snapshot of a cache's occupancy.
 type TileCacheStats struct {
 	// Bytes is what the resident entries are charged against the budget
-	// (their decoded size, set at admission and lowered to the values
-	// alone once a tile reaches full fidelity); Entries how many there are.
+	// (a bound on their decoded size, set at admission and lowered to what
+	// each tile's result retains once it is decoded); Entries how many
+	// there are.
 	Bytes   int64
 	Entries int64
 	// Evictions counts entries dropped to honour the budget since the cache

@@ -174,9 +174,9 @@ func TestTileCacheRecycleConcurrent(t *testing.T) {
 }
 
 // TestTileCacheRecycleSizeClass: through a two-tile cache and tiles of
-// five lengths, what a resident tile's values actually occupy stays in the
-// size class of what the cache charges it for — a recycled backing is
-// never more than twice the tile that holds it.
+// five lengths, a resident tile is charged what its result retains, and
+// what its values actually occupy stays in the size class of that — a
+// recycled backing is never more than twice the tile that holds it.
 func TestTileCacheRecycleSizeClass(t *testing.T) {
 	blob, bounds, want := recycleFixture(t)
 	s := openStore(t, blob)
@@ -205,13 +205,8 @@ func TestTileCacheRecycleSizeClass(t *testing.T) {
 				} else {
 					cp = cap(core.DataOf[float64](e.res))
 				}
-				perElem := cachedBytesPerElem(e.res.Scalar())
-				if fullFidelity(e) {
-					perElem = int64(e.res.Scalar().Bytes()) // no indices: settled
-				}
-				charged := e.charged / perElem
-				if int64(n) != charged || bits.Len(uint(cp)) != bits.Len(uint(n)) {
-					t.Errorf("op %d: tile %v is charged for %d values, holds %d on a backing of %d", op, e.key, charged, n, cp)
+				if e.charged != e.res.RetainedBytes() || bits.Len(uint(cp)) != bits.Len(uint(n)) {
+					t.Errorf("op %d: tile %v is charged %d B, retains %d, holds %d values on a backing of %d", op, e.key, e.charged, e.res.RetainedBytes(), n, cp)
 				}
 			}
 			e.mu.RUnlock()

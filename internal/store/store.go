@@ -566,21 +566,12 @@ func (s *Store) openChunkArchive(entry *chunkEntry, ds *datasetMeta, ci int) (*c
 	return arch, nil
 }
 
-// fullFidelity reports whether an entry's result has loaded its whole
-// archive — every plane of every level — and so keeps no indices. Callers
-// hold entry.mu and a result.
-func fullFidelity(entry *chunkEntry) bool {
-	return entry.res.LoadedBytes() >= entry.arch.Load().TotalSize()
-}
-
-// settleFull charges a cached tile at full fidelity its values only.
-// Callers hold entry.mu.
-func (s *Store) settleFull(entry *chunkEntry, ds *datasetMeta, ci int) {
-	if entry.private || !fullFidelity(entry) {
-		return
+// settle charges a cached tile what its result retains, after every
+// decode and refine. Callers hold entry.mu and a result.
+func (s *Store) settle(entry *chunkEntry) {
+	if !entry.private {
+		s.cache.settle(entry, entry.res.RetainedBytes())
 	}
-	rec := &ds.chunks[ci]
-	s.cache.settle(entry, int64(boxLen(rec.lo, rec.hi))*int64(ds.scalar.Bytes()))
 }
 
 // ensureChunk makes entry.res valid at fidelity `bound` or better: first
@@ -603,7 +594,7 @@ func (s *Store) ensureChunk(entry *chunkEntry, ds *datasetMeta, ci int, bound fl
 		res.SetDecodeStats(nil)
 		s.stats.decodes.Add(1)
 		entry.res = res
-		s.settleFull(entry, ds, ci)
+		s.settle(entry)
 		return nil
 	}
 	if entry.res.GuaranteedError() > bound {
@@ -618,7 +609,7 @@ func (s *Store) ensureChunk(entry *chunkEntry, ds *datasetMeta, ci int, bound fl
 			return err
 		}
 		s.stats.refines.Add(1)
-		s.settleFull(entry, ds, ci)
+		s.settle(entry)
 		return nil
 	}
 	// Another request decoded or refined the tile while we waited for the

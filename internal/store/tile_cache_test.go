@@ -214,7 +214,8 @@ func TestSharedCacheConcurrentSnapshots(t *testing.T) {
 
 // TestSharedCacheBudgetAcrossSnapshots: fifty snapshots each read once
 // through one cache never charge it more than its budget plus one tile,
-// however many stores are attached.
+// however many stores are attached, and each entry is charged what its
+// tile retains, at most its admission charge.
 func TestSharedCacheBudgetAcrossSnapshots(t *testing.T) {
 	shape, chunk := []int{32, 32, 32}, []int{16, 16, 16} // 8 tiles
 	const steps, eb = 50, 1e-6
@@ -231,8 +232,12 @@ func TestSharedCacheBudgetAcrossSnapshots(t *testing.T) {
 		if _, err := st.RetrieveDataset(ms[s].Name(), 16*eb); err != nil {
 			t.Fatal(err)
 		}
-		if got := tiles.Stats(); got.Bytes > budget+tile || got.Bytes != got.Entries*tile {
-			t.Fatalf("after t%d the cache is charged %d bytes for %d entries; the budget is %d + one %d-byte tile", s, got.Bytes, got.Entries, budget, tile)
+		var retains int64
+		for _, el := range tiles.entries {
+			retains += el.Value.(*chunkEntry).res.RetainedBytes()
+		}
+		if got := tiles.Stats(); got.Bytes > budget+tile || got.Bytes > got.Entries*tile || got.Bytes != retains {
+			t.Fatalf("after t%d the cache is charged %d bytes for %d entries retaining %d; the budget is %d + one %d-byte tile", s, got.Bytes, got.Entries, retains, budget, tile)
 		}
 	}
 	// More distinct blobs went through than the budget holds.
@@ -336,10 +341,11 @@ func liveHeap() int64 {
 // once they are evicted — must be what the cache charges them to within
 // half a byte an element either way: above it the budget would be a lie,
 // below it the cache would hold fewer tiles than its budget pays for. The
-// charge is cachedBytesPerElem below full fidelity and the values alone at
-// it, where a tile keeps no indices. (What is not values and indices — the
-// parsed archive headers, the entries — measures 0.13 B/elem for float64
-// tiles and 0.21 for float32 ones.)
+// charge is what each tile's result retains: its values and its decoded
+// planes below full fidelity, the values alone at it, where a tile keeps
+// no planes. (What is not values and planes — the parsed archive headers,
+// the entries — measures 0.13 B/elem for float64 tiles and 0.21 for
+// float32 ones.)
 func TestCachedTileChargeIsRetainedHeap(t *testing.T) {
 	const tolerance = 0.5 // B/elem
 	g := testField(t, grid.Shape{64, 64, 64})
@@ -368,20 +374,23 @@ func TestCachedTileChargeIsRetainedHeap(t *testing.T) {
 				t.Fatal(err)
 			}
 			charge := float64(s.cache.Stats().Bytes) / float64(g.Len())
-			if want := float64(cachedBytesPerElem(scalar)); factor == 1 {
-				want = float64(scalar.Bytes())
-				if charge != want {
-					t.Errorf("%v at full fidelity: charged %.2f B/elem, want the values' %.0f", scalar, charge, want)
+			var retains int64
+			for _, el := range s.cache.entries {
+				retains += el.Value.(*chunkEntry).res.RetainedBytes()
+			}
+			if want := float64(retains) / float64(g.Len()); factor == 1 {
+				if values := float64(scalar.Bytes()); charge != values {
+					t.Errorf("%v at full fidelity: charged %.2f B/elem, want the values' %.0f", scalar, charge, values)
 				}
-			} else if charge != want {
-				t.Errorf("%v at %g·eb: charged %.2f B/elem, want %.0f", scalar, factor, charge, want)
+			} else if charge != want || charge <= float64(scalar.Bytes()) {
+				t.Errorf("%v at %g·eb: charged %.2f B/elem, the tiles retain %.2f beside %d of values", scalar, factor, charge, want, scalar.Bytes())
 			}
 			held := liveHeap()
 			s.SetCacheBytes(0)
 			retained := float64(held-liveHeap()) / float64(g.Len())
-			t.Logf("%v at %g·eb: %.2f B/elem retained, %.0f charged", scalar, factor, retained, charge)
+			t.Logf("%v at %g·eb: %.2f B/elem retained, %.2f charged", scalar, factor, retained, charge)
 			if retained > charge+tolerance || retained < charge-tolerance {
-				t.Errorf("%v at %g·eb: a cached tile retains %.2f B/elem, the cache charges %.0f", scalar, factor, retained, charge)
+				t.Errorf("%v at %g·eb: a cached tile retains %.2f B/elem, the cache charges %.2f", scalar, factor, retained, charge)
 			}
 		}
 	}
