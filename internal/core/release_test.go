@@ -233,7 +233,7 @@ func failedRefineLeaves[T grid.Scalar](t *testing.T, relEB float64) {
 	same("refined around the corrupt plane", res, retrieve(a, avoid))
 }
 
-// TestRebuildPathsAgree is a differential property test of the one
+// TestFullFidelityPathsAgree is a differential property test of the one
 // rebuild path, over every way a result reaches its plan. Over random
 // small shapes of rank 1 to 4 with odd extents, at both widths and with
 // both predictors, with outliers planted, each result is bit for bit
@@ -244,7 +244,7 @@ func failedRefineLeaves[T grid.Scalar](t *testing.T, relEB float64) {
 // a released result whose values were NaN. Below it, random plans are
 // retrieved fresh and reached by random refinement chains, whose plans
 // may ask for fewer planes than a result holds (RefineTo clamps).
-func TestRebuildPathsAgree(t *testing.T) {
+func TestFullFidelityPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	maxHalf := [5]int{0, 400, 40, 12, 6} // extents up to 2·maxHalf+9, by rank
 	for trial := 0; trial < 16; trial++ {
