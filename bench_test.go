@@ -452,7 +452,7 @@ func BenchmarkAblationPrefixBits(b *testing.B) {
 				for j := range vals {
 					vals[j] = uint32(j*2654435761) >> 16 // deterministic mix
 				}
-				e = bitplane.PrefixEntropy(vals, prefix)
+				e = harness.PrefixEntropy(vals, prefix)
 			}
 			b.ReportMetric(e, "bits/bit")
 		})
@@ -721,23 +721,24 @@ func BenchmarkStoreExtractF32(b *testing.B) {
 
 func BenchmarkSPERRCompress(b *testing.B) { benchCodecCompress(b, sperr.New(), "Wave") }
 
+// benchPlanes allocates 32 planes of n values each.
+func benchPlanes(n int) [][]byte {
+	planes := make([][]byte, bitplane.Planes)
+	for p := range planes {
+		planes[p] = make([]byte, (n+7)/8)
+	}
+	return planes
+}
+
 // BenchmarkBitplaneSplit measures the engine's actual split stage: the
 // compressor encodes, predicts and transposes indices into pooled backings
 // via SplitEncodeRange, allocation-free.
-// (Before PR 2 the compressor used the allocating Split inside this loop;
-// BenchmarkBitplaneSplitAlloc below still measures that API for
-// apples-to-apples comparison with pre-PR-2 numbers.)
 func BenchmarkBitplaneSplit(b *testing.B) {
 	vals := make([]int32, 1<<16)
 	for i := range vals {
 		vals[i] = int32(i * 2654435761)
 	}
-	nbytes := (len(vals) + 7) / 8
-	backing := make([]byte, bitplane.Planes*nbytes)
-	planes := make([][]byte, bitplane.Planes)
-	for p := range planes {
-		planes[p] = backing[p*nbytes : (p+1)*nbytes]
-	}
+	planes := benchPlanes(len(vals))
 	b.SetBytes(int64(len(vals) * 4))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -746,27 +747,15 @@ func BenchmarkBitplaneSplit(b *testing.B) {
 	}
 }
 
-// BenchmarkBitplaneSplitAlloc measures the allocating Split API, the exact
-// workload the pre-PR-2 BenchmarkBitplaneSplit timed (allocation included).
-func BenchmarkBitplaneSplitAlloc(b *testing.B) {
-	vals := make([]uint32, 1<<16)
-	for i := range vals {
-		vals[i] = uint32(i * 2654435761)
-	}
-	b.SetBytes(int64(len(vals) * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bitplane.Split(vals)
-	}
-}
-
+// BenchmarkBitplaneMerge measures MergeInto, the plain-Go block merge the
+// comparators use; the coder itself merges with MergeDecodeRange.
 func BenchmarkBitplaneMerge(b *testing.B) {
 	vals := make([]uint32, 1<<16)
 	for i := range vals {
 		vals[i] = uint32(i * 2654435761)
 	}
-	planes := bitplane.Split(vals)
+	planes := benchPlanes(len(vals))
+	bitplane.SplitInto(planes, vals)
 	out := make([]uint32, len(vals))
 	b.SetBytes(int64(len(vals) * 4))
 	b.ReportAllocs()

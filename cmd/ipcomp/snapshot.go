@@ -7,7 +7,6 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/interp"
 	"repro/internal/store"
 )
 
@@ -20,9 +19,10 @@ import (
 //	ipcomp snapshot gc  -cas DIR
 //
 // put appends the file as the field's next time step: the first put of a
-// field fixes the series geometry (-shape and -eb required), later puts
-// inherit it and only need the file — the rule of the server's write
-// endpoints (store.SeriesGeometry, store.SeriesBound). Tiles identical to
+// field fixes the series geometry and predictor (-shape and -eb required),
+// later puts inherit them and only need the file — the rule of the
+// server's write endpoints (store.SeriesGeometry, store.SeriesInterp,
+// store.SeriesBound). Tiles identical to
 // any earlier snapshot are stored once — put reports how many blobs were
 // new. Every put seals before returning, so a finished put is durable.
 func cmdSnapshot(args []string) error {
@@ -51,17 +51,13 @@ func cmdSnapshotPut(args []string) error {
 	eb := fs.Float64("eb", 0, "error bound (required on a field's first put)")
 	rel := fs.Bool("rel", false, "interpret -eb relative to the value range")
 	chunkStr := fs.String("chunk", "", "tile shape, e.g. 64x64x64 (default 64 per dimension; later puts inherit it, and one given must match)")
-	interpName := fs.String("interp", "cubic", "interpolation: linear|cubic")
+	interpName := fs.String("interp", "", "interpolation: linear|cubic (default cubic on a field's first put; later puts inherit it, and one given must match)")
 	dtypeStr := fs.String("dtype", "", "input element type: f32|f64 (default f64 on a field's first put; later puts inherit it, and one given must match)")
 	fs.Parse(args)
 	if *dir == "" || *field == "" || fs.NArg() != 1 {
 		return fmt.Errorf("snapshot put requires -cas, -field, and exactly one raw float file")
 	}
 	c, err := cas.Open(*dir)
-	if err != nil {
-		return err
-	}
-	kind, err := interp.ParseKind(*interpName)
 	if err != nil {
 		return err
 	}
@@ -72,6 +68,10 @@ func cmdSnapshotPut(args []string) error {
 		}
 	}
 	shape, chunk, scalar, err := store.SeriesGeometry(prev, *shapeStr, *chunkStr, *dtypeStr)
+	if err != nil {
+		return err
+	}
+	kind, err := store.SeriesInterp(c, prev, *interpName)
 	if err != nil {
 		return err
 	}

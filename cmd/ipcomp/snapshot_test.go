@@ -17,10 +17,13 @@ import (
 )
 
 // TestSnapshotPutFollowsIngestRule: `ipcomp snapshot put` and the POST
-// endpoints resolve a snapshot's geometry by one rule. Each case creates a
-// field, or appends to a 16x24x24 f64 series tiled 8x8x8, through both:
-// both accept it with the same manifest, or both refuse it with the same
-// message and store nothing. An f32 put onto the f64 series is refused.
+// endpoints resolve a snapshot's geometry and predictor by one rule. Each
+// case creates a field, or appends to a 16x24x24 f64 series tiled 8x8x8
+// (cubic unless the case names the series' predictor), through both: both
+// accept it with the same manifest, or both refuse it with the same
+// message and store nothing. An f32 put onto the f64 series is refused,
+// and so is a cubic put onto a linear series. An accepted append of the
+// series' own file stores no new tile.
 func TestSnapshotPutFollowsIngestRule(t *testing.T) {
 	g, err := datagen.GenerateShape("Density", grid.Shape{16, 24, 24})
 	if err != nil {
@@ -38,23 +41,27 @@ func TestSnapshotPutFollowsIngestRule(t *testing.T) {
 	if err := writeFloats(f32, narrow); err != nil {
 		t.Fatal(err)
 	}
-	series := url.Values{"shape": {"16x24x24"}, "chunk": {"8x8x8"}, "eb": {"1e-4"}}
-
 	cases := []struct {
-		name                string
-		appending           bool
-		shape, chunk, dtype string
+		name                        string
+		appending                   bool
+		shape, chunk, dtype, interp string
+		series                      string // the series' predictor, "" for the default
 	}{
-		{"create", false, "16x24x24", "", ""},
-		{"create f32 tiled", false, "16x24x24", "8x8x8", "f32"},
-		{"create without a shape", false, "", "8x8x8", ""},
-		{"create with bad extents", false, "16xx24", "", ""},
-		{"create with a bad dtype", false, "16x24x24", "", "f16"},
-		{"append inherits", true, "", "", ""},
-		{"append agrees", true, "16x24x24", "8x8x8", "float64"},
-		{"append changes the shape", true, "24x24x16", "", ""},
-		{"append changes the tiling", true, "", "16x16x16", ""},
-		{"append changes the dtype", true, "", "", "f32"},
+		{"create", false, "16x24x24", "", "", "", ""},
+		{"create f32 tiled", false, "16x24x24", "8x8x8", "f32", "", ""},
+		{"create linear", false, "16x24x24", "", "", "linear", ""},
+		{"create without a shape", false, "", "8x8x8", "", "", ""},
+		{"create with bad extents", false, "16xx24", "", "", "", ""},
+		{"create with a bad dtype", false, "16x24x24", "", "f16", "", ""},
+		{"create with a bad predictor", false, "16x24x24", "", "", "spline", ""},
+		{"append inherits", true, "", "", "", "", ""},
+		{"append agrees", true, "16x24x24", "8x8x8", "float64", "cubic", ""},
+		{"append changes the shape", true, "24x24x16", "", "", "", ""},
+		{"append changes the tiling", true, "", "16x16x16", "", "", ""},
+		{"append changes the dtype", true, "", "", "f32", "", ""},
+		{"append inherits the predictor", true, "", "", "", "", "linear"},
+		{"append agrees on the predictor", true, "", "", "", "linear", "linear"},
+		{"append changes the predictor", true, "", "", "", "cubic", "linear"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,7 +71,7 @@ func TestSnapshotPutFollowsIngestRule(t *testing.T) {
 			}
 			q := url.Values{}
 			args := []string{"-cas", t.TempDir(), "-field", "density"}
-			for _, p := range [][2]string{{"shape", tc.shape}, {"chunk", tc.chunk}, {"dtype", tc.dtype}} {
+			for _, p := range [][2]string{{"shape", tc.shape}, {"chunk", tc.chunk}, {"dtype", tc.dtype}, {"interp", tc.interp}} {
 				if p[1] != "" {
 					q.Set(p[0], p[1])
 					args = append(args, "-"+p[0], p[1])
@@ -75,12 +82,18 @@ func TestSnapshotPutFollowsIngestRule(t *testing.T) {
 				args = append(args, "-eb", "1e-4")
 			}
 
+			series := url.Values{"shape": {"16x24x24"}, "chunk": {"8x8x8"}, "eb": {"1e-4"}}
+			setup := []string{"-cas", args[1], "-field", "density", "-shape", "16x24x24", "-chunk", "8x8x8", "-eb", "1e-4"}
+			if tc.series != "" {
+				series.Set("interp", tc.series)
+				setup = append(setup, "-interp", tc.series)
+			}
+
 			// The CLI.
 			before := 0
 			if tc.appending {
 				before = 1
-				setup := []string{"-cas", args[1], "-field", "density", "-shape", "16x24x24", "-chunk", "8x8x8", "-eb", "1e-4", f64}
-				if err := cmdSnapshotPut(setup); err != nil {
+				if err := cmdSnapshotPut(append(setup, f64)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -137,6 +150,16 @@ func TestSnapshotPutFollowsIngestRule(t *testing.T) {
 			for i := range want.Tiles {
 				if got.Tiles[i].Score != want.Tiles[i].Score {
 					t.Fatalf("tile %d: snapshot put stored another blob than the POST", i)
+				}
+			}
+			// The series' own file again, under its own parameters: every
+			// tile is the one before it.
+			if tc.appending && file == f64 {
+				first, _ := c.Manifest("density", 0)
+				for i := range want.Tiles {
+					if want.Tiles[i].Score != first.Tiles[i].Score {
+						t.Fatalf("tile %d: the append stored a new blob for the series' own values", i)
+					}
 				}
 			}
 		})

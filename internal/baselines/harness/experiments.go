@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/analysis"
 	"repro/internal/baselines/lossy"
@@ -51,7 +52,7 @@ func Table2(cfg Config) (*Table, error) {
 		}
 		row := []string{name}
 		for prefix := 0; prefix <= 3; prefix++ {
-			row = append(row, fmt.Sprintf("%.6f", bitplane.PrefixEntropy(nbv, prefix)))
+			row = append(row, fmt.Sprintf("%.6f", PrefixEntropy(nbv, prefix)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -85,6 +86,63 @@ func quantizedNegabinary(g *grid.Grid[float64], eb float64) ([]uint32, error) {
 		}
 	}
 	return finest, nil
+}
+
+// PrefixEntropy computes the mean per-plane bit entropy of the values'
+// used bitplanes after XOR prediction with `prefix` preceding bits
+// (prefix 0 = raw planes). This is the statistic of the paper's Table 2,
+// which motivates the choice of a 2-bit prefix.
+func PrefixEntropy(values []uint32, prefix int) float64 {
+	used := bitplane.NumUsedPlanes(values)
+	if used == 0 || len(values) == 0 {
+		return 0
+	}
+	planes := make([][]byte, bitplane.Planes)
+	for p := range planes {
+		planes[p] = make([]byte, (len(values)+7)/8)
+	}
+	bitplane.SplitInto(planes, values)
+	planes = planes[bitplane.Planes-used:]
+	// Generalized predictive coding: XOR each plane with the XOR of up to
+	// `prefix` more-significant planes. Walk LSB-to-MSB so sources are
+	// unmodified when used.
+	for p := len(planes) - 1; p >= 1; p-- {
+		for q := p - 1; q >= 0 && q >= p-prefix; q-- {
+			for i, b := range planes[q] {
+				planes[p][i] ^= b
+			}
+		}
+	}
+	sum := 0.0
+	for _, plane := range planes {
+		sum += bitEntropy(plane, len(values))
+	}
+	return sum / float64(used)
+}
+
+// ones counts set bits in a packed plane restricted to the first n values.
+func ones(plane []byte, n int) int {
+	count := 0
+	for _, b := range plane[:n>>3] {
+		count += bits.OnesCount8(b)
+	}
+	if rem := n & 7; rem > 0 {
+		count += bits.OnesCount8(plane[n>>3] & (0xFF << uint(8-rem)))
+	}
+	return count
+}
+
+// bitEntropy returns the Shannon entropy (bits per bit) of a packed plane
+// of n values: the statistic reported in the paper's Table 2.
+func bitEntropy(plane []byte, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	p := float64(ones(plane, n)) / float64(n)
+	if p <= 0 || p >= 1 {
+		return 0
+	}
+	return -(p*math.Log2(p) + (1-p)*math.Log2(1-p))
 }
 
 // Fig5 reproduces Figure 5: compression ratios of all five compressors at

@@ -41,6 +41,27 @@ func TestTable2PrefixPredictionReducesEntropy(t *testing.T) {
 	}
 }
 
+func TestOnesAndEntropy(t *testing.T) {
+	plane := []byte{0b10101010, 0b11000000}
+	if got := ones(plane, 16); got != 6 {
+		t.Errorf("ones = %d, want 6", got)
+	}
+	if got := ones(plane, 8); got != 4 {
+		t.Errorf("ones(first 8) = %d, want 4", got)
+	}
+	// 10 values: 1,0,1,0,1,0,1,0,1,1 -> 6 ones of 10.
+	if got := ones(plane, 10); got != 6 {
+		t.Errorf("ones(first 10) = %d, want 6", got)
+	}
+	if e := bitEntropy(plane, 8); e != 1.0 {
+		t.Errorf("bitEntropy of half-ones = %v, want 1", e)
+	}
+	allZero := []byte{0, 0}
+	if e := bitEntropy(allZero, 16); e != 0 {
+		t.Errorf("bitEntropy of zeros = %v, want 0", e)
+	}
+}
+
 func TestFig5IPCompLeadsCompressionRatio(t *testing.T) {
 	ts, err := Fig5(tiny())
 	if err != nil {

@@ -125,7 +125,12 @@ func CompressProgressive(g *grid.Grid[float64], eb float64) (*Archive, error) {
 		used := bitplane.NumUsedPlanes(nbv)
 		a.UsedPlanes[li] = used
 		a.MaxDrop[li] = exactMaxDrop(ks, nbv, used)
-		planes := bitplane.Split(nbv)[32-used:]
+		planes := make([][]byte, bitplane.Planes)
+		for p := range planes {
+			planes[p] = make([]byte, (len(nbv)+7)/8)
+		}
+		bitplane.SplitInto(planes, nbv)
+		planes = planes[bitplane.Planes-used:]
 		bitplane.PredictEncode(planes)
 		a.Blocks[li] = make([][]byte, used)
 		for p := 0; p < used; p++ {
@@ -206,29 +211,27 @@ func (a *Archive) RetrieveErrorBound(e float64) (*Retrieval, error) {
 				break
 			}
 		}
-		full := make([][]byte, bitplane.Planes)
-		sub := make([][]byte, used)
+		// The loaded planes at their bit positions, still predicted: one
+		// pass merges them, undoes the prediction and decodes the indices
+		// truncated to them.
+		planes := make([][]byte, bitplane.Planes)
 		planeBytes := (a.Counts[li] + 7) / 8
 		for p := 0; p < keep; p++ {
 			plane, err := codec.DecodeBlock(a.Blocks[li][p], planeBytes)
 			if err != nil {
 				return nil, err
 			}
-			sub[p] = plane
+			planes[bitplane.Planes-used+p] = plane
 			loaded += int64(len(a.Blocks[li][p]))
 		}
-		bitplane.PredictDecode(sub)
-		for p := 0; p < keep; p++ {
-			full[bitplane.Planes-used+p] = sub[p]
-		}
-		nbv := make([]uint32, a.Counts[li])
-		bitplane.MergeInto(nbv, full)
+		ks := make([]int32, a.Counts[li])
+		bitplane.MergeDecodeRange(ks, planes, 0, len(ks), ^uint32(0)<<uint(used-keep))
 		bound += float64(a.MaxDrop[li][used-keep]) * q.Step() * nd
 
 		seq := 0
 		oi := 0
 		lossy.VisitLevel(dec, data, l, interp.Linear, func(_ int, pred float64) float64 {
-			v := pred + q.Dequantize(nb.Decode32(nbv[seq]))
+			v := pred + q.Dequantize(ks[seq])
 			if oi < len(a.OutIdx[li]) && a.OutIdx[li][oi] == uint32(seq) {
 				v = a.OutVal[li][oi]
 				oi++

@@ -1,8 +1,6 @@
 package bitplane
 
 import (
-	"math"
-	"math/bits"
 	"unsafe"
 
 	"repro/internal/nb"
@@ -24,54 +22,35 @@ func transpose8(x uint64) uint64 {
 	return x ^ t ^ (t << 28)
 }
 
-// Split transposes values into 32 packed bitplanes. Element i of the result
-// is the plane for bit (31-i), i.e. planes are ordered MSB first. Each plane
-// is packed 8 bits per byte, first value in the most significant bit of
-// byte 0, so planes of n values occupy ceil(n/8) bytes.
-func Split(values []uint32) [][]byte {
-	n := len(values)
-	nbytes := (n + 7) / 8
-	planes := make([][]byte, Planes)
-	backing := make([]byte, Planes*nbytes)
-	for p := 0; p < Planes; p++ {
-		planes[p] = backing[p*nbytes : (p+1)*nbytes : (p+1)*nbytes]
-	}
-	SplitRange(planes, values, 0, n)
-	return planes
-}
-
-// SplitInto transposes values into caller-provided planes: len(planes) must
-// be Planes and every plane at least ceil(len(values)/8) bytes. Every plane
-// byte in range is overwritten, so pooled backings need no zeroing. Split
-// and SplitInto both run on the word-level 8×32 bit-matrix transpose.
+// SplitInto transposes values into 32 packed bitplanes supplied by the
+// caller: len(planes) must be Planes and every plane at least
+// ceil(len(values)/8) bytes. planes[i] is the plane for bit (31-i), i.e.
+// planes are ordered MSB first, packed 8 bits per byte with the first
+// value in the most significant bit of byte 0. Every plane byte in range
+// is overwritten, so pooled backings need no zeroing.
+//
+// It runs the coder's split kernel with neither encoding nor prediction:
+// on amd64 with AVX2 (and without the purego build tag) the bulk of the
+// values goes through the vector kernel in transpose_amd64.s, and the
+// scalar loop in splitRangeGeneric handles the tail and every other build.
+// Both produce identical plane bytes.
 func SplitInto(planes [][]byte, values []uint32) {
 	if len(planes) != Planes {
 		panic("bitplane: SplitInto needs exactly 32 planes")
 	}
-	SplitRange(planes, values, 0, len(values))
-}
-
-// SplitRange transposes the value range [lo, hi) into the planes' byte
-// range [lo/8, ceil(hi/8)). lo must be a multiple of 8. Disjoint 8-aligned
-// ranges touch disjoint plane bytes, so shards may run concurrently.
-//
-// On amd64 with AVX2 (and without the purego build tag) the bulk of the
-// range runs through the vector kernel in transpose_amd64.s; the scalar
-// loop below is the reference implementation, handles the tail, and is the
-// only path everywhere else. Both orders produce identical plane bytes.
-func SplitRange(planes [][]byte, values []uint32, lo, hi int) {
-	splitRange(planes, values, lo, hi, 0, 0)
+	splitRange(planes, values, 0, len(values), 0, 0)
 }
 
 // SplitEncodeRange is the coder's split: it transposes the negabinary codes
 // of the quantization indices ks[lo:hi) with the XOR prediction applied on
-// the way. Its planes are those of SplitRange over nb.Encode32(ks[i])
+// the way. Its planes are those of SplitInto over nb.Encode32(ks[i])
 // followed by PredictEncode over all 32 of them. Both steps are whole-word
 // operations — the encoding is (k + m) ^ m, the prediction commutes with
 // the transpose as s = v ^ v>>1 ^ v>>2 — so they cost a few vector ops per
 // eight values instead of a pass each. Planes above the codes' top used
 // plane stay zero, so the used suffix is exactly what PredictEncode makes
-// of it alone.
+// of it alone. lo must be a multiple of 8; disjoint 8-aligned ranges touch
+// disjoint plane bytes, so shards may run concurrently.
 func SplitEncodeRange(planes [][]byte, ks []int32, lo, hi int) {
 	codes := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(ks))), len(ks))
 	splitRange(planes, codes, lo, hi, ^uint32(0), nbMask)
@@ -86,7 +65,7 @@ const nbMask = 0xAAAAAAAA
 // ones and is the identity when pm is zero.
 func splitRange(planes [][]byte, values []uint32, lo, hi int, pm, nbm uint32) {
 	if lo&7 != 0 {
-		panic("bitplane: SplitRange start must be 8-aligned")
+		panic("bitplane: split start must be 8-aligned")
 	}
 	if hi > len(values) {
 		hi = len(values)
@@ -139,34 +118,12 @@ func splitRangeGeneric(planes [][]byte, values []uint32, lo, hi int, pm, nbm uin
 // MergeInto reassembles integers from a prefix of MSB-first planes into
 // out, overwriting every element. Absent planes (nil entries or a short
 // slice) contribute zero bits, which is exactly the truncation semantics
-// of progressive loading. Like Split it runs on the word-level transpose.
+// of progressive loading. It is the plain-Go block merge the coder's
+// MergeDecodeRange shares, with no decoding after it.
 func MergeInto(out []uint32, planes [][]byte) {
-	MergeRange(out, planes, 0, len(out))
-}
-
-// MergeRange reassembles the value range [lo, hi) only. lo must be a
-// multiple of 8; disjoint 8-aligned ranges may run concurrently.
-//
-// Like SplitRange this dispatches the bulk of the range to the AVX2 kernel
-// when one is compiled in; the scalar loop is the reference implementation
-// and the tail/fallback path.
-func MergeRange(out []uint32, planes [][]byte, lo, hi int) {
-	if lo&7 != 0 {
-		panic("bitplane: MergeRange start must be 8-aligned")
-	}
-	if hi > len(out) {
-		hi = len(out)
-	}
-	if lo < hi {
-		lo = mergeRangeAccel(out, planes, lo, hi)
-	}
-	mergeRangeGeneric(out, planes, lo, hi)
-}
-
-func mergeRangeGeneric(out []uint32, planes [][]byte, lo, hi int) {
-	for base := lo; base < hi; base += 8 {
+	for base := 0; base < len(out); base += 8 {
 		vv := mergeBlock(planes, base>>3)
-		copy(out[base:min(base+8, hi)], vv[:])
+		copy(out[base:], vv[:])
 	}
 }
 
@@ -212,9 +169,9 @@ func mergeBlock(planes [][]byte, g int) (vv [8]uint32) {
 // the loaded planes, clearing what that spills below them. Each index is
 // then nb.Decode32 of its code truncated to the loaded planes.
 //
-// Like MergeRange this dispatches the bulk of the range to the AVX2 kernel
-// when one is compiled in; the scalar loop is the reference implementation
-// and the tail/fallback path.
+// The bulk of the range goes through the AVX2 kernel when one is compiled
+// in; the scalar loop is the reference implementation and the
+// tail/fallback path.
 func MergeDecodeRange(ks []int32, planes [][]byte, lo, hi int, keep uint32) {
 	if lo&7 != 0 {
 		panic("bitplane: MergeDecodeRange start must be 8-aligned")
@@ -278,130 +235,35 @@ func NumUsedPlanes(values []uint32) int {
 // and undoes it inside the merge (MergeDecodeRange); these byte-plane forms
 // serve callers that hold planes, not values.
 func PredictEncode(planes [][]byte) {
-	hi := planesMaxLen(planes)
 	for p := len(planes) - 1; p >= 1; p-- {
-		xorWithPrefixBytes(planes, p, 0, hi)
+		xorWithPrefix(planes, p)
 	}
 }
 
 // PredictDecode inverts PredictEncode for the loaded prefix of planes.
-// Decoding walks MSB-to-LSB so each plane's sources are already restored.
+// Decoding walks MSB-to-LSB so each plane's sources are already restored;
+// the MSB plane is stored unpredicted.
 func PredictDecode(planes [][]byte) {
-	predictDecodeRangeBytes(planes, 0, len(planes), 0, planesMaxLen(planes))
+	for p := 1; p < len(planes); p++ {
+		xorWithPrefix(planes, p)
+	}
 }
 
-// predictDecodeRangeBytes decodes planes [from, to), restricted to the byte
-// columns [lo, hi), assuming planes above `from` were decoded earlier.
-func predictDecodeRangeBytes(planes [][]byte, from, to, lo, hi int) {
-	if from < 1 {
-		from = 1 // the MSB plane is stored unpredicted
+// xorWithPrefix XORs plane p with planes p-1 and p-2 (those that exist and
+// are loaded). XOR is an involution, so the same helper serves both encode
+// and decode.
+func xorWithPrefix(planes [][]byte, p int) {
+	d := planes[p]
+	if d == nil {
+		return
 	}
-	for p := from; p < to && p < len(planes); p++ {
-		if planes[p] == nil {
+	for _, q := range []int{p - 1, p - 2} {
+		if q < 0 || planes[q] == nil {
 			continue
 		}
-		xorWithPrefixBytes(planes, p, lo, hi)
-	}
-}
-
-// planesMaxLen returns the longest plane length, the upper bound of the
-// byte-column space.
-func planesMaxLen(planes [][]byte) int {
-	n := 0
-	for _, p := range planes {
-		if len(p) > n {
-			n = len(p)
-		}
-	}
-	return n
-}
-
-// xorWithPrefixBytes XORs plane p with planes p-1 and p-2 (those that
-// exist and are loaded), restricted to byte columns [lo, hi). XOR is an
-// involution, so the same helper serves both encode and decode.
-func xorWithPrefixBytes(planes [][]byte, p, lo, hi int) {
-	dst := planes[p]
-	if dst == nil {
-		return
-	}
-	if hi > len(dst) {
-		hi = len(dst)
-	}
-	if lo >= hi {
-		return
-	}
-	d := dst[lo:hi]
-	if p >= 1 && planes[p-1] != nil {
-		a := planes[p-1][lo:hi]
+		a := planes[q][:len(d)]
 		for i := range d {
 			d[i] ^= a[i]
 		}
 	}
-	if p >= 2 && planes[p-2] != nil {
-		a := planes[p-2][lo:hi]
-		for i := range d {
-			d[i] ^= a[i]
-		}
-	}
-}
-
-// PrefixEntropy computes the mean per-plane bit entropy of the values'
-// used bitplanes after XOR prediction with `prefix` preceding bits
-// (prefix 0 = raw planes). This is the statistic of the paper's Table 2,
-// which motivates the choice of a 2-bit prefix.
-func PrefixEntropy(values []uint32, prefix int) float64 {
-	used := NumUsedPlanes(values)
-	if used == 0 || len(values) == 0 {
-		return 0
-	}
-	planes := Split(values)[32-used:]
-	if prefix > 0 {
-		// Generalized predictive coding: XOR each plane with the XOR of up
-		// to `prefix` more-significant planes. Walk LSB-to-MSB so sources
-		// are unmodified when used.
-		for p := len(planes) - 1; p >= 1; p-- {
-			for q := p - 1; q >= 0 && q >= p-prefix; q-- {
-				a := planes[q]
-				dst := planes[p]
-				for i := range dst {
-					dst[i] ^= a[i]
-				}
-			}
-		}
-	}
-	sum := 0.0
-	for _, plane := range planes {
-		sum += BitEntropy(plane, len(values))
-	}
-	return sum / float64(used)
-}
-
-// Ones counts set bits in a packed plane restricted to the first n values.
-func Ones(plane []byte, n int) int {
-	full := n >> 3
-	count := 0
-	for i := 0; i < full; i++ {
-		count += bits.OnesCount8(plane[i])
-	}
-	if rem := n & 7; rem > 0 && full < len(plane) {
-		mask := byte(0xFF) << uint(8-rem)
-		count += bits.OnesCount8(plane[full] & mask)
-	}
-	return count
-}
-
-// BitEntropy returns the Shannon entropy (bits per bit) of a packed plane of
-// n values — the statistic reported in the paper's Table 2.
-func BitEntropy(plane []byte, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return binaryEntropy(float64(Ones(plane, n)) / float64(n))
-}
-
-func binaryEntropy(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return 0
-	}
-	return -(p*math.Log2(p) + (1-p)*math.Log2(1-p))
 }

@@ -23,14 +23,21 @@ func randValues(r *rand.Rand, n int) []uint32 {
 	return out
 }
 
+// split transposes values into 32 freshly allocated planes (SplitInto).
+func split(values []uint32) [][]byte {
+	planes := make([][]byte, Planes)
+	for p := range planes {
+		planes[p] = make([]byte, (len(values)+7)/8)
+	}
+	SplitInto(planes, values)
+	return planes
+}
+
 func TestSplitMergeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 1000} {
 		vals := randValues(r, n)
-		planes := Split(vals)
-		if len(planes) != Planes {
-			t.Fatalf("Split returned %d planes", len(planes))
-		}
+		planes := split(vals)
 		got := make([]uint32, n)
 		MergeInto(got, planes)
 		for i := range vals {
@@ -43,7 +50,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 
 func TestMergeWithMissingLowPlanesTruncates(t *testing.T) {
 	vals := []uint32{0xFFFFFFFF, 0x12345678, 0}
-	planes := Split(vals)
+	planes := split(vals)
 	// Drop the 8 least significant planes.
 	for p := 24; p < 32; p++ {
 		planes[p] = nil
@@ -61,7 +68,7 @@ func TestPredictEncodeDecodeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 10, 100, 257} {
 		vals := randValues(r, n)
-		planes := Split(vals)
+		planes := split(vals)
 		orig := make([][]byte, len(planes))
 		for i, p := range planes {
 			orig[i] = append([]byte(nil), p...)
@@ -78,42 +85,12 @@ func TestPredictEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPredictDecodeRangeIncremental checks that decoding planes in two
-// batches (as refinement does) matches decoding them all at once.
-func TestPredictDecodeRangeIncremental(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	vals := randValues(r, 333)
-	planes := Split(vals)
-	PredictEncode(planes)
-
-	allAtOnce := make([][]byte, len(planes))
-	for i, p := range planes {
-		allAtOnce[i] = append([]byte(nil), p...)
-	}
-	PredictDecode(allAtOnce)
-
-	twoBatches := make([][]byte, len(planes))
-	for i, p := range planes {
-		twoBatches[i] = append([]byte(nil), p...)
-	}
-	predictDecodeRangeBytes(twoBatches, 0, 10, 0, len(planes[0]))
-	predictDecodeRangeBytes(twoBatches, 10, 32, 0, len(planes[0]))
-
-	for i := range planes {
-		for j := range planes[i] {
-			if allAtOnce[i][j] != twoBatches[i][j] {
-				t.Fatalf("plane %d byte %d: batch decode differs", i, j)
-			}
-		}
-	}
-}
-
 func TestPredictRoundTripProperty(t *testing.T) {
 	f := func(raw []uint32) bool {
 		if len(raw) == 0 {
 			return true
 		}
-		planes := Split(raw)
+		planes := split(raw)
 		PredictEncode(planes)
 		PredictDecode(planes)
 		got := make([]uint32, len(raw))
@@ -155,7 +132,7 @@ func TestSubsliceSkipLeadingZeroPlanes(t *testing.T) {
 	// zero planes restores values.
 	vals := []uint32{5, 9, 12, 0, 3}
 	used := NumUsedPlanes(vals)
-	all := Split(vals)
+	all := split(vals)
 	sub := all[32-used:]
 	PredictEncode(sub)
 	PredictDecode(sub)
@@ -169,27 +146,6 @@ func TestSubsliceSkipLeadingZeroPlanes(t *testing.T) {
 		if got[i] != vals[i] {
 			t.Fatalf("value %d: got %d want %d", i, got[i], vals[i])
 		}
-	}
-}
-
-func TestOnesAndEntropy(t *testing.T) {
-	plane := []byte{0b10101010, 0b11000000}
-	if got := Ones(plane, 16); got != 6 {
-		t.Errorf("Ones = %d, want 6", got)
-	}
-	if got := Ones(plane, 8); got != 4 {
-		t.Errorf("Ones(first 8) = %d, want 4", got)
-	}
-	// 10 values: 1,0,1,0,1,0,1,0,1,1 -> 6 ones of 10.
-	if got := Ones(plane, 10); got != 6 {
-		t.Errorf("Ones(first 10) = %d, want 6", got)
-	}
-	if e := BitEntropy(plane, 8); e != 1.0 {
-		t.Errorf("BitEntropy of half-ones = %v, want 1", e)
-	}
-	allZero := []byte{0, 0}
-	if e := BitEntropy(allZero, 16); e != 0 {
-		t.Errorf("BitEntropy of zeros = %v, want 0", e)
 	}
 }
 
@@ -234,7 +190,7 @@ func refMergeInto(out []uint32, planes [][]byte) {
 	}
 }
 
-// TestTransposeMatchesReference drives the word-level Split/MergeInto
+// TestTransposeMatchesReference drives the word-level SplitInto/MergeInto
 // against the per-bit reference on awkward lengths and random values,
 // including partial plane prefixes with nil holes.
 func TestTransposeMatchesReference(t *testing.T) {
@@ -244,7 +200,7 @@ func TestTransposeMatchesReference(t *testing.T) {
 		for i := range values {
 			values[i] = rng.Uint32()
 		}
-		got := Split(values)
+		got := split(values)
 		want := refSplit(values)
 		for p := 0; p < Planes; p++ {
 			if !bytes.Equal(got[p], want[p]) {
@@ -283,12 +239,12 @@ func TestTransposeMatchesReference(t *testing.T) {
 			shard := refSplit(values) // correct layout to overwrite
 			for p := range shard {
 				for i := range shard[p] {
-					shard[p][i] = 0xFF // poison: SplitRange must overwrite fully
+					shard[p][i] = 0xFF // poison: splitRange must overwrite fully
 				}
 			}
 			cut := (n / 2) &^ 7
-			SplitRange(shard, values, 0, cut)
-			SplitRange(shard, values, cut, n)
+			splitRange(shard, values, 0, cut, 0, 0)
+			splitRange(shard, values, cut, n, 0, 0)
 			for p := 0; p < Planes; p++ {
 				if !bytes.Equal(shard[p], want[p]) {
 					t.Fatalf("n=%d sharded plane %d differs", n, p)

@@ -24,11 +24,14 @@
 // planes — the planes not loaded count as zero, and the bits the
 // recurrence spills below the last loaded plane are masked off — before it
 // negabinary-decodes in the same pass. A prefix is always merged whole, so
-// no bits of an earlier merge enter the recurrence. PredictEncode and
-// PredictDecode remain the byte-plane forms for callers that hold planes.
+// no bits of an earlier merge enter the recurrence.
 //
-// Split/Merge run on a word-level 8×32 bit-matrix transpose; the *Into
-// variants write into pooled backings (allocation-free hot path) and the
-// *Range variants shard by element or byte range for the parallel
-// kernels in internal/core.
+// Both kernels run on a word-level 8×32 bit-matrix transpose, with an AVX2
+// form on amd64, and take an 8-aligned value range so that internal/core
+// can shard a level across goroutines. SplitInto, MergeInto, PredictEncode
+// and PredictDecode are the plain-plane forms for callers that hold raw
+// values or planes rather than quantization indices: the comparators under
+// internal/baselines and the per-layer probes. SplitInto shares the coder's
+// split kernel; MergeInto is the scalar block merge of MergeDecodeRange's
+// fallback path.
 package bitplane

@@ -23,7 +23,7 @@ type mergeCase struct {
 
 func newMergeCase(codes []uint32, used, want, lo, hi int) *mergeCase {
 	r := &mergeCase{codes: codes, used: used, want: want, lo: lo, hi: hi}
-	all := Split(codes)
+	all := split(codes)
 	r.stored = all[Planes-used:]
 	PredictEncode(r.stored)
 	for p := 0; p < want; p++ {
@@ -39,7 +39,7 @@ func newMergeCase(codes []uint32, used, want, lo, hi int) *mergeCase {
 
 // bytePlanes is the oracle: undo the prediction of the loaded planes plane
 // by plane on their bytes (PredictDecode), merge them into one word per
-// value, then decode each.
+// value (MergeInto, plain Go on every build), then decode each.
 func (r *mergeCase) bytePlanes() []int32 {
 	var planes [Planes][]byte
 	sub := planes[Planes-r.used:]
@@ -48,7 +48,7 @@ func (r *mergeCase) bytePlanes() []int32 {
 	}
 	PredictDecode(sub[:r.want])
 	nbv := make([]uint32, len(r.codes))
-	MergeRange(nbv, planes[:], 0, len(nbv))
+	MergeInto(nbv, planes[:])
 	ks := make([]int32, len(r.codes))
 	for i, v := range nbv {
 		ks[i] = nb.Decode32(v)
@@ -123,7 +123,7 @@ func TestMergeDecodeRangeDifferential(t *testing.T) {
 }
 
 // TestSplitEncodeRange holds the coder's split — negabinary encoding and
-// prediction inside the transpose — to SplitRange over the codes plus
+// prediction inside the transpose — to SplitInto over the codes plus
 // PredictEncode, on both dispatch paths, for any 32-bit codes and for codes
 // below a top plane, where the used planes alone are predicted.
 func TestSplitEncodeRange(t *testing.T) {
@@ -131,7 +131,7 @@ func TestSplitEncodeRange(t *testing.T) {
 	for _, n := range []int{0, 1, 8, 31, 32, 33, 100, 1000} {
 		for _, used := range []int{1, 13, 32} {
 			codes := randomCodes(rng, n, used)
-			want := Split(codes)
+			want := split(codes)
 			PredictEncode(want[Planes-used:])
 			checkSplitEncode(t, codes, want)
 		}
@@ -188,7 +188,7 @@ func FuzzMergeDecodeDispatch(f *testing.F) {
 		l := int(lo) % (n + 1) &^ 7
 		e := l + int(hi)%(n-l+1)
 		newMergeCase(codes, u, w, l, e).check(t)
-		planes := Split(codes)
+		planes := split(codes)
 		PredictEncode(planes[Planes-u:])
 		checkSplitEncode(t, codes, planes)
 	})

@@ -16,7 +16,7 @@ var useAVX2 = cpu.X86.HasAVX2
 // they are active afterwards. Enabling is a no-op on hardware without AVX2,
 // and under the purego build tag this always reports false. Tests use it to
 // run the same suite through both paths; toggling concurrently with
-// Split/MergeInto calls is not safe.
+// split or merge calls is not safe.
 func setAVX2(on bool) bool {
 	useAVX2 = on && cpu.X86.HasAVX2
 	return useAVX2
@@ -30,18 +30,11 @@ func setAVX2(on bool) bool {
 //go:noescape
 func splitAVX2(planes *[Planes]unsafe.Pointer, values *uint32, iters int, pm, nbm uint32)
 
-// mergeAVX2 is the inverse: it rebuilds iters×32 values from plane bytes.
-// Nil plane pointers contribute zero bits; blocks is a bitmask of plane
-// octets (bit b = planes 8b..8b+7) that contain at least one loaded plane —
-// octets with a clear bit are skipped entirely. Implemented in
-// transpose_amd64.s.
-//
-//go:noescape
-func mergeAVX2(planes *[Planes]unsafe.Pointer, out *uint32, iters int, blocks uint8)
-
 // mergeDecodeAVX2 runs mergeDecodeGeneric's arithmetic over iters×32
-// indices starting at ks, on the values mergeAVX2 would rebuild from the
-// same planes. Implemented in transpose_amd64.s.
+// indices starting at ks. Nil plane pointers contribute zero bits; blocks
+// is a bitmask of plane octets (bit b = planes 8b..8b+7) that contain at
+// least one loaded plane — octets with a clear bit are skipped entirely.
+// Implemented in transpose_amd64.s.
 //
 //go:noescape
 func mergeDecodeAVX2(planes *[Planes]unsafe.Pointer, ks *int32, iters int, blocks uint8, keep uint32)
@@ -61,18 +54,7 @@ func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int, pm, nbm uint3
 	return lo + n32
 }
 
-// mergeRangeAccel mirrors splitRangeAccel for MergeRange.
-func mergeRangeAccel(out []uint32, planes [][]byte, lo, hi int) int {
-	n32 := (hi - lo) &^ 31
-	if !useAVX2 || n32 == 0 {
-		return lo
-	}
-	ptrs, blocks := planePointers(planes, lo)
-	mergeAVX2(&ptrs, &out[lo], n32>>5, blocks)
-	return lo + n32
-}
-
-// mergeDecodeAccel mirrors mergeRangeAccel for MergeDecodeRange.
+// mergeDecodeAccel mirrors splitRangeAccel for MergeDecodeRange.
 func mergeDecodeAccel(ks []int32, planes [][]byte, lo, hi int, keep uint32) int {
 	n32 := (hi - lo) &^ 31
 	if !useAVX2 || n32 == 0 {
@@ -83,7 +65,7 @@ func mergeDecodeAccel(ks []int32, planes [][]byte, lo, hi int, keep uint32) int 
 	return lo + n32
 }
 
-// planePointers returns the merge kernels' arguments for the value range
+// planePointers returns the merge kernel's arguments for the value range
 // starting at lo: each loaded plane's byte lo/8, and the bitmask of plane
 // octets holding at least one of them.
 func planePointers(planes [][]byte, lo int) (ptrs [Planes]unsafe.Pointer, blocks uint8) {

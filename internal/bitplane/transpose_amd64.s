@@ -2,9 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for the 8×32 bit-matrix transpose behind SplitRange,
-// SplitEncodeRange, MergeRange and MergeDecodeRange. All process 32 values
-// (4 groups of 8) per iteration.
+// AVX2 kernels for the 8×32 bit-matrix transpose behind SplitInto,
+// SplitEncodeRange and MergeDecodeRange. Both process 32 values (4 groups
+// of 8) per iteration.
 //
 // The core trick: arrange value bytes so that within each 8-byte chunk of a
 // YMM register the bytes belong to one fixed value-byte B, values in
@@ -18,7 +18,7 @@
 
 // shuffle<> gathers, per 128-bit lane of 4 values, byte B of each value
 // into dword B with values reversed: P[i] = 4*(3-(i&3)) + (i>>2). The same
-// 16-byte pattern is also the 4×4 byte transpose used by merge phase 2.
+// 16-byte pattern is also the 4×4 byte transpose ROW applies in the merge.
 DATA shuffle<>+0(SB)/8, $0x0105090d0004080c
 DATA shuffle<>+8(SB)/8, $0x03070b0f02060a0e
 DATA shuffle<>+16(SB)/8, $0x0105090d0004080c
@@ -232,59 +232,8 @@ splitloop:
 	MASK8(Y4, b)              \
 skiplabel:
 
-// VALUES4 turns scratch row s (the four per-octet masks) into the 4 values
-// 8g+s via a 4×4 byte transpose and scatters them stride-8 into out.
-#define VALUES4(s) \
-	VMOVDQU scratch-128+(s*16)(SP), X6 \
-	VPSHUFB X13, X6, X6       \
-	VMOVD   X6, (s*4)(R9)     \
-	VPEXTRD $1, X6, (32+s*4)(R9) \
-	VPEXTRD $2, X6, (64+s*4)(R9) \
-	VPEXTRD $3, X6, (96+s*4)(R9)
-
-// func mergeAVX2(planes *[32]unsafe.Pointer, out *uint32, iters int, blocks uint8)
-TEXT ·mergeAVX2(SB), NOSPLIT, $128-25
-	MOVQ    planes+0(FP), R8
-	MOVQ    out+8(FP), R9
-	MOVQ    iters+16(FP), R11
-	MOVBLZX blocks+24(FP), R12
-	XORQ    R10, R10
-	VMOVDQU mergeA<>(SB), Y14
-	VMOVDQU mergeB<>(SB), Y15
-	VMOVDQU shuffle<>(SB), X13
-
-	// Zero the mask scratch once; columns of skipped octets are never
-	// written, so they keep contributing zero bits in every iteration.
-	VPXOR   Y0, Y0, Y0
-	VMOVDQU Y0, scratch-128(SP)
-	VMOVDQU Y0, scratch-96(SP)
-	VMOVDQU Y0, scratch-64(SP)
-	VMOVDQU Y0, scratch-32(SP)
-
-mergeloop:
-	MERGEBLOCK(0, mb0)
-	MERGEBLOCK(1, mb1)
-	MERGEBLOCK(2, mb2)
-	MERGEBLOCK(3, mb3)
-
-	VALUES4(0)
-	VALUES4(1)
-	VALUES4(2)
-	VALUES4(3)
-	VALUES4(4)
-	VALUES4(5)
-	VALUES4(6)
-	VALUES4(7)
-
-	ADDQ $128, R9
-	ADDQ $4, R10
-	DECQ R11
-	JNZ  mergeloop
-	VZEROUPPER
-	RET
-
 // ROW loads scratch row s (the four per-octet masks) into X as the 4 values
-// 8g+s, g = 0..3, by a 4×4 byte transpose — VALUES4 without the scatter.
+// 8g+s, g = 0..3, by a 4×4 byte transpose.
 #define ROW(s, X) \
 	VMOVDQU scratch-128+(s*16)(SP), X \
 	VPSHUFB X13, X, X
@@ -309,7 +258,9 @@ mergeloop:
 
 // func mergeDecodeAVX2(planes *[32]unsafe.Pointer, ks *int32, iters int, blocks uint8, keep uint32)
 //
-// The merge is mergeAVX2's up to the mask rows; the rows' 32 values then
+// MERGEBLOCK spills the masks of each loaded plane octet into 8 scratch
+// rows, zeroed once: columns of skipped octets are never written, so they
+// keep contributing zero bits in every iteration. The rows' 32 values then
 // stay in registers: ROW gives value 8g+s in dword g of Xs, and a 4×4 dword
 // transpose per lane of [Xs | Xs+4] turns them into the 8 values of group g
 // in Yg. DECODE8 undoes the prediction (u = s ^ s>>1, then u ^= u>>3, >>6,

@@ -11,8 +11,6 @@ func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int, pm, nbm uint3
 	return lo
 }
 
-func mergeRangeAccel(out []uint32, planes [][]byte, lo, hi int) int { return lo }
-
 func mergeDecodeAccel(ks []int32, planes [][]byte, lo, hi int, keep uint32) int {
 	return lo
 }

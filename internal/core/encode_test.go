@@ -52,14 +52,18 @@ func exactMaxDrop(ks []int32, nbv []uint32, used int) []uint32 {
 // threePassEncode is the encoder before the fused pass: negabinary-encode
 // every index, count the used planes (bitplane.NumUsedPlanes), build the
 // maxDrop table (exactMaxDrop), and split and predict the codes into 32
-// planes (SplitRange, then PredictEncode over all 32).
+// planes (SplitInto, then PredictEncode over all 32).
 func threePassEncode(ks []int32) (used int, maxDrop []uint32, planes [][]byte) {
 	nbv := make([]uint32, len(ks))
 	for i, k := range ks {
 		nbv[i] = nb.Encode32(k)
 	}
 	used = bitplane.NumUsedPlanes(nbv)
-	planes = bitplane.Split(nbv)
+	planes = make([][]byte, bitplane.Planes)
+	for p := range planes {
+		planes[p] = make([]byte, (len(nbv)+7)/8)
+	}
+	bitplane.SplitInto(planes, nbv)
 	bitplane.PredictEncode(planes)
 	return used, exactMaxDrop(ks, nbv, used), planes
 }

@@ -276,8 +276,8 @@ func checkColumnRebuild[T grid.Scalar](t *testing.T, blob []byte, bound float64,
 // planIndices returns the truncated indices of plan, decoded without the
 // kernel a rebuild merges with: fetch decodes every plane the plan loads
 // into a fresh backing, and each level's are un-predicted plane by plane
-// (bitplane.PredictDecode), merged (bitplane.MergeRange) and
-// negabinary-decoded value by value.
+// (bitplane.PredictDecode), merged by the plain-Go block merge
+// (bitplane.MergeInto) and negabinary-decoded value by value.
 func planIndices(tb testing.TB, a *Archive, plan Plan) [][]int32 {
 	tb.Helper()
 	planes := fetchAll(tb, &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}}, plan)
@@ -293,7 +293,7 @@ func planIndices(tb testing.TB, a *Archive, plan Plan) [][]int32 {
 		}
 		bitplane.PredictDecode(used[:keep])
 		codes := make([]uint32, m.count)
-		bitplane.MergeRange(codes, loaded[:], 0, m.count)
+		bitplane.MergeInto(codes, loaded[:])
 		ks[l-1] = make([]int32, m.count)
 		for i, c := range codes {
 			ks[l-1][i] = nb.Decode32(c)

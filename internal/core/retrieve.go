@@ -229,14 +229,14 @@ func (a *Archive) Scalar() ScalarType { return a.h.scalar }
 // releases' "auto" codec policy wrote version 3, which still opens.
 func (a *Archive) FormatVersion() int { return int(a.h.version) }
 
+// Interpolation returns the predictor the archive was compressed with.
+func (a *Archive) Interpolation() interp.Kind { return a.h.kind }
+
 // NumLevels returns the interpolation level count L.
 func (a *Archive) NumLevels() int { return a.h.levels }
 
 // TotalSize returns the archive size in bytes.
 func (a *Archive) TotalSize() int64 { return a.h.totalSize() }
-
-// CompressedSize is an alias of TotalSize for metric reporting.
-func (a *Archive) CompressedSize() int64 { return a.h.totalSize() }
 
 // Plan records, for every level, how many MSB-first bitplanes to load.
 // Non-progressive levels always load all their planes.

@@ -218,17 +218,20 @@ type ingestParams struct {
 }
 
 // parseIngestParams validates the query of a write request. The geometry
-// follows the series rule (store.SeriesGeometry) against prev, the
-// field's previous manifest (nil on create). eb stays 0 when the request
-// gives none: store.SeriesBound resolves it once the values are in. An
-// omitted interp takes the default of `ipcomp snapshot put`, so an
-// ingested snapshot and an offline one of the same bytes are
-// byte-identical. Every refusal quotes at most 64 runes of the value.
-func (srv *Server) parseIngestParams(r *http.Request, prev *cas.Manifest) (*ingestParams, error) {
+// and the predictor follow the series rule (store.SeriesGeometry,
+// store.SeriesInterp) against prev, the field's previous manifest in c
+// (nil on create), as `ipcomp snapshot put` does, so an ingested snapshot
+// and an offline one of the same bytes are byte-identical. eb stays 0 when
+// the request gives none: store.SeriesBound resolves it once the values
+// are in. Every refusal quotes at most 64 runes of the value.
+func (srv *Server) parseIngestParams(r *http.Request, c *cas.Store, prev *cas.Manifest) (*ingestParams, error) {
 	q := r.URL.Query()
-	p := &ingestParams{interp: interp.Cubic}
+	p := &ingestParams{}
 	var err error
 	if p.shape, p.chunk, p.scalar, err = store.SeriesGeometry(prev, q.Get("shape"), q.Get("chunk"), q.Get("dtype")); err != nil {
+		return nil, err
+	}
+	if p.interp, err = store.SeriesInterp(c, prev, q.Get("interp")); err != nil {
 		return nil, err
 	}
 	if s := q.Get("eb"); s != "" {
@@ -244,11 +247,6 @@ func (srv *Server) parseIngestParams(r *http.Request, prev *cas.Manifest) (*inge
 			return nil, fmt.Errorf("rel must be a boolean, got %.64q", s)
 		}
 		p.rel = rel
-	}
-	if s := q.Get("interp"); s != "" {
-		if p.interp, err = interp.ParseKind(s); err != nil {
-			return nil, err
-		}
 	}
 	// A removed parameter is refused, not ignored: a client asking for a
 	// block coder it cannot get must hear so.
@@ -304,7 +302,7 @@ func (srv *Server) serveIngest(w http.ResponseWriter, r *http.Request, snapshots
 		writeError(w, http.StatusConflict, fmt.Sprintf("dataset %q is already served by a packed container", field))
 		return outError
 	}
-	p, err := srv.parseIngestParams(r, prev)
+	p, err := srv.parseIngestParams(r, c, prev)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return outError

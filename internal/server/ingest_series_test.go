@@ -19,14 +19,16 @@ import (
 
 // TestIngestSeriesProperty is the write path's oracle: whatever a series
 // does — tiles that churn, flip back to an older state or change only in
-// a sign bit or a NaN payload, compressor parameters that move mid-series,
-// the latest snapshot deleted and swept between two POSTs, the store
-// closed and reopened — the manifests and blobs the server leaves behind
-// are byte for byte those of compressing every tile of every snapshot
-// from scratch, and the server compressed exactly the tiles it had to.
+// a sign bit or a NaN payload, a bound that moves mid-series, a predictor
+// named or inherited, the latest snapshot deleted and swept between two
+// POSTs, the store closed and reopened — the manifests and blobs the
+// server leaves behind are byte for byte those of compressing every tile
+// of every snapshot from scratch, and the server compressed exactly the
+// tiles it had to. The predictor is the series' own, fixed when it is
+// created (store.SeriesInterp); the two series use one each.
 func TestIngestSeriesProperty(t *testing.T) {
-	t.Run("f64", func(t *testing.T) { ingestSeriesProperty[float64](t, 1) })
-	t.Run("f32", func(t *testing.T) { ingestSeriesProperty[float32](t, 2) })
+	t.Run("f64", func(t *testing.T) { ingestSeriesProperty[float64](t, 1, "linear") })
+	t.Run("f32", func(t *testing.T) { ingestSeriesProperty[float32](t, 2, "cubic") })
 }
 
 // seriesParams is what feeds the compressor besides the values.
@@ -120,7 +122,7 @@ func treeFiles(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-func ingestSeriesProperty[T grid.Scalar](t *testing.T, seed int64) {
+func ingestSeriesProperty[T grid.Scalar](t *testing.T, seed int64, predictor string) {
 	const field = "rho"
 	rng := rand.New(rand.NewSource(seed))
 	// Extents that are not multiples of the chunk: edge tiles of their own
@@ -158,7 +160,7 @@ func ingestSeriesProperty[T grid.Scalar](t *testing.T, seed int64) {
 	defer func() { s.stop(t) }()
 	ref := open(refDir) // every tile of every snapshot compressed, plain Put
 
-	p := seriesParams{eb: 1e-4, interp: "cubic"}
+	p := seriesParams{eb: 1e-4, interp: predictor}
 	var (
 		history  [][]T // every body posted so far, for tiles that flip back
 		last     []T   // the body of the previous POST the store remembers …
@@ -196,10 +198,7 @@ func ingestSeriesProperty[T grid.Scalar](t *testing.T, seed int64) {
 			s.start(t)
 			lastM = nil
 		case k%7 == 4:
-			p = seriesParams{
-				eb:     []float64{1e-4, 3e-4, 1e-3}[rng.Intn(3)],
-				interp: []string{"cubic", "linear"}[rng.Intn(2)],
-			}
+			p.eb = []float64{1e-4, 3e-4, 1e-3}[rng.Intn(3)]
 		}
 		// What happens to the field. Every fifth POST repeats its predecessor.
 		if k%5 != 2 {
@@ -254,9 +253,13 @@ func ingestSeriesProperty[T grid.Scalar](t *testing.T, seed int64) {
 			}
 		}
 
-		// The POST. The series' bound is named only when it moves, so that
-		// inheriting it is covered too.
-		path := fmt.Sprintf("/v1/datasets/%s/snapshots?interp=%s", field, p.interp)
+		// The POST. The series' bound is named only when it moves, and its
+		// predictor on every other append, so that inheriting both is
+		// covered too.
+		path := fmt.Sprintf("/v1/datasets/%s/snapshots?", field)
+		if k%2 == 0 {
+			path += "interp=" + p.interp
+		}
 		_, exists := s.c.Latest(field)
 		if !exists {
 			path = fmt.Sprintf("/v1/datasets/%s?shape=20x12x12&chunk=8x8x8&dtype=%s&interp=%s", field, dtype, p.interp)

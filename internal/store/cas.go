@@ -11,6 +11,7 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/interp"
 )
 
 // CAS-backed containers: a cas.Manifest plus the blobs it references are
@@ -152,6 +153,39 @@ func SeriesGeometry(prev *cas.Manifest, shape, chunk, dtype string) (grid.Shape,
 		return nil, nil, 0, fmt.Errorf("dtype %s does not match the series dtype %s", scalar, series)
 	}
 	return grid.Shape(prev.Shape).Clone(), grid.Shape(prev.Chunk).Clone(), series, nil
+}
+
+// SeriesInterp resolves the predictor a field's next snapshot is
+// compressed with from the name its writer gave, "" for none, by the rule
+// of SeriesGeometry: a new field takes the name given, cubic by default;
+// an append inherits the series' predictor, and a name it gives must agree
+// with it, since a snapshot under another predictor would share no tile
+// with those before it. The series' predictor is the one the archive
+// header of the first tile of prev, the field's latest manifest, records.
+func SeriesInterp(c *cas.Store, prev *cas.Manifest, name string) (interp.Kind, error) {
+	kind := interp.Cubic
+	if name != "" {
+		var err error
+		if kind, err = interp.ParseKind(name); err != nil {
+			return 0, err
+		}
+	}
+	if prev == nil {
+		return kind, nil
+	}
+	if len(prev.Tiles) == 0 {
+		return 0, fmt.Errorf("store: snapshot %s has no tiles", prev.Name())
+	}
+	tile := prev.Tiles[0]
+	a, err := core.NewArchiveReaderAt(blobReaderAt{c, tile.Score}, tile.Size)
+	if err != nil {
+		return 0, fmt.Errorf("store: snapshot %s: %w", prev.Name(), err)
+	}
+	series := a.Interpolation()
+	if name != "" && kind != series {
+		return 0, fmt.Errorf("interp %.64q does not match the series predictor %s", name, series)
+	}
+	return series, nil
 }
 
 // SeriesBound resolves the absolute error bound a field's next snapshot

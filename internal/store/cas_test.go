@@ -10,6 +10,7 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/interp"
 )
 
 // seriesGrid builds the deterministic t-th member of a synthetic time
@@ -360,6 +361,49 @@ func TestSeriesGeometry(t *testing.T) {
 	shape[0], chunk[0] = 0, 0
 	if prev.Shape[0] != 16 || prev.Chunk[0] != 8 {
 		t.Fatalf("the resolved geometry aliases the manifest: %v, %v", prev.Shape, prev.Chunk)
+	}
+}
+
+// TestSeriesInterp pins the series rule for the predictor: a new field
+// takes the one named, cubic by default; an append to a linear series
+// inherits linear, agrees with it or is refused.
+func TestSeriesInterp(t *testing.T) {
+	c, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape, chunk := []int{12, 12, 12}, []int{8, 8, 8}
+	prev, _, err := PackSnapshot(c, "density", seriesGrid(t, shape, chunk, 0, nil),
+		WriteOptions{ErrorBound: 1e-4, ChunkShape: chunk, Interpolation: interp.Linear})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		prev    *cas.Manifest
+		given   string
+		want    interp.Kind
+		wantErr string
+	}{
+		{"new field", nil, "", interp.Cubic, ""},
+		{"new field, linear", nil, "linear", interp.Linear, ""},
+		{"new field, bad name", nil, "spline", 0, "interp must be linear or cubic"},
+		{"append inherits", prev, "", interp.Linear, ""},
+		{"append agrees", prev, "linear", interp.Linear, ""},
+		{"append refuses another predictor", prev, "cubic", 0, `interp "cubic" does not match the series predictor linear`},
+		{"append refuses a bad name", prev, "spline", 0, "interp must be linear or cubic"},
+	}
+	for _, tc := range cases {
+		got, err := SeriesInterp(c, tc.prev, tc.given)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("%s: %v, %v; want %v", tc.name, got, err, tc.want)
+		}
 	}
 }
 
