@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"sort"
@@ -195,4 +196,122 @@ func recvType(e ast.Expr, skip map[*ast.Ident]bool) string {
 		return e.Name
 	}
 	return ""
+}
+
+// publicAPIPath lists every exported identifier of the public packages,
+// one "package kind name" a line, sorted.
+const publicAPIPath = "testdata/public_api.txt"
+
+// publicPackages are the module's importable API.
+var publicPackages = []string{"ipcomp", "ipcomp/client"}
+
+// publicAPI lists the exported identifiers that the non-test files of dir
+// declare: package-level names, methods and the fields and interface
+// methods of exported types, each as "dir kind name".
+func publicAPI(t *testing.T, dir string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	ents, err := fs.ReadDir(os.DirFS(dir), ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	add := func(kind, name string) { out = append(out, dir+" "+kind+" "+name) }
+	for _, e := range ents {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				if d.Recv == nil {
+					add("func", d.Name.Name)
+				} else if recv := recvType(d.Recv.List[0].Type, map[*ast.Ident]bool{}); ast.IsExported(recv) {
+					add("method", recv+"."+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						if !s.Name.IsExported() {
+							continue
+						}
+						add("type", s.Name.Name)
+						var members *ast.FieldList
+						kind := "field"
+						switch ty := s.Type.(type) {
+						case *ast.StructType:
+							members = ty.Fields
+						case *ast.InterfaceType:
+							members, kind = ty.Methods, "method"
+						}
+						if members == nil {
+							continue
+						}
+						for _, m := range members.List {
+							for _, id := range m.Names {
+								if id.IsExported() {
+									add(kind, s.Name.Name+"."+id.Name)
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						kind := "var"
+						if d.Tok == token.CONST {
+							kind = "const"
+						}
+						for _, id := range s.Names {
+							if id.IsExported() {
+								add(kind, id.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestPublicAPI pins the exported identifiers of the public packages to
+// publicAPIPath, so that every addition to or removal from the API shows
+// in the diff of the change that makes it. On a mismatch, -v prints the
+// list to replace the file with.
+func TestPublicAPI(t *testing.T) {
+	var got []string
+	for _, dir := range publicPackages {
+		got = append(got, publicAPI(t, dir)...)
+	}
+	sort.Strings(got)
+	raw, err := os.ReadFile(filepath.FromSlash(publicAPIPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+	pinned := map[string]bool{}
+	for _, w := range want {
+		pinned[w] = true
+	}
+	declared := map[string]bool{}
+	for _, g := range got {
+		declared[g] = true
+		if !pinned[g] {
+			t.Errorf("%s is exported, but %s does not list it", g, publicAPIPath)
+		}
+	}
+	for _, w := range want {
+		if !declared[w] {
+			t.Errorf("%s lists %s, which is no longer exported", publicAPIPath, w)
+		}
+	}
+	if t.Failed() {
+		t.Logf("the public API as declared now:\n%s", strings.Join(got, "\n"))
+	}
 }
