@@ -459,40 +459,6 @@ func BenchmarkAblationPrefixBits(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBoundMode compares the safe and paper error accountings:
-// bytes loaded for the same requested bound.
-func BenchmarkAblationBoundMode(b *testing.B) {
-	g := benchField(b, "Density")
-	eb := 1e-9 * g.ValueRange()
-	blob, err := core.Compress(g, core.Options{ErrorBound: eb, Interpolation: interp.Cubic})
-	if err != nil {
-		b.Fatal(err)
-	}
-	arch, err := core.NewArchive(blob)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []core.BoundMode{core.SafeBound, core.PaperBound} {
-		name := "safe"
-		if mode == core.PaperBound {
-			name = "paper"
-		}
-		b.Run(name, func(b *testing.B) {
-			arch.SetBoundMode(mode)
-			var loaded int64
-			for i := 0; i < b.N; i++ {
-				res, err := arch.RetrieveErrorBound(eb * 1024)
-				if err != nil {
-					b.Fatal(err)
-				}
-				loaded = res.LoadedBytes()
-			}
-			b.ReportMetric(metrics.Bitrate(loaded, g.Len()), "bits/val")
-		})
-	}
-	arch.SetBoundMode(core.SafeBound)
-}
-
 // BenchmarkRefinementVsFresh quantifies Algorithm 2's benefit: refining an
 // existing result vs. a fresh retrieval at the finer bound.
 func BenchmarkRefinementVsFresh(b *testing.B) {

@@ -444,38 +444,6 @@ func TestForgedHeaderCountsDoNotAllocate(t *testing.T) {
 	}
 }
 
-func TestPaperBoundModeStillWithinRequested(t *testing.T) {
-	// PaperBound gives no hard guarantee in theory; verify that on real
-	// smooth data it still lands within the requested bound (the paper's
-	// empirical claim) and loads no more than SafeBound.
-	g := smoothField(grid.Shape{40, 36, 20}, 13)
-	eb := 1e-7
-	blob, _ := Compress(g, Options{ErrorBound: eb, Interpolation: interp.Cubic,
-		ProgressiveThreshold: 256})
-	a, _ := NewArchive(blob)
-	for _, factor := range []float64{16, 1024, 65536} {
-		bound := eb * factor
-		a.SetBoundMode(SafeBound)
-		safe, err := a.RetrieveErrorBound(bound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.SetBoundMode(PaperBound)
-		paper, err := a.RetrieveErrorBound(bound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if paper.LoadedBytes() > safe.LoadedBytes() {
-			t.Errorf("factor %v: paper bound loaded more (%d) than safe (%d)",
-				factor, paper.LoadedBytes(), safe.LoadedBytes())
-		}
-		if got := maxAbsDiff(g.Data(), paper.Data()); got > bound {
-			t.Logf("factor %v: paper-mode error %v exceeds %v (allowed in theory)", factor, got, bound)
-		}
-	}
-	a.SetBoundMode(SafeBound)
-}
-
 func TestReaderAtSourcePartialIO(t *testing.T) {
 	g := smoothField(grid.Shape{32, 32, 16}, 14)
 	eb := 1e-6

@@ -93,22 +93,6 @@ func ScalarOf[T grid.Scalar]() ScalarType {
 // amplified through every finer level.
 const DefaultProgressiveThreshold = 4096
 
-// BoundMode selects how the optimizer weighs the truncation loss of coarse
-// levels when predicting the final L∞ error.
-type BoundMode uint8
-
-const (
-	// SafeBound uses the conservative per-level weight
-	// (p^D)^(l-1) · (1+p+...+p^(D-1)) that accounts for dimension-by-
-	// dimension prediction inside a level. Retrieval error bounds are hard
-	// guarantees under this mode. This is the default.
-	SafeBound BoundMode = iota
-	// PaperBound uses the paper's Eq. (5) weight p^(l-1), which assumes a
-	// single prediction application per level. It loads less data but the
-	// guarantee relies on errors not compounding within a level.
-	PaperBound
-)
-
 // Options configures compression.
 type Options struct {
 	// ErrorBound is the point-wise absolute error bound eb (> 0).

@@ -119,11 +119,7 @@ func (a *Archive) RetrieveAll() (*Result, error) { return a.Retrieve(a.fullPlan(
 // RetrieveErrorBound reconstructs with the cheapest plan guaranteeing the
 // given absolute L∞ bound (error-bound mode, paper §5.2).
 func (a *Archive) RetrieveErrorBound(bound float64) (*Result, error) {
-	plan, err := a.PlanErrorBoundMode(bound)
-	if err != nil {
-		return nil, err
-	}
-	return a.Retrieve(plan)
+	return a.RetrieveErrorBoundStats(bound, nil)
 }
 
 // RetrieveBitrate reconstructs with the most accurate plan that loads at

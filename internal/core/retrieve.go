@@ -89,7 +89,6 @@ func readSpan(src BlockSource, off int64, n int) ([]byte, func(), error) {
 type Archive struct {
 	h     *header
 	src   BlockSource
-	mode  BoundMode
 	dec   *interp.Decomposition
 	quant quant.Quantizer
 	// weight[l-1] is the optimizer's amplification weight for truncation
@@ -143,21 +142,12 @@ func NewArchiveFrom(src BlockSource) (*Archive, error) {
 	a := &Archive{
 		h:     h,
 		src:   src,
-		mode:  SafeBound,
 		dec:   dec,
 		quant: quant.New(h.eb),
 	}
-	a.weight = boundWeights(h, a.mode)
+	a.weight = boundWeights(h)
 	a.slack = roundSlack(h, a.weight)
 	return a, nil
-}
-
-// SetBoundMode switches between the conservative (default) and the paper's
-// error accounting; see BoundMode.
-func (a *Archive) SetBoundMode(m BoundMode) {
-	a.mode = m
-	a.weight = boundWeights(a.h, m)
-	a.slack = roundSlack(a.h, a.weight)
 }
 
 // roundSlack bounds the error a truncated float32 reconstruction adds on
@@ -190,25 +180,23 @@ func roundSlack(h *header, weight []float64) float64 {
 }
 
 // boundWeights returns the per-level multiplier applied to a level's
-// truncation loss when predicting the final L∞ error.
-func boundWeights(h *header, mode BoundMode) []float64 {
+// truncation loss when predicting the final L∞ error:
+// (1+p+...+p^(D-1)) · (p^D)^(l-1), which accounts for the dimension-by-
+// dimension prediction inside a level and for every coarser level's
+// propagation through the finer ones, so retrieval bounds are hard
+// guarantees. The paper's Eq. (5) weight p^(l-1) counts one prediction per
+// level and understates the error (TestPaperWeightsUnderstateError).
+func boundWeights(h *header) []float64 {
 	p := h.kind.Amplification()
 	d := len(h.shape)
+	amp := math.Pow(p, float64(d)) // per-level amplification p^D
+	c := 0.0
+	for k := 0; k < d; k++ {
+		c += math.Pow(p, float64(k))
+	}
 	w := make([]float64, h.levels)
-	switch mode {
-	case PaperBound:
-		for l := 1; l <= h.levels; l++ {
-			w[l-1] = math.Pow(p, float64(l-1))
-		}
-	default: // SafeBound
-		amp := math.Pow(p, float64(d)) // per-level amplification p^D
-		c := 0.0
-		for k := 0; k < d; k++ {
-			c += math.Pow(p, float64(k))
-		}
-		for l := 1; l <= h.levels; l++ {
-			w[l-1] = c * math.Pow(amp, float64(l-1))
-		}
+	for l := 1; l <= h.levels; l++ {
+		w[l-1] = c * math.Pow(amp, float64(l-1))
 	}
 	return w
 }
@@ -286,22 +274,20 @@ func (a *Archive) PlanBytes(p Plan) int64 {
 	return total
 }
 
-// PlanErrorBound returns the guaranteed L∞ bound of the plan:
-// eb + sum_l weight_l · maxDrop_l(dropped) · step, plus — for float32
-// archives whose plan drops any plane — the rounding slack of roundSlack,
-// so the returned bound is conservative at every scalar width. Plans that
-// drop nothing are exact for both widths: full fidelity reproduces the
-// encoder's bound-checked work array bit for bit.
+// PlanErrorBound returns the guaranteed L∞ bound of the plan: eb plus
+// every level's truncErr, plus — for float32 archives whose plan drops any
+// plane — the rounding slack of roundSlack, so the returned bound is
+// conservative at every scalar width. Plans that drop nothing are exact for
+// both widths: full fidelity reproduces the encoder's bound-checked work
+// array bit for bit.
 func (a *Archive) PlanErrorBound(p Plan) float64 {
 	e := a.h.eb
 	truncated := false
 	for l := 1; l <= a.h.levels; l++ {
-		m := a.h.metaOf(l)
-		dropped := m.usedPlanes - p.Keep[l-1]
-		if dropped > 0 {
+		if p.Keep[l-1] < a.h.metaOf(l).usedPlanes {
 			truncated = true
 		}
-		e += a.weight[l-1] * float64(m.maxDrop[dropped]) * a.quant.Step()
+		e += a.truncErr(l, p.Keep[l-1])
 	}
 	if truncated {
 		e += a.slack
@@ -310,7 +296,8 @@ func (a *Archive) PlanErrorBound(p Plan) float64 {
 }
 
 // truncErr is the predicted truncation-induced error of keeping `keep`
-// planes at level l (excluding the base eb).
+// planes at level l (excluding the base eb): the level's exact worst-case
+// loss in quantization steps, times its weight.
 func (a *Archive) truncErr(l, keep int) float64 {
 	m := a.h.metaOf(l)
 	return a.weight[l-1] * float64(m.maxDrop[m.usedPlanes-keep]) * a.quant.Step()

@@ -38,16 +38,6 @@ func (k Interpolation) kind() interp.Kind {
 	return interp.Cubic
 }
 
-// BoundMode selects the optimizer's error accounting; see core.BoundMode.
-type BoundMode = core.BoundMode
-
-const (
-	// SafeBound (default) makes progressive error bounds hard guarantees.
-	SafeBound = core.SafeBound
-	// PaperBound uses the paper's Eq. (5) accounting, loading less data.
-	PaperBound = core.PaperBound
-)
-
 // ScalarType identifies an archive's element type.
 type ScalarType = core.ScalarType
 
@@ -185,9 +175,6 @@ func (ar *Archive) FormatVersion() int { return ar.a.FormatVersion() }
 
 // CompressedSize returns the total archive size in bytes.
 func (ar *Archive) CompressedSize() int64 { return ar.a.TotalSize() }
-
-// SetBoundMode switches between SafeBound and PaperBound accounting.
-func (ar *Archive) SetBoundMode(m BoundMode) { ar.a.SetBoundMode(m) }
 
 // RetrieveAll reconstructs at full fidelity.
 func (ar *Archive) RetrieveAll() (*Result, error) {
