@@ -24,8 +24,10 @@ func planError(t *testing.T, a *Archive, p Plan, src []float64) float64 {
 
 // boundCase builds a random field of the given shape: smooth modes, noise
 // at a random fraction of the range, and a few planted outliers far outside
-// it, which escape the quantizer and raise float32's magnitude.
-func boundCase(r *rand.Rand, shape grid.Shape) []float64 {
+// it, which escape the quantizer. offset lifts the whole field by 50 to
+// 50 000 times the modes' amplitude, so that a float32 archive's magnitude
+// dwarfs its range and rounding is a large part of a truncated plan's error.
+func boundCase(r *rand.Rand, shape grid.Shape, offset bool) []float64 {
 	vals := smoothField(shape, r.Int63()).Data()
 	noise := math.Pow(10, -1-3*r.Float64())
 	for i := range vals {
@@ -34,14 +36,21 @@ func boundCase(r *rand.Rand, shape grid.Shape) []float64 {
 	for range 1 + len(vals)/500 {
 		vals[r.Intn(len(vals))] = 50 * (r.Float64() - 0.5)
 	}
+	if offset {
+		off := 50 * math.Pow(10, 3*r.Float64())
+		for i := range vals {
+			vals[i] += off
+		}
+	}
 	return vals
 }
 
 // TestPlanErrorBoundHolds is the planner's contract at both widths: every
 // plan answers within its PlanErrorBound. The archives are random 1-D to
 // 4-D fields under both predictors, at relative bounds from 1e-3 to 3e-7,
-// with thresholds that make one, two or three levels progressive, two
-// archives for each rank, width and progressive level count. Every
+// with thresholds that make one, two or three levels progressive: for each
+// rank, progressive level count and width, one field about zero and one
+// far from it (see boundCase). Every
 // plan over one or two progressive levels is decoded; over three, a random
 // sample. The plans both planners choose are checked too, each against
 // its own bound and, in error-bound mode, against the request.
@@ -53,7 +62,7 @@ func TestPlanErrorBoundHolds(t *testing.T) {
 			for c := range 4 {
 				f32 := c%2 == 1
 				kind := interp.Kind((len(shape) + prog) % 2) // both predictors at each width and rank
-				vals := boundCase(r, shape)
+				vals := boundCase(r, shape, c >= 2)
 				if f32 {
 					vals = grid.WidenSlice(grid.NarrowSlice(vals))
 				}

@@ -160,9 +160,15 @@ func NewArchiveFrom(src BlockSource) (*Archive, error) {
 // scaling), plus the k·step multiply-add and the final store (≤ 1 ulp
 // combined) — 8 doubles that worst case for safety, and at ~1e-6 relative
 // the pessimism only matters to retrievals within a few quantization steps
-// of eb. Full-fidelity plans need no slack: they reproduce the encoder's
-// work array bit for bit, and the encoder verified every point against eb
-// as stored.
+// of eb.
+//
+// Only the progressive levels 1..prog are charged. A level's values depend
+// only on its own codes and on the coarser levels, and every plan loads
+// every plane of the levels above prog, so those levels get exactly the
+// encoder's inputs and reproduce its work array bit for bit: they add no
+// rounding error that the encoder has not already checked against eb.
+// Full-fidelity plans need no slack at all, for the same reason at every
+// level.
 func roundSlack(h *header, weight []float64) float64 {
 	if h.scalar != Float32 || h.maxAbs == 0 {
 		return 0
@@ -173,7 +179,7 @@ func roundSlack(h *header, weight []float64) float64 {
 	}
 	ulp := 8 * h.maxAbs / (1 << 23)
 	s := 0.0
-	for _, w := range weight {
+	for _, w := range weight[:h.prog] {
 		s += w * ulp
 	}
 	return s
