@@ -132,17 +132,6 @@ func (c *Container) ReadAtTrace(p []byte, off int64, trace string) (int, error) 
 // Size returns the container's size in bytes.
 func (c *Container) Size() int64 { return c.size }
 
-// Name returns the container's name within its backend.
-func (c *Container) Name() string { return c.name }
-
-// Counters forwards the backing backend's counters, if it carries any.
-func (c *Container) Counters() (Counters, bool) {
-	if cs, ok := c.b.(CounterSource); ok {
-		return cs.Counters(), true
-	}
-	return Counters{}, false
-}
-
 // checkRange validates [off, off+n) against a container of the given size.
 func checkRange(name string, off, n, size int64) error {
 	// Subtraction, not off+n: offsets near 2^63 must not overflow past the

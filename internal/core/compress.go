@@ -59,8 +59,8 @@ func Compress[T grid.Scalar](g *grid.Grid[T], opt Options) ([]byte, error) {
 	// through the exact outlier path at any plan, so the slack only needs
 	// to cover the finite points, while +Inf still propagates into maxAbs
 	// and (honestly) forbids finite truncated-plan guarantees.
-	work := getWork[T](g.Len())
-	defer putWork(work)
+	work := GetScratch[T](g.Len())
+	defer PutScratch(work)
 	if h.scalar == Float32 {
 		h.maxAbs = copyMaxAbs(work, g.Data())
 	} else {
@@ -82,8 +82,8 @@ func Compress[T grid.Scalar](g *grid.Grid[T], opt Options) ([]byte, error) {
 		counts[l] = dec.LevelCount(l)
 		totalPts += counts[l]
 	}
-	ksAll := int32Scratch.Get(totalPts)
-	defer int32Scratch.Put(ksAll)
+	ksAll := GetScratch[int32](totalPts)
+	defer PutScratch(ksAll)
 	qvals := make([][]int32, L+1) // 1-based by level
 	for l, off := 1, 0; l <= L; l++ {
 		qvals[l] = ksAll[off : off+counts[l] : off+counts[l]]
@@ -119,7 +119,7 @@ func Compress[T grid.Scalar](g *grid.Grid[T], opt Options) ([]byte, error) {
 		// Split into a pooled backing (every byte in range is overwritten,
 		// so no zeroing), in the one pass after quantization.
 		nbytes := (counts[l] + 7) / 8
-		backing := byteScratch.Get(bitplane.Planes * nbytes)
+		backing := GetScratch[byte](bitplane.Planes * nbytes)
 		var all [bitplane.Planes][]byte
 		for p := range all {
 			all[p] = backing[p*nbytes : (p+1)*nbytes : (p+1)*nbytes]
@@ -137,7 +137,7 @@ func Compress[T grid.Scalar](g *grid.Grid[T], opt Options) ([]byte, error) {
 		for p := 0; p < used; p++ {
 			m.blockSizes[p] = uint32(len(blocks[l][p]))
 		}
-		byteScratch.Put(backing)
+		PutScratch(backing)
 	}
 
 	head := h.marshal()

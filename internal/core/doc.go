@@ -33,8 +33,11 @@
 //     optimizer; PlanSpans/HeaderSize (spans.go) turn a plan diff into
 //     the archive byte ranges it needs, which is what lets a server ship
 //     progressive refinements without decoding anything.
-//   - ParallelFor / ParallelForErr and the SlicePool scratch machinery
-//     are the worker-pool substrate shared with internal/store.
+//   - ParallelFor / ParallelForErr are the worker-pool substrate shared
+//     with internal/store. GetScratch / PutScratch (pool.go) are the one
+//     scratch pool per element type, a sync.Pool per capacity class, that
+//     core, the store's tile staging and the server's ingest bodies draw
+//     their buffers from; a released Result's backings go back to it.
 //
 // Everything here is deterministic: the same input bytes and the same
 // plan produce bit-identical output regardless of GOMAXPROCS — and, for a

@@ -106,11 +106,11 @@ func BenchmarkDecodeRealPlanes(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				r := &Result{arch: a, plan: Plan{Keep: make([]int, a.h.levels)}}
-				planes := byteScratch.Get(planeBytes)
+				planes := GetScratch[byte](planeBytes)
 				if _, err := r.fetch(full, planes, nil); err != nil {
 					b.Fatal(err)
 				}
-				byteScratch.Put(planes)
+				PutScratch(planes)
 			}
 		})
 	}

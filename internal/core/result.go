@@ -180,24 +180,17 @@ func retrieveStatsAs[T grid.Scalar](a *Archive, plan Plan, st *DecodeStats) (*Re
 	return r, nil
 }
 
-// getReleased returns a length-n value backing, a released result's when
-// one of its size class is pooled.
-func getReleased[T grid.Scalar](n int) []T {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return any(released32.Get(n)).([]T)
-	}
-	return any(released64.Get(n)).([]T)
-}
-
 // RetainedBytes reports the bytes of the result's backings: its values
 // and, below full fidelity, its decoded planes. It is what a cache that
-// holds the result keeps alive; a released result retains nothing.
+// holds the result keeps alive, so it counts their capacities: a backing
+// from the scratch pools may be up to twice what it holds. A released
+// result retains nothing.
 func (r *Result) RetainedBytes() int64 {
-	return int64(len(r.data64)*8 + len(r.data32)*4 + len(r.planes))
+	return int64(cap(r.data64)*8 + cap(r.data32)*4 + cap(r.planes))
 }
 
-// Release hands the result's values and planes to a later retrieval and
+// Release hands the result's values and planes to the scratch pools
+// (PutScratch), where a later retrieval or compression takes them, and
 // leaves the result empty. Nothing may use the result after it, nor any
 // slice it shared (Data and Grid of a float64 result, DataFloat32 of a
 // float32 one, DataOf of the native type). A program that keeps its
@@ -205,13 +198,9 @@ func (r *Result) RetainedBytes() int64 {
 // it evicts, so that a steady stream of cold tiles decodes into the
 // memory of the tiles they displace.
 func (r *Result) Release() {
-	if r.data32 != nil {
-		released32.Put(r.data32)
-	}
-	if r.data64 != nil {
-		released64.Put(r.data64)
-	}
-	releasedPlanes.Put(r.planes)
+	PutScratch(r.data32)
+	PutScratch(r.data64)
+	PutScratch(r.planes)
 	r.data32, r.data64, r.planes = nil, nil, nil
 }
 
@@ -254,12 +243,13 @@ func (a *Archive) keepOf(plan Plan, l int) int {
 // refinement either happens in full or leaves the result at its old plan
 // with its old values and guarantee.
 //
-// A retrieval takes its value backing while the planes decode, as one
-// more job of their fan-out (fetch). A result that ends with every plane
-// of every level loaded keeps no planes: a retrieval of every plane
-// decodes into pooled scratch, and a refinement that gets there drops its
-// backing to the collector, never to a pool, where it would outlive the
-// results that need it.
+// A retrieval takes its value and plane backings from the scratch pools,
+// the values while the planes decode, as one more job of their fan-out
+// (fetch). A result that ends with every plane of every level loaded
+// keeps no planes: a retrieval of every plane gives its backing back to
+// the pools once it has rebuilt, and a refinement that gets there drops
+// its backing to the collector, never to a pool, where it would outlive
+// the results that need it.
 func raise[T grid.Scalar](r *Result, plan Plan, data []T) error {
 	a := r.arch
 	if data != nil && r.planes == nil {
@@ -271,17 +261,16 @@ func raise[T grid.Scalar](r *Result, plan Plan, data []T) error {
 		full = full && max(have, want) == a.h.metaOf(l).usedPlanes
 	}
 	planes := r.planes
-	switch {
-	case planes == nil && full:
-		// A retrieval of every plane holds them only while it rebuilds.
-		planes = byteScratch.Get(a.h.planeSlots())
-		defer byteScratch.Put(planes)
-	case planes == nil:
-		planes = releasedPlanes.Get(a.h.planeSlots())
+	if planes == nil {
+		planes = GetScratch[byte](a.h.planeSlots())
+		if full {
+			// A retrieval of every plane holds them only while it rebuilds.
+			defer PutScratch(planes)
+		}
 	}
 	var alloc func()
 	if data == nil {
-		alloc = func() { setData(r, getReleased[T](a.h.shape.Len())) }
+		alloc = func() { setData(r, GetScratch[T](a.h.shape.Len())) }
 	}
 	from, err := r.fetch(plan, planes, alloc)
 	if err != nil {

@@ -71,12 +71,12 @@ type rangeIntoReader interface {
 // returns a zero-copy subslice with a no-op release.
 func readSpan(src BlockSource, off int64, n int) ([]byte, func(), error) {
 	if ir, ok := src.(rangeIntoReader); ok {
-		buf := spanScratch.Get(n)
+		buf := GetScratch[byte](n)
 		if err := ir.ReadRangeInto(buf, off); err != nil {
-			spanScratch.Put(buf)
+			PutScratch(buf)
 			return nil, nil, err
 		}
-		return buf, func() { spanScratch.Put(buf) }, nil
+		return buf, func() { PutScratch(buf) }, nil
 	}
 	raw, err := src.ReadRange(off, n)
 	if err != nil {

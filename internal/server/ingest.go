@@ -345,22 +345,15 @@ func bodyLengthError(got, want int64, p *ingestParams) string {
 		[]int(p.shape), want/width, p.scalar, want, have)
 }
 
-// bodyScratch pools the whole-field buffers request bodies are read into,
-// one pool per width (core.PoolGet routes). A series posts one shape over
-// and over, so the pooled buffers converge to its size and a write stops
-// allocating — and page-faulting in — a field's worth of memory per POST.
-var (
-	bodyScratch   core.SlicePool[float64]
-	bodyScratch32 core.SlicePool[float32]
-)
-
 // ingestBody is the second half of a write, at the body's width: the
 // body is read once, straight into the values the tiles are gathered
 // from, then fingerprinted, compressed where it changed, staged and
-// registered.
+// registered. The values are pooled scratch: a series posts one shape over
+// and over, so a write stops allocating — and page-faulting in — a
+// field's worth of memory per POST.
 func ingestBody[T grid.Scalar](srv *Server, ing *ingestState, w http.ResponseWriter, r *http.Request, tr *obs.Trace, field string, prev *cas.Manifest, p *ingestParams) int {
-	data := core.PoolGet[T](&bodyScratch, &bodyScratch32, p.shape.Len())
-	defer core.PoolPut(&bodyScratch, &bodyScratch32, data)
+	data := core.GetScratch[T](p.shape.Len())
+	defer core.PutScratch(data)
 	width := p.scalar.Bytes()
 	want := int64(len(data)) * int64(width)
 	n, err := grid.ReadLE(r.Body, data)

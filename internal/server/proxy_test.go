@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/backend"
 	"repro/internal/datagen"
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/ipcomp/client"
 )
@@ -134,6 +138,82 @@ func TestEdgeProxy(t *testing.T) {
 	}
 	if after.Hits <= before.Hits {
 		t.Error("warm request recorded no span-cache hits")
+	}
+}
+
+// TestEdgeProxyPlanesTrace: a planes request to a tracing edge that
+// reads its container through backend.NewCached(backend.NewHTTP(origin))
+// carries the client's trace id onto the origin Range reads of the spans
+// it streams — Store.ReadRangeTrace → Cached → HTTP's X-Ipcomp-Trace
+// header — so the origin's half of the work stitches into the client's
+// trace. Planning reads each tile's header first, and without the id
+// (PlanRegion takes none); every origin read from the first traced one on
+// is a span read and must carry it.
+func TestEdgeProxyPlanesTrace(t *testing.T) {
+	env := newTestEnv(t)
+	originSrv := New()
+	if err := originSrv.AddStore("test.ipcs", env.st); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var traces []string // the trace header of each origin Range read
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Range") != "" {
+			mu.Lock()
+			traces = append(traces, r.Header.Get(obs.TraceHeader))
+			mu.Unlock()
+		}
+		originSrv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(origin.Close)
+
+	hb, err := backend.NewHTTP(origin.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenBackend(backend.NewCached(hb, 8<<20), "test.ipcs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeSrv := New()
+	edgeSrv.EnableTracing(obs.Options{Sample: 1})
+	if err := edgeSrv.AddStore("test.ipcs", st); err != nil {
+		t.Fatal(err)
+	}
+	edge := httptest.NewServer(edgeSrv.Handler())
+	t.Cleanup(edge.Close)
+	mu.Lock()
+	traces = nil // the reads that opened the container
+	mu.Unlock()
+
+	const id = "client-trace-7"
+	req, err := http.NewRequest(http.MethodGet, edge.URL+
+		"/v1/datasets/density/region?lo=4,4,4&hi=28,28,28&format=planes&bound="+formatFloat(256*env.eb), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obs.TraceHeader, id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("planes request: status %d, %d body bytes, %v", resp.StatusCode, len(body), err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	first := slices.Index(traces, id)
+	if first < 0 {
+		t.Fatalf("none of the %d origin Range reads carried trace %q (got %q)", len(traces), id, traces)
+	}
+	for i, got := range traces[first:] {
+		if got != id {
+			t.Errorf("origin Range read %d of %d, after the first span read, carried trace %q, want %q",
+				first+i+1, len(traces), got, id)
+		}
 	}
 }
 

@@ -113,14 +113,16 @@ func New() *Server {
 // always do.
 func (srv *Server) TileCache() *store.TileCache { return srv.tiles }
 
-// containerETag derives a freshness validator from the container's size
+// ContainerETag derives a freshness validator from the container's size
 // and tail (the footer pins the index offset, so any repack changes it).
 // Remote readers present it as If-Range, which is what keeps an edge's
 // span cache from splicing two versions of a replaced container. A
 // failed tail read fails registration: a size-only validator would match
 // a same-size repack, which is exactly the corruption this exists to
-// stop.
-func containerETag(s *store.Store) (string, error) {
+// stop. Callers registering a peer-owned container (AddRemote) use it
+// too, so a cluster-wide /v1/containers listing carries the ETag the
+// owning node serves, whichever node answers.
+func ContainerETag(s *store.Store) (string, error) {
 	// The hash input: the size as 8 little-endian bytes, then the tail.
 	n := min(64, s.Size())
 	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+n), uint64(s.Size()))[:8+n]
@@ -131,12 +133,6 @@ func containerETag(s *store.Store) (string, error) {
 	h.Write(b)
 	return fmt.Sprintf(`"%016x"`, h.Sum64()), nil
 }
-
-// ContainerETag exposes the container freshness validator to callers
-// that register peer-owned containers (AddRemote wants the same ETag the
-// owning node will serve, so a cluster-wide /v1/containers listing is
-// consistent no matter which node answers it).
-func ContainerETag(s *store.Store) (string, error) { return containerETag(s) }
 
 // AddStore registers an open container under the given name (its file
 // base name or backend container name), serving every dataset it holds.
@@ -176,7 +172,7 @@ func (srv *Server) AddStore(name string, s *store.Store) error {
 	// mode this read doubles as the readiness probe of an owned container:
 	// a node cannot register (and so cannot report ready) a container
 	// whose backend does not answer.
-	etag, err := containerETag(s)
+	etag, err := ContainerETag(s)
 	if err != nil {
 		return err
 	}

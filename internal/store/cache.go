@@ -20,7 +20,7 @@ const DefaultCacheBytes = 256 << 20
 // budget at admission, before its decode: the decoded values (8 or 4
 // B/elem by scalar width) and at most 4 B/elem of decoded planes, a bit
 // for each of a value's stored planes — its whole refinement state — so
-// 12 B/elem, 8 for float32 tiles. Once the tile is decoded, settle lowers
+// 12 B/elem, 8 for float32 tiles. Once the tile is decoded, settle sets
 // the charge to what its result retains (core.Result.RetainedBytes): the
 // values and its decoded planes, or the values alone at full fidelity.
 func cachedBytesPerElem(s core.ScalarType) int64 { return int64(s.Bytes()) + 4 }
@@ -125,7 +125,7 @@ func (c *cacheStats) snapshot() Stats {
 // front, at admission: a bound on the decoded size is known from the
 // tiling before any work happens, and charging early keeps concurrent
 // fills from overshooting the budget. After every decode and refine the
-// charge drops to what the tile's result retains (settle): its values and
+// charge becomes what the tile's result retains (settle): its values and
 // decoded planes, its values alone at full fidelity. An evicted entry
 // leaves the map and, unless a goroutine holds it locked at that moment,
 // gives its decoded values and planes to the next cold decode (recycle),
@@ -216,14 +216,16 @@ func (c *TileCache) acquire(key tileKey, decodedBytes int64) *chunkEntry {
 	return e
 }
 
-// settle lowers e's charge to retained, the bytes its result keeps alive.
-// It never raises one: the admission charge bounds what a decode of the
-// tile holds. An entry the cache no longer holds is left alone: nothing
-// counts its charge any more.
+// settle sets e's charge to retained, the bytes its result keeps alive.
+// That is below the admission charge as a rule, and above it only when
+// the result's backings came from the scratch pools larger than what they
+// hold (less than twice); the next admission evicts down to the budget.
+// An entry the cache no longer holds is left alone: nothing counts its
+// charge any more.
 func (c *TileCache) settle(e *chunkEntry, retained int64) {
 	c.mu.Lock()
-	if el, ok := c.entries[e.key]; ok && el.Value == e && retained < e.charged {
-		c.used -= e.charged - retained
+	if el, ok := c.entries[e.key]; ok && el.Value == e {
+		c.used += retained - e.charged
 		e.charged = retained
 	}
 	c.mu.Unlock()

@@ -121,9 +121,9 @@ func tilingFor(shape grid.Shape, opt WriteOptions) (*tiling, error) {
 // online ingest (PackSnapshot). skip, when not nil, is shown each staged
 // tile before it is compressed and may claim it: that tile's blob stays
 // nil. It runs on the workers, concurrently. Any chunk error aborts the
-// whole dataset. Tile staging buffers come from a pool shared across
-// workers and datasets: CopyRegion overwrites the full box and Compress
-// copies it into its own scratch, so reuse is safe.
+// whole dataset. Tile staging buffers come from core's scratch pools:
+// CopyRegion overwrites the full box and Compress copies it into its own
+// scratch, so reuse is safe.
 func compressTiles[T grid.Scalar](name string, g *grid.Grid[T], til *tiling, opt WriteOptions, skip func(i int, tile *grid.Grid[T]) bool) ([][]byte, error) {
 	blobs := make([][]byte, til.n)
 	err := core.ParallelForErr(til.n, func(i int) error {
@@ -132,8 +132,8 @@ func compressTiles[T grid.Scalar](name string, g *grid.Grid[T], til *tiling, opt
 		for d := range lo {
 			shape[d] = hi[d] - lo[d]
 		}
-		buf := getTile[T](shape.Len())
-		defer putTile(buf)
+		buf := core.GetScratch[T](shape.Len())
+		defer core.PutScratch(buf)
 		sub, err := grid.FromSlice(buf, shape)
 		if err != nil {
 			return err
