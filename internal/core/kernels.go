@@ -110,23 +110,70 @@ func (e *levelQuantizer[T]) quantizeLines(p *interp.Pass, kind interp.Kind, lo, 
 	var r interp.Run // outside the loop, as in applyLines
 	w := p.Walk(kind, lo, hi)
 	for w.Next(&r) {
-		acc = e.quantizeRun(&r, ks, acc)
+		acc = e.quantizeBlock(&r, ks, acc)
 	}
 	return acc
 }
 
+// quantizeBlock quantizes every point of the block r and appends its
+// outliers to acc: through a pair kernel when one takes the block, the
+// scalar loop absorbing each group that trips a guard, else a row (or
+// column, see lineup) at a time through quantizeRun. It moves r through
+// its rows.
+func (e *levelQuantizer[T]) quantizeBlock(r *interp.Run, ks []int32, acc []outlier) []outlier {
+	lanes := lanes[T]()
+	for at := 0; ; at++ {
+		at = quantizePairsAccel(e.work, ks, r, at, e.step, e.invStep, e.eb)
+		if at == -1 {
+			return acc
+		}
+		if at < 0 {
+			break
+		}
+		// Group g of a row holds its points [g·lanes, (g+1)·lanes): the
+		// last, overlapped group only those its predecessor did not.
+		g, row := at/r.Rows, at%r.Rows
+		lo := g * lanes
+		acc = e.quantizeScalar(r, ks, r.Flat+row*r.RowStep+lo*r.Step, r.Seq+row*r.RowSeqStep+lo*r.SeqStep, min(lanes, r.N-lo), acc)
+	}
+	lineup[T](r)
+	for rows := r.Rows; rows > 0; rows-- {
+		acc = e.quantizeRun(r, ks, acc)
+		r.Flat += r.RowStep
+		r.Seq += r.RowSeqStep
+	}
+	return acc
+}
+
+// lanes returns the lanes of T's vector kernels: 4 float64, 8 float32.
+func lanes[T grid.Scalar]() int {
+	if _, ok := any(T(0)).(float64); ok {
+		return 4
+	}
+	return 8
+}
+
+// lineup turns the block r, if need be, so that its rows are the runs a
+// kernel takes: they stay rows when they fill a vector group or are at
+// least as many targets as there are rows, else they become its columns
+// (the boundary targets of the innermost pass, rows too short for a
+// group).
+func lineup[T grid.Scalar](r *interp.Run) {
+	if r.N < lanes[T]() && r.Rows > r.N {
+		r.Transpose()
+	}
+}
+
 // quantizeRun quantizes every point of r and appends its outliers to acc.
 func (e *levelQuantizer[T]) quantizeRun(r *interp.Run, ks []int32, acc []outlier) []outlier {
-	w := e.work
-	step, invStep, eb := e.step, e.invStep, e.eb
 	f, seq := r.Flat, r.Seq
 	remaining := r.N
 	for remaining > 0 {
 		// The vector kernel commits whole groups until one trips the
-		// window or bound guard; the scalar loop below then absorbs a
-		// short span (which owns the outlier protocol) before retrying,
-		// and takes the tail shorter than a group.
-		if done := quantizeRunAccel(w, ks, r, f, seq, remaining, step, invStep, eb); done > 0 {
+		// window or bound guard; the scalar loop then absorbs a short
+		// span (which owns the outlier protocol) before retrying, and
+		// takes the tail shorter than a group.
+		if done := quantizeRunAccel(e.work, ks, r, f, seq, remaining, e.step, e.invStep, e.eb); done > 0 {
 			f += done * r.Step
 			seq += done * r.SeqStep
 			remaining -= done
@@ -136,39 +183,49 @@ func (e *levelQuantizer[T]) quantizeRun(r *interp.Run, ks []int32, acc []outlier
 		if asmKernels && g > 8 {
 			g = 8
 		}
+		acc = e.quantizeScalar(r, ks, f, seq, g, acc)
 		remaining -= g
-		for ; g > 0; g-- {
-			// Predict inlines (it is a small switch on the run's Mode, a
-			// loop-invariant and thus perfectly predicted branch), and the
-			// quantize-reconstruct arithmetic below is the exact expression
-			// sequence of quant.QuantizeReconstruct (pinned by the kernel
-			// spec test), inlined because the call does not. The residual
-			// scales in T and widens — exactly — for the window test, so
-			// math.Round of an in-window value can never produce an index
-			// outside the negabinary window; the bound is checked in
-			// float64 against the value as stored in T, so float32
-			// rounding can only escape to the outlier path, never break
-			// the guarantee.
-			pred := interp.Predict(r, w, f)
-			orig := w[f]
-			qf := float64((orig - pred) * invStep)
-			var k int32
-			ok := false
-			if qf >= -nb.MaxIndex && qf <= nb.MaxIndex {
-				k = int32(math.Round(qf))
-				recon := pred + T(k)*step
-				if d := float64(recon) - float64(orig); d <= eb && d >= -eb {
-					w[f], ok = recon, true
-				}
+		f += g * r.Step
+		seq += g * r.SeqStep
+	}
+	return acc
+}
+
+// quantizeScalar quantizes the n points of r from flat index f and
+// sequence index seq on, one at a time, and appends their outliers to acc.
+func (e *levelQuantizer[T]) quantizeScalar(r *interp.Run, ks []int32, f, seq, n int, acc []outlier) []outlier {
+	w := e.work
+	step, invStep, eb := e.step, e.invStep, e.eb
+	for ; n > 0; n-- {
+		// Predict inlines (it is a small switch on the run's Mode, a
+		// loop-invariant and thus perfectly predicted branch), and the
+		// quantize-reconstruct arithmetic below is the exact expression
+		// sequence of quant.QuantizeReconstruct (pinned by the kernel
+		// spec test), inlined because the call does not. The residual
+		// scales in T and widens — exactly — for the window test, so
+		// math.Round of an in-window value can never produce an index
+		// outside the negabinary window; the bound is checked in float64
+		// against the value as stored in T, so float32 rounding can only
+		// escape to the outlier path, never break the guarantee.
+		pred := interp.Predict(r, w, f)
+		orig := w[f]
+		qf := float64((orig - pred) * invStep)
+		var k int32
+		ok := false
+		if qf >= -nb.MaxIndex && qf <= nb.MaxIndex {
+			k = int32(math.Round(qf))
+			recon := pred + T(k)*step
+			if d := float64(recon) - float64(orig); d <= eb && d >= -eb {
+				w[f], ok = recon, true
 			}
-			if !ok {
-				k = 0
-				acc = append(acc, outlier{uint32(seq), float64(orig)})
-			}
-			ks[seq] = k
-			seq += r.SeqStep
-			f += r.Step
 		}
+		if !ok {
+			k = 0
+			acc = append(acc, outlier{uint32(seq), float64(orig)})
+		}
+		ks[seq] = k
+		seq += r.SeqStep
+		f += r.Step
 	}
 	return acc
 }
@@ -283,16 +340,25 @@ func applyLines[T grid.Scalar](p *interp.Pass, kind interp.Kind, lo, hi int, dat
 	}
 }
 
-// applyRun writes pred + k·step to every point of r: through the vector
-// kernel when it takes the run, else through the scalar loop.
+// applyRun writes pred + k·step to every point of the block r: the whole
+// block through a pair kernel when one takes it, else a row (or column, see
+// lineup) at a time through the strided vector kernel when it takes the
+// line, else through the scalar loop. It moves r through its rows.
 func applyRun[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) {
-	if applyRunAccel(data, ks, r, step) {
+	if applyPairsAccel(data, ks, r, step) {
 		return
 	}
-	f, seq := r.Flat, r.Seq
-	for n := r.N; n > 0; n-- {
-		data[f] = interp.Predict(r, data, f) + T(ks[seq])*step
-		f += r.Step
-		seq += r.SeqStep
+	lineup[T](r)
+	for rows := r.Rows; rows > 0; rows-- {
+		if !applyRunAccel(data, ks, r, step) {
+			f, seq := r.Flat, r.Seq
+			for n := r.N; n > 0; n-- {
+				data[f] = interp.Predict(r, data, f) + T(ks[seq])*step
+				f += r.Step
+				seq += r.SeqStep
+			}
+		}
+		r.Flat += r.RowStep
+		r.Seq += r.RowSeqStep
 	}
 }

@@ -44,6 +44,12 @@ type kernArgs struct {
 	invStep float64
 	eb      float64
 	ksStep  int64 // index stride between points
+	// The apply pair kernels cover a block of rows in one call: row i
+	// starts rowStep points and ksRowStep indices after row i-1.
+	rows      int64
+	rowStep   int64
+	ksRowStep int64
+	at        int64 // quantize pair kernels: the first group, g·rows + row
 }
 
 // quantizeRunF64 commits points through the fused predict+quantize+bound
@@ -72,6 +78,44 @@ func applyRunF64(a *kernArgs) int64
 //
 //go:noescape
 func applyRunF32(a *kernArgs) int64
+
+// quantizePairsF64 quantizes a block of rows whose points sit 2 elements
+// apart with contiguous indices, the targets of level-1 rows: each operand
+// is two whole-vector loads and a lane deinterleave, each group's indices
+// one store and its values two masked stores that write only its targets.
+// It goes group by group across the rows (the first group of every row,
+// then the second, …; a row's last group overlaps the one before it and
+// commits only its new lanes), from group a.at (g·rows + row) on, and
+// returns the first group with a lane out of the window or the bound, or
+// −1 when it committed every group.
+//
+//go:noescape
+func quantizePairsF64(a *kernArgs) int64
+
+// quantizePairsF32 is the eight-lane single-precision variant.
+//
+//go:noescape
+func quantizePairsF32(a *kernArgs) int64
+
+// applyPairsF64 is applyRunF64 for a block of rows whose points sit 2
+// elements apart with contiguous indices, each row at least one group
+// long: it covers every row, its full groups and one last group that ends
+// on its last point, loading and storing as quantizePairsF64 does.
+//
+//go:noescape
+func applyPairsF64(a *kernArgs)
+
+// applyPairsF32 is the eight-lane single-precision variant.
+//
+//go:noescape
+func applyPairsF32(a *kernArgs)
+
+// pairKernel reports whether a pair kernel takes the block r: its points
+// sit 2 elements apart with contiguous indices, and its rows hold a group
+// (4 float64, 8 float32 lanes).
+func pairKernel[T grid.Scalar](r *interp.Run) bool {
+	return useAVX2 && r.Step == 2 && r.SeqStep == 1 && r.N >= lanes[T]()
+}
 
 // quantizeRunAccel hands the next n points of the run, from flat index f
 // and sequence index seq on, to the vector kernel and returns how many it
@@ -107,6 +151,62 @@ func quantizeRunAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, f, seq, n
 	return 0
 }
 
+// quantizePairsAccel quantizes the block r from group at (g·rows + row)
+// on through a pair kernel and returns the first group that trips a guard,
+// −1 when every group committed, or −2 when no pair kernel takes the
+// block: see pairKernel.
+func quantizePairsAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, at int, step, invStep T, eb float64) int {
+	if !pairKernel[T](r) {
+		return -2
+	}
+	_ = w[r.Flat+(r.Rows-1)*r.RowStep+(r.N-1)*r.Step]
+	_ = ks[r.Seq+(r.Rows-1)*r.RowSeqStep+r.N-1]
+	var a kernArgs // field by field; data at f, as in applyPairsAccel
+	a.ks = unsafe.Pointer(&ks[r.Seq])
+	a.n = int64(r.N)
+	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
+	a.step, a.invStep, a.eb = float64(step), float64(invStep), eb
+	a.rows, a.rowStep, a.ksRowStep = int64(r.Rows), int64(r.RowStep), int64(r.RowSeqStep)
+	a.at = int64(at)
+	switch wt := any(w).(type) {
+	case []float64:
+		a.data = unsafe.Pointer(&wt[r.Flat])
+		return int(quantizePairsF64(&a))
+	case []float32:
+		a.data = unsafe.Pointer(&wt[r.Flat])
+		return int(quantizePairsF32(&a))
+	}
+	return -2
+}
+
+// applyPairsAccel reconstructs the whole block r through a pair kernel in
+// one call and reports whether it did; a block pairKernel refuses is left
+// to the caller.
+func applyPairsAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
+	if !pairKernel[T](r) {
+		return false
+	}
+	// The kernel does not bound-check; the last row's last target and
+	// index do.
+	_ = data[r.Flat+(r.Rows-1)*r.RowStep+(r.N-1)*r.Step]
+	_ = ks[r.Seq+(r.Rows-1)*r.RowSeqStep+r.N-1]
+	var a kernArgs // field by field, as in quantizeRunAccel; data at f
+	a.ks = unsafe.Pointer(&ks[r.Seq])
+	a.n = int64(r.N)
+	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
+	a.step = float64(step)
+	a.rows, a.rowStep, a.ksRowStep = int64(r.Rows), int64(r.RowStep), int64(r.RowSeqStep)
+	switch dt := any(data).(type) {
+	case []float64:
+		a.data = unsafe.Pointer(&dt[r.Flat])
+		applyPairsF64(&a)
+	case []float32:
+		a.data = unsafe.Pointer(&dt[r.Flat])
+		applyPairsF32(&a)
+	}
+	return true
+}
+
 // applyRunAccel reconstructs the whole run through the vector kernel and
 // reports whether it did; a run shorter than one group (4 float64, 8
 // float32 lanes) is left to the caller's scalar loop. The kernel commits
@@ -117,10 +217,7 @@ func applyRunAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) b
 	if !useAVX2 {
 		return false
 	}
-	lanes := 8
-	if _, ok := any(data).([]float64); ok {
-		lanes = 4
-	}
+	lanes := lanes[T]()
 	n := r.N
 	if n < lanes {
 		return false

@@ -13,17 +13,37 @@
 // fails the group and the scalar path (which owns the outlier protocol)
 // takes over.
 //
-// Every kernel walks the quantization indices ksStep apart (a column of a
-// pass walks its indices a row of targets apart): the apply kernels read
-// them with strided inserts, as LOAD4/LOAD8 read data, the quantize
-// kernels write them with strided extracts. All commit whole groups only.
-// The apply wrapper covers a run's tail with one more group that ends at
-// the run's last point and overlaps the groups before it, which is exact
-// because a target reads only points its pass never writes; the quantize
-// wrapper leaves the tail to the scalar loop, since a quantized point's
-// work value is already its reconstruction.
+// The kernels take two lane shapes.
 //
-// Register conventions shared by all kernels:
+//   - Strided (quantizeRun*, applyRun*): lanes fstep apart, indices ksStep
+//     apart — a row of a coarse level, or a column of a block across its
+//     rows (a column walks its indices a row of targets apart). Every
+//     operand is gathered lane by lane (LOAD4/LOAD8), the indices read
+//     with strided inserts (LOADK4) or written with strided extracts
+//     (STOREK4), the results scattered (STORE4/STORE8F). They take one
+//     row or column a call.
+//   - Pairs (quantizePairs*, applyPairs*): lanes 2 elements apart in one
+//     row, indices contiguous — the targets of every level-1 row, 7/8 of
+//     a field's values. Each operand is two whole-vector loads that end on
+//     its last lane and a lane deinterleave (PLOAD4/PLOAD8: VSHUFPD or
+//     VSHUFPS, then VPERMPD), the indices one load or store, and the
+//     results go to the even lanes of the group's first vector and the
+//     odd lanes of the vector ending on its last target by two masked
+//     stores, so no lane the pass does not own is ever written. They take
+//     a whole block of rows a call (kernArgs.rows, rowStep, ksRowStep),
+//     group by group across the rows.
+//
+// All commit whole groups. A row or run that is not a whole number of
+// groups ends with one more group that ends on its last point and
+// overlaps the groups before it. The apply kernels recompute the overlap,
+// which is exact because a target reads only points its pass never writes;
+// the strided apply's wrapper issues that group, the pair apply kernel
+// issues it itself. A quantized point's work value is already its
+// reconstruction, so the strided quantize wrapper leaves its tail to the
+// scalar loop, and the pair quantize kernel commits only the new lanes of
+// the overlapped group (its tail masks).
+//
+// Register conventions of the strided kernels:
 //	R8  = *kernArgs     AX  = &data[f] (advances)
 //	BX  = off1 bytes    CX  = off3 bytes
 //	R13 = elem stride   R15 = 3*stride
@@ -173,6 +193,26 @@ GLOBL absf8<>(SB), RODATA|NOPTR, $32
 	VPEXTRD $3, Xs, (R10)(R14*1)     \
 	LEAQ    (R10)(R9*4), R10
 
+// CUBIC64 combines the cubic operands x[-3s], x[-s], x[+s], x[+3s] in
+// Y1..Y4 into the prediction in Y0: ((9·x[-s] − x[-3s]) + 9·x[+s] −
+// x[+3s]) · 1/16, the generic Predict's order.
+#define CUBIC64 \
+	VMULPD nine4<>(SB), Y2, Y2 \
+	VSUBPD Y1, Y2, Y2         \
+	VMULPD nine4<>(SB), Y3, Y3 \
+	VADDPD Y3, Y2, Y2         \
+	VSUBPD Y4, Y2, Y2         \
+	VMULPD sixt4<>(SB), Y2, Y0
+
+// CUBIC32 is CUBIC64 on eight float32 lanes.
+#define CUBIC32 \
+	VMULPS nine8<>(SB), Y2, Y2 \
+	VSUBPS Y1, Y2, Y2         \
+	VMULPS nine8<>(SB), Y3, Y3 \
+	VADDPS Y3, Y2, Y2         \
+	VSUBPS Y4, Y2, Y2         \
+	VMULPS sixt8<>(SB), Y2, Y0
+
 // QPRED64_* leave the prediction in Y0 for the group at AX.
 #define QPRED64_COPY \
 	MOVQ AX, SI     \
@@ -202,17 +242,12 @@ GLOBL absf8<>(SB), RODATA|NOPTR, $32
 	MOVQ   AX, SI             \
 	ADDQ   CX, SI             \
 	LOAD4(Y4, X4, X8)         \
-	VMULPD nine4<>(SB), Y2, Y2 \
-	VSUBPD Y1, Y2, Y2         \
-	VMULPD nine4<>(SB), Y3, Y3 \
-	VADDPD Y3, Y2, Y2         \
-	VSUBPD Y4, Y2, Y2         \
-	VMULPD sixt4<>(SB), Y2, Y0
+	CUBIC64
 
-// QTAIL64: quantize the group predicted in Y0; commit or bail to D.
-#define QTAIL64(L, D) \
-	MOVQ       AX, SI                      \
-	LOAD4(Y4, X4, X8)                      \
+// QCORE64: quantize the group predicted in Y0 against the values in Y4;
+// bail to D unless every lane is in the window and the bound, else leave
+// the rounded indices in Y7 and the reconstructions in Y1.
+#define QCORE64(D) \
 	VSUBPD     Y0, Y4, Y5                  \
 	VMULPD     Y11, Y5, Y5                 \
 	VANDPD     absd4<>(SB), Y5, Y6         \
@@ -237,7 +272,13 @@ GLOBL absf8<>(SB), RODATA|NOPTR, $32
 	VANDPD     Y3, Y6, Y6                  \
 	VMOVMSKPD  Y6, DX                      \
 	CMPL       DX, $15                     \
-	JNE        D                           \
+	JNE        D
+
+// QTAIL64: quantize the strided group predicted in Y0; commit or bail to D.
+#define QTAIL64(L, D) \
+	MOVQ       AX, SI                      \
+	LOAD4(Y4, X4, X8)                      \
+	QCORE64(D)                             \
 	VCVTTPD2DQY Y7, X7                      \
 	STOREK4(X7)                            \
 	STORE4(Y1, X1, X2)                     \
@@ -327,18 +368,12 @@ qf64done:
 	MOVQ   AX, SI             \
 	ADDQ   CX, SI             \
 	LOAD8(Y4, X4, X8)         \
-	VMULPS nine8<>(SB), Y2, Y2 \
-	VSUBPS Y1, Y2, Y2         \
-	VMULPS nine8<>(SB), Y3, Y3 \
-	VADDPS Y3, Y2, Y2         \
-	VSUBPS Y4, Y2, Y2         \
-	VMULPS sixt8<>(SB), Y2, Y0
+	CUBIC32
 
-// QTAIL32: float32 arithmetic for residual/round/reconstruct, float64 for
-// the error-bound check (exactly the generic kernel's widening).
-#define QTAIL32(L, D) \
-	MOVQ       AX, SI                      \
-	LOAD8(Y4, X4, X8)                      \
+// QCORE32: the float32 QCORE64 — float32 arithmetic for the residual,
+// rounding and reconstruction, float64 for the error-bound check (exactly
+// the generic kernel's widening). Clobbers SI, DI and DX.
+#define QCORE32(D) \
 	VSUBPS     Y0, Y4, Y5                  \
 	VMULPS     Y11, Y5, Y5                 \
 	VANDPS     absf8<>(SB), Y5, Y6         \
@@ -377,7 +412,13 @@ qf64done:
 	CMPL       SI, $15                     \
 	JNE        D                           \
 	CMPL       DI, $15                     \
-	JNE        D                           \
+	JNE        D
+
+// QTAIL32: quantize the strided group predicted in Y0; commit or bail to D.
+#define QTAIL32(L, D) \
+	MOVQ       AX, SI                      \
+	LOAD8(Y4, X4, X8)                      \
+	QCORE32(D)                             \
 	VCVTTPS2DQ Y7, Y7                      \
 	STOREK4(X7)                            \
 	VEXTRACTI128 $1, Y7, X7                \
@@ -573,5 +614,655 @@ af32cubic:
 af32done:
 	SHLQ $3, R12
 	MOVQ R12, ret+8(FP)
+	VZEROUPPER
+	RET
+
+// The pair kernels take blocks of level-1 rows: lanes 2 elements apart,
+// indices contiguous, data and indices passed at the block's first target
+// (kernArgs.f unused). Registers as above, except:
+//	R13 = -off1 bytes   R15 = -off3 bytes
+// and, in the apply kernels:
+//	R11 = the group's first target, counted in its row
+//	R12 = a row's last group start (n − lanes)
+//	DI  = rows left   R14/SI = row stride of data / of the indices, bytes
+// A row's groups start at 0, lanes, 2·lanes, … and, when the row is not a
+// whole number of groups, at n − lanes, overlapping the one before. Both
+// kinds go group by group across the rows: the first group of every row,
+// then the second, so a group never loads what the group before it in its
+// row has just stored (on the innermost pass its operands sit between its
+// targets, and a load that overlaps a recent masked store waits for the
+// store to retire instead of being forwarded).
+
+// Lane masks and lane indices of the pair stores: a group's results go to
+// the even lanes of its first vector and the odd lanes of the vector that
+// ends on its last target.
+DATA pevn4<>+0(SB)/8, $0xffffffffffffffff
+DATA pevn4<>+8(SB)/8, $0
+DATA pevn4<>+16(SB)/8, $0xffffffffffffffff
+DATA pevn4<>+24(SB)/8, $0
+GLOBL pevn4<>(SB), RODATA|NOPTR, $32
+
+DATA podd4<>+0(SB)/8, $0
+DATA podd4<>+8(SB)/8, $0xffffffffffffffff
+DATA podd4<>+16(SB)/8, $0
+DATA podd4<>+24(SB)/8, $0xffffffffffffffff
+GLOBL podd4<>(SB), RODATA|NOPTR, $32
+
+DATA pevn8<>+0(SB)/8, $0x00000000ffffffff
+DATA pevn8<>+8(SB)/8, $0x00000000ffffffff
+DATA pevn8<>+16(SB)/8, $0x00000000ffffffff
+DATA pevn8<>+24(SB)/8, $0x00000000ffffffff
+GLOBL pevn8<>(SB), RODATA|NOPTR, $32
+
+DATA podd8<>+0(SB)/8, $0xffffffff00000000
+DATA podd8<>+8(SB)/8, $0xffffffff00000000
+DATA podd8<>+16(SB)/8, $0xffffffff00000000
+DATA podd8<>+24(SB)/8, $0xffffffff00000000
+GLOBL podd8<>(SB), RODATA|NOPTR, $32
+
+// pidxlo8<>/pidxhi8<>: dword lanes 0 0 1 1 2 2 3 3 and 4 4 5 5 6 6 7 7.
+DATA pidxlo8<>+0(SB)/8, $0x0000000000000000
+DATA pidxlo8<>+8(SB)/8, $0x0000000100000001
+DATA pidxlo8<>+16(SB)/8, $0x0000000200000002
+DATA pidxlo8<>+24(SB)/8, $0x0000000300000003
+GLOBL pidxlo8<>(SB), RODATA|NOPTR, $32
+
+DATA pidxhi8<>+0(SB)/8, $0x0000000400000004
+DATA pidxhi8<>+8(SB)/8, $0x0000000500000005
+DATA pidxhi8<>+16(SB)/8, $0x0000000600000006
+DATA pidxhi8<>+24(SB)/8, $0x0000000700000007
+GLOBL pidxhi8<>(SB), RODATA|NOPTR, $32
+
+// PLOAD4: the four float64 at m, m+2, m+4, m+6 (elements) into Yd: the
+// vectors m..m+3 and m+3..m+6, lanes 0 2 of the first and 1 3 of the
+// second. Nothing past the last lane is read.
+#define PLOAD4(Yd, m) \
+	VMOVUPD m, Yd                   \
+	VSHUFPD $0x0a, 24 m, Yd, Yd     \
+	VPERMPD $0xd8, Yd, Yd
+
+// PLOAD8: the eight float32 at m, m+2, …, m+14 into Yd, from m..m+7 and
+// m+7..m+14.
+#define PLOAD8(Yd, m) \
+	VMOVUPS m, Yd                   \
+	VSHUFPS $0xd8, 28 m, Yd, Yd     \
+	VPERMPD $0xd8, Yd, Yd
+
+// PPRED64_* / PPRED32_* leave the prediction of the pair group at AX in Y0.
+#define PPRED64_COPY \
+	PLOAD4(Y0, (AX)(R13*1))
+
+#define PPRED64_LINEAR \
+	PLOAD4(Y1, (AX)(R13*1))   \
+	PLOAD4(Y2, (AX)(BX*1))    \
+	VADDPD Y2, Y1, Y1         \
+	VMULPD half4<>(SB), Y1, Y0
+
+#define PPRED64_CUBIC \
+	PLOAD4(Y1, (AX)(R15*1))   \
+	PLOAD4(Y2, (AX)(R13*1))   \
+	PLOAD4(Y3, (AX)(BX*1))    \
+	PLOAD4(Y4, (AX)(CX*1))    \
+	CUBIC64
+
+#define PPRED32_COPY \
+	PLOAD8(Y0, (AX)(R13*1))
+
+#define PPRED32_LINEAR \
+	PLOAD8(Y1, (AX)(R13*1))   \
+	PLOAD8(Y2, (AX)(BX*1))    \
+	VADDPS Y2, Y1, Y1         \
+	VMULPS half8<>(SB), Y1, Y0
+
+#define PPRED32_CUBIC \
+	PLOAD8(Y1, (AX)(R15*1))   \
+	PLOAD8(Y2, (AX)(R13*1))   \
+	PLOAD8(Y3, (AX)(BX*1))    \
+	PLOAD8(Y4, (AX)(CX*1))    \
+	CUBIC32
+
+// POFFS: BX/CX = ±off1/±off3 bytes for elements of 1<<sh bytes.
+#define POFFS(sh) \
+	MOVQ 40(R8), BX   \
+	SHLQ $sh, BX      \
+	MOVQ BX, R13      \
+	NEGQ R13          \
+	MOVQ 48(R8), CX   \
+	SHLQ $sh, CX      \
+	MOVQ CX, R15      \
+	NEGQ R15
+
+// The pair quantize kernels start at group a.at (group-major: g·rows +
+// row) and return the index of the first group that trips a guard, or −1.
+// A row's last, overlapped group commits only the lanes the group before
+// it did not (the tail masks): a committed point's work value is its
+// reconstruction, not its input. Its other lanes are requantized from
+// their reconstructions; should one of them trip a guard, the group bails
+// and the scalar loop takes its new points, as for any other group.
+// Registers:
+//	AX/R10 = the group's data / indices   R9 = row   R11 = group g
+//	R14 = rows   BX/CX/R13/R15 = operand offsets
+// and the frame holds the row strides in bytes, the full and all groups
+// of a row and the tail masks of the indices and of the two data stores.
+
+// PQFRAME fills the frame and R9/R11/R14 for elements of 1<<sh bytes and
+// groups of 1<<lg lanes.
+#define PQFRAME(sh, lg) \
+	MOVQ  96(R8), R14          \
+	MOVQ  104(R8), AX          \
+	SHLQ  $sh, AX              \
+	MOVQ  AX, rsb-8(SP)        \
+	MOVQ  112(R8), AX          \
+	SHLQ  $2, AX               \
+	MOVQ  AX, ksb-16(SP)       \
+	MOVQ  32(R8), AX           \
+	SHRQ  $lg, AX              \
+	MOVQ  AX, nfull-24(SP)     \
+	MOVQ  32(R8), AX           \
+	ADDQ  $((1<<lg)-1), AX     \
+	SHRQ  $lg, AX              \
+	MOVQ  AX, ngrp-32(SP)      \
+	MOVQ  120(R8), AX          \
+	XORQ  DX, DX               \
+	DIVQ  R14                  \
+	MOVQ  AX, R11              \
+	MOVQ  DX, R9
+
+// PQPOS: AX/R10 at group R11 of row R9, for groups of 64 data bytes and
+// 1<<lg lanes.
+#define PQPOS(lg) \
+	MOVQ  R9, AX               \
+	IMULQ rsb-8(SP), AX        \
+	ADDQ  0(R8), AX            \
+	MOVQ  R11, DX              \
+	SHLQ  $6, DX               \
+	ADDQ  DX, AX               \
+	MOVQ  R9, R10              \
+	IMULQ ksb-16(SP), R10      \
+	ADDQ  8(R8), R10           \
+	MOVQ  R11, DX              \
+	SHLQ  $(lg+2), DX          \
+	ADDQ  DX, R10
+
+// PQTAILPOS: AX/R10 at the overlapped last group, n − lanes, of row R9,
+// or on to E when the row has no such group or it is done.
+#define PQTAILPOS(sh, lg, E) \
+	CMPQ  R11, ngrp-32(SP)     \
+	JGE   E                    \
+	MOVQ  R9, AX               \
+	IMULQ rsb-8(SP), AX        \
+	ADDQ  0(R8), AX            \
+	MOVQ  R9, R10              \
+	IMULQ ksb-16(SP), R10      \
+	ADDQ  8(R8), R10           \
+	MOVQ  32(R8), DX           \
+	SUBQ  $(1<<lg), DX         \
+	LEAQ  (R10)(DX*4), R10     \
+	SHLQ  $(sh+1), DX          \
+	ADDQ  DX, AX
+
+// PQNEXT: on to the same group of the next row at Rw.
+#define PQNEXT(Rw) \
+	ADDQ  rsb-8(SP), AX        \
+	ADDQ  ksb-16(SP), R10      \
+	INCQ  R9                   \
+	CMPQ  R9, R14              \
+	JLT   Rw
+
+// QCOMMITP64: commit the float64 pair group quantized in Y7/Y1.
+#define QCOMMITP64 \
+	VCVTTPD2DQY Y7, X7             \
+	VMOVDQU    X7, (R10)           \
+	VPERMPD    $0x50, Y1, Y2       \
+	VMASKMOVPD Y2, Y9, (AX)        \
+	VPERMPD    $0xfa, Y1, Y3       \
+	VMASKMOVPD Y3, Y15, 24(AX)
+
+// QCOMMITT64: commit only the tail lanes of an overlapped group.
+#define QCOMMITT64 \
+	VCVTTPD2DQY Y7, X7             \
+	VMOVDQU    km-64(SP), X2       \
+	VPMASKMOVD X7, X2, (R10)       \
+	VPERMPD    $0x50, Y1, Y2       \
+	VMOVDQU    dlo-96(SP), Y5      \
+	VMASKMOVPD Y2, Y5, (AX)        \
+	VPERMPD    $0xfa, Y1, Y3       \
+	VMOVDQU    dhi-128(SP), Y5     \
+	VMASKMOVPD Y3, Y5, 24(AX)
+
+// QCOMMITP32: commit the float32 pair group quantized in Y7/Y1; the
+// store's lane indices and odd mask go in registers QCORE32 left dead.
+#define QCOMMITP32 \
+	VCVTTPS2DQ Y7, Y7              \
+	VMOVDQU    Y7, (R10)           \
+	VMOVDQU    pidxlo8<>(SB), Y2   \
+	VPERMPS    Y1, Y2, Y3          \
+	VMASKMOVPS Y3, Y15, (AX)       \
+	VMOVDQU    pidxhi8<>(SB), Y2   \
+	VPERMPS    Y1, Y2, Y3          \
+	VMOVDQU    podd8<>(SB), Y5     \
+	VMASKMOVPS Y3, Y5, 28(AX)
+
+#define QCOMMITT32 \
+	VCVTTPS2DQ Y7, Y7              \
+	VMOVDQU    km-64(SP), Y2       \
+	VPMASKMOVD Y7, Y2, (R10)       \
+	VMOVDQU    pidxlo8<>(SB), Y2   \
+	VPERMPS    Y1, Y2, Y3          \
+	VMOVDQU    dlo-96(SP), Y5      \
+	VMASKMOVPS Y3, Y5, (AX)        \
+	VMOVDQU    pidxhi8<>(SB), Y2   \
+	VPERMPS    Y1, Y2, Y3          \
+	VMOVDQU    dhi-128(SP), Y5     \
+	VMASKMOVPS Y3, Y5, 28(AX)
+
+// lanes8<>: dword lanes 0..7; lanes4<>: qword lanes 0..3.
+DATA lanes8<>+0(SB)/8, $0x0000000100000000
+DATA lanes8<>+8(SB)/8, $0x0000000300000002
+DATA lanes8<>+16(SB)/8, $0x0000000500000004
+DATA lanes8<>+24(SB)/8, $0x0000000700000006
+GLOBL lanes8<>(SB), RODATA|NOPTR, $32
+
+DATA lanes4<>+0(SB)/8, $0
+DATA lanes4<>+8(SB)/8, $1
+DATA lanes4<>+16(SB)/8, $2
+DATA lanes4<>+24(SB)/8, $3
+GLOBL lanes4<>(SB), RODATA|NOPTR, $32
+
+// func quantizePairsF64(a *kernArgs) int64
+TEXT ·quantizePairsF64(SB), NOSPLIT, $128-16
+	MOVQ a+0(FP), R8
+	PQFRAME(3, 2)
+	POFFS(3)
+	// Tail masks: lanes k ≥ 4 − n%4 of the indices (dwords) and of the
+	// two data stores (qwords, spread as the group's results are).
+	MOVQ         32(R8), AX
+	ANDQ         $3, AX
+	NEGQ         AX
+	ADDQ         $3, AX
+	VMOVQ        AX, X0
+	VPBROADCASTQ X0, Y0
+	VMOVDQU      lanes4<>(SB), Y1
+	VPCMPGTQ     Y0, Y1, Y1
+	VPERMPD      $0x50, Y1, Y2
+	VANDPD       pevn4<>(SB), Y2, Y2
+	VMOVDQU      Y2, dlo-96(SP)
+	VPERMPD      $0xfa, Y1, Y2
+	VANDPD       podd4<>(SB), Y2, Y2
+	VMOVDQU      Y2, dhi-128(SP)
+	VPBROADCASTD X0, X0
+	VMOVDQU      lanes8<>(SB), X1
+	VPCMPGTD     X0, X1, X1
+	VMOVDQU      X1, km-64(SP)
+
+	VBROADCASTSD 64(R8), Y10
+	VBROADCASTSD 72(R8), Y11
+	VBROADCASTSD 80(R8), Y12
+	VMOVUPD      max4<>(SB), Y13
+	VXORPD       Y14, Y14, Y14
+	VMOVDQU      pevn4<>(SB), Y9
+	VMOVDQU      podd4<>(SB), Y15
+
+	MOVQ 56(R8), DX
+	CMPQ DX, $2
+	JEQ  qp64cubic
+	CMPQ DX, $1
+	JEQ  qp64linear
+
+qp64copy:
+	CMPQ R11, nfull-24(SP)
+	JGE  qp64copyt
+	PQPOS(2)
+qp64copyr:
+	PPRED64_COPY
+	PLOAD4(Y4, (AX))
+	QCORE64(qp64bail)
+	QCOMMITP64
+	PQNEXT(qp64copyr)
+	XORQ R9, R9
+	INCQ R11
+	JMP  qp64copy
+qp64copyt:
+	PQTAILPOS(3, 2, qp64done)
+qp64copytr:
+	PPRED64_COPY
+	PLOAD4(Y4, (AX))
+	QCORE64(qp64bail)
+	QCOMMITT64
+	PQNEXT(qp64copytr)
+	JMP  qp64done
+
+qp64linear:
+	CMPQ R11, nfull-24(SP)
+	JGE  qp64lineart
+	PQPOS(2)
+qp64linearr:
+	PPRED64_LINEAR
+	PLOAD4(Y4, (AX))
+	QCORE64(qp64bail)
+	QCOMMITP64
+	PQNEXT(qp64linearr)
+	XORQ R9, R9
+	INCQ R11
+	JMP  qp64linear
+qp64lineart:
+	PQTAILPOS(3, 2, qp64done)
+qp64lineartr:
+	PPRED64_LINEAR
+	PLOAD4(Y4, (AX))
+	QCORE64(qp64bail)
+	QCOMMITT64
+	PQNEXT(qp64lineartr)
+	JMP  qp64done
+
+qp64cubic:
+	CMPQ R11, nfull-24(SP)
+	JGE  qp64cubict
+	PQPOS(2)
+qp64cubicr:
+	PPRED64_CUBIC
+	PLOAD4(Y4, (AX))
+	QCORE64(qp64bail)
+	QCOMMITP64
+	PQNEXT(qp64cubicr)
+	XORQ R9, R9
+	INCQ R11
+	JMP  qp64cubic
+qp64cubict:
+	PQTAILPOS(3, 2, qp64done)
+qp64cubictr:
+	PPRED64_CUBIC
+	PLOAD4(Y4, (AX))
+	QCORE64(qp64bail)
+	QCOMMITT64
+	PQNEXT(qp64cubictr)
+
+qp64done:
+	MOVQ $-1, ret+8(FP)
+	VZEROUPPER
+	RET
+
+qp64bail:
+	MOVQ  R11, AX
+	IMULQ R14, AX
+	ADDQ  R9, AX
+	MOVQ  AX, ret+8(FP)
+	VZEROUPPER
+	RET
+
+// func quantizePairsF32(a *kernArgs) int64
+TEXT ·quantizePairsF32(SB), NOSPLIT, $128-16
+	MOVQ a+0(FP), R8
+	PQFRAME(2, 3)
+	POFFS(2)
+	// Tail masks: lanes k ≥ 8 − n%8 of the indices and of the two data
+	// stores, spread as the group's results are.
+	MOVQ         32(R8), AX
+	ANDQ         $7, AX
+	NEGQ         AX
+	ADDQ         $7, AX
+	VMOVQ        AX, X0
+	VPBROADCASTD X0, Y0
+	VMOVDQU      lanes8<>(SB), Y1
+	VPCMPGTD     Y0, Y1, Y1
+	VMOVDQU      Y1, km-64(SP)
+	VMOVDQU      pidxlo8<>(SB), Y2
+	VPERMPS      Y1, Y2, Y3
+	VANDPS       pevn8<>(SB), Y3, Y3
+	VMOVDQU      Y3, dlo-96(SP)
+	VMOVDQU      pidxhi8<>(SB), Y2
+	VPERMPS      Y1, Y2, Y3
+	VANDPS       podd8<>(SB), Y3, Y3
+	VMOVDQU      Y3, dhi-128(SP)
+
+	VMOVSD       64(R8), X0
+	VCVTSD2SS    X0, X0, X0
+	VBROADCASTSS X0, Y10
+	VMOVSD       72(R8), X0
+	VCVTSD2SS    X0, X0, X0
+	VBROADCASTSS X0, Y11
+	VBROADCASTSD 80(R8), Y12
+	VMOVUPS      max8<>(SB), Y13
+	VXORPS       Y14, Y14, Y14
+	VMOVDQU      pevn8<>(SB), Y15
+
+	MOVQ 56(R8), DX
+	CMPQ DX, $2
+	JEQ  qp32cubic
+	CMPQ DX, $1
+	JEQ  qp32linear
+
+qp32copy:
+	CMPQ R11, nfull-24(SP)
+	JGE  qp32copyt
+	PQPOS(3)
+qp32copyr:
+	PPRED32_COPY
+	PLOAD8(Y4, (AX))
+	QCORE32(qp32bail)
+	QCOMMITP32
+	PQNEXT(qp32copyr)
+	XORQ R9, R9
+	INCQ R11
+	JMP  qp32copy
+qp32copyt:
+	PQTAILPOS(2, 3, qp32done)
+qp32copytr:
+	PPRED32_COPY
+	PLOAD8(Y4, (AX))
+	QCORE32(qp32bail)
+	QCOMMITT32
+	PQNEXT(qp32copytr)
+	JMP  qp32done
+
+qp32linear:
+	CMPQ R11, nfull-24(SP)
+	JGE  qp32lineart
+	PQPOS(3)
+qp32linearr:
+	PPRED32_LINEAR
+	PLOAD8(Y4, (AX))
+	QCORE32(qp32bail)
+	QCOMMITP32
+	PQNEXT(qp32linearr)
+	XORQ R9, R9
+	INCQ R11
+	JMP  qp32linear
+qp32lineart:
+	PQTAILPOS(2, 3, qp32done)
+qp32lineartr:
+	PPRED32_LINEAR
+	PLOAD8(Y4, (AX))
+	QCORE32(qp32bail)
+	QCOMMITT32
+	PQNEXT(qp32lineartr)
+	JMP  qp32done
+
+qp32cubic:
+	CMPQ R11, nfull-24(SP)
+	JGE  qp32cubict
+	PQPOS(3)
+qp32cubicr:
+	PPRED32_CUBIC
+	PLOAD8(Y4, (AX))
+	QCORE32(qp32bail)
+	QCOMMITP32
+	PQNEXT(qp32cubicr)
+	XORQ R9, R9
+	INCQ R11
+	JMP  qp32cubic
+qp32cubict:
+	PQTAILPOS(2, 3, qp32done)
+qp32cubictr:
+	PPRED32_CUBIC
+	PLOAD8(Y4, (AX))
+	QCORE32(qp32bail)
+	QCOMMITT32
+	PQNEXT(qp32cubictr)
+
+qp32done:
+	MOVQ $-1, ret+8(FP)
+	VZEROUPPER
+	RET
+
+qp32bail:
+	MOVQ  R11, AX
+	IMULQ R14, AX
+	ADDQ  R9, AX
+	MOVQ  AX, ret+8(FP)
+	VZEROUPPER
+	RET
+
+// PROWS: the block registers of the apply pair kernels, for elements of
+// 1<<sh bytes and groups of n lanes.
+#define PROWS(sh, n) \
+	MOVQ 32(R8), R12       \
+	SUBQ $n, R12           \
+	MOVQ 104(R8), R14      \
+	SHLQ $sh, R14          \
+	MOVQ 112(R8), SI       \
+	SHLQ $2, SI            \
+	XORQ R11, R11
+
+// PNEXT: after the group at R11 of a row, the same group of the next row
+// at Rw, or the next group of the first row at G, or fall through after
+// the block's last group.
+#define PNEXT(Rw, G, n) \
+	ADDQ R14, AX           \
+	ADDQ SI, R10           \
+	DECQ DI                \
+	JNZ  Rw                \
+	CMPQ R11, R12          \
+	LEAQ n(R11), R11       \
+	JNE  G
+
+// PPOS64: AX and R10 at group R11 of the block's first row, the row's
+// last group overlapped, DI its rows.
+#define PPOS64 \
+	CMPQ    R11, R12       \
+	CMOVQGT R12, R11       \
+	MOVQ    R11, AX        \
+	SHLQ    $4, AX         \
+	ADDQ    0(R8), AX      \
+	MOVQ    8(R8), R10     \
+	LEAQ    (R10)(R11*4), R10 \
+	MOVQ    96(R8), DI
+
+// PATAIL64: dequantize-and-apply commit of a float64 pair group.
+#define PATAIL64 \
+	VCVTDQ2PD  (R10), Y1           \
+	VMULPD     Y10, Y1, Y1         \
+	VADDPD     Y1, Y0, Y1          \
+	VPERMPD    $0x50, Y1, Y2       \
+	VMASKMOVPD Y2, Y13, (AX)       \
+	VPERMPD    $0xfa, Y1, Y3       \
+	VMASKMOVPD Y3, Y14, 24(AX)
+
+// func applyPairsF64(a *kernArgs)
+TEXT ·applyPairsF64(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), R8
+	PROWS(3, 4)
+	POFFS(3)
+	VBROADCASTSD 64(R8), Y10
+	VMOVDQU      pevn4<>(SB), Y13
+	VMOVDQU      podd4<>(SB), Y14
+
+	MOVQ 56(R8), DX
+	CMPQ DX, $2
+	JEQ  ap64cubic
+	CMPQ DX, $1
+	JEQ  ap64linear
+
+ap64copy:
+	PPOS64
+ap64copyrow:
+	PPRED64_COPY
+	PATAIL64
+	PNEXT(ap64copyrow, ap64copy, 4)
+	JMP ap64done
+
+ap64linear:
+	PPOS64
+ap64linearrow:
+	PPRED64_LINEAR
+	PATAIL64
+	PNEXT(ap64linearrow, ap64linear, 4)
+	JMP ap64done
+
+ap64cubic:
+	PPOS64
+ap64cubicrow:
+	PPRED64_CUBIC
+	PATAIL64
+	PNEXT(ap64cubicrow, ap64cubic, 4)
+
+ap64done:
+	VZEROUPPER
+	RET
+
+// PPOS32: PPOS64 for float32.
+#define PPOS32 \
+	CMPQ    R11, R12       \
+	CMOVQGT R12, R11       \
+	MOVQ    0(R8), AX      \
+	LEAQ    (AX)(R11*8), AX \
+	MOVQ    8(R8), R10     \
+	LEAQ    (R10)(R11*4), R10 \
+	MOVQ    96(R8), DI
+
+// PATAIL32: dequantize-and-apply commit of a float32 pair group.
+#define PATAIL32 \
+	VMOVDQU    (R10), Y1           \
+	VCVTDQ2PS  Y1, Y1              \
+	VMULPS     Y10, Y1, Y1         \
+	VADDPS     Y1, Y0, Y1          \
+	VPERMPS    Y1, Y11, Y2         \
+	VMASKMOVPS Y2, Y13, (AX)       \
+	VPERMPS    Y1, Y12, Y3         \
+	VMASKMOVPS Y3, Y14, 28(AX)
+
+// func applyPairsF32(a *kernArgs)
+TEXT ·applyPairsF32(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), R8
+	PROWS(2, 8)
+	POFFS(2)
+	VMOVSD       64(R8), X0
+	VCVTSD2SS    X0, X0, X0
+	VBROADCASTSS X0, Y10
+	VMOVDQU      pidxlo8<>(SB), Y11
+	VMOVDQU      pidxhi8<>(SB), Y12
+	VMOVDQU      pevn8<>(SB), Y13
+	VMOVDQU      podd8<>(SB), Y14
+
+	MOVQ 56(R8), DX
+	CMPQ DX, $2
+	JEQ  ap32cubic
+	CMPQ DX, $1
+	JEQ  ap32linear
+
+ap32copy:
+	PPOS32
+ap32copyrow:
+	PPRED32_COPY
+	PATAIL32
+	PNEXT(ap32copyrow, ap32copy, 8)
+	JMP ap32done
+
+ap32linear:
+	PPOS32
+ap32linearrow:
+	PPRED32_LINEAR
+	PATAIL32
+	PNEXT(ap32linearrow, ap32linear, 8)
+	JMP ap32done
+
+ap32cubic:
+	PPOS32
+ap32cubicrow:
+	PPRED32_CUBIC
+	PATAIL32
+	PNEXT(ap32cubicrow, ap32cubic, 8)
+
+ap32done:
 	VZEROUPPER
 	RET

@@ -178,52 +178,63 @@ func TestApplyDispatchDifferential(t *testing.T) {
 }
 
 // columnShapes are the fields TestApplyDispatchDifferential and
-// TestQuantizeDispatchDifferential walk for the column walk
-// (interp.Pass.Walk); goldenCases stays as it is, its archive SHAs being
-// pinned.
+// TestQuantizeDispatchDifferential walk for the block walk
+// (interp.Pass.Walk): rows that fill pair groups or not, and columns;
+// goldenCases stays as it is, its archive SHAs being pinned.
 var columnShapes = []struct {
 	tag   string
 	shape grid.Shape
 }{
-	{"3Dx32x32x32", grid.Shape{32, 32, 32}}, // a store tile: level-1 columns of 32
-	{"3Dx9x5x41", grid.Shape{9, 5, 41}},     // columns of 5, 3, 2, 1: shorter than a vector
+	{"3Dx32x32x32", grid.Shape{32, 32, 32}}, // a store tile: level-1 blocks of 32 rows, interiors of 14
+	{"3Dx9x5x41", grid.Shape{9, 5, 41}},     // columns of 5, 3, 2, 1: shorter than a vector; rows of 21 and 17
 	{"3Dx6x29x21", grid.Shape{6, 29, 21}},   // columns of 29: a full group, then an overlapped one
 	{"2Dx70x45", grid.Shape{70, 45}},        // 2-D: 70 rows, walked as blocks of 24, 23 and 23
 	{"4Dx3x5x27x11", grid.Shape{3, 5, 27, 11}},
 }
 
-// plantColumnOutliers spikes targets of level 1's innermost pass: both
-// ends of every third column of its walk, and the first point of the
-// column's overlapped last group at either vector width. It returns their
-// flat indices.
+// plantColumnOutliers spikes targets of every pass of level 1, in every
+// third block of its walk: the first and last row and column of the
+// block, and the first row and column of the last, overlapped group of a
+// row or column at either vector width. It returns their flat indices.
 func plantColumnOutliers(t *testing.T, data []float64, shape grid.Shape, kind interp.Kind) map[int]bool {
 	t.Helper()
 	dec, err := interp.NewDecomposition(shape)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes := dec.LevelPasses(1)
-	p := &passes[len(passes)-1]
-	lines, _ := p.Lines()
-	planted := make(map[int]bool)
-	var r interp.Run
-	w := p.Walk(kind, 0, lines)
-	for c := 0; w.Next(&r); c++ {
-		if c%3 != 0 {
-			continue
-		}
-		at := []int{0, r.N - 1}
+	// ends returns 0, n-1 and the start of an overlapped last group.
+	ends := func(n int) []int {
+		at := []int{0, n - 1}
 		for _, lanes := range []int{4, 8} {
-			if r.N > lanes && r.N%lanes != 0 {
-				at = append(at, r.N-lanes)
+			if n > lanes && n%lanes != 0 {
+				at = append(at, n-lanes)
 			}
 		}
-		for _, k := range at {
-			planted[r.Flat+k*r.Step] = true
-		}
+		return at
 	}
-	for f := range planted {
-		data[f] += 1e6
+	planted := make(map[int]bool)
+	spike := 1e6
+	for _, p := range dec.LevelPasses(1) {
+		lines, _ := p.Lines()
+		var r interp.Run
+		w := p.Walk(kind, 0, lines)
+		for c := 0; w.Next(&r); c++ {
+			if c%3 != 0 {
+				continue
+			}
+			for _, i := range ends(r.Rows) {
+				for _, k := range ends(r.N) {
+					if f := r.Flat + i*r.RowStep + k*r.Step; !planted[f] {
+						planted[f] = true
+						data[f] += spike
+					}
+				}
+			}
+		}
+		// A pass predicts from the targets of the passes before it, at
+		// most 1.25 times their spike: doubled with the sign flipped, a
+		// spike stays an outlier whatever its neighbours hold.
+		spike *= -2
 	}
 	return planted
 }
@@ -447,5 +458,57 @@ func TestQuantizeAccelCommits(t *testing.T) {
 		if data32[f] != want32[f] {
 			t.Fatalf("float32 apply data[%d] = %v, want %v", f, data32[f], want32[f])
 		}
+	}
+}
+
+// TestPairKernelsCommit drives the pair kernels directly on a block of
+// three in-window rows of 13 targets — full groups, then an overlapped one
+// at either width — and wants the quantize kernel to commit every group
+// (a kernel that bails on each would pass every differential test and lose
+// the speedup) with the scalar loop's indices and values, and the apply
+// kernel to take the block and rebuild those values from the indices. As
+// in TestQuantizeAccelCommits, targets sit at odd flat indices and
+// predictions read even ones.
+func TestPairKernelsCommit(t *testing.T) {
+	vectorPath(t, true)
+	checkPairKernels[float64](t, 1e-6)
+	checkPairKernels[float32](t, 1e-3)
+}
+
+func checkPairKernels[T grid.Scalar](t *testing.T, eb float64) {
+	const n, rows = 13, 3
+	width := 2*n + 2
+	q := newLevelQuantizer(make([]T, width*rows), quant.New(eb))
+	for i := range q.work {
+		q.work[i] = T(math.Sin(float64(i) * 0.05))
+	}
+	want := append([]T(nil), q.work...)
+	r := interp.Run{Flat: 1, Step: 2, SeqStep: 1, N: n, Off1: 1, Mode: interp.RunCopyLeft,
+		Rows: rows, RowStep: width, RowSeqStep: n}
+	ks := make([]int32, n*rows)
+	if at := quantizePairsAccel(q.work, ks, &r, 0, q.step, q.invStep, q.eb); at != -1 {
+		t.Fatalf("%T: quantizePairsAccel stopped at group %d", want[0], at)
+	}
+	ref := levelQuantizer[T]{work: want, step: q.step, invStep: q.invStep, eb: q.eb}
+	wantKs := make([]int32, n*rows)
+	for i := range rows {
+		if out := ref.quantizeScalar(&r, wantKs, r.Flat+i*width, i*n, n, nil); len(out) != 0 {
+			t.Fatalf("%T: fixture row %d has outliers; tighten the test data", want[0], i)
+		}
+	}
+	if !slices.Equal(ks, wantKs) || !slices.Equal(q.work, want) {
+		t.Fatalf("%T: pair quantize kernel differs from the scalar loop", want[0])
+	}
+	data := append([]T(nil), want...)
+	for i := range rows {
+		for k := range n {
+			data[r.Flat+i*width+k*r.Step] = 0
+		}
+	}
+	if !applyPairsAccel(data, ks, &r, q.step) {
+		t.Fatalf("%T: applyPairsAccel left the block to the caller", want[0])
+	}
+	if !slices.Equal(data, want) {
+		t.Fatalf("%T: pair apply kernel does not rebuild the quantized values", want[0])
 	}
 }

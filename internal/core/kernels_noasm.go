@@ -22,3 +22,11 @@ func quantizeRunAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, f, seq, n
 func applyRunAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
 	return false
 }
+
+func applyPairsAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
+	return false
+}
+
+func quantizePairsAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, at int, step, invStep T, eb float64) int {
+	return -2
+}

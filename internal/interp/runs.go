@@ -22,11 +22,18 @@ import "repro/internal/grid"
 //     and the tests' reference coders use it.
 //   - Walk, for the codec's kernels, which may take any order: the
 //     compressor sorts a pass's outliers back into canonical order, the
-//     order the archive records them in. The pass along the innermost
-//     dimension splits each row into up to four short runs of different
-//     modes, so Walk turns it sideways: a run is a column across the
-//     second-innermost dimension, one per innermost target, in blocks of
-//     at most colBlock rows (32 rows of a 128-wide f32 field are 16 KB).
+//     order the archive records them in. Walk hands out blocks: Rows
+//     consecutive rows of one mode, each row a run of N targets along the
+//     innermost dimension, at most rowBlock rows of one outer group (32
+//     rows of a 128-wide f32 field are 16 KB). A pass along an outer
+//     dimension is one block per group of rows; the pass along the
+//     innermost dimension splits each row into up to four segments of
+//     different modes, so it is one block per segment: the cubic (or
+//     linear) interior of every row, and the ≤ 3 boundary targets, which
+//     are blocks one or two targets wide that a consumer walks as columns
+//     across the rows. On level 1 the targets of a row sit 2 elements
+//     apart, which is what lets a kernel load a row's operands a whole
+//     vector at a time.
 
 // RunMode identifies the single prediction formula that applies to every
 // point of a run, mirroring the cases of the scalar predictor.
@@ -45,8 +52,12 @@ const (
 // k-th point (k = 0..N-1) lives at flat index Flat + k*Step and has
 // level-local sequence index Seq + k*SeqStep, which is where its
 // quantization index lives. VisitRuns emits maximal runs in canonical
-// order, all with SeqStep 1; Walk's columns step Seq by the number of
-// targets in a row.
+// order, all with SeqStep 1 and Rows 1.
+//
+// Walk emits blocks: Rows runs of N points, row i shifted by i*RowStep
+// flat and i*RowSeqStep in sequence. A kernel takes a block whole, or row
+// by row, or, after Transpose, column by column (the j-th target of every
+// row, a run of Rows points RowStep apart).
 type Run struct {
 	Flat    int // flat index of the first target
 	Step    int // flat stride between successive targets
@@ -56,6 +67,18 @@ type Run struct {
 	Off1    int // flat offset of the ±s neighbours along the active dimension
 	Off3    int // flat offset of the ±3s neighbours (RunCubic only)
 	Mode    RunMode
+
+	Rows       int // runs in the block (1 for VisitRuns)
+	RowStep    int // flat stride between successive rows
+	RowSeqStep int // sequence-index stride between successive rows
+}
+
+// Transpose turns the block r around in place: its rows become r's
+// columns, the j-th target of every row.
+func (r *Run) Transpose() {
+	r.Step, r.RowStep = r.RowStep, r.Step
+	r.SeqStep, r.RowSeqStep = r.RowSeqStep, r.SeqStep
+	r.N, r.Rows = r.Rows, r.N
 }
 
 // Predict evaluates the run's prediction formula for the point at flat
@@ -226,7 +249,7 @@ func (p *Pass) VisitRuns(kind Kind, tLo, tHi int, fn func(*Run)) {
 		rowBase += (p.passStart(d) + p.passStep(d)*idx[d]) * st[d]
 	}
 
-	run := Run{SeqStep: 1, Off1: off1, Off3: 3 * off1}
+	run := Run{SeqStep: 1, Off1: off1, Off3: 3 * off1, Rows: 1}
 	for t := tLo; t < tHi; {
 		jTo := jFrom + (tHi - t)
 		if jTo > innerCnt {
@@ -302,10 +325,10 @@ func (p *Pass) passStep(d int) int {
 	return 2 * p.s
 }
 
-// colBlock caps the rows of one block of Walk's columns.
-const colBlock = 32
+// rowBlock caps the rows of one block of Walk.
+const rowBlock = 32
 
-// Lines reports how a retrieval walk of the pass is sharded: the pass holds
+// Lines reports how a walk of the pass is sharded: the pass holds
 // lines × width targets, line i being the pass-local indices [i·width,
 // (i+1)·width). A line is a row along the innermost dimension; a 1-D pass,
 // which is a single row, counts each target as a line.
@@ -332,23 +355,24 @@ func (p *Pass) FlatIndex(t int) int {
 	return f
 }
 
-// Walk iterates the runs covering lines [lo, hi) of the pass (see Lines),
-// each target exactly once, in no canonical order. Disjoint line ranges
-// cover disjoint targets, so shards may run concurrently. A pass along the
-// innermost dimension of a field of rank ≥ 2 comes out as columns: for
-// each block of at most colBlock consecutive rows that share their outer
-// coordinates, one run per innermost target, N = the block's rows, Step =
-// the flat stride of a row, SeqStep = width. Every other pass comes out as
-// VisitRuns would emit it.
+// Walk iterates blocks of runs covering lines [lo, hi) of the pass (see
+// Lines), each target exactly once, in no canonical order. Disjoint line
+// ranges cover disjoint targets, so shards may run concurrently. In a
+// field of rank ≥ 2 a block is at most rowBlock consecutive rows that
+// share their outer coordinates and, for a pass along the second-innermost
+// dimension, their mode: RowStep is the flat stride between the rows and
+// RowSeqStep = width. A pass along an outer dimension comes out as one
+// block a group of rows, N = width; the pass along the innermost dimension
+// as one block per segment of the rows (the linear head, the cubic
+// interior, the linear tail, the copy-left end: see segments), in that
+// order, each N targets wide. A 1-D pass comes out as VisitRuns would
+// emit it, one row.
 func (p *Pass) Walk(kind Kind, lo, hi int) Walk {
 	w := Walk{p: p, line: lo, hi: hi}
 	w.segs, w.nseg = p.segments(kind)
-	switch {
-	case lo >= hi || p.rank == 1:
-	case p.dim == p.rank-1:
-		w.nextBlock()
-	default:
+	if lo < hi && p.rank > 1 {
 		w.seek(lo)
+		w.nextBlock()
 	}
 	return w
 }
@@ -362,8 +386,8 @@ type Walk struct {
 	line, hi int               // next line to cover, end of the walk
 	idx      [grid.MaxDims]int // iteration indices of line's row, dims 0..rank-2
 	rowBase  int               // flat index of line's row at innermost coordinate 0
-	blockEnd int               // columns: end of the block being emitted
-	si, j    int               // rank 1: next segment; columns: its segment and innermost index
+	blockEnd int               // end of the block being emitted
+	si       int               // next segment (rank 1, innermost pass); 1 once an outer block is out
 }
 
 // seek positions the walk at the row of line.
@@ -377,15 +401,14 @@ func (w *Walk) seek(line int) {
 	}
 }
 
-// Next fills r with the next run and reports whether there was one.
+// Next fills r with the next block and reports whether there was one.
 func (w *Walk) Next(r *Run) bool {
 	p := w.p
 	st := p.dec.strides
 	s, inner := p.s, p.rank-1
 	r.Off1 = s * st[p.dim]
 	r.Off3 = 3 * r.Off1
-	switch {
-	case p.rank == 1:
+	if p.rank == 1 {
 		// Lines are the targets of the pass's one row: the boundary
 		// segments, clipped to [line, hi).
 		for ; w.si < w.nseg; w.si++ {
@@ -396,42 +419,14 @@ func (w *Walk) Next(r *Run) bool {
 			}
 			r.Flat, r.Step = (s+2*s*lo)*st[0], 2*s*st[0]
 			r.Seq, r.SeqStep, r.N, r.Mode = p.seqOff+lo, 1, hi-lo, seg.mode
+			r.Rows, r.RowStep, r.RowSeqStep = 1, 0, 0
 			w.si++
 			return true
 		}
 		return false
-	case p.dim < inner:
-		// One run per row, whose mode the row's active coordinate picks.
-		if w.line >= w.hi {
-			return false
-		}
-		width := p.cnt[inner]
-		r.Mode = RunLinear
-		for si := 0; si < w.nseg; si++ {
-			if jd := w.idx[p.dim]; jd >= w.segs[si].lo && jd < w.segs[si].hi {
-				r.Mode = w.segs[si].mode
-				break
-			}
-		}
-		r.Flat, r.Step = w.rowBase, 2*s*st[inner]
-		r.Seq, r.SeqStep, r.N = p.seqOff+w.line*width, 1, width
-		w.line++
-		for d := inner - 1; d >= 0; d-- {
-			w.idx[d]++
-			w.rowBase += p.passStep(d) * st[d]
-			if w.idx[d] < p.cnt[d] {
-				break
-			}
-			w.rowBase -= p.passStep(d) * st[d] * p.cnt[d]
-			w.idx[d] = 0
-		}
-		return true
 	}
-	// Columns of the innermost pass; the segments cover [0, width) in
-	// order.
-	width := p.cnt[inner]
-	if w.j == width {
-		w.line, w.j = w.blockEnd, 0
+	if w.si == w.nseg || (p.dim < inner && w.si > 0) {
+		w.advance()
 		if w.line < w.hi {
 			w.nextBlock()
 		}
@@ -439,23 +434,67 @@ func (w *Walk) Next(r *Run) bool {
 	if w.line >= w.hi {
 		return false
 	}
-	for w.j >= w.segs[w.si].hi {
-		w.si++
+	width := p.cnt[inner]
+	r.Step, r.SeqStep = 2*s*st[inner], 1
+	r.Rows, r.RowStep, r.RowSeqStep = w.blockEnd-w.line, p.passStep(inner-1)*st[inner-1], width
+	r.Seq = p.seqOff + w.line*width
+	if p.dim < inner {
+		r.Flat, r.N, r.Mode = w.rowBase, width, w.segs[w.segOf(w.idx[p.dim])].mode
+		w.si = 1
+		return true
 	}
-	r.Flat, r.Step = w.rowBase+(s+2*s*w.j)*st[inner], s*st[inner-1]
-	r.Seq, r.SeqStep = p.seqOff+w.line*width+w.j, width
-	r.N, r.Mode = w.blockEnd-w.line, w.segs[w.si].mode
-	w.j++
+	seg := w.segs[w.si]
+	w.si++
+	r.Flat = w.rowBase + (s+2*s*seg.lo)*st[inner]
+	r.Seq += seg.lo
+	r.N, r.Mode = seg.hi-seg.lo, seg.mode
 	return true
 }
 
-// nextBlock starts the block of columns at line: the rows left in its
-// outer group up to hi, split evenly into blocks of at most colBlock.
+// segOf returns the segment holding active-dimension iteration index j.
+func (w *Walk) segOf(j int) int {
+	si := 0
+	for si < w.nseg-1 && j >= w.segs[si].hi {
+		si++
+	}
+	return si
+}
+
+// advance moves the walk from its block to the line after it. A block
+// never crosses an outer group, so the row index either stays inside the
+// group or reaches its end and carries into the outer dimensions.
+func (w *Walk) advance() {
+	p := w.p
+	st := p.dec.strides
+	d := p.rank - 2
+	n := w.blockEnd - w.line
+	w.line = w.blockEnd
+	w.idx[d] += n
+	w.rowBase += n * p.passStep(d) * st[d]
+	for ; d >= 0 && w.idx[d] == p.cnt[d]; d-- {
+		w.rowBase -= p.passStep(d) * st[d] * p.cnt[d]
+		w.idx[d] = 0
+		if d > 0 {
+			w.idx[d-1]++
+			w.rowBase += p.passStep(d-1) * st[d-1]
+		}
+	}
+}
+
+// nextBlock starts the block at line, where the walk stands: the rows
+// left in its outer group up to hi — and, for a pass along the
+// second-innermost dimension, in the segment of its first row — split
+// evenly into blocks of at most rowBlock.
 func (w *Walk) nextBlock() {
-	rows := w.p.cnt[w.p.rank-2]
-	n := min(w.hi, (w.line/rows+1)*rows) - w.line
-	blocks := (n + colBlock - 1) / colBlock
-	w.seek(w.line)
+	p := w.p
+	d := p.rank - 2
+	end := min(w.hi, w.line+p.cnt[d]-w.idx[d])
+	if p.dim == d {
+		j := w.idx[d]
+		end = min(end, w.line+w.segs[w.segOf(j)].hi-j)
+	}
+	n := end - w.line
+	blocks := (n + rowBlock - 1) / rowBlock
 	w.blockEnd = w.line + (n+blocks-1)/blocks
-	w.si, w.j = 0, 0
+	w.si = 0
 }

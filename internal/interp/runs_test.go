@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -231,16 +232,19 @@ func TestVisitRunsSharding(t *testing.T) {
 	}
 }
 
-// TestWalkCoversPass asserts that any line partition of a pass walks every
-// target exactly once, each with its canonical flat index, prediction
-// formula and neighbour offsets, whatever the order, and that FlatIndex
-// agrees with the canonical walk. Two extra shapes have more rows than a
-// block of columns.
+// TestWalkCoversPass asserts that any line partition of a pass — thirds,
+// and random shardings — walks every target exactly once, each with its
+// canonical flat index, prediction formula and neighbour offsets, whatever
+// the order; that every block stays inside its shard's lines, holds at
+// most rowBlock rows and walks to the same targets as rows and as columns
+// (Transpose); and that FlatIndex agrees with the canonical walk. Two
+// extra shapes have more rows than a block.
 func TestWalkCoversPass(t *testing.T) {
 	type target struct {
 		flat, off1, off3 int
 		mode             RunMode
 	}
+	rng := rand.New(rand.NewSource(7))
 	for _, shape := range append(crossShapes, grid.Shape{70, 45}, grid.Shape{3, 100, 7}) {
 		d, err := NewDecomposition(shape)
 		if err != nil {
@@ -251,6 +255,9 @@ func TestWalkCoversPass(t *testing.T) {
 				for _, p := range d.LevelPasses(l) {
 					canon := make(map[int]target)
 					p.VisitRuns(kind, 0, p.Targets(), func(r *Run) {
+						if r.Rows != 1 {
+							t.Fatalf("shape %v level %d: VisitRuns run of %d rows", shape, l, r.Rows)
+						}
 						for i := 0; i < r.N; i++ {
 							canon[r.Seq+i] = target{r.Flat + i*r.Step, r.Off1, r.Off3, r.Mode}
 						}
@@ -259,28 +266,44 @@ func TestWalkCoversPass(t *testing.T) {
 					if lines*width != p.Targets() {
 						t.Fatalf("shape %v level %d: %d lines of %d for %d targets", shape, l, lines, width, p.Targets())
 					}
-					seen := make(map[int]bool, len(canon))
-					cuts := []int{0, lines / 3, lines / 3 * 2, lines}
-					for c := 0; c+1 < len(cuts); c++ {
-						var r Run
-						w := p.Walk(kind, cuts[c], cuts[c+1])
-						for w.Next(&r) {
-							for i := 0; i < r.N; i++ {
-								seq := r.Seq + i*r.SeqStep
-								got := target{r.Flat + i*r.Step, r.Off1, r.Off3, r.Mode}
-								if want, ok := canon[seq]; !ok || got != want || seen[seq] {
-									t.Fatalf("shape %v level %d %s seq %d: walked %+v (again: %v), canonical %+v",
-										shape, l, kind, seq, got, seen[seq], want)
+					for trial := 0; trial < 4; trial++ {
+						cuts := []int{0, lines / 3, lines / 3 * 2, lines}
+						if trial > 0 {
+							cuts = randomCuts(rng, lines)
+						}
+						seen := make(map[int]bool, len(canon))
+						for c := 0; c+1 < len(cuts); c++ {
+							var r Run
+							w := p.Walk(kind, cuts[c], cuts[c+1])
+							for w.Next(&r) {
+								if r.Rows < 1 || r.Rows > rowBlock || r.N < 1 {
+									t.Fatalf("shape %v level %d: block of %d rows × %d", shape, l, r.Rows, r.N)
 								}
-								if seq < p.SeqOffset()+cuts[c]*width || seq >= p.SeqOffset()+cuts[c+1]*width {
-									t.Fatalf("shape %v level %d: seq %d outside lines [%d, %d)", shape, l, seq, cuts[c], cuts[c+1])
+								tr := r
+								tr.Transpose()
+								for i := 0; i < r.Rows; i++ {
+									for k := 0; k < r.N; k++ {
+										seq := r.Seq + i*r.RowSeqStep + k*r.SeqStep
+										got := target{r.Flat + i*r.RowStep + k*r.Step, r.Off1, r.Off3, r.Mode}
+										if want, ok := canon[seq]; !ok || got != want || seen[seq] {
+											t.Fatalf("shape %v level %d %s seq %d: walked %+v (again: %v), canonical %+v",
+												shape, l, kind, seq, got, seen[seq], want)
+										}
+										if seq < p.SeqOffset()+cuts[c]*width || seq >= p.SeqOffset()+cuts[c+1]*width {
+											t.Fatalf("shape %v level %d: seq %d outside lines [%d, %d)", shape, l, seq, cuts[c], cuts[c+1])
+										}
+										cf, cs := tr.Flat+k*tr.RowStep+i*tr.Step, tr.Seq+k*tr.RowSeqStep+i*tr.SeqStep
+										if cf != got.flat || cs != seq {
+											t.Fatalf("shape %v level %d: column %d row %d at %d/%d, row walk %d/%d", shape, l, k, i, cf, cs, got.flat, seq)
+										}
+										seen[seq] = true
+									}
 								}
-								seen[seq] = true
 							}
 						}
-					}
-					if len(seen) != len(canon) {
-						t.Fatalf("shape %v level %d %s: walked %d of %d targets", shape, l, kind, len(seen), len(canon))
+						if len(seen) != len(canon) {
+							t.Fatalf("shape %v level %d %s cuts %v: walked %d of %d targets", shape, l, kind, cuts, len(seen), len(canon))
+						}
 					}
 					for seq, tg := range canon {
 						if f := p.FlatIndex(seq - p.SeqOffset()); f != tg.flat {
@@ -291,4 +314,15 @@ func TestWalkCoversPass(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomCuts returns a random partition of [0, lines) into 1 to 6 line
+// ranges, some of them empty.
+func randomCuts(rng *rand.Rand, lines int) []int {
+	cuts := []int{0, lines}
+	for n := rng.Intn(6); n > 0; n-- {
+		cuts = append(cuts, rng.Intn(lines+1))
+	}
+	slices.Sort(cuts)
+	return cuts
 }
