@@ -39,6 +39,26 @@
 //     core, the store's tile staging and the server's ingest bodies draw
 //     their buffers from; a released Result's backings go back to it.
 //
+// The interpolation passes run through AVX2 kernels (kernels_amd64.s,
+// with the generic loops of kernels.go as the purego reference and the
+// scalar path for what no kernel takes). interp.Pass.Walk hands both the
+// quantizer and the rebuild blocks of rows, and a kernel lane takes one of
+// two shapes:
+//
+//   - pairs: the targets of a level-1 row, 2 elements apart with
+//     contiguous indices — 7/8 of a field's values. One call covers a
+//     whole block; each operand is two whole-vector loads and a lane
+//     deinterleave, and masked stores write only the targets.
+//   - strided: lanes any stride apart, gathered and scattered lane by
+//     lane — the rows of coarser levels, and the columns of a block whose
+//     rows are shorter than a group (the ≤ 3 boundary targets of each row
+//     of the innermost pass). One call covers a row or a column.
+//
+// Each lane computes exactly the generic expression, in the same order and
+// without FMA, so archives and retrievals are bit for bit the same down
+// either path (TestQuantizeDispatchDifferential,
+// TestApplyDispatchDifferential, FuzzKernelDispatch).
+//
 // Everything here is deterministic: the same input bytes and the same
 // plan produce bit-identical output regardless of GOMAXPROCS — and, for a
 // Result, regardless of the refinements it took to reach that plan, at

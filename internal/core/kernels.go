@@ -122,19 +122,17 @@ func (e *levelQuantizer[T]) quantizeLines(p *interp.Pass, kind interp.Kind, lo, 
 // its rows.
 func (e *levelQuantizer[T]) quantizeBlock(r *interp.Run, ks []int32, acc []outlier) []outlier {
 	lanes := lanes[T]()
-	for at := 0; ; at++ {
-		at = quantizePairsAccel(e.work, ks, r, at, e.step, e.invStep, e.eb)
-		if at == -1 {
-			return acc
-		}
-		if at < 0 {
-			break
-		}
+	at := quantizePairsAccel(e.work, ks, r, 0, e.step, e.invStep, e.eb)
+	for at >= 0 {
 		// Group g of a row holds its points [g·lanes, (g+1)·lanes): the
 		// last, overlapped group only those its predecessor did not.
 		g, row := at/r.Rows, at%r.Rows
 		lo := g * lanes
 		acc = e.quantizeScalar(r, ks, r.Flat+row*r.RowStep+lo*r.Step, r.Seq+row*r.RowSeqStep+lo*r.SeqStep, min(lanes, r.N-lo), acc)
+		at = quantizePairsAccel(e.work, ks, r, at+1, e.step, e.invStep, e.eb)
+	}
+	if at == -1 {
+		return acc
 	}
 	lineup[T](r)
 	for rows := r.Rows; rows > 0; rows-- {
@@ -340,23 +338,24 @@ func applyLines[T grid.Scalar](p *interp.Pass, kind interp.Kind, lo, hi int, dat
 	}
 }
 
-// applyRun writes pred + k·step to every point of the block r: the whole
-// block through a pair kernel when one takes it, else a row (or column, see
-// lineup) at a time through the strided vector kernel when it takes the
-// line, else through the scalar loop. It moves r through its rows.
+// applyRun writes pred + k·step to every point of the block r: through a
+// vector kernel when its rows hold a group, else when its columns do (see
+// lineup), else through the scalar loop. It may transpose r and move it
+// through its rows.
 func applyRun[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) {
-	if applyPairsAccel(data, ks, r, step) {
+	if applyAccel(data, ks, r, step) {
 		return
 	}
 	lineup[T](r)
+	if applyAccel(data, ks, r, step) {
+		return
+	}
 	for rows := r.Rows; rows > 0; rows-- {
-		if !applyRunAccel(data, ks, r, step) {
-			f, seq := r.Flat, r.Seq
-			for n := r.N; n > 0; n-- {
-				data[f] = interp.Predict(r, data, f) + T(ks[seq])*step
-				f += r.Step
-				seq += r.SeqStep
-			}
+		f, seq := r.Flat, r.Seq
+		for n := r.N; n > 0; n-- {
+			data[f] = interp.Predict(r, data, f) + T(ks[seq])*step
+			f += r.Step
+			seq += r.SeqStep
 		}
 		r.Flat += r.RowStep
 		r.Seq += r.RowSeqStep

@@ -68,16 +68,17 @@ func quantizeRunF64(a *kernArgs) int64
 func quantizeRunF32(a *kernArgs) int64
 
 // applyRunF64 reconstructs pred + k·step four points at a time, reading
-// the indices ksStep apart. No bail conditions: the caller restores
-// outlier positions afterwards.
+// the indices ksStep apart, over a block of a.rows runs of a.n ≥ 4 points,
+// each run's full groups and one last group that ends on its last point.
+// No bail conditions: the caller restores outlier positions afterwards.
 //
 //go:noescape
-func applyRunF64(a *kernArgs) int64
+func applyRunF64(a *kernArgs)
 
 // applyRunF32 is the eight-lane single-precision variant.
 //
 //go:noescape
-func applyRunF32(a *kernArgs) int64
+func applyRunF32(a *kernArgs)
 
 // quantizePairsF64 quantizes a block of rows whose points sit 2 elements
 // apart with contiguous indices, the targets of level-1 rows: each operand
@@ -98,9 +99,9 @@ func quantizePairsF64(a *kernArgs) int64
 func quantizePairsF32(a *kernArgs) int64
 
 // applyPairsF64 is applyRunF64 for a block of rows whose points sit 2
-// elements apart with contiguous indices, each row at least one group
-// long: it covers every row, its full groups and one last group that ends
-// on its last point, loading and storing as quantizePairsF64 does.
+// elements apart with contiguous indices, loading and storing as
+// quantizePairsF64 does and going group by group across the rows as it
+// does.
 //
 //go:noescape
 func applyPairsF64(a *kernArgs)
@@ -110,12 +111,9 @@ func applyPairsF64(a *kernArgs)
 //go:noescape
 func applyPairsF32(a *kernArgs)
 
-// pairKernel reports whether a pair kernel takes the block r: its points
-// sit 2 elements apart with contiguous indices, and its rows hold a group
-// (4 float64, 8 float32 lanes).
-func pairKernel[T grid.Scalar](r *interp.Run) bool {
-	return useAVX2 && r.Step == 2 && r.SeqStep == 1 && r.N >= lanes[T]()
-}
+// pairs reports whether the points of r sit 2 elements apart with
+// contiguous indices, the lane shape of the pair kernels.
+func pairs(r *interp.Run) bool { return r.Step == 2 && r.SeqStep == 1 }
 
 // quantizeRunAccel hands the next n points of the run, from flat index f
 // and sequence index seq on, to the vector kernel and returns how many it
@@ -154,14 +152,14 @@ func quantizeRunAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, f, seq, n
 // quantizePairsAccel quantizes the block r from group at (g·rows + row)
 // on through a pair kernel and returns the first group that trips a guard,
 // −1 when every group committed, or −2 when no pair kernel takes the
-// block: see pairKernel.
+// block: its points are not pairs, or its rows are shorter than a group.
 func quantizePairsAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, at int, step, invStep T, eb float64) int {
-	if !pairKernel[T](r) {
+	if !useAVX2 || !pairs(r) || r.N < lanes[T]() {
 		return -2
 	}
 	_ = w[r.Flat+(r.Rows-1)*r.RowStep+(r.N-1)*r.Step]
 	_ = ks[r.Seq+(r.Rows-1)*r.RowSeqStep+r.N-1]
-	var a kernArgs // field by field; data at f, as in applyPairsAccel
+	var a kernArgs // field by field; data at f, as in applyAccel
 	a.ks = unsafe.Pointer(&ks[r.Seq])
 	a.n = int64(r.N)
 	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
@@ -179,76 +177,43 @@ func quantizePairsAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, at int,
 	return -2
 }
 
-// applyPairsAccel reconstructs the whole block r through a pair kernel in
-// one call and reports whether it did; a block pairKernel refuses is left
-// to the caller.
-func applyPairsAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
-	if !pairKernel[T](r) {
+// applyAccel reconstructs the whole block r through a vector kernel in
+// one call and reports whether it did: a pair kernel when r's points sit 2
+// elements apart with contiguous indices, else the strided kernel, a row
+// at a time. A block whose rows are shorter than one group (4 float64, 8
+// float32 lanes) is left to the caller. The kernels commit each row's full
+// groups, then one last group that ends at the row's last point and
+// overlaps them: a target reads only points the pass never writes, so
+// recomputing one is exact.
+func applyAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
+	if !useAVX2 || r.N < lanes[T]() {
 		return false
 	}
-	// The kernel does not bound-check; the last row's last target and
+	// The kernels do not bound-check; the last row's last target and
 	// index do.
 	_ = data[r.Flat+(r.Rows-1)*r.RowStep+(r.N-1)*r.Step]
-	_ = ks[r.Seq+(r.Rows-1)*r.RowSeqStep+r.N-1]
+	_ = ks[r.Seq+(r.Rows-1)*r.RowSeqStep+(r.N-1)*r.SeqStep]
 	var a kernArgs // field by field, as in quantizeRunAccel; data at f
 	a.ks = unsafe.Pointer(&ks[r.Seq])
-	a.n = int64(r.N)
+	a.fstep, a.ksStep, a.n = int64(r.Step), int64(r.SeqStep), int64(r.N)
 	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
 	a.step = float64(step)
 	a.rows, a.rowStep, a.ksRowStep = int64(r.Rows), int64(r.RowStep), int64(r.RowSeqStep)
 	switch dt := any(data).(type) {
 	case []float64:
 		a.data = unsafe.Pointer(&dt[r.Flat])
-		applyPairsF64(&a)
+		if pairs(r) {
+			applyPairsF64(&a)
+		} else {
+			applyRunF64(&a)
+		}
 	case []float32:
 		a.data = unsafe.Pointer(&dt[r.Flat])
-		applyPairsF32(&a)
+		if pairs(r) {
+			applyPairsF32(&a)
+		} else {
+			applyRunF32(&a)
+		}
 	}
 	return true
-}
-
-// applyRunAccel reconstructs the whole run through the vector kernel and
-// reports whether it did; a run shorter than one group (4 float64, 8
-// float32 lanes) is left to the caller's scalar loop. The kernel commits
-// the run's full groups, then one last group that ends at the run's last
-// point and overlaps them: a target reads only points the pass never
-// writes, so recomputing one is exact.
-func applyRunAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
-	if !useAVX2 {
-		return false
-	}
-	lanes := lanes[T]()
-	n := r.N
-	if n < lanes {
-		return false
-	}
-	// The kernel does not bound-check; the run's last target and index do.
-	last := n - 1
-	_ = data[r.Flat+last*r.Step]
-	_ = ks[r.Seq+last*r.SeqStep]
-	var a kernArgs // field by field, as in quantizeRunAccel
-	a.fstep, a.ksStep = int64(r.Step), int64(r.SeqStep)
-	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
-	a.step = float64(step)
-	full := n &^ (lanes - 1)
-	applyGroups(data, ks, r, &a, 0, full)
-	if full < n {
-		applyGroups(data, ks, r, &a, n-lanes, lanes)
-	}
-	return true
-}
-
-// applyGroups runs the width's apply kernel over cnt points of r, from its
-// at-th on.
-func applyGroups[T grid.Scalar](data []T, ks []int32, r *interp.Run, a *kernArgs, at, cnt int) {
-	a.ks = unsafe.Pointer(&ks[r.Seq+at*r.SeqStep])
-	a.f, a.n = int64(r.Flat+at*r.Step), int64(cnt)
-	switch dt := any(data).(type) {
-	case []float64:
-		a.data = unsafe.Pointer(&dt[0])
-		applyRunF64(a)
-	case []float32:
-		a.data = unsafe.Pointer(&dt[0])
-		applyRunF32(a)
-	}
 }

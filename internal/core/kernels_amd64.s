@@ -492,38 +492,78 @@ qf32done:
 	VPINSRD $2, (R10)(R9*2), Xd, Xd  \
 	VPINSRD $3, (R10)(R14*1), Xd, Xd
 
-// ATAIL64: dequantize-and-apply commit (no guards).
-#define ATAIL64(L) \
+// The strided apply kernels cover a block of runs too (kernArgs.rows,
+// rowStep, ksRowStep; data and indices passed at the block's first
+// target), a run at a time, each run's groups at 0, lanes, 2·lanes, … and,
+// when the run is not a whole number of groups, at n − lanes, overlapping
+// the one before. Beside the registers above:
+//	R11 = the group's first point, counted in its run
+//	R12 = a run's last group start (n − lanes)
+// and the frame holds the current run's first target and index and the
+// runs left.
+
+// SROWS fills the frame and R11/R12 for elements of 1<<sh bytes and
+// groups of n lanes, and the stride registers.
+#define SROWS(sh, n) \
+	MOVQ  0(R8), AX            \
+	MOVQ  AX, rowd-8(SP)       \
+	MOVQ  8(R8), AX            \
+	MOVQ  AX, rowk-16(SP)      \
+	MOVQ  96(R8), AX           \
+	MOVQ  AX, rows-24(SP)      \
+	MOVQ  24(R8), R13          \
+	SHLQ  $sh, R13             \
+	LEAQ  (R13)(R13*2), R15    \
+	KSTRIDE                    \
+	MOVQ  40(R8), BX           \
+	SHLQ  $sh, BX              \
+	MOVQ  48(R8), CX           \
+	SHLQ  $sh, CX              \
+	MOVQ  32(R8), R12          \
+	SUBQ  $n, R12              \
+	XORQ  R11, R11
+
+// SPOS: AX and R10 at group R11 of the current run, the run's last group
+// overlapped.
+#define SPOS \
+	CMPQ    R11, R12           \
+	CMOVQGT R12, R11           \
+	MOVQ    R11, AX            \
+	IMULQ   R13, AX            \
+	ADDQ    rowd-8(SP), AX     \
+	MOVQ    R11, R10           \
+	IMULQ   R9, R10            \
+	ADDQ    rowk-16(SP), R10
+
+// SNEXT: after the group at R11, the next group of the run at G, or the
+// first of the next run, or fall through after the block's last run, for
+// elements of 1<<sh bytes and groups of n lanes.
+#define SNEXT(G, sh, n) \
+	CMPQ  R11, R12             \
+	LEAQ  n(R11), R11          \
+	JNE   G                    \
+	MOVQ  104(R8), DX          \
+	SHLQ  $sh, DX              \
+	ADDQ  DX, rowd-8(SP)       \
+	MOVQ  112(R8), DX          \
+	SHLQ  $2, DX               \
+	ADDQ  DX, rowk-16(SP)      \
+	XORQ  R11, R11             \
+	DECQ  rows-24(SP)          \
+	JNZ   G
+
+// ATAIL64: dequantize-and-apply commit of a strided float64 group.
+#define ATAIL64 \
 	LOADK4(X1)                 \
 	VCVTDQ2PD X1, Y1           \
 	VMULPD    Y10, Y1, Y1      \
 	VADDPD    Y1, Y0, Y1       \
-	STORE4(Y1, X1, X2)         \
-	LEAQ      (AX)(R13*4), AX  \
-	LEAQ      (R10)(R9*4), R10 \
-	DECQ      R11              \
-	JNZ       L
+	STORE4(Y1, X1, X2)
 
-// func applyRunF64(a *kernArgs) int64
-TEXT ·applyRunF64(SB), NOSPLIT, $0-16
-	MOVQ  a+0(FP), R8
-	MOVQ  0(R8), R9
-	MOVQ  16(R8), AX
-	LEAQ  (R9)(AX*8), AX
-	MOVQ  24(R8), R13
-	SHLQ  $3, R13
-	LEAQ  (R13)(R13*2), R15
-	MOVQ  8(R8), R10
-	KSTRIDE
-	MOVQ  32(R8), R11
-	SHRQ  $2, R11
-	MOVQ  R11, R12
-	TESTQ R11, R11
-	JZ    af64done
-	MOVQ  40(R8), BX
-	SHLQ  $3, BX
-	MOVQ  48(R8), CX
-	SHLQ  $3, CX
+// func applyRunF64(a *kernArgs)
+TEXT ·applyRunF64(SB), NOSPLIT, $24-8
+	MOVQ a+0(FP), R8
+	SROWS(3, 4)
 	VBROADCASTSD 64(R8), Y10
 
 	MOVQ 56(R8), DX
@@ -533,27 +573,32 @@ TEXT ·applyRunF64(SB), NOSPLIT, $0-16
 	JEQ  af64linear
 
 af64copy:
+	SPOS
 	QPRED64_COPY
-	ATAIL64(af64copy)
+	ATAIL64
+	SNEXT(af64copy, 3, 4)
 	JMP af64done
 
 af64linear:
+	SPOS
 	QPRED64_LINEAR
-	ATAIL64(af64linear)
+	ATAIL64
+	SNEXT(af64linear, 3, 4)
 	JMP af64done
 
 af64cubic:
+	SPOS
 	QPRED64_CUBIC
-	ATAIL64(af64cubic)
+	ATAIL64
+	SNEXT(af64cubic, 3, 4)
 
 af64done:
-	SHLQ $2, R12
-	MOVQ R12, ret+8(FP)
 	VZEROUPPER
 	RET
 
-// ATAIL32: eight-lane apply commit (clobbers DI).
-#define ATAIL32(L) \
+// ATAIL32: dequantize-and-apply commit of a strided float32 group
+// (clobbers DI).
+#define ATAIL32 \
 	LOADK4(X1)                 \
 	LEAQ      (R10)(R9*4), R10 \
 	LOADK4(X2)                 \
@@ -561,32 +606,12 @@ af64done:
 	VCVTDQ2PS Y1, Y1           \
 	VMULPS    Y10, Y1, Y1      \
 	VADDPS    Y1, Y0, Y1       \
-	STORE8F(Y1, X1, X2)        \
-	LEAQ      (AX)(R13*8), AX  \
-	LEAQ      (R10)(R9*4), R10 \
-	DECQ      R11              \
-	JNZ       L
+	STORE8F(Y1, X1, X2)
 
-// func applyRunF32(a *kernArgs) int64
-TEXT ·applyRunF32(SB), NOSPLIT, $0-16
-	MOVQ  a+0(FP), R8
-	MOVQ  0(R8), R9
-	MOVQ  16(R8), AX
-	LEAQ  (R9)(AX*4), AX
-	MOVQ  24(R8), R13
-	SHLQ  $2, R13
-	LEAQ  (R13)(R13*2), R15
-	MOVQ  8(R8), R10
-	KSTRIDE
-	MOVQ  32(R8), R11
-	SHRQ  $3, R11
-	MOVQ  R11, R12
-	TESTQ R11, R11
-	JZ    af32done
-	MOVQ  40(R8), BX
-	SHLQ  $2, BX
-	MOVQ  48(R8), CX
-	SHLQ  $2, CX
+// func applyRunF32(a *kernArgs)
+TEXT ·applyRunF32(SB), NOSPLIT, $24-8
+	MOVQ a+0(FP), R8
+	SROWS(2, 8)
 	VMOVSD       64(R8), X0
 	VCVTSD2SS    X0, X0, X0
 	VBROADCASTSS X0, Y10
@@ -598,22 +623,26 @@ TEXT ·applyRunF32(SB), NOSPLIT, $0-16
 	JEQ  af32linear
 
 af32copy:
+	SPOS
 	QPRED32_COPY
-	ATAIL32(af32copy)
+	ATAIL32
+	SNEXT(af32copy, 2, 8)
 	JMP af32done
 
 af32linear:
+	SPOS
 	QPRED32_LINEAR
-	ATAIL32(af32linear)
+	ATAIL32
+	SNEXT(af32linear, 2, 8)
 	JMP af32done
 
 af32cubic:
+	SPOS
 	QPRED32_CUBIC
-	ATAIL32(af32cubic)
+	ATAIL32
+	SNEXT(af32cubic, 2, 8)
 
 af32done:
-	SHLQ $3, R12
-	MOVQ R12, ret+8(FP)
 	VZEROUPPER
 	RET
 

@@ -367,7 +367,7 @@ func TestQuantizeAccelCommits(t *testing.T) {
 		w[i] = math.Sin(float64(i) * 0.05)
 	}
 	want := append([]float64(nil), w...)
-	r := &interp.Run{Flat: 1, Step: 2, Seq: 0, SeqStep: 1, N: n, Off1: 1, Mode: interp.RunCopyLeft}
+	r := &interp.Run{Flat: 1, Step: 2, Seq: 0, SeqStep: 1, N: n, Off1: 1, Mode: interp.RunCopyLeft, Rows: 1}
 	ks := make([]int32, n)
 	done := quantizeRunAccel(w, ks, r, r.Flat, 0, n, step, invStep, eb)
 	if done != n {
@@ -404,8 +404,8 @@ func TestQuantizeAccelCommits(t *testing.T) {
 	for i := 0; i < len(data); i += 2 {
 		data[i] = want[i]
 	}
-	if !applyRunAccel(data, ks, r, step) {
-		t.Fatalf("applyRunAccel left the %d-point run to the scalar loop", n)
+	if !applyAccel(data, ks, r, step) {
+		t.Fatalf("applyAccel left the %d-point run to the scalar loop", n)
 	}
 	for f := 1; f < 2*n; f += 2 {
 		if data[f] != want[f] {
@@ -420,7 +420,7 @@ func TestQuantizeAccelCommits(t *testing.T) {
 		w32[i] = float32(math.Sin(float64(i) * 0.05))
 	}
 	want32 := append([]float32(nil), w32...)
-	r32 := &interp.Run{Flat: 1, Step: 2, Seq: 0, SeqStep: 1, N: n32, Off1: 1, Mode: interp.RunCopyLeft}
+	r32 := &interp.Run{Flat: 1, Step: 2, Seq: 0, SeqStep: 1, N: n32, Off1: 1, Mode: interp.RunCopyLeft, Rows: 1}
 	ks32 := make([]int32, n32)
 	eb32 := 1e-3
 	step32, invStep32 := float32(2e-3), float32(5e2)
@@ -451,8 +451,8 @@ func TestQuantizeAccelCommits(t *testing.T) {
 	for i := 0; i < len(data32); i += 2 {
 		data32[i] = want32[i]
 	}
-	if !applyRunAccel(data32, ks32, r32, step32) {
-		t.Fatalf("float32 applyRunAccel left the %d-point run to the scalar loop", n32)
+	if !applyAccel(data32, ks32, r32, step32) {
+		t.Fatalf("float32 applyAccel left the %d-point run to the scalar loop", n32)
 	}
 	for f := 1; f < 2*n32; f += 2 {
 		if data32[f] != want32[f] {
@@ -505,8 +505,8 @@ func checkPairKernels[T grid.Scalar](t *testing.T, eb float64) {
 			data[r.Flat+i*width+k*r.Step] = 0
 		}
 	}
-	if !applyPairsAccel(data, ks, &r, q.step) {
-		t.Fatalf("%T: applyPairsAccel left the block to the caller", want[0])
+	if !applyAccel(data, ks, &r, q.step) {
+		t.Fatalf("%T: applyAccel left the block to the caller", want[0])
 	}
 	if !slices.Equal(data, want) {
 		t.Fatalf("%T: pair apply kernel does not rebuild the quantized values", want[0])

@@ -19,11 +19,7 @@ func quantizeRunAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, f, seq, n
 	return 0
 }
 
-func applyRunAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
-	return false
-}
-
-func applyPairsAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
+func applyAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
 	return false
 }
 

@@ -18,9 +18,9 @@
 //   - LevelPasses / VisitRuns decompose a level's pass into maximal runs
 //     of uniform prediction in canonical order, shardable by target range,
 //     for the point-at-a-time baselines. Pass.Walk covers a pass, shardable
-//     by lines, in whatever order keeps runs long (columns for the
-//     innermost pass); it is what internal/core's compressor and retrieval
-//     consume.
+//     by lines, in blocks of rows of one prediction formula (one block per
+//     segment of the rows for the innermost pass); it is what
+//     internal/core's compressor and retrieval consume.
 //
 // Predict evaluates the interpolation formulas themselves, generically
 // over float32/float64.

@@ -367,6 +367,13 @@ func (p *Pass) FlatIndex(t int) int {
 // interior, the linear tail, the copy-left end: see segments), in that
 // order, each N targets wide. A 1-D pass comes out as VisitRuns would
 // emit it, one row.
+//
+// A consumer takes a block in one of two lane shapes. On level 1 every row
+// is a run with Step 2 and SeqStep 1, so a row's targets fill whole
+// vectors from two loads per operand (internal/core's pair kernels take a
+// block in one call). A block whose rows are shorter than a vector group
+// (the boundary segments, one to three targets wide) is taken after
+// Transpose, a column at a time, lanes RowStep apart.
 func (p *Pass) Walk(kind Kind, lo, hi int) Walk {
 	w := Walk{p: p, line: lo, hi: hi}
 	w.segs, w.nseg = p.segments(kind)
