@@ -560,6 +560,15 @@ qf32done:
 	VADDPD    Y1, Y0, Y1       \
 	STORE4(Y1, X1, X2)
 
+// SALOOP64: the groups of one mode at G, a run at a time, predicted by
+// PRED.
+#define SALOOP64(G, PRED) \
+G:                         \
+	SPOS                   \
+	PRED                   \
+	ATAIL64                \
+	SNEXT(G, 3, 4)
+
 // func applyRunF64(a *kernArgs)
 TEXT ·applyRunF64(SB), NOSPLIT, $24-8
 	MOVQ a+0(FP), R8
@@ -572,25 +581,11 @@ TEXT ·applyRunF64(SB), NOSPLIT, $24-8
 	CMPQ DX, $1
 	JEQ  af64linear
 
-af64copy:
-	SPOS
-	QPRED64_COPY
-	ATAIL64
-	SNEXT(af64copy, 3, 4)
+	SALOOP64(af64copy, QPRED64_COPY)
 	JMP af64done
-
-af64linear:
-	SPOS
-	QPRED64_LINEAR
-	ATAIL64
-	SNEXT(af64linear, 3, 4)
+	SALOOP64(af64linear, QPRED64_LINEAR)
 	JMP af64done
-
-af64cubic:
-	SPOS
-	QPRED64_CUBIC
-	ATAIL64
-	SNEXT(af64cubic, 3, 4)
+	SALOOP64(af64cubic, QPRED64_CUBIC)
 
 af64done:
 	VZEROUPPER
@@ -608,6 +603,15 @@ af64done:
 	VADDPS    Y1, Y0, Y1       \
 	STORE8F(Y1, X1, X2)
 
+// SALOOP32: the groups of one mode at G, a run at a time, predicted by
+// PRED.
+#define SALOOP32(G, PRED) \
+G:                         \
+	SPOS                   \
+	PRED                   \
+	ATAIL32                \
+	SNEXT(G, 2, 8)
+
 // func applyRunF32(a *kernArgs)
 TEXT ·applyRunF32(SB), NOSPLIT, $24-8
 	MOVQ a+0(FP), R8
@@ -622,25 +626,11 @@ TEXT ·applyRunF32(SB), NOSPLIT, $24-8
 	CMPQ DX, $1
 	JEQ  af32linear
 
-af32copy:
-	SPOS
-	QPRED32_COPY
-	ATAIL32
-	SNEXT(af32copy, 2, 8)
+	SALOOP32(af32copy, QPRED32_COPY)
 	JMP af32done
-
-af32linear:
-	SPOS
-	QPRED32_LINEAR
-	ATAIL32
-	SNEXT(af32linear, 2, 8)
+	SALOOP32(af32linear, QPRED32_LINEAR)
 	JMP af32done
-
-af32cubic:
-	SPOS
-	QPRED32_CUBIC
-	ATAIL32
-	SNEXT(af32cubic, 2, 8)
+	SALOOP32(af32cubic, QPRED32_CUBIC)
 
 af32done:
 	VZEROUPPER
@@ -898,6 +888,32 @@ DATA lanes4<>+16(SB)/8, $2
 DATA lanes4<>+24(SB)/8, $3
 GLOBL lanes4<>(SB), RODATA|NOPTR, $32
 
+// PQLOOP64: the groups of one mode — the full groups at G, the same
+// group of every row at R, then the overlapped group of every row at T and
+// TR — predicted by PRED.
+#define PQLOOP64(G, R, T, TR, PRED) \
+G:                              \
+	CMPQ R11, nfull-24(SP)      \
+	JGE  T                      \
+	PQPOS(2)                    \
+R:                              \
+	PRED                        \
+	PLOAD4(Y4, (AX))           \
+	QCORE64(qp64bail)         \
+	QCOMMITP64                 \
+	PQNEXT(R)                   \
+	XORQ R9, R9                 \
+	INCQ R11                    \
+	JMP  G                      \
+T:                              \
+	PQTAILPOS(3, 2, qp64done) \
+TR:                             \
+	PRED                        \
+	PLOAD4(Y4, (AX))           \
+	QCORE64(qp64bail)         \
+	QCOMMITT64                 \
+	PQNEXT(TR)
+
 // func quantizePairsF64(a *kernArgs) int64
 TEXT ·quantizePairsF64(SB), NOSPLIT, $128-16
 	MOVQ a+0(FP), R8
@@ -938,73 +954,11 @@ TEXT ·quantizePairsF64(SB), NOSPLIT, $128-16
 	CMPQ DX, $1
 	JEQ  qp64linear
 
-qp64copy:
-	CMPQ R11, nfull-24(SP)
-	JGE  qp64copyt
-	PQPOS(2)
-qp64copyr:
-	PPRED64_COPY
-	PLOAD4(Y4, (AX))
-	QCORE64(qp64bail)
-	QCOMMITP64
-	PQNEXT(qp64copyr)
-	XORQ R9, R9
-	INCQ R11
-	JMP  qp64copy
-qp64copyt:
-	PQTAILPOS(3, 2, qp64done)
-qp64copytr:
-	PPRED64_COPY
-	PLOAD4(Y4, (AX))
-	QCORE64(qp64bail)
-	QCOMMITT64
-	PQNEXT(qp64copytr)
-	JMP  qp64done
-
-qp64linear:
-	CMPQ R11, nfull-24(SP)
-	JGE  qp64lineart
-	PQPOS(2)
-qp64linearr:
-	PPRED64_LINEAR
-	PLOAD4(Y4, (AX))
-	QCORE64(qp64bail)
-	QCOMMITP64
-	PQNEXT(qp64linearr)
-	XORQ R9, R9
-	INCQ R11
-	JMP  qp64linear
-qp64lineart:
-	PQTAILPOS(3, 2, qp64done)
-qp64lineartr:
-	PPRED64_LINEAR
-	PLOAD4(Y4, (AX))
-	QCORE64(qp64bail)
-	QCOMMITT64
-	PQNEXT(qp64lineartr)
-	JMP  qp64done
-
-qp64cubic:
-	CMPQ R11, nfull-24(SP)
-	JGE  qp64cubict
-	PQPOS(2)
-qp64cubicr:
-	PPRED64_CUBIC
-	PLOAD4(Y4, (AX))
-	QCORE64(qp64bail)
-	QCOMMITP64
-	PQNEXT(qp64cubicr)
-	XORQ R9, R9
-	INCQ R11
-	JMP  qp64cubic
-qp64cubict:
-	PQTAILPOS(3, 2, qp64done)
-qp64cubictr:
-	PPRED64_CUBIC
-	PLOAD4(Y4, (AX))
-	QCORE64(qp64bail)
-	QCOMMITT64
-	PQNEXT(qp64cubictr)
+	PQLOOP64(qp64copy, qp64copyr, qp64copyt, qp64copytr, PPRED64_COPY)
+	JMP qp64done
+	PQLOOP64(qp64linear, qp64linearr, qp64lineart, qp64lineartr, PPRED64_LINEAR)
+	JMP qp64done
+	PQLOOP64(qp64cubic, qp64cubicr, qp64cubict, qp64cubictr, PPRED64_CUBIC)
 
 qp64done:
 	MOVQ $-1, ret+8(FP)
@@ -1018,6 +972,32 @@ qp64bail:
 	MOVQ  AX, ret+8(FP)
 	VZEROUPPER
 	RET
+
+// PQLOOP32: the groups of one mode — the full groups at G, the same
+// group of every row at R, then the overlapped group of every row at T and
+// TR — predicted by PRED.
+#define PQLOOP32(G, R, T, TR, PRED) \
+G:                              \
+	CMPQ R11, nfull-24(SP)      \
+	JGE  T                      \
+	PQPOS(3)                    \
+R:                              \
+	PRED                        \
+	PLOAD8(Y4, (AX))           \
+	QCORE32(qp32bail)         \
+	QCOMMITP32                 \
+	PQNEXT(R)                   \
+	XORQ R9, R9                 \
+	INCQ R11                    \
+	JMP  G                      \
+T:                              \
+	PQTAILPOS(2, 3, qp32done) \
+TR:                             \
+	PRED                        \
+	PLOAD8(Y4, (AX))           \
+	QCORE32(qp32bail)         \
+	QCOMMITT32                 \
+	PQNEXT(TR)
 
 // func quantizePairsF32(a *kernArgs) int64
 TEXT ·quantizePairsF32(SB), NOSPLIT, $128-16
@@ -1061,73 +1041,11 @@ TEXT ·quantizePairsF32(SB), NOSPLIT, $128-16
 	CMPQ DX, $1
 	JEQ  qp32linear
 
-qp32copy:
-	CMPQ R11, nfull-24(SP)
-	JGE  qp32copyt
-	PQPOS(3)
-qp32copyr:
-	PPRED32_COPY
-	PLOAD8(Y4, (AX))
-	QCORE32(qp32bail)
-	QCOMMITP32
-	PQNEXT(qp32copyr)
-	XORQ R9, R9
-	INCQ R11
-	JMP  qp32copy
-qp32copyt:
-	PQTAILPOS(2, 3, qp32done)
-qp32copytr:
-	PPRED32_COPY
-	PLOAD8(Y4, (AX))
-	QCORE32(qp32bail)
-	QCOMMITT32
-	PQNEXT(qp32copytr)
-	JMP  qp32done
-
-qp32linear:
-	CMPQ R11, nfull-24(SP)
-	JGE  qp32lineart
-	PQPOS(3)
-qp32linearr:
-	PPRED32_LINEAR
-	PLOAD8(Y4, (AX))
-	QCORE32(qp32bail)
-	QCOMMITP32
-	PQNEXT(qp32linearr)
-	XORQ R9, R9
-	INCQ R11
-	JMP  qp32linear
-qp32lineart:
-	PQTAILPOS(2, 3, qp32done)
-qp32lineartr:
-	PPRED32_LINEAR
-	PLOAD8(Y4, (AX))
-	QCORE32(qp32bail)
-	QCOMMITT32
-	PQNEXT(qp32lineartr)
-	JMP  qp32done
-
-qp32cubic:
-	CMPQ R11, nfull-24(SP)
-	JGE  qp32cubict
-	PQPOS(3)
-qp32cubicr:
-	PPRED32_CUBIC
-	PLOAD8(Y4, (AX))
-	QCORE32(qp32bail)
-	QCOMMITP32
-	PQNEXT(qp32cubicr)
-	XORQ R9, R9
-	INCQ R11
-	JMP  qp32cubic
-qp32cubict:
-	PQTAILPOS(2, 3, qp32done)
-qp32cubictr:
-	PPRED32_CUBIC
-	PLOAD8(Y4, (AX))
-	QCORE32(qp32bail)
-	QCOMMITT32
-	PQNEXT(qp32cubictr)
+	PQLOOP32(qp32copy, qp32copyr, qp32copyt, qp32copytr, PPRED32_COPY)
+	JMP qp32done
+	PQLOOP32(qp32linear, qp32linearr, qp32lineart, qp32lineartr, PPRED32_LINEAR)
+	JMP qp32done
+	PQLOOP32(qp32cubic, qp32cubicr, qp32cubict, qp32cubictr, PPRED32_CUBIC)
 
 qp32done:
 	MOVQ $-1, ret+8(FP)
@@ -1187,6 +1105,16 @@ qp32bail:
 	VPERMPD    $0xfa, Y1, Y3       \
 	VMASKMOVPD Y3, Y14, 24(AX)
 
+// PALOOP64: the groups of one mode at G, the same group of every row at
+// R, predicted by PRED.
+#define PALOOP64(G, R, PRED) \
+G:                         \
+	PPOS64                 \
+R:                         \
+	PRED                   \
+	PATAIL64               \
+	PNEXT(R, G, 4)
+
 // func applyPairsF64(a *kernArgs)
 TEXT ·applyPairsF64(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), R8
@@ -1202,28 +1130,11 @@ TEXT ·applyPairsF64(SB), NOSPLIT, $0-8
 	CMPQ DX, $1
 	JEQ  ap64linear
 
-ap64copy:
-	PPOS64
-ap64copyrow:
-	PPRED64_COPY
-	PATAIL64
-	PNEXT(ap64copyrow, ap64copy, 4)
+	PALOOP64(ap64copy, ap64copyrow, PPRED64_COPY)
 	JMP ap64done
-
-ap64linear:
-	PPOS64
-ap64linearrow:
-	PPRED64_LINEAR
-	PATAIL64
-	PNEXT(ap64linearrow, ap64linear, 4)
+	PALOOP64(ap64linear, ap64linearrow, PPRED64_LINEAR)
 	JMP ap64done
-
-ap64cubic:
-	PPOS64
-ap64cubicrow:
-	PPRED64_CUBIC
-	PATAIL64
-	PNEXT(ap64cubicrow, ap64cubic, 4)
+	PALOOP64(ap64cubic, ap64cubicrow, PPRED64_CUBIC)
 
 ap64done:
 	VZEROUPPER
@@ -1250,6 +1161,16 @@ ap64done:
 	VPERMPS    Y1, Y12, Y3         \
 	VMASKMOVPS Y3, Y14, 28(AX)
 
+// PALOOP32: the groups of one mode at G, the same group of every row at
+// R, predicted by PRED.
+#define PALOOP32(G, R, PRED) \
+G:                         \
+	PPOS32                 \
+R:                         \
+	PRED                   \
+	PATAIL32               \
+	PNEXT(R, G, 8)
+
 // func applyPairsF32(a *kernArgs)
 TEXT ·applyPairsF32(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), R8
@@ -1269,28 +1190,11 @@ TEXT ·applyPairsF32(SB), NOSPLIT, $0-8
 	CMPQ DX, $1
 	JEQ  ap32linear
 
-ap32copy:
-	PPOS32
-ap32copyrow:
-	PPRED32_COPY
-	PATAIL32
-	PNEXT(ap32copyrow, ap32copy, 8)
+	PALOOP32(ap32copy, ap32copyrow, PPRED32_COPY)
 	JMP ap32done
-
-ap32linear:
-	PPOS32
-ap32linearrow:
-	PPRED32_LINEAR
-	PATAIL32
-	PNEXT(ap32linearrow, ap32linear, 8)
+	PALOOP32(ap32linear, ap32linearrow, PPRED32_LINEAR)
 	JMP ap32done
-
-ap32cubic:
-	PPOS32
-ap32cubicrow:
-	PPRED32_CUBIC
-	PATAIL32
-	PNEXT(ap32cubicrow, ap32cubic, 8)
+	PALOOP32(ap32cubic, ap32cubicrow, PPRED32_CUBIC)
 
 ap32done:
 	VZEROUPPER

@@ -501,7 +501,10 @@ func (w *Walk) nextBlock() {
 		end = min(end, w.line+w.segs[w.segOf(j)].hi-j)
 	}
 	n := end - w.line
-	blocks := (n + rowBlock - 1) / rowBlock
-	w.blockEnd = w.line + (n+blocks-1)/blocks
+	if n > rowBlock {
+		blocks := (n + rowBlock - 1) / rowBlock
+		n = (n + blocks - 1) / blocks
+	}
+	w.blockEnd = w.line + n
 	w.si = 0
 }
