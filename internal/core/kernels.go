@@ -69,9 +69,9 @@ func newLevelQuantizer[T grid.Scalar](work []T, q quant.Quantizer) levelQuantize
 // quantizeLevel quantizes every point of level l against predictions from
 // the (lossy) work array, writing indices into ks (len = LevelCount(l)) and
 // appending outliers to m in canonical sequence order. Each pass is walked
-// a column at a time (interp.Pass.Walk) and sharded by lines across cores,
-// as the rebuild walks it; a pass's outliers come out in walk order and are
-// sorted once before they are appended.
+// a block of rows at a time (interp.Pass.Walk) and sharded by lines across
+// cores, as the rebuild walks it; a pass's outliers come out in walk order
+// and are sorted once before they are appended.
 func (e *levelQuantizer[T]) quantizeLevel(dec *interp.Decomposition, l int, kind interp.Kind, ks []int32, m *levelMeta) {
 	passes := dec.LevelPasses(l)
 	for pi := range passes {
@@ -233,9 +233,10 @@ func (e *levelQuantizer[T]) quantizeScalar(r *interp.Run, ks []int32, f, seq, n 
 // positions restored to their exact stored values. The pred+k·step sum
 // runs at T's native width, the exact expression the compressor's work
 // array evaluated, so reconstruction tracks the encoder bit for bit at any
-// scalar width. Each pass is walked a column at a time (interp.Pass.Walk)
-// and sharded by lines across cores. The indices are those of the level's
-// first keep planes, as fetch decoded them into planes (see applyShard).
+// scalar width. Each pass is walked a block of rows at a time
+// (interp.Pass.Walk) and sharded by lines across cores. The indices are
+// those of the level's first keep planes, as fetch decoded them into
+// planes (see applyShard).
 func applyLevel[T grid.Scalar](a *Archive, data []T, l int, planes []byte, keep int) {
 	m := a.h.metaOf(l)
 	step := T(a.quant.Step())

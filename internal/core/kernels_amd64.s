@@ -20,8 +20,9 @@
 //     rows (a column walks its indices a row of targets apart). Every
 //     operand is gathered lane by lane (LOAD4/LOAD8), the indices read
 //     with strided inserts (LOADK4) or written with strided extracts
-//     (STOREK4), the results scattered (STORE4/STORE8F). They take one
-//     row or column a call.
+//     (STOREK4), the results scattered (STORE4/STORE8F). The apply
+//     kernels take a block of rows (or of columns) a call, a run at a
+//     time; the quantize kernels one row or column.
 //   - Pairs (quantizePairs*, applyPairs*): lanes 2 elements apart in one
 //     row, indices contiguous — the targets of every level-1 row, 7/8 of
 //     a field's values. Each operand is two whole-vector loads that end on
@@ -33,18 +34,17 @@
 //     a whole block of rows a call (kernArgs.rows, rowStep, ksRowStep),
 //     group by group across the rows.
 //
-// All commit whole groups. A row or run that is not a whole number of
-// groups ends with one more group that ends on its last point and
-// overlaps the groups before it. The apply kernels recompute the overlap,
-// which is exact because a target reads only points its pass never writes;
-// the strided apply's wrapper issues that group, the pair apply kernel
-// issues it itself. A quantized point's work value is already its
-// reconstruction, so the strided quantize wrapper leaves its tail to the
-// scalar loop, and the pair quantize kernel commits only the new lanes of
-// the overlapped group (its tail masks).
+// All commit whole groups. In the apply kernels and the pair quantize
+// kernels, a row or run that is not a whole number of groups ends with one
+// more group that ends on its last point and overlaps the groups before
+// it. The apply kernels recompute the overlap, which is exact because a
+// target reads only points its pass never writes. A quantized point's
+// work value is already its reconstruction, so the pair quantize kernels
+// commit only the new lanes of the overlapped group (their tail masks),
+// and the strided quantize wrapper leaves its tail to the scalar loop.
 //
 // Register conventions of the strided kernels:
-//	R8  = *kernArgs     AX  = &data[f] (advances)
+//	R8  = *kernArgs     AX  = &data[f] (advances in the quantize kernels)
 //	BX  = off1 bytes    CX  = off3 bytes
 //	R13 = elem stride   R15 = 3*stride
 //	R10 = ks cursor     R11 = groups remaining    R12 = groups total

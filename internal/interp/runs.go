@@ -394,7 +394,7 @@ type Walk struct {
 	idx      [grid.MaxDims]int // iteration indices of line's row, dims 0..rank-2
 	rowBase  int               // flat index of line's row at innermost coordinate 0
 	blockEnd int               // end of the block being emitted
-	si       int               // next segment (rank 1, innermost pass); 1 once an outer block is out
+	si       int               // next segment of the row or block; nseg once the block is out
 }
 
 // seek positions the walk at the row of line.
@@ -432,7 +432,7 @@ func (w *Walk) Next(r *Run) bool {
 		}
 		return false
 	}
-	if w.si == w.nseg || (p.dim < inner && w.si > 0) {
+	if w.si == w.nseg {
 		w.advance()
 		if w.line < w.hi {
 			w.nextBlock()
@@ -447,7 +447,7 @@ func (w *Walk) Next(r *Run) bool {
 	r.Seq = p.seqOff + w.line*width
 	if p.dim < inner {
 		r.Flat, r.N, r.Mode = w.rowBase, width, w.segs[w.segOf(w.idx[p.dim])].mode
-		w.si = 1
+		w.si = w.nseg // one block for all its rows
 		return true
 	}
 	seg := w.segs[w.si]
