@@ -30,13 +30,15 @@ func setAVX2(on bool) bool {
 // kernArgs is the argument block shared by the quantize and apply kernels
 // in kernels_amd64.s; a single pointer keeps the assembly prologues to one
 // field-offset scheme. All integer fields are 64-bit so offsets are
-// uniform. The apply kernels ignore invStep and eb.
+// uniform. The apply kernels ignore invStep and eb. Only the strided
+// quantize kernels take data at the array's start and f; every other
+// kernel takes data at the first target of its block.
 type kernArgs struct {
 	data    unsafe.Pointer // *float64 / *float32 work array
 	ks      unsafe.Pointer // *int32, pre-offset to the run's first seq
 	f       int64          // flat index of the first point
 	fstep   int64          // flat stride between points
-	n       int64          // points requested (kernels commit a multiple of the lane width)
+	n       int64          // points in a run or row
 	off1    int64          // ±s neighbour offset
 	off3    int64          // ±3s neighbour offset (cubic only)
 	mode    int64          // interp.RunMode
@@ -44,8 +46,9 @@ type kernArgs struct {
 	invStep float64
 	eb      float64
 	ksStep  int64 // index stride between points
-	// The apply pair kernels cover a block of rows in one call: row i
-	// starts rowStep points and ksRowStep indices after row i-1.
+	// The apply kernels and the pair quantize kernels cover a block of
+	// rows in one call: row i starts rowStep points and ksRowStep
+	// indices after row i-1.
 	rows      int64
 	rowStep   int64
 	ksRowStep int64
