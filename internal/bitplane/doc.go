@@ -28,7 +28,14 @@
 //
 // Both kernels run on a word-level 8×32 bit-matrix transpose, with an AVX2
 // form on amd64, and take an 8-aligned value range so that internal/core
-// can shard a level across goroutines. SplitInto, MergeInto, PredictEncode
+// can shard a level across goroutines. The AVX2 merge holds every loaded
+// plane octet in registers from its load to the decoded indices: a byte
+// shuffle gives each group of 8 values its 8 plane bytes as one qword,
+// and one 8×8 bit transpose per qword gives that octet of the 8 values.
+// The transpose is a single VGF2P8AFFINEQB where CPUID reports GFNI, which
+// then also undoes the prediction octet by octet as GF(2) affine maps; on
+// other AVX2 CPUs it is three delta swaps, and the prediction is undone on
+// the joined words. The CPU picks the form; no option does. SplitInto, MergeInto, PredictEncode
 // and PredictDecode are the plain-plane forms for callers that hold raw
 // values or planes rather than quantization indices: the comparators under
 // internal/baselines and the per-layer probes. SplitInto shares the coder's

@@ -56,11 +56,43 @@ func (r *mergeCase) bytePlanes() []int32 {
 	return ks
 }
 
-// fused runs MergeDecodeRange through the requested dispatch path over
-// indices poisoned with garbage: the kernel reads none of them.
-func (r *mergeCase) fused(asm bool) []int32 {
-	setAVX2(asm)
-	defer setAVX2(true)
+// mergePath is one of MergeDecodeRange's dispatch paths: the generic
+// loop, the AVX2 kernel's shift-and-mask form, or its GFNI form.
+type mergePath struct {
+	name       string
+	avx2, gfni bool
+}
+
+var mergePaths = []mergePath{{"generic", false, false}, {"avx2", true, false}, {"gfni", true, true}}
+
+// use switches the dispatch to path and reports whether this build and CPU
+// have it; restoreMergePath switches back to what the CPU offers.
+func (path mergePath) use() bool {
+	return setAVX2(path.avx2) == path.avx2 && setGFNI(path.gfni) == path.gfni
+}
+
+func restoreMergePath() {
+	setAVX2(true)
+	setGFNI(true)
+}
+
+// availableMergePaths lists the paths this build and CPU run.
+func availableMergePaths() []mergePath {
+	defer restoreMergePath()
+	var out []mergePath
+	for _, path := range mergePaths {
+		if path.use() {
+			out = append(out, path)
+		}
+	}
+	return out
+}
+
+// fused runs MergeDecodeRange through path over indices poisoned with
+// garbage: the kernel reads none of them.
+func (r *mergeCase) fused(path mergePath) []int32 {
+	path.use()
+	defer restoreMergePath()
 	ks := make([]int32, len(r.codes))
 	for i := range ks {
 		ks[i] = int32(0x5A5A5A5A ^ i)
@@ -69,16 +101,16 @@ func (r *mergeCase) fused(asm bool) []int32 {
 	return ks
 }
 
-// check demands that the generic and AVX2 kernels, the byte-plane oracle
+// check demands that every available dispatch path, the byte-plane oracle
 // and the truncation of the codes at want all agree inside [lo, hi), and
 // that nothing outside it moved.
 func (r *mergeCase) check(t *testing.T) {
 	t.Helper()
 	oracle := r.bytePlanes()
-	generic := r.fused(false)
-	paths := [][]int32{generic}
-	if setAVX2(true) {
-		paths = append(paths, r.fused(true))
+	paths := availableMergePaths()
+	got := make([][]int32, len(paths))
+	for k, path := range paths {
+		got[k] = r.fused(path)
 	}
 	for i := range r.codes {
 		if oracle[i] != r.truncated[i] {
@@ -88,9 +120,9 @@ func (r *mergeCase) check(t *testing.T) {
 		if i >= r.lo && i < r.hi {
 			want = r.truncated[i]
 		}
-		for k, ks := range paths {
+		for k, ks := range got {
 			if ks[i] != want {
-				t.Fatalf("used=%d want=%d [%d,%d) value %d: path %d (0 generic, 1 AVX2) %d, want %d", r.used, r.want, r.lo, r.hi, i, k, ks[i], want)
+				t.Fatalf("used=%d want=%d [%d,%d) value %d: %s path %d, want %d", r.used, r.want, r.lo, r.hi, i, paths[k].name, ks[i], want)
 			}
 		}
 	}
@@ -106,11 +138,16 @@ func randomCodes(rng *rand.Rand, n, used int) []uint32 {
 }
 
 // TestMergeDecodeRangeDifferential sweeps every loaded prefix of several
-// plane counts over lengths on both sides of the 32-value kernel step.
+// plane counts over lengths on both sides of the 32-value kernel step and
+// past two calls of the kernel (8192 values each), through every dispatch path this
+// build and CPU run; it logs which.
 func TestMergeDecodeRangeDifferential(t *testing.T) {
+	for _, path := range availableMergePaths() {
+		t.Logf("merge path %s runs", path.name)
+	}
 	rng := rand.New(rand.NewSource(31))
 	for _, used := range []int{1, 2, 3, 7, 8, 9, 17, 24, 31, 32} {
-		for _, n := range []int{1, 31, 32, 77, 200} {
+		for _, n := range []int{1, 31, 32, 77, 200, 1<<14 + 40} {
 			codes := randomCodes(rng, n, used)
 			for want := 0; want <= used; want++ {
 				lo := rng.Intn(n+1) &^ 7
@@ -169,8 +206,9 @@ func checkSplitEncode(t *testing.T, codes []uint32, want [][]byte) {
 	}
 }
 
-// FuzzMergeDecodeDispatch holds MergeDecodeRange's AVX2 and generic
-// kernels to the byte-plane oracle and to plain truncation, for a
+// FuzzMergeDecodeDispatch holds MergeDecodeRange's generic loop and both
+// forms of its AVX2 kernel, shift-and-mask and GFNI, whichever this build
+// and CPU run, to the byte-plane oracle and to plain truncation, for a
 // fuzz-chosen plane count, loaded prefix, 8-aligned start and length; the
 // same codes also check the coder's split (SplitEncodeRange).
 func FuzzMergeDecodeDispatch(f *testing.F) {

@@ -6,8 +6,8 @@
 // SplitEncodeRange and MergeDecodeRange. Both process 32 values (4 groups
 // of 8) per iteration.
 //
-// The core trick: arrange value bytes so that within each 8-byte chunk of a
-// YMM register the bytes belong to one fixed value-byte B, values in
+// The split's trick: arrange value bytes so that within each 8-byte chunk
+// of a YMM register the bytes belong to one fixed value-byte B, values in
 // DESCENDING order (v7..v0). VPMOVMSKB then reads bit 7 of every byte, so
 // after s left shifts mask bit (8g+t) = bit (7-s) of value (8g+7-t) — which
 // is exactly bit t of the packed plane byte for plane p = 24-8B+s, group g.
@@ -15,10 +15,22 @@
 // as a single little-endian uint32 store. Shifting with VPSLLD leaks bits
 // across byte boundaries, but the leak climbs one bit per shift from bit 0
 // and s <= 7, so it can never reach the bit-7 row VPMOVMSKB samples.
+//
+// The merge keeps each plane octet in registers from load to decode. Its 8
+// planes' bytes for the 4 groups are broadcast-loaded and blended into one
+// register, and the split's own byte shuffles bring group g's 8 plane
+// bytes into qword g. Each qword is then an 8×8 bit matrix, plane by
+// value, and one transpose of every qword turns it into the 8 values'
+// bytes of that octet. The transpose has two forms: one VGF2P8AFFINEQB
+// where the CPU has GFNI, else three delta swaps of shifts and logic. The
+// four octets' bytes are joined into words by byte and word unpacks. The
+// prediction is undone on the words by shifts and XORs; the GFNI form
+// does it on the octets by affine maps before the join. Each word is then
+// masked with keep and negabinary-decoded.
 
 // shuffle<> gathers, per 128-bit lane of 4 values, byte B of each value
 // into dword B with values reversed: P[i] = 4*(3-(i&3)) + (i>>2). The same
-// 16-byte pattern is also the 4×4 byte transpose ROW applies in the merge.
+// 16-byte pattern is the merge's 4×4 byte transpose within a lane.
 DATA shuffle<>+0(SB)/8, $0x0105090d0004080c
 DATA shuffle<>+8(SB)/8, $0x03070b0f02060a0e
 DATA shuffle<>+16(SB)/8, $0x0105090d0004080c
@@ -27,28 +39,13 @@ GLOBL shuffle<>(SB), RODATA|NOPTR, $32
 
 // permute<> reorders the shuffled dwords [L0 L1 L2 L3 | H0 H1 H2 H3] into
 // [H0 L0 H1 L1 H2 L2 H3 L3]: qword B becomes the descending 8-value chunk
-// for value-byte B.
+// for value-byte B in the split, and qword g group g's 8 plane bytes in
+// the merge.
 DATA permute<>+0(SB)/8, $0x0000000000000004
 DATA permute<>+8(SB)/8, $0x0000000100000005
 DATA permute<>+16(SB)/8, $0x0000000200000006
 DATA permute<>+24(SB)/8, $0x0000000300000007
 GLOBL permute<>(SB), RODATA|NOPTR, $32
-
-// mergeA<>/mergeB<> rebuild the chunked byte order for merge: output byte
-// (8g+t) = C byte (4t+g), where C holds the 8 plane dwords of one octet
-// (dword j = plane 8b+7-j). mergeA picks the sources that sit in the same
-// lane of C, mergeB the ones that need the lane-swapped copy.
-DATA mergeA<>+0(SB)/8, $0x808080800c080400
-DATA mergeA<>+8(SB)/8, $0x808080800d090501
-DATA mergeA<>+16(SB)/8, $0x0e0a060280808080
-DATA mergeA<>+24(SB)/8, $0x0f0b070380808080
-GLOBL mergeA<>(SB), RODATA|NOPTR, $32
-
-DATA mergeB<>+0(SB)/8, $0x0c08040080808080
-DATA mergeB<>+8(SB)/8, $0x0d09050180808080
-DATA mergeB<>+16(SB)/8, $0x808080800e0a0602
-DATA mergeB<>+24(SB)/8, $0x808080800f0b0703
-GLOBL mergeB<>(SB), RODATA|NOPTR, $32
 
 // nbmask<> is the negabinary mask 0xAAAAAAAA, broadcast to every dword.
 DATA nbmask<>+0(SB)/4, $0xaaaaaaaa
@@ -166,161 +163,221 @@ splitloop:
 	VZEROUPPER
 	RET
 
-// LOADPLANE loads the current 4 plane bytes of plane `idx` into AX, or zero
-// when the plane is nil (not loaded — progressive truncation).
-#define LOADPLANE(idx) \
-	MOVQ  ((idx)*8)(R8), BX   \
-	XORL  AX, AX              \
-	TESTQ BX, BX              \
-	JZ    2(PC)               \
-	MOVL  (BX)(R10*1), AX
+// flip<> is the matrix operand that, with a plane octet's 8 bytes of one
+// group as the matrix, makes VGF2P8AFFINEQB the 8×8 bit transpose of
+// DELTASWAP: output byte j takes bit (7-j) of every plane byte, plane r at
+// bit (7-r). unpredictA<> and carryC<> are the octet form of the
+// prediction's inverse: for each byte of an octet's stored bits s, b = A·s
+// ^ C·b' with b' the already unpredicted next more-significant octet (C
+// reads only its two low bits, the recurrence's carry). Row b of a matrix
+// is byte 7-b of its qword.
+DATA flip<>+0(SB)/8, $0x0102040810204080
+GLOBL flip<>(SB), RODATA|NOPTR, $8
+DATA unpredictA<>+0(SB)/8, $0xdbb66cd8b060c080
+GLOBL unpredictA<>(SB), RODATA|NOPTR, $8
+DATA carryC<>+0(SB)/8, $0x0203010203010203
+GLOBL carryC<>(SB), RODATA|NOPTR, $8
 
-// MASK8 extracts the 8 masks of one octet register T into the scratch
-// column for block b (dword s*4+b of the scratch area).
-#define MASK8(T, b) \
-	VPMOVMSKB T, AX                  \
-	MOVL      AX, scratch-128+(b*4)(SP)  \
-	VPSLLD    $1, T, T               \
-	VPMOVMSKB T, AX                  \
-	MOVL      AX, scratch-128+(16+b*4)(SP) \
-	VPSLLD    $1, T, T               \
-	VPMOVMSKB T, AX                  \
-	MOVL      AX, scratch-128+(32+b*4)(SP) \
-	VPSLLD    $1, T, T               \
-	VPMOVMSKB T, AX                  \
-	MOVL      AX, scratch-128+(48+b*4)(SP) \
-	VPSLLD    $1, T, T               \
-	VPMOVMSKB T, AX                  \
-	MOVL      AX, scratch-128+(64+b*4)(SP) \
-	VPSLLD    $1, T, T               \
-	VPMOVMSKB T, AX                  \
-	MOVL      AX, scratch-128+(80+b*4)(SP) \
-	VPSLLD    $1, T, T               \
-	VPMOVMSKB T, AX                  \
-	MOVL      AX, scratch-128+(96+b*4)(SP) \
-	VPSLLD    $1, T, T               \
-	VPMOVMSKB T, AX                  \
-	MOVL      AX, scratch-128+(112+b*4)(SP)
+// swap9<>, swap18<> and swap36<> are DELTASWAP's masks: the bits each
+// round moves up by 9, 18 and 36.
+DATA swap9<>+0(SB)/8, $0x0055005500550055
+GLOBL swap9<>(SB), RODATA|NOPTR, $8
+DATA swap18<>+0(SB)/8, $0x0000333300003333
+GLOBL swap18<>(SB), RODATA|NOPTR, $8
+DATA swap36<>+0(SB)/8, $0x000000000f0f0f0f
+GLOBL swap36<>(SB), RODATA|NOPTR, $8
 
-// MERGEBLOCK builds the chunked octet register for planes 8b..8b+7 and
-// spills its 8 masks; a clear bit in the blocks mask leaves the scratch
-// column at its pre-zeroed state.
-#define MERGEBLOCK(b, skiplabel) \
-	TESTL $(1<<b), R12        \
-	JZ    skiplabel           \
-	LOADPLANE(8*b+7)          \
-	VMOVD AX, X4              \
-	LOADPLANE(8*b+6)          \
-	VPINSRD $1, AX, X4, X4    \
-	LOADPLANE(8*b+5)          \
-	VPINSRD $2, AX, X4, X4    \
-	LOADPLANE(8*b+4)          \
-	VPINSRD $3, AX, X4, X4    \
-	LOADPLANE(8*b+3)          \
-	VMOVD AX, X5              \
-	LOADPLANE(8*b+2)          \
-	VPINSRD $1, AX, X5, X5    \
-	LOADPLANE(8*b+1)          \
-	VPINSRD $2, AX, X5, X5    \
-	LOADPLANE(8*b+0)          \
-	VPINSRD $3, AX, X5, X5    \
-	VINSERTI128 $1, X5, Y4, Y4 \
-	VPERM2I128  $0x01, Y4, Y4, Y5 \
-	VPSHUFB Y14, Y4, Y4       \
-	VPSHUFB Y15, Y5, Y5       \
-	VPOR    Y5, Y4, Y4        \
-	MASK8(Y4, b)              \
-skiplabel:
+// LOADOCTET assembles the current 4 bytes of planes 8b..8b+7 in V, dword d
+// = plane 8b+7-d: one broadcast load per plane and a dword blend
+// (BLENDPLANE), no shuffle port. shuffle<> and permute<> then bring group
+// g's 8 plane bytes into qword g, plane 8b+r at byte r. XV is V's low
+// half; Y4 is the temporary.
+#define BLENDPLANE(p, d, V) \
+	MOVQ         ((p)*8)(R8), BX \
+	VPBROADCASTD (BX)(R10*1), Y4 \
+	VPBLENDD     $(1<<d), Y4, V, V
 
-// ROW loads scratch row s (the four per-octet masks) into X as the 4 values
-// 8g+s, g = 0..3, by a 4×4 byte transpose.
-#define ROW(s, X) \
-	VMOVDQU scratch-128+(s*16)(SP), X \
-	VPSHUFB X13, X, X
+#define LOADOCTET(b, XV, V) \
+	MOVQ    ((8*b+7)*8)(R8), BX \
+	VMOVD   (BX)(R10*1), XV     \
+	BLENDPLANE(8*b+6, 1, V)     \
+	BLENDPLANE(8*b+5, 2, V)     \
+	BLENDPLANE(8*b+4, 3, V)     \
+	BLENDPLANE(8*b+3, 4, V)     \
+	BLENDPLANE(8*b+2, 5, V)     \
+	BLENDPLANE(8*b+1, 6, V)     \
+	BLENDPLANE(8*b+0, 7, V)     \
+	VPSHUFB Y15, V, V           \
+	VPERMD  V, Y14, V
 
-// DECODE8 writes the 8 indices at off(R9) decoded from the 8 merged, still
-// predicted words in V: mergeDecodeGeneric's arithmetic, Y4 as temporary.
-#define DECODE8(V, off) \
-	VPSRLD  $1, V, Y4   \
-	VPXOR   Y4, V, V    \
-	VPSRLD  $3, V, Y4   \
-	VPXOR   Y4, V, V    \
-	VPSRLD  $6, V, Y4   \
-	VPXOR   Y4, V, V    \
-	VPSRLD  $12, V, Y4  \
-	VPXOR   Y4, V, V    \
-	VPSRLD  $24, V, Y4  \
-	VPXOR   Y4, V, V    \
-	VPAND   Y9, V, V    \
-	VPXOR   Y8, V, V    \
-	VPSUBD  Y8, V, V    \
-	VMOVDQU V, off(R9)
+// DELTASWAP and GFTRANSPOSE are the two forms of the 8×8 bit transpose
+// of every qword of V, from plane bytes (plane r at byte r, value j at bit
+// 7-j) to value bytes (value j at byte j, plane r at bit 7-r): output bit
+// (8j+k) is input bit 63-(8k+j), the transpose about the antidiagonal.
+// DELTASWAP runs it as three delta swaps by 36, 18 and 9 (masks in Y11,
+// Y12, Y13; Y4 the temporary), shifts and logic only. GFTRANSPOSE is one
+// VGF2P8AFFINEQB with V as the matrix and flip<> (Y13) as the operand.
+#define SWAPROUND(V, s, M) \
+	VPSRLQ $s, V, Y4  \
+	VPXOR  V, Y4, Y4  \
+	VPAND  M, Y4, Y4  \
+	VPXOR  Y4, V, V   \
+	VPSLLQ $s, Y4, Y4 \
+	VPXOR  Y4, V, V
+
+#define DELTASWAP(V) \
+	SWAPROUND(V, 36, Y11) \
+	SWAPROUND(V, 18, Y12) \
+	SWAPROUND(V, 9, Y13)
+
+#define GFTRANSPOSE(V) \
+	VGF2P8AFFINEQB $0, V, Y13, V
+
+// OCTET leaves in V the value bytes of plane octet b (planes 8b..8b+7,
+// value byte 3-b) for the iteration's 32 values, value v at byte v: zero
+// when the blocks mask (R12) has no bit b, else its planes loaded and
+// transposed.
+#define OCTET(b, XV, V, TRANSPOSE, skip) \
+	VPXOR V, V, V       \
+	TESTL $(1<<b), R12  \
+	JZ    skip          \
+	LOADOCTET(b, XV, V) \
+	TRANSPOSE(V)        \
+skip:
+
+// JOIN interleaves the value bytes of the four octets in Y0..Y3 (Y0 the
+// most significant) into words: values 0-3 | 16-19 in Y0, 4-7 | 20-23 in
+// Y1, 8-11 | 24-27 in Y2 and 12-15 | 28-31 in Y3, low lane | high lane.
+#define JOIN \
+	VPUNPCKLBW Y2, Y3, Y4 \
+	VPUNPCKHBW Y2, Y3, Y5 \
+	VPUNPCKLBW Y0, Y1, Y6 \
+	VPUNPCKHBW Y0, Y1, Y7 \
+	VPUNPCKLWD Y6, Y4, Y0 \
+	VPUNPCKHWD Y6, Y4, Y1 \
+	VPUNPCKLWD Y7, Y5, Y2 \
+	VPUNPCKHWD Y7, Y5, Y3
+
+// UNPREDICT undoes the prediction of the 8 merged words in V, Y4 the
+// temporary: u = s ^ s>>1, then u ^= u>>3, >>6, >>12, >>24.
+#define UNPREDICT(V) \
+	VPSRLD $1, V, Y4  \
+	VPXOR  Y4, V, V   \
+	VPSRLD $3, V, Y4  \
+	VPXOR  Y4, V, V   \
+	VPSRLD $6, V, Y4  \
+	VPXOR  Y4, V, V   \
+	VPSRLD $12, V, Y4 \
+	VPXOR  Y4, V, V   \
+	VPSRLD $24, V, Y4 \
+	VPXOR  Y4, V, V
+
+// GFUNPREDICT undoes the prediction on the octets in Y0..Y3 before they
+// are joined, most significant first, each octet's carry from the one
+// before it (A in Y12, C in Y11, Y4 the temporary).
+#define GFUNPREDICT \
+	VGF2P8AFFINEQB $0, Y12, Y0, Y0 \
+	VGF2P8AFFINEQB $0, Y11, Y0, Y4 \
+	VGF2P8AFFINEQB $0, Y12, Y1, Y1 \
+	VPXOR          Y4, Y1, Y1      \
+	VGF2P8AFFINEQB $0, Y11, Y1, Y4 \
+	VGF2P8AFFINEQB $0, Y12, Y2, Y2 \
+	VPXOR          Y4, Y2, Y2      \
+	VGF2P8AFFINEQB $0, Y11, Y2, Y4 \
+	VGF2P8AFFINEQB $0, Y12, Y3, Y3 \
+	VPXOR          Y4, Y3, Y3
+
+// DECODE masks the unpredicted words in V with keep (Y9) and
+// negabinary-decodes them: (u ^ m) − m, m = 0xAAAAAAAA in Y10.
+#define DECODE(V) \
+	VPAND Y9, V, V   \
+	VPXOR Y10, V, V  \
+	VPSUBD Y10, V, V
+
+// STORE32 writes the iteration's 32 indices from JOIN's order.
+#define STORE32 \
+	VMOVDQU      X0, 0(R9)       \
+	VMOVDQU      X1, 16(R9)      \
+	VMOVDQU      X2, 32(R9)      \
+	VMOVDQU      X3, 48(R9)      \
+	VEXTRACTI128 $1, Y0, 64(R9)  \
+	VEXTRACTI128 $1, Y1, 80(R9)  \
+	VEXTRACTI128 $1, Y2, 96(R9)  \
+	VEXTRACTI128 $1, Y3, 112(R9)
+
+// MERGESETUP loads both merge kernels' arguments and shared constants.
+#define MERGESETUP \
+	MOVQ         planes+0(FP), R8  \
+	MOVQ         ks+8(FP), R9      \
+	MOVQ         iters+16(FP), R11 \
+	MOVBLZX      blocks+24(FP), R12 \
+	XORQ         R10, R10          \
+	VMOVDQU      shuffle<>(SB), Y15 \
+	VMOVDQU      permute<>(SB), Y14 \
+	VPBROADCASTD nbmask<>(SB), Y10 \
+	VPBROADCASTD keep+28(FP), Y9
+
+// NEXT32 advances to the next 32 values and loops to label while any are
+// left, then returns.
+#define NEXT32(label) \
+	ADDQ $128, R9 \
+	ADDQ $4, R10  \
+	DECQ R11      \
+	JNZ  label    \
+	VZEROUPPER    \
+	RET
 
 // func mergeDecodeAVX2(planes *[32]unsafe.Pointer, ks *int32, iters int, blocks uint8, keep uint32)
 //
-// MERGEBLOCK spills the masks of each loaded plane octet into 8 scratch
-// rows, zeroed once: columns of skipped octets are never written, so they
-// keep contributing zero bits in every iteration. The rows' 32 values then
-// stay in registers: ROW gives value 8g+s in dword g of Xs, and a 4×4 dword
-// transpose per lane of [Xs | Xs+4] turns them into the 8 values of group g
-// in Yg. DECODE8 undoes the prediction (u = s ^ s>>1, then u ^= u>>3, >>6,
-// >>12, >>24), masks with keep and negabinary-decodes: (u ^ m) − m, m =
-// 0xAAAAAAAA.
-TEXT ·mergeDecodeAVX2(SB), NOSPLIT, $128-32
-	MOVQ    planes+0(FP), R8
-	MOVQ    ks+8(FP), R9
-	MOVQ    iters+16(FP), R11
-	MOVBLZX blocks+24(FP), R12
-	XORQ    R10, R10
-	VMOVDQU mergeA<>(SB), Y14
-	VMOVDQU mergeB<>(SB), Y15
-	VMOVDQU shuffle<>(SB), X13
-	VPBROADCASTD nbmask<>(SB), Y8
-	MOVL    keep+28(FP), AX
-	VMOVD   AX, X9
-	VPBROADCASTD X9, Y9
+// Every plane pointer of an octet whose blocks bit is set must be
+// readable for iters×4 bytes: the caller points the planes not loaded at
+// zeros. The octets' value bytes are joined into words, and each word is
+// unpredicted, masked with keep and decoded: mergeDecodeGeneric's
+// arithmetic.
+TEXT ·mergeDecodeAVX2(SB), NOSPLIT, $0-32
+	MERGESETUP
+	VPBROADCASTQ swap36<>(SB), Y11
+	VPBROADCASTQ swap18<>(SB), Y12
+	VPBROADCASTQ swap9<>(SB), Y13
 
-	VPXOR   Y0, Y0, Y0
-	VMOVDQU Y0, scratch-128(SP)
-	VMOVDQU Y0, scratch-96(SP)
-	VMOVDQU Y0, scratch-64(SP)
-	VMOVDQU Y0, scratch-32(SP)
+avx2loop:
+	OCTET(0, X0, Y0, DELTASWAP, avx2o0)
+	OCTET(1, X1, Y1, DELTASWAP, avx2o1)
+	OCTET(2, X2, Y2, DELTASWAP, avx2o2)
+	OCTET(3, X3, Y3, DELTASWAP, avx2o3)
+	JOIN
+	UNPREDICT(Y0)
+	UNPREDICT(Y1)
+	UNPREDICT(Y2)
+	UNPREDICT(Y3)
+	DECODE(Y0)
+	DECODE(Y1)
+	DECODE(Y2)
+	DECODE(Y3)
+	STORE32
+	NEXT32(avx2loop)
 
-mdloop:
-	MERGEBLOCK(0, md0)
-	MERGEBLOCK(1, md1)
-	MERGEBLOCK(2, md2)
-	MERGEBLOCK(3, md3)
+// func mergeDecodeGFNI(planes *[32]unsafe.Pointer, ks *int32, iters int, blocks uint8, keep uint32)
+//
+// mergeDecodeAVX2 with GFNI: each octet is transposed by one affine
+// instruction, and unpredicted before the join by one more and, for the
+// carry out of the octet above, a second and an XOR.
+TEXT ·mergeDecodeGFNI(SB), NOSPLIT, $0-32
+	MERGESETUP
+	VPBROADCASTQ carryC<>(SB), Y11
+	VPBROADCASTQ unpredictA<>(SB), Y12
+	VPBROADCASTQ flip<>(SB), Y13
 
-	ROW(0, X0)
-	ROW(1, X1)
-	ROW(2, X2)
-	ROW(3, X3)
-	ROW(4, X4)
-	ROW(5, X5)
-	ROW(6, X6)
-	ROW(7, X7)
-	VINSERTI128 $1, X4, Y0, Y0
-	VINSERTI128 $1, X5, Y1, Y1
-	VINSERTI128 $1, X6, Y2, Y2
-	VINSERTI128 $1, X7, Y3, Y3
-	VPUNPCKLDQ  Y1, Y0, Y4
-	VPUNPCKHDQ  Y1, Y0, Y5
-	VPUNPCKLDQ  Y3, Y2, Y6
-	VPUNPCKHDQ  Y3, Y2, Y7
-	VPUNPCKLQDQ Y6, Y4, Y0 // values 0..7
-	VPUNPCKHQDQ Y6, Y4, Y1 // values 8..15
-	VPUNPCKLQDQ Y7, Y5, Y2 // values 16..23
-	VPUNPCKHQDQ Y7, Y5, Y3 // values 24..31
-
-	DECODE8(Y0, 0)
-	DECODE8(Y1, 32)
-	DECODE8(Y2, 64)
-	DECODE8(Y3, 96)
-
-	ADDQ $128, R9
-	ADDQ $4, R10
-	DECQ R11
-	JNZ  mdloop
-	VZEROUPPER
-	RET
+gfniloop:
+	OCTET(0, X0, Y0, GFTRANSPOSE, gfnio0)
+	OCTET(1, X1, Y1, GFTRANSPOSE, gfnio1)
+	OCTET(2, X2, Y2, GFTRANSPOSE, gfnio2)
+	OCTET(3, X3, Y3, GFTRANSPOSE, gfnio3)
+	GFUNPREDICT
+	JOIN
+	DECODE(Y0)
+	DECODE(Y1)
+	DECODE(Y2)
+	DECODE(Y3)
+	STORE32
+	NEXT32(gfniloop)

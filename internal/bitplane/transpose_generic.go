@@ -7,6 +7,9 @@ package bitplane
 // reports false.
 func setAVX2(on bool) bool { return false }
 
+// setGFNI is setAVX2's twin for the merge kernel's GFNI form.
+func setGFNI(on bool) bool { return false }
+
 func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int, pm, nbm uint32) int {
 	return lo
 }

@@ -118,11 +118,10 @@ func Compress[T grid.Scalar](g *grid.Grid[T], opt Options) ([]byte, error) {
 		m := h.metaOf(l)
 		// Split into a pooled backing (every byte in range is overwritten,
 		// so no zeroing), in the one pass after quantization.
-		nbytes := (counts[l] + 7) / 8
-		backing := GetScratch[byte](bitplane.Planes * nbytes)
+		backing := GetScratch[byte](bitplane.Planes * m.planeStride())
 		var all [bitplane.Planes][]byte
 		for p := range all {
-			all[p] = backing[p*nbytes : (p+1)*nbytes : (p+1)*nbytes]
+			all[p] = m.plane(backing, p)
 		}
 		used, maxDrop := encodeLevel(qvals[l], all[:])
 		m.usedPlanes, m.maxDrop = used, maxDrop

@@ -167,3 +167,24 @@ func TestEncodeLevelMatchesThreePass(t *testing.T) {
 		}
 	}
 }
+
+// TestPlaneRowsSpreadOverCacheSets pins the plane stride's rule: for every
+// level of up to 2²⁴ values, the 32 rows of a plane backing start in 32
+// different sets of a first-level cache of 64 sets of 64-byte lines, and
+// each row costs less than 128 bytes of padding.
+func TestPlaneRowsSpreadOverCacheSets(t *testing.T) {
+	const lineBytes, sets = 64, 64
+	for planeBytes := 0; planeBytes <= 1<<24/8; planeBytes++ {
+		stride := planeStride(planeBytes)
+		if stride < planeBytes || stride-planeBytes >= 2*lineBytes {
+			t.Fatalf("planeBytes %d: stride %d", planeBytes, stride)
+		}
+		var seen uint64
+		for p := 0; p < bitplane.Planes; p++ {
+			seen |= 1 << (p * stride / lineBytes % sets)
+		}
+		if n := bits.OnesCount64(seen); n != bitplane.Planes {
+			t.Fatalf("planeBytes %d: stride %d puts the 32 rows in %d sets", planeBytes, stride, n)
+		}
+	}
+}

@@ -172,6 +172,23 @@ func (h *header) planeSpan(level, have, want int) (off, n int64) {
 // planeBytes is the size of one of the level's planes: a bit per value.
 func (m *levelMeta) planeBytes() int { return (m.count + 7) / 8 }
 
+// planeStride is the distance between the level's planes in every plane
+// backing, Compress's split and a result's alike: planeBytes rounded up to
+// an odd number of 64-byte lines, at most 127 bytes more. Rows a multiple
+// of 4 KiB apart all fall in one set of a 64-set first-level cache, and
+// the split and the merge touch every row at once; with an odd line count
+// the 32 rows fall in 32 different sets.
+func (m *levelMeta) planeStride() int { return planeStride(m.planeBytes()) }
+
+func planeStride(planeBytes int) int { return ((planeBytes+63)/64 | 1) * 64 }
+
+// plane returns plane p of the level from the level's slots of a plane
+// backing: planeBytes bytes at p·planeStride.
+func (m *levelMeta) plane(slots []byte, p int) []byte {
+	off, n := p*m.planeStride(), m.planeBytes()
+	return slots[off : off+n : off+n]
+}
+
 // planeSlots is the size of a backing with a slot for every stored plane
 // of every level (Result.planes). It is bounded by checks already made:
 // m.count is the decomposition's own count for the level
@@ -179,19 +196,20 @@ func (m *levelMeta) planeBytes() int { return (m.count + 7) / 8 }
 func (h *header) planeSlots() int {
 	n := 0
 	for i := range h.meta {
-		n += h.meta[i].usedPlanes * h.meta[i].planeBytes()
+		n += h.meta[i].usedPlanes * h.meta[i].planeStride()
 	}
 	return n
 }
 
 // levelSlots returns level l's slots of such a backing: its usedPlanes
-// planes, MSB plane first, the finest level's slots first in the backing.
+// planes, MSB plane first (levelMeta.plane), the finest level's slots
+// first in the backing.
 func (h *header) levelSlots(planes []byte, level int) []byte {
 	off := 0
 	for l := 1; l < level; l++ {
-		off += h.metaOf(l).usedPlanes * h.metaOf(l).planeBytes()
+		off += h.metaOf(l).usedPlanes * h.metaOf(l).planeStride()
 	}
-	n := h.metaOf(level).usedPlanes * h.metaOf(level).planeBytes()
+	n := h.metaOf(level).usedPlanes * h.metaOf(level).planeStride()
 	return planes[off : off+n : off+n]
 }
 

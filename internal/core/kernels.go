@@ -298,8 +298,8 @@ type blockMerge struct {
 var blockMerges = sync.Pool{New: func() any { return new(blockMerge) }}
 
 // merge returns the indices [base, end) of a level truncated to its first
-// keep planes, merged from planes (usedPlanes planes of planeBytes, MSB
-// plane first, as fetch decodes them) into bm's scratch. base is a
+// keep planes, merged from planes (the level's slots of a plane backing,
+// as fetch decodes them) into bm's scratch. base is a
 // multiple of 8. The planes not loaded stay nil: the merge counts them as
 // zero and masks off what that spills below the last loaded one.
 func (bm *blockMerge) merge(planes []byte, keep int, m *levelMeta, base, end int) []int32 {
@@ -307,10 +307,9 @@ func (bm *blockMerge) merge(planes []byte, keep int, m *levelMeta, base, end int
 	if cap(bm.ks) < n {
 		bm.ks = make([]int32, n)
 	}
-	planeBytes := m.planeBytes()
 	loaded := bm.planes[bitplane.Planes-m.usedPlanes:][:keep]
 	for p := range loaded {
-		loaded[p] = planes[p*planeBytes+base>>3 : (p+1)*planeBytes]
+		loaded[p] = m.plane(planes, p)[base>>3:]
 	}
 	ks := bm.ks[:n]
 	bitplane.MergeDecodeRange(ks, bm.planes[:], 0, n, ^uint32(0)<<(m.usedPlanes-keep))

@@ -163,9 +163,8 @@ func TestDeflateMatchesFlateOnRealPlanes(t *testing.T) {
 		for l := 1; l <= a.h.levels; l++ {
 			m := a.h.metaOf(l)
 			got := a.h.levelSlots(planes, l)
-			planeBytes := m.planeBytes()
 			for p := 0; p < m.usedPlanes; p++ {
-				plane := got[p*planeBytes : (p+1)*planeBytes]
+				plane := m.plane(got, p)
 				var want bytes.Buffer
 				w, _ := flate.NewWriter(&want, 1)
 				w.Write(plane)

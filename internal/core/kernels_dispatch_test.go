@@ -295,12 +295,12 @@ func planIndices(tb testing.TB, a *Archive, plan Plan) [][]int32 {
 	ks := make([][]int32, a.h.levels)
 	for l := 1; l <= a.h.levels; l++ {
 		m := a.h.metaOf(l)
-		keep, planeBytes := min(a.keepOf(plan, l), m.usedPlanes), m.planeBytes()
+		keep := min(a.keepOf(plan, l), m.usedPlanes)
 		slots := a.h.levelSlots(planes, l)
 		var loaded [bitplane.Planes][]byte
 		used := loaded[bitplane.Planes-m.usedPlanes:]
 		for p := range keep {
-			used[p] = slots[p*planeBytes : (p+1)*planeBytes]
+			used[p] = m.plane(slots, p)
 		}
 		bitplane.PredictDecode(used[:keep])
 		codes := make([]uint32, m.count)

@@ -363,9 +363,9 @@ func (r *Result) fetch(plan Plan, planes []byte, alongside func()) (from int, er
 		}
 		sp := &spans[k]
 		m := a.h.metaOf(sp.level)
-		p, planeBytes := sp.have+i-sp.first, m.planeBytes()
+		p := sp.have + i - sp.first
 		at := int(a.h.blockOff[sp.level-1][p] - sp.off)
-		plane := a.h.levelSlots(planes, sp.level)[p*planeBytes : (p+1)*planeBytes : (p+1)*planeBytes]
+		plane := m.plane(a.h.levelSlots(planes, sp.level), p)
 		if err := codec.DecodeBlockInto(plane, sp.raw[at:at+int(m.blockSizes[p])]); err != nil {
 			ferr.set(fmt.Errorf("core: level %d plane %d: %w", sp.level, p, err))
 		}

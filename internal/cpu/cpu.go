@@ -9,7 +9,10 @@ package cpu
 // X86 reports the features the dispatch tables consult, filled in by the
 // amd64 init. HasAVX2 requires AVX2 itself plus OS support for YMM state
 // (OSXSAVE and XCR0 enabling XMM+YMM), the condition for safely executing
-// VEX.256 code.
+// VEX.256 code. HasGFNI reports the Galois-field instructions, which the
+// kernels use in their VEX.256 form: it is set only under the same YMM
+// state condition.
 var X86 struct {
 	HasAVX2 bool
+	HasGFNI bool
 }

@@ -28,7 +28,9 @@ func init() {
 	if xcr0&6 != 6 {
 		return
 	}
-	_, ebx7, _, _ := cpuid(7, 0)
+	_, ebx7, ecx7, _ := cpuid(7, 0)
 	const avx2 = 1 << 5
+	const gfni = 1 << 8
 	X86.HasAVX2 = ebx7&avx2 != 0
+	X86.HasGFNI = ecx7&gfni != 0
 }
