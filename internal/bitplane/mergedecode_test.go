@@ -187,12 +187,17 @@ func checkSplitEncode(t *testing.T, codes []uint32, want [][]byte) {
 		if setAVX2(asm) != asm {
 			continue
 		}
-		got := make([][]byte, Planes)
+		// Each plane is followed by 32 bytes of its buffer: plane backings
+		// pack short planes back to back, so the split must write nothing
+		// past a plane.
+		got, bufs := make([][]byte, Planes), make([][]byte, Planes)
 		for p := range got {
-			got[p] = make([]byte, len(want[p]))
-			for i := range got[p] {
-				got[p][i] = 0xA5 // poison: every byte in range is written
+			n := len(want[p])
+			bufs[p] = make([]byte, n+32)
+			for i := range bufs[p] {
+				bufs[p][i] = 0xA5 // poison: every byte in range is written
 			}
+			got[p] = bufs[p][:n:n]
 		}
 		SplitEncodeRange(got, ks, 0, len(ks))
 		setAVX2(true)
@@ -200,6 +205,11 @@ func checkSplitEncode(t *testing.T, codes []uint32, want [][]byte) {
 			for g := range want[p] {
 				if got[p][g] != want[p][g] {
 					t.Fatalf("n=%d asm=%v plane %d byte %d: %08b want %08b", len(codes), asm, p, g, got[p][g], want[p][g])
+				}
+			}
+			for i, b := range bufs[p][len(want[p]):] {
+				if b != 0xA5 {
+					t.Fatalf("n=%d asm=%v plane %d: byte %d past the plane written", len(codes), asm, p, i)
 				}
 			}
 		}

@@ -42,17 +42,20 @@
 // The interpolation passes run through AVX2 kernels (kernels_amd64.s,
 // with the generic loops of kernels.go as the purego reference and the
 // scalar path for what no kernel takes). interp.Pass.Walk hands both the
-// quantizer and the rebuild blocks of rows, and a kernel lane takes one of
-// two shapes:
+// quantizer and the rebuild blocks of rows, one kernel call covers a whole
+// block, and a kernel lane takes one of two shapes:
 //
 //   - pairs: the targets of a level-1 row, 2 elements apart with
-//     contiguous indices — 7/8 of a field's values. One call covers a
-//     whole block; each operand is two whole-vector loads and a lane
-//     deinterleave, and masked stores write only the targets.
+//     contiguous indices — 7/8 of a field's values. Each operand is two
+//     whole-vector loads and a lane deinterleave, and masked stores write
+//     only the targets.
 //   - strided: lanes any stride apart, gathered and scattered lane by
 //     lane — the rows of coarser levels, and the columns of a block whose
 //     rows are shorter than a group (the ≤ 3 boundary targets of each row
-//     of the innermost pass). One call covers a row or a column.
+//     of the innermost pass).
+//
+// A quantize kernel returns the first group it did not commit, and the
+// scalar loop takes that group before the kernel resumes after it.
 //
 // Each lane computes exactly the generic expression, in the same order and
 // without FMA, so archives and retrievals are bit for bit the same down

@@ -173,14 +173,21 @@ func (h *header) planeSpan(level, have, want int) (off, n int64) {
 func (m *levelMeta) planeBytes() int { return (m.count + 7) / 8 }
 
 // planeStride is the distance between the level's planes in every plane
-// backing, Compress's split and a result's alike: planeBytes rounded up to
-// an odd number of 64-byte lines, at most 127 bytes more. Rows a multiple
-// of 4 KiB apart all fall in one set of a 64-set first-level cache, and
+// backing, Compress's split and a result's alike. Rows of at most 128
+// bytes are packed back to back: the 32 of them fit in one 4 KiB way of a
+// 64-set first-level cache, so no two different lines compete for a set.
+// Longer rows are rounded up to an odd number of 64-byte lines, at most
+// 127 bytes more: rows a multiple of 4 KiB apart all fall in one set, and
 // the split and the merge touch every row at once; with an odd line count
 // the 32 rows fall in 32 different sets.
 func (m *levelMeta) planeStride() int { return planeStride(m.planeBytes()) }
 
-func planeStride(planeBytes int) int { return ((planeBytes+63)/64 | 1) * 64 }
+func planeStride(planeBytes int) int {
+	if planeBytes <= 128 {
+		return planeBytes
+	}
+	return ((planeBytes+63)/64 | 1) * 64
+}
 
 // plane returns plane p of the level from the level's slots of a plane
 // backing: planeBytes bytes at p·planeStride.

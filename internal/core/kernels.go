@@ -116,27 +116,27 @@ func (e *levelQuantizer[T]) quantizeLines(p *interp.Pass, kind interp.Kind, lo, 
 }
 
 // quantizeBlock quantizes every point of the block r and appends its
-// outliers to acc: through a pair kernel when one takes the block, the
-// scalar loop absorbing each group that trips a guard, else a row (or
-// column, see lineup) at a time through quantizeRun. It moves r through
-// its rows.
+// outliers to acc: through a vector kernel when its rows hold a group,
+// else when its columns do (see lineup), the scalar loop taking each group
+// the kernel does not commit, else through the scalar loop alone. It may
+// transpose r and move it through its rows.
 func (e *levelQuantizer[T]) quantizeBlock(r *interp.Run, ks []int32, acc []outlier) []outlier {
+	lineup[T](r)
 	lanes := lanes[T]()
-	at := quantizePairsAccel(e.work, ks, r, 0, e.step, e.invStep, e.eb)
+	at := quantizeAccel(e.work, ks, r, 0, e.step, e.invStep, e.eb)
 	for at >= 0 {
 		// Group g of a row holds its points [g·lanes, (g+1)·lanes): the
-		// last, overlapped group only those its predecessor did not.
+		// last only those of the row.
 		g, row := at/r.Rows, at%r.Rows
 		lo := g * lanes
 		acc = e.quantizeScalar(r, ks, r.Flat+row*r.RowStep+lo*r.Step, r.Seq+row*r.RowSeqStep+lo*r.SeqStep, min(lanes, r.N-lo), acc)
-		at = quantizePairsAccel(e.work, ks, r, at+1, e.step, e.invStep, e.eb)
+		at = quantizeAccel(e.work, ks, r, at+1, e.step, e.invStep, e.eb)
 	}
 	if at == -1 {
 		return acc
 	}
-	lineup[T](r)
 	for rows := r.Rows; rows > 0; rows-- {
-		acc = e.quantizeRun(r, ks, acc)
+		acc = e.quantizeScalar(r, ks, r.Flat, r.Seq, r.N, acc)
 		r.Flat += r.RowStep
 		r.Seq += r.RowSeqStep
 	}
@@ -160,33 +160,6 @@ func lineup[T grid.Scalar](r *interp.Run) {
 	if r.N < lanes[T]() && r.Rows > r.N {
 		r.Transpose()
 	}
-}
-
-// quantizeRun quantizes every point of r and appends its outliers to acc.
-func (e *levelQuantizer[T]) quantizeRun(r *interp.Run, ks []int32, acc []outlier) []outlier {
-	f, seq := r.Flat, r.Seq
-	remaining := r.N
-	for remaining > 0 {
-		// The vector kernel commits whole groups until one trips the
-		// window or bound guard; the scalar loop then absorbs a short
-		// span (which owns the outlier protocol) before retrying, and
-		// takes the tail shorter than a group.
-		if done := quantizeRunAccel(e.work, ks, r, f, seq, remaining, e.step, e.invStep, e.eb); done > 0 {
-			f += done * r.Step
-			seq += done * r.SeqStep
-			remaining -= done
-			continue
-		}
-		g := remaining
-		if asmKernels && g > 8 {
-			g = 8
-		}
-		acc = e.quantizeScalar(r, ks, f, seq, g, acc)
-		remaining -= g
-		f += g * r.Step
-		seq += g * r.SeqStep
-	}
-	return acc
 }
 
 // quantizeScalar quantizes the n points of r from flat index f and
@@ -343,9 +316,6 @@ func applyLines[T grid.Scalar](p *interp.Pass, kind interp.Kind, lo, hi int, dat
 // lineup), else through the scalar loop. It may transpose r and move it
 // through its rows.
 func applyRun[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) {
-	if applyAccel(data, ks, r, step) {
-		return
-	}
 	lineup[T](r)
 	if applyAccel(data, ks, r, step) {
 		return

@@ -10,12 +10,8 @@ import (
 	"repro/internal/interp"
 )
 
-// asmKernels reports whether this build contains vector kernels at all;
-// useAVX2 is the runtime dispatch switch (CPUID probe, overridable in
-// tests). The generics in kernels.go consult both so that purego builds
-// compile the scalar loops with zero dispatch overhead.
-const asmKernels = true
-
+// useAVX2 is the runtime dispatch switch of the vector kernels (CPUID
+// probe, overridable in tests).
 var useAVX2 = cpu.X86.HasAVX2
 
 // setAVX2 forces the core vector kernels (fused predict+quantize,
@@ -28,37 +24,36 @@ func setAVX2(on bool) bool {
 }
 
 // kernArgs is the argument block shared by the quantize and apply kernels
-// in kernels_amd64.s; a single pointer keeps the assembly prologues to one
-// field-offset scheme. All integer fields are 64-bit so offsets are
-// uniform. The apply kernels ignore invStep and eb. Only the strided
-// quantize kernels take data at the array's start and f; every other
-// kernel takes data at the first target of its block.
+// in kernels_amd64.s, which read its fields by the offsets go_asm.h
+// defines (kernArgs_data, …). All integer fields are 64-bit. The apply
+// kernels ignore invStep, eb and at. Every kernel takes a block of rows
+// in one call, with data and indices at the block's first target: row i
+// starts rowStep points and ksRowStep indices after row i-1.
 type kernArgs struct {
-	data    unsafe.Pointer // *float64 / *float32 work array
-	ks      unsafe.Pointer // *int32, pre-offset to the run's first seq
-	f       int64          // flat index of the first point
-	fstep   int64          // flat stride between points
-	n       int64          // points in a run or row
-	off1    int64          // ±s neighbour offset
-	off3    int64          // ±3s neighbour offset (cubic only)
-	mode    int64          // interp.RunMode
-	step    float64        // quantizer step (narrowed in the f32 kernels)
-	invStep float64
-	eb      float64
-	ksStep  int64 // index stride between points
-	// The apply kernels and the pair quantize kernels cover a block of
-	// rows in one call: row i starts rowStep points and ksRowStep
-	// indices after row i-1.
+	data      unsafe.Pointer // *float64 / *float32 work array at the first target
+	ks        unsafe.Pointer // *int32 at the first target's index
+	fstep     int64          // flat stride between points
+	n         int64          // points in a row
+	off1      int64          // ±s neighbour offset
+	off3      int64          // ±3s neighbour offset (cubic only)
+	mode      int64          // interp.RunMode
+	step      float64        // quantizer step (narrowed in the f32 kernels)
+	invStep   float64
+	eb        float64
+	ksStep    int64 // index stride between points
 	rows      int64
 	rowStep   int64
 	ksRowStep int64
-	at        int64 // quantize pair kernels: the first group, g·rows + row
+	at        int64 // quantize kernels: the first group, g·rows + row
 }
 
-// quantizeRunF64 commits points through the fused predict+quantize+bound
-// check pipeline four at a time, stopping at the first group with any lane
-// out of the negabinary window or error bound (the scalar path owns the
-// outlier protocol). Returns the number of points committed.
+// quantizeRunF64 quantizes a block of rows through the fused
+// predict+quantize+bound check pipeline four points at a time, gathering
+// and scattering them lane by lane. It goes group by group across the rows
+// from group a.at (g·rows + row) on, as quantizePairsF64 does, and returns
+// the first group it does not commit — one with a lane out of the
+// negabinary window or the error bound (the scalar path owns the outlier
+// protocol), or a row's last group when shorter than four points — or −1.
 //
 //go:noescape
 func quantizeRunF64(a *kernArgs) int64
@@ -114,77 +109,63 @@ func applyPairsF64(a *kernArgs)
 //go:noescape
 func applyPairsF32(a *kernArgs)
 
+// block fills a with the block r, its indices from ks and its quantizer
+// step; the caller sets data, the first target's address at its width.
+// Field by field, not a composite literal: the literal is built in a
+// zeroed temporary and block-copied into a (DUFFZERO + DUFFCOPY on every
+// call, and a block with strided tails makes one call per row).
+func (a *kernArgs) block(ks []int32, r *interp.Run, step float64) {
+	a.ks = unsafe.Pointer(&ks[r.Seq])
+	a.fstep, a.ksStep, a.n = int64(r.Step), int64(r.SeqStep), int64(r.N)
+	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
+	a.step = step
+	a.rows, a.rowStep, a.ksRowStep = int64(r.Rows), int64(r.RowStep), int64(r.RowSeqStep)
+}
+
 // pairs reports whether the points of r sit 2 elements apart with
 // contiguous indices, the lane shape of the pair kernels.
 func pairs(r *interp.Run) bool { return r.Step == 2 && r.SeqStep == 1 }
 
-// quantizeRunAccel hands the next n points of the run, from flat index f
-// and sequence index seq on, to the vector kernel and returns how many it
-// committed: whole groups, up to the first that trips a guard (0 when
-// inactive or when n is shorter than a group).
-func quantizeRunAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, f, seq, n int, step, invStep T, eb float64) int {
-	if !useAVX2 || n < 4 {
-		return 0
-	}
-	// The kernel does not bound-check; the last point and index do.
-	_ = w[f+(n-1)*r.Step]
-	_ = ks[seq+(n-1)*r.SeqStep]
-	// Field by field, not a composite literal: the literal is built in a
-	// zeroed temporary and block-copied into a (DUFFZERO + DUFFCOPY on every
-	// call, and a tile makes one call per run of ≤ 16 points).
-	var a kernArgs
-	a.ks = unsafe.Pointer(&ks[seq])
-	a.f, a.fstep, a.n = int64(f), int64(r.Step), int64(n)
-	a.ksStep = int64(r.SeqStep)
-	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
-	a.step, a.invStep, a.eb = float64(step), float64(invStep), eb
-	switch wt := any(w).(type) {
-	case []float64:
-		a.data = unsafe.Pointer(&wt[0])
-		return int(quantizeRunF64(&a))
-	case []float32:
-		if n < 8 {
-			return 0
-		}
-		a.data = unsafe.Pointer(&wt[0])
-		return int(quantizeRunF32(&a))
-	}
-	return 0
-}
-
-// quantizePairsAccel quantizes the block r from group at (g·rows + row)
-// on through a pair kernel and returns the first group that trips a guard,
-// −1 when every group committed, or −2 when no pair kernel takes the
-// block: its points are not pairs, or its rows are shorter than a group.
-func quantizePairsAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, at int, step, invStep T, eb float64) int {
-	if !useAVX2 || !pairs(r) || r.N < lanes[T]() {
+// quantizeAccel quantizes the block r from group at (g·rows + row) on
+// through a vector kernel — a pair kernel when r's points sit 2 elements
+// apart with contiguous indices, else the strided one — and returns the
+// first group it did not commit, −1 when it committed every group, or −2
+// when no kernel takes the block: its rows are shorter than a group (4
+// float64, 8 float32 lanes). Group g of a row holds its points
+// [g·lanes, (g+1)·lanes), the last group only those of the row.
+func quantizeAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, at int, step, invStep T, eb float64) int {
+	if !useAVX2 || r.N < lanes[T]() {
 		return -2
 	}
+	// The kernels do not bound-check; the last row's last target and
+	// index do.
 	_ = w[r.Flat+(r.Rows-1)*r.RowStep+(r.N-1)*r.Step]
-	_ = ks[r.Seq+(r.Rows-1)*r.RowSeqStep+r.N-1]
-	var a kernArgs // field by field; data at f, as in applyAccel
-	a.ks = unsafe.Pointer(&ks[r.Seq])
-	a.n = int64(r.N)
-	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
-	a.step, a.invStep, a.eb = float64(step), float64(invStep), eb
-	a.rows, a.rowStep, a.ksRowStep = int64(r.Rows), int64(r.RowStep), int64(r.RowSeqStep)
-	a.at = int64(at)
+	_ = ks[r.Seq+(r.Rows-1)*r.RowSeqStep+(r.N-1)*r.SeqStep]
+	var a kernArgs
+	a.block(ks, r, float64(step))
+	a.invStep, a.eb, a.at = float64(invStep), eb, int64(at)
 	switch wt := any(w).(type) {
 	case []float64:
 		a.data = unsafe.Pointer(&wt[r.Flat])
-		return int(quantizePairsF64(&a))
+		if pairs(r) {
+			return int(quantizePairsF64(&a))
+		}
+		return int(quantizeRunF64(&a))
 	case []float32:
 		a.data = unsafe.Pointer(&wt[r.Flat])
-		return int(quantizePairsF32(&a))
+		if pairs(r) {
+			return int(quantizePairsF32(&a))
+		}
+		return int(quantizeRunF32(&a))
 	}
 	return -2
 }
 
 // applyAccel reconstructs the whole block r through a vector kernel in
 // one call and reports whether it did: a pair kernel when r's points sit 2
-// elements apart with contiguous indices, else the strided kernel, a row
-// at a time. A block whose rows are shorter than one group (4 float64, 8
-// float32 lanes) is left to the caller. The kernels commit each row's full
+// elements apart with contiguous indices, else the strided kernel. A block
+// whose rows are shorter than one group (4 float64, 8 float32 lanes) is
+// left to the caller. The kernels commit each row's full
 // groups, then one last group that ends at the row's last point and
 // overlaps them: a target reads only points the pass never writes, so
 // recomputing one is exact.
@@ -196,12 +177,8 @@ func applyAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool
 	// index do.
 	_ = data[r.Flat+(r.Rows-1)*r.RowStep+(r.N-1)*r.Step]
 	_ = ks[r.Seq+(r.Rows-1)*r.RowSeqStep+(r.N-1)*r.SeqStep]
-	var a kernArgs // field by field, as in quantizeRunAccel; data at f
-	a.ks = unsafe.Pointer(&ks[r.Seq])
-	a.fstep, a.ksStep, a.n = int64(r.Step), int64(r.SeqStep), int64(r.N)
-	a.off1, a.off3, a.mode = int64(r.Off1), int64(r.Off3), int64(r.Mode)
-	a.step = float64(step)
-	a.rows, a.rowStep, a.ksRowStep = int64(r.Rows), int64(r.RowStep), int64(r.RowSeqStep)
+	var a kernArgs
+	a.block(ks, r, float64(step))
 	switch dt := any(data).(type) {
 	case []float64:
 		a.data = unsafe.Pointer(&dt[r.Flat])

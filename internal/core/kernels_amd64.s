@@ -1,5 +1,6 @@
 //go:build amd64 && !purego
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // AVX2 kernels for the fused predict+quantize and dequantize+apply run
@@ -20,9 +21,7 @@
 //     rows (a column walks its indices a row of targets apart). Every
 //     operand is gathered lane by lane (LOAD4/LOAD8), the indices read
 //     with strided inserts (LOADK4) or written with strided extracts
-//     (STOREK4), the results scattered (STORE4/STORE8F). The apply
-//     kernels take a block of rows (or of columns) a call, a run at a
-//     time; the quantize kernels one row or column.
+//     (STOREK4), the results scattered (STORE4/STORE8F).
 //   - Pairs (quantizePairs*, applyPairs*): lanes 2 elements apart in one
 //     row, indices contiguous — the targets of every level-1 row, 7/8 of
 //     a field's values. Each operand is two whole-vector loads that end on
@@ -30,26 +29,30 @@
 //     VSHUFPS, then VPERMPD), the indices one load or store, and the
 //     results go to the even lanes of the group's first vector and the
 //     odd lanes of the vector ending on its last target by two masked
-//     stores, so no lane the pass does not own is ever written. They take
-//     a whole block of rows a call (kernArgs.rows, rowStep, ksRowStep),
-//     group by group across the rows.
+//     stores, so no lane the pass does not own is ever written.
 //
-// All commit whole groups. In the apply kernels and the pair quantize
-// kernels, a row or run that is not a whole number of groups ends with one
-// more group that ends on its last point and overlaps the groups before
-// it. The apply kernels recompute the overlap, which is exact because a
-// target reads only points its pass never writes. A quantized point's
-// work value is already its reconstruction, so the pair quantize kernels
-// commit only the new lanes of the overlapped group (their tail masks),
-// and the strided quantize wrapper leaves its tail to the scalar loop.
+// Every kernel takes a whole block of rows a call (kernArgs.rows, rowStep,
+// ksRowStep), with data and indices at the block's first target, and
+// commits whole groups. The quantize kernels go group by group across the
+// rows (the first group of every row, then the second, …) from group
+// kernArgs.at, numbered g·rows + row, and return the first group they do
+// not commit, or −1. In the apply kernels and the pair quantize kernels,
+// a row that is not a whole number of groups ends with one more group
+// that ends on its last point and overlaps the groups before it. The
+// apply kernels recompute the overlap, which is exact because a target
+// reads only points its pass never writes. A quantized point's work value
+// is already its reconstruction, so the pair quantize kernels commit only
+// the new lanes of the overlapped group (their tail masks), and the
+// strided quantize kernels return a row's last group shorter than a
+// vector as not committed, to the scalar loop.
 //
 // Register conventions of the strided kernels:
-//	R8  = *kernArgs     AX  = &data[f] (advances in the quantize kernels)
+//	R8  = *kernArgs     AX  = the group's first target
 //	BX  = off1 bytes    CX  = off3 bytes
 //	R13 = elem stride   R15 = 3*stride
-//	R10 = ks cursor     R11 = groups remaining    R12 = groups total
+//	R10 = the group's first index
 //	R9/R14 = ks stride / 3*ks stride bytes
-//	SI/DI/DX            scratch (quantize kernels)
+//	SI/DI/DX            scratch
 
 DATA nine4<>+0(SB)/8, $0x4022000000000000
 DATA nine4<>+8(SB)/8, $0x4022000000000000
@@ -178,20 +181,36 @@ GLOBL absf8<>(SB), RODATA|NOPTR, $32
 	VEXTRACTPS   $2, Xt, (DI)(R13*2)    \
 	VEXTRACTPS   $3, Xt, (DI)(R15*1)
 
-// KSTRIDE: the index stride of every kernel, R9 = ksStep bytes, R14 = 3×.
-#define KSTRIDE \
-	MOVQ 88(R8), R9          \
-	SHLQ $2, R9              \
-	LEAQ (R9)(R9*2), R14
+// SSTRIDES: the stride registers of the strided kernels, for elements of
+// 1<<sh bytes: R13/R15 the element stride and 3×, R9/R14 the index stride
+// and 3×, BX/CX the off1 and off3 offsets, all in bytes.
+#define SSTRIDES(sh) \
+	MOVQ kernArgs_fstep(R8), R13  \
+	SHLQ $sh, R13                 \
+	LEAQ (R13)(R13*2), R15        \
+	MOVQ kernArgs_ksStep(R8), R9  \
+	SHLQ $2, R9                   \
+	LEAQ (R9)(R9*2), R14          \
+	MOVQ kernArgs_off1(R8), BX    \
+	SHLQ $sh, BX                  \
+	MOVQ kernArgs_off3(R8), CX    \
+	SHLQ $sh, CX
 
-// STOREK4: store the four int32 lanes of Xs R9 bytes apart from R10, and
-// advance R10 past them.
-#define STOREK4(Xs) \
-	VMOVD   Xs, (R10)                \
-	VPEXTRD $1, Xs, (R10)(R9*1)      \
-	VPEXTRD $2, Xs, (R10)(R9*2)      \
-	VPEXTRD $3, Xs, (R10)(R14*1)     \
-	LEAQ    (R10)(R9*4), R10
+// STOREK4: store the four int32 lanes of Xs R9 bytes apart from Rb.
+#define STOREK4(Xs, Rb) \
+	VMOVD   Xs, (Rb)            \
+	VPEXTRD $1, Xs, (Rb)(R9*1)  \
+	VPEXTRD $2, Xs, (Rb)(R9*2)  \
+	VPEXTRD $3, Xs, (Rb)(R14*1)
+
+// MODE: on to L for a linear run (interp.RunLinear), to C for a cubic
+// one; a copy of the left neighbour falls through.
+#define MODE(L, C) \
+	MOVQ kernArgs_mode(R8), DX \
+	CMPQ DX, $2                \
+	JEQ  C                     \
+	CMPQ DX, $1                \
+	JEQ  L
 
 // CUBIC64 combines the cubic operands x[-3s], x[-s], x[+s], x[+3s] in
 // Y1..Y4 into the prediction in Y0: ((9·x[-s] − x[-3s]) + 9·x[+s] −
@@ -244,6 +263,15 @@ GLOBL absf8<>(SB), RODATA|NOPTR, $32
 	LOAD4(Y4, X4, X8)         \
 	CUBIC64
 
+// QCONST64 loads the registers QCORE64 reads: Y10 = step, Y11 = 1/step,
+// Y12 = eb, Y13 = the window, Y14 = 0.
+#define QCONST64 \
+	VBROADCASTSD kernArgs_step(R8), Y10    \
+	VBROADCASTSD kernArgs_invStep(R8), Y11 \
+	VBROADCASTSD kernArgs_eb(R8), Y12      \
+	VMOVUPD      max4<>(SB), Y13           \
+	VXORPD       Y14, Y14, Y14
+
 // QCORE64: quantize the group predicted in Y0 against the values in Y4;
 // bail to D unless every lane is in the window and the bound, else leave
 // the rounded indices in Y7 and the reconstructions in Y1.
@@ -273,71 +301,6 @@ GLOBL absf8<>(SB), RODATA|NOPTR, $32
 	VMOVMSKPD  Y6, DX                      \
 	CMPL       DX, $15                     \
 	JNE        D
-
-// QTAIL64: quantize the strided group predicted in Y0; commit or bail to D.
-#define QTAIL64(L, D) \
-	MOVQ       AX, SI                      \
-	LOAD4(Y4, X4, X8)                      \
-	QCORE64(D)                             \
-	VCVTTPD2DQY Y7, X7                      \
-	STOREK4(X7)                            \
-	STORE4(Y1, X1, X2)                     \
-	LEAQ       (AX)(R13*4), AX             \
-	DECQ       R11                         \
-	JNZ        L                           \
-	JMP        D
-
-// func quantizeRunF64(a *kernArgs) int64
-TEXT ·quantizeRunF64(SB), NOSPLIT, $0-16
-	MOVQ  a+0(FP), R8
-	MOVQ  0(R8), R9
-	MOVQ  16(R8), AX
-	LEAQ  (R9)(AX*8), AX
-	MOVQ  24(R8), R13
-	SHLQ  $3, R13
-	LEAQ  (R13)(R13*2), R15
-	MOVQ  8(R8), R10
-	KSTRIDE
-	MOVQ  32(R8), R11
-	SHRQ  $2, R11
-	MOVQ  R11, R12
-	TESTQ R11, R11
-	JZ    qf64done
-	MOVQ  40(R8), BX
-	SHLQ  $3, BX
-	MOVQ  48(R8), CX
-	SHLQ  $3, CX
-
-	VBROADCASTSD 64(R8), Y10
-	VBROADCASTSD 72(R8), Y11
-	VBROADCASTSD 80(R8), Y12
-	VMOVUPD      max4<>(SB), Y13
-	VXORPD       Y14, Y14, Y14
-
-	MOVQ 56(R8), DX
-	CMPQ DX, $2
-	JEQ  qf64cubic
-	CMPQ DX, $1
-	JEQ  qf64linear
-
-qf64copy:
-	QPRED64_COPY
-	QTAIL64(qf64copy, qf64done)
-
-qf64linear:
-	QPRED64_LINEAR
-	QTAIL64(qf64linear, qf64done)
-
-qf64cubic:
-	QPRED64_CUBIC
-	QTAIL64(qf64cubic, qf64done)
-
-qf64done:
-	SUBQ R11, R12
-	SHLQ $2, R12
-	MOVQ R12, ret+8(FP)
-	VZEROUPPER
-	RET
 
 // QPRED32_* leave the float32 prediction in Y0.
 #define QPRED32_COPY \
@@ -369,6 +332,19 @@ qf64done:
 	ADDQ   CX, SI             \
 	LOAD8(Y4, X4, X8)         \
 	CUBIC32
+
+// QCONST32 is QCONST64 for QCORE32: step and 1/step narrowed to float32,
+// eb kept in float64.
+#define QCONST32 \
+	VMOVSD       kernArgs_step(R8), X0    \
+	VCVTSD2SS    X0, X0, X0               \
+	VBROADCASTSS X0, Y10                  \
+	VMOVSD       kernArgs_invStep(R8), X0 \
+	VCVTSD2SS    X0, X0, X0               \
+	VBROADCASTSS X0, Y11                  \
+	VBROADCASTSD kernArgs_eb(R8), Y12     \
+	VMOVUPS      max8<>(SB), Y13          \
+	VXORPS       Y14, Y14, Y14
 
 // QCORE32: the float32 QCORE64 — float32 arithmetic for the residual,
 // rounding and reconstruction, float64 for the error-bound check (exactly
@@ -414,77 +390,6 @@ qf64done:
 	CMPL       DI, $15                     \
 	JNE        D
 
-// QTAIL32: quantize the strided group predicted in Y0; commit or bail to D.
-#define QTAIL32(L, D) \
-	MOVQ       AX, SI                      \
-	LOAD8(Y4, X4, X8)                      \
-	QCORE32(D)                             \
-	VCVTTPS2DQ Y7, Y7                      \
-	STOREK4(X7)                            \
-	VEXTRACTI128 $1, Y7, X7                \
-	STOREK4(X7)                            \
-	STORE8F(Y1, X1, X2)                    \
-	LEAQ       (AX)(R13*8), AX             \
-	DECQ       R11                         \
-	JNZ        L                           \
-	JMP        D
-
-// func quantizeRunF32(a *kernArgs) int64
-TEXT ·quantizeRunF32(SB), NOSPLIT, $0-16
-	MOVQ  a+0(FP), R8
-	MOVQ  0(R8), R9
-	MOVQ  16(R8), AX
-	LEAQ  (R9)(AX*4), AX
-	MOVQ  24(R8), R13
-	SHLQ  $2, R13
-	LEAQ  (R13)(R13*2), R15
-	MOVQ  8(R8), R10
-	KSTRIDE
-	MOVQ  32(R8), R11
-	SHRQ  $3, R11
-	MOVQ  R11, R12
-	TESTQ R11, R11
-	JZ    qf32done
-	MOVQ  40(R8), BX
-	SHLQ  $2, BX
-	MOVQ  48(R8), CX
-	SHLQ  $2, CX
-
-	VMOVSD       64(R8), X0
-	VCVTSD2SS    X0, X0, X0
-	VBROADCASTSS X0, Y10
-	VMOVSD       72(R8), X0
-	VCVTSD2SS    X0, X0, X0
-	VBROADCASTSS X0, Y11
-	VBROADCASTSD 80(R8), Y12
-	VMOVUPS      max8<>(SB), Y13
-	VXORPS       Y14, Y14, Y14
-
-	MOVQ 56(R8), DX
-	CMPQ DX, $2
-	JEQ  qf32cubic
-	CMPQ DX, $1
-	JEQ  qf32linear
-
-qf32copy:
-	QPRED32_COPY
-	QTAIL32(qf32copy, qf32done)
-
-qf32linear:
-	QPRED32_LINEAR
-	QTAIL32(qf32linear, qf32done)
-
-qf32cubic:
-	QPRED32_CUBIC
-	QTAIL32(qf32cubic, qf32done)
-
-qf32done:
-	SUBQ R11, R12
-	SHLQ $3, R12
-	MOVQ R12, ret+8(FP)
-	VZEROUPPER
-	RET
-
 // LOADK4: four int32 indices R9 bytes apart from R10 into Xd.
 #define LOADK4(Xd) \
 	VMOVD   (R10), Xd                \
@@ -492,11 +397,9 @@ qf32done:
 	VPINSRD $2, (R10)(R9*2), Xd, Xd  \
 	VPINSRD $3, (R10)(R14*1), Xd, Xd
 
-// The strided apply kernels cover a block of runs too (kernArgs.rows,
-// rowStep, ksRowStep; data and indices passed at the block's first
-// target), a run at a time, each run's groups at 0, lanes, 2·lanes, … and,
-// when the run is not a whole number of groups, at n − lanes, overlapping
-// the one before. Beside the registers above:
+// The strided apply kernels go a run at a time, each run's groups at 0,
+// lanes, 2·lanes, … and, when the run is not a whole number of groups, at
+// n − lanes, overlapping the one before. Beside the registers above:
 //	R11 = the group's first point, counted in its run
 //	R12 = a run's last group start (n − lanes)
 // and the frame holds the current run's first target and index and the
@@ -505,22 +408,15 @@ qf32done:
 // SROWS fills the frame and R11/R12 for elements of 1<<sh bytes and
 // groups of n lanes, and the stride registers.
 #define SROWS(sh, n) \
-	MOVQ  0(R8), AX            \
-	MOVQ  AX, rowd-8(SP)       \
-	MOVQ  8(R8), AX            \
-	MOVQ  AX, rowk-16(SP)      \
-	MOVQ  96(R8), AX           \
-	MOVQ  AX, rows-24(SP)      \
-	MOVQ  24(R8), R13          \
-	SHLQ  $sh, R13             \
-	LEAQ  (R13)(R13*2), R15    \
-	KSTRIDE                    \
-	MOVQ  40(R8), BX           \
-	SHLQ  $sh, BX              \
-	MOVQ  48(R8), CX           \
-	SHLQ  $sh, CX              \
-	MOVQ  32(R8), R12          \
-	SUBQ  $n, R12              \
+	MOVQ  kernArgs_data(R8), AX  \
+	MOVQ  AX, rowd-8(SP)         \
+	MOVQ  kernArgs_ks(R8), AX    \
+	MOVQ  AX, rowk-16(SP)        \
+	MOVQ  kernArgs_rows(R8), AX  \
+	MOVQ  AX, rows-24(SP)        \
+	SSTRIDES(sh)                 \
+	MOVQ  kernArgs_n(R8), R12    \
+	SUBQ  $n, R12                \
 	XORQ  R11, R11
 
 // SPOS: AX and R10 at group R11 of the current run, the run's last group
@@ -539,17 +435,17 @@ qf32done:
 // first of the next run, or fall through after the block's last run, for
 // elements of 1<<sh bytes and groups of n lanes.
 #define SNEXT(G, sh, n) \
-	CMPQ  R11, R12             \
-	LEAQ  n(R11), R11          \
-	JNE   G                    \
-	MOVQ  104(R8), DX          \
-	SHLQ  $sh, DX              \
-	ADDQ  DX, rowd-8(SP)       \
-	MOVQ  112(R8), DX          \
-	SHLQ  $2, DX               \
-	ADDQ  DX, rowk-16(SP)      \
-	XORQ  R11, R11             \
-	DECQ  rows-24(SP)          \
+	CMPQ  R11, R12                   \
+	LEAQ  n(R11), R11                \
+	JNE   G                          \
+	MOVQ  kernArgs_rowStep(R8), DX   \
+	SHLQ  $sh, DX                    \
+	ADDQ  DX, rowd-8(SP)             \
+	MOVQ  kernArgs_ksRowStep(R8), DX \
+	SHLQ  $2, DX                     \
+	ADDQ  DX, rowk-16(SP)            \
+	XORQ  R11, R11                   \
+	DECQ  rows-24(SP)                \
 	JNZ   G
 
 // ATAIL64: dequantize-and-apply commit of a strided float64 group.
@@ -573,13 +469,9 @@ G:                         \
 TEXT ·applyRunF64(SB), NOSPLIT, $24-8
 	MOVQ a+0(FP), R8
 	SROWS(3, 4)
-	VBROADCASTSD 64(R8), Y10
+	VBROADCASTSD kernArgs_step(R8), Y10
 
-	MOVQ 56(R8), DX
-	CMPQ DX, $2
-	JEQ  af64cubic
-	CMPQ DX, $1
-	JEQ  af64linear
+	MODE(af64linear, af64cubic)
 
 	SALOOP64(af64copy, QPRED64_COPY)
 	JMP af64done
@@ -616,15 +508,11 @@ G:                         \
 TEXT ·applyRunF32(SB), NOSPLIT, $24-8
 	MOVQ a+0(FP), R8
 	SROWS(2, 8)
-	VMOVSD       64(R8), X0
+	VMOVSD       kernArgs_step(R8), X0
 	VCVTSD2SS    X0, X0, X0
 	VBROADCASTSS X0, Y10
 
-	MOVQ 56(R8), DX
-	CMPQ DX, $2
-	JEQ  af32cubic
-	CMPQ DX, $1
-	JEQ  af32linear
+	MODE(af32linear, af32cubic)
 
 	SALOOP32(af32copy, QPRED32_COPY)
 	JMP af32done
@@ -636,9 +524,148 @@ af32done:
 	VZEROUPPER
 	RET
 
+// The strided quantize kernels go group by group across the rows, each
+// row's groups at 0, lanes, 2·lanes, …; a row's last group shorter than a
+// vector is returned as not committed, so the scatters never need a tail
+// mask. Beside the registers above:
+//	R11 = group g   R12 = row
+// and the frame holds the row strides in bytes and the number of full
+// groups in a row.
+
+// SQFRAME fills the frame, R11/R12 and the stride registers for elements
+// of 1<<sh bytes and groups of 1<<lg lanes.
+#define SQFRAME(sh, lg) \
+	MOVQ kernArgs_rowStep(R8), AX   \
+	SHLQ $sh, AX                    \
+	MOVQ AX, rsb-8(SP)              \
+	MOVQ kernArgs_ksRowStep(R8), AX \
+	SHLQ $2, AX                     \
+	MOVQ AX, ksb-16(SP)             \
+	MOVQ kernArgs_n(R8), AX         \
+	SHRQ $lg, AX                    \
+	MOVQ AX, nfull-24(SP)           \
+	MOVQ kernArgs_at(R8), AX        \
+	XORQ DX, DX                     \
+	DIVQ kernArgs_rows(R8)          \
+	MOVQ AX, R11                    \
+	MOVQ DX, R12                    \
+	SSTRIDES(sh)
+
+// SQPOS: AX/R10 at group R11 of row R12, for groups of 1<<lg lanes.
+#define SQPOS(lg) \
+	MOVQ  R11, AX               \
+	SHLQ  $lg, AX               \
+	MOVQ  AX, R10               \
+	IMULQ R13, AX               \
+	IMULQ R9, R10               \
+	MOVQ  R12, DX               \
+	IMULQ rsb-8(SP), DX         \
+	ADDQ  DX, AX                \
+	ADDQ  kernArgs_data(R8), AX \
+	MOVQ  R12, DX               \
+	IMULQ ksb-16(SP), DX        \
+	ADDQ  DX, R10               \
+	ADDQ  kernArgs_ks(R8), R10
+
+// SQLOOP: the full groups of one mode at G, the same group of every row at
+// R, predicted by PRED and committed by GROUP, then on to T.
+#define SQLOOP(G, R, T, PRED, GROUP, lg) \
+G:                              \
+	CMPQ R11, nfull-24(SP)      \
+	JGE  T                      \
+	SQPOS(lg)                   \
+R:                              \
+	PRED                        \
+	GROUP                       \
+	ADDQ rsb-8(SP), AX          \
+	ADDQ ksb-16(SP), R10        \
+	INCQ R12                    \
+	CMPQ R12, kernArgs_rows(R8) \
+	JLT  R                      \
+	XORQ R12, R12               \
+	INCQ R11                    \
+	JMP  G
+
+// SQ64: quantize and commit the float64 group at AX predicted in Y0.
+#define SQ64 \
+	MOVQ        AX, SI   \
+	LOAD4(Y4, X4, X8)    \
+	QCORE64(qs64bail)    \
+	VCVTTPD2DQY Y7, X7   \
+	STOREK4(X7, R10)     \
+	STORE4(Y1, X1, X2)
+
+// func quantizeRunF64(a *kernArgs) int64
+TEXT ·quantizeRunF64(SB), NOSPLIT, $24-16
+	MOVQ a+0(FP), R8
+	SQFRAME(3, 2)
+	QCONST64
+	MODE(qs64linear, qs64cubic)
+
+	SQLOOP(qs64copy, qs64copyr, qs64tail, QPRED64_COPY, SQ64, 2)
+	SQLOOP(qs64linear, qs64linearr, qs64tail, QPRED64_LINEAR, SQ64, 2)
+	SQLOOP(qs64cubic, qs64cubicr, qs64tail, QPRED64_CUBIC, SQ64, 2)
+
+qs64tail:
+	// A row's last group shorter than a vector goes to the scalar loop.
+	MOVQ R11, DX
+	SHLQ $2, DX
+	CMPQ DX, kernArgs_n(R8)
+	JLT  qs64bail
+	MOVQ $-1, ret+8(FP)
+	VZEROUPPER
+	RET
+
+qs64bail:
+	MOVQ  R11, AX
+	IMULQ kernArgs_rows(R8), AX
+	ADDQ  R12, AX
+	MOVQ  AX, ret+8(FP)
+	VZEROUPPER
+	RET
+
+// SQ32: quantize and commit the float32 group at AX predicted in Y0.
+#define SQ32 \
+	MOVQ         AX, SI           \
+	LOAD8(Y4, X4, X8)             \
+	QCORE32(qs32bail)             \
+	VCVTTPS2DQ   Y7, Y7           \
+	STOREK4(X7, R10)              \
+	VEXTRACTI128 $1, Y7, X7       \
+	LEAQ         (R10)(R9*4), SI  \
+	STOREK4(X7, SI)               \
+	STORE8F(Y1, X1, X2)
+
+// func quantizeRunF32(a *kernArgs) int64
+TEXT ·quantizeRunF32(SB), NOSPLIT, $24-16
+	MOVQ a+0(FP), R8
+	SQFRAME(2, 3)
+	QCONST32
+	MODE(qs32linear, qs32cubic)
+
+	SQLOOP(qs32copy, qs32copyr, qs32tail, QPRED32_COPY, SQ32, 3)
+	SQLOOP(qs32linear, qs32linearr, qs32tail, QPRED32_LINEAR, SQ32, 3)
+	SQLOOP(qs32cubic, qs32cubicr, qs32tail, QPRED32_CUBIC, SQ32, 3)
+
+qs32tail:
+	MOVQ R11, DX
+	SHLQ $3, DX
+	CMPQ DX, kernArgs_n(R8)
+	JLT  qs32bail
+	MOVQ $-1, ret+8(FP)
+	VZEROUPPER
+	RET
+
+qs32bail:
+	MOVQ  R11, AX
+	IMULQ kernArgs_rows(R8), AX
+	ADDQ  R12, AX
+	MOVQ  AX, ret+8(FP)
+	VZEROUPPER
+	RET
+
 // The pair kernels take blocks of level-1 rows: lanes 2 elements apart,
-// indices contiguous, data and indices passed at the block's first target
-// (kernArgs.f unused). Registers as above, except:
+// indices contiguous. Registers as above, except:
 //	R13 = -off1 bytes   R15 = -off3 bytes
 // and, in the apply kernels:
 //	R11 = the group's first target, counted in its row
@@ -742,13 +769,13 @@ GLOBL pidxhi8<>(SB), RODATA|NOPTR, $32
 
 // POFFS: BX/CX = ±off1/±off3 bytes for elements of 1<<sh bytes.
 #define POFFS(sh) \
-	MOVQ 40(R8), BX   \
-	SHLQ $sh, BX      \
-	MOVQ BX, R13      \
-	NEGQ R13          \
-	MOVQ 48(R8), CX   \
-	SHLQ $sh, CX      \
-	MOVQ CX, R15      \
+	MOVQ kernArgs_off1(R8), BX \
+	SHLQ $sh, BX               \
+	MOVQ BX, R13               \
+	NEGQ R13                   \
+	MOVQ kernArgs_off3(R8), CX \
+	SHLQ $sh, CX               \
+	MOVQ CX, R15               \
 	NEGQ R15
 
 // The pair quantize kernels start at group a.at (group-major: g·rows +
@@ -767,57 +794,57 @@ GLOBL pidxhi8<>(SB), RODATA|NOPTR, $32
 // PQFRAME fills the frame and R9/R11/R14 for elements of 1<<sh bytes and
 // groups of 1<<lg lanes.
 #define PQFRAME(sh, lg) \
-	MOVQ  96(R8), R14          \
-	MOVQ  104(R8), AX          \
-	SHLQ  $sh, AX              \
-	MOVQ  AX, rsb-8(SP)        \
-	MOVQ  112(R8), AX          \
-	SHLQ  $2, AX               \
-	MOVQ  AX, ksb-16(SP)       \
-	MOVQ  32(R8), AX           \
-	SHRQ  $lg, AX              \
-	MOVQ  AX, nfull-24(SP)     \
-	MOVQ  32(R8), AX           \
-	ADDQ  $((1<<lg)-1), AX     \
-	SHRQ  $lg, AX              \
-	MOVQ  AX, ngrp-32(SP)      \
-	MOVQ  120(R8), AX          \
-	XORQ  DX, DX               \
-	DIVQ  R14                  \
-	MOVQ  AX, R11              \
+	MOVQ  kernArgs_rows(R8), R14     \
+	MOVQ  kernArgs_rowStep(R8), AX   \
+	SHLQ  $sh, AX                    \
+	MOVQ  AX, rsb-8(SP)              \
+	MOVQ  kernArgs_ksRowStep(R8), AX \
+	SHLQ  $2, AX                     \
+	MOVQ  AX, ksb-16(SP)             \
+	MOVQ  kernArgs_n(R8), AX         \
+	SHRQ  $lg, AX                    \
+	MOVQ  AX, nfull-24(SP)           \
+	MOVQ  kernArgs_n(R8), AX         \
+	ADDQ  $((1<<lg)-1), AX           \
+	SHRQ  $lg, AX                    \
+	MOVQ  AX, ngrp-32(SP)            \
+	MOVQ  kernArgs_at(R8), AX        \
+	XORQ  DX, DX                     \
+	DIVQ  R14                        \
+	MOVQ  AX, R11                    \
 	MOVQ  DX, R9
 
 // PQPOS: AX/R10 at group R11 of row R9, for groups of 64 data bytes and
 // 1<<lg lanes.
 #define PQPOS(lg) \
-	MOVQ  R9, AX               \
-	IMULQ rsb-8(SP), AX        \
-	ADDQ  0(R8), AX            \
-	MOVQ  R11, DX              \
-	SHLQ  $6, DX               \
-	ADDQ  DX, AX               \
-	MOVQ  R9, R10              \
-	IMULQ ksb-16(SP), R10      \
-	ADDQ  8(R8), R10           \
-	MOVQ  R11, DX              \
-	SHLQ  $(lg+2), DX          \
+	MOVQ  R9, AX                \
+	IMULQ rsb-8(SP), AX         \
+	ADDQ  kernArgs_data(R8), AX \
+	MOVQ  R11, DX               \
+	SHLQ  $6, DX                \
+	ADDQ  DX, AX                \
+	MOVQ  R9, R10               \
+	IMULQ ksb-16(SP), R10       \
+	ADDQ  kernArgs_ks(R8), R10  \
+	MOVQ  R11, DX               \
+	SHLQ  $(lg+2), DX           \
 	ADDQ  DX, R10
 
 // PQTAILPOS: AX/R10 at the overlapped last group, n − lanes, of row R9,
 // or on to E when the row has no such group or it is done.
 #define PQTAILPOS(sh, lg, E) \
-	CMPQ  R11, ngrp-32(SP)     \
-	JGE   E                    \
-	MOVQ  R9, AX               \
-	IMULQ rsb-8(SP), AX        \
-	ADDQ  0(R8), AX            \
-	MOVQ  R9, R10              \
-	IMULQ ksb-16(SP), R10      \
-	ADDQ  8(R8), R10           \
-	MOVQ  32(R8), DX           \
-	SUBQ  $(1<<lg), DX         \
-	LEAQ  (R10)(DX*4), R10     \
-	SHLQ  $(sh+1), DX          \
+	CMPQ  R11, ngrp-32(SP)      \
+	JGE   E                     \
+	MOVQ  R9, AX                \
+	IMULQ rsb-8(SP), AX         \
+	ADDQ  kernArgs_data(R8), AX \
+	MOVQ  R9, R10               \
+	IMULQ ksb-16(SP), R10       \
+	ADDQ  kernArgs_ks(R8), R10  \
+	MOVQ  kernArgs_n(R8), DX    \
+	SUBQ  $(1<<lg), DX          \
+	LEAQ  (R10)(DX*4), R10      \
+	SHLQ  $(sh+1), DX           \
 	ADDQ  DX, AX
 
 // PQNEXT: on to the same group of the next row at Rw.
@@ -921,7 +948,7 @@ TEXT ·quantizePairsF64(SB), NOSPLIT, $128-16
 	POFFS(3)
 	// Tail masks: lanes k ≥ 4 − n%4 of the indices (dwords) and of the
 	// two data stores (qwords, spread as the group's results are).
-	MOVQ         32(R8), AX
+	MOVQ         kernArgs_n(R8), AX
 	ANDQ         $3, AX
 	NEGQ         AX
 	ADDQ         $3, AX
@@ -940,19 +967,11 @@ TEXT ·quantizePairsF64(SB), NOSPLIT, $128-16
 	VPCMPGTD     X0, X1, X1
 	VMOVDQU      X1, km-64(SP)
 
-	VBROADCASTSD 64(R8), Y10
-	VBROADCASTSD 72(R8), Y11
-	VBROADCASTSD 80(R8), Y12
-	VMOVUPD      max4<>(SB), Y13
-	VXORPD       Y14, Y14, Y14
+	QCONST64
 	VMOVDQU      pevn4<>(SB), Y9
 	VMOVDQU      podd4<>(SB), Y15
 
-	MOVQ 56(R8), DX
-	CMPQ DX, $2
-	JEQ  qp64cubic
-	CMPQ DX, $1
-	JEQ  qp64linear
+	MODE(qp64linear, qp64cubic)
 
 	PQLOOP64(qp64copy, qp64copyr, qp64copyt, qp64copytr, PPRED64_COPY)
 	JMP qp64done
@@ -1006,7 +1025,7 @@ TEXT ·quantizePairsF32(SB), NOSPLIT, $128-16
 	POFFS(2)
 	// Tail masks: lanes k ≥ 8 − n%8 of the indices and of the two data
 	// stores, spread as the group's results are.
-	MOVQ         32(R8), AX
+	MOVQ         kernArgs_n(R8), AX
 	ANDQ         $7, AX
 	NEGQ         AX
 	ADDQ         $7, AX
@@ -1024,22 +1043,10 @@ TEXT ·quantizePairsF32(SB), NOSPLIT, $128-16
 	VANDPS       podd8<>(SB), Y3, Y3
 	VMOVDQU      Y3, dhi-128(SP)
 
-	VMOVSD       64(R8), X0
-	VCVTSD2SS    X0, X0, X0
-	VBROADCASTSS X0, Y10
-	VMOVSD       72(R8), X0
-	VCVTSD2SS    X0, X0, X0
-	VBROADCASTSS X0, Y11
-	VBROADCASTSD 80(R8), Y12
-	VMOVUPS      max8<>(SB), Y13
-	VXORPS       Y14, Y14, Y14
+	QCONST32
 	VMOVDQU      pevn8<>(SB), Y15
 
-	MOVQ 56(R8), DX
-	CMPQ DX, $2
-	JEQ  qp32cubic
-	CMPQ DX, $1
-	JEQ  qp32linear
+	MODE(qp32linear, qp32cubic)
 
 	PQLOOP32(qp32copy, qp32copyr, qp32copyt, qp32copytr, PPRED32_COPY)
 	JMP qp32done
@@ -1063,12 +1070,12 @@ qp32bail:
 // PROWS: the block registers of the apply pair kernels, for elements of
 // 1<<sh bytes and groups of n lanes.
 #define PROWS(sh, n) \
-	MOVQ 32(R8), R12       \
-	SUBQ $n, R12           \
-	MOVQ 104(R8), R14      \
-	SHLQ $sh, R14          \
-	MOVQ 112(R8), SI       \
-	SHLQ $2, SI            \
+	MOVQ kernArgs_n(R8), R12        \
+	SUBQ $n, R12                    \
+	MOVQ kernArgs_rowStep(R8), R14  \
+	SHLQ $sh, R14                   \
+	MOVQ kernArgs_ksRowStep(R8), SI \
+	SHLQ $2, SI                     \
 	XORQ R11, R11
 
 // PNEXT: after the group at R11 of a row, the same group of the next row
@@ -1086,14 +1093,14 @@ qp32bail:
 // PPOS64: AX and R10 at group R11 of the block's first row, the row's
 // last group overlapped, DI its rows.
 #define PPOS64 \
-	CMPQ    R11, R12       \
-	CMOVQGT R12, R11       \
-	MOVQ    R11, AX        \
-	SHLQ    $4, AX         \
-	ADDQ    0(R8), AX      \
-	MOVQ    8(R8), R10     \
-	LEAQ    (R10)(R11*4), R10 \
-	MOVQ    96(R8), DI
+	CMPQ    R11, R12              \
+	CMOVQGT R12, R11              \
+	MOVQ    R11, AX               \
+	SHLQ    $4, AX                \
+	ADDQ    kernArgs_data(R8), AX \
+	MOVQ    kernArgs_ks(R8), R10  \
+	LEAQ    (R10)(R11*4), R10     \
+	MOVQ    kernArgs_rows(R8), DI
 
 // PATAIL64: dequantize-and-apply commit of a float64 pair group.
 #define PATAIL64 \
@@ -1120,15 +1127,11 @@ TEXT ·applyPairsF64(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), R8
 	PROWS(3, 4)
 	POFFS(3)
-	VBROADCASTSD 64(R8), Y10
+	VBROADCASTSD kernArgs_step(R8), Y10
 	VMOVDQU      pevn4<>(SB), Y13
 	VMOVDQU      podd4<>(SB), Y14
 
-	MOVQ 56(R8), DX
-	CMPQ DX, $2
-	JEQ  ap64cubic
-	CMPQ DX, $1
-	JEQ  ap64linear
+	MODE(ap64linear, ap64cubic)
 
 	PALOOP64(ap64copy, ap64copyrow, PPRED64_COPY)
 	JMP ap64done
@@ -1142,13 +1145,13 @@ ap64done:
 
 // PPOS32: PPOS64 for float32.
 #define PPOS32 \
-	CMPQ    R11, R12       \
-	CMOVQGT R12, R11       \
-	MOVQ    0(R8), AX      \
-	LEAQ    (AX)(R11*8), AX \
-	MOVQ    8(R8), R10     \
-	LEAQ    (R10)(R11*4), R10 \
-	MOVQ    96(R8), DI
+	CMPQ    R11, R12              \
+	CMOVQGT R12, R11              \
+	MOVQ    kernArgs_data(R8), AX \
+	LEAQ    (AX)(R11*8), AX       \
+	MOVQ    kernArgs_ks(R8), R10  \
+	LEAQ    (R10)(R11*4), R10     \
+	MOVQ    kernArgs_rows(R8), DI
 
 // PATAIL32: dequantize-and-apply commit of a float32 pair group.
 #define PATAIL32 \
@@ -1176,7 +1179,7 @@ TEXT ·applyPairsF32(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), R8
 	PROWS(2, 8)
 	POFFS(2)
-	VMOVSD       64(R8), X0
+	VMOVSD       kernArgs_step(R8), X0
 	VCVTSD2SS    X0, X0, X0
 	VBROADCASTSS X0, Y10
 	VMOVDQU      pidxlo8<>(SB), Y11
@@ -1184,11 +1187,7 @@ TEXT ·applyPairsF32(SB), NOSPLIT, $0-8
 	VMOVDQU      pevn8<>(SB), Y13
 	VMOVDQU      podd8<>(SB), Y14
 
-	MOVQ 56(R8), DX
-	CMPQ DX, $2
-	JEQ  ap32cubic
-	CMPQ DX, $1
-	JEQ  ap32linear
+	MODE(ap32linear, ap32cubic)
 
 	PALOOP32(ap32copy, ap32copyrow, PPRED32_COPY)
 	JMP ap32done

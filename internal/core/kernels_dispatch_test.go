@@ -352,152 +352,53 @@ func refRebuild[T grid.Scalar](a *Archive, indices [][]int32) []T {
 	return data
 }
 
-// TestQuantizeAccelCommits drives the vector quantize kernel directly on
-// an in-window run and pins that it commits the full aligned prefix — a
-// regression guard against the accel silently bailing every group, which
-// would pass every differential test while losing the speedup. Targets sit
-// at odd flat indices with predictions read from even ones, matching the
-// pass invariant that a run never predicts from its own writes.
+// TestQuantizeAccelCommits drives the strided kernels directly on a block
+// of three in-window rows of 24 targets 3 elements apart — whole groups at
+// either width — and wants quantizeAccel to commit every group (a kernel
+// that bails on each would pass every differential test and lose the
+// speedup) with the scalar loop's indices and values, and applyAccel to
+// take the block and rebuild those values from the indices. Targets sit
+// where the flat index is 1 mod 3 and predictions read the points before
+// them, matching the pass invariant that a run never predicts from its own
+// writes.
 func TestQuantizeAccelCommits(t *testing.T) {
 	vectorPath(t, true)
-	const n = 20
-	step, invStep, eb := 2e-6, 5e5, 1e-6
-	w := make([]float64, 2*n+2)
-	for i := range w {
-		w[i] = math.Sin(float64(i) * 0.05)
-	}
-	want := append([]float64(nil), w...)
-	r := &interp.Run{Flat: 1, Step: 2, Seq: 0, SeqStep: 1, N: n, Off1: 1, Mode: interp.RunCopyLeft, Rows: 1}
-	ks := make([]int32, n)
-	done := quantizeRunAccel(w, ks, r, r.Flat, 0, n, step, invStep, eb)
-	if done != n {
-		t.Fatalf("quantizeRunAccel committed %d of %d points", done, n)
-	}
-	// Scalar emulation of the committed groups on the pristine copy.
-	wantKs := make([]int32, n)
-	for i := 0; i < n; i++ {
-		f := 1 + 2*i
-		pred := want[f-1]
-		orig := want[f]
-		k := int32(math.Round((orig - pred) * invStep))
-		recon := pred + float64(k)*step
-		if d := recon - orig; d > eb || d < -eb {
-			t.Fatalf("fixture point %d escapes the bound; tighten the test data", i)
-		}
-		wantKs[i] = k
-		want[f] = recon
-	}
-	for i := range ks {
-		if ks[i] != wantKs[i] {
-			t.Fatalf("ks[%d] = %d, scalar %d", i, ks[i], wantKs[i])
-		}
-	}
-	for f := range w {
-		if w[f] != want[f] {
-			t.Fatalf("work[%d] = %v, scalar %v", f, w[f], want[f])
-		}
-	}
-
-	// Apply kernel inverse: reconstruct from ks over a fresh array seeded
-	// with the same even-index context.
-	data := make([]float64, 2*n+2)
-	for i := 0; i < len(data); i += 2 {
-		data[i] = want[i]
-	}
-	if !applyAccel(data, ks, r, step) {
-		t.Fatalf("applyAccel left the %d-point run to the scalar loop", n)
-	}
-	for f := 1; f < 2*n; f += 2 {
-		if data[f] != want[f] {
-			t.Fatalf("apply data[%d] = %v, want %v", f, data[f], want[f])
-		}
-	}
-
-	// Eight-lane float32 variants.
-	const n32 = 24
-	w32 := make([]float32, 2*n32+2)
-	for i := range w32 {
-		w32[i] = float32(math.Sin(float64(i) * 0.05))
-	}
-	want32 := append([]float32(nil), w32...)
-	r32 := &interp.Run{Flat: 1, Step: 2, Seq: 0, SeqStep: 1, N: n32, Off1: 1, Mode: interp.RunCopyLeft, Rows: 1}
-	ks32 := make([]int32, n32)
-	eb32 := 1e-3
-	step32, invStep32 := float32(2e-3), float32(5e2)
-	done32 := quantizeRunAccel(w32, ks32, r32, 1, 0, n32, step32, invStep32, eb32)
-	if done32 != n32 {
-		t.Fatalf("float32 quantizeRunAccel committed %d of %d points", done32, n32)
-	}
-	for i := 0; i < n32; i++ {
-		f := 1 + 2*i
-		pred := want32[f-1]
-		orig := want32[f]
-		k := int32(math.Round(float64((orig - pred) * invStep32)))
-		recon := pred + float32(k)*step32
-		if d := float64(recon) - float64(orig); d > eb32 || d < -eb32 {
-			t.Fatalf("float32 fixture point %d escapes the bound", i)
-		}
-		if ks32[i] != k {
-			t.Fatalf("float32 ks[%d] = %d, scalar %d", i, ks32[i], k)
-		}
-		want32[f] = recon
-	}
-	for f := range w32 {
-		if w32[f] != want32[f] {
-			t.Fatalf("float32 work[%d] = %v, scalar %v", f, w32[f], want32[f])
-		}
-	}
-	data32 := make([]float32, 2*n32+2)
-	for i := 0; i < len(data32); i += 2 {
-		data32[i] = want32[i]
-	}
-	if !applyAccel(data32, ks32, r32, step32) {
-		t.Fatalf("float32 applyAccel left the %d-point run to the scalar loop", n32)
-	}
-	for f := 1; f < 2*n32; f += 2 {
-		if data32[f] != want32[f] {
-			t.Fatalf("float32 apply data[%d] = %v, want %v", f, data32[f], want32[f])
-		}
-	}
+	checkKernelsCommit[float64](t, 1e-6, 3, 24)
+	checkKernelsCommit[float32](t, 1e-3, 3, 24)
 }
 
-// TestPairKernelsCommit drives the pair kernels directly on a block of
-// three in-window rows of 13 targets — full groups, then an overlapped one
-// at either width — and wants the quantize kernel to commit every group
-// (a kernel that bails on each would pass every differential test and lose
-// the speedup) with the scalar loop's indices and values, and the apply
-// kernel to take the block and rebuild those values from the indices. As
-// in TestQuantizeAccelCommits, targets sit at odd flat indices and
-// predictions read even ones.
+// TestPairKernelsCommit is TestQuantizeAccelCommits for the pair kernels:
+// rows of 13 targets 2 elements apart — full groups, then an overlapped
+// one at either width.
 func TestPairKernelsCommit(t *testing.T) {
 	vectorPath(t, true)
-	checkPairKernels[float64](t, 1e-6)
-	checkPairKernels[float32](t, 1e-3)
+	checkKernelsCommit[float64](t, 1e-6, 2, 13)
+	checkKernelsCommit[float32](t, 1e-3, 2, 13)
 }
 
-func checkPairKernels[T grid.Scalar](t *testing.T, eb float64) {
-	const n, rows = 13, 3
-	width := 2*n + 2
+func checkKernelsCommit[T grid.Scalar](t *testing.T, eb float64, step, n int) {
+	const rows = 3
+	width := step*n + 2
 	q := newLevelQuantizer(make([]T, width*rows), quant.New(eb))
 	for i := range q.work {
 		q.work[i] = T(math.Sin(float64(i) * 0.05))
 	}
 	want := append([]T(nil), q.work...)
-	r := interp.Run{Flat: 1, Step: 2, SeqStep: 1, N: n, Off1: 1, Mode: interp.RunCopyLeft,
+	r := interp.Run{Flat: 1, Step: step, SeqStep: 1, N: n, Off1: 1, Mode: interp.RunCopyLeft,
 		Rows: rows, RowStep: width, RowSeqStep: n}
 	ks := make([]int32, n*rows)
-	if at := quantizePairsAccel(q.work, ks, &r, 0, q.step, q.invStep, q.eb); at != -1 {
-		t.Fatalf("%T: quantizePairsAccel stopped at group %d", want[0], at)
+	if at := quantizeAccel(q.work, ks, &r, 0, q.step, q.invStep, q.eb); at != -1 {
+		t.Fatalf("%T step %d: quantizeAccel stopped at group %d", want[0], step, at)
 	}
 	ref := levelQuantizer[T]{work: want, step: q.step, invStep: q.invStep, eb: q.eb}
 	wantKs := make([]int32, n*rows)
 	for i := range rows {
 		if out := ref.quantizeScalar(&r, wantKs, r.Flat+i*width, i*n, n, nil); len(out) != 0 {
-			t.Fatalf("%T: fixture row %d has outliers; tighten the test data", want[0], i)
+			t.Fatalf("%T step %d: fixture row %d has outliers; tighten the test data", want[0], step, i)
 		}
 	}
 	if !slices.Equal(ks, wantKs) || !slices.Equal(q.work, want) {
-		t.Fatalf("%T: pair quantize kernel differs from the scalar loop", want[0])
+		t.Fatalf("%T step %d: quantize kernel differs from the scalar loop", want[0], step)
 	}
 	data := append([]T(nil), want...)
 	for i := range rows {
@@ -506,9 +407,96 @@ func checkPairKernels[T grid.Scalar](t *testing.T, eb float64) {
 		}
 	}
 	if !applyAccel(data, ks, &r, q.step) {
-		t.Fatalf("%T: applyAccel left the block to the caller", want[0])
+		t.Fatalf("%T step %d: applyAccel left the block to the caller", want[0], step)
 	}
 	if !slices.Equal(data, want) {
-		t.Fatalf("%T: pair apply kernel does not rebuild the quantized values", want[0])
+		t.Fatalf("%T step %d: apply kernel does not rebuild the quantized values", want[0], step)
+	}
+}
+
+// TestStridedQuantizeResumes drives the strided quantize kernels through
+// the resume protocol of quantizeBlock on blocks of several rows whose
+// length ends in a partial group: a block of rows 3 elements apart, and a
+// boundary block of rows of 3 targets that lineup turns into columns. One
+// outlier sits in a middle row's second group. The kernel must return
+// exactly that group, then the partial last group of every row, numbered
+// g·rows + row, then −1; and the indices, work array and outliers of the
+// driven block, and of quantizeBlock, must be the scalar loop's.
+func TestStridedQuantizeResumes(t *testing.T) {
+	vectorPath(t, true)
+	checkStridedResume[float64](t, 1e-6)
+	checkStridedResume[float32](t, 1e-3)
+}
+
+func checkStridedResume[T grid.Scalar](t *testing.T, eb float64) {
+	lanes := lanes[T]()
+	rowN := 2*lanes + 3 // two full groups and a partial one
+	blocks := []struct {
+		name string
+		r    interp.Run // before lineup
+		size int        // of the work array
+	}{
+		{"rows", interp.Run{Flat: 1, Step: 3, SeqStep: 1, N: rowN, Off1: 1, Mode: interp.RunCopyLeft,
+			Rows: 5, RowStep: 3*rowN + 2, RowSeqStep: rowN}, 5 * (3*rowN + 2)},
+		{"columns", interp.Run{Flat: 1, Step: 2, SeqStep: 1, N: 3, Off1: 1, Mode: interp.RunCopyLeft,
+			Rows: rowN, RowStep: 8, RowSeqStep: 3}, 8 * rowN},
+	}
+	for _, b := range blocks {
+		r := b.r
+		lineup[T](&r)
+		if r.N != rowN || r.Step == 2 {
+			t.Fatalf("%T %s: lineup gives rows of %d targets %d apart", T(0), b.name, r.N, r.Step)
+		}
+		mid := r.Rows / 2
+		fresh := func() levelQuantizer[T] {
+			q := newLevelQuantizer(make([]T, b.size), quant.New(eb))
+			for i := range q.work {
+				q.work[i] = T(math.Sin(float64(i) * 0.05))
+			}
+			q.work[r.Flat+mid*r.RowStep+(lanes+1)*r.Step] = 1e9
+			return q
+		}
+		nks := r.Rows * r.N
+		want := fresh()
+		wantKs := make([]int32, nks)
+		var wantOut []outlier
+		for i := range r.Rows {
+			wantOut = want.quantizeScalar(&r, wantKs, r.Flat+i*r.RowStep, i*r.RowSeqStep, r.N, wantOut)
+		}
+		if len(wantOut) != 1 {
+			t.Fatalf("%T %s: the fixture has %d outliers, want the planted one", T(0), b.name, len(wantOut))
+		}
+		check := func(how string, q levelQuantizer[T], ks []int32, out []outlier) {
+			t.Helper()
+			slices.SortFunc(out, func(a, b outlier) int { return int(a.seq) - int(b.seq) })
+			if !slices.Equal(ks, wantKs) || !slices.Equal(q.work, want.work) || !slices.Equal(out, wantOut) {
+				t.Fatalf("%T %s: %s differs from the scalar loop", T(0), b.name, how)
+			}
+		}
+
+		wantAt := []int{1*r.Rows + mid}
+		for row := range r.Rows {
+			wantAt = append(wantAt, 2*r.Rows+row)
+		}
+		// The groups the kernel returns, driven as quantizeBlock does (a
+		// few more than wanted at most: a wrong numbering may never end).
+		q, ks := fresh(), make([]int32, nks)
+		var out []outlier
+		var got []int
+		at := quantizeAccel(q.work, ks, &r, 0, q.step, q.invStep, q.eb)
+		for ; at >= 0 && len(got) <= len(wantAt); at = quantizeAccel(q.work, ks, &r, at+1, q.step, q.invStep, q.eb) {
+			got = append(got, at)
+			g, row := at/r.Rows, at%r.Rows
+			lo := g * lanes
+			out = q.quantizeScalar(&r, ks, r.Flat+row*r.RowStep+lo*r.Step, r.Seq+row*r.RowSeqStep+lo*r.SeqStep, min(lanes, r.N-lo), out)
+		}
+		if at != -1 || !slices.Equal(got, wantAt) {
+			t.Fatalf("%T %s: the kernel returns groups %v then %d, want %v then -1", T(0), b.name, got, at, wantAt)
+		}
+		check("the driven kernel", q, ks, out)
+
+		q, ks = fresh(), make([]int32, nks)
+		rb := b.r
+		check("quantizeBlock", q, ks, q.quantizeBlock(&rb, ks, nil))
 	}
 }

@@ -7,22 +7,14 @@ import (
 	"repro/internal/interp"
 )
 
-// This build has no vector kernels: the generic loops in kernels.go are
-// the only path. asmKernels is a constant so the compiler deletes every
-// dispatch branch outright.
-const asmKernels = false
-
-// setAVX2 reports false: there is nothing to enable.
+// setAVX2 reports false: this build has no vector kernels, and the
+// generic loops in kernels.go are the only path.
 func setAVX2(on bool) bool { return false }
-
-func quantizeRunAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, f, seq, n int, step, invStep T, eb float64) int {
-	return 0
-}
 
 func applyAccel[T grid.Scalar](data []T, ks []int32, r *interp.Run, step T) bool {
 	return false
 }
 
-func quantizePairsAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, at int, step, invStep T, eb float64) int {
+func quantizeAccel[T grid.Scalar](w []T, ks []int32, r *interp.Run, at int, step, invStep T, eb float64) int {
 	return -2
 }
