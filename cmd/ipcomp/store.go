@@ -21,8 +21,8 @@ import (
 // Wherever a subcommand reads a container (-in), a URL works too: ls,
 // extract, and region accept file:// paths, http(s):// URLs of an ipcompd
 // origin (its root, or /v1/containers/<name>), and files on Range-capable
-// static servers — remote reads go through a span cache, so the
-// bytes-loaded figures stay faithful partial-I/O measurements (see
+// static servers — remote reads go through the store's tile cache, so
+// the bytes-loaded figures stay faithful partial-I/O measurements (see
 // docs/BACKENDS.md).
 func cmdStore(args []string) error {
 	if len(args) < 1 {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ipcompd [-listen :8080] [-cache-mb 256] [-backend-cache-mb 64]
+//	ipcompd [-listen :8080] [-cache-mb 256]
 //	        [-max-decode-concurrency 0] [-max-request-bytes 0] [-queue-timeout 1s] [-degrade]
 //	        [-writable -cas-dir DIR [-seal-interval 10s]]
 //	        [-self NAME -peers NAME=URL,... [-replication 2]]
@@ -15,20 +15,21 @@
 // ipcompd -h lists every flag with its default.
 //
 // -cache-mb is one budget for the process: every container and every
-// snapshot served keeps its decoded tiles in the same cache, so the
-// resident decoded tiles stay within the budget plus one tile however
-// many containers and snapshots there are, and a tile that did not change
-// between two snapshots is decoded once for both.
+// snapshot served keeps its tiles in the same cache — the compressed bytes
+// each tile has read, and its decode — so the resident tiles stay within
+// the budget plus one tile however many containers and snapshots there
+// are, and a tile that did not change between two snapshots is decoded
+// once for both.
 //
 // Each container argument is a local path or a URL: a .ipcs file, a
 // directory of containers, or an http(s) origin — another ipcompd (all of
 // its containers, or one named via /v1/containers/<name>) or a file on
 // any Range-capable static server. Remote containers are read through a
-// span-granular byte cache (-backend-cache-mb; at 0 it caches nothing but
-// still joins concurrent identical reads into one origin request), which
-// is what turns an ipcompd pointed at another ipcompd into an edge proxy:
-// progressive plane spans are forwarded from the cache without decoding,
-// and warm traffic never touches the origin.
+// tier that joins concurrent identical reads into one origin request, and
+// the tile cache keeps what each tile has read, which is what turns an
+// ipcompd pointed at another ipcompd into an edge proxy: progressive plane
+// spans are forwarded from the cache without decoding, and warm traffic
+// never touches the origin.
 //
 // Every dataset of every container is served under its own name; names
 // must be unique across the given containers. A quick session:
@@ -90,8 +91,7 @@ var logx *obs.Logger
 
 func main() {
 	listen := flag.String("listen", ":8080", "address to serve HTTP on")
-	cacheMB := flag.Int64("cache-mb", 256, "decoded-tile cache budget of the process, shared by every container and snapshot served, in MiB; resident tiles stay within it plus one tile (0 disables)")
-	backendCacheMB := flag.Int64("backend-cache-mb", 64, "span-cache budget per remote backend, in MiB (0 caches nothing; identical concurrent reads still share one origin request)")
+	cacheMB := flag.Int64("cache-mb", 256, "tile cache budget of the process — tiles' compressed bytes and decodes — shared by every container and snapshot served, in MiB; resident tiles stay within it plus one tile (0 disables)")
 	self := flag.String("self", "", "cluster mode: this node's name in -peers")
 	peers := flag.String("peers", "", "cluster mode: full membership as name=url,name=url,... (identical on every node)")
 	replication := flag.Int("replication", 2, "cluster mode: replicas per container")
@@ -137,7 +137,7 @@ func main() {
 	}
 	ing := ingestFlags{writable: *writable, casDir: *casDir, sealInterval: *sealInterval}
 	ob := obsFlags{traceSample: *traceSample, traceSlow: *traceSlow, debugAddr: *debugAddr}
-	if err := run(*listen, *cacheMB, *backendCacheMB, cl, adm, ing, ob, flag.Args()); err != nil {
+	if err := run(*listen, *cacheMB, cl, adm, ing, ob, flag.Args()); err != nil {
 		logx.Fatal(err.Error())
 	}
 }
@@ -187,19 +187,19 @@ func parsePeers(s string) ([]server.Peer, error) {
 }
 
 // openSpec resolves one container argument to its backend (behind a
-// Cached tier when remote, whatever its budget: that tier is where
-// concurrent identical origin reads are joined) and the container names
+// Cached tier when remote: that tier is where concurrent identical origin
+// reads are joined) and the container names
 // to serve from it. explicit reports whether the spec named one
 // container itself (so a failure to open it must abort) or enumerated a
 // backend (where a stray non-container file in a served directory should
 // be skipped, not fatal).
-func openSpec(spec string, backendCacheMB int64) (b backend.Backend, names []string, explicit bool, err error) {
+func openSpec(spec string) (b backend.Backend, names []string, explicit bool, err error) {
 	b, name, err := backend.Open(spec)
 	if err != nil {
 		return nil, nil, false, err
 	}
 	if backend.IsRemote(b) {
-		b = backend.NewCached(b, backendCacheMB<<20)
+		b = backend.NewCached(b)
 	}
 	if name != "" {
 		return b, []string{name}, true, nil
@@ -219,7 +219,7 @@ func openSpec(spec string, backendCacheMB int64) (b backend.Backend, names []str
 // register opens every container spec and registers it with the server:
 // owned containers are served (AddStore), peer-owned ones enter the
 // routing catalog (AddRemote). Outside cluster mode everything is owned.
-func register(srv *server.Server, clustered bool, backendCacheMB int64, specs []string) (cleanup func(), err error) {
+func register(srv *server.Server, clustered bool, specs []string) (cleanup func(), err error) {
 	var backends []backend.Backend
 	cleanup = func() {
 		for _, b := range backends {
@@ -228,7 +228,7 @@ func register(srv *server.Server, clustered bool, backendCacheMB int64, specs []
 	}
 	used := make(map[string]bool)
 	for _, spec := range specs {
-		b, names, explicit, err := openSpec(spec, backendCacheMB)
+		b, names, explicit, err := openSpec(spec)
 		if err != nil {
 			return cleanup, err
 		}
@@ -296,7 +296,7 @@ func register(srv *server.Server, clustered bool, backendCacheMB int64, specs []
 	return cleanup, nil
 }
 
-func run(listen string, cacheMB, backendCacheMB int64, cl clusterFlags, adm server.AdmissionOptions, ing ingestFlags, ob obsFlags, specs []string) error {
+func run(listen string, cacheMB int64, cl clusterFlags, adm server.AdmissionOptions, ing ingestFlags, ob obsFlags, specs []string) error {
 	srv := server.New()
 	srv.TileCache().Resize(cacheMB << 20)
 	srv.SetAdmission(adm)
@@ -363,7 +363,7 @@ func run(listen string, cacheMB, backendCacheMB int64, cl clusterFlags, adm serv
 	go func() { errc <- hs.ListenAndServe() }()
 	logx.Info("ipcompd listening", "addr", listen)
 
-	cleanup, err := register(srv, clustered, backendCacheMB, specs)
+	cleanup, err := register(srv, clustered, specs)
 	defer cleanup()
 	if err != nil {
 		hs.Close()

@@ -5,13 +5,14 @@
 // tile decodes, wire-span serving — already works through ranged reads
 // (io.ReaderAt / core.BlockSource), so the same store, server, and CLI
 // code runs identically against a local directory (Dir, File), a remote
-// HTTP origin (HTTP), or either behind a read-through cache tier (Cached).
+// HTTP origin (HTTP), or either behind a tier that joins identical
+// concurrent reads (Cached).
 //
 // The seam is deliberately dumb: no writes, no locking protocol, no
-// container structure. Storage stays simple; smarts (caching, request
-// coalescing, retry) layer on the read path, which is what lets
-// an edge ipcompd proxy an origin ipcompd by doing nothing more than
-// opening its containers through Cached(HTTP).
+// container structure. Storage stays simple; smarts (request coalescing,
+// retry) layer on the read path, and caching is the store's tile cache,
+// which is what lets an edge ipcompd proxy an origin ipcompd by doing
+// nothing more than opening its containers through Cached(HTTP).
 package backend
 
 import (
@@ -42,8 +43,8 @@ type Backend interface {
 // TraceReader is implemented by backends that can attach a request-trace
 // id to a read: HTTP sends it as the X-Ipcomp-Trace header on the origin
 // fetch (so the origin's spans stitch into the caller's trace), and
-// Cached forwards it through cache misses. trace == "" behaves exactly
-// like ReadAt.
+// Cached forwards it on the fetches it initiates. trace == "" behaves
+// exactly like ReadAt.
 type TraceReader interface {
 	ReadAtTrace(name string, p []byte, off int64, trace string) (int, error)
 }
@@ -61,10 +62,6 @@ func ReadAtTrace(b Backend, name string, p []byte, off int64, trace string) (int
 // Backends that carry counters expose them via CounterSource; the zero
 // value means "nothing to report" (e.g. a bare Dir backend).
 type Counters struct {
-	// Hits counts ReadAt calls served entirely from a cache tier.
-	Hits int64
-	// Misses counts ReadAt calls that needed at least one origin fetch.
-	Misses int64
 	// BytesFetched is the total bytes read from the origin.
 	BytesFetched int64
 	// Coalesced counts reads that joined an identical in-flight origin

@@ -88,30 +88,11 @@ func BenchmarkBackendHTTPCold(b *testing.B) {
 	readRanges(b, h, "c")
 }
 
-// BenchmarkBackendHTTPWarm measures Cached(http) once the spans are
-// resident: reads are served from the span cache with zero origin I/O.
-func BenchmarkBackendHTTPWarm(b *testing.B) {
-	ts := blobServer(b)
-	h, err := backend.NewHTTP(ts.URL + "/c")
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := backend.NewCached(h, 8<<20)
-	// Warm every range the loop will touch.
-	buf := make([]byte, benchReadSize)
-	for off := int64(0); off+benchReadSize <= benchBlobSize; off += benchReadSize {
-		if _, err := c.ReadAt("c", buf, off); err != nil {
-			b.Fatal(err)
-		}
-	}
-	readRanges(b, c, "c")
-}
-
 // BenchmarkBackendCachedProxy measures the edge-proxy serving path end to
 // end: an edge ipcompd whose store reads the origin ipcompd through the
 // http+cached backend answers warm progressive (format=planes) region
-// requests — plan from cached headers, spans from cached bytes, zero
-// decode, zero origin reads.
+// requests — plan from cached headers, spans from the tile cache's
+// compressed bytes, zero decode, zero origin reads.
 func BenchmarkBackendCachedProxy(b *testing.B) {
 	g, err := datagen.GenerateShape("Density", grid.Shape{32, 32, 32})
 	if err != nil {
@@ -144,7 +125,7 @@ func BenchmarkBackendCachedProxy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cb := backend.NewCached(hb, 8<<20)
+	cb := backend.NewCached(hb)
 	edgeStore, err := store.OpenBackend(cb, "c.ipcs")
 	if err != nil {
 		b.Fatal(err)
@@ -172,7 +153,7 @@ func BenchmarkBackendCachedProxy(b *testing.B) {
 		}
 		return n
 	}
-	n := fetch() // warm the span cache
+	n := fetch() // warm the tile cache
 	before := edgeStore.Stats().Backend.BytesFetched
 	b.SetBytes(n)
 	b.ResetTimer()

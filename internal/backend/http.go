@@ -29,13 +29,15 @@ import (
 //     (open by name, no listing) or directly at one file (single-container
 //     mode).
 //
-// Reads are bounded (at most httpParallel requests in flight) and retried
-// with exponential backoff on transport errors and 5xx responses. HTTP
-// neither caches nor coalesces; wrap it in Cached, which does both (every
-// remote backend a program opens is wrapped so).
+// Reads are bounded (at most httpParallel requests in flight), each
+// attempt ends by httpAttemptTimeout, and attempts are retried with
+// exponential backoff on transport errors, timeouts and 5xx responses.
+// HTTP neither caches nor coalesces; wrap it in Cached, which joins
+// identical reads (every remote backend a program opens is wrapped so).
 type HTTP struct {
 	base    *url.URL // dir mode: ends in "/"; single mode: the file URL
 	single  string   // non-empty selects single-container mode
+	client  *http.Client
 	sem     chan struct{}
 	retries int // total attempts per request
 	backoff time.Duration
@@ -52,6 +54,10 @@ const (
 	httpParallel = 8                     // origin requests in flight at once
 	httpAttempts = 3                     // attempts per origin request
 	httpBackoff  = 50 * time.Millisecond // backoff before the second attempt, doubled after
+	// httpAttemptTimeout ends one attempt — connect, headers and body — so
+	// an origin that stalls fails the read after httpAttempts instead of
+	// holding it, and whatever waits on it, forever.
+	httpAttemptTimeout = 10 * time.Second
 )
 
 // NewHTTP creates a backend for the given URL. A URL with an empty or "/"
@@ -71,7 +77,13 @@ func NewHTTP(rawurl string) (*HTTP, error) {
 		return nil, fmt.Errorf("backend: URL %q has no host", rawurl)
 	}
 	h := &HTTP{
-		base:       u,
+		base: u,
+		// A transport of its own, so that Close drops this backend's idle
+		// connections and no one else's.
+		client: &http.Client{
+			Transport: http.DefaultTransport.(*http.Transport).Clone(),
+			Timeout:   httpAttemptTimeout,
+		},
 		sem:        make(chan struct{}, httpParallel),
 		retries:    httpAttempts,
 		backoff:    httpBackoff,
@@ -148,7 +160,7 @@ func (h *HTTP) List() ([]string, error) {
 		if err != nil {
 			return false, err
 		}
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := h.client.Do(req)
 		if err != nil {
 			return true, err
 		}
@@ -242,7 +254,7 @@ func (h *HTTP) probeSize(u string) (int64, string, error) {
 			return false, err
 		}
 		req.Header.Set("Range", "bytes=0-0")
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := h.client.Do(req)
 		if err != nil {
 			return true, err
 		}
@@ -330,7 +342,7 @@ func (h *HTTP) fetch(name string, buf []byte, off int64, trace string) error {
 			// (detected below) instead of silently splicing two versions.
 			req.Header.Set("If-Range", validator)
 		}
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := h.client.Do(req)
 		if err != nil {
 			return true, err
 		}
@@ -422,8 +434,8 @@ func (h *HTTP) Counters() Counters {
 	return Counters{BytesFetched: h.bytesFetched.Load()}
 }
 
-// Close releases idle origin connections.
+// Close releases this backend's idle origin connections.
 func (h *HTTP) Close() error {
-	http.DefaultClient.CloseIdleConnections()
+	h.client.CloseIdleConnections()
 	return nil
 }

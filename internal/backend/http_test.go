@@ -214,66 +214,119 @@ func TestHTTPBackendNoRangeSupport(t *testing.T) {
 
 // TestHTTPBackendCoalescing pins the one coalescing point: N concurrent
 // identical reads through Cached(HTTP) reach the origin as exactly one
-// Range request, both with a span cache to land in and at budget 0, where
-// Cached caches nothing and only passes reads through. HTTP itself does
-// not coalesce, so the budget-0 case fails if the pass-through bypasses
-// Cached's flights.
+// Range request. HTTP itself does not coalesce, so this fails if a read
+// bypasses Cached's flights.
 func TestHTTPBackendCoalescing(t *testing.T) {
-	for _, budget := range []int64{DefaultCachedBytes, 0} {
-		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			blob := testBlob(1024, 6)
+	blob := testBlob(1024, 6)
+	var ranged atomic.Int32
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Range") != "bytes=0-0" { // the size probe is not held
+			ranged.Add(1)
+			<-release
+		}
+		http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(blob))
+	}))
+	defer ts.Close()
+	h, err := NewHTTP(ts.URL + "/c.ipcs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCached(h)
+	if _, err := c.Size("c.ipcs"); err != nil {
+		t.Fatal(err)
+	}
+
+	const readers = 8
+	var wg sync.WaitGroup
+	errs := make([]error, readers)
+	bufs := make([][]byte, readers)
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			bufs[i] = make([]byte, 128)
+			_, errs[i] = c.ReadAt("c.ipcs", bufs[i], 256)
+		}(i)
+	}
+	// Let the readers pile onto the single in-flight request, or (were
+	// they not joined) each reach the origin, then serve.
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Counters().Coalesced < readers-1 && ranged.Load() < readers && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("reader %d: %v", i, err)
+		}
+		if !bytes.Equal(bufs[i], blob[256:384]) {
+			t.Fatalf("reader %d got wrong bytes", i)
+		}
+	}
+	if got := ranged.Load(); got != 1 {
+		t.Errorf("%d origin Range requests, want 1", got)
+	}
+	if got := c.Counters(); got.Coalesced != readers-1 || got.BytesFetched != 128 {
+		t.Errorf("Coalesced = %d, BytesFetched = %d, want %d, 128", got.Coalesced, got.BytesFetched, readers-1)
+	}
+}
+
+// TestHTTPBackendStalledOrigin: an origin that answers the size probe and
+// then stalls a range read — before its headers, or halfway through its
+// body — fails the read once every attempt has run into its deadline,
+// instead of holding it forever. Each attempt is a fresh request that
+// stalls again, so the read returns an error after httpAttempts.
+func TestHTTPBackendStalledOrigin(t *testing.T) {
+	const attempt = 100 * time.Millisecond
+	blob := testBlob(4096, 9)
+	for _, stall := range []string{"headers", "body"} {
+		t.Run(stall, func(t *testing.T) {
+			done := make(chan struct{})
 			var ranged atomic.Int32
-			release := make(chan struct{})
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.Header.Get("Range") != "bytes=0-0" { // the size probe is not held
-					ranged.Add(1)
-					<-release
+				if r.Header.Get("Range") == "bytes=0-0" {
+					http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(blob))
+					return
 				}
-				http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(blob))
+				ranged.Add(1)
+				if stall == "body" {
+					w.Header().Set("Content-Range", fmt.Sprintf("bytes 0-1023/%d", len(blob)))
+					w.Header().Set("Content-Length", "1024")
+					w.WriteHeader(http.StatusPartialContent)
+					w.Write(blob[:512])
+					w.(http.Flusher).Flush()
+				}
+				select {
+				case <-done:
+				case <-r.Context().Done():
+				}
 			}))
 			defer ts.Close()
+			defer close(done)
 			h, err := NewHTTP(ts.URL + "/c.ipcs")
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := NewCached(h, budget)
-			if _, err := c.Size("c.ipcs"); err != nil {
+			defer h.Close()
+			h.client.Timeout, h.backoff = attempt, time.Millisecond
+			if _, err := h.Size("c.ipcs"); err != nil {
 				t.Fatal(err)
 			}
-
-			const readers = 8
-			var wg sync.WaitGroup
-			errs := make([]error, readers)
-			bufs := make([][]byte, readers)
-			for i := 0; i < readers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					bufs[i] = make([]byte, 128)
-					_, errs[i] = c.ReadAt("c.ipcs", bufs[i], 256)
-				}(i)
+			start := time.Now()
+			_, err = h.ReadAt("c.ipcs", make([]byte, 1024), 0)
+			took := time.Since(start)
+			if err == nil {
+				t.Fatal("a read from a stalled origin succeeded")
 			}
-			// Let the readers pile onto the single in-flight request, or (were
-			// they not joined) each reach the origin, then serve.
-			deadline := time.Now().Add(5 * time.Second)
-			for c.Counters().Coalesced < readers-1 && ranged.Load() < readers && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
+			if !strings.Contains(err.Error(), "attempts") || ranged.Load() != httpAttempts {
+				t.Errorf("stalled read: %d range requests, error %v; want %d attempts", ranged.Load(), err, httpAttempts)
 			}
-			close(release)
-			wg.Wait()
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("reader %d: %v", i, err)
-				}
-				if !bytes.Equal(bufs[i], blob[256:384]) {
-					t.Fatalf("reader %d got wrong bytes", i)
-				}
-			}
-			if got := ranged.Load(); got != 1 {
-				t.Errorf("%d origin Range requests, want 1", got)
-			}
-			if got := c.Counters(); got.Coalesced != readers-1 || got.BytesFetched != 128 {
-				t.Errorf("Coalesced = %d, BytesFetched = %d, want %d, 128", got.Coalesced, got.BytesFetched, readers-1)
+			// httpAttempts deadlines, plus backoffs of at most 1.5·(1+2) ms,
+			// plus scheduling slack.
+			if limit := httpAttempts*attempt + 2*time.Second; took > limit {
+				t.Errorf("stalled read returned after %v, want under %v", took, limit)
 			}
 		})
 	}

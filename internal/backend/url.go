@@ -22,8 +22,8 @@ import (
 //	https://cdn/data/climate.ipcs one file on a Range-capable static server
 //	https://cdn/data/             a static directory (open by name; no List)
 //
-// The backend is returned bare; callers that want the read-through tier
-// wrap it with NewCached.
+// The backend is returned bare; callers that want concurrent identical
+// reads joined wrap it with NewCached.
 func Open(spec string) (Backend, string, error) {
 	scheme, _, hasScheme := strings.Cut(spec, "://")
 	if !hasScheme {

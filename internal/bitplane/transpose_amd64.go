@@ -77,8 +77,9 @@ func splitRangeAccel(planes [][]byte, values []uint32, lo, hi int, pm, nbm uint3
 const mergeChunk = 1 << 13
 
 // zeroPlane is what the merge kernels read for a plane that is not loaded
-// in an octet that has loaded ones.
-var zeroPlane [mergeChunk / 8]byte
+// in an octet that has loaded ones. It is a variable so that a test can
+// put a guard right after it.
+var zeroPlane = make([]byte, mergeChunk/8)
 
 // mergeDecodeAccel mirrors splitRangeAccel for MergeDecodeRange.
 func mergeDecodeAccel(ks []int32, planes [][]byte, lo, hi int, keep uint32) int {
@@ -103,7 +104,7 @@ func mergeDecodeAccel(ks []int32, planes [][]byte, lo, hi int, keep uint32) int 
 // plane, and the bitmask of plane octets holding at least one loaded one.
 func planePointers(planes [][]byte, lo int) (ptrs [Planes]unsafe.Pointer, blocks uint8) {
 	for p := range ptrs {
-		ptrs[p] = unsafe.Pointer(&zeroPlane)
+		ptrs[p] = unsafe.Pointer(&zeroPlane[0])
 		if p < len(planes) && planes[p] != nil {
 			ptrs[p] = unsafe.Pointer(&planes[p][lo>>3])
 			blocks |= 1 << uint(p>>3)

@@ -39,7 +39,7 @@ func newEdgeEnv(t testing.TB) *edgeEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := backend.NewCached(hb, 8<<20)
+	cb := backend.NewCached(hb)
 	st, err := store.OpenBackend(cb, "test.ipcs")
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,9 @@ func bitEqual64(a, b []float64) bool {
 // http+cached backend gets bit-identical results to a client talking to
 // the origin directly — for the initial fetch and for token refinement —
 // and once the edge is warm, a repeat request is served with zero origin
-// reads, asserted via the span-cache counters.
+// reads from the compressed bytes its tile cache keeps, asserted via the
+// backend and tile-cache counters. The edge only ever ships planes, so it
+// never decodes a tile.
 func TestEdgeProxy(t *testing.T) {
 	env := newEdgeEnv(t)
 	ctx := context.Background()
@@ -120,9 +122,9 @@ func TestEdgeProxy(t *testing.T) {
 	}
 
 	// Warm proxy: a fresh client repeating the coarse request must be
-	// served entirely from the edge's span cache — zero origin reads.
-	before := env.edgeStore.Stats().Backend
-	if before.BytesFetched == 0 {
+	// served entirely from the edge's tile cache — zero origin reads.
+	before := env.edgeStore.Stats()
+	if before.Backend.BytesFetched == 0 {
 		t.Fatal("counters report no origin traffic despite the cold fetches above")
 	}
 	regW, err := client.New(env.edge.URL).Region(ctx, "density", lo, hi, coarse)
@@ -132,21 +134,78 @@ func TestEdgeProxy(t *testing.T) {
 	if !bitEqual64(local.Data(), regW.Data()) {
 		t.Fatal("warm edge fetch differs from direct local retrieval")
 	}
-	after := env.edgeStore.Stats().Backend
-	if after.BytesFetched != before.BytesFetched {
-		t.Fatalf("warm request read %d origin bytes, want 0", after.BytesFetched-before.BytesFetched)
+	after := env.edgeStore.Stats()
+	if after.Backend.BytesFetched != before.Backend.BytesFetched {
+		t.Fatalf("warm request read %d origin bytes, want 0", after.Backend.BytesFetched-before.Backend.BytesFetched)
 	}
-	if after.Hits <= before.Hits {
-		t.Error("warm request recorded no span-cache hits")
+	if after.ReadHits <= before.ReadHits || after.ReadMisses != before.ReadMisses {
+		t.Errorf("warm request: tile-cache reads %d hits, %d misses, want hits and no miss",
+			after.ReadHits-before.ReadHits, after.ReadMisses-before.ReadMisses)
+	}
+	if after.TileDecodes != 0 {
+		t.Errorf("a planes-only edge decoded %d tiles", after.TileDecodes)
+	}
+}
+
+// TestEdgeDecodeAfterDemotion: an edge whose tile budget fits one decoded
+// tile, beside the compressed bytes of another, reads tile A at full
+// fidelity, then tile B, then A again. B's decode demotes A to the
+// compressed bytes it read, so the third read decodes A again — from
+// those bytes, with zero origin reads.
+func TestEdgeDecodeAfterDemotion(t *testing.T) {
+	env := newEdgeEnv(t)
+	st := env.edgeStore
+	var archives int64 // the eight tiles' archives
+	for _, ds := range st.Datasets() {
+		if ds.Name == "density" {
+			archives = ds.CompressedBytes
+		}
+	}
+	// A decode is charged 12 B/elem until it settles, a decoded float64
+	// tile at full fidelity its 8 B/elem of values and its archive: room
+	// for one pending decode and about two archives.
+	const elems = 16 * 16 * 16
+	if err := st.SetCacheBytes(12*elems + archives/4); err != nil {
+		t.Fatal(err)
+	}
+	a, b := []int{0, 0, 0}, []int{16, 0, 0}
+	read := func(lo []int) {
+		t.Helper()
+		hi := []int{lo[0] + 16, lo[1] + 16, lo[2] + 16}
+		got, err := st.RetrieveRegion("density", lo, hi, env.eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := env.st.RetrieveRegion("density", lo, hi, env.eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitEqual64(got.Data(), want.Data()) {
+			t.Fatalf("edge tile at %v differs from the origin's", lo)
+		}
+	}
+	read(a)
+	read(b)
+	before := st.Stats()
+	read(a)
+	after := st.Stats()
+	if d := after.TileDecodes - before.TileDecodes; d != 1 {
+		t.Fatalf("re-reading the demoted tile decoded %d tiles, want 1", d)
+	}
+	if n := after.Backend.BytesFetched - before.Backend.BytesFetched; n != 0 {
+		t.Errorf("re-decoding the demoted tile read %d origin bytes, want 0", n)
+	}
+	if cs := st.TileCache().Stats(); cs.Entries != 2 || cs.Evictions != 0 {
+		t.Errorf("tile cache %+v, want both tiles resident and none dropped", cs)
 	}
 }
 
 // TestEdgeProxyPlanesTrace: a planes request to a tracing edge that
 // reads its container through backend.NewCached(backend.NewHTTP(origin))
 // carries the client's trace id onto the origin Range reads of the spans
-// it streams — Store.ReadRangeTrace → Cached → HTTP's X-Ipcomp-Trace
-// header — so the origin's half of the work stitches into the client's
-// trace. Planning reads each tile's header first, and without the id
+// it streams — Store.ReadSpan → the tile's cache entry → Cached → HTTP's
+// X-Ipcomp-Trace header — so the origin's half of the work stitches into
+// the client's trace. Planning reads each tile's header first, and without the id
 // (PlanRegion takes none); every origin read from the first traced one on
 // is a span read and must carry it.
 func TestEdgeProxyPlanesTrace(t *testing.T) {
@@ -171,7 +230,7 @@ func TestEdgeProxyPlanesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.OpenBackend(backend.NewCached(hb, 8<<20), "test.ipcs")
+	st, err := store.OpenBackend(backend.NewCached(hb), "test.ipcs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +277,8 @@ func TestEdgeProxyPlanesTrace(t *testing.T) {
 }
 
 // TestEdgeProxyStatsEndpoint checks that the edge's /v1/stats surfaces
-// the backend span-cache counters alongside the tile counters.
+// the backend counters and the tile cache's read counters alongside the
+// tile counters.
 func TestEdgeProxyStatsEndpoint(t *testing.T) {
 	env := newEdgeEnv(t)
 	ctx := context.Background()
@@ -246,7 +306,7 @@ func TestEdgeProxyStatsEndpoint(t *testing.T) {
 // TestStatsSharedBackendNotDoubleCounted pins that two stores opened on
 // one shared backend (an edge serving every container of one origin)
 // contribute the backend's counters to /v1/stats once, not once per
-// container.
+// container, and each tile cache's read counters once.
 func TestStatsSharedBackendNotDoubleCounted(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"one.ipcs", "two.ipcs"} {
@@ -274,8 +334,9 @@ func TestStatsSharedBackendNotDoubleCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cb := backend.NewCached(d, 1<<20)
+	cb := backend.NewCached(d)
 	srv := New()
+	var stores []*store.Store
 	for _, name := range []string{"one.ipcs", "two.ipcs"} {
 		st, err := store.OpenBackend(cb, name)
 		if err != nil {
@@ -284,6 +345,7 @@ func TestStatsSharedBackendNotDoubleCounted(t *testing.T) {
 		if err := srv.AddStore(name, st); err != nil {
 			t.Fatal(err)
 		}
+		stores = append(stores, st)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -297,9 +359,13 @@ func TestStatsSharedBackendNotDoubleCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := cb.Counters()
-	if doc.BackendBytesFetched != truth.BytesFetched || doc.BackendMisses != truth.Misses {
-		t.Errorf("stats bytes=%d misses=%d, backend truth bytes=%d misses=%d (shared backend double-counted?)",
-			doc.BackendBytesFetched, doc.BackendMisses, truth.BytesFetched, truth.Misses)
+	var misses int64
+	for _, st := range stores {
+		misses += st.TileCache().Stats().ReadMisses
+	}
+	if doc.BackendBytesFetched != truth.BytesFetched || doc.BackendMisses != misses {
+		t.Errorf("stats bytes=%d misses=%d, backend truth bytes=%d, tile caches' misses %d (shared backend double-counted?)",
+			doc.BackendBytesFetched, doc.BackendMisses, truth.BytesFetched, misses)
 	}
 	if doc.BackendBytesFetched == 0 {
 		t.Error("no backend traffic recorded at all")

@@ -483,10 +483,10 @@ func (srv *Server) servePlanes(w http.ResponseWriter, ds *dataset, name string, 
 			var err error
 			if tr != nil {
 				readT := time.Now()
-				payload, err = ds.s.ReadRangeTrace(cp.BlobOff+sp.Off, sp.Len, tr.ID())
+				payload, err = ds.s.ReadSpan(rp.Dataset, cp.Index, sp, tr.ID())
 				readNanos += int64(time.Since(readT))
 			} else {
-				payload, err = ds.s.ReadRange(cp.BlobOff+sp.Off, sp.Len)
+				payload, err = ds.s.ReadSpan(rp.Dataset, cp.Index, sp, "")
 			}
 			if err != nil {
 				return outOK // headers are gone; aborting the body is all we can do

@@ -116,7 +116,7 @@ func (srv *Server) TileCache() *store.TileCache { return srv.tiles }
 // ContainerETag derives a freshness validator from the container's size
 // and tail (the footer pins the index offset, so any repack changes it).
 // Remote readers present it as If-Range, which is what keeps an edge's
-// span cache from splicing two versions of a replaced container. A
+// tile cache from splicing two versions of a replaced container. A
 // failed tail read fails registration: a size-only validator would match
 // a same-size repack, which is exactly the corruption this exists to
 // stop. Callers registering a peer-owned container (AddRemote) use it
@@ -366,10 +366,11 @@ func docOf(info store.DatasetInfo) DatasetDoc {
 }
 
 // StatsDoc is the JSON document of /v1/stats: tile-level cache counters
-// summed across stores, the occupancy of the decoded-tile cache (the
-// server's own plus any private cache a registered store brought along),
-// and the storage-backend byte-level counters for stores opened through a
-// counting backend (an edge proxy's span cache).
+// summed across stores, the occupancy and byte-read counters of the tile
+// cache (the server's own plus any private cache a registered store
+// brought along; BackendHits and BackendMisses are its reads of tile
+// bytes), and the storage-backend byte-level counters for stores opened
+// through a counting backend (an edge proxy's Cached tier).
 type StatsDoc struct {
 	Datasets            int   `json:"datasets"`
 	Containers          int   `json:"containers"`
@@ -417,8 +418,6 @@ func (srv *Server) statsDoc() StatsDoc {
 		}
 		seen[cs] = true
 		c := cs.Counters()
-		doc.BackendHits += c.Hits
-		doc.BackendMisses += c.Misses
 		doc.BackendBytesFetched += c.BytesFetched
 		doc.BackendCoalesced += c.Coalesced
 	}
@@ -428,6 +427,8 @@ func (srv *Server) statsDoc() StatsDoc {
 		doc.TileCacheBytes += st.Bytes
 		doc.TileCacheEntries += st.Entries
 		doc.TileCacheEvictions += st.Evictions
+		doc.BackendHits += st.ReadHits
+		doc.BackendMisses += st.ReadMisses
 	}
 	doc.Codec = codec.Stats()
 	if srv.cluster != nil {

@@ -2,6 +2,10 @@ package store
 
 import (
 	"container/list"
+	"errors"
+	"fmt"
+	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -39,9 +43,18 @@ type tileKey struct {
 	chunk   int
 }
 
-// chunkEntry holds one tile's parsed archive and decoded result.
+// chunkEntry holds one tile in one of two states: its compressed bytes —
+// the archive header and whatever blocks have been read — or those bytes
+// and the tile's decode.
 //
-// Lifecycle under entry.mu (an RWMutex):
+// Every read of the tile goes through the entry (read): the header parse,
+// the block reads of a decode or refine, and the span reads of a planes
+// response. What it reads it keeps in bytes, under bmu, a small lock of
+// its own that is never held with mu, so planning and span reads never
+// wait behind a decode. Resident bytes are never rewritten, so a reader
+// may use what read returned after bmu is released.
+//
+// The decode's lifecycle is under mu (an RWMutex):
 //   - res starts nil and is populated under the write lock by the first
 //     retrieval; concurrent requests for the same tile block on the lock
 //     and find the decode already done — N requests, one decode.
@@ -51,21 +64,30 @@ type tileKey struct {
 //   - Warm queries copy their overlap out under the read lock, so any
 //     number of requests stream the same hot tile concurrently.
 //   - Eviction takes res back to nil under the write lock, if it can get
-//     the lock without waiting (recycle); a goroutine that still holds
-//     the entry then decodes it afresh, as on first touch.
+//     the lock without waiting (the entry is demoted and keeps its
+//     bytes); a goroutine that still holds the entry then decodes it
+//     afresh, from the bytes it holds.
 //
-// arch caches the parsed archive header (tiny: it is read to plan wire
-// responses even when nothing is decoded). It is an atomic pointer, set
-// once, so the wire-planning path can read it without touching mu at all
-// — a planes request must never queue behind a concurrent raw request's
-// multi-millisecond decode. counted tracks how many of res's loaded
-// bytes have already been attributed to some query's I/O accounting; it
-// is atomic so read-locked fast paths can claim deltas without upgrading
-// the lock.
+// arch caches the parsed archive header, read through the entry. It is an
+// atomic pointer, set once, so the wire-planning path can read it without
+// touching mu at all. counted tracks how many of res's loaded bytes have
+// already been attributed to some query's I/O accounting; it is atomic so
+// read-locked fast paths can claim deltas without upgrading the lock.
 type chunkEntry struct {
 	key     tileKey
-	charged int64 // bytes charged against the cache budget
-	private bool  // made by a disabled cache for one retrieval, never shared
+	cache   *TileCache
+	private bool // made by a disabled cache for one retrieval, never shared
+	blob    tileBlob
+
+	// The entry's charge against the budget, guarded by cache.mu (charge):
+	// held for its compressed bytes, dec for its decode — what the result
+	// retains, 0 without one, or while pending an estimate made before the
+	// decode starts.
+	held, dec int64
+	pending   bool
+
+	bmu   sync.Mutex
+	bytes *backend.Sparse
 
 	arch atomic.Pointer[core.Archive]
 
@@ -73,6 +95,125 @@ type chunkEntry struct {
 	res     *core.Result
 	counted atomic.Int64
 }
+
+// charge is what e is charged against the budget: its compressed bytes
+// and its decode. While the decode is pending its estimate, a bound on
+// the decoded size from the tiling (cachedBytesPerElem), covers the bytes
+// the decode reads too, so a fill is charged what it was at admission
+// until it settles. Callers hold cache.mu.
+func (e *chunkEntry) charge() int64 {
+	if e.pending {
+		return max(e.held, e.dec)
+	}
+	return e.held + e.dec
+}
+
+// tileBlob locates a tile's archive: size bytes at off of r, which is the
+// container, or the tile's CAS blob.
+type tileBlob struct {
+	r         io.ReaderAt
+	off, size int64
+}
+
+// traceReaderAt is a source that can attach a request-trace id to a read
+// (backend.Container over a tier that propagates it to an HTTP origin).
+type traceReaderAt interface {
+	ReadAtTrace(p []byte, off int64, trace string) (int, error)
+}
+
+// readAt fills p from the blob at off, with trace attached when the
+// source supports it.
+func (b tileBlob) readAt(p []byte, off int64, trace string) error {
+	var err error
+	if tr, ok := b.r.(traceReaderAt); ok && trace != "" {
+		_, err = tr.ReadAtTrace(p, b.off+off, trace)
+	} else {
+		_, err = b.r.ReadAt(p, b.off+off)
+	}
+	return err
+}
+
+// readGaps reads every gap at once, so that a range interleaved with
+// resident bytes costs an origin one round trip, not one per gap.
+func (b tileBlob) readGaps(gaps []backend.Range, trace string) ([][]byte, error) {
+	bufs := make([][]byte, len(gaps))
+	errs := make([]error, len(gaps))
+	var wg sync.WaitGroup
+	for i, g := range gaps {
+		bufs[i] = sizedBuf(g.Len)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = b.readAt(bufs[i], g.Off, trace)
+		}()
+	}
+	wg.Wait()
+	return bufs, errors.Join(errs...)
+}
+
+// sizedBuf returns n bytes on a whole size-class backing, so that what a
+// Sparse holds (Held) is what its backings occupy.
+func sizedBuf(n int64) []byte { return slices.Grow([]byte(nil), int(n))[:n] }
+
+// read returns the bytes [off, off+n) of the tile's archive: from the
+// entry's resident bytes when they hold the range, otherwise fetched from
+// the source (with trace attached) and kept, the entry's charge growing by
+// what it now holds. The slice must not be written to.
+func (e *chunkEntry) read(off, n int64, trace string) ([]byte, error) {
+	// Subtraction, not off+n: crafted offsets near 2^63 must not overflow
+	// past the check.
+	if off < 0 || n < 0 || off > e.blob.size || n > e.blob.size-off {
+		return nil, fmt.Errorf("store: read [%d,%d) outside a tile archive of %d bytes", off, off+n, e.blob.size)
+	}
+	e.bmu.Lock()
+	gaps := e.bytes.Missing(off, n)
+	if len(gaps) == 0 {
+		before := e.bytes.Held()
+		b, err := e.bytes.ReadRange(off, n)
+		held := e.bytes.Held()
+		e.bmu.Unlock()
+		e.cache.readHits.Add(1)
+		if held != before { // ReadRange merged spans onto a new backing
+			e.cache.grow(e, held)
+		}
+		return b, err
+	}
+	e.bmu.Unlock()
+	e.cache.readMisses.Add(1)
+	var one [1][]byte
+	bufs := one[:]
+	var err error
+	if len(gaps) == 1 {
+		bufs[0] = sizedBuf(gaps[0].Len)
+		err = e.blob.readAt(bufs[0], gaps[0].Off, trace)
+	} else {
+		bufs, err = e.blob.readGaps(gaps, trace)
+	}
+	if err != nil {
+		return nil, err
+	}
+	e.bmu.Lock()
+	for i, g := range gaps {
+		if err = e.bytes.Insert(g.Off, bufs[i]); err != nil {
+			break
+		}
+	}
+	held := e.bytes.Held()
+	var b []byte
+	if err == nil {
+		b, err = e.bytes.ReadRange(off, n)
+	}
+	e.bmu.Unlock()
+	e.cache.grow(e, held)
+	return b, err
+}
+
+// ReadRange makes the entry the archive's core.BlockSource, so a decode
+// reads its blocks through it.
+func (e *chunkEntry) ReadRange(off int64, n int) ([]byte, error) { return e.read(off, int64(n), "") }
+
+// Size is the archive's size, for core.BlockSource.
+func (e *chunkEntry) Size() int64 { return e.blob.size }
 
 // claimLoaded returns the result bytes not yet attributed to any query
 // and marks them attributed. Callers hold entry.mu in either mode (res's
@@ -95,9 +236,14 @@ type Stats struct {
 	// TileHits is the number of per-tile queries served entirely from the
 	// cache, with no container I/O.
 	TileHits int64
-	// Backend is the storage backend's byte-level counters (span-cache
-	// hits/misses, origin bytes fetched, coalesced reads); zero for stores
-	// opened on a plain io.ReaderAt or a counter-less backend.
+	// ReadHits counts reads of tile bytes served from the tile cache's
+	// resident compressed bytes, ReadMisses those that needed a fetch from
+	// the container's source. They are the tile cache's counts: stores
+	// sharing one cache report the same values.
+	ReadHits, ReadMisses int64
+	// Backend is the storage backend's byte-level counters (origin bytes
+	// fetched, coalesced reads); zero for stores opened on a plain
+	// io.ReaderAt or a counter-less backend.
 	Backend backend.Counters
 }
 
@@ -116,23 +262,26 @@ func (c *cacheStats) snapshot() Stats {
 	}
 }
 
-// TileCache is a byte-budgeted LRU over decoded tiles, under one lock.
-// One cache can back any number of stores: a process that serves many
-// containers and snapshots attaches one to all of them
-// (Store.SetTileCache), and its budget then bounds the decoded tiles of
-// the whole process — resident bytes stay within the budget plus one tile
-// however many stores there are. Entries are charged their decoded size up
-// front, at admission: a bound on the decoded size is known from the
-// tiling before any work happens, and charging early keeps concurrent
-// fills from overshooting the budget. After every decode and refine the
-// charge becomes what the tile's result retains (settle): its values and
-// decoded planes, its values alone at full fidelity. An evicted entry
-// leaves the map and, unless a goroutine holds it locked at that moment,
-// gives its decoded values and planes to the next cold decode (recycle),
-// so a cache that evicts as fast as it admits decodes into the memory it
-// evicts instead of allocating a tile's worth per admission. A locked victim is left to the
-// garbage collector once its holder lets go. The lock guards map and list
-// operations only; decodes run under each entry's own lock.
+// TileCache is a byte-budgeted LRU over tiles, under one lock. One cache
+// can back any number of stores: a process that serves many containers
+// and snapshots attaches one to all of them (Store.SetTileCache), and its
+// budget then bounds the tiles of the whole process — resident bytes stay
+// within the budget plus one tile however many stores there are.
+//
+// An entry is charged what it holds: its compressed bytes, which grow as
+// reads go through it, plus its decode, what the result retains (settle).
+// Before a decode starts it is charged a bound on the decoded size from
+// the tiling, which covers the bytes the decode reads too, so that
+// concurrent fills cannot overshoot the budget (chunkEntry.charge). Every
+// time a charge grows the entry becomes the most recent and the cache
+// evicts back to its budget. Eviction demotes before it drops: a victim
+// with a decode that it can lock without waiting gives the decode up — to
+// the next cold decode (core.Result.Release), so a cache that evicts as
+// fast as it admits decodes into the memory it evicts — and keeps its
+// compressed bytes; a victim with bytes only, or one some goroutine holds
+// locked, leaves the cache, a locked decode being left to the garbage
+// collector once its holder lets go. The lock guards map, list and
+// charges only; decodes run under each entry's own lock.
 type TileCache struct {
 	mu        sync.Mutex
 	cap       int64
@@ -140,6 +289,8 @@ type TileCache struct {
 	evictions int64
 	ll        *list.List // front = most recently used; values are *chunkEntry
 	entries   map[tileKey]*list.Element
+
+	readHits, readMisses atomic.Int64
 }
 
 // NewTileCache returns a cache with the given byte budget; a non-positive
@@ -148,92 +299,123 @@ func NewTileCache(capBytes int64) *TileCache {
 	return &TileCache{cap: capBytes, ll: list.New(), entries: make(map[tileKey]*list.Element)}
 }
 
-// evictTo drops entries from the LRU end until the cache is within its
-// budget or only keep entries remain, and returns them appended to
-// victims. Callers hold c.mu, and pass the victims to recycle once they
-// have let go of it.
-func (c *TileCache) evictTo(keep int, victims []*chunkEntry) []*chunkEntry {
-	for c.used > c.cap && c.ll.Len() > keep {
+// evictTo works from the LRU end until the cache is within its budget
+// (empty, for a budget <= 0, which disables it) or only keep entries
+// remain: a victim with a decode and compressed bytes, whose lock it can
+// take without waiting, is demoted to its bytes; anything else leaves.
+// It returns the decodes given up appended to freed. Callers hold c.mu,
+// and Release what it returns once they have let go of it.
+func (c *TileCache) evictTo(keep int, freed []*core.Result) []*core.Result {
+	for (c.used > c.cap || c.cap <= 0) && c.ll.Len() > keep {
 		el := c.ll.Back()
-		victim := el.Value.(*chunkEntry)
-		c.ll.Remove(el)
-		delete(c.entries, victim.key)
-		c.used -= victim.charged
-		c.evictions++
-		victims = append(victims, victim)
-	}
-	return victims
-}
-
-// recycle hands the decoded results of evicted entries to later cold
-// decodes (core.Result.Release). An entry that some goroutine holds
-// locked — decoding, refining or copying out of it — is left to the
-// garbage collector, so eviction never waits on a decode. One it can lock
-// loses its result: a goroutine still holding a pointer to the entry
-// finds res nil under the lock and decodes afresh.
-func recycle(victims []*chunkEntry) {
-	for _, e := range victims {
-		if !e.mu.TryLock() {
+		e := el.Value.(*chunkEntry)
+		if e.dec > 0 && e.held > 0 && e.mu.TryLock() {
+			if e.res != nil {
+				freed = append(freed, e.res)
+			}
+			e.res = nil
+			e.counted.Store(0)
+			e.mu.Unlock()
+			c.used -= e.charge() - e.held
+			e.dec, e.pending = 0, false
 			continue
 		}
-		res := e.res
-		e.res = nil
-		e.counted.Store(0)
-		e.mu.Unlock()
-		if res != nil {
-			res.Release()
-		}
+		c.ll.Remove(el)
+		delete(c.entries, e.key)
+		c.used -= e.charge()
+		c.evictions++
+	}
+	return freed
+}
+
+// release hands the decodes eviction took to later cold decodes.
+func release(freed []*core.Result) {
+	for _, res := range freed {
+		res.Release()
 	}
 }
 
 // acquire returns the entry for key, creating (and admitting) it if
-// needed. With a non-positive capacity, caching is disabled and every call
-// returns a fresh private entry, which its retrieval releases once it has
-// copied out of it.
-func (c *TileCache) acquire(key tileKey, decodedBytes int64) *chunkEntry {
+// needed; blob is where the tile's bytes are read from. decoded is what
+// the caller is about to decode charged in advance (0 for a caller that
+// only reads bytes): an entry that holds no decode and none charged is
+// charged it now, and the cache evicts back to its budget. With a
+// non-positive capacity, caching is disabled and every call returns a
+// fresh private entry, which its retrieval releases once it has copied
+// out of it.
+func (c *TileCache) acquire(key tileKey, blob tileBlob, decoded int64) *chunkEntry {
 	c.mu.Lock()
 	if c.cap <= 0 {
 		c.mu.Unlock()
-		return &chunkEntry{key: key, charged: decodedBytes, private: true}
+		return c.newEntry(key, blob, true)
 	}
+	var e *chunkEntry
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		c.mu.Unlock()
-		return el.Value.(*chunkEntry)
+		e = el.Value.(*chunkEntry)
+	} else {
+		e = c.newEntry(key, blob, false)
+		c.entries[key] = c.ll.PushFront(e)
 	}
-	e := &chunkEntry{key: key, charged: decodedBytes}
-	c.entries[key] = c.ll.PushFront(e)
-	c.used += e.charged
-	// Evict from the LRU end, but never the entry just admitted: a tile
+	if e.dec == 0 && decoded > 0 {
+		c.used -= e.charge()
+		e.dec, e.pending = decoded, true
+		c.used += e.charge()
+	}
+	// Evict from the LRU end, but never the entry just touched: a tile
 	// bigger than the whole budget must still be cached, or concurrent
 	// requests for it would each decode their own copy and the
 	// single-decode guarantee would silently vanish for large tiles. The
 	// budget is therefore soft by at most that one resident tile.
-	var buf [2]*chunkEntry
-	victims := c.evictTo(1, buf[:0])
+	var buf [2]*core.Result
+	freed := c.evictTo(1, buf[:0])
 	c.mu.Unlock()
-	recycle(victims)
+	release(freed)
 	return e
 }
 
-// settle sets e's charge to retained, the bytes its result keeps alive.
-// That is below the admission charge as a rule, and above it only when
-// the result's backings came from the scratch pools larger than what they
-// hold (less than twice); the next admission evicts down to the budget.
-// An entry the cache no longer holds is left alone: nothing counts its
-// charge any more.
-func (c *TileCache) settle(e *chunkEntry, retained int64) {
+func (c *TileCache) newEntry(key tileKey, blob tileBlob, private bool) *chunkEntry {
+	return &chunkEntry{key: key, cache: c, private: private, blob: blob, bytes: backend.NewSparse(blob.size)}
+}
+
+// recharge sets e's charge by set, makes e the most recent entry and
+// evicts back to the budget, keeping e. An entry the cache no longer
+// holds is left alone: nothing counts its charge any more.
+func (c *TileCache) recharge(e *chunkEntry, set func(e *chunkEntry)) {
 	c.mu.Lock()
-	if el, ok := c.entries[e.key]; ok && el.Value == e {
-		c.used += retained - e.charged
-		e.charged = retained
+	el, ok := c.entries[e.key]
+	if !ok || el.Value != e {
+		c.mu.Unlock()
+		return
 	}
+	c.used -= e.charge()
+	set(e)
+	c.used += e.charge()
+	c.ll.MoveToFront(el)
+	var buf [2]*core.Result
+	freed := c.evictTo(1, buf[:0])
 	c.mu.Unlock()
+	release(freed)
+}
+
+// grow charges e for the held compressed bytes it now keeps. Reads that
+// land out of order never lower the charge: bytes are only ever added.
+func (c *TileCache) grow(e *chunkEntry, held int64) {
+	c.recharge(e, func(e *chunkEntry) { e.held = max(e.held, held) })
+}
+
+// settle charges e's decode at retained, the bytes its result keeps
+// alive, after every decode and refine (a private entry is left alone, as
+// recharge leaves any entry the cache does not hold). That is below the admission
+// charge as a rule, and above it only when the result's backings came
+// from the scratch pools larger than what they hold (less than twice).
+func (c *TileCache) settle(e *chunkEntry, retained int64) {
+	c.recharge(e, func(e *chunkEntry) { e.dec, e.pending = retained, false })
 }
 
 // peek returns the cached entry for key, or nil without admitting one.
-// Header-only consumers (wire planning) use it so the budget is never
-// charged a full decoded-tile size for an entry that holds no decode.
+// The warm sweep of a retrieval uses it, so that a retrieval the admission
+// gate refuses charges and evicts nothing.
 func (c *TileCache) peek(key tileKey) *chunkEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,27 +431,32 @@ func (c *TileCache) peek(key tileKey) *chunkEntry {
 func (c *TileCache) Resize(capBytes int64) {
 	c.mu.Lock()
 	c.cap = capBytes
-	victims := c.evictTo(0, nil) // every entry is charged > 0, so a budget <= 0 empties the cache
+	freed := c.evictTo(0, nil)
 	c.mu.Unlock()
-	recycle(victims)
+	release(freed)
 }
 
 // TileCacheStats is a snapshot of a cache's occupancy.
 type TileCacheStats struct {
-	// Bytes is what the resident entries are charged against the budget
-	// (a bound on their decoded size, set at admission and lowered to what
-	// each tile's result retains once it is decoded); Entries how many
-	// there are.
+	// Bytes is what the resident entries are charged against the budget:
+	// their compressed bytes, plus for each decoded tile what its result
+	// retains (a bound on its decoded size while it decodes); Entries how
+	// many there are.
 	Bytes   int64
 	Entries int64
 	// Evictions counts entries dropped to honour the budget since the cache
-	// was made, by admission pressure or by Resize.
+	// was made, by admission pressure or by Resize. A decoded entry that
+	// gives up only its decode stays, and is not counted.
 	Evictions int64
+	// ReadHits counts reads of tile bytes served from an entry's resident
+	// bytes; ReadMisses counts those that needed a fetch from the source.
+	ReadHits, ReadMisses int64
 }
 
 // Stats returns the cache's occupancy, read under its lock.
 func (c *TileCache) Stats() TileCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return TileCacheStats{Bytes: c.used, Entries: int64(c.ll.Len()), Evictions: c.evictions}
+	return TileCacheStats{Bytes: c.used, Entries: int64(c.ll.Len()), Evictions: c.evictions,
+		ReadHits: c.readHits.Load(), ReadMisses: c.readMisses.Load()}
 }

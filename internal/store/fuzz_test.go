@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -17,7 +18,9 @@ import (
 // count in the index is checked against the bytes that could encode it
 // before anything is sized by it). A container it accepts has every chunk
 // record inside the container, between the preamble and the index, and
-// each dataset name once.
+// each dataset name once; every dataset of at most 2^15 elements is then
+// planned, read span by span and retrieved twice through a tile budget
+// smaller than it (serveWhole), which must not panic either.
 func FuzzOpenContainer(f *testing.F) {
 	g := testField(f, grid.Shape{8, 8, 8})
 	chunk := grid.Shape{4, 4, 4} // 8 tiles, so the index is a fair share of the bytes
@@ -113,8 +116,53 @@ func FuzzOpenContainer(f *testing.F) {
 					t.Fatalf("dataset %q chunk %d at [%d,%d) is outside [%d,%d)", info.Name, i, rec.off, rec.off+rec.size, preambleSize, indexOff)
 				}
 			}
+			if n := boxLen(make([]int, len(info.Shape)), info.Shape); n <= 1<<15 {
+				serveWhole(t, s, info, n)
+			}
 		}
 	})
+}
+
+// serveWhole runs what a server runs on a dataset that opened, over its
+// whole extent: a plan at its bound and at 4× its bound with every span
+// of each read, then two retrievals through a tile budget that holds less
+// than the dataset, so that admission, demotion and eviction all run on
+// the container's tiles. Each call may fail but must not panic, and the
+// second retrieval must answer what the first did, bit for bit.
+func serveWhole(t *testing.T, s *Store, info DatasetInfo, n int) {
+	lo := make([]int, len(info.Shape))
+	for _, bound := range []float64{info.ErrorBound, 4 * info.ErrorBound} {
+		plan, err := s.PlanRegion(info.Name, lo, info.Shape, bound, 0)
+		if err != nil {
+			continue
+		}
+		for _, cp := range plan.Chunks {
+			for _, sp := range cp.Spans {
+				if _, err := s.ReadSpan(info.Name, cp.Index, sp, ""); err != nil {
+					break
+				}
+			}
+		}
+	}
+	if err := s.SetCacheBytes(int64(n) * cachedBytesPerElem(info.Scalar) / 3); err != nil {
+		t.Fatal(err)
+	}
+	var answers [2][]float64
+	var errs [2]error
+	for i := range answers {
+		r, err := s.RetrieveDataset(info.Name, info.ErrorBound)
+		if errs[i] = err; err == nil {
+			answers[i] = r.Data()
+		}
+	}
+	if (errs[0] == nil) != (errs[1] == nil) {
+		t.Fatalf("dataset %q: the first retrieval returned %v, the second %v", info.Name, errs[0], errs[1])
+	}
+	for i := range answers[0] {
+		if math.Float64bits(answers[0][i]) != math.Float64bits(answers[1][i]) {
+			t.Fatalf("dataset %q: value %d is %v in the first retrieval, %v in the second", info.Name, i, answers[0][i], answers[1][i])
+		}
+	}
 }
 
 // indexOnly rewrites a container with every chunk cut to one byte: the

@@ -117,10 +117,12 @@ func randomBox(rng *rand.Rand) (lo, hi []int) {
 // of both scalar widths from several goroutines through a cache of one or
 // two tiles, so that nearly every admission evicts a tile and the next
 // cold decode runs in its backings while other goroutines copy out of,
-// refine and decode the tiles around it. Every answer is bit for bit a
-// private-cache store's. Under -race (CI runs TestTileCache* so) it is
-// also the proof that an evicted entry is recycled only when nobody holds
-// it.
+// refine and decode the tiles around it, and plan and read planes spans
+// through the same entries. Every answer is bit for bit a private-cache
+// store's, and every span the container's bytes. Under -race (CI runs
+// TestTileCache* so) it is also the proof that an evicted entry is
+// recycled only when nobody holds it, and that an entry's bytes are read
+// and merged under its own lock.
 func TestTileCacheRecycleConcurrent(t *testing.T) {
 	blob, bounds, want := recycleFixture(t)
 	for _, tiles := range []int64{1, 2} {
@@ -154,6 +156,9 @@ func TestTileCacheRecycleConcurrent(t *testing.T) {
 						if err == nil {
 							err = checkRecycledRegion(s, name, lo, hi, bound, r, bounds, want[name])
 						}
+						if err == nil && op%3 == 0 {
+							err = checkPlanSpans(s, name, lo, hi, bound)
+						}
 						if err != nil {
 							errs <- fmt.Errorf("worker %d op %d: %s %v..%v at %g: %w", seed, op, name, lo, hi, bound, err)
 							return
@@ -171,6 +176,32 @@ func TestTileCacheRecycleConcurrent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkPlanSpans plans the box at bound, as a planes response does, and
+// reads every span of the plan through the tile cache: each must be the
+// container's bytes.
+func checkPlanSpans(s *Store, name string, lo, hi []int, bound float64) error {
+	plan, err := s.PlanRegion(name, lo, hi, bound, 0)
+	if err != nil {
+		return err
+	}
+	for _, cp := range plan.Chunks {
+		for _, sp := range cp.Spans {
+			got, err := s.ReadSpan(name, cp.Index, sp, "")
+			if err != nil {
+				return err
+			}
+			want, err := s.ReadRange(cp.BlobOff+sp.Off, sp.Len)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, want) {
+				return fmt.Errorf("tile %d span [%d,+%d) is not the container's bytes", cp.Index, sp.Off, sp.Len)
+			}
+		}
+	}
+	return nil
 }
 
 // TestTileCacheRecycleSizeClass: through a two-tile cache and tiles of
@@ -205,8 +236,8 @@ func TestTileCacheRecycleSizeClass(t *testing.T) {
 				} else {
 					cp = cap(core.DataOf[float64](e.res))
 				}
-				if e.charged != e.res.RetainedBytes() || bits.Len(uint(cp)) != bits.Len(uint(n)) {
-					t.Errorf("op %d: tile %v is charged %d B, retains %d, holds %d values on a backing of %d", op, e.key, e.charged, e.res.RetainedBytes(), n, cp)
+				if e.dec != e.res.RetainedBytes() || bits.Len(uint(cp)) != bits.Len(uint(n)) {
+					t.Errorf("op %d: tile %v's decode is charged %d B, retains %d, holds %d values on a backing of %d", op, e.key, e.dec, e.res.RetainedBytes(), n, cp)
 				}
 			}
 			e.mu.RUnlock()

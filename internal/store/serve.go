@@ -77,9 +77,10 @@ func (p *RegionPlan) Bytes() int64 {
 // for a client that already holds the same region at haveBound (0 means a
 // fresh client). Only tile archive headers are read — nothing is decoded —
 // so serving compressed planes costs the server no compression work at
-// all. Plans are deterministic: the same archive and bound always select
-// the same planes, which is what makes stateless refinement tokens
-// possible.
+// all; each tile is admitted to the tile cache, which keeps its header and
+// the spans ReadSpan reads. Plans are deterministic: the same archive and
+// bound always select the same planes, which is what makes stateless
+// refinement tokens possible.
 func (s *Store) PlanRegion(name string, lo, hi []int, bound, haveBound float64) (*RegionPlan, error) {
 	ds, ok := s.datasets[name]
 	if !ok {
@@ -106,17 +107,13 @@ func (s *Store) PlanRegion(name string, lo, hi []int, bound, haveBound float64) 
 	err := core.ParallelForErr(len(chunks), func(i int) error {
 		ci := chunks[i]
 		rec := &ds.chunks[ci]
-		// Planning reads only the tile's header, so it must not admit (and
-		// charge a full decoded-tile size against) a cache entry: peek at
-		// what retrievals have cached, falling back to a transient parse
-		// (headers are small; the DP planning below dominates the cost).
+		// Planning admits the tile, charged for the bytes it reads: its
+		// header now, and the spans a planes response reads through the
+		// entry later; a later decode upgrades the same entry in place.
 		// openChunkArchive is lock-free, so a planes request never queues
 		// behind a concurrent raw request's decode of the same tile.
 		key := s.tileKey(ds, ci)
-		entry := s.cache.peek(key)
-		if entry == nil {
-			entry = &chunkEntry{key: key}
-		}
+		entry := s.cache.acquire(key, s.tileBlob(ds, ci, key), 0)
 		arch, err := s.openChunkArchive(entry, ds, ci)
 		if err != nil {
 			return fmt.Errorf("store: dataset %q chunk %d: %w", ds.name, ci, err)
@@ -181,33 +178,36 @@ func (s *Store) PlanRegion(name string, lo, hi []int, bound, haveBound float64) 
 	return rp, nil
 }
 
-// ReadRange returns n container bytes starting at absolute offset off,
-// bounds-checked against the container size. Servers use it to stream the
-// spans a RegionPlan selects.
-func (s *Store) ReadRange(off, n int64) ([]byte, error) { return s.ReadRangeTrace(off, n, "") }
+// ReadSpan returns the bytes of sp, a span of chunk ci of the named
+// dataset as a ChunkPlan gives it, through the tile's cache entry: from
+// the bytes it holds, or fetched from the container's source and kept.
+// trace (may be "") rides the fetch when the source propagates it (an
+// HTTP origin behind backend.Cached), so an edge node's reads stitch into
+// the client's trace. The slice must not be written to.
+func (s *Store) ReadSpan(name string, ci int, sp core.Span, trace string) ([]byte, error) {
+	ds, ok := s.datasets[name]
+	if !ok {
+		return nil, fmt.Errorf("store: no dataset %q (have %v)", name, s.order)
+	}
+	if ci < 0 || ci >= len(ds.chunks) {
+		return nil, fmt.Errorf("store: dataset %q has no chunk %d", name, ci)
+	}
+	key := s.tileKey(ds, ci)
+	return s.cache.acquire(key, s.tileBlob(ds, ci, key), 0).read(sp.Off, sp.Len, trace)
+}
 
-// ReadRangeTrace is ReadRange with a trace id attached: when the
-// container's source supports trace propagation (backend.TraceReader,
-// e.g. an http origin behind a cache), the id rides the origin fetch so
-// an edge node's reads stitch into the client's trace. Sources without
-// support, and an empty id, read plainly.
-func (s *Store) ReadRangeTrace(off, n int64, trace string) ([]byte, error) {
+// ReadRange returns n container bytes starting at absolute offset off,
+// bounds-checked against the container size. It reads the container's
+// source directly and keeps nothing; a planes response reads its spans
+// through the tile cache instead (ReadSpan).
+func (s *Store) ReadRange(off, n int64) ([]byte, error) {
 	// Subtraction, not off+n: crafted offsets near 2^63 must not overflow
 	// past the check.
 	if off < 0 || n < 0 || off > s.size || n > s.size-off {
 		return nil, fmt.Errorf("store: read [%d,%d) outside container of %d bytes", off, off+n, s.size)
 	}
-	type traceReaderAt interface {
-		ReadAtTrace(p []byte, off int64, trace string) (int, error)
-	}
 	buf := make([]byte, n)
-	var err error
-	if tr, ok := s.src.(traceReaderAt); ok && trace != "" {
-		_, err = tr.ReadAtTrace(buf, off, trace)
-	} else {
-		_, err = s.src.ReadAt(buf, off)
-	}
-	if err != nil {
+	if _, err := s.src.ReadAt(buf, off); err != nil {
 		return nil, err
 	}
 	return buf, nil

@@ -114,34 +114,62 @@ func TestPlanRegion(t *testing.T) {
 	}
 }
 
-// TestPlanRegionDoesNotChargeCache: planning reads only tile headers, so
-// it must not admit cache entries — a planes-heavy workload would
-// otherwise be charged full decoded-tile sizes it never decodes,
-// flushing tiles that raw retrievals paid real decode time for.
-func TestPlanRegionDoesNotChargeCache(t *testing.T) {
+// TestPlanRegionAdmitsCompressedEntries: planning admits every tile it
+// plans, charged the header bytes it read and nothing for a decode; a
+// retrieval then upgrades the same entries in place without reading a
+// header again, and planning over decoded tiles reads nothing and
+// changes no charge.
+func TestPlanRegionAdmitsCompressedEntries(t *testing.T) {
 	g := testField(t, grid.Shape{32, 32, 32})
 	eb := 1e-5 * g.ValueRange()
 	s := openStore(t, packOne(t, g, eb, grid.Shape{16, 16, 16}))
+	all := []int{32, 32, 32}
 
-	countEntries := func() int64 { return s.TileCache().Stats().Entries }
-	if _, err := s.PlanRegion("field", []int{0, 0, 0}, []int{32, 32, 32}, 64*eb, 0); err != nil {
+	entries := func() map[tileKey]*chunkEntry {
+		s.cache.mu.Lock()
+		defer s.cache.mu.Unlock()
+		out := make(map[tileKey]*chunkEntry)
+		for k, el := range s.cache.entries {
+			out[k] = el.Value.(*chunkEntry)
+		}
+		return out
+	}
+	if _, err := s.PlanRegion("field", []int{0, 0, 0}, all, 64*eb, 0); err != nil {
 		t.Fatal(err)
 	}
-	if n := countEntries(); n != 0 {
-		t.Errorf("planning a cold region admitted %d cache entries", n)
+	planned := entries()
+	archs := make(map[tileKey]*core.Archive)
+	var headers int64
+	for k, e := range planned {
+		arch := e.arch.Load()
+		archs[k] = arch
+		if e.res != nil || e.dec != 0 || arch == nil || e.held != e.bytes.Held() ||
+			e.bytes.Missing(0, arch.HeaderSize()) != nil || e.bytes.Missing(0, arch.HeaderSize()+1) == nil {
+			t.Fatalf("planned tile %v: decoded %v, decode charge %d, bytes charged %d of %d held; want its header alone", k, e.res != nil, e.dec, e.held, e.bytes.Held())
+		}
+		headers += e.held
 	}
-	if _, err := s.RetrieveRegion("field", []int{0, 0, 0}, []int{32, 32, 32}, 64*eb); err != nil {
+	if st := s.TileCache().Stats(); st.Entries != 8 || st.Bytes != headers || st.ReadMisses != 16 || st.ReadHits != 0 {
+		t.Fatalf("planning a cold region: %+v, want 8 entries charged their %d header bytes after 16 reads", st, headers)
+	}
+
+	if _, err := s.RetrieveRegion("field", []int{0, 0, 0}, all, 64*eb); err != nil {
 		t.Fatal(err)
-	}
-	before := countEntries()
-	if _, err := s.PlanRegion("field", []int{0, 0, 0}, []int{32, 32, 32}, 8*eb, 64*eb); err != nil {
-		t.Fatal(err)
-	}
-	if after := countEntries(); after != before {
-		t.Errorf("planning changed cache population %d -> %d", before, after)
 	}
 	if st := s.Stats(); st.TileDecodes != 8 {
-		t.Errorf("planning triggered decodes: %d, want 8 from the one retrieval", st.TileDecodes)
+		t.Fatalf("retrieving the planned tiles: %+v, want 8 decodes", st)
+	}
+	for k, e := range entries() {
+		if planned[k] != e || e.res == nil || e.arch.Load() != archs[k] {
+			t.Fatalf("tile %v was not upgraded in place", k)
+		}
+	}
+	before := s.TileCache().Stats()
+	if _, err := s.PlanRegion("field", []int{0, 0, 0}, all, 8*eb, 64*eb); err != nil {
+		t.Fatal(err)
+	}
+	if after := s.TileCache().Stats(); after != before {
+		t.Errorf("planning over decoded tiles changed the cache: %+v -> %+v", before, after)
 	}
 }
 
@@ -151,9 +179,9 @@ func TestPlanRegionDoesNotChargeCache(t *testing.T) {
 // box at the origin, 8 for one aligned to the tiles). A "fresh" plan is a
 // planes request at 16·eb; a "refine" plan is a token refinement from
 // 256·eb to 16·eb, which plans every tile twice. On "warm" entries every
-// tile has been retrieved, so planning peeks at the parsed archive; on
-// "peek-miss" entries nothing is cached and every tile's header is parsed
-// afresh, as on a planes-only node or an edge.
+// tile has been retrieved; on "header-only" entries nothing has, as on a
+// planes-only node or an edge: the first plan over a tile admits it and
+// parses its header, and later plans find the parsed archive.
 func BenchmarkPlanRegion(b *testing.B) {
 	g, err := datagen.GenerateShape("Pressure", grid.Shape{96, 96, 96})
 	if err != nil {
@@ -183,7 +211,7 @@ func BenchmarkPlanRegion(b *testing.B) {
 		}
 		boxes[i] = box{lo, hi}
 	}
-	for _, entries := range []string{"warm", "peek-miss"} {
+	for _, entries := range []string{"warm", "header-only"} {
 		s := openStore(b, buf.Bytes())
 		if entries == "warm" {
 			if _, err := s.RetrieveDataset("pressure", 64*eb); err != nil {

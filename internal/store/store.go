@@ -148,6 +148,19 @@ func (s *Store) SetTileCache(c *TileCache) { s.cache, s.shared = c, true }
 // Aggregators that sum occupancy across stores dedupe by identity.
 func (s *Store) TileCache() *TileCache { return s.cache }
 
+// tileBlob locates chunk ci of ds, keyed key. A content-keyed entry
+// outlives any one snapshot, so it reads its blob from the CAS by score,
+// not through the container image of the snapshot that happened to touch
+// it first: deleting that snapshot leaves a later refine through another
+// one working.
+func (s *Store) tileBlob(ds *datasetMeta, ci int, key tileKey) tileBlob {
+	rec := &ds.chunks[ci]
+	if s.snap != nil {
+		return tileBlob{r: blobReaderAt{c: s.snap.c, score: key.score}, size: rec.size}
+	}
+	return tileBlob{r: s.src, off: rec.off, size: rec.size}
+}
+
 // tileKey names chunk ci of ds in the tile cache: by content when the
 // store knows the tile's score, by position otherwise.
 func (s *Store) tileKey(ds *datasetMeta, ci int) tileKey {
@@ -157,12 +170,13 @@ func (s *Store) tileKey(ds *datasetMeta, ci int) tileKey {
 	return tileKey{owner: s.id, dataset: ds.name, chunk: ci}
 }
 
-// Stats returns a snapshot of the store's tile-level cache counters,
-// plus the byte-level counters of the storage backend when the store was
-// opened through one that keeps them (OpenBackend over a Cached or HTTP
-// tier).
+// Stats returns a snapshot of the store's tile-level cache counters, its
+// tile cache's read counters, and the byte-level counters of the storage
+// backend when the store was opened through one that keeps them
+// (OpenBackend over a Cached or HTTP tier).
 func (s *Store) Stats() Stats {
 	st := s.stats.snapshot()
+	st.ReadHits, st.ReadMisses = s.cache.readHits.Load(), s.cache.readMisses.Load()
 	if s.counters != nil {
 		st.Backend = s.counters.Counters()
 	}
@@ -404,21 +418,22 @@ func retrieveRegionAs[T grid.Scalar](s *Store, ds *datasetMeta, lo, hi []int, bo
 	}
 
 	// At least one tile needs decode or refine work: pass through the
-	// admission gate once, admit the tiles the cache does not hold, then fan
-	// out over just the cold tiles. acquire is idempotent under the cache
-	// lock, so concurrent retrievals of one tile still share one entry and
-	// one decode.
+	// admission gate once, admit the tiles the cache does not hold and
+	// charge the decode of those that hold bytes only, then fan out over
+	// just the cold tiles. acquire is idempotent under the cache lock, so
+	// concurrent retrievals of one tile still share one entry and one
+	// decode.
 	if opts.Gate != nil {
 		if err := opts.Gate(); err != nil {
 			return nil, err
 		}
 	}
 	for _, pos := range sc.cold {
-		if sc.entries[pos] == nil {
-			rec := &ds.chunks[sc.chunks[pos]]
-			sc.entries[pos] = s.cache.acquire(s.tileKey(ds, sc.chunks[pos]),
-				int64(boxLen(rec.lo, rec.hi))*cachedBytesPerElem(ds.scalar))
-		}
+		ci := sc.chunks[pos]
+		rec := &ds.chunks[ci]
+		key := s.tileKey(ds, ci)
+		sc.entries[pos] = s.cache.acquire(key, s.tileBlob(ds, ci, key),
+			int64(boxLen(rec.lo, rec.hi))*cachedBytesPerElem(ds.scalar))
 	}
 	if cap(sc.loaded) < len(sc.cold) {
 		sc.loaded = make([]int64, len(sc.cold))
@@ -526,25 +541,16 @@ func (s *Store) RetrieveDataset(name string, bound float64) (*Region, error) {
 }
 
 // openChunkArchive parses (or returns the cached parse of) a tile's
-// archive header. It needs no lock: the cached pointer is set once via
-// CAS (racing parses produce equivalent archives and the loser's is
-// dropped), so wire planning can call it while a decode holds entry.mu.
-// Only the header is read — planning never decodes the tile.
-//
-// A content-keyed entry outlives any one snapshot, so its archive reads
-// the blob from the CAS by score, not through the container image of the
-// snapshot that happened to touch it first: deleting that snapshot leaves
-// a later refine through another one working.
+// archive header, read through the entry, which keeps the bytes. It needs
+// no lock: the cached pointer is set once via CAS (racing parses produce
+// equivalent archives and the loser's is dropped), so wire planning can
+// call it while a decode holds entry.mu. Only the header is read —
+// planning never decodes the tile.
 func (s *Store) openChunkArchive(entry *chunkEntry, ds *datasetMeta, ci int) (*core.Archive, error) {
 	arch := entry.arch.Load()
 	if arch == nil {
-		rec := &ds.chunks[ci]
-		var blob io.ReaderAt = io.NewSectionReader(s.src, rec.off, rec.size)
-		if s.snap != nil {
-			blob = blobReaderAt{c: s.snap.c, score: entry.key.score}
-		}
 		var err error
-		if arch, err = core.NewArchiveReaderAt(blob, rec.size); err != nil {
+		if arch, err = core.NewArchiveFrom(entry); err != nil {
 			return nil, err
 		}
 		if !entry.arch.CompareAndSwap(nil, arch) {
@@ -566,19 +572,11 @@ func (s *Store) openChunkArchive(entry *chunkEntry, ds *datasetMeta, ci int) (*c
 	return arch, nil
 }
 
-// settle charges a cached tile what its result retains, after every
-// decode and refine. Callers hold entry.mu and a result.
-func (s *Store) settle(entry *chunkEntry) {
-	if !entry.private {
-		s.cache.settle(entry, entry.res.RetainedBytes())
-	}
-}
-
 // ensureChunk makes entry.res valid at fidelity `bound` or better: first
-// touch opens the chunk's archive through a section of the container and
-// retrieves at the bound; a cached result with a looser guarantee is
-// refined in place, loading only the additional bitplanes. Callers hold
-// entry.mu for writing. st (may be nil) collects decode-path timings for
+// touch opens the chunk's archive through the entry and retrieves at the
+// bound, reading whatever blocks the entry does not hold yet; a cached
+// result with a looser guarantee is refined in place, loading only the
+// additional bitplanes. Callers hold entry.mu for writing. st (may be nil) collects decode-path timings for
 // this request; it is attached only while the lock is held, so a cached
 // result never reports into a finished request's collector.
 func (s *Store) ensureChunk(entry *chunkEntry, ds *datasetMeta, ci int, bound float64, st *core.DecodeStats) error {
@@ -594,7 +592,7 @@ func (s *Store) ensureChunk(entry *chunkEntry, ds *datasetMeta, ci int, bound fl
 		res.SetDecodeStats(nil)
 		s.stats.decodes.Add(1)
 		entry.res = res
-		s.settle(entry)
+		entry.cache.settle(entry, entry.res.RetainedBytes())
 		return nil
 	}
 	if entry.res.GuaranteedError() > bound {
@@ -609,7 +607,7 @@ func (s *Store) ensureChunk(entry *chunkEntry, ds *datasetMeta, ci int, bound fl
 			return err
 		}
 		s.stats.refines.Add(1)
-		s.settle(entry)
+		entry.cache.settle(entry, entry.res.RetainedBytes())
 		return nil
 	}
 	// Another request decoded or refined the tile while we waited for the

@@ -595,10 +595,19 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// Budget invariant: the whole cache is within its budget, which holds
 	// exactly the two most recent chunks; every entry is charged, and at
-	// full fidelity, where it keeps no indices, its values only.
+	// full fidelity, where it keeps no planes, its values and the
+	// compressed bytes it read: the whole archive.
 	valueBytes := int64(16 * 16 * 16 * core.Float64.Bytes())
-	if st := s.TileCache().Stats(); st.Bytes > 2*chunkBytes || st.Entries != 2 || st.Bytes != st.Entries*valueBytes || st.Evictions != 6 {
-		t.Errorf("a two-chunk cache after reading 8 chunks holds %+v", st)
+	var held int64
+	for _, el := range s.cache.entries {
+		e := el.Value.(*chunkEntry)
+		if e.bytes.Missing(0, e.blob.size) != nil {
+			t.Errorf("tile %v decoded at full fidelity does not hold its whole archive", e.key)
+		}
+		held += e.held
+	}
+	if st := s.TileCache().Stats(); st.Bytes > 2*chunkBytes || st.Entries != 2 || st.Bytes != st.Entries*valueBytes+held || st.Evictions != 6 {
+		t.Errorf("a two-chunk cache after reading 8 chunks holds %+v (%d compressed bytes)", st, held)
 	}
 	// Disabled cache still serves queries.
 	s.SetCacheBytes(0)

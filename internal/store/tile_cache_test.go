@@ -215,7 +215,8 @@ func TestSharedCacheConcurrentSnapshots(t *testing.T) {
 // TestSharedCacheBudgetAcrossSnapshots: fifty snapshots each read once
 // through one cache never charge it more than its budget plus one tile,
 // however many stores are attached, and each entry is charged what its
-// tile retains, at most its admission charge.
+// tile retains — its decode, if it kept one, and its compressed bytes —
+// at most its admission charge.
 func TestSharedCacheBudgetAcrossSnapshots(t *testing.T) {
 	shape, chunk := []int{32, 32, 32}, []int{16, 16, 16} // 8 tiles
 	const steps, eb = 50, 1e-6
@@ -234,7 +235,11 @@ func TestSharedCacheBudgetAcrossSnapshots(t *testing.T) {
 		}
 		var retains int64
 		for _, el := range tiles.entries {
-			retains += el.Value.(*chunkEntry).res.RetainedBytes()
+			if e := el.Value.(*chunkEntry); e.res != nil {
+				retains += e.res.RetainedBytes() + e.held
+			} else {
+				retains += e.held
+			}
 		}
 		if got := tiles.Stats(); got.Bytes > budget+tile || got.Bytes > got.Entries*tile || got.Bytes != retains {
 			t.Fatalf("after t%d the cache is charged %d bytes for %d entries retaining %d; the budget is %d + one %d-byte tile", s, got.Bytes, got.Entries, retains, budget, tile)
@@ -335,17 +340,18 @@ func liveHeap() int64 {
 }
 
 // TestCachedTileChargeIsRetainedHeap holds what the tile cache charges an
-// element to what a cached tile keeps alive. Eight 32³ tiles are decoded at
+// element to what a cached tile keeps alive: its decode and the
+// compressed bytes it read. Eight 32³ tiles are decoded at
 // each width and at three bounds, from few planes to all of them. What the
 // cache retains — the live heap with the tiles cached, less the live heap
 // once they are evicted — must be what the cache charges them to within
 // half a byte an element either way: above it the budget would be a lie,
 // below it the cache would hold fewer tiles than its budget pays for. The
-// charge is what each tile's result retains: its values and its decoded
-// planes below full fidelity, the values alone at it, where a tile keeps
-// no planes. (What is not values and planes — the parsed archive headers,
-// the entries — measures 0.13 B/elem for float64 tiles and 0.21 for
-// float32 ones.)
+// charge is the compressed bytes plus what each tile's result retains: its
+// values and its decoded planes below full fidelity, the values alone at
+// it, where a tile keeps no planes. (What is not values, planes and
+// compressed bytes — the parsed archive headers, the entries — measures
+// 0.13 B/elem for float64 tiles and 0.21 for float32 ones.)
 func TestCachedTileChargeIsRetainedHeap(t *testing.T) {
 	const tolerance = 0.5 // B/elem
 	g := testField(t, grid.Shape{64, 64, 64})
@@ -374,16 +380,19 @@ func TestCachedTileChargeIsRetainedHeap(t *testing.T) {
 				t.Fatal(err)
 			}
 			charge := float64(s.cache.Stats().Bytes) / float64(g.Len())
-			var retains int64
+			var retains, compressed int64
 			for _, el := range s.cache.entries {
-				retains += el.Value.(*chunkEntry).res.RetainedBytes()
+				e := el.Value.(*chunkEntry)
+				retains += e.res.RetainedBytes()
+				compressed += e.bytes.Held()
 			}
+			decode := charge - float64(compressed)/float64(g.Len())
 			if want := float64(retains) / float64(g.Len()); factor == 1 {
-				if values := float64(scalar.Bytes()); charge != values {
-					t.Errorf("%v at full fidelity: charged %.2f B/elem, want the values' %.0f", scalar, charge, values)
+				if values := float64(scalar.Bytes()); decode != values {
+					t.Errorf("%v at full fidelity: a decode is charged %.2f B/elem, want the values' %.0f", scalar, decode, values)
 				}
-			} else if charge != want || charge <= float64(scalar.Bytes()) {
-				t.Errorf("%v at %g·eb: charged %.2f B/elem, the tiles retain %.2f beside %d of values", scalar, factor, charge, want, scalar.Bytes())
+			} else if decode != want || decode <= float64(scalar.Bytes()) {
+				t.Errorf("%v at %g·eb: a decode is charged %.2f B/elem, the tiles retain %.2f beside %d of values", scalar, factor, decode, want, scalar.Bytes())
 			}
 			held := liveHeap()
 			s.SetCacheBytes(0)

@@ -13,10 +13,11 @@ import (
 // planning and framing plus the client's parsing, decoding and reassembly —
 // the quantity the benchmark's traced run reports as client.reassemble_ms
 // (region) and client.refine_ms (refine1, refine2). Nothing retrieves a
-// tile on the server side, so its tile cache stays empty and every round
-// plans on the peek-miss path, parsing each tile's header afresh: a change
-// to planning on cached tiles does not show here, but in
-// BenchmarkPlanRegion's warm rows (internal/store). The field, tiling,
+// tile on the server side, so its tile cache holds each tile's compressed
+// bytes only: the first plan over a tile parses its header, later ones
+// find the parsed archive, and the spans are served from the bytes the
+// cache keeps. A change to planning on decoded tiles does not show here,
+// but in BenchmarkPlanRegion's warm rows (internal/store). The field, tiling,
 // boxes and bounds are those of the serve_warm_refine workload: 96³
 // float64 in 32³ tiles, 48³ boxes on an 8-pitch lattice (8 to 27 tiles a
 // box), 256·eb → 16·eb → 4·eb.

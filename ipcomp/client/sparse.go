@@ -10,8 +10,9 @@ import "repro/internal/backend"
 // plan selected and the server shipped exactly those.
 //
 // The span store itself is backend.Sparse — the same merge-and-verify
-// buffer that backs the cached storage tier — so the client's tile
-// reassembly and an edge proxy's byte cache share one set of semantics:
+// buffer that holds a server's cached compressed tile bytes — so the
+// client's tile reassembly and an edge proxy's tile cache share one set
+// of semantics:
 // identical re-sent ranges merge silently (per-level plans are not
 // monotone in the bound, so servers legitimately re-ship ranges), and
 // diverging bytes fail loudly.
@@ -25,12 +26,12 @@ func newSparseSource(size int64) *sparseSource {
 
 // insert adds [off, off+len(b)) to the source, taking ownership of b.
 func (s *sparseSource) insert(off int64, b []byte) error {
-	return s.sp.Insert(off, b, 0)
+	return s.sp.Insert(off, b)
 }
 
 // ReadRange implements core.BlockSource over the delivered ranges.
 func (s *sparseSource) ReadRange(off int64, n int) ([]byte, error) {
-	return s.sp.ReadRange(off, int64(n), 0)
+	return s.sp.ReadRange(off, int64(n))
 }
 
 // Size implements core.BlockSource.

@@ -183,10 +183,12 @@ func OpenStoreFile(path string) (*Store, error) {
 //	http://host:8080/v1/containers/climate.ipcs  one container of an ipcompd origin
 //	https://cdn/data/climate.ipcs                a file on any Range-capable static server
 //
-// Remote (http/https) containers are opened through a read-through span
-// cache (backend.DefaultCachedBytes), so repeated and refining queries
-// fetch each byte range from the origin at most once; Stats reports the
-// cache's counters. Close releases the backend.
+// Remote (http/https) containers are read through a tier that joins
+// concurrent identical origin reads; the store's own tile cache keeps the
+// bytes each tile has read, so repeated and refining queries fetch each
+// byte range from the origin once while the tile stays cached. Stats
+// reports the tier's and the cache's counters. Close releases the
+// backend.
 func OpenURL(spec string) (*Store, error) {
 	b, name, err := backend.Open(spec)
 	if err != nil {
@@ -206,7 +208,7 @@ func OpenURL(spec string) (*Store, error) {
 		name = names[0]
 	}
 	if backend.IsRemote(b) {
-		b = backend.NewCached(b, backend.DefaultCachedBytes)
+		b = backend.NewCached(b)
 	}
 	s, err := store.OpenBackend(b, name)
 	if err != nil {
@@ -222,9 +224,10 @@ type backendCloser struct{ b backend.Backend }
 func (c backendCloser) Close() error { return backend.Close(c.b) }
 
 // StoreStats is a snapshot of a store's cache counters: tile-level
-// decode/refine/hit counts, plus the storage backend's span-cache
-// counters (hits, misses, origin bytes fetched, coalesced reads) for
-// stores opened through OpenURL on a remote backend.
+// decode/refine/hit counts, the tile cache's reads of compressed bytes
+// (served from memory, or fetched), plus the storage backend's counters
+// (origin bytes fetched, coalesced reads) for stores opened through
+// OpenURL on a remote backend.
 type StoreStats = store.Stats
 
 // Stats returns the store's cache counters.
