@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -209,67 +208,6 @@ func TestHTTPBackendNoRangeSupport(t *testing.T) {
 	if _, err := h.ReadAt("c.ipcs", make([]byte, 10), 5); err == nil ||
 		!strings.Contains(err.Error(), "Range") {
 		t.Errorf("no-range origin: %v", err)
-	}
-}
-
-// TestHTTPBackendCoalescing pins the one coalescing point: N concurrent
-// identical reads through Cached(HTTP) reach the origin as exactly one
-// Range request. HTTP itself does not coalesce, so this fails if a read
-// bypasses Cached's flights.
-func TestHTTPBackendCoalescing(t *testing.T) {
-	blob := testBlob(1024, 6)
-	var ranged atomic.Int32
-	release := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("Range") != "bytes=0-0" { // the size probe is not held
-			ranged.Add(1)
-			<-release
-		}
-		http.ServeContent(w, r, "", time.Time{}, bytes.NewReader(blob))
-	}))
-	defer ts.Close()
-	h, err := NewHTTP(ts.URL + "/c.ipcs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCached(h)
-	if _, err := c.Size("c.ipcs"); err != nil {
-		t.Fatal(err)
-	}
-
-	const readers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, readers)
-	bufs := make([][]byte, readers)
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bufs[i] = make([]byte, 128)
-			_, errs[i] = c.ReadAt("c.ipcs", bufs[i], 256)
-		}(i)
-	}
-	// Let the readers pile onto the single in-flight request, or (were
-	// they not joined) each reach the origin, then serve.
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Counters().Coalesced < readers-1 && ranged.Load() < readers && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("reader %d: %v", i, err)
-		}
-		if !bytes.Equal(bufs[i], blob[256:384]) {
-			t.Fatalf("reader %d got wrong bytes", i)
-		}
-	}
-	if got := ranged.Load(); got != 1 {
-		t.Errorf("%d origin Range requests, want 1", got)
-	}
-	if got := c.Counters(); got.Coalesced != readers-1 || got.BytesFetched != 128 {
-		t.Errorf("Coalesced = %d, BytesFetched = %d, want %d, 128", got.Coalesced, got.BytesFetched, readers-1)
 	}
 }
 
